@@ -62,16 +62,16 @@ pub struct ClusterBuild {
 }
 
 impl ClusterBuild {
-    /// Apply one streaming mutation to the sharded system: change the lake,
-    /// route every affected instance's index ops to the owning shard
+    /// Apply one streaming mutation to the sharded system: change the lake
+    /// (and the front end's prepared rerank features with it), route every
+    /// affected instance's index ops to the owning shard
     /// ([`shard_of`]), re-merge the global BM25 statistics, and advance the
     /// cluster's generation watermark to the lake's new generation.
     pub fn apply(
         &mut self,
         mutation: verifai::LakeMutation,
     ) -> Result<verifai::MutationOutcome, verifai::MutationError> {
-        let lake = self.system.routed_lake_mut()?;
-        let ops = verifai::mutate_lake(lake, mutation)?;
+        let ops = self.system.mutate_routed(mutation)?;
         let generation = self.system.lake().generation();
         Ok(self.router.apply_ops(ops, generation))
     }

@@ -227,6 +227,34 @@ fn routed_mutations_match_single_lake_live_system() {
             );
         }
     }
+
+    // Rerank sits behind retrieval on both sides, scoring against prepared
+    // evidence features that `VerifAi::apply` (reference) and
+    // `VerifAi::mutate_routed` (cluster front end) kept current through
+    // the same stream: same entries, same reports — including a claim
+    // aimed at the table whose row was added and removed again.
+    assert_eq!(
+        cluster.system.live_stats().prepared_instances,
+        reference.live_stats().prepared_instances
+    );
+    let (mut objects, _) = probes(&reference);
+    objects.push(DataObject::TextClaim(verifai::TextClaim {
+        id: 770_001,
+        text: format!(
+            "in the {}, streamed0 is streamed1",
+            reference.lake().table(table_id).unwrap().caption
+        ),
+        expr: None,
+        scope: None,
+    }));
+    for object in &objects {
+        assert_eq!(
+            cluster.system.verify_object(object),
+            reference.verify_object(object),
+            "post-mutation report diverged for object {}",
+            object.id()
+        );
+    }
 }
 
 /// The batched scatter path returns exactly what per-query scatters would,

@@ -57,6 +57,7 @@ pub mod config;
 pub mod corpus;
 pub mod exec;
 pub mod experiments;
+pub mod features;
 pub mod live;
 pub mod metrics;
 pub mod pipeline;
@@ -64,6 +65,7 @@ pub mod report;
 pub mod stages;
 
 pub use config::{SemanticBackend, VerifAiConfig};
+pub use features::{FeatureStats, FeatureStore};
 pub use live::{
     mutate_lake, semantic_texts, IndexOp, LakeMutation, LiveContentSource, LiveIndexes,
     LiveLakeStats, LiveSemanticSource, MutationError, MutationOutcome, SharedContent,

@@ -152,6 +152,11 @@ pub struct LiveLakeStats {
     pub semantic_tombstones: usize,
     /// Semantic compactions performed.
     pub semantic_compactions: u64,
+    /// Instances with prepared rerank features (documents, tables and
+    /// knowledge-graph entities; 0 with the reranker off).
+    pub prepared_instances: usize,
+    /// Heap bytes those prepared features hold.
+    pub prepared_bytes: usize,
 }
 
 /// The mutable indexes standing behind a live system, one slot per modality
@@ -167,8 +172,8 @@ pub struct LiveIndexes {
 }
 
 impl LiveIndexes {
-    /// Sum index health over every modality into one stats block (lake
-    /// fields are left zeroed; the caller stamps them).
+    /// Sum index health over every modality into one stats block (lake and
+    /// prepared-feature fields are left zeroed; the caller stamps them).
     pub fn stats(&self) -> LiveLakeStats {
         let mut s = LiveLakeStats::default();
         for content in &self.content {

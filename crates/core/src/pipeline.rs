@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::config::{SemanticBackend, VerifAiConfig};
 use crate::corpus::modality_corpus;
 use crate::live::{
-    apply_ops, mutate_lake, LakeMutation, LiveContentSource, LiveIndexes, LiveLakeStats,
+    apply_ops, mutate_lake, IndexOp, LakeMutation, LiveContentSource, LiveIndexes, LiveLakeStats,
     LiveSemanticSource, MutationError, MutationOutcome,
 };
 use crate::stages::{
@@ -129,6 +129,14 @@ pub struct BuildStats {
     pub embedded: usize,
     /// Worker threads the indexing phases ran with.
     pub threads: usize,
+}
+
+/// Refresh the rerank stage's prepared features for every instance a
+/// mutation's index ops touched — the same ops that keep the indexes
+/// current.
+fn sync_features(stages: &StagedPipeline, lake: &DataLake, ops: &[IndexOp]) {
+    let ids: Vec<InstanceId> = ops.iter().map(|op| op.id).collect();
+    stages.rerank_stage().sync_features(lake, &ids);
 }
 
 /// The empty semantic backend for one modality, per the configured backend
@@ -376,6 +384,14 @@ impl VerifAi {
         } else {
             Box::new(TopKPassthrough)
         };
+        // Prepare the evidence side of reranking for every instance already
+        // in the lake; `apply` / `mutate_routed` keep it current from here
+        // on. (The pass-through stage keeps nothing.) The embeds this
+        // charges belong to no request.
+        let lake = &generated.lake;
+        let _ = meter::scoped(|| {
+            rerank_stage.sync_features(lake, &crate::features::featured_ids(lake))
+        });
         let llm = SimLlm::new(config.llm, generated.world.clone());
         let agent = Agent::new(
             vec![
@@ -417,6 +433,7 @@ impl VerifAi {
     pub fn apply(&mut self, mutation: LakeMutation) -> Result<MutationOutcome, MutationError> {
         let live = self.live.as_ref().ok_or(MutationError::ImmutableSources)?;
         let ops = mutate_lake(&mut self.generated.lake, mutation)?;
+        sync_features(&self.stages, &self.generated.lake, &ops);
         let (content_ops, embedded) = apply_ops(live, self.embedder.as_ref(), ops);
         self.mutations += 1;
         Ok(MutationOutcome {
@@ -431,16 +448,19 @@ impl VerifAi {
         self.live.as_ref()
     }
 
-    /// Mutable lake access for an external routing layer that owns the
-    /// indexes (the cluster router): pair with
-    /// [`crate::live::mutate_lake`] and apply the returned ops to the
-    /// owning shards. Rejected on live systems — their lake must change
-    /// through [`VerifAi::apply`] so the owned indexes stay consistent.
-    pub fn routed_lake_mut(&mut self) -> Result<&mut DataLake, MutationError> {
+    /// Apply one mutation on behalf of an external routing layer that owns
+    /// the indexes (the cluster router): change the lake, refresh the
+    /// prepared rerank features of every touched instance, and hand back the
+    /// [`IndexOp`]s for the owning shards. Rejected on live systems — their
+    /// lake must change through [`VerifAi::apply`] so the owned indexes stay
+    /// consistent.
+    pub fn mutate_routed(&mut self, mutation: LakeMutation) -> Result<Vec<IndexOp>, MutationError> {
         if self.live.is_some() {
             return Err(MutationError::OwnsLiveIndexes);
         }
-        Ok(&mut self.generated.lake)
+        let ops = mutate_lake(&mut self.generated.lake, mutation)?;
+        sync_features(&self.stages, &self.generated.lake, &ops);
+        Ok(ops)
     }
 
     /// Aggregate live-lake health: lake generation and tombstones plus
@@ -456,6 +476,9 @@ impl VerifAi {
         stats.generation = self.generated.lake.generation();
         stats.lake_tombstones = self.generated.lake.num_tombstones();
         stats.mutations = self.mutations;
+        let prepared = self.stages.rerank_stage().feature_stats();
+        stats.prepared_instances = prepared.instances;
+        stats.prepared_bytes = prepared.bytes;
         stats
     }
 

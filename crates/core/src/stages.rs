@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::features::{FeatureStats, FeatureStore};
 use crate::pipeline::EvidenceVerdict;
 use verifai_index::{EvidenceSource, SearchHit, SourceQuery};
 use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind};
@@ -126,18 +127,42 @@ pub trait RerankStage: Send + Sync {
         candidates: Vec<(DataInstance, f64)>,
         k: usize,
     ) -> Vec<(DataInstance, f64)>;
+
+    /// Bring whatever this stage keeps per evidence instance in line with
+    /// `lake` for the given `ids` — called with every featured id once the
+    /// system is assembled, and with the ids of a mutation's
+    /// [`crate::IndexOp`]s after each lake change. A stage that keeps
+    /// nothing (the default) ignores it.
+    fn sync_features(&self, lake: &DataLake, ids: &[InstanceId]) {
+        let _ = (lake, ids);
+    }
+
+    /// Size of what [`RerankStage::sync_features`] maintains.
+    fn feature_stats(&self) -> FeatureStats {
+        FeatureStats::default()
+    }
 }
 
 /// Rerank by re-scoring every candidate with a task-specific
 /// [`Reranker`]; retrieval scores are discarded (paper §3.2).
+///
+/// The stage keeps the reranker's query-independent work per instance in a
+/// [`FeatureStore`] (DESIGN.md §18), so a request pays only for the query
+/// side and the interaction itself.
 pub struct ScoreRerank<R: Reranker> {
     reranker: R,
+    features: FeatureStore,
 }
 
 impl<R: Reranker> ScoreRerank<R> {
-    /// Stage over a concrete reranker.
+    /// Stage over a concrete reranker, with nothing prepared yet: until
+    /// [`RerankStage::sync_features`] runs, every candidate is prepared on
+    /// the spot (same scores, request-time cost).
     pub fn new(reranker: R) -> ScoreRerank<R> {
-        ScoreRerank { reranker }
+        ScoreRerank {
+            reranker,
+            features: FeatureStore::default(),
+        }
     }
 }
 
@@ -153,7 +178,22 @@ impl<R: Reranker> RerankStage for ScoreRerank<R> {
         k: usize,
     ) -> Vec<(DataInstance, f64)> {
         let instances = candidates.into_iter().map(|(inst, _)| inst).collect();
-        verifai_rerank::rerank(&self.reranker, object, instances, k)
+        let features = self.features.read();
+        verifai_rerank::rerank_prepared(
+            &self.reranker,
+            object,
+            instances,
+            |instance| features.get(instance.id()),
+            k,
+        )
+    }
+
+    fn sync_features(&self, lake: &DataLake, ids: &[InstanceId]) {
+        self.features.sync(&self.reranker, lake, ids);
+    }
+
+    fn feature_stats(&self) -> FeatureStats {
+        self.features.stats()
     }
 }
 

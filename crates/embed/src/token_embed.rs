@@ -48,10 +48,16 @@ impl TokenEmbedder {
         v
     }
 
+    /// The surface tokens of `text`, in order — what [`TokenEmbedder::embed_text`]
+    /// embeds one by one. Callers that cap or deduplicate tokens do so on
+    /// this list, before paying for any embedding.
+    pub fn tokenize(&self, text: &str) -> Vec<String> {
+        self.analyzer.analyze(text)
+    }
+
     /// Tokenize text and embed every token.
     pub fn embed_text(&self, text: &str) -> Vec<Vector> {
-        self.analyzer
-            .analyze(text)
+        self.tokenize(text)
             .iter()
             .map(|t| self.embed_token(t))
             .collect()

@@ -7,15 +7,45 @@
 //! from RetClean. Our token encoder is the deterministic hashed embedder from
 //! `verifai-embed`.
 
-use crate::Reranker;
-use verifai_embed::{TokenEmbedder, Vector};
+use std::borrow::Cow;
+
+use crate::{Candidate, Prepared, Reranker};
+use verifai_embed::{kernel, TokenEmbedder, TokenVocab, Vector};
 use verifai_lake::DataInstance;
 use verifai_llm::DataObject;
+
+/// The evidence side of late interaction: the *distinct* token ids (rows of
+/// the reranker's [`TokenVocab`]) among a document's first `max_doc_tokens`
+/// tokens. MaxSim takes a maximum over the document's tokens, and a maximum
+/// over a set ignores duplicates, so the score is that of the full token
+/// list at roughly 40 % of its length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PreparedDoc {
+    tokens: Box<[u32]>,
+}
+
+impl PreparedDoc {
+    /// Number of distinct tokens kept.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// True for a document with no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.tokens)
+    }
+}
 
 /// Late-interaction (MaxSim) reranker over per-token embeddings.
 #[derive(Debug)]
 pub struct ColbertReranker {
-    encoder: TokenEmbedder,
+    /// Every document token ever prepared, embedded once.
+    vocab: TokenVocab,
     /// Cap on document tokens scored (long wiki pages are truncated, as real
     /// ColBERT does with its document length limit).
     max_doc_tokens: usize,
@@ -25,7 +55,7 @@ impl ColbertReranker {
     /// Reranker with the given encoder.
     pub fn new(encoder: TokenEmbedder) -> ColbertReranker {
         ColbertReranker {
-            encoder,
+            vocab: TokenVocab::new(encoder),
             max_doc_tokens: 256,
         }
     }
@@ -35,7 +65,14 @@ impl ColbertReranker {
         ColbertReranker::new(TokenEmbedder::new(64, 0xc01b))
     }
 
-    /// MaxSim score between pre-embedded token sets, normalized by query length.
+    /// The interned document-token vocabulary.
+    pub fn vocab(&self) -> &TokenVocab {
+        &self.vocab
+    }
+
+    /// MaxSim score between pre-embedded token sets, normalized by query
+    /// length: the textbook definition, which [`Reranker::score_all`]'s
+    /// lookup form is tested bit-identical to.
     pub fn maxsim(query: &[Vector], doc: &[Vector]) -> f64 {
         if query.is_empty() || doc.is_empty() {
             return 0.0;
@@ -58,23 +95,115 @@ impl ColbertReranker {
     }
 
     /// Render the query side of a data object.
-    fn query_text(object: &DataObject) -> String {
+    fn query_text(object: &DataObject) -> Cow<'_, str> {
         match object {
-            DataObject::TextClaim(c) => c.text.clone(),
-            DataObject::ImputedCell(c) => {
-                verifai_text::tuple_query(&c.tuple, Some((c.column.as_str(), &c.value.to_string())))
-            }
+            DataObject::TextClaim(c) => Cow::Borrowed(&c.text),
+            DataObject::ImputedCell(c) => Cow::Owned(verifai_text::tuple_query(
+                &c.tuple,
+                Some((c.column.as_str(), &c.value.to_string())),
+            )),
+        }
+    }
+
+    /// The evidence side of one instance: serialize, tokenize, cap at
+    /// `max_doc_tokens`, and only then intern (embedding what is new) and
+    /// deduplicate.
+    pub fn prepare_doc(&self, evidence: &DataInstance) -> PreparedDoc {
+        let mut tokens = self
+            .vocab
+            .encoder()
+            .tokenize(&verifai_text::serialize_instance(evidence));
+        tokens.truncate(self.max_doc_tokens);
+        let mut ids = self.vocab.intern_all(&tokens);
+        let mut seen = std::collections::HashSet::with_capacity(ids.len());
+        ids.retain(|id| seen.insert(*id));
+        PreparedDoc {
+            tokens: ids.into_boxed_slice(),
         }
     }
 }
 
 impl Reranker for ColbertReranker {
-    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64 {
-        let doc_text = verifai_text::serialize_instance(evidence);
-        let mut doc = self.encoder.embed_text(&doc_text);
-        doc.truncate(self.max_doc_tokens);
-        let query = self.encoder.embed_text(&Self::query_text(object));
-        Self::maxsim(&query, &doc)
+    /// MaxSim as a lookup. The query's distinct tokens are embedded once;
+    /// each distinct document token among the candidates gets one *column*
+    /// of (query token × it) similarities, computed the first time any
+    /// candidate mentions it; a document's score is then, per query token,
+    /// the maximum over its tokens' columns. The candidates of one request
+    /// share most of their vocabulary, so a column is reused by many of
+    /// them.
+    fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+        let encoder = self.vocab.encoder();
+        let query_tokens = encoder.tokenize(&Self::query_text(object));
+        if query_tokens.is_empty() {
+            return vec![0.0; candidates.len()];
+        }
+        // Query positions → distinct query tokens. The sum below runs over
+        // positions (a repeated query token counts twice, as in `maxsim`).
+        let mut distinct: Vec<&str> = Vec::with_capacity(query_tokens.len());
+        let positions: Vec<usize> = query_tokens
+            .iter()
+            .map(|token| {
+                distinct
+                    .iter()
+                    .position(|seen| seen == token)
+                    .unwrap_or_else(|| {
+                        distinct.push(token);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let query: Vec<Vector> = distinct.iter().map(|t| encoder.embed_token(t)).collect();
+        let width = query.len();
+
+        // Interning takes the vocabulary's write lock, so everything missing
+        // is prepared before the rows are borrowed for reading.
+        let docs: Vec<Cow<'_, PreparedDoc>> = candidates
+            .iter()
+            .map(|c| match c.prepared {
+                Some(Prepared::Tokens(doc)) => Cow::Borrowed(doc),
+                _ => Cow::Owned(self.prepare_doc(c.evidence)),
+            })
+            .collect();
+
+        let rows = self.vocab.rows();
+        const NO_COLUMN: u32 = u32::MAX;
+        let mut column_of = vec![NO_COLUMN; rows.len()];
+        // Column c holds `width` similarities: sims[c * width + q].
+        let mut sims: Vec<f32> = Vec::new();
+        let mut best = vec![f32::NEG_INFINITY; width];
+        docs.iter()
+            .map(|doc| {
+                if doc.is_empty() {
+                    return 0.0;
+                }
+                best.fill(f32::NEG_INFINITY);
+                for &token in doc.tokens.iter() {
+                    let column = &mut column_of[token as usize];
+                    if *column == NO_COLUMN {
+                        *column = (sims.len() / width) as u32;
+                        let row = rows.row(token);
+                        // Token embeddings are unit by construction, so the
+                        // fused dot IS the cosine.
+                        sims.extend(query.iter().map(|q| kernel::dot_unit(q.as_slice(), row)));
+                    }
+                    let start = *column as usize * width;
+                    for (b, &s) in best.iter_mut().zip(&sims[start..start + width]) {
+                        if s > *b {
+                            *b = s;
+                        }
+                    }
+                }
+                let mut total = 0.0f64;
+                for &q in &positions {
+                    total += (best[q] as f64).max(0.0);
+                }
+                total / positions.len() as f64
+            })
+            .collect()
+    }
+
+    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+        Some(Prepared::Tokens(self.prepare_doc(evidence)))
     }
 
     fn name(&self) -> &'static str {
@@ -83,7 +212,7 @@ impl Reranker for ColbertReranker {
 
     // Late interaction scores any serialized token stream: texts natively,
     // knowledge-graph subgraphs as serialized triples — and it is the
-    // composite's generic fallback for pairs no specialist claims.
+    // composite's generic fallback for modalities no specialist claims.
 }
 
 #[cfg(test)]
@@ -103,6 +232,82 @@ mod tests {
 
     fn doc(id: u64, body: &str) -> DataInstance {
         DataInstance::Text(TextDocument::new(id, "title", body, 0))
+    }
+
+    /// The implementation this reranker shipped with before evidence was
+    /// prepared ahead: embed every token of both sides, cut the document to
+    /// 256 vectors, textbook MaxSim.
+    fn embed_everything_score(object: &DataObject, evidence: &DataInstance) -> f64 {
+        let encoder = TokenEmbedder::new(64, 0xc01b);
+        let mut doc = encoder.embed_text(&verifai_text::serialize_instance(evidence));
+        doc.truncate(256);
+        let query = encoder.embed_text(&ColbertReranker::query_text(object));
+        ColbertReranker::maxsim(&query, &doc)
+    }
+
+    /// Regression for the cap: a document longer than `max_doc_tokens` is
+    /// cut *before* anything is embedded — tokens past the cap never reach
+    /// the vocabulary — and still scores exactly as the embed-then-truncate
+    /// path did.
+    #[test]
+    fn long_document_is_capped_before_embedding_with_the_same_score() {
+        let r = ColbertReranker::with_defaults();
+        let head: Vec<String> = (0..300).map(|i| format!("filler{}", i % 140)).collect();
+        let body = format!("{} zanzibar clove auction", head.join(" "));
+        let long = doc(1, &body);
+        let q = claim("the zanzibar auction used filler7 and filler7 and filler139");
+        let prepared = r.prepare_doc(&long);
+        assert!(prepared.len() <= 256, "cap applies to distinct tokens too");
+        // "title" + 140 distinct fillers fit under the cap; the tail does not.
+        assert_eq!(prepared.len(), 141);
+        assert_eq!(r.vocab().len(), 141, "tokens past the cap were embedded");
+        let want = embed_everything_score(&q, &long);
+        assert!(want > 0.0 && want < 1.0);
+        assert_eq!(r.score(&q, &long), want);
+        // A short document that does hold the tail scores it.
+        let short = doc(2, "zanzibar clove auction");
+        assert_eq!(r.score(&q, &short), embed_everything_score(&q, &short));
+        assert!(r.score(&q, &short) > 0.0);
+    }
+
+    /// One request over many candidates — prepared ahead, prepared on the
+    /// spot, or mixed — returns the per-pair scores bit for bit, including
+    /// empty documents, empty queries and repeated query tokens.
+    #[test]
+    fn request_scores_equal_per_pair_and_embed_everything_scores() {
+        let r = ColbertReranker::with_defaults();
+        let docs = [
+            doc(
+                1,
+                "Stomp the Yard is a 2007 film. Meagan Good plays April Palmer.",
+            ),
+            doc(2, "The 1959 championships were held at Berkeley in June."),
+            doc(3, "the the the yard yard film"),
+            DataInstance::Text(TextDocument::new(4, "", "", 0)),
+            doc(5, "Meagan Good and the yard of the film, the film of 2007."),
+        ];
+        for q in [
+            claim("Meagan Good plays a role in Stomp the Yard"),
+            claim("the yard the yard the film"),
+            claim(""),
+        ] {
+            let want: Vec<f64> = docs.iter().map(|d| embed_everything_score(&q, d)).collect();
+            let per_pair: Vec<f64> = docs.iter().map(|d| r.score(&q, d)).collect();
+            assert_eq!(per_pair, want);
+            let features: Vec<Option<Prepared>> = docs.iter().map(|d| r.prepare(d)).collect();
+            for keep_every in [1, 2, usize::MAX] {
+                let candidates: Vec<Candidate<'_>> = docs
+                    .iter()
+                    .zip(&features)
+                    .enumerate()
+                    .map(|(i, (evidence, f))| Candidate {
+                        evidence,
+                        prepared: f.as_ref().filter(|_| i % keep_every == 0),
+                    })
+                    .collect();
+                assert_eq!(r.score_all(&q, &candidates), want);
+            }
+        }
     }
 
     #[test]

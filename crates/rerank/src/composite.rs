@@ -2,9 +2,11 @@
 //!
 //! The pipeline retrieves evidence of mixed modalities; each candidate is
 //! routed to the first reranker whose [`Reranker::supports`] claims its
-//! `(object, evidence)` pair, falling back to a generic reranker when no
-//! specialist does — so adding a backend for a new pair is registering one
-//! more trait object, not reopening a modality `match`. Because scores from
+//! evidence modality, falling back to a generic reranker when no
+//! specialist does — so adding a backend for a new modality is registering
+//! one more trait object, not reopening a modality `match`. Routing looks at
+//! the evidence alone, so [`Reranker::prepare`] routes exactly as scoring
+//! will: an instance is prepared by the reranker that will later score it. Because scores from
 //! different rerankers are not on a common scale, the composite normalizes
 //! per-modality rankings into reciprocal ranks before merging — mirroring
 //! how the Combiner fuses heterogeneous indexes.
@@ -12,7 +14,7 @@
 use crate::colbert::ColbertReranker;
 use crate::table::TableReranker;
 use crate::tuple::TupleReranker;
-use crate::Reranker;
+use crate::{sort_by_score, Candidate, Prepared, Reranker};
 use verifai_lake::{DataInstance, InstanceKind};
 use verifai_llm::DataObject;
 
@@ -52,11 +54,23 @@ impl CompositeReranker {
         )
     }
 
-    /// The reranker a pair routes to.
-    pub fn route(&self, object: &DataObject, evidence: &DataInstance) -> &dyn Reranker {
+    /// The reranker evidence of this modality routes to.
+    pub fn route(&self, evidence: &DataInstance) -> &dyn Reranker {
+        self.member(self.route_index(evidence))
+    }
+
+    /// Index of the first supporting specialist; `specialists.len()` is the
+    /// fallback.
+    fn route_index(&self, evidence: &DataInstance) -> usize {
         self.specialists
             .iter()
-            .find(|r| r.supports(object, evidence))
+            .position(|r| r.supports(evidence))
+            .unwrap_or(self.specialists.len())
+    }
+
+    fn member(&self, index: usize) -> &dyn Reranker {
+        self.specialists
+            .get(index)
             .unwrap_or(&self.fallback)
             .as_ref()
     }
@@ -69,41 +83,60 @@ impl CompositeReranker {
         candidates: Vec<DataInstance>,
         k_prime: usize,
     ) -> Vec<(DataInstance, f64)> {
+        let views: Vec<Candidate<'_>> = candidates.iter().map(Candidate::unprepared).collect();
+        let scores = self.score_all(object, &views);
         let mut by_kind: [Vec<(DataInstance, f64)>; 4] = Default::default();
-        for c in candidates {
+        for (c, score) in candidates.into_iter().zip(scores) {
             let slot = match c.kind() {
                 InstanceKind::Tuple => 0,
                 InstanceKind::Table => 1,
                 InstanceKind::Text => 2,
                 InstanceKind::Kg => 3,
             };
-            let score = self.score(object, &c);
             by_kind[slot].push((c, score));
         }
         let mut merged: Vec<(DataInstance, f64)> = Vec::new();
         for list in by_kind.iter_mut() {
-            list.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.id().cmp(&b.0.id()))
-            });
+            sort_by_score(list);
             for (rank, (inst, _)) in list.drain(..).enumerate() {
                 merged.push((inst, 1.0 / (rank as f64 + 1.0)));
             }
         }
-        merged.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.id().cmp(&b.0.id()))
-        });
+        sort_by_score(&mut merged);
         merged.truncate(k_prime);
         merged
     }
 }
 
 impl Reranker for CompositeReranker {
-    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64 {
-        self.route(object, evidence).score(object, evidence)
+    /// Each member scores, in one call, the candidates that route to it —
+    /// so its query side runs once per request, not once per candidate.
+    fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+        let routes: Vec<usize> = candidates
+            .iter()
+            .map(|c| self.route_index(c.evidence))
+            .collect();
+        let mut scores = vec![0.0; candidates.len()];
+        for index in 0..=self.specialists.len() {
+            let routed: Vec<Candidate<'_>> = candidates
+                .iter()
+                .zip(&routes)
+                .filter(|(_, route)| **route == index)
+                .map(|(c, _)| *c)
+                .collect();
+            if routed.is_empty() {
+                continue;
+            }
+            let mut scored = self.member(index).score_all(object, &routed).into_iter();
+            for (score, _) in scores.iter_mut().zip(&routes).filter(|(_, r)| **r == index) {
+                *score = scored.next().expect("one score per routed candidate");
+            }
+        }
+        scores
+    }
+
+    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+        self.route(evidence).prepare(evidence)
     }
 
     fn name(&self) -> &'static str {
@@ -233,9 +266,29 @@ mod tests {
         });
         let tab = DataInstance::Table(Table::new(2, "c", Schema::default(), 0));
         let txt = DataInstance::Text(TextDocument::new(3, "t", "body", 0));
-        assert_eq!(r.route(&obj, &tup).name(), "retclean-tuple");
-        assert_eq!(r.route(&obj, &tab).name(), "opentfv-table");
+        assert_eq!(r.route(&tup).name(), "retclean-tuple");
+        assert_eq!(r.route(&tab).name(), "opentfv-table");
         // No specialist claims text: the generic fallback takes it.
-        assert_eq!(r.route(&obj, &txt).name(), "colbert");
+        assert_eq!(r.route(&txt).name(), "colbert");
+
+        // One request over all three, prepared or not, scores each pair
+        // exactly as the per-pair reference does, in candidate order.
+        let mixed = [txt, tup, tab];
+        let per_pair: Vec<f64> = mixed.iter().map(|c| r.score(&obj, c)).collect();
+        let unprepared: Vec<Candidate<'_>> = mixed.iter().map(Candidate::unprepared).collect();
+        assert_eq!(r.score_all(&obj, &unprepared), per_pair);
+        let features: Vec<Option<Prepared>> = mixed.iter().map(|c| r.prepare(c)).collect();
+        assert!(matches!(features[0], Some(Prepared::Tokens(_))));
+        assert!(features[1].is_none(), "tuple vectors are not prepared");
+        assert!(matches!(features[2], Some(Prepared::Table(_))));
+        let prepared: Vec<Candidate<'_>> = mixed
+            .iter()
+            .zip(&features)
+            .map(|(evidence, f)| Candidate {
+                evidence,
+                prepared: f.as_ref(),
+            })
+            .collect();
+        assert_eq!(r.score_all(&obj, &prepared), per_pair);
     }
 }

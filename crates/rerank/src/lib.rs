@@ -19,7 +19,13 @@
 //! * [`tuple::TupleReranker`] for (tuple, tuple) pairs — RetClean-style schema
 //!   and value agreement;
 //! * [`composite::CompositeReranker`] — routes each candidate to the reranker
-//!   matching its `(object, evidence)` modality pair.
+//!   built for its evidence modality.
+//!
+//! Rerank is most of a cold request, so nothing query-independent is
+//! recomputed on the request path: every reranker splits into an evidence
+//! side ([`Reranker::prepare`] → [`Prepared`], run when an instance enters
+//! the lake) and a query side run once per request inside
+//! [`Reranker::score_all`].
 
 pub mod colbert;
 pub mod composite;
@@ -29,27 +35,98 @@ pub mod tuple;
 use verifai_lake::DataInstance;
 use verifai_llm::DataObject;
 
+/// The query-independent half of a reranker's work on one evidence instance,
+/// computed once when the instance enters the lake and reused by every
+/// request that later retrieves it (DESIGN.md §18). Produced by
+/// [`Reranker::prepare`] and only meaningful to the reranker that produced
+/// it: token and term ids index that reranker's own vocabulary.
+#[derive(Debug, Clone)]
+pub enum Prepared {
+    /// Distinct token ids of a serialized text or knowledge-graph instance
+    /// ([`colbert::ColbertReranker`]).
+    Tokens(colbert::PreparedDoc),
+    /// Caption / header / cell term sets and the dense vector of a table
+    /// ([`table::TableReranker`]).
+    Table(table::PreparedTable),
+}
+
+impl Prepared {
+    /// Heap bytes these features hold.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Prepared::Tokens(doc) => doc.heap_bytes(),
+            Prepared::Table(table) => table.heap_bytes(),
+        }
+    }
+}
+
+/// One coarse candidate of a request: the resolved instance and, when the
+/// caller keeps them, its [`Prepared`] features.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidate<'a> {
+    /// The retrieved evidence instance.
+    pub evidence: &'a DataInstance,
+    /// Its prepared features; `None` makes the reranker prepare on the spot.
+    pub prepared: Option<&'a Prepared>,
+}
+
+impl<'a> Candidate<'a> {
+    /// A candidate with nothing prepared ahead of the request.
+    pub fn unprepared(evidence: &'a DataInstance) -> Candidate<'a> {
+        Candidate {
+            evidence,
+            prepared: None,
+        }
+    }
+}
+
 /// A task-specific scorer for (generated object, retrieved instance) pairs.
+///
+/// Each reranker has **one** scoring implementation, [`Reranker::score_all`],
+/// split into an evidence side ([`Reranker::prepare`], query-independent) and
+/// a query side (embedded and analyzed once per call). A candidate that
+/// arrives without prepared features is prepared on the spot by that same
+/// code, so the score of a pair never depends on who prepared its evidence
+/// or when — bit for bit.
 pub trait Reranker: Send + Sync {
-    /// Relevance of `evidence` to `object`; higher is better. Scores from one
+    /// Relevance of every candidate to `object`, in candidate order; higher
+    /// is better. The per-request entry point: the query side of `object`
+    /// is computed once, however many candidates there are. Scores from one
     /// reranker are mutually comparable; cross-reranker scores are not.
-    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64;
+    fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64>;
+
+    /// Relevance of one `evidence` instance to `object`: the per-pair
+    /// reference, [`Reranker::score_all`] over a single unprepared candidate.
+    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64 {
+        self.score_all(object, &[Candidate::unprepared(evidence)])[0]
+    }
+
+    /// The query-independent features of `evidence`, or `None` when this
+    /// reranker keeps nothing per instance.
+    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+        let _ = evidence;
+        None
+    }
 
     /// Stable name for provenance records.
     fn name(&self) -> &'static str;
 
-    /// Whether this reranker is built for the given `(object, evidence)`
-    /// modality pair. [`composite::CompositeReranker`] routes each candidate
-    /// to the first reranker that supports it, so a new modality pair plugs
-    /// in by implementing this — no routing code to reopen. Defaults to
-    /// supporting everything (a generic reranker).
-    fn supports(&self, object: &DataObject, evidence: &DataInstance) -> bool {
-        let _ = (object, evidence);
+    /// Whether this reranker is built for evidence of this modality.
+    /// [`composite::CompositeReranker`] routes each candidate to the first
+    /// reranker that supports it, so a new modality plugs in by implementing
+    /// this — no routing code to reopen. Routing looks at the evidence
+    /// alone: that is what lets an instance be prepared when it enters the
+    /// lake, before any object exists. Defaults to supporting everything (a
+    /// generic reranker).
+    fn supports(&self, evidence: &DataInstance) -> bool {
+        let _ = evidence;
         true
     }
 }
 
-/// Rerank candidates with `reranker` and keep the top `k_prime`.
+/// Rerank candidates with `reranker` and keep the top `k_prime`, preparing
+/// every candidate on the spot — the reference the store-backed pipeline is
+/// tested bit-identical to.
 ///
 /// Returns (instance, score) pairs sorted by descending score with
 /// deterministic id tiebreak.
@@ -59,20 +136,41 @@ pub fn rerank(
     candidates: Vec<DataInstance>,
     k_prime: usize,
 ) -> Vec<(DataInstance, f64)> {
-    let mut scored: Vec<(DataInstance, f64)> = candidates
-        .into_iter()
-        .map(|c| {
-            let s = reranker.score(object, &c);
-            (c, s)
-        })
-        .collect();
+    rerank_prepared(reranker, object, candidates, |_| None, k_prime)
+}
+
+/// [`rerank`] with the caller's prepared features: `prepared` is asked once
+/// per candidate, and a `None` falls back to preparing on the spot.
+pub fn rerank_prepared<'a>(
+    reranker: &dyn Reranker,
+    object: &DataObject,
+    candidates: Vec<DataInstance>,
+    prepared: impl Fn(&DataInstance) -> Option<&'a Prepared>,
+    k_prime: usize,
+) -> Vec<(DataInstance, f64)> {
+    let scores = {
+        let views: Vec<Candidate<'_>> = candidates
+            .iter()
+            .map(|evidence| Candidate {
+                evidence,
+                prepared: prepared(evidence),
+            })
+            .collect();
+        reranker.score_all(object, &views)
+    };
+    let mut scored: Vec<(DataInstance, f64)> = candidates.into_iter().zip(scores).collect();
+    sort_by_score(&mut scored);
+    scored.truncate(k_prime);
+    scored
+}
+
+/// Descending score, ties broken by ascending instance id.
+pub(crate) fn sort_by_score(scored: &mut [(DataInstance, f64)]) {
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.0.id().cmp(&b.0.id()))
     });
-    scored.truncate(k_prime);
-    scored
 }
 
 #[cfg(test)]
@@ -83,11 +181,14 @@ mod tests {
 
     struct LengthReranker;
     impl Reranker for LengthReranker {
-        fn score(&self, _object: &DataObject, evidence: &DataInstance) -> f64 {
-            match evidence {
-                DataInstance::Text(d) => d.body.len() as f64,
-                _ => 0.0,
-            }
+        fn score_all(&self, _object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+            candidates
+                .iter()
+                .map(|c| match c.evidence {
+                    DataInstance::Text(d) => d.body.len() as f64,
+                    _ => 0.0,
+                })
+                .collect()
         }
         fn name(&self) -> &'static str {
             "length"

@@ -6,12 +6,15 @@
 //! cell-value match — with dense similarity between the claim and the
 //! serialized table.
 
-use crate::Reranker;
-use verifai_embed::TextEmbedder;
+use std::borrow::Cow;
+use std::sync::RwLock;
+
+use crate::{Candidate, Prepared, Reranker};
+use verifai_embed::{TextEmbedder, Vector};
 use verifai_lake::{DataInstance, Table};
 use verifai_llm::DataObject;
-use verifai_text::sim::containment;
-use verifai_text::Analyzer;
+use verifai_text::sim::{containment_in, TermSet};
+use verifai_text::{Analyzer, Interner};
 
 /// Weights of the component signals.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,12 +40,34 @@ impl Default for TableRerankWeights {
     }
 }
 
+/// The evidence side of the table reranker: the analyzed caption, header and
+/// cell terms as interned id sets, and the dense vector of the serialized
+/// table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PreparedTable {
+    caption: TermSet,
+    header: TermSet,
+    cells: TermSet,
+    dense: Vector,
+}
+
+impl PreparedTable {
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        (self.caption.len() + self.header.len() + self.cells.len()) * std::mem::size_of::<u32>()
+            + self.dense.dim() * std::mem::size_of::<f32>()
+    }
+}
+
 /// The (text, table) reranker.
 #[derive(Debug)]
 pub struct TableReranker {
     weights: TableRerankWeights,
     analyzer: Analyzer,
     embedder: TextEmbedder,
+    /// Ids of every term a prepared table holds. Claims only look terms up:
+    /// a term no table has cannot match, so queries never grow it.
+    terms: RwLock<Interner>,
 }
 
 impl TableReranker {
@@ -52,6 +77,7 @@ impl TableReranker {
             weights,
             analyzer: Analyzer::standard(),
             embedder,
+            terms: RwLock::new(Interner::new()),
         }
     }
 
@@ -63,15 +89,11 @@ impl TableReranker {
         )
     }
 
-    /// Component-wise score of a claim against a table.
-    pub fn score_table(&self, claim_text: &str, table: &Table) -> f64 {
-        let claim_terms = self.analyzer.analyze(claim_text);
-        if claim_terms.is_empty() {
-            return 0.0;
-        }
-        let caption_terms = self.analyzer.analyze(&table.caption);
+    /// The evidence side of one table.
+    pub fn prepare_table(&self, table: &Table) -> PreparedTable {
+        let caption = self.analyzer.analyze(&table.caption);
         let header_text: String = table.schema.names().collect::<Vec<_>>().join(" ");
-        let header_terms = self.analyzer.analyze(&header_text);
+        let header = self.analyzer.analyze(&header_text);
         // Cells: analyze a bounded sample of values (first 64 rows) to keep the
         // reranker cheap on large tables.
         let mut cell_text = String::new();
@@ -83,39 +105,78 @@ impl TableReranker {
                 }
             }
         }
-        let cell_terms = self.analyzer.analyze(&cell_text);
-
-        let w = &self.weights;
-        let lexical = w.caption * containment(&claim_terms, &caption_terms)
-            + w.header * containment(&claim_terms, &header_terms)
-            + w.cells * containment(&claim_terms, &cell_terms);
-        // Embedder output is unit by construction: fused dot = cosine.
-        let dense = self
-            .embedder
-            .embed(claim_text)
-            .dot_unit(&self.embedder.embed(&verifai_text::serialize_table(table)))
-            as f64;
-        lexical + w.dense * dense.max(0.0)
+        let cells = self.analyzer.analyze(&cell_text);
+        let dense = self.embedder.embed(&verifai_text::serialize_table(table));
+        let mut terms = self.terms.write().expect("term interner lock poisoned");
+        let mut set =
+            |words: Vec<String>| TermSet::new(words.iter().map(|w| terms.intern(w).0).collect());
+        PreparedTable {
+            caption: set(caption),
+            header: set(header),
+            cells: set(cells),
+            dense,
+        }
     }
 }
 
 impl Reranker for TableReranker {
-    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64 {
-        let DataInstance::Table(table) = evidence else {
-            return 0.0;
+    /// Component-wise score of the claim against every table candidate: the
+    /// claim is analyzed and embedded once; each table contributes three
+    /// set probes and one dot product.
+    fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+        let text: Cow<'_, str> = match object {
+            DataObject::TextClaim(c) => Cow::Borrowed(&c.text),
+            DataObject::ImputedCell(c) => Cow::Owned(verifai_text::serialize_tuple(&c.tuple)),
         };
-        let text = match object {
-            DataObject::TextClaim(c) => c.text.clone(),
-            DataObject::ImputedCell(c) => verifai_text::serialize_tuple(&c.tuple),
+        let claim_words = self.analyzer.analyze(&text);
+        if claim_words.is_empty() || !candidates.iter().any(|c| self.supports(c.evidence)) {
+            return vec![0.0; candidates.len()];
+        }
+        // Prepare what the caller did not, *before* resolving the claim's
+        // term ids: a table prepared on the spot may introduce them.
+        let tables: Vec<Option<Cow<'_, PreparedTable>>> = candidates
+            .iter()
+            .map(|c| match (c.evidence, c.prepared) {
+                (DataInstance::Table(_), Some(Prepared::Table(table))) => {
+                    Some(Cow::Borrowed(table))
+                }
+                (DataInstance::Table(table), _) => Some(Cow::Owned(self.prepare_table(table))),
+                _ => None,
+            })
+            .collect();
+        let claim_terms: Vec<Option<u32>> = {
+            let terms = self.terms.read().expect("term interner lock poisoned");
+            claim_words.iter().map(|w| terms.get(w)).collect()
         };
-        self.score_table(&text, table)
+        let claim_dense = self.embedder.embed(&text);
+        let w = &self.weights;
+        tables
+            .iter()
+            .map(|table| {
+                // Not a table: nothing to score.
+                let Some(table) = table else { return 0.0 };
+                let lexical = w.caption * containment_in(&claim_terms, &table.caption)
+                    + w.header * containment_in(&claim_terms, &table.header)
+                    + w.cells * containment_in(&claim_terms, &table.cells);
+                // Embedder output is unit by construction: fused dot = cosine.
+                let dense = claim_dense.dot_unit(&table.dense) as f64;
+                lexical + w.dense * dense.max(0.0)
+            })
+            .collect()
+    }
+
+    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+        match evidence {
+            DataInstance::Table(table) => Some(Prepared::Table(self.prepare_table(table))),
+            _ => None,
+        }
     }
 
     fn name(&self) -> &'static str {
         "opentfv-table"
     }
 
-    fn supports(&self, _object: &DataObject, evidence: &DataInstance) -> bool {
+    fn supports(&self, evidence: &DataInstance) -> bool {
         matches!(evidence, DataInstance::Table(_))
     }
 }
@@ -150,6 +211,99 @@ mod tests {
             expr: None,
             scope: None,
         })
+    }
+
+    /// The implementation this reranker shipped with before evidence was
+    /// prepared ahead: analyze and embed both sides of every pair, probe
+    /// string sets.
+    fn analyze_everything_score(claim_text: &str, table: &Table) -> f64 {
+        use verifai_text::sim::containment;
+        let analyzer = Analyzer::standard();
+        let embedder = TextEmbedder::with_seed(0x0917);
+        let claim_terms = analyzer.analyze(claim_text);
+        if claim_terms.is_empty() {
+            return 0.0;
+        }
+        let caption_terms = analyzer.analyze(&table.caption);
+        let header_text: String = table.schema.names().collect::<Vec<_>>().join(" ");
+        let header_terms = analyzer.analyze(&header_text);
+        let mut cell_text = String::new();
+        for row in table.rows().iter().take(64) {
+            for v in row {
+                if !v.is_null() {
+                    cell_text.push_str(&v.to_string());
+                    cell_text.push(' ');
+                }
+            }
+        }
+        let cell_terms = analyzer.analyze(&cell_text);
+        let w = TableRerankWeights::default();
+        let lexical = w.caption * containment(&claim_terms, &caption_terms)
+            + w.header * containment(&claim_terms, &header_terms)
+            + w.cells * containment(&claim_terms, &cell_terms);
+        let dense = embedder
+            .embed(claim_text)
+            .dot_unit(&embedder.embed(&verifai_text::serialize_table(table)))
+            as f64;
+        lexical + w.dense * dense.max(0.0)
+    }
+
+    /// One request over many tables — prepared ahead, on the spot, or mixed,
+    /// with a non-table among them — returns the old per-pair scores bit for
+    /// bit, and embeds the claim once however many candidates there are.
+    #[test]
+    fn request_scores_equal_per_pair_and_analyze_everything_scores() {
+        let r = TableReranker::with_defaults();
+        let tables = [
+            table(
+                1,
+                "1959 NCAA Track and Field Championships",
+                &[("Brown", 1), ("Kansas", 42)],
+            ),
+            table(
+                2,
+                "1959 Formula One season",
+                &[("Ferrari", 32), ("Cooper", 40)],
+            ),
+            table(3, "", &[]),
+        ];
+        let mut evidence: Vec<DataInstance> =
+            tables.iter().cloned().map(DataInstance::Table).collect();
+        evidence.push(DataInstance::Text(verifai_lake::TextDocument::new(
+            9, "t", "Brown", 0,
+        )));
+        for text in [
+            "in the 1959 NCAA Track and Field Championships, the points of Brown is 1",
+            "points points team ferrari",
+            "the of",
+        ] {
+            let q = claim(text);
+            let mut want: Vec<f64> = tables
+                .iter()
+                .map(|t| analyze_everything_score(text, t))
+                .collect();
+            want.push(0.0);
+            let per_pair: Vec<f64> = evidence.iter().map(|e| r.score(&q, e)).collect();
+            assert_eq!(per_pair, want);
+            let features: Vec<Option<Prepared>> = evidence.iter().map(|e| r.prepare(e)).collect();
+            assert!(features[3].is_none(), "only tables are prepared");
+            for keep_every in [1, 2, usize::MAX] {
+                let candidates: Vec<Candidate<'_>> = evidence
+                    .iter()
+                    .zip(&features)
+                    .enumerate()
+                    .map(|(i, (evidence, f))| Candidate {
+                        evidence,
+                        prepared: f.as_ref().filter(|_| i % keep_every == 0),
+                    })
+                    .collect();
+                let (scores, cost) = verifai_obs::meter::scoped(|| r.score_all(&q, &candidates));
+                assert_eq!(scores, want);
+                if keep_every == 1 && want.iter().any(|s| *s != 0.0) {
+                    assert_eq!(cost.embeds, 1, "claim embedded once, tables not at all");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! This mirrors the (tuple, tuple) reranking RetClean performs before its
 //! RoBERTa verifier.
 
-use crate::Reranker;
-use verifai_embed::TupleEmbedder;
-use verifai_lake::{DataInstance, Tuple};
+use crate::{Candidate, Reranker};
+use verifai_embed::{TupleEmbedder, Vector};
+use verifai_lake::{DataInstance, Tuple, Value};
 use verifai_llm::DataObject;
 
 /// Weights of the structural signals.
@@ -56,11 +56,17 @@ impl TupleReranker {
         )
     }
 
-    /// Structural relevance of `candidate` to `query`.
-    pub fn score_tuples(&self, query: &Tuple, candidate: &Tuple) -> f64 {
+    /// Structural relevance of `candidate` to `query`, whose embedding the
+    /// caller computed once for the whole request.
+    fn score_tuples(
+        &self,
+        query: &Tuple,
+        keys: &[&Value],
+        query_dense: &Vector,
+        candidate: &Tuple,
+    ) -> f64 {
         let w = &self.weights;
         let schema = query.schema.header_jaccard(&candidate.schema);
-        let keys = query.key_values();
         let key = if keys.is_empty() {
             0.0
         } else {
@@ -70,37 +76,54 @@ impl TupleReranker {
                 / keys.len() as f64
         };
         let agreement = query.agreement(candidate).unwrap_or(0.0);
+        w.schema * schema
+            + w.key * key
+            + w.agreement * agreement
+            + w.dense * self.dense(query_dense, candidate)
+    }
+
+    /// Clamped cosine between the request's query vector and a candidate.
+    /// The candidate is embedded here, per request: tuple vectors are the
+    /// one evidence feature *not* prepared ahead (DESIGN.md §18 — a
+    /// 256-dim f32 per tuple would outweigh every other stored feature).
+    fn dense(&self, query_dense: &Vector, candidate: &Tuple) -> f64 {
         // Tuple embeddings are unit by construction: fused dot = cosine.
-        let dense = (self
-            .embedder
-            .embed(query)
-            .dot_unit(&self.embedder.embed(candidate)) as f64)
-            .max(0.0);
-        w.schema * schema + w.key * key + w.agreement * agreement + w.dense * dense
+        (query_dense.dot_unit(&self.embedder.embed(candidate)) as f64).max(0.0)
     }
 }
 
 impl Reranker for TupleReranker {
-    fn score(&self, object: &DataObject, evidence: &DataInstance) -> f64 {
-        let DataInstance::Tuple(candidate) = evidence else {
-            return 0.0;
-        };
-        match object {
-            DataObject::ImputedCell(cell) => self.score_tuples(&cell.tuple, candidate),
+    fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+        if !candidates.iter().any(|c| self.supports(c.evidence)) {
+            return vec![0.0; candidates.len()];
+        }
+        let (query_dense, keys) = match object {
+            DataObject::ImputedCell(cell) => {
+                (self.embedder.embed(&cell.tuple), cell.tuple.key_values())
+            }
             // (text, tuple): an extension pair — fall back to dense similarity
             // between the claim text and the candidate tuple.
-            DataObject::TextClaim(c) => {
-                let q = self.embedder.embed_text(&c.text);
-                (q.dot_unit(&self.embedder.embed(candidate)) as f64).max(0.0)
-            }
-        }
+            DataObject::TextClaim(c) => (self.embedder.embed_text(&c.text), Vec::new()),
+        };
+        candidates
+            .iter()
+            .map(|c| match (object, c.evidence) {
+                (DataObject::ImputedCell(cell), DataInstance::Tuple(candidate)) => {
+                    self.score_tuples(&cell.tuple, &keys, &query_dense, candidate)
+                }
+                (DataObject::TextClaim(_), DataInstance::Tuple(candidate)) => {
+                    self.dense(&query_dense, candidate)
+                }
+                _ => 0.0,
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {
         "retclean-tuple"
     }
 
-    fn supports(&self, _object: &DataObject, evidence: &DataInstance) -> bool {
+    fn supports(&self, evidence: &DataInstance) -> bool {
         matches!(evidence, DataInstance::Tuple(_))
     }
 }
@@ -171,6 +194,41 @@ mod tests {
         let obj = object();
         let s = r.score(&obj, &DataInstance::Tuple(foreign));
         assert!(s > 0.3, "cross-schema same-entity score too low: {s}");
+    }
+
+    /// One request embeds the query once and every candidate once — not
+    /// both sides of every pair — and scores exactly as the per-pair
+    /// reference does, for cell and claim objects alike.
+    #[test]
+    fn request_scores_equal_per_pair_scores_with_one_query_embed() {
+        let r = TupleReranker::with_defaults();
+        let evidence = [
+            DataInstance::Tuple(tuple(1, "New York 1", "Otis Pike", 1960)),
+            DataInstance::Text(verifai_lake::TextDocument::new(9, "t", "b", 0)),
+            DataInstance::Tuple(tuple(2, "Ohio 5", "Someone Else", 1958)),
+            DataInstance::Tuple(tuple(3, "New York 1", "Otis G. Pike", 1960)),
+        ];
+        let claim = DataObject::TextClaim(verifai_llm::TextClaim {
+            id: 0,
+            text: "the incumbent of New York 1 is Otis Pike".into(),
+            expr: None,
+            scope: None,
+        });
+        // Three tuple candidates. `embed_text` (the claim side) is unmetered.
+        for (obj, per_pair_embeds, request_embeds) in [(object(), 6, 4), (claim, 3, 3)] {
+            let (per_pair, cost) = verifai_obs::meter::scoped(|| {
+                evidence
+                    .iter()
+                    .map(|e| r.score(&obj, e))
+                    .collect::<Vec<f64>>()
+            });
+            assert_eq!(cost.embeds, per_pair_embeds);
+            let candidates: Vec<Candidate<'_>> =
+                evidence.iter().map(Candidate::unprepared).collect();
+            let (scores, cost) = verifai_obs::meter::scoped(|| r.score_all(&obj, &candidates));
+            assert_eq!(scores, per_pair);
+            assert_eq!(cost.embeds, request_embeds);
+        }
     }
 
     #[test]

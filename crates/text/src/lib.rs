@@ -11,6 +11,8 @@
 //! * [`analyzer`] — configurable analysis chain (lowercase → stopwords → stemmer),
 //!   the equivalent of an Elasticsearch analyzer;
 //! * [`stem`] — a Porter-style suffix stemmer;
+//! * [`intern`] — append-only string → dense id interning, the storage form of
+//!   prepared rerank features;
 //! * [`chunk`] — sentence-window chunking of long documents for the semantic
 //!   index (the paper's §3.1 embeds "chunked text files");
 //! * [`ngram`] — character and word n-grams (shingles) for fuzzy matching and
@@ -22,6 +24,7 @@
 
 pub mod analyzer;
 pub mod chunk;
+pub mod intern;
 pub mod ngram;
 pub mod serialize;
 pub mod sim;
@@ -31,6 +34,7 @@ pub mod tokenizer;
 
 pub use analyzer::{Analyzer, AnalyzerConfig};
 pub use chunk::{chunk_sentences, Chunk};
+pub use intern::Interner;
 pub use serialize::{
     serialize_instance, serialize_kg, serialize_table, serialize_tuple, tuple_query,
 };

@@ -129,6 +129,51 @@ pub fn containment(query: &[String], target: &[String]) -> f64 {
     hit as f64 / query.len() as f64
 }
 
+/// A set of interned term ids ([`crate::Interner`]), stored sorted: 4 bytes per
+/// term, membership by binary search. Built once per evidence instance and
+/// probed by every later query ([`containment_in`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TermSet(Box<[u32]>);
+
+impl TermSet {
+    /// The set of the given ids (duplicates collapse).
+    pub fn new(mut ids: Vec<u32>) -> TermSet {
+        ids.sort_unstable();
+        ids.dedup();
+        TermSet(ids.into_boxed_slice())
+    }
+
+    /// Whether `id` is a member.
+    pub fn contains(&self, id: u32) -> bool {
+        self.0.binary_search(&id).is_ok()
+    }
+
+    /// Number of distinct terms.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the set holds no term.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// [`containment`] against a prepared [`TermSet`]: the fraction of `query`
+/// terms that are members of `target`. `query` holds one entry per query term
+/// occurrence; `None` is a term the interner has never seen, which therefore
+/// cannot be in any prepared set. Equals `containment` over the same terms.
+pub fn containment_in(query: &[Option<u32>], target: &TermSet) -> f64 {
+    if query.is_empty() {
+        return 0.0;
+    }
+    let hit = query
+        .iter()
+        .filter(|q| q.is_some_and(|id| target.contains(id)))
+        .count();
+    hit as f64 / query.len() as f64
+}
+
 /// Cosine similarity between term-frequency maps.
 pub fn tf_cosine<S: std::hash::BuildHasher>(
     a: &HashMap<String, u32, S>,
@@ -192,6 +237,26 @@ mod tests {
         assert!((jaccard_terms(&a, &b) - 0.5).abs() < 1e-12);
         assert!((containment(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(containment(&[], &b), 0.0);
+    }
+
+    #[test]
+    fn containment_in_a_prepared_set_equals_containment_over_strings() {
+        let terms =
+            |words: &[&str]| -> Vec<String> { words.iter().map(|s| s.to_string()).collect() };
+        let target = terms(&["brown", "kansas", "point", "kansas"]);
+        let query = terms(&["brown", "point", "point", "ohio", "unseen"]);
+        let mut interner = crate::Interner::new();
+        let target_ids = target.iter().map(|t| interner.intern(t).0).collect();
+        interner.intern("ohio");
+        let query_ids: Vec<Option<u32>> = query.iter().map(|t| interner.get(t)).collect();
+        let set = TermSet::new(target_ids);
+        assert_eq!(set.len(), 3);
+        assert_eq!(
+            containment_in(&query_ids, &set),
+            containment(&query, &target)
+        );
+        assert_eq!(containment_in(&[], &set), 0.0);
+        assert_eq!(containment_in(&query_ids, &TermSet::default()), 0.0);
     }
 
     #[test]

@@ -10,27 +10,6 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The observability and serving crates sit on every hot path (and carry
-# the quality-monitoring subsystem); lint them explicitly so a narrowed
-# workspace never drops them from the gate.
-echo "==> cargo clippy -p verifai-obs -D warnings"
-cargo clippy -p verifai-obs --all-targets -- -D warnings
-
-echo "==> cargo clippy -p verifai-service -D warnings"
-cargo clippy -p verifai-service --all-targets -- -D warnings
-
-echo "==> cargo clippy -p verifai-cluster -D warnings"
-cargo clippy -p verifai-cluster --all-targets -- -D warnings
-
-# The live-lake refactor made these two crates the mutable core of the
-# data path (generations, tombstones, segments, snapshot v3); gate them
-# explicitly like the serving crates above.
-echo "==> cargo clippy -p verifai-lake -D warnings"
-cargo clippy -p verifai-lake --all-targets -- -D warnings
-
-echo "==> cargo clippy -p verifai-index -D warnings"
-cargo clippy -p verifai-index --all-targets -- -D warnings
-
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -110,6 +89,22 @@ cargo run -q --release --bin verifai-cli -- live > /dev/null
 # scan, the batched kernel, or the snapshot v4 round-trip broke.
 echo "==> quantized-mode smoke (gating)"
 cargo run -q --release --bin verifai-cli -- quant > /dev/null
+
+# Gating request-level benchmark smoke: every workload of benchmark/ at
+# smoke scale, untraced and traced. run.sh exits nonzero when any output
+# check fails; the two identity checks this gate exists for — the service
+# path and the staged replay (retrieve -> resolve -> rerank stage -> judge
+# through public calls) both returning exactly what `verify_object` does —
+# are asserted by name so a renamed or dropped check cannot pass silently.
+echo "==> request-level benchmark smoke (gating)"
+BENCH_OUT="$(mktemp)"
+benchmark/run.sh --smoke > "$BENCH_OUT"
+benchmark/run.sh --smoke --traced >> "$BENCH_OUT"
+grep -q '\[ok\] service reports equal direct verify_object reports' "$BENCH_OUT" \
+  || { echo "benchmark smoke: service-equals-direct check did not run"; exit 1; }
+grep -q '\[ok\] staged replay through public calls equals verify_object' "$BENCH_OUT" \
+  || { echo "benchmark smoke: staged-replay check did not run"; exit 1; }
+rm -f "$BENCH_OUT"
 
 # Non-gating: refresh the kernel benchmark artifact. Numbers are
 # smoke-level at tiny scale; failures here don't fail the gate.

@@ -10,12 +10,20 @@
 //!   full verification reports;
 //! * HNSW backend — insertion-history dependent, so equivalence weakens
 //!   to recall against its own fresh batch build.
+//!
+//! The rerank stage scores against *prepared* evidence features kept
+//! current by the same mutations (DESIGN.md §18), so the property extends
+//! to it: after any history, the staged rerank equals a store-less oracle
+//! over the same candidates and the rerank of a fresh batch build.
 
 use proptest::prelude::*;
-use verifai::{LakeMutation, SemanticBackend, VerifAi, VerifAiConfig};
+use verifai::{DataObject, LakeMutation, SemanticBackend, TextClaim, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
-use verifai_datagen::{build, claim_workload, LakeSpec};
-use verifai_lake::{InstanceKind, TextDocument, Value};
+use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
+use verifai_lake::{
+    Column, DataInstance, DataType, InstanceId, InstanceKind, Schema, Table, TextDocument, Value,
+};
+use verifai_rerank::composite::CompositeReranker;
 
 const KINDS: [InstanceKind; 4] = [
     InstanceKind::Tuple,
@@ -59,16 +67,48 @@ fn doc_body(tag: u64) -> String {
 /// op against a scratch copy of the lake — so updates and removals can
 /// target instances created earlier in the same history (including re-adds
 /// of tombstoned doc ids), and every op is legal when the test replays it.
-fn script(spec: &LakeSpec, seed: u64, len: usize) -> Vec<LakeMutation> {
+///
+/// With `table_ops`, whole tables are streamed in and out too (only tables
+/// the script itself added are removed, so workloads generated from the
+/// original lake keep their source tables).
+fn script(spec: &LakeSpec, seed: u64, len: usize, table_ops: bool) -> Vec<LakeMutation> {
     let mut scratch = build(spec).lake;
-    let tables: Vec<_> = scratch.tables().map(|t| (t.id, t.schema.arity())).collect();
     let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(len);
     let mut next_doc: u64 = 9_000; // clear of every generated doc id
+    let mut next_table: u64 = 9_000; // likewise for tables
+    let mut streamed_tables: Vec<u64> = Vec::new();
     while out.len() < len {
+        let tables: Vec<_> = scratch.tables().map(|t| (t.id, t.schema.arity())).collect();
         let docs: Vec<_> = scratch.docs().map(|d| d.id).collect();
         let tuples: Vec<_> = scratch.tuple_ids().collect();
-        let mutation = match rng.below(7) {
+        let mutation = match rng.below(if table_ops { 9 } else { 7 }) {
+            7 => {
+                let id = next_table;
+                next_table += 1;
+                streamed_tables.push(id);
+                let mut table = Table::new(
+                    id,
+                    format!("Streamed district ledger {id}"),
+                    Schema::new(vec![
+                        Column::key("district", DataType::Text),
+                        Column::new("incumbent", DataType::Text),
+                    ]),
+                    0,
+                );
+                for row in 0..1 + rng.below(3) {
+                    table
+                        .push_row(vec![
+                            Value::text(format!("ledger{id}r{row}")),
+                            Value::text(format!("incumbent{}", rng.next() % 40)),
+                        ])
+                        .expect("row matches the schema");
+                }
+                LakeMutation::AddTable(table)
+            }
+            8 if !streamed_tables.is_empty() => LakeMutation::RemoveTable(
+                streamed_tables.swap_remove(rng.below(streamed_tables.len())),
+            ),
             0 => {
                 let id = next_doc;
                 next_doc += 1;
@@ -201,7 +241,7 @@ proptest! {
     #[test]
     fn interleaved_history_equals_batch_build_of_survivors(seed in 0u64..1000) {
         let spec = LakeSpec::tiny(seed % 97);
-        let history = script(&spec, seed, 24);
+        let history = script(&spec, seed, 24, false);
 
         for (config, label) in [
             (VerifAiConfig::paper_setting(), "content-only"),
@@ -225,7 +265,7 @@ proptest! {
 #[test]
 fn hnsw_live_history_recalls_its_batch_build() {
     let spec = LakeSpec::tiny(17);
-    let history = script(&spec, 17, 24);
+    let history = script(&spec, 17, 24, false);
     let live = live_system(&spec, &history, VerifAiConfig::default());
     let reference = batch_reference(&spec, &history, VerifAiConfig::default());
 
@@ -246,5 +286,182 @@ fn hnsw_live_history_recalls_its_batch_build() {
     assert!(
         recall >= 0.7,
         "live HNSW recall vs batch build too low: {recall:.3} ({found}/{wanted})"
+    );
+}
+
+/// The modalities (coarse k, final k) the pipeline consults for `object`.
+fn rerank_plan(object: &DataObject, config: &VerifAiConfig) -> Vec<(InstanceKind, usize, usize)> {
+    let finals = match object {
+        DataObject::ImputedCell(_) => vec![
+            (InstanceKind::Tuple, config.k_tuples),
+            (InstanceKind::Text, config.k_texts),
+        ],
+        DataObject::TextClaim(_) => vec![(InstanceKind::Table, config.k_tables)],
+    };
+    finals
+        .into_iter()
+        .map(|(kind, k)| (kind, config.coarse_k.max(k), k))
+        .collect()
+}
+
+/// One modality's staged rerank for `object` — through the system's rerank
+/// stage and its prepared-feature store — checked bit for bit against
+/// `verifai_rerank::rerank` over the same resolved candidates with a fresh
+/// reranker, which prepares everything on the spot and has no store.
+fn staged_rerank_checked(
+    sys: &VerifAi,
+    object: &DataObject,
+    (kind, coarse_k, final_k): (InstanceKind, usize, usize),
+    label: &str,
+) -> Vec<(InstanceId, u64)> {
+    let hits = sys.retrieve(&VerifAi::query_of(object), kind, coarse_k);
+    let ids: Vec<(InstanceId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
+    let resolved = sys
+        .try_resolve_evidence(&ids)
+        .expect("fresh hits resolve against the lake they came from");
+    let instances: Vec<DataInstance> = resolved.iter().map(|(i, _)| i.clone()).collect();
+    let staged = sys
+        .stages()
+        .rerank_stage()
+        .rerank(object, resolved, final_k);
+    let oracle = verifai_rerank::rerank(
+        &CompositeReranker::with_defaults(),
+        object,
+        instances,
+        final_k,
+    );
+    let bits = |ranked: &[(DataInstance, f64)]| -> Vec<(InstanceId, u64)> {
+        ranked.iter().map(|(i, s)| (i.id(), s.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&staged),
+        bits(&oracle),
+        "[{label}] staged rerank diverged from the store-less oracle: kind={kind:?} object={}",
+        object.id()
+    );
+    bits(&staged)
+}
+
+/// A sample of objects for rerank probes: imputed cells and claims from the
+/// reference's workloads, plus claims aimed at what the history streamed in.
+fn rerank_probe_objects(reference: &VerifAi) -> Vec<DataObject> {
+    let mut objects: Vec<DataObject> = completion_workload(reference.generated(), 4, 5)
+        .iter()
+        .map(|t| reference.impute(t))
+        .collect();
+    objects.extend(
+        claim_workload(reference.generated(), 4, ClaimGenConfig::default())
+            .iter()
+            .map(|c| reference.claim_object(c)),
+    );
+    for (id, text) in [
+        (
+            900_001,
+            "in the streamed district ledger 9000, the incumbent of ledger9000r0 is incumbent7",
+        ),
+        (900_002, "streamed3c0 revised5c1 district incumbent"),
+    ] {
+        objects.push(DataObject::TextClaim(TextClaim {
+            id,
+            text: text.into(),
+            expr: None,
+            scope: None,
+        }));
+    }
+    objects
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// After an interleaved history of document, tuple *and table* adds,
+    /// updates and removals, the rerank stage — scoring against prepared
+    /// features that `apply` kept current — returns, for every probe object
+    /// and modality, exactly what (a) a store-less reranker returns over
+    /// the same candidates and (b) a fresh batch build of the survivors
+    /// returns. Nothing stale, nothing missing, not one bit of score.
+    #[test]
+    fn rerank_after_interleaved_history_equals_oracle_and_batch_build(seed in 0u64..1000) {
+        let spec = LakeSpec::tiny(seed % 97);
+        let history = script(&spec, seed, 32, true);
+        let config = flat_config();
+        let live = live_system(&spec, &history, config);
+        let reference = batch_reference(&spec, &history, config);
+        // Every surviving document, table and KG entity has prepared
+        // features — and nothing that was removed still does.
+        let featured = live.lake().num_tables() + live.lake().num_docs()
+            + live.lake().num_kg_entities();
+        prop_assert_eq!(live.live_stats().prepared_instances, featured);
+        prop_assert_eq!(reference.live_stats().prepared_instances, featured);
+        for object in rerank_probe_objects(&reference) {
+            for plan in rerank_plan(&object, &config) {
+                let got = staged_rerank_checked(&live, &object, plan, "live");
+                let want = staged_rerank_checked(&reference, &object, plan, "batch");
+                prop_assert_eq!(
+                    got, want,
+                    "live rerank diverged from the batch build: kind={:?} object={}",
+                    plan.0, object.id()
+                );
+            }
+        }
+    }
+}
+
+/// A tuple added to a table that is *already* a rerank candidate changes
+/// that table's prepared features — its cell terms and its dense vector —
+/// at `apply` time: the next request sees the new row, scores the table
+/// higher for a claim that names it, and still agrees with the oracle.
+#[test]
+fn added_tuple_refreshes_a_candidate_tables_prepared_features() {
+    let config = flat_config();
+    let mut sys = VerifAi::build(build(&LakeSpec::tiny(29)), config);
+    let claim = &claim_workload(sys.generated(), 1, ClaimGenConfig::default())[0];
+    let table = claim.table;
+    let caption = sys
+        .lake()
+        .table(table)
+        .expect("source table")
+        .caption
+        .clone();
+    let object = DataObject::TextClaim(TextClaim {
+        id: 900_003,
+        text: format!("in the {caption}, the quokkaville marsupial census"),
+        expr: None,
+        scope: None,
+    });
+    let plan = rerank_plan(&object, &config)[0];
+    let score_of = |ranked: &[(InstanceId, u64)]| {
+        ranked
+            .iter()
+            .find(|(id, _)| *id == InstanceId::Table(table))
+            .map(|(_, bits)| f64::from_bits(*bits))
+            .expect("the claim's source table is a surviving rerank candidate")
+    };
+    let before = score_of(&staged_rerank_checked(&sys, &object, plan, "before"));
+
+    let arity = sys
+        .lake()
+        .table(table)
+        .expect("source table")
+        .schema
+        .arity();
+    let prepared_before = sys.live_stats().prepared_instances;
+    sys.apply(LakeMutation::AddTuple {
+        table,
+        values: (0..arity)
+            .map(|c| Value::text(format!("quokkaville marsupial {c}")))
+            .collect(),
+    })
+    .expect("tuple add applies");
+    assert_eq!(
+        sys.live_stats().prepared_instances,
+        prepared_before,
+        "a refreshed table replaces its entry; the new tuple keeps none"
+    );
+
+    let after = score_of(&staged_rerank_checked(&sys, &object, plan, "after"));
+    assert!(
+        after > before,
+        "the new row's terms and vector must reach the rerank: {before} -> {after}"
     );
 }

@@ -108,6 +108,78 @@ fn batched_and_sequential_execution_meter_identically() {
     assert_eq!(work_only(sweep), work_only(solo_sum));
 }
 
+/// What a request is charged does not depend on what ran before it.
+/// Evidence features are prepared when an instance enters the lake, never
+/// on first touch, so there is no warm-up for an earlier request to pay:
+/// an object costs the same work verified first or last in a run, alone or
+/// inside a micro-batch — and its embeds are the query's, not the corpus's.
+#[test]
+fn metered_work_is_independent_of_request_order_and_batching() {
+    use verifai_claims::ClaimGenConfig;
+    use verifai_datagen::claim_workload;
+
+    let objects_of = |sys: &VerifAi| -> Vec<DataObject> {
+        let mut objects: Vec<DataObject> = completion_workload(sys.generated(), 5, 11)
+            .iter()
+            .map(|t| sys.impute(t))
+            .collect();
+        objects.extend(
+            claim_workload(sys.generated(), 5, ClaimGenConfig::default())
+                .iter()
+                .map(|c| sys.claim_object(c)),
+        );
+        objects
+    };
+    let work = |sys: &VerifAi, object: &DataObject| work_only(sys.verify_object(object).cost);
+
+    // Two identical fresh systems: one sees the objects first to last, the
+    // other last to first, so every object but the middle one changes from
+    // "early in the run" to "late in the run".
+    let forward_sys = system(606);
+    let objects = objects_of(&forward_sys);
+    let forward: Vec<CostVector> = objects.iter().map(|o| work(&forward_sys, o)).collect();
+    let backward_sys = system(606);
+    let mut backward: Vec<CostVector> = objects
+        .iter()
+        .rev()
+        .map(|o| work(&backward_sys, o))
+        .collect();
+    backward.reverse();
+    assert_eq!(forward, backward, "cost depends on position in the run");
+
+    // The embeds are exactly the request's own: the retrieval query, plus
+    // the rerank's query side once — and, for cell objects, one per coarse
+    // tuple candidate (tuple vectors are the one feature not stored).
+    let config = forward_sys.config();
+    for (object, cost) in objects.iter().zip(&forward) {
+        let embeds = cost.embeds;
+        match object {
+            DataObject::TextClaim(_) => assert_eq!(embeds, 2, "claim {}", object.id()),
+            DataObject::ImputedCell(_) => {
+                assert!(
+                    (2..=2 + config.coarse_k as u64).contains(&embeds),
+                    "cell {}: {embeds} embeds",
+                    object.id()
+                );
+            }
+        }
+    }
+
+    // Solo against a micro-batch on a third fresh system: the batched
+    // discovery sweep charges, in total, what the solo discoveries did.
+    let batched_sys = system(606);
+    for same_kind in [&objects[..5], &objects[5..]] {
+        let refs: Vec<&DataObject> = same_kind.iter().collect();
+        let (_, sweep) = meter::scoped(|| batched_sys.discover_evidence_batch(&refs));
+        let mut solo_sum = CostVector::zero();
+        for object in same_kind {
+            let (_, cost) = meter::scoped(|| forward_sys.discover_evidence(object));
+            solo_sum.merge(&cost);
+        }
+        assert_eq!(work_only(sweep), work_only(solo_sum));
+    }
+}
+
 /// The reconciliation invariant end to end: with multiple tenants, worker
 /// threads completing requests concurrently, micro-batched prewarm sweeps,
 /// and cache hits, each tenant's `verifai_tenant_cost_total` rollup equals
