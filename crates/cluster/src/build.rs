@@ -157,6 +157,7 @@ pub fn build_cluster_with_clock(
                     for (id, text) in &corpus.content {
                         content.add(*id, text);
                     }
+                    content.compact();
                     let semantic = want_semantic.then(|| {
                         let mut index = match backend {
                             SemanticBackend::Hnsw => {

@@ -350,6 +350,12 @@ impl Router {
         self.shards.iter().map(Shard::instances).collect()
     }
 
+    /// Content segments standing on each shard (summed over its
+    /// modalities), in shard order.
+    pub fn content_segments(&self) -> Vec<usize> {
+        self.shards.iter().map(Shard::content_segments).collect()
+    }
+
     /// Member searches each shard has executed, in shard order.
     pub fn searches_per_shard(&self) -> Vec<u64> {
         self.obs.shards.iter().map(|s| s.searches.get()).collect()

@@ -70,4 +70,10 @@ impl Shard {
             .sum();
         content.max(semantic)
     }
+
+    /// Content segments standing on this shard, summed over its modalities.
+    pub fn content_segments(&self) -> usize {
+        let content = self.content.iter().flatten();
+        content.map(|idx| idx.read().segments()).sum()
+    }
 }

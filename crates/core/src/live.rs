@@ -192,7 +192,7 @@ impl LiveIndexes {
         s
     }
 
-    /// Force-compact every index: seal and merge the content segments, drop
+    /// Force-compact every index: merge the content segments into one, drop
     /// tombstoned vectors. One job per index slot, fanned out over
     /// [`crate::exec::run_scoped`] — the "background merge" entry point the
     /// serving layer calls off the query path.
@@ -200,11 +200,7 @@ impl LiveIndexes {
         let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(8);
         for content in &self.content {
             let content = Arc::clone(content);
-            jobs.push(Box::new(move || {
-                let mut c = content.write();
-                c.seal();
-                c.compact();
-            }));
+            jobs.push(Box::new(move || content.write().compact()));
         }
         for semantic in self.semantic.iter().flatten() {
             let semantic = Arc::clone(semantic);

@@ -223,8 +223,9 @@ impl VerifAi {
         // Entry lists keep lake iteration order — the order a sequential
         // build would embed and insert in. The batch build IS the
         // incremental path: every instance streams through
-        // `SegmentedInvertedIndex::add`, sealing segments as it goes, so
-        // bulk ingest and live mutation share one code path.
+        // `SegmentedInvertedIndex::add`, so bulk ingest and live mutation
+        // share one code path — and ends with one `compact`, so a fresh
+        // system searches one sealed segment per modality.
         let lake = &generated.lake;
         let want_semantic = config.use_semantic_index;
         type ModalityBuilt = (SegmentedInvertedIndex, Vec<(InstanceId, String)>);
@@ -243,6 +244,7 @@ impl VerifAi {
                         for (id, text) in &corpus.content {
                             content.add(*id, text);
                         }
+                        content.compact();
                         *slot = Some((content, corpus.semantic));
                     });
                     job

@@ -4,12 +4,14 @@
 //! analyzed into terms; postings record per-document term frequencies; queries
 //! are analyzed with the *same* analyzer and scored with Okapi BM25.
 
-use crate::hit::{sort_hits, SearchHit};
+use crate::hit::SearchHit;
 use crate::persist::{self, PersistError, SnapshotKind};
+use crate::vector::{offer, VisitedSet};
 use bytes::{BufMut, Bytes, BytesMut};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
@@ -88,10 +90,136 @@ pub struct InvertedIndex {
     shared_stats: Option<Arc<CorpusStats>>,
 }
 
+/// Tombstoned ordinals of one segment: a bitset and its population count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tombstones {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl Tombstones {
+    /// Tombstone `ord`.
+    pub(crate) fn insert(&mut self, ord: u32) {
+        let word = ord as usize / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (ord % 64);
+        self.count += usize::from(self.words[word] & bit == 0);
+        self.words[word] |= bit;
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, ord: u32) -> bool {
+        self.words
+            .get(ord as usize / 64)
+            .is_some_and(|w| w & (1u64 << (ord % 64)) != 0)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+}
+
+/// A query prepared for scoring: analyzed once per search, each distinct
+/// term's idf resolved once against the corpus statistics in force, terms
+/// in sorted order — the floating-point accumulation order every segment
+/// repeats.
+pub(crate) struct PreparedQuery {
+    /// `(term, query frequency, idf)`. The idf is `None` when no live
+    /// document holds the term: its postings are all dead, so they are
+    /// charged but not scored.
+    terms: Vec<(String, f64, Option<f64>)>,
+    avg_len: f64,
+}
+
+impl PreparedQuery {
+    /// Prepare `query` against a corpus of `docs` documents of `total_len`
+    /// analyzed terms, where `df_of` is a term's document frequency. `None`
+    /// when nothing can match (empty corpus, or no term survives analysis).
+    pub(crate) fn new(
+        analyzer: &Analyzer,
+        query: &str,
+        docs: u64,
+        total_len: u64,
+        df_of: impl Fn(&str) -> u64,
+    ) -> Option<PreparedQuery> {
+        let mut terms: Vec<(String, u32)> = analyzer.term_frequencies(query).into_iter().collect();
+        if docs == 0 || terms.is_empty() {
+            return None;
+        }
+        terms.sort_unstable();
+        let n = docs as f64;
+        let terms = terms
+            .into_iter()
+            .map(|(term, qf)| {
+                let df = df_of(&term);
+                // The "+1" form used by Lucene: always positive.
+                let idf = (df > 0).then(|| ((n - df as f64 + 0.5) / (df as f64 + 0.5) + 1.0).ln());
+                (term, qf as f64, idf)
+            })
+            .collect();
+        Some(PreparedQuery {
+            terms,
+            avg_len: total_len as f64 / n,
+        })
+    }
+}
+
+/// Document lengths below this read their normalization from the
+/// per-search table; longer documents compute it per posting.
+const NORM_TABLE_CAP: usize = 4096;
+
+/// Per-thread scoring scratch, reused across searches so a search
+/// allocates nothing that scales with the index.
+#[derive(Default)]
+struct Scratch {
+    /// Dense score accumulator indexed by ordinal; an entry is valid for
+    /// the current segment only when `seen` holds its ordinal.
+    scores: Vec<f64>,
+    seen: VisitedSet,
+    /// Ordinals touched in the current segment, in first-touch order.
+    touched: Vec<u32>,
+    /// Length normalization by document length, valid for one search.
+    norms: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Run a prepared query over `segments` (each with its tombstones): one
+/// scoring kernel, one top-k across all of them, one postings charge.
+/// Hits come back in [`crate::hit::sort_hits`]' total order.
+pub(crate) fn search_segments<'a>(
+    query: Option<PreparedQuery>,
+    k: usize,
+    segments: impl IntoIterator<Item = (&'a InvertedIndex, &'a Tombstones)>,
+) -> Vec<SearchHit> {
+    let Some(query) = query.filter(|_| k > 0) else {
+        return Vec::new();
+    };
+    let mut top: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    let visited = SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        scratch.norms.clear();
+        segments
+            .into_iter()
+            .map(|(segment, dead)| segment.score_into(&query, dead, scratch, &mut top, k))
+            .sum::<u64>()
+    });
+    // One tally update per search: a posting is a (doc, tf) pair, 8 bytes
+    // as laid out in the snapshot format.
+    meter::charge_postings(visited, visited * 8);
+    top.into_sorted_vec()
+        .into_iter()
+        .map(|e| SearchHit::new(e.id, e.score))
+        .collect()
+}
+
 /// Heap entry for top-k selection (min-heap on score).
 struct HeapEntry {
     score: f64,
-    doc: u32,
     id: InstanceId,
 }
 
@@ -180,9 +308,14 @@ impl InvertedIndex {
 
     /// Add a document. Returns its internal ordinal.
     pub fn add(&mut self, id: InstanceId, text: &str) -> u32 {
+        self.add_analyzed(id, self.analyzer.term_frequencies(text))
+    }
+
+    /// Add a document already analyzed into term frequencies (by this
+    /// index's analyzer). Returns its internal ordinal.
+    pub(crate) fn add_analyzed(&mut self, id: InstanceId, tf: HashMap<String, u32>) -> u32 {
         let doc = self.ids.len() as u32;
         self.ids.push(id);
-        let tf = self.analyzer.term_frequencies(text);
         let len: u32 = tf.values().sum();
         self.lengths.push(len);
         self.total_len += len as u64;
@@ -201,113 +334,95 @@ impl InvertedIndex {
         doc
     }
 
-    /// BM25 inverse document frequency of a term in a corpus of `n` docs.
-    fn idf(n: f64, df: f64) -> f64 {
-        // The "+1" form used by Lucene: always positive.
-        ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
-    }
-
-    /// Search the index, returning the top-k hits by BM25 score.
+    /// Search the index, returning the top-k hits by BM25 score — against
+    /// the shared (merged) corpus statistics when installed, this index's
+    /// own otherwise.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        self.search_with(query, k, None, None)
+        let shared = self.shared_stats.as_deref().filter(|s| s.docs > 0);
+        let (docs, total_len) = shared.map_or((self.ids.len() as u64, self.total_len), |s| {
+            (s.docs, s.total_len)
+        });
+        let df_of = |term: &str| {
+            shared
+                .and_then(|s| s.doc_freqs.get(term).copied())
+                .unwrap_or_else(|| self.postings.get(term).map_or(0, |p| p.len() as u64))
+        };
+        let query = PreparedQuery::new(&self.analyzer, query, docs, total_len, df_of);
+        search_segments(query, k, [(self, &Tombstones::default())])
     }
 
-    /// Search with explicit overrides: `stats` forces the corpus-wide
-    /// statistics BM25 uses (taking precedence over any installed shared
-    /// stats), and `skip` suppresses documents by internal ordinal.
-    ///
-    /// This is the segmented-index primitive: each sealed segment is scored
-    /// against the *live* corpus statistics with its tombstoned ordinals
-    /// skipped, which makes the per-segment scores — and therefore the
-    /// merged top-k — bit-identical to one monolithic index over the
-    /// surviving corpus. With explicit stats, a term whose corpus-wide
-    /// document frequency is zero (every holder deleted) is skipped
-    /// outright: its postings here are all dead.
-    pub fn search_with(
+    /// BM25 length normalization of a document of `dl` analyzed terms. The
+    /// one expression every `denom` is built from, table or not, so a score
+    /// has the same bits however its norm was obtained.
+    #[inline]
+    fn length_norm(&self, dl: usize, avg_len: f64) -> f64 {
+        self.params.k1 * (1.0 - self.params.b + self.params.b * dl as f64 / avg_len)
+    }
+
+    /// The scoring kernel: accumulate this segment's share of `query` into
+    /// the dense scratch accumulator, skipping `dead` ordinals, then offer
+    /// every touched document to the search-wide top-`k` heap. Returns the
+    /// postings visited — every posting of every query term present here,
+    /// scored or not. A document's score is the sum of its term
+    /// contributions in sorted term order from `0.0`, against the
+    /// statistics baked into `query` — bit-identical to one monolithic
+    /// index over the surviving corpus, whatever the segment layout.
+    fn score_into(
         &self,
-        query: &str,
+        query: &PreparedQuery,
+        dead: &Tombstones,
+        scratch: &mut Scratch,
+        top: &mut BinaryHeap<HeapEntry>,
         k: usize,
-        stats: Option<&CorpusStats>,
-        skip: Option<&HashSet<u32>>,
-    ) -> Vec<SearchHit> {
-        if k == 0 || self.ids.is_empty() {
-            return Vec::new();
+    ) -> u64 {
+        scratch.seen.begin(self.ids.len());
+        if scratch.scores.len() < self.ids.len() {
+            scratch.scores.resize(self.ids.len(), 0.0);
         }
-        let qterms = self.analyzer.term_frequencies(query);
-        if qterms.is_empty() {
-            return Vec::new();
-        }
-        // Corpus-wide doc count and average length: explicit stats first,
-        // then the shared (merged) statistics when installed, then this
-        // index's own.
-        let (n_docs, total_len) = match (stats, &self.shared_stats) {
-            (Some(s), _) => (s.docs as f64, s.total_len as f64),
-            (None, Some(s)) if s.docs > 0 => (s.docs as f64, s.total_len as f64),
-            _ => (self.ids.len() as f64, self.total_len as f64),
-        };
-        if n_docs <= 0.0 {
-            return Vec::new();
-        }
-        let avg_len = total_len / n_docs;
-        let mut scores: HashMap<u32, f64> = HashMap::new();
+        scratch.touched.clear();
+        let norms = &mut scratch.norms;
         let mut visited = 0u64;
-        // Stable term order for reproducible floating-point accumulation.
-        let mut qvec: Vec<(&String, &u32)> = qterms.iter().collect();
-        qvec.sort_unstable();
-        for (term, &qf) in qvec {
+        for (term, qf, idf) in &query.terms {
             let Some(postings) = self.postings.get(term) else {
                 continue;
             };
             visited += postings.len() as u64;
-            let df = match (stats, &self.shared_stats) {
-                (Some(s), _) => {
-                    let live = s.doc_freqs.get(term).copied().unwrap_or(0);
-                    if live == 0 {
-                        continue;
-                    }
-                    live as f64
-                }
-                (None, Some(s)) => s
-                    .doc_freqs
-                    .get(term)
-                    .copied()
-                    .unwrap_or(postings.len() as u64) as f64,
-                (None, None) => postings.len() as f64,
+            let Some(idf) = idf else {
+                continue;
             };
-            let idf = Self::idf(n_docs, df);
             for p in postings {
-                if skip.is_some_and(|dead| dead.contains(&p.doc)) {
+                if dead.contains(p.doc) {
                     continue;
                 }
-                let dl = self.lengths[p.doc as usize] as f64;
+                let dl = self.lengths[p.doc as usize] as usize;
+                if dl >= norms.len() && dl < NORM_TABLE_CAP {
+                    let known = norms.len();
+                    norms.extend((known..=dl).map(|l| self.length_norm(l, query.avg_len)));
+                }
+                let norm = norms.get(dl).copied();
+                let norm = norm.unwrap_or_else(|| self.length_norm(dl, query.avg_len));
                 let tf = p.tf as f64;
-                let denom =
-                    tf + self.params.k1 * (1.0 - self.params.b + self.params.b * dl / avg_len);
+                let denom = tf + norm;
                 let contrib = idf * tf * (self.params.k1 + 1.0) / denom;
-                *scores.entry(p.doc).or_insert(0.0) += contrib * qf as f64;
+                let score = &mut scratch.scores[p.doc as usize];
+                if scratch.seen.insert(p.doc) {
+                    *score = 0.0;
+                    scratch.touched.push(p.doc);
+                }
+                *score += contrib * qf;
             }
         }
-        // One tally update per query: a posting is a (doc, tf) pair, 8
-        // bytes as laid out in the snapshot format.
-        meter::charge_postings(visited, visited * 8);
-        // Top-k selection with a size-k min-heap.
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        for (doc, score) in scores {
-            heap.push(HeapEntry {
-                score,
-                doc,
-                id: self.ids[doc as usize],
-            });
-            if heap.len() > k {
-                heap.pop();
+        for &doc in &scratch.touched {
+            let score = scratch.scores[doc as usize];
+            // Strictly below a full heap's worst score: rejected with one
+            // compare, before the id is even loaded. Ties go to `offer`.
+            if top.len() >= k && top.peek().is_some_and(|worst| score < worst.score) {
+                continue;
             }
+            let id = self.ids[doc as usize];
+            offer(top, k, HeapEntry { score, id });
         }
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit::new(self.ids[e.doc as usize], e.score))
-            .collect();
-        sort_hits(&mut hits);
-        hits
+        visited
     }
 
     /// Serialize the index into a versioned binary snapshot.
@@ -422,7 +537,7 @@ impl InvertedIndex {
     /// sorted by document ordinal, per-document term frequencies and lengths
     /// are carried over verbatim, and no re-analysis happens. The merge is
     /// pure posting-list surgery — O(total postings), not O(total text).
-    pub fn merge_compact(parts: &[(&InvertedIndex, &HashSet<u32>)]) -> InvertedIndex {
+    pub(crate) fn merge_compact(parts: &[(&InvertedIndex, &Tombstones)]) -> InvertedIndex {
         let (analyzer, params) = parts
             .first()
             .map(|(seg, _)| (seg.analyzer, seg.params))
@@ -433,7 +548,7 @@ impl InvertedIndex {
         for (seg, dead) in parts {
             let mut remap = Vec::with_capacity(seg.ids.len());
             for (ord, (&id, &len)) in seg.ids.iter().zip(seg.lengths.iter()).enumerate() {
-                if dead.contains(&(ord as u32)) {
+                if dead.contains(ord as u32) {
                     remap.push(None);
                 } else {
                     remap.push(Some(merged.ids.len() as u32));
@@ -468,9 +583,64 @@ impl InvertedIndex {
     }
 }
 
+/// Reference BM25 over raw documents — the accumulate-into-a-`HashMap`
+/// formula the kernel replaced, sharing none of its code: every document
+/// analyzed afresh, statistics recounted (unless `shared` overrides them),
+/// every hit sorted. The oracle the layout-independence tests compare to.
+#[cfg(test)]
+pub(crate) fn oracle_search(
+    docs: &[(InstanceId, String)],
+    shared: Option<&CorpusStats>,
+    query: &str,
+    k: usize,
+) -> Vec<SearchHit> {
+    let (analyzer, params) = (Analyzer::standard(), Bm25Params::default());
+    let tfs: Vec<HashMap<String, u32>> = docs
+        .iter()
+        .map(|(_, text)| analyzer.term_frequencies(text))
+        .collect();
+    let mut own = CorpusStats::default();
+    for tf in &tfs {
+        own.docs += 1;
+        own.total_len += tf.values().map(|&f| f as u64).sum::<u64>();
+        for term in tf.keys() {
+            *own.doc_freqs.entry(term.clone()).or_insert(0) += 1;
+        }
+    }
+    let stats = shared.unwrap_or(&own);
+    let mut qvec: Vec<(String, u32)> = analyzer.term_frequencies(query).into_iter().collect();
+    qvec.sort_unstable();
+    let avg_len = stats.total_len as f64 / stats.docs as f64;
+    let mut scores: HashMap<usize, f64> = HashMap::new();
+    for (term, qf) in qvec {
+        let Some(&df) = stats.doc_freqs.get(&term) else {
+            continue;
+        };
+        let idf = ((stats.docs as f64 - df as f64 + 0.5) / (df as f64 + 0.5) + 1.0).ln();
+        for (doc, tf) in tfs.iter().enumerate() {
+            let Some(&f) = tf.get(&term) else {
+                continue;
+            };
+            let dl = tf.values().sum::<u32>() as f64;
+            let tf = f as f64;
+            let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg_len);
+            let contrib = idf * tf * (params.k1 + 1.0) / denom;
+            *scores.entry(doc).or_insert(0.0) += contrib * qf as f64;
+        }
+    }
+    let mut hits: Vec<SearchHit> = scores
+        .into_iter()
+        .map(|(doc, score)| SearchHit::new(docs[doc].0, score))
+        .collect();
+    crate::hit::sort_hits(&mut hits);
+    hits.truncate(k);
+    hits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hit::sort_hits;
 
     fn tid(i: u64) -> InstanceId {
         InstanceId::Text(i)

@@ -6,37 +6,53 @@
 //! **memtable** segment; when it reaches the seal threshold it is frozen
 //! into the list of immutable **sealed** segments and a fresh memtable
 //! starts. Deletes tombstone the document's ordinal inside whichever
-//! segment holds it; once tombstones outnumber live documents, every
-//! segment is merged into one compacted segment by pure posting-list
-//! surgery ([`InvertedIndex::merge_compact`] — no re-analysis).
+//! segment holds it.
+//!
+//! ## Segment policy
+//!
+//! A search pays per segment, so the segment count is bounded at all
+//! times. When a seal pushes the sealed count past the fan-out cap, a
+//! **trailing run** of adjacent segments is merged into one, size-tiered
+//! (see `merge_tail`). Once more than half of the stored documents are
+//! tombstones, a `remove` merges *every* segment into one — a full merge
+//! is what sheds tombstones everywhere — and a batch build ends with the
+//! same [`compact`](SegmentedInvertedIndex::compact). Every merge is pure
+//! posting-list surgery over adjacent segments (`merge_compact` — no
+//! re-analysis), so the result equals a fresh sequential build of the
+//! survivors.
 //!
 //! ## Score equivalence with a monolithic index
 //!
 //! BM25 is corpus-relative, so naive per-segment scoring would drift as
 //! segments fill. The index therefore maintains **live corpus statistics**
 //! (document count, total length, per-term document frequencies over
-//! non-tombstoned documents only) incrementally on every add/remove, and
-//! every segment scores against those via
-//! [`InvertedIndex::search_with`] with its tombstoned ordinals skipped.
-//! Identical integer statistics, identical per-document term frequencies,
-//! and the same sorted-term accumulation order make each document's score
-//! **bit-identical** to a fresh monolithic index over the surviving corpus;
-//! per-segment top-k then unions to the same global top-k under
-//! [`sort_hits`]' total order. The interleaved-history property test in
-//! `verifai` holds the system to exactly this.
+//! non-tombstoned documents only) incrementally on every add/remove. A
+//! search prepares its query once against those, and every segment runs the
+//! one scoring kernel (`content.rs`'s `score_into`) with its tombstoned
+//! ordinals skipped, feeding one top-k. Identical integer statistics,
+//! identical per-document term frequencies, the same sorted-term
+//! accumulation order and the same length-norm expression make each
+//! document's score **bit-identical** to a fresh monolithic index over the
+//! surviving corpus, and the top-k is taken under `sort_hits`' total order
+//! — so results do not depend on the segment layout (DESIGN.md §19). The
+//! layout-independence property test below and the interleaved-history
+//! property test in `verifai` hold the system to exactly this.
 
-use crate::content::{Bm25Params, CorpusStats, InvertedIndex};
-use crate::hit::{sort_hits, SearchHit};
+use crate::content::{
+    search_segments, Bm25Params, CorpusStats, InvertedIndex, PreparedQuery, Tombstones,
+};
+use crate::hit::SearchHit;
 use crate::persist::{self, PersistError, SnapshotKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use verifai_lake::InstanceId;
 use verifai_text::Analyzer;
 
 /// Memtable size at which it is sealed into an immutable segment.
 const DEFAULT_SEAL_THRESHOLD: usize = 256;
-/// Sealed-segment count above which a merge runs even without tombstones.
+/// Fan-out cap: a seal that pushes the sealed-segment count past this
+/// merges a trailing run of them.
 const MAX_SEALED_SEGMENTS: usize = 8;
 
 /// A mutable, segment-based BM25 index: one writable memtable, immutable
@@ -52,10 +68,10 @@ pub struct SegmentedInvertedIndex {
     memtable: InvertedIndex,
     /// id -> memtable ordinal, for live memtable documents.
     mem_locations: HashMap<InstanceId, u32>,
-    mem_dead: HashSet<u32>,
+    mem_dead: Tombstones,
     sealed: Vec<Arc<InvertedIndex>>,
     /// Tombstoned ordinals per sealed segment (parallel to `sealed`).
-    dead: Vec<HashSet<u32>>,
+    dead: Vec<Tombstones>,
     /// id -> (sealed segment index, ordinal), for live sealed documents.
     locations: HashMap<InstanceId, (usize, u32)>,
     /// Statistics of the *live* documents only, maintained incrementally.
@@ -74,6 +90,10 @@ impl Default for SegmentedInvertedIndex {
 }
 
 impl SegmentedInvertedIndex {
+    /// The bound [`Self::segments`] never exceeds: the sealed fan-out cap
+    /// plus the memtable.
+    pub const MAX_SEGMENTS: usize = MAX_SEALED_SEGMENTS + 1;
+
     /// Empty index with the given analyzer and BM25 parameters.
     pub fn new(analyzer: Analyzer, params: Bm25Params) -> SegmentedInvertedIndex {
         SegmentedInvertedIndex {
@@ -81,7 +101,7 @@ impl SegmentedInvertedIndex {
             params,
             memtable: InvertedIndex::new(analyzer, params),
             mem_locations: HashMap::new(),
-            mem_dead: HashSet::new(),
+            mem_dead: Tombstones::default(),
             sealed: Vec::new(),
             dead: Vec::new(),
             locations: HashMap::new(),
@@ -117,7 +137,7 @@ impl SegmentedInvertedIndex {
 
     /// Tombstoned documents not yet compacted away.
     pub fn tombstones(&self) -> usize {
-        self.mem_dead.len() + self.dead.iter().map(HashSet::len).sum::<usize>()
+        self.mem_dead.len() + self.dead.iter().map(Tombstones::len).sum::<usize>()
     }
 
     /// Mutation generation: bumped on every add/remove, persisted.
@@ -148,14 +168,20 @@ impl SegmentedInvertedIndex {
             !self.locations.contains_key(&id) && !self.mem_locations.contains_key(&id),
             "id {id:?} is already live; remove it before re-adding"
         );
-        let ord = self.memtable.add(id, text);
-        self.mem_locations.insert(id, ord);
+        // One analysis feeds both the live statistics and the memtable.
         let tf = self.analyzer.term_frequencies(text);
         self.live.docs += 1;
         self.live.total_len += tf.values().map(|&f| f as u64).sum::<u64>();
-        for term in tf.into_keys() {
-            *self.live.doc_freqs.entry(term).or_insert(0) += 1;
+        for term in tf.keys() {
+            match self.live.doc_freqs.get_mut(term) {
+                Some(df) => *df += 1,
+                None => {
+                    self.live.doc_freqs.insert(term.clone(), 1);
+                }
+            }
         }
+        let ord = self.memtable.add_analyzed(id, tf);
+        self.mem_locations.insert(id, ord);
         self.generation += 1;
         if self.memtable.len() >= self.seal_threshold {
             self.seal();
@@ -193,8 +219,18 @@ impl SegmentedInvertedIndex {
     }
 
     /// Freeze the memtable into an immutable sealed segment and start a
-    /// fresh one. No-op when the memtable is empty.
+    /// fresh one; when that pushes the sealed count past the fan-out cap,
+    /// merge a trailing run of segments. No-op when the memtable is empty.
     pub fn seal(&mut self) {
+        self.freeze_memtable();
+        // One merge after a seal; more only on loading a snapshot written
+        // without the cap.
+        while self.sealed.len() > MAX_SEALED_SEGMENTS {
+            self.merge_tail();
+        }
+    }
+
+    fn freeze_memtable(&mut self) {
         if self.memtable.is_empty() {
             return;
         }
@@ -210,62 +246,77 @@ impl SegmentedInvertedIndex {
         }
     }
 
-    /// Whether dead weight justifies a merge: tombstones outnumber live
-    /// documents, or the sealed-segment count passed the fan-out cap.
+    /// Whether dead weight justifies a full merge: more than half of the
+    /// stored documents are tombstones. (The segment count is bounded on
+    /// the seal path, not here.)
     pub fn should_compact(&self) -> bool {
         let stored = self.memtable.len() + self.sealed.iter().map(|s| s.len()).sum::<usize>();
-        let dead = self.tombstones();
-        (dead > 0 && dead * 2 > stored) || self.sealed.len() > MAX_SEALED_SEGMENTS
+        self.tombstones() * 2 > stored
+    }
+
+    /// Size-tiered tail merge: merge the newest sealed segment with the
+    /// run of older neighbours that are each no larger than the run so far
+    /// (always at least one). Equal-sized fresh segments collapse together;
+    /// a large old segment joins only once comparable volume sits behind
+    /// it, so the merge work per added document stays logarithmic.
+    fn merge_tail(&mut self) {
+        let Some(mut start) = self.sealed.len().checked_sub(2) else {
+            return;
+        };
+        let mut run = self.sealed[start].len() + self.sealed[start + 1].len();
+        while start > 0 && self.sealed[start - 1].len() <= run {
+            start -= 1;
+            run += self.sealed[start].len();
+        }
+        self.merge_sealed(start);
+    }
+
+    /// Merge the adjacent sealed segments `start..` into one, dropping
+    /// their tombstones; `locations` is remapped for that run only.
+    fn merge_sealed(&mut self, start: usize) {
+        let parts: Vec<(&InvertedIndex, &Tombstones)> = self.sealed[start..]
+            .iter()
+            .map(|s| &**s)
+            .zip(&self.dead[start..])
+            .collect();
+        let merged = InvertedIndex::merge_compact(&parts);
+        for (ord, &id) in merged.doc_ids().iter().enumerate() {
+            self.locations.insert(id, (start, ord as u32));
+        }
+        self.sealed.truncate(start);
+        self.dead.truncate(start);
+        if !merged.is_empty() {
+            self.sealed.push(Arc::new(merged));
+            self.dead.push(Tombstones::default());
+        }
     }
 
     /// Merge every segment (and the memtable) into one compacted sealed
     /// segment, dropping tombstones. Live insertion order is preserved, so
     /// the merged segment equals a fresh sequential build of the survivors.
+    /// No-op when the index already is one clean sealed segment.
     pub fn compact(&mut self) {
-        if self.sealed.is_empty() && self.mem_dead.is_empty() {
+        self.freeze_memtable();
+        if self.sealed.is_empty() || (self.sealed.len() == 1 && self.dead[0].len() == 0) {
             return;
         }
-        let mut parts: Vec<(&InvertedIndex, &HashSet<u32>)> = self
-            .sealed
-            .iter()
-            .map(|s| &**s)
-            .zip(self.dead.iter())
-            .collect();
-        parts.push((&self.memtable, &self.mem_dead));
-        let merged = InvertedIndex::merge_compact(&parts);
-        self.locations = merged
-            .doc_ids()
-            .iter()
-            .enumerate()
-            .map(|(ord, &id)| (id, (0usize, ord as u32)))
-            .collect();
-        self.sealed = vec![Arc::new(merged)];
-        self.dead = vec![HashSet::new()];
-        self.memtable = InvertedIndex::new(self.analyzer, self.params);
-        self.mem_locations.clear();
-        self.mem_dead.clear();
+        self.merge_sealed(0);
         self.compactions += 1;
     }
 
-    /// Top-k hits by BM25 over the live corpus: every segment scored
-    /// against the same (shared or live) statistics with its tombstones
-    /// skipped, merged under [`sort_hits`]' total order.
+    /// Top-k hits by BM25 over the live corpus: the query prepared once
+    /// against the (shared or live) statistics, every segment scored by the
+    /// one kernel with its tombstones skipped, one top-k under
+    /// [`sort_hits`](crate::hit::sort_hits)' total order.
     pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        if k == 0 || self.is_empty() {
+        if self.is_empty() {
             return Vec::new();
         }
         let stats: &CorpusStats = self.shared_stats.as_deref().unwrap_or(&self.live);
-        let mut hits: Vec<SearchHit> = Vec::new();
-        for (seg, dead) in self.sealed.iter().zip(self.dead.iter()) {
-            hits.extend(seg.search_with(query, k, Some(stats), Some(dead)));
-        }
-        hits.extend(
-            self.memtable
-                .search_with(query, k, Some(stats), Some(&self.mem_dead)),
-        );
-        sort_hits(&mut hits);
-        hits.truncate(k);
-        hits
+        let df_of = |term: &str| stats.doc_freqs.get(term).copied().unwrap_or(0);
+        let query = PreparedQuery::new(&self.analyzer, query, stats.docs, stats.total_len, df_of);
+        let sealed = self.sealed.iter().map(|s| &**s).zip(&self.dead);
+        search_segments(query, k, sealed.chain([(&self.memtable, &self.mem_dead)]))
     }
 
     /// Serialize into a version-3 snapshot (kind
@@ -280,15 +331,13 @@ impl SegmentedInvertedIndex {
         buf.put_u64_le(self.compactions);
         let include_mem = !self.memtable.is_empty();
         buf.put_u32_le((self.sealed.len() + usize::from(include_mem)) as u32);
-        let write_segment = |buf: &mut BytesMut, seg: &InvertedIndex, dead: &HashSet<u32>| {
+        let write_segment = |buf: &mut BytesMut, seg: &InvertedIndex, dead: &Tombstones| {
             let blob = seg.to_bytes();
             buf.put_u32_le(blob.len() as u32);
             buf.put_slice(&blob);
-            let mut ords: Vec<u32> = dead.iter().copied().collect();
-            ords.sort_unstable();
-            buf.put_u32_le(ords.len() as u32);
-            for o in ords {
-                buf.put_u32_le(o);
+            buf.put_u32_le(dead.len() as u32);
+            for ord in (0..seg.len() as u32).filter(|&ord| dead.contains(ord)) {
+                buf.put_u32_le(ord);
             }
         };
         for (seg, dead) in self.sealed.iter().zip(self.dead.iter()) {
@@ -315,8 +364,9 @@ impl SegmentedInvertedIndex {
     /// by [`Self::to_bytes`], or — the migration path — any monolithic
     /// [`SnapshotKind::Inverted`] snapshot (v1/v2/v3), which loads as a
     /// single sealed segment with generation 0 and its statistics derived
-    /// from the postings. Loaded segments are all sealed; the memtable
-    /// starts fresh.
+    /// from the postings. Loaded segments are all sealed (tail-merged down
+    /// to the fan-out cap when the snapshot holds more); the memtable starts
+    /// fresh.
     pub fn from_bytes(buf: Bytes) -> Result<SegmentedInvertedIndex, PersistError> {
         if persist::peek_kind(&buf)? == SnapshotKind::Inverted as u8 {
             let seg = InvertedIndex::from_bytes(buf)?;
@@ -338,7 +388,7 @@ impl SegmentedInvertedIndex {
             let blob = buf.copy_to_bytes(blob_len);
             let seg = InvertedIndex::from_bytes(blob)?;
             let ndead = persist::get_u32(&mut buf)? as usize;
-            let mut dead_set = HashSet::with_capacity(ndead);
+            let mut dead_set = Tombstones::default();
             for _ in 0..ndead {
                 let ord = persist::get_u32(&mut buf)?;
                 if ord as usize >= seg.len() {
@@ -347,7 +397,7 @@ impl SegmentedInvertedIndex {
                 dead_set.insert(ord);
             }
             for (ord, &id) in seg.doc_ids().iter().enumerate() {
-                if !dead_set.contains(&(ord as u32)) {
+                if !dead_set.contains(ord as u32) {
                     locations.insert(id, (seg_idx, ord as u32));
                 }
             }
@@ -366,12 +416,12 @@ impl SegmentedInvertedIndex {
             .first()
             .map(|s| (s.analyzer(), s.params()))
             .unwrap_or_else(|| (Analyzer::standard(), Bm25Params::default()));
-        Ok(SegmentedInvertedIndex {
+        let mut index = SegmentedInvertedIndex {
             analyzer,
             params,
             memtable: InvertedIndex::new(analyzer, params),
             mem_locations: HashMap::new(),
-            mem_dead: HashSet::new(),
+            mem_dead: Tombstones::default(),
             sealed,
             dead,
             locations,
@@ -384,7 +434,10 @@ impl SegmentedInvertedIndex {
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             generation,
             compactions,
-        })
+        };
+        // Every stored segment loaded as sealed: restore the fan-out cap.
+        index.seal();
+        Ok(index)
     }
 
     /// Wrap a monolithic index as a single sealed segment (the v1/v2
@@ -405,7 +458,7 @@ impl SegmentedInvertedIndex {
             params,
             memtable: InvertedIndex::new(analyzer, params),
             mem_locations: HashMap::new(),
-            mem_dead: HashSet::new(),
+            mem_dead: Tombstones::default(),
             sealed: if empty {
                 Vec::new()
             } else {
@@ -414,7 +467,7 @@ impl SegmentedInvertedIndex {
             dead: if empty {
                 Vec::new()
             } else {
-                vec![HashSet::new()]
+                vec![Tombstones::default()]
             },
             locations,
             live,
@@ -429,6 +482,8 @@ impl SegmentedInvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::oracle_search;
+    use crate::hit::sort_hits;
 
     fn tid(i: u64) -> InstanceId {
         InstanceId::Text(i)
@@ -575,6 +630,26 @@ mod tests {
     }
 
     #[test]
+    fn reload_restores_the_segment_bound() {
+        // A full fan-out plus a memtable is within the bound live, but on
+        // reload every stored segment is sealed: the loader merges a tail,
+        // so the next add cannot push the count past the bound.
+        let mut seg = SegmentedInvertedIndex::default().with_seal_threshold(3);
+        let docs: Vec<(InstanceId, String)> = (0..8 * 3 + 1)
+            .map(|i| (tid(i), format!("alpha word{} beta", i % 5)))
+            .collect();
+        for (id, text) in &docs {
+            seg.add(*id, text);
+        }
+        assert_eq!(seg.segments(), SegmentedInvertedIndex::MAX_SEGMENTS);
+        let mut back = SegmentedInvertedIndex::from_bytes(seg.to_bytes()).unwrap();
+        assert!(back.segments() < SegmentedInvertedIndex::MAX_SEGMENTS);
+        assert_layout_independent(&back, &docs, None);
+        back.add(tid(999), "gamma");
+        assert!(back.segments() <= SegmentedInvertedIndex::MAX_SEGMENTS);
+    }
+
+    #[test]
     fn monolith_snapshots_migrate_to_single_segment() {
         let mut mono = InvertedIndex::default();
         mono.add(tid(0), "alpha beta gamma");
@@ -640,6 +715,160 @@ mod tests {
             sort_hits(&mut hits);
             hits.truncate(10);
             assert_eq!(hits, mono.search(q, 10), "query {q}");
+        }
+    }
+
+    #[test]
+    fn add_only_history_never_exceeds_the_segment_cap() {
+        // The fan-out cap is enforced where segments are born: no remove
+        // ever runs here, and the count still never passes the bound.
+        let threshold = 5;
+        let mut seg = SegmentedInvertedIndex::default().with_seal_threshold(threshold);
+        let mut docs: Vec<(InstanceId, String)> = Vec::new();
+        for i in 0..20 * threshold as u64 {
+            let text = format!(
+                "filler {} word{}",
+                ["jordan", "film"][(i % 2) as usize],
+                i % 7
+            );
+            seg.add(tid(i), &text);
+            docs.push((tid(i), text));
+            assert!(
+                seg.segments() <= SegmentedInvertedIndex::MAX_SEGMENTS,
+                "{} segments after {} adds",
+                seg.segments(),
+                i + 1
+            );
+        }
+        assert!(
+            seg.segments() > 1,
+            "tail merges must not rewrite everything"
+        );
+        assert_eq!(
+            seg.compactions(),
+            0,
+            "a tail merge is not a full compaction"
+        );
+        assert_layout_independent(&seg, &docs, None);
+    }
+
+    /// `seg` must answer every probe exactly — ids and score bits — as a
+    /// fresh monolithic index over `survivors` and as the `HashMap` oracle,
+    /// under `shared` statistics when given.
+    fn assert_layout_independent(
+        seg: &SegmentedInvertedIndex,
+        survivors: &[(InstanceId, String)],
+        shared: Option<&Arc<CorpusStats>>,
+    ) {
+        let mut mono = InvertedIndex::default();
+        for (id, text) in survivors {
+            mono.add(*id, text);
+        }
+        if let Some(stats) = shared {
+            mono.set_shared_stats(stats.clone());
+        }
+        let bits = |hits: Vec<SearchHit>| -> Vec<(InstanceId, u64)> {
+            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+        };
+        for query in [
+            "alpha",
+            "beta gamma",
+            "gamma gamma delta",
+            "unicorn alpha",
+            "omega zeta alpha beta film jordan",
+        ] {
+            // 2 cuts through runs of tied duplicates; 1000 exceeds any
+            // live count.
+            for k in [1, 2, 5, 1000] {
+                let got = bits(seg.search(query, k));
+                assert_eq!(
+                    got,
+                    bits(mono.search(query, k)),
+                    "monolith: {query:?} k={k}"
+                );
+                let oracle = oracle_search(survivors, shared.map(|s| &**s), query, k);
+                assert_eq!(got, bits(oracle), "oracle: {query:?} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn layout_edge_cases_match_monolith_and_oracle() {
+        let mut seg = SegmentedInvertedIndex::default().with_seal_threshold(2);
+        let mut docs: Vec<(InstanceId, String)> = Vec::new();
+        // Six identical documents over three segments, ids descending: they
+        // tie exactly, so k = 2 and k = 5 cut the tie inside and across
+        // segments, and every later arrival must displace an earlier one.
+        for i in (0..6u64).rev() {
+            seg.add(tid(i), "alpha beta");
+            docs.push((tid(i), "alpha beta".into()));
+        }
+        assert!(seg.segments() >= 3);
+        // A term whose every holder is tombstoned: postings remain, live
+        // document frequency is zero.
+        seg.add(tid(6), "unicorn gamma");
+        seg.add(tid(7), "gamma gamma delta");
+        docs.push((tid(7), "gamma gamma delta".into()));
+        assert!(seg.remove(tid(6), "unicorn gamma"));
+        assert!(seg.search("unicorn", 5).is_empty());
+        assert_layout_independent(&seg, &docs, None);
+        seg.merge_tail();
+        assert_layout_independent(&seg, &docs, None);
+    }
+
+    proptest::proptest! {
+        /// Results do not depend on the segment layout: after any
+        /// interleaving of adds, removes, explicit seals, tail merges and
+        /// full compactions, at any seal threshold, with or without shared
+        /// statistics, `search` equals a fresh monolith over the survivors
+        /// and the oracle — ids and `f64` bits. Texts come from a small
+        /// pool, so duplicates that tie exactly are the common case.
+        #[test]
+        fn search_is_independent_of_segment_layout(
+            threshold in 1usize..16,
+            ops in proptest::collection::vec((0u8..10, 0usize..1000), 1..120),
+            share in proptest::strategy::any::<bool>(),
+        ) {
+            const POOL: [&str; 8] = [
+                "alpha beta", "alpha beta", "gamma gamma delta", "unicorn alpha",
+                "omega zeta film", "jordan film alpha beta gamma", "delta", "zeta omega omega",
+            ];
+            let mut seg = SegmentedInvertedIndex::default().with_seal_threshold(threshold);
+            let mut live: Vec<(InstanceId, String)> = Vec::new();
+            for (step, (op, pick)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        // Distinct ids in no relation to insertion order.
+                        let id = tid(step as u64 * 7919 % 1009);
+                        let text = POOL[pick % POOL.len()];
+                        seg.add(id, text);
+                        live.push((id, text.to_string()));
+                    }
+                    6 | 7 if !live.is_empty() => {
+                        let (id, text) = live.remove(pick % live.len());
+                        proptest::prop_assert!(seg.remove(id, &text));
+                    }
+                    8 => seg.seal(),
+                    9 if pick % 2 == 0 => seg.compact(),
+                    _ => seg.merge_tail(),
+                }
+                proptest::prop_assert!(seg.segments() <= SegmentedInvertedIndex::MAX_SEGMENTS);
+                proptest::prop_assert_eq!(seg.len(), live.len());
+            }
+            // Shared statistics: this index is one shard of a larger corpus.
+            let shared = share.then(|| {
+                let mut stats = seg.corpus_stats();
+                let mut other = InvertedIndex::default();
+                for (i, text) in POOL.iter().enumerate() {
+                    other.add(tid(10_000 + i as u64), text);
+                }
+                stats.merge(&other.corpus_stats());
+                Arc::new(stats)
+            });
+            if let Some(stats) = &shared {
+                seg.set_shared_stats(stats.clone());
+            }
+            assert_layout_independent(&seg, &live, shared.as_ref());
         }
     }
 

@@ -258,9 +258,9 @@ impl Ord for MinEntry {
 /// the common case on a scan, where most rows score below the current
 /// boundary.
 #[inline]
-fn offer(heap: &mut BinaryHeap<MinEntry>, cap: usize, entry: MinEntry) {
+pub(crate) fn offer<T: Ord>(heap: &mut BinaryHeap<T>, cap: usize, entry: T) {
     if heap.len() >= cap {
-        // `>=` under MinEntry's reversed order: `entry` sorts at-or-before
+        // `>=` under the entry's reversed order: `entry` sorts at-or-before
         // the current worst, so pushing it would evict it right back.
         if heap.peek().is_some_and(|worst| entry >= *worst) {
             return;
@@ -822,14 +822,14 @@ pub struct HnswIndex {
 /// — no per-search allocation, no O(n) clear (except on the ~4-billionth
 /// search, when the epoch wraps and stamps reset).
 #[derive(Debug, Default)]
-struct VisitedSet {
+pub(crate) struct VisitedSet {
     stamps: Vec<u32>,
     epoch: u32,
 }
 
 impl VisitedSet {
     /// Start a new search over `n` nodes.
-    fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         if self.stamps.len() < n {
             self.stamps.resize(n, 0);
         }
@@ -841,7 +841,7 @@ impl VisitedSet {
     }
 
     /// Mark `ord` visited; true when it was not already.
-    fn insert(&mut self, ord: u32) -> bool {
+    pub(crate) fn insert(&mut self, ord: u32) -> bool {
         let s = &mut self.stamps[ord as usize];
         if *s == self.epoch {
             false

@@ -75,12 +75,18 @@ cargo test -q --test metering > /dev/null
 cargo test -q -p verifai-obs --lib meter > /dev/null
 cargo test -q -p verifai-obs --lib profile > /dev/null
 
-# Gating live-lake smoke: build a live system, stream documents in,
-# delete half, compact, snapshot the standing indexes, reload them, and
-# verify the reloaded indexes search identically. Nonzero exit means the
-# live mutation path or snapshot v3 round-trip broke.
+# Gating live-lake smoke: build a live system, stream documents in, check
+# every modality's content index stands within its segment bound (the CLI
+# prints the counts; the line is shown here and asserted by name), delete
+# half, compact, snapshot the standing indexes, reload them, and verify the
+# reloaded indexes search identically. Nonzero exit means the live
+# mutation path, the segment policy or the snapshot v3 round-trip broke.
 echo "==> live-lake smoke (gating)"
-cargo run -q --release --bin verifai-cli -- live > /dev/null
+LIVE_OUT="$(mktemp)"
+cargo run -q --release --bin verifai-cli -- live > "$LIVE_OUT"
+grep 'content segments per modality after ingest' "$LIVE_OUT" \
+  || { echo "live smoke: segment-bound check did not run"; exit 1; }
+rm -f "$LIVE_OUT"
 
 # Gating quantized-mode smoke: build on the int8 quantized flat backend,
 # run quantized queries, check the blocked batch scan against per-query

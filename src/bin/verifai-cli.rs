@@ -151,7 +151,8 @@ fn cmd_experiments(scale: Option<&str>) -> ExitCode {
 }
 
 /// Gating live-lake smoke (used by `scripts/check.sh`): build a live
-/// system, stream documents in, delete half, compact, snapshot the
+/// system, stream documents in, check every modality's content index is
+/// within its segment bound, delete half, compact, snapshot the
 /// standing text indexes, reload them, and check the reloaded indexes
 /// search identically. Any violated expectation exits nonzero.
 fn cmd_live(scale: Option<&str>) -> ExitCode {
@@ -194,6 +195,25 @@ fn cmd_live(scale: Option<&str>) -> ExitCode {
         "ingested {n} docs, generation {}",
         system.lake().generation()
     );
+    // The segment bound holds on the build and the add path alike: a fresh
+    // build stands on one segment per modality, ingest adds a memtable.
+    let Some(live) = system.live() else {
+        return fail("ingest", "system is not live".into());
+    };
+    let segments: Vec<usize> = live.content.iter().map(|c| c.read().segments()).collect();
+    println!("content segments per modality after ingest: {segments:?}");
+    if segments
+        .iter()
+        .any(|&s| s > SegmentedInvertedIndex::MAX_SEGMENTS)
+    {
+        return fail(
+            "ingest",
+            format!(
+                "content segments {segments:?} exceed the bound {}",
+                SegmentedInvertedIndex::MAX_SEGMENTS
+            ),
+        );
+    }
 
     // Delete half, then verify a deleted doc is unreachable by its marker.
     for i in 0..n / 2 {

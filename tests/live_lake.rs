@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use verifai::{DataObject, LakeMutation, SemanticBackend, TextClaim, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
+use verifai_index::SegmentedInvertedIndex;
 use verifai_lake::{
     Column, DataInstance, DataType, InstanceId, InstanceKind, Schema, Table, TextDocument, Value,
 };
@@ -257,6 +258,77 @@ proptest! {
             assert_identical(&live, &reference, label);
         }
     }
+}
+
+/// Per-modality content segment counts of a live system.
+fn content_segments(sys: &VerifAi) -> Vec<usize> {
+    let live = sys.live().expect("a built system is live");
+    live.content.iter().map(|c| c.read().segments()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The same equivalence over a history long enough, at a seal threshold
+    /// small enough, to cross the segment fan-out cap: tail merges run on
+    /// the `apply` path mid-history, every modality stays within the
+    /// segment bound after every step, and the survivors still retrieve and
+    /// verify bit-identically to a fresh batch build.
+    #[test]
+    fn long_history_merges_tails_and_equals_batch_build(seed in 0u64..1000) {
+        let spec = LakeSpec::tiny(seed % 97);
+        let history = script(&spec, seed, 96, false);
+        let config = VerifAiConfig::paper_setting();
+        let mut live = VerifAi::build(build(&spec), config);
+        for content in &live.live().expect("a built system is live").content {
+            let mut index = content.write();
+            *index = std::mem::take(&mut *index).with_seal_threshold(2);
+        }
+        let mut tail_merges = 0;
+        for mutation in &history {
+            let before = (content_segments(&live), live.live_stats().content_compactions);
+            live.apply(mutation.clone()).expect("live apply succeeds");
+            let after = (content_segments(&live), live.live_stats().content_compactions);
+            prop_assert!(
+                after.0.iter().all(|&s| s <= SegmentedInvertedIndex::MAX_SEGMENTS),
+                "segment bound exceeded: {:?}", after.0
+            );
+            // Fewer segments without a full compaction: a tail merge.
+            if after.1 == before.1 && after.0.iter().zip(&before.0).any(|(a, b)| a < b) {
+                tail_merges += 1;
+            }
+        }
+        prop_assert!(tail_merges > 0, "the history never crossed the fan-out cap");
+        let reference = batch_reference(&spec, &history, config);
+        assert_identical(&live, &reference, "long-history");
+    }
+}
+
+/// A fresh build — single lake or sharded — stands on one sealed content
+/// segment per non-empty modality (per shard), however many seal
+/// thresholds' worth of instances streamed through it.
+#[test]
+fn fresh_builds_stand_on_one_segment_per_modality() {
+    // The tiny lake, with enough film tuples to seal the tuple memtable
+    // several times over during the build — on every shard.
+    let spec = LakeSpec {
+        film_tables: 12,
+        films_per_table: 100,
+        ..LakeSpec::tiny(41)
+    };
+    let generated = build(&spec);
+    let lake = &generated.lake;
+    assert!(lake.num_tuples() > 4 * 256);
+    assert!(lake.num_tables() > 0 && lake.num_docs() > 0 && lake.num_kg_entities() > 0);
+    let sys = VerifAi::build(generated, VerifAiConfig::paper_setting());
+    assert_eq!(sys.live_stats().content_segments, 4);
+
+    let cluster = verifai_cluster::build_cluster(
+        build(&spec),
+        VerifAiConfig::paper_setting(),
+        verifai_cluster::ClusterConfig::with_shards(2),
+    );
+    assert_eq!(cluster.router.content_segments(), vec![4, 4]);
 }
 
 /// HNSW is insertion-history dependent: streaming inserts grow the graph

@@ -9,12 +9,28 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use verifai::{CostVector, DataObject, VerifAi, VerifAiConfig};
-use verifai_datagen::{build, completion_workload, LakeSpec};
+use verifai_claims::ClaimGenConfig;
+use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
+use verifai_index::SegmentedInvertedIndex;
 use verifai_obs::meter;
 use verifai_service::{RequestOutcome, ServiceConfig, TenantSpec, VerificationService};
 
 fn system(seed: u64) -> VerifAi {
     VerifAi::build(build(&LakeSpec::tiny(seed)), VerifAiConfig::default())
+}
+
+/// Cell and claim objects over `sys`' lake.
+fn mixed_objects(sys: &VerifAi) -> Vec<DataObject> {
+    let mut objects: Vec<DataObject> = completion_workload(sys.generated(), 5, 11)
+        .iter()
+        .map(|t| sys.impute(t))
+        .collect();
+    objects.extend(
+        claim_workload(sys.generated(), 5, ClaimGenConfig::default())
+            .iter()
+            .map(|c| sys.claim_object(c)),
+    );
+    objects
 }
 
 /// A cost vector with its wall-clock dimensions zeroed: the deterministic
@@ -115,28 +131,13 @@ fn batched_and_sequential_execution_meter_identically() {
 /// inside a micro-batch — and its embeds are the query's, not the corpus's.
 #[test]
 fn metered_work_is_independent_of_request_order_and_batching() {
-    use verifai_claims::ClaimGenConfig;
-    use verifai_datagen::claim_workload;
-
-    let objects_of = |sys: &VerifAi| -> Vec<DataObject> {
-        let mut objects: Vec<DataObject> = completion_workload(sys.generated(), 5, 11)
-            .iter()
-            .map(|t| sys.impute(t))
-            .collect();
-        objects.extend(
-            claim_workload(sys.generated(), 5, ClaimGenConfig::default())
-                .iter()
-                .map(|c| sys.claim_object(c)),
-        );
-        objects
-    };
     let work = |sys: &VerifAi, object: &DataObject| work_only(sys.verify_object(object).cost);
 
     // Two identical fresh systems: one sees the objects first to last, the
     // other last to first, so every object but the middle one changes from
     // "early in the run" to "late in the run".
     let forward_sys = system(606);
-    let objects = objects_of(&forward_sys);
+    let objects = mixed_objects(&forward_sys);
     let forward: Vec<CostVector> = objects.iter().map(|o| work(&forward_sys, o)).collect();
     let backward_sys = system(606);
     let mut backward: Vec<CostVector> = objects
@@ -177,6 +178,89 @@ fn metered_work_is_independent_of_request_order_and_batching() {
             solo_sum.merge(&cost);
         }
         assert_eq!(work_only(sweep), work_only(solo_sum));
+    }
+}
+
+/// Re-index content modality `slot` of `sys` from its lake at a small seal
+/// threshold, stopping early once `until` says so. Returns the segment
+/// count the index ends with.
+fn reindex_content(
+    sys: &VerifAi,
+    slot: usize,
+    threshold: usize,
+    until: impl Fn(&SegmentedInvertedIndex) -> bool,
+) -> usize {
+    let corpus = verifai::corpus::modality_corpus(sys.lake(), slot, false);
+    let mut index = SegmentedInvertedIndex::default().with_seal_threshold(threshold);
+    for (id, text) in &corpus.content {
+        index.add(*id, text);
+        if until(&index) {
+            break;
+        }
+    }
+    let segments = index.segments();
+    *sys.live().expect("a built system is live").content[slot].write() = index;
+    segments
+}
+
+/// What a request is charged does not depend on how the content index
+/// happens to be segmented: every posting of every query term is visited
+/// and charged once, wherever it lives. The same lake indexed at seal
+/// threshold 7 (many segments, tail merges along the way) and at the
+/// default (one segment after the build) charges identical work — and
+/// returns identical reports — when nothing is tombstoned.
+#[test]
+fn postings_charge_is_independent_of_segment_layout() {
+    let default_sys = system(607);
+    let segmented_sys = system(607);
+    let mut segments = 0;
+    for slot in 0..4 {
+        segments += reindex_content(&segmented_sys, slot, 7, |_| false);
+    }
+    assert!(
+        segments > default_sys.live_stats().content_segments,
+        "threshold 7 must leave a multi-segment layout ({segments} segments)"
+    );
+    for object in mixed_objects(&default_sys) {
+        let want = default_sys.verify_object(&object);
+        let got = segmented_sys.verify_object(&object);
+        assert!(want.cost.bm25_postings > 0);
+        assert_eq!(work_only(got.cost), work_only(want.cost), "{}", object.id());
+        assert_eq!(got, want, "{}", object.id());
+    }
+}
+
+/// A tail merge between two identical requests moves postings between
+/// segments, not in or out of the index: the second request is charged
+/// exactly what the first was.
+#[test]
+fn postings_charge_is_unchanged_by_a_tail_merge() {
+    let sys = system(608);
+    // Index tuples until the layout is one seal short of the fan-out cap:
+    // full sealed segments plus a non-empty memtable.
+    let full = SegmentedInvertedIndex::MAX_SEGMENTS;
+    let before = reindex_content(&sys, 0, 7, |index| index.segments() == full);
+    assert_eq!(
+        before, full,
+        "the tiny lake holds enough tuples to fill the cap"
+    );
+    let objects = mixed_objects(&sys);
+    let first: Vec<_> = objects.iter().map(|o| sys.verify_object(o)).collect();
+    let tuples = &sys.live().expect("a built system is live").content[0];
+    tuples.write().seal();
+    assert!(
+        tuples.read().segments() < before,
+        "the seal must merge a tail"
+    );
+    for (object, first) in objects.iter().zip(&first) {
+        let second = sys.verify_object(object);
+        assert_eq!(
+            work_only(second.cost),
+            work_only(first.cost),
+            "{}",
+            object.id()
+        );
+        assert_eq!(&second, first, "{}", object.id());
     }
 }
 
