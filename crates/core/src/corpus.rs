@@ -37,10 +37,10 @@ pub fn modality_corpus(lake: &DataLake, modality: usize, want_semantic: bool) ->
         match modality {
             0 => {
                 for tuple_id in lake.tuple_ids() {
-                    let tuple = lake.tuple(tuple_id).expect("registered tuple");
+                    let tuple = lake.tuple_view(tuple_id).expect("registered tuple");
                     add(
                         InstanceId::Tuple(tuple_id),
-                        verifai_text::serialize_tuple(&tuple),
+                        verifai_text::serialize_tuple(tuple),
                     );
                 }
             }

@@ -1,14 +1,14 @@
 //! The prepared-feature store: the evidence side of reranking, kept beside
-//! the lake (DESIGN.md §18).
+//! the lake (DESIGN.md §18, §20).
 //!
 //! Rerank is most of a cold request, and most of rerank used to be work that
 //! does not depend on the request at all — tokenizing and embedding a
-//! candidate document, analyzing and embedding a candidate table. That work
-//! now happens once per instance *version*: [`FeatureStore::sync`] runs
-//! [`Reranker::prepare`] when an instance enters the lake (build) or changes
-//! (`apply`), stamps the result with the instance's
-//! [`DataLake::instance_generation`], and the rerank stage looks it up per
-//! candidate.
+//! candidate document, analyzing and embedding a candidate table, analyzing
+//! and hashing a candidate tuple. That work now happens once per instance
+//! *version*: [`FeatureStore::sync`] runs [`Reranker::prepare`] when an
+//! instance enters the lake (build) or changes (`apply`), stamps the result
+//! with the instance's [`DataLake::instance_generation`], and the rerank
+//! stage looks it up per candidate.
 //!
 //! Preparation is eager, never on first touch: what a request does — and
 //! charges to its cost vector — must not depend on which requests ran
@@ -20,18 +20,14 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use verifai_lake::{DataLake, InstanceId};
 use verifai_rerank::{Prepared, Reranker};
 
-/// Every id of `lake` worth asking the reranker about, for the initial fill.
-/// Tuples are left out: the tuple reranker prepares nothing
-/// ([`Reranker::prepare`] returns `None` — its only query-independent
-/// feature is a 256-dim vector, and one per tuple, 12 k × 1 KB at `small`,
-/// would outweigh every other stored feature several times over), so
-/// listing them would only materialize every tuple of the lake to learn
-/// that.
+/// Every id of `lake`, for the initial fill: each modality has a reranker
+/// that prepares it.
 pub fn featured_ids(lake: &DataLake) -> Vec<InstanceId> {
+    let tuples = lake.tuple_ids().map(InstanceId::Tuple);
     let tables = lake.tables().map(|t| InstanceId::Table(t.id));
     let docs = lake.docs().map(|d| InstanceId::Text(d.id));
     let kg = lake.kg_entities().map(|e| InstanceId::Kg(e.id));
-    tables.chain(docs).chain(kg).collect()
+    tuples.chain(tables).chain(docs).chain(kg).collect()
 }
 
 #[derive(Debug)]
@@ -55,9 +51,14 @@ pub struct FeatureStore {
 pub struct FeatureStats {
     /// Instances with prepared features.
     pub instances: usize,
-    /// Heap bytes those features hold (excluding the rerankers' shared
-    /// vocabularies and the map itself).
+    /// Bytes the store holds for them: the features' heap payload plus the
+    /// map's own table (excluding the rerankers' shared vocabularies).
     pub bytes: usize,
+    /// How many of `instances` are tuples — the one modality numerous
+    /// enough for its per-instance footprint to be budgeted (§20).
+    pub tuples: usize,
+    /// The tuples' share of `bytes`: their features plus their map slots.
+    pub tuple_bytes: usize,
 }
 
 /// Shared read access to a [`FeatureStore`] for one rerank call.
@@ -76,13 +77,26 @@ impl FeatureStore {
         FeatureView(self.entries.read())
     }
 
-    /// Instance count and heap bytes.
+    /// Instance counts and bytes held.
     pub fn stats(&self) -> FeatureStats {
         let entries = self.entries.read();
-        FeatureStats {
+        // One control byte per bucket beside the (key, entry) pair.
+        let table = entries.capacity() * (std::mem::size_of::<(InstanceId, Entry)>() + 1);
+        let slot = table / entries.len().max(1);
+        let mut stats = FeatureStats {
             instances: entries.len(),
-            bytes: entries.values().map(|e| e.features.heap_bytes()).sum(),
+            bytes: table,
+            ..FeatureStats::default()
+        };
+        for (id, entry) in entries.iter() {
+            let heap = entry.features.heap_bytes();
+            stats.bytes += heap;
+            if matches!(id, InstanceId::Tuple(_)) {
+                stats.tuples += 1;
+                stats.tuple_bytes += heap + slot;
+            }
         }
+        stats
     }
 
     /// Bring the entries of `ids` in line with `lake`: an id the lake no
@@ -90,6 +104,9 @@ impl FeatureStore {
     /// lake's current generation is left alone, and every other id is
     /// (re)prepared by `reranker` and stamped. Idempotent, so callers may
     /// pass every id a mutation touched.
+    ///
+    /// Reads each instance in place ([`DataLake::view`]): nothing is copied
+    /// out of the lake to be prepared.
     ///
     /// Runs on the calling thread, also for the initial fill of a whole
     /// lake (~0.2 s at `small`, against ~5 s of index build). Fanning the
@@ -108,7 +125,7 @@ impl FeatureStore {
                 continue;
             }
             let entry = generation.and_then(|generation| {
-                let features = reranker.prepare(&lake.resolve(id).ok()?)?;
+                let features = reranker.prepare(lake.view(id).ok()?)?;
                 Some(Entry {
                     generation,
                     features,

@@ -152,10 +152,10 @@ pub struct LiveLakeStats {
     pub semantic_tombstones: usize,
     /// Semantic compactions performed.
     pub semantic_compactions: u64,
-    /// Instances with prepared rerank features (documents, tables and
-    /// knowledge-graph entities; 0 with the reranker off).
+    /// Instances with prepared rerank features (every tuple, table,
+    /// document and knowledge-graph entity; 0 with the reranker off).
     pub prepared_instances: usize,
-    /// Heap bytes those prepared features hold.
+    /// Bytes those prepared features hold, the store's own table included.
     pub prepared_bytes: usize,
 }
 
@@ -406,10 +406,9 @@ pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<In
             let range = lake.add_table(table)?;
             let mut ops = vec![IndexOp::add(InstanceId::Table(id), table_text(lake, id)?)];
             for tuple_id in range {
-                let tuple = lake.tuple(tuple_id)?;
                 ops.push(IndexOp::add(
                     InstanceId::Tuple(tuple_id),
-                    serialize_tuple(&tuple),
+                    serialize_tuple(lake.tuple_view(tuple_id)?),
                 ));
             }
             Ok(ops)
@@ -420,8 +419,8 @@ pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<In
                 .tuples_of_table(id)
                 .into_iter()
                 .map(|t| {
-                    let tuple = lake.tuple(t).expect("directory-listed tuple resolves");
-                    (t, serialize_tuple(&tuple))
+                    let tuple = lake.tuple_view(t).expect("directory-listed tuple resolves");
+                    (t, serialize_tuple(tuple))
                 })
                 .collect();
             lake.remove_table(id)?;
@@ -434,9 +433,9 @@ pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<In
         LakeMutation::AddTuple { table, values } => {
             let old_table = table_text(lake, table)?;
             let tuple_id = lake.add_tuple(table, values)?;
-            let tuple = lake.tuple(tuple_id)?;
+            let tuple = serialize_tuple(lake.tuple_view(tuple_id)?);
             Ok(vec![
-                IndexOp::add(InstanceId::Tuple(tuple_id), serialize_tuple(&tuple)),
+                IndexOp::add(InstanceId::Tuple(tuple_id), tuple),
                 IndexOp::update(
                     InstanceId::Table(table),
                     old_table,
@@ -445,8 +444,8 @@ pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<In
             ])
         }
         LakeMutation::UpdateTuple { id, values } => {
-            let old = serialize_tuple(&lake.tuple(id)?);
-            let owner = lake.tuple(id)?.table;
+            let before = lake.tuple_view(id)?;
+            let (old, owner) = (serialize_tuple(before), before.table);
             let old_table = table_text(lake, owner)?;
             let tuple = lake.update_tuple(id, values)?;
             Ok(vec![
@@ -459,7 +458,7 @@ pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<In
             ])
         }
         LakeMutation::RemoveTuple(id) => {
-            let owner = lake.tuple(id)?.table;
+            let owner = lake.tuple_view(id)?.table;
             let old_table = table_text(lake, owner)?;
             let tuple = lake.remove_tuple(id)?;
             Ok(vec![

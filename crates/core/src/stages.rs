@@ -18,6 +18,11 @@
 //!   shrinking the evidence set: a retrieval hit whose instance no longer
 //!   resolves is recorded as a provenance note, and stale cached evidence
 //!   is a distinguishable error the service can react to.
+//!
+//! Retrieval and rerank read evidence where it lies: coarse hits become
+//! [`InstanceRef`] views borrowed from the lake, the rerank stage ranks the
+//! views, and only the `final_k` survivors the verifier will read are
+//! materialized as owned [`DataInstance`]s (DESIGN.md §20).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,12 +30,12 @@ use std::time::Instant;
 use crate::features::{FeatureStats, FeatureStore};
 use crate::pipeline::EvidenceVerdict;
 use verifai_index::{EvidenceSource, SearchHit, SourceQuery};
-use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind};
+use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind, InstanceRef};
 use verifai_llm::DataObject;
 #[cfg(test)]
 use verifai_obs::SpanContext;
 use verifai_obs::{ns_between, Clock, RequestTrace, SystemClock};
-use verifai_rerank::Reranker;
+use verifai_rerank::{Candidate, Reranker};
 use verifai_verify::{
     Agent, ProvenanceRecord, Stage, StageRecorder, VerdictObservation, VerifierOutput,
 };
@@ -114,19 +119,43 @@ pub struct StagePlan {
     pub final_k: usize,
 }
 
-/// The rerank stage: refine one modality's resolved coarse candidates
-/// (paired with their retrieval scores) down to the final `k`.
+/// The rerank stage: refine one modality's coarse candidates (paired with
+/// their retrieval scores) down to the final `k`.
 pub trait RerankStage: Send + Sync {
     /// Stage name for provenance records.
     fn name(&self) -> &'static str;
 
-    /// The surviving `(instance, score)` pairs, best first.
+    /// The stage's one implementation, over borrowed candidates: the
+    /// `(candidate index, score)` of the survivors, best first. The caller
+    /// materializes them.
+    fn select(
+        &self,
+        object: &DataObject,
+        candidates: &[(InstanceRef<'_>, f64)],
+        k: usize,
+    ) -> Vec<(usize, f64)>;
+
+    /// [`RerankStage::select`] for a caller that already owns its
+    /// candidates: the surviving `(instance, score)` pairs, best first.
     fn rerank(
         &self,
         object: &DataObject,
         candidates: Vec<(DataInstance, f64)>,
         k: usize,
-    ) -> Vec<(DataInstance, f64)>;
+    ) -> Vec<(DataInstance, f64)> {
+        let selected = {
+            let views: Vec<(InstanceRef<'_>, f64)> = candidates
+                .iter()
+                .map(|(instance, score)| (instance.view(), *score))
+                .collect();
+            self.select(object, &views, k)
+        };
+        let instances = candidates
+            .into_iter()
+            .map(|(instance, _)| instance)
+            .collect();
+        verifai_rerank::take_ranked(instances, selected)
+    }
 
     /// Bring whatever this stage keeps per evidence instance in line with
     /// `lake` for the given `ids` — called with every featured id once the
@@ -171,21 +200,21 @@ impl<R: Reranker> RerankStage for ScoreRerank<R> {
         self.reranker.name()
     }
 
-    fn rerank(
+    fn select(
         &self,
         object: &DataObject,
-        candidates: Vec<(DataInstance, f64)>,
+        candidates: &[(InstanceRef<'_>, f64)],
         k: usize,
-    ) -> Vec<(DataInstance, f64)> {
-        let instances = candidates.into_iter().map(|(inst, _)| inst).collect();
+    ) -> Vec<(usize, f64)> {
         let features = self.features.read();
-        verifai_rerank::rerank_prepared(
-            &self.reranker,
-            object,
-            instances,
-            |instance| features.get(instance.id()),
-            k,
-        )
+        let candidates: Vec<Candidate<'_>> = candidates
+            .iter()
+            .map(|&(evidence, _)| Candidate {
+                evidence,
+                prepared: features.get(evidence.id()),
+            })
+            .collect();
+        verifai_rerank::rank(&self.reranker, object, &candidates, k)
     }
 
     fn sync_features(&self, lake: &DataLake, ids: &[InstanceId]) {
@@ -207,14 +236,14 @@ impl RerankStage for TopKPassthrough {
         "retrieval-order"
     }
 
-    fn rerank(
+    fn select(
         &self,
         _object: &DataObject,
-        mut candidates: Vec<(DataInstance, f64)>,
+        candidates: &[(InstanceRef<'_>, f64)],
         k: usize,
-    ) -> Vec<(DataInstance, f64)> {
-        candidates.truncate(k);
-        candidates
+    ) -> Vec<(usize, f64)> {
+        let scores = candidates.iter().map(|&(_, score)| score);
+        scores.enumerate().take(k).collect()
     }
 }
 
@@ -267,8 +296,11 @@ pub struct StagedPipeline {
     clock: Arc<dyn Clock>,
 }
 
-/// One object's resolved candidates, one slot per modality stage plan.
-type ResolvedSlots = Vec<(StagePlan, Vec<(DataInstance, f64)>)>;
+/// One modality's live coarse hits, read where they lie in the lake.
+type Views<'a> = Vec<(InstanceRef<'a>, f64)>;
+
+/// One object's coarse candidates, one slot per modality stage plan.
+type ViewSlots<'a> = Vec<(StagePlan, Views<'a>)>;
 
 /// The modality's slot in per-modality arrays.
 pub(crate) fn slot(kind: InstanceKind) -> usize {
@@ -320,12 +352,14 @@ impl StagedPipeline {
         self.reranker.as_ref()
     }
 
-    /// Run retrieval → resolve → rerank for an object across the planned
-    /// modalities, buffering provenance and flushing it once per stage.
+    /// Run retrieval → rerank for an object across the planned modalities,
+    /// buffering provenance and flushing it once per stage. Candidates are
+    /// borrowed from `lake` throughout; the returned survivors are the only
+    /// instances copied out of it.
     ///
-    /// A hit whose instance fails to resolve is *not* silently dropped: a
-    /// provenance note records the dangling id before the pipeline
-    /// continues with the remaining candidates.
+    /// A hit whose instance is no longer in the lake is *not* silently
+    /// dropped: a provenance note records the dangling id before the
+    /// pipeline continues with the remaining candidates.
     pub fn discover(
         &self,
         object: &DataObject,
@@ -347,17 +381,16 @@ impl StagedPipeline {
         let mut query = query;
         query.ctx = trace.context(retrieval_span);
         let started = self.clock.now();
-        let mut resolved_per_modality: Vec<(StagePlan, Vec<(DataInstance, f64)>)> =
-            Vec::with_capacity(plan.len());
+        let mut views_per_modality: ViewSlots<'_> = Vec::with_capacity(plan.len());
         for &stage_plan in plan {
             let hits = self
                 .source(stage_plan.kind)
                 .search(query, stage_plan.coarse_k);
             timing.candidates_in += hits.len();
-            let resolved = self.resolve_modality(object, stage_plan, &hits, lake, recorder);
-            resolved_per_modality.push((stage_plan, resolved));
+            let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
+            views_per_modality.push((stage_plan, views));
         }
-        let resolved_total: usize = resolved_per_modality.iter().map(|(_, r)| r.len()).sum();
+        let resolved_total: usize = views_per_modality.iter().map(|(_, v)| v.len()).sum();
         timing.retrieval_ns = ns_between(started, self.clock.now());
         recorder.flush_stage();
         trace.span_reserved(
@@ -372,8 +405,8 @@ impl StagedPipeline {
         // Stage 2: rerank each modality's candidates, one flush.
         let started = self.clock.now();
         let mut out = Vec::new();
-        for (stage_plan, resolved) in resolved_per_modality {
-            let ranked = self.rerank_modality(object, stage_plan, resolved, recorder);
+        for (stage_plan, views) in views_per_modality {
+            let ranked = self.rerank_modality(object, stage_plan, &views, recorder);
             timing.candidates_out += ranked.len();
             out.extend(ranked);
         }
@@ -390,20 +423,15 @@ impl StagedPipeline {
         (out, timing)
     }
 
-    /// Empty per-object resolution slots for a `batch`-object plan.
-    fn empty_slots(batch: usize, plan_len: usize) -> Vec<ResolvedSlots> {
-        (0..batch).map(|_| Vec::with_capacity(plan_len)).collect()
-    }
-
-    /// Batched retrieval → resolve → rerank for `objects[i]` under
+    /// Batched retrieval → rerank for `objects[i]` under
     /// `queries[i]`, all sharing one `plan` (the service groups requests by
     /// object kind, so one plan fits the whole batch).
     ///
     /// Retrieval issues **one [`EvidenceSource::search_batch`] per
     /// modality for the whole batch** — the flat index's blocked kernel
     /// and the cluster router's batched scatter amortize a single sweep
-    /// across all B queries — then resolution, provenance, and rerank run
-    /// per object exactly as [`StagedPipeline::discover`] would. Each
+    /// across all B queries — then the lake lookups, provenance, and rerank
+    /// run per object exactly as [`StagedPipeline::discover`] would. Each
     /// stage flushes provenance once for the whole batch, and each
     /// object's timing carries its per-object candidate counts with an
     /// even 1/B share of the batch's stage wall times.
@@ -422,10 +450,11 @@ impl StagedPipeline {
         }
         let mut timings = vec![StageTiming::default(); batch];
 
-        // Stage 1: one batched retrieval per modality, resolution per
+        // Stage 1: one batched retrieval per modality, lake lookups per
         // object, one flush for the whole batch.
         let started = self.clock.now();
-        let mut resolved = Self::empty_slots(batch, plan.len());
+        let mut per_object: Vec<ViewSlots<'_>> =
+            (0..batch).map(|_| Vec::with_capacity(plan.len())).collect();
         for &stage_plan in plan {
             let per_query = self
                 .source(stage_plan.kind)
@@ -433,11 +462,11 @@ impl StagedPipeline {
             for ((object, hits), (timing, slots)) in objects
                 .iter()
                 .zip(per_query)
-                .zip(timings.iter_mut().zip(resolved.iter_mut()))
+                .zip(timings.iter_mut().zip(per_object.iter_mut()))
             {
                 timing.candidates_in += hits.len();
-                let res = self.resolve_modality(object, stage_plan, &hits, lake, recorder);
-                slots.push((stage_plan, res));
+                let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
+                slots.push((stage_plan, views));
             }
         }
         let retrieval_ns = ns_between(started, self.clock.now()) / batch as u64;
@@ -448,11 +477,11 @@ impl StagedPipeline {
         let mut out = Vec::with_capacity(batch);
         for (object, (per_modality, timing)) in objects
             .iter()
-            .zip(resolved.into_iter().zip(timings.iter_mut()))
+            .zip(per_object.into_iter().zip(timings.iter_mut()))
         {
             let mut evidence = Vec::new();
-            for (stage_plan, res) in per_modality {
-                let ranked = self.rerank_modality(object, stage_plan, res, recorder);
+            for (stage_plan, views) in per_modality {
+                let ranked = self.rerank_modality(object, stage_plan, &views, recorder);
                 timing.candidates_out += ranked.len();
                 evidence.extend(ranked);
             }
@@ -471,74 +500,72 @@ impl StagedPipeline {
             .collect()
     }
 
-    /// Resolve one modality's retrieval hits for one object against the
-    /// lake, recording a provenance row per hit (a note, not a silent
-    /// drop, for the unresolvable ones).
-    fn resolve_modality(
+    /// Look one modality's retrieval hits for one object up in the lake,
+    /// recording a provenance row per hit (a note, not a silent drop, for
+    /// the ones the lake no longer holds). Nothing is copied.
+    fn view_modality<'a>(
         &self,
         object: &DataObject,
         stage_plan: StagePlan,
         hits: &[SearchHit],
-        lake: &DataLake,
+        lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
-    ) -> Vec<(DataInstance, f64)> {
-        let mut resolved = Vec::with_capacity(hits.len());
+    ) -> Views<'a> {
+        let index = format!(
+            "{}-{}",
+            self.source(stage_plan.kind).name(),
+            stage_plan.kind
+        );
+        let mut views = Vec::with_capacity(hits.len());
         for (rank, hit) in hits.iter().enumerate() {
-            let stage = Stage::Retrieval {
-                index: format!(
-                    "{}-{}",
-                    self.source(stage_plan.kind).name(),
-                    stage_plan.kind
-                ),
-                rank,
-            };
-            match lake.resolve(hit.id) {
-                Ok(instance) => {
-                    recorder.record(ProvenanceRecord {
-                        object_id: object.id(),
-                        stage,
-                        instance: Some(hit.id),
-                        score: Some(hit.score),
-                        verdict: None,
-                        note: String::new(),
-                    });
-                    resolved.push((instance, hit.score));
+            let note = match lake.view(hit.id) {
+                Ok(view) => {
+                    views.push((view, hit.score));
+                    String::new()
                 }
-                Err(error) => recorder.record(ProvenanceRecord {
-                    object_id: object.id(),
-                    stage,
-                    instance: Some(hit.id),
-                    score: Some(hit.score),
-                    verdict: None,
-                    note: format!("unresolved evidence instance dropped: {error:?}"),
-                }),
-            }
+                Err(error) => format!("unresolved evidence instance dropped: {error:?}"),
+            };
+            recorder.record(ProvenanceRecord {
+                object_id: object.id(),
+                stage: Stage::Retrieval {
+                    index: index.clone(),
+                    rank,
+                },
+                instance: Some(hit.id),
+                score: Some(hit.score),
+                verdict: None,
+                note,
+            });
         }
-        resolved
+        views
     }
 
-    /// Rerank one modality's resolved candidates for one object down to
-    /// the plan's final k, recording a provenance row per survivor.
+    /// Rerank one modality's candidates for one object down to the plan's
+    /// final k, recording a provenance row per survivor — and only then
+    /// copying the survivors out of the lake.
     fn rerank_modality(
         &self,
         object: &DataObject,
         stage_plan: StagePlan,
-        resolved: Vec<(DataInstance, f64)>,
+        views: &[(InstanceRef<'_>, f64)],
         recorder: &mut StageRecorder<'_>,
     ) -> Vec<(DataInstance, f64)> {
-        let ranked = self.reranker.rerank(object, resolved, stage_plan.final_k);
-        for (rank, (instance, score)) in ranked.iter().enumerate() {
+        let selected = self.reranker.select(object, views, stage_plan.final_k);
+        let mut ranked = Vec::with_capacity(selected.len());
+        for (rank, (index, score)) in selected.into_iter().enumerate() {
+            let view = views[index].0;
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
                 stage: Stage::Rerank {
                     reranker: self.reranker.name().into(),
                     rank,
                 },
-                instance: Some(instance.id()),
-                score: Some(*score),
+                instance: Some(view.id()),
+                score: Some(score),
                 verdict: None,
                 note: String::new(),
             });
+            ranked.push((view.to_owned(), score));
         }
         ranked
     }

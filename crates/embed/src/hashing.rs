@@ -26,7 +26,14 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Hash a string feature with a probe index; used to derive multiple
 /// independent (coordinate, sign) pairs per feature.
 pub fn feature_hash(feature: &str, seed: u64, probe: u32) -> u64 {
-    splitmix64(fnv1a(feature.as_bytes(), seed).wrapping_add(probe as u64))
+    probe_hash(fnv1a(feature.as_bytes(), seed), probe)
+}
+
+/// The `probe`-th hash of a feature whose seeded [`fnv1a`] is `base`. The
+/// string enters [`feature_hash`] only through `base`, so eight bytes stand
+/// in for the feature wherever its probes must be replayed later.
+pub fn probe_hash(base: u64, probe: u32) -> u64 {
+    splitmix64(base.wrapping_add(probe as u64))
 }
 
 /// Map a hash to a coordinate index in `[0, dim)` and a sign in `{-1, +1}`.

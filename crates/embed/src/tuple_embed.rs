@@ -5,10 +5,64 @@
 //! structure land close even when the surrounding tables differ — the property
 //! tuple-to-vec models are trained for.
 
-use crate::hashing::{coord_and_sign, feature_hash};
+use crate::hashing::{coord_and_sign, fnv1a, probe_hash};
 use crate::vector::Vector;
-use verifai_lake::Tuple;
+use verifai_lake::TupleRef;
 use verifai_text::Analyzer;
+
+/// The three feature kinds of a tuple embedding. A feature's weight depends
+/// on its kind alone, so a stored feature is a hash and one of these.
+#[derive(Debug, Clone, Copy)]
+enum FeatureKind {
+    /// Header-qualified value term (`incumbent=otis`): binds value to attribute.
+    Qualified = 0,
+    /// Bare value term: enables cross-schema matches.
+    Bare = 1,
+    /// Header presence (`col:incumbent`): schema similarity signal.
+    Header = 2,
+}
+
+/// Accumulation weight of each [`FeatureKind`], by discriminant.
+const WEIGHTS: [f32; 3] = [1.0, 0.6, 0.4];
+
+/// The hashed features of one tuple (or text), in accumulation order: what
+/// is left of the strings once analysis and hashing are done. Each feature is
+/// nine bytes — its seeded FNV-1a base hash and its kind — and replaying them
+/// through [`TupleEmbedder::embed_features`] performs exactly the float
+/// additions [`TupleEmbedder::embed`] would, on the same coordinates in the
+/// same order. Only meaningful to an embedder with the seed that hashed them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TupleFeatures {
+    /// `RECORD`-byte records: little-endian base hash, then the kind.
+    records: Box<[u8]>,
+}
+
+impl TupleFeatures {
+    const RECORD: usize = 9;
+
+    /// Number of features.
+    pub fn len(&self) -> usize {
+        self.records.len() / Self::RECORD
+    }
+
+    /// True when the tuple had no non-null cell (or the text no term).
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.records.len()
+    }
+
+    /// (base hash, weight) of every feature, in accumulation order.
+    fn iter(&self) -> impl Iterator<Item = (u64, f32)> + '_ {
+        self.records.chunks_exact(Self::RECORD).map(|record| {
+            let base: [u8; 8] = record[..8].try_into().expect("eight hash bytes");
+            (u64::from_le_bytes(base), WEIGHTS[record[8] as usize])
+        })
+    }
+}
 
 /// Tuple-to-vector encoder.
 #[derive(Debug, Clone)]
@@ -38,9 +92,16 @@ impl TupleEmbedder {
     }
 
     /// Embed a tuple. Null cells contribute nothing.
-    pub fn embed(&self, tuple: &Tuple) -> Vector {
+    pub fn embed<'a>(&self, tuple: impl Into<TupleRef<'a>>) -> Vector {
+        self.embed_features(&self.features(tuple))
+    }
+
+    /// The string half of [`TupleEmbedder::embed`] — analysis and hashing —
+    /// which is what an embed is metered for.
+    pub fn features<'a>(&self, tuple: impl Into<TupleRef<'a>>) -> TupleFeatures {
         verifai_obs::meter::charge_embed();
-        let mut v = Vector::zeros(self.dim);
+        let tuple = tuple.into();
+        let mut records = Vec::new();
         for (col, val) in tuple.schema.columns().iter().zip(tuple.values.iter()) {
             if val.is_null() {
                 continue;
@@ -49,45 +110,74 @@ impl TupleEmbedder {
             let value_terms = self.analyzer.analyze(&val.to_string());
             let header_key = header_terms.join("_");
             for term in &value_terms {
-                // Header-qualified feature: binds value to attribute.
-                self.add(&mut v, &format!("{header_key}={term}"), 1.0);
-                // Bare value feature: enables cross-schema matches.
-                self.add(&mut v, term, 0.6);
+                self.push(
+                    &mut records,
+                    &format!("{header_key}={term}"),
+                    FeatureKind::Qualified,
+                );
+                self.push(&mut records, term, FeatureKind::Bare);
             }
-            // Header presence feature: schema similarity signal.
-            self.add(&mut v, &format!("col:{header_key}"), 0.4);
+            self.push(
+                &mut records,
+                &format!("col:{header_key}"),
+                FeatureKind::Header,
+            );
         }
-        v.normalize();
+        TupleFeatures {
+            records: records.into_boxed_slice(),
+        }
+    }
+
+    /// The arithmetic half of [`TupleEmbedder::embed`]: the unit vector of
+    /// `features`.
+    pub fn embed_features(&self, features: &TupleFeatures) -> Vector {
+        let mut v = Vector::zeros(self.dim);
+        self.embed_features_into(features, &mut v);
         v
+    }
+
+    /// [`TupleEmbedder::embed_features`] into a caller-owned vector of this
+    /// embedder's dimension, overwriting it — one scratch vector serves
+    /// every candidate of a request.
+    pub fn embed_features_into(&self, features: &TupleFeatures, out: &mut Vector) {
+        debug_assert_eq!(out.dim(), self.dim);
+        let slots = out.as_mut_slice();
+        slots.fill(0.0);
+        for (base, weight) in features.iter() {
+            for p in 0..self.probes {
+                let (idx, sign) = coord_and_sign(probe_hash(base, p), self.dim);
+                slots[idx] += sign * weight;
+            }
+        }
+        out.normalize();
     }
 
     /// Embed free text into the same space (for (text, tuple) comparisons the
-    /// paper lists as an extension) — delegates to a text embedder that shares
-    /// the bare-value feature space.
+    /// paper lists as an extension): every term is a feature of full weight,
+    /// hashed as the bare value features of [`TupleEmbedder::embed`] are, so
+    /// the spaces stay aligned. Unmetered.
     pub fn embed_text(&self, text: &str) -> Vector {
-        // Bare value features in `embed` use the tuple seed, so re-embed the
-        // text with the same feature hashing to keep spaces aligned.
-        let mut v = Vector::zeros(self.dim);
+        let mut records = Vec::new();
         for term in self.analyzer.analyze(text) {
-            self.add(&mut v, &term, 1.0);
+            self.push(&mut records, &term, FeatureKind::Qualified);
         }
-        v.normalize();
-        v
+        self.embed_features(&TupleFeatures {
+            records: records.into_boxed_slice(),
+        })
     }
 
-    fn add(&self, v: &mut Vector, feature: &str, weight: f32) {
-        for p in 0..self.probes {
-            let h = feature_hash(feature, self.seed, p);
-            let (idx, sign) = coord_and_sign(h, self.dim);
-            v.as_mut_slice()[idx] += sign * weight;
-        }
+    fn push(&self, records: &mut Vec<u8>, feature: &str, kind: FeatureKind) {
+        records.extend_from_slice(&fnv1a(feature.as_bytes(), self.seed).to_le_bytes());
+        records.push(kind as u8);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use crate::hashing::feature_hash;
+    use proptest::prelude::*;
+    use verifai_lake::{Column, DataType, Schema, Tuple, Value};
 
     fn tuple(incumbent: &str) -> Tuple {
         Tuple {
@@ -152,5 +242,100 @@ mod tests {
         let q = e.embed_text("Otis Pike New York district 1960");
         let unrelated = e.embed_text("synthetic aperture radar imaging");
         assert!(t.cosine(&q) > t.cosine(&unrelated));
+    }
+
+    /// `embed` as it was before features could be stored: every feature
+    /// string hashed and accumulated on the spot.
+    fn accumulate_strings_embed(dim: usize, seed: u64, tuple: &Tuple) -> Vector {
+        let analyzer = Analyzer::standard();
+        let mut v = Vector::zeros(dim);
+        let mut add = |feature: &str, weight: f32| {
+            for p in 0..4 {
+                let (idx, sign) = coord_and_sign(feature_hash(feature, seed, p), dim);
+                v.as_mut_slice()[idx] += sign * weight;
+            }
+        };
+        for (col, val) in tuple.schema.columns().iter().zip(tuple.values.iter()) {
+            if val.is_null() {
+                continue;
+            }
+            let header_key = analyzer.analyze(&col.name).join("_");
+            for term in &analyzer.analyze(&val.to_string()) {
+                add(&format!("{header_key}={term}"), 1.0);
+                add(term, 0.6);
+            }
+            add(&format!("col:{header_key}"), 0.4);
+        }
+        v.normalize();
+        v
+    }
+
+    fn bits(v: &Vector) -> Vec<u32> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Stored features replay to the embedding bit for bit — through a
+        /// fresh vector and through a dirty scratch one — and both equal the
+        /// accumulate-the-strings formula: nulls, empty headers, repeated
+        /// terms (the same coordinate hit many times, where float addition
+        /// order would show), any dimension.
+        #[test]
+        fn features_replay_to_the_embedding_bit_for_bit(
+            dim in 1usize..512,
+            seed in any::<u64>(),
+            cells in proptest::collection::vec(
+                (
+                    prop_oneof![
+                        "[a-c ]{0,6}",
+                        Just(String::new()),
+                        Just("first elected".to_string()),
+                    ],
+                    prop_oneof![
+                        Just(Value::Null),
+                        "[a-c ]{0,12}".prop_map(Value::Text),
+                        Just(Value::text("pike pike pike otis pike")),
+                        (-50i64..50).prop_map(Value::Int),
+                        (-2.0..2.0f64).prop_map(Value::Float),
+                    ],
+                ),
+                0..7,
+            ),
+        ) {
+            let t = Tuple {
+                id: 0,
+                table: 0,
+                row_index: 0,
+                schema: Schema::new(
+                    cells.iter().map(|(h, _)| Column::new(h.clone(), DataType::Text)).collect(),
+                ),
+                values: cells.iter().map(|(_, v)| v.clone()).collect(),
+                source: 0,
+            };
+            let e = TupleEmbedder::new(dim, seed);
+            let want = bits(&accumulate_strings_embed(dim, seed, &t));
+            let features = e.features(&t);
+            prop_assert_eq!(bits(&e.embed(&t)), want.clone());
+            prop_assert_eq!(bits(&e.embed_features(&features)), want.clone());
+            let mut scratch = e.embed_text("left over from the previous candidate");
+            e.embed_features_into(&features, &mut scratch);
+            prop_assert_eq!(bits(&scratch), want);
+            prop_assert_eq!(features.heap_bytes(), 9 * features.len());
+        }
+    }
+
+    /// An embed is metered where its strings are handled: once per
+    /// `features` (so once per `embed`), never per replay.
+    #[test]
+    fn feature_extraction_is_what_an_embed_charges() {
+        let e = TupleEmbedder::new(64, 5);
+        let t = tuple("Otis Pike");
+        let (features, cost) = verifai_obs::meter::scoped(|| e.features(&t));
+        assert_eq!(cost.embeds, 1);
+        assert_eq!(features.len(), 2 * (3 + 2 + 1) + 3);
+        let (_, cost) = verifai_obs::meter::scoped(|| e.embed_features(&features));
+        assert_eq!(cost.embeds, 0);
+        let (_, cost) = verifai_obs::meter::scoped(|| e.embed(&t));
+        assert_eq!(cost.embeds, 1);
     }
 }

@@ -1,14 +1,15 @@
 //! The data-instance abstraction.
 //!
 //! Retrieval, reranking, and verification are generic over the modality of the
-//! evidence; [`InstanceId`] names an instance in the lake and [`DataInstance`]
-//! is a resolved (owned) copy handed to downstream modules.
+//! evidence; [`InstanceId`] names an instance in the lake, [`InstanceRef`] is
+//! that instance read in place (what retrieval and rerank look at), and
+//! [`DataInstance`] is a resolved (owned) copy handed to the verifier.
 
 use crate::kg::{KgEntity, KgEntityId};
 use crate::source::SourceId;
 use crate::table::{Table, TableId};
 use crate::text_doc::{DocId, TextDocument};
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::{Tuple, TupleId, TupleRef};
 use std::fmt;
 
 /// Modality of a data instance.
@@ -121,6 +122,16 @@ impl DataInstance {
         }
     }
 
+    /// This instance, borrowed.
+    pub fn view(&self) -> InstanceRef<'_> {
+        match self {
+            DataInstance::Tuple(t) => InstanceRef::Tuple(t.view()),
+            DataInstance::Table(t) => InstanceRef::Table(t),
+            DataInstance::Text(d) => InstanceRef::Text(d),
+            DataInstance::Kg(e) => InstanceRef::Kg(e),
+        }
+    }
+
     /// Borrow as tuple, if this is one.
     pub fn as_tuple(&self) -> Option<&Tuple> {
         match self {
@@ -151,6 +162,50 @@ impl DataInstance {
             DataInstance::Kg(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// A data instance read where it lies: borrowed from the lake
+/// ([`crate::DataLake::view`]) or from an owned [`DataInstance`]
+/// ([`DataInstance::view`]). Copying one copies a pointer; only
+/// [`InstanceRef::to_owned`] copies data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InstanceRef<'a> {
+    /// A tuple: its table's schema and row.
+    Tuple(TupleRef<'a>),
+    /// A table.
+    Table(&'a Table),
+    /// A text document.
+    Text(&'a TextDocument),
+    /// A knowledge-graph entity.
+    Kg(&'a KgEntity),
+}
+
+impl InstanceRef<'_> {
+    /// Typed id of this instance.
+    pub fn id(&self) -> InstanceId {
+        match self {
+            InstanceRef::Tuple(t) => InstanceId::Tuple(t.id),
+            InstanceRef::Table(t) => InstanceId::Table(t.id),
+            InstanceRef::Text(d) => InstanceId::Text(d.id),
+            InstanceRef::Kg(e) => InstanceId::Kg(e.id),
+        }
+    }
+
+    /// Materialize an owned copy.
+    pub fn to_owned(self) -> DataInstance {
+        match self {
+            InstanceRef::Tuple(t) => DataInstance::Tuple(t.to_owned()),
+            InstanceRef::Table(t) => DataInstance::Table(t.clone()),
+            InstanceRef::Text(d) => DataInstance::Text(d.clone()),
+            InstanceRef::Kg(e) => DataInstance::Kg(e.clone()),
+        }
+    }
+}
+
+impl<'a> From<&'a DataInstance> for InstanceRef<'a> {
+    fn from(instance: &'a DataInstance) -> InstanceRef<'a> {
+        instance.view()
     }
 }
 

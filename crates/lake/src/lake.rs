@@ -14,13 +14,13 @@
 //! entry points share one set of invariants.
 
 use crate::error::LakeError;
-use crate::instance::{DataInstance, InstanceId};
+use crate::instance::{DataInstance, InstanceId, InstanceRef};
 use crate::kg::{KgEntity, KgEntityId};
 use crate::source::{SourceId, SourceMeta, SourceOrigin};
 use crate::stats::LakeStats;
 use crate::table::{Table, TableId};
 use crate::text_doc::{DocId, TextDocument};
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::{Tuple, TupleId, TupleRef};
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -287,26 +287,37 @@ impl DataLake {
         self.docs.get(&id).ok_or(LakeError::DocNotFound(id))
     }
 
-    /// Materialize a tuple from the directory.
-    pub fn tuple(&self, id: TupleId) -> Result<Tuple, LakeError> {
+    /// A tuple read in place: its table's schema and its row, borrowed.
+    pub fn tuple_view(&self, id: TupleId) -> Result<TupleRef<'_>, LakeError> {
         let loc = self
             .tuple_dir
             .get(&id)
             .ok_or(LakeError::TupleNotFound(id))?;
         let table = self.table(loc.table)?;
         table
-            .tuple_at(loc.row, id)
+            .tuple_ref_at(loc.row, id)
             .ok_or(LakeError::TupleNotFound(id))
+    }
+
+    /// Materialize a tuple from the directory.
+    pub fn tuple(&self, id: TupleId) -> Result<Tuple, LakeError> {
+        self.tuple_view(id).map(TupleRef::to_owned)
+    }
+
+    /// Any instance read in place. The one lookup path: [`DataLake::resolve`]
+    /// is this plus a copy.
+    pub fn view(&self, id: InstanceId) -> Result<InstanceRef<'_>, LakeError> {
+        match id {
+            InstanceId::Tuple(t) => self.tuple_view(t).map(InstanceRef::Tuple),
+            InstanceId::Table(t) => self.table(t).map(InstanceRef::Table),
+            InstanceId::Text(d) => self.doc(d).map(InstanceRef::Text),
+            InstanceId::Kg(e) => self.kg_entity(e).map(InstanceRef::Kg),
+        }
     }
 
     /// Resolve any instance id to an owned [`DataInstance`].
     pub fn resolve(&self, id: InstanceId) -> Result<DataInstance, LakeError> {
-        match id {
-            InstanceId::Tuple(t) => self.tuple(t).map(DataInstance::Tuple),
-            InstanceId::Table(t) => self.table(t).cloned().map(DataInstance::Table),
-            InstanceId::Text(d) => self.doc(d).cloned().map(DataInstance::Text),
-            InstanceId::Kg(e) => self.kg_entity(e).cloned().map(DataInstance::Kg),
-        }
+        self.view(id).map(InstanceRef::to_owned)
     }
 
     /// Iterate tables in insertion order.
@@ -479,6 +490,48 @@ mod tests {
             Ok(DataInstance::Text(_))
         ));
         assert!(lake.resolve(InstanceId::Text(99)).is_err());
+    }
+
+    /// `view` and `resolve` are one lookup: equal for every id of a lake of
+    /// all four modalities, and the same error for every dangling one.
+    #[test]
+    fn view_to_owned_equals_resolve_for_every_id() {
+        let (mut lake, tuples) = lake_with_table();
+        lake.add_doc(TextDocument::new(10, "Otis Pike", "A politician.", 0))
+            .unwrap();
+        lake.add_kg_entity(KgEntity::new(3, "Otis Pike", 0))
+            .unwrap();
+        lake.remove_tuple(tuples.start).unwrap();
+        let live = [
+            InstanceId::Tuple(tuples.start + 1),
+            InstanceId::Table(0),
+            InstanceId::Text(10),
+            InstanceId::Kg(3),
+        ];
+        for id in live {
+            let view = lake.view(id).unwrap();
+            assert_eq!(view.id(), id);
+            assert_eq!(view.to_owned(), lake.resolve(id).unwrap());
+            assert_eq!(view.to_owned().view(), view);
+        }
+        // The shifted row resolves to its own values at its new index.
+        let survivor = lake.tuple_view(tuples.start + 1).unwrap();
+        assert_eq!(survivor.row_index, 0);
+        assert_eq!(survivor.values[0], Value::text("NY-2"));
+        let dangling = [
+            InstanceId::Tuple(tuples.start),
+            InstanceId::Tuple(99),
+            InstanceId::Table(7),
+            InstanceId::Text(99),
+            InstanceId::Kg(99),
+        ];
+        for id in dangling {
+            assert_eq!(lake.view(id).unwrap_err(), lake.resolve(id).unwrap_err());
+        }
+        assert_eq!(
+            lake.view(InstanceId::Tuple(99)).unwrap_err(),
+            LakeError::TupleNotFound(99)
+        );
     }
 
     #[test]

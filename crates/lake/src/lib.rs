@@ -27,7 +27,7 @@ pub mod tuple;
 pub mod value;
 
 pub use error::LakeError;
-pub use instance::{DataInstance, InstanceId, InstanceKind};
+pub use instance::{DataInstance, InstanceId, InstanceKind, InstanceRef};
 pub use io::{table_from_csv, table_to_csv};
 pub use kg::{KgEntity, KgEntityId, Triple};
 pub use lake::DataLake;
@@ -35,5 +35,5 @@ pub use source::{SourceId, SourceMeta, SourceOrigin};
 pub use stats::LakeStats;
 pub use table::{Column, DataType, Schema, Table, TableId};
 pub use text_doc::{DocId, TextDocument};
-pub use tuple::{Tuple, TupleId};
+pub use tuple::{Tuple, TupleId, TupleRef};
 pub use value::{Date, Value};

@@ -2,9 +2,10 @@
 
 use crate::error::LakeError;
 use crate::source::SourceId;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::{Tuple, TupleId, TupleRef};
 use crate::value::{normalize_str, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a table within a [`crate::DataLake`].
 pub type TableId = u64;
@@ -70,61 +71,103 @@ impl Column {
 }
 
 /// An ordered set of columns.
+///
+/// A schema is shared, not copied: the columns and their normalized header
+/// names sit behind one `Arc`, so the tuples materialized from a table (and
+/// the clones handed to downstream modules) all point at the table's own
+/// schema, and header normalization happens once per schema instead of once
+/// per fuzzy lookup.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    inner: Arc<SchemaInner>,
 }
+
+#[derive(Debug, Default)]
+struct SchemaInner {
+    columns: Vec<Column>,
+    /// `normalize_str` of each column's header, in column order.
+    normalized: Vec<String>,
+}
+
+/// The normalized names are a function of the columns.
+impl PartialEq for SchemaInner {
+    fn eq(&self, other: &SchemaInner) -> bool {
+        self.columns == other.columns
+    }
+}
+
+impl Eq for SchemaInner {}
 
 impl Schema {
     /// Build a schema from columns.
     pub fn new(columns: Vec<Column>) -> Schema {
-        Schema { columns }
+        let normalized = columns.iter().map(|c| normalize_str(&c.name)).collect();
+        Schema {
+            inner: Arc::new(SchemaInner {
+                columns,
+                normalized,
+            }),
+        }
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.columns.len()
+        self.inner.columns.len()
     }
 
     /// Column definitions in order.
     pub fn columns(&self) -> &[Column] {
-        &self.columns
+        &self.inner.columns
     }
 
     /// Column headers in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.columns.iter().map(|c| c.name.as_str())
+        self.inner.columns.iter().map(|c| c.name.as_str())
+    }
+
+    /// The normalized (case/punctuation-insensitive) header of each column,
+    /// in column order — computed once, when the schema was built.
+    pub fn normalized_names(&self) -> &[String] {
+        &self.inner.normalized
+    }
+
+    /// Whether `other` is this very schema (one allocation), not merely an
+    /// equal one. Tuples of one table share their table's schema, which lets
+    /// per-schema work be done once per distinct schema of a candidate set.
+    pub fn is_same(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Index of the column with exactly this header.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
+        self.inner.columns.iter().position(|c| c.name == name)
     }
 
     /// Index of the column whose *normalized* header matches (case/punctuation
     /// insensitive). This is how rerankers and PASTA bind claim fields to headers.
     pub fn fuzzy_index_of(&self, name: &str) -> Option<usize> {
-        let want = normalize_str(name);
+        self.fuzzy_index_of_normalized(&normalize_str(name))
+    }
+
+    /// [`Schema::fuzzy_index_of`] for a header that is already normalized
+    /// (another schema's [`Schema::normalized_names`], say).
+    pub fn fuzzy_index_of_normalized(&self, want: &str) -> Option<usize> {
         if want.is_empty() {
             return None;
         }
         // Exact normalized match first, then containment either way.
-        if let Some(i) = self
-            .columns
-            .iter()
-            .position(|c| normalize_str(&c.name) == want)
-        {
-            return Some(i);
-        }
-        self.columns.iter().position(|c| {
-            let have = normalize_str(&c.name);
-            have.contains(&want) || want.contains(&have)
+        let names = &self.inner.normalized;
+        names.iter().position(|have| have == want).or_else(|| {
+            names
+                .iter()
+                .position(|have| have.contains(want) || want.contains(have.as_str()))
         })
     }
 
     /// Indices of key columns.
     pub fn key_indices(&self) -> Vec<usize> {
-        self.columns
+        self.inner
+            .columns
             .iter()
             .enumerate()
             .filter(|(_, c)| c.is_key)
@@ -134,33 +177,13 @@ impl Schema {
 
     /// Indices of non-key columns.
     pub fn non_key_indices(&self) -> Vec<usize> {
-        self.columns
+        self.inner
+            .columns
             .iter()
             .enumerate()
             .filter(|(_, c)| !c.is_key)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Jaccard similarity between the normalized header sets of two schemas —
-    /// the coarse schema-compatibility test used for (tuple, tuple) matching.
-    pub fn header_jaccard(&self, other: &Schema) -> f64 {
-        let a: std::collections::HashSet<String> = self
-            .names()
-            .map(normalize_str)
-            .filter(|s| !s.is_empty())
-            .collect();
-        let b: std::collections::HashSet<String> = other
-            .names()
-            .map(normalize_str)
-            .filter(|s| !s.is_empty())
-            .collect();
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        let inter = a.intersection(&b).count() as f64;
-        let union = a.union(&b).count() as f64;
-        inter / union
     }
 }
 
@@ -237,16 +260,21 @@ impl Table {
         self.rows.iter().filter_map(move |r| r.get(col))
     }
 
-    /// Materialize row `i` as a standalone [`Tuple`] with the given tuple id.
-    pub fn tuple_at(&self, i: usize, tuple_id: TupleId) -> Option<Tuple> {
-        self.rows.get(i).map(|r| Tuple {
+    /// Row `i` as a borrowed tuple with the given tuple id.
+    pub fn tuple_ref_at(&self, i: usize, tuple_id: TupleId) -> Option<TupleRef<'_>> {
+        self.rows.get(i).map(|r| TupleRef {
             id: tuple_id,
             table: self.id,
             row_index: i,
-            schema: self.schema.clone(),
-            values: r.clone(),
+            schema: &self.schema,
+            values: r,
             source: self.source,
         })
+    }
+
+    /// Materialize row `i` as a standalone [`Tuple`] with the given tuple id.
+    pub fn tuple_at(&self, i: usize, tuple_id: TupleId) -> Option<Tuple> {
+        self.tuple_ref_at(i, tuple_id).map(TupleRef::to_owned)
     }
 
     /// Remove row `i`, shifting later rows down one index. Returns the
@@ -338,11 +366,19 @@ mod tests {
     }
 
     #[test]
-    fn header_jaccard_bounds() {
+    fn clones_share_the_schema_and_equal_schemas_need_not() {
         let s = schema();
-        assert!((s.header_jaccard(&s) - 1.0).abs() < 1e-12);
-        let other = Schema::new(vec![Column::new("city", DataType::Text)]);
-        assert_eq!(s.header_jaccard(&other), 0.0);
+        assert!(s.is_same(&s.clone()));
+        assert_eq!(
+            s.normalized_names(),
+            ["district", "incumbent", "first elected"]
+        );
+        let rebuilt = schema();
+        assert_eq!(s, rebuilt);
+        assert!(!s.is_same(&rebuilt));
+        // A materialized tuple points at its table's schema.
+        let t = sample();
+        assert!(t.tuple_at(0, 9).unwrap().schema.is_same(&t.schema));
     }
 
     #[test]
@@ -367,5 +403,51 @@ mod tests {
         let mut t = sample();
         *t.cell_mut(0, 1).unwrap() = Value::Null;
         assert!(t.cell(0, 1).unwrap().is_null());
+    }
+
+    /// `fuzzy_index_of` as it was before headers were normalized once per
+    /// schema: every candidate header re-normalized on every lookup.
+    fn normalize_every_time_fuzzy_index_of(schema: &Schema, name: &str) -> Option<usize> {
+        let want = normalize_str(name);
+        if want.is_empty() {
+            return None;
+        }
+        if let Some(i) = schema
+            .columns()
+            .iter()
+            .position(|c| normalize_str(&c.name) == want)
+        {
+            return Some(i);
+        }
+        schema.columns().iter().position(|c| {
+            let have = normalize_str(&c.name);
+            have.contains(&want) || want.contains(&have)
+        })
+    }
+
+    proptest::proptest! {
+        /// Lookups over the stored normalized names bind exactly as the
+        /// normalize-per-lookup formula did: exact match first, containment
+        /// either way second (an all-punctuation header contains nothing
+        /// and is contained in everything), empty wants bind nothing.
+        #[test]
+        fn fuzzy_lookup_equals_normalize_every_time(
+            headers in proptest::collection::vec("[a-cA-C _.-]{0,5}", 0..6),
+            wants in proptest::collection::vec("[a-cA-C _.-]{0,5}", 1..6),
+        ) {
+            let schema = Schema::new(
+                headers.iter().map(|h| Column::new(h.clone(), DataType::Text)).collect(),
+            );
+            for want in wants.iter().chain(&headers) {
+                proptest::prop_assert_eq!(
+                    schema.fuzzy_index_of(want),
+                    normalize_every_time_fuzzy_index_of(&schema, want)
+                );
+                proptest::prop_assert_eq!(
+                    schema.fuzzy_index_of_normalized(&normalize_str(want)),
+                    schema.fuzzy_index_of(want)
+                );
+            }
+        }
     }
 }

@@ -3,7 +3,9 @@
 //! Although tuples always originate from some table, the paper treats the tuple
 //! as a first-class data instance: the Indexer indexes individual tuples, and the
 //! (tuple, tuple) Verifier reasons over pairs of them. [`Tuple`] therefore carries
-//! its own copy of the schema so it can travel independently of its table.
+//! its table's (shared) schema so it can travel independently of its table;
+//! [`TupleRef`] is the same tuple read in place, for the stages that look at
+//! many candidates and keep few.
 
 use crate::source::SourceId;
 use crate::table::{Schema, TableId};
@@ -64,29 +66,55 @@ impl Tuple {
             .collect()
     }
 
-    /// Fraction of aligned attributes on which two tuples agree, computed over
-    /// the normalized-header intersection of the two schemas. Returns `None` when
-    /// the schemas share no attributes (tuples are incomparable).
-    pub fn agreement(&self, other: &Tuple) -> Option<f64> {
-        let mut shared = 0usize;
-        let mut agree = 0usize;
-        for (i, col) in self.schema.columns().iter().enumerate() {
-            if let Some(j) = other.schema.fuzzy_index_of(&col.name) {
-                let (a, b) = (&self.values[i], &other.values[j]);
-                if a.is_null() || b.is_null() {
-                    continue;
-                }
-                shared += 1;
-                if a.matches(b) {
-                    agree += 1;
-                }
-            }
+    /// This tuple, borrowed.
+    pub fn view(&self) -> TupleRef<'_> {
+        TupleRef {
+            id: self.id,
+            table: self.table,
+            row_index: self.row_index,
+            schema: &self.schema,
+            values: &self.values,
+            source: self.source,
         }
-        if shared == 0 {
-            None
-        } else {
-            Some(agree as f64 / shared as f64)
+    }
+}
+
+/// A tuple read where it lies: the owning table's schema and row, borrowed.
+/// What [`crate::DataLake::view`] hands out for a tuple id, and what an owned
+/// [`Tuple`] lends through [`Tuple::view`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TupleRef<'a> {
+    /// Lake-wide identifier.
+    pub id: TupleId,
+    /// Table this tuple came from.
+    pub table: TableId,
+    /// Row index within the source table.
+    pub row_index: usize,
+    /// Schema of the source table.
+    pub schema: &'a Schema,
+    /// Cell values, aligned with `schema`.
+    pub values: &'a [Value],
+    /// Source that contributed the tuple.
+    pub source: SourceId,
+}
+
+impl TupleRef<'_> {
+    /// Materialize: the schema is shared, the values are copied.
+    pub fn to_owned(self) -> Tuple {
+        Tuple {
+            id: self.id,
+            table: self.table,
+            row_index: self.row_index,
+            schema: self.schema.clone(),
+            values: self.values.to_vec(),
+            source: self.source,
         }
+    }
+}
+
+impl<'a> From<&'a Tuple> for TupleRef<'a> {
+    fn from(tuple: &'a Tuple) -> TupleRef<'a> {
+        tuple.view()
     }
 }
 
@@ -130,43 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn agreement_counts_shared_non_null() {
-        let a = tup(vec![
-            Value::text("NY-1"),
-            Value::text("Otis Pike"),
-            Value::Int(1960),
-        ]);
-        let b = tup(vec![
-            Value::text("NY-1"),
-            Value::text("Someone Else"),
-            Value::Int(1960),
-        ]);
-        // district + first elected agree, incumbent disagrees => 2/3.
-        let agr = a.agreement(&b).unwrap();
-        assert!((agr - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn agreement_ignores_nulls() {
-        let a = tup(vec![Value::text("NY-1"), Value::Null, Value::Int(1960)]);
-        let b = tup(vec![
-            Value::text("NY-1"),
-            Value::text("X"),
-            Value::Int(1960),
-        ]);
-        assert_eq!(a.agreement(&b), Some(1.0));
-    }
-
-    #[test]
-    fn agreement_none_when_disjoint_schemas() {
-        let a = tup(vec![
-            Value::text("NY-1"),
-            Value::text("Otis Pike"),
-            Value::Int(1960),
-        ]);
-        let mut b = a.clone();
-        b.schema = Schema::new(vec![Column::new("city", DataType::Text)]);
-        b.values = vec![Value::text("Boston")];
-        assert_eq!(a.agreement(&b), None);
+    fn view_round_trips() {
+        let t = tup(vec![Value::text("NY-1"), Value::Null, Value::Int(1960)]);
+        assert_eq!(t.view().to_owned(), t);
+        assert!(t.view().to_owned().schema.is_same(&t.schema));
     }
 }

@@ -131,6 +131,11 @@ impl Value {
         if let (Some(a), Some(b)) = (self.as_f64(), other.as_f64()) {
             return float_eq(a, b);
         }
+        // The common evidence comparison: two texts, compared as the
+        // normalized strings would be, without building either.
+        if let (Value::Text(a), Value::Text(b)) = (self, other) {
+            return normalized_chars(a).eq(normalized_chars(b));
+        }
         self.normalized() == other.normalized()
     }
 
@@ -241,6 +246,32 @@ pub fn normalize_str(s: &str) -> String {
         out.pop();
     }
     out
+}
+
+/// The characters of [`normalize_str`]`(s)`, streamed: comparing two of
+/// these decides normalized equality without allocating either string.
+pub fn normalized_chars(s: &str) -> impl Iterator<Item = char> + '_ {
+    let mut chars = s.chars();
+    let mut lower: Option<std::char::ToLowercase> = None;
+    // `started`: an alphanumeric has been emitted; `gap`: separators have
+    // been skipped since. A gap becomes one space only when another
+    // alphanumeric follows, so leading and trailing separators vanish.
+    let (mut started, mut gap) = (false, false);
+    std::iter::from_fn(move || loop {
+        if let Some(ch) = lower.as_mut().and_then(Iterator::next) {
+            return Some(ch);
+        }
+        let ch = chars.next()?;
+        if ch.is_alphanumeric() {
+            lower = Some(ch.to_lowercase());
+            started = true;
+            if std::mem::take(&mut gap) {
+                return Some(' ');
+            }
+        } else {
+            gap = started;
+        }
+    })
 }
 
 /// Relative-tolerance float comparison used by value matching.
@@ -388,6 +419,44 @@ mod prop_tests {
         fn normalize_idempotent(s in ".{0,40}") {
             let once = normalize_str(&s);
             prop_assert_eq!(normalize_str(&once), once.clone());
+        }
+
+        /// The streamed normalizer yields exactly `normalize_str`'s
+        /// characters: arbitrary Unicode, multi-char lowercasings (`İ`,
+        /// `ẞ`), leading / trailing / repeated separators, empty and
+        /// all-punctuation strings.
+        #[test]
+        fn normalized_chars_equal_normalize_str(
+            parts in proptest::collection::vec(
+                prop_oneof![
+                    ".{0,6}",
+                    "[ .,;:!?_-]{0,4}",
+                    "[a-zA-Z0-9]{0,5}",
+                    Just("İ".to_string()),
+                    Just("ẞǅ".to_string()),
+                    Just(String::new()),
+                ],
+                0..8,
+            )
+        ) {
+            let s: String = parts.concat();
+            let streamed: String = normalized_chars(&s).collect();
+            prop_assert_eq!(streamed, normalize_str(&s));
+        }
+
+        /// Two texts match exactly when their normalized strings are equal
+        /// (and, like every pair, when both parse to close numbers).
+        #[test]
+        fn text_matching_equals_normalized_string_equality(
+            a in "[a-zA-Z0-9İ .,-]{0,12}",
+            b in "[a-zA-Z0-9İ .,-]{0,12}",
+        ) {
+            let (va, vb) = (Value::text(a.clone()), Value::text(b.clone()));
+            let want = match (va.as_f64(), vb.as_f64()) {
+                (Some(x), Some(y)) => float_eq(x, y),
+                _ => normalize_str(&a) == normalize_str(&b),
+            };
+            prop_assert_eq!(va.matches(&vb), want);
         }
 
         /// Display → infer round-trips to a matching value up to display

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 
 use crate::{Candidate, Prepared, Reranker};
 use verifai_embed::{kernel, TokenEmbedder, TokenVocab, Vector};
-use verifai_lake::DataInstance;
+use verifai_lake::InstanceRef;
 use verifai_llm::DataObject;
 
 /// The evidence side of late interaction: the *distinct* token ids (rows of
@@ -108,7 +108,7 @@ impl ColbertReranker {
     /// The evidence side of one instance: serialize, tokenize, cap at
     /// `max_doc_tokens`, and only then intern (embedding what is new) and
     /// deduplicate.
-    pub fn prepare_doc(&self, evidence: &DataInstance) -> PreparedDoc {
+    pub fn prepare_doc(&self, evidence: InstanceRef<'_>) -> PreparedDoc {
         let mut tokens = self
             .vocab
             .encoder()
@@ -202,7 +202,7 @@ impl Reranker for ColbertReranker {
             .collect()
     }
 
-    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
         Some(Prepared::Tokens(self.prepare_doc(evidence)))
     }
 
@@ -218,7 +218,7 @@ impl Reranker for ColbertReranker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::TextDocument;
+    use verifai_lake::{DataInstance, TextDocument};
     use verifai_llm::TextClaim;
 
     fn claim(text: &str) -> DataObject {
@@ -256,7 +256,7 @@ mod tests {
         let body = format!("{} zanzibar clove auction", head.join(" "));
         let long = doc(1, &body);
         let q = claim("the zanzibar auction used filler7 and filler7 and filler139");
-        let prepared = r.prepare_doc(&long);
+        let prepared = r.prepare_doc(long.view());
         assert!(prepared.len() <= 256, "cap applies to distinct tokens too");
         // "title" + 140 distinct fillers fit under the cap; the tail does not.
         assert_eq!(prepared.len(), 141);
@@ -294,14 +294,15 @@ mod tests {
             let want: Vec<f64> = docs.iter().map(|d| embed_everything_score(&q, d)).collect();
             let per_pair: Vec<f64> = docs.iter().map(|d| r.score(&q, d)).collect();
             assert_eq!(per_pair, want);
-            let features: Vec<Option<Prepared>> = docs.iter().map(|d| r.prepare(d)).collect();
+            let features: Vec<Option<Prepared>> =
+                docs.iter().map(|d| r.prepare(d.view())).collect();
             for keep_every in [1, 2, usize::MAX] {
                 let candidates: Vec<Candidate<'_>> = docs
                     .iter()
                     .zip(&features)
                     .enumerate()
                     .map(|(i, (evidence, f))| Candidate {
-                        evidence,
+                        evidence: evidence.view(),
                         prepared: f.as_ref().filter(|_| i % keep_every == 0),
                     })
                     .collect();

@@ -14,8 +14,8 @@
 use crate::colbert::ColbertReranker;
 use crate::table::TableReranker;
 use crate::tuple::TupleReranker;
-use crate::{sort_by_score, Candidate, Prepared, Reranker};
-use verifai_lake::{DataInstance, InstanceKind};
+use crate::{by_score_then_id, Candidate, Prepared, Reranker};
+use verifai_lake::{DataInstance, InstanceKind, InstanceRef};
 use verifai_llm::DataObject;
 
 /// Routes each candidate to the first supporting reranker.
@@ -55,13 +55,13 @@ impl CompositeReranker {
     }
 
     /// The reranker evidence of this modality routes to.
-    pub fn route(&self, evidence: &DataInstance) -> &dyn Reranker {
+    pub fn route(&self, evidence: InstanceRef<'_>) -> &dyn Reranker {
         self.member(self.route_index(evidence))
     }
 
     /// Index of the first supporting specialist; `specialists.len()` is the
     /// fallback.
-    fn route_index(&self, evidence: &DataInstance) -> usize {
+    fn route_index(&self, evidence: InstanceRef<'_>) -> usize {
         self.specialists
             .iter()
             .position(|r| r.supports(evidence))
@@ -96,13 +96,16 @@ impl CompositeReranker {
             by_kind[slot].push((c, score));
         }
         let mut merged: Vec<(DataInstance, f64)> = Vec::new();
+        let sort = |list: &mut Vec<(DataInstance, f64)>| {
+            list.sort_by(|a, b| by_score_then_id((a.1, a.0.id()), (b.1, b.0.id())))
+        };
         for list in by_kind.iter_mut() {
-            sort_by_score(list);
+            sort(list);
             for (rank, (inst, _)) in list.drain(..).enumerate() {
                 merged.push((inst, 1.0 / (rank as f64 + 1.0)));
             }
         }
-        sort_by_score(&mut merged);
+        sort(&mut merged);
         merged.truncate(k_prime);
         merged
     }
@@ -135,7 +138,7 @@ impl Reranker for CompositeReranker {
         scores
     }
 
-    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
         self.route(evidence).prepare(evidence)
     }
 
@@ -266,10 +269,10 @@ mod tests {
         });
         let tab = DataInstance::Table(Table::new(2, "c", Schema::default(), 0));
         let txt = DataInstance::Text(TextDocument::new(3, "t", "body", 0));
-        assert_eq!(r.route(&tup).name(), "retclean-tuple");
-        assert_eq!(r.route(&tab).name(), "opentfv-table");
+        assert_eq!(r.route(tup.view()).name(), "retclean-tuple");
+        assert_eq!(r.route(tab.view()).name(), "opentfv-table");
         // No specialist claims text: the generic fallback takes it.
-        assert_eq!(r.route(&txt).name(), "colbert");
+        assert_eq!(r.route(txt.view()).name(), "colbert");
 
         // One request over all three, prepared or not, scores each pair
         // exactly as the per-pair reference does, in candidate order.
@@ -277,15 +280,15 @@ mod tests {
         let per_pair: Vec<f64> = mixed.iter().map(|c| r.score(&obj, c)).collect();
         let unprepared: Vec<Candidate<'_>> = mixed.iter().map(Candidate::unprepared).collect();
         assert_eq!(r.score_all(&obj, &unprepared), per_pair);
-        let features: Vec<Option<Prepared>> = mixed.iter().map(|c| r.prepare(c)).collect();
+        let features: Vec<Option<Prepared>> = mixed.iter().map(|c| r.prepare(c.view())).collect();
         assert!(matches!(features[0], Some(Prepared::Tokens(_))));
-        assert!(features[1].is_none(), "tuple vectors are not prepared");
+        assert!(matches!(features[1], Some(Prepared::Tuple(_))));
         assert!(matches!(features[2], Some(Prepared::Table(_))));
         let prepared: Vec<Candidate<'_>> = mixed
             .iter()
             .zip(&features)
             .map(|(evidence, f)| Candidate {
-                evidence,
+                evidence: evidence.view(),
                 prepared: f.as_ref(),
             })
             .collect();

@@ -32,14 +32,17 @@ pub mod composite;
 pub mod table;
 pub mod tuple;
 
-use verifai_lake::DataInstance;
+use verifai_embed::TupleFeatures;
+use verifai_lake::{DataInstance, InstanceId, InstanceRef};
 use verifai_llm::DataObject;
 
 /// The query-independent half of a reranker's work on one evidence instance,
 /// computed once when the instance enters the lake and reused by every
-/// request that later retrieves it (DESIGN.md §18). Produced by
+/// request that later retrieves it (DESIGN.md §18, §20). Produced by
 /// [`Reranker::prepare`] and only meaningful to the reranker that produced
-/// it: token and term ids index that reranker's own vocabulary.
+/// it: token and term ids index that reranker's own vocabulary, feature
+/// hashes carry its embedder's seed. Every variant is at most a boxed slice
+/// wide — there is one of these per instance of the lake.
 #[derive(Debug, Clone)]
 pub enum Prepared {
     /// Distinct token ids of a serialized text or knowledge-graph instance
@@ -47,7 +50,9 @@ pub enum Prepared {
     Tokens(colbert::PreparedDoc),
     /// Caption / header / cell term sets and the dense vector of a table
     /// ([`table::TableReranker`]).
-    Table(table::PreparedTable),
+    Table(Box<table::PreparedTable>),
+    /// Hashed embedding features of a tuple ([`tuple::TupleReranker`]).
+    Tuple(TupleFeatures),
 }
 
 impl Prepared {
@@ -55,26 +60,27 @@ impl Prepared {
     pub fn heap_bytes(&self) -> usize {
         match self {
             Prepared::Tokens(doc) => doc.heap_bytes(),
-            Prepared::Table(table) => table.heap_bytes(),
+            Prepared::Table(table) => std::mem::size_of_val(&**table) + table.heap_bytes(),
+            Prepared::Tuple(features) => features.heap_bytes(),
         }
     }
 }
 
-/// One coarse candidate of a request: the resolved instance and, when the
-/// caller keeps them, its [`Prepared`] features.
+/// One coarse candidate of a request: the evidence instance, read where it
+/// lies, and, when the caller keeps them, its [`Prepared`] features.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
     /// The retrieved evidence instance.
-    pub evidence: &'a DataInstance,
+    pub evidence: InstanceRef<'a>,
     /// Its prepared features; `None` makes the reranker prepare on the spot.
     pub prepared: Option<&'a Prepared>,
 }
 
 impl<'a> Candidate<'a> {
     /// A candidate with nothing prepared ahead of the request.
-    pub fn unprepared(evidence: &'a DataInstance) -> Candidate<'a> {
+    pub fn unprepared(evidence: impl Into<InstanceRef<'a>>) -> Candidate<'a> {
         Candidate {
-            evidence,
+            evidence: evidence.into(),
             prepared: None,
         }
     }
@@ -87,7 +93,8 @@ impl<'a> Candidate<'a> {
 /// a query side (embedded and analyzed once per call). A candidate that
 /// arrives without prepared features is prepared on the spot by that same
 /// code, so the score of a pair never depends on who prepared its evidence
-/// or when — bit for bit.
+/// or when — bit for bit. Evidence is only ever borrowed: a reranker looks
+/// at many candidates so that few need to be copied out of the lake.
 pub trait Reranker: Send + Sync {
     /// Relevance of every candidate to `object`, in candidate order; higher
     /// is better. The per-request entry point: the query side of `object`
@@ -103,7 +110,7 @@ pub trait Reranker: Send + Sync {
 
     /// The query-independent features of `evidence`, or `None` when this
     /// reranker keeps nothing per instance.
-    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
         let _ = evidence;
         None
     }
@@ -118,15 +125,35 @@ pub trait Reranker: Send + Sync {
     /// alone: that is what lets an instance be prepared when it enters the
     /// lake, before any object exists. Defaults to supporting everything (a
     /// generic reranker).
-    fn supports(&self, evidence: &DataInstance) -> bool {
+    fn supports(&self, evidence: InstanceRef<'_>) -> bool {
         let _ = evidence;
         true
     }
 }
 
-/// Rerank candidates with `reranker` and keep the top `k_prime`, preparing
-/// every candidate on the spot — the reference the store-backed pipeline is
-/// tested bit-identical to.
+/// Score `candidates` with `reranker` and rank them: the `(candidate index,
+/// score)` of the top `k_prime`, by descending score with deterministic id
+/// tiebreak. Nothing is copied — the caller materializes the survivors.
+pub fn rank(
+    reranker: &dyn Reranker,
+    object: &DataObject,
+    candidates: &[Candidate<'_>],
+    k_prime: usize,
+) -> Vec<(usize, f64)> {
+    let scores = reranker.score_all(object, candidates);
+    let mut ranked: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
+    ranked.sort_by(|a, b| {
+        by_score_then_id(
+            (a.1, candidates[a.0].evidence.id()),
+            (b.1, candidates[b.0].evidence.id()),
+        )
+    });
+    ranked.truncate(k_prime);
+    ranked
+}
+
+/// [`rank`] over owned candidates, preparing every one on the spot — the
+/// reference the store-backed pipeline is tested bit-identical to.
 ///
 /// Returns (instance, score) pairs sorted by descending score with
 /// deterministic id tiebreak.
@@ -136,41 +163,32 @@ pub fn rerank(
     candidates: Vec<DataInstance>,
     k_prime: usize,
 ) -> Vec<(DataInstance, f64)> {
-    rerank_prepared(reranker, object, candidates, |_| None, k_prime)
+    let ranked = {
+        let views: Vec<Candidate<'_>> = candidates.iter().map(Candidate::unprepared).collect();
+        rank(reranker, object, &views, k_prime)
+    };
+    take_ranked(candidates, ranked)
 }
 
-/// [`rerank`] with the caller's prepared features: `prepared` is asked once
-/// per candidate, and a `None` falls back to preparing on the spot.
-pub fn rerank_prepared<'a>(
-    reranker: &dyn Reranker,
-    object: &DataObject,
-    candidates: Vec<DataInstance>,
-    prepared: impl Fn(&DataInstance) -> Option<&'a Prepared>,
-    k_prime: usize,
-) -> Vec<(DataInstance, f64)> {
-    let scores = {
-        let views: Vec<Candidate<'_>> = candidates
-            .iter()
-            .map(|evidence| Candidate {
-                evidence,
-                prepared: prepared(evidence),
-            })
-            .collect();
-        reranker.score_all(object, &views)
-    };
-    let mut scored: Vec<(DataInstance, f64)> = candidates.into_iter().zip(scores).collect();
-    sort_by_score(&mut scored);
-    scored.truncate(k_prime);
-    scored
+/// The `ranked` survivors of `candidates`, moved out in rank order.
+pub fn take_ranked<T>(candidates: Vec<T>, ranked: Vec<(usize, f64)>) -> Vec<(T, f64)> {
+    let mut candidates: Vec<Option<T>> = candidates.into_iter().map(Some).collect();
+    ranked
+        .into_iter()
+        .map(|(index, score)| {
+            let survivor = candidates[index]
+                .take()
+                .expect("a rank names each index once");
+            (survivor, score)
+        })
+        .collect()
 }
 
 /// Descending score, ties broken by ascending instance id.
-pub(crate) fn sort_by_score(scored: &mut [(DataInstance, f64)]) {
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.id().cmp(&b.0.id()))
-    });
+pub(crate) fn by_score_then_id(a: (f64, InstanceId), b: (f64, InstanceId)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.1.cmp(&b.1))
 }
 
 #[cfg(test)]
@@ -185,7 +203,7 @@ mod tests {
             candidates
                 .iter()
                 .map(|c| match c.evidence {
-                    DataInstance::Text(d) => d.body.len() as f64,
+                    InstanceRef::Text(d) => d.body.len() as f64,
                     _ => 0.0,
                 })
                 .collect()

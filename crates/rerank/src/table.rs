@@ -11,7 +11,7 @@ use std::sync::RwLock;
 
 use crate::{Candidate, Prepared, Reranker};
 use verifai_embed::{TextEmbedder, Vector};
-use verifai_lake::{DataInstance, Table};
+use verifai_lake::{InstanceRef, Table};
 use verifai_llm::DataObject;
 use verifai_text::sim::{containment_in, TermSet};
 use verifai_text::{Analyzer, Interner};
@@ -137,10 +137,10 @@ impl Reranker for TableReranker {
         let tables: Vec<Option<Cow<'_, PreparedTable>>> = candidates
             .iter()
             .map(|c| match (c.evidence, c.prepared) {
-                (DataInstance::Table(_), Some(Prepared::Table(table))) => {
-                    Some(Cow::Borrowed(table))
+                (InstanceRef::Table(_), Some(Prepared::Table(table))) => {
+                    Some(Cow::Borrowed(&**table))
                 }
-                (DataInstance::Table(table), _) => Some(Cow::Owned(self.prepare_table(table))),
+                (InstanceRef::Table(table), _) => Some(Cow::Owned(self.prepare_table(table))),
                 _ => None,
             })
             .collect();
@@ -165,9 +165,9 @@ impl Reranker for TableReranker {
             .collect()
     }
 
-    fn prepare(&self, evidence: &DataInstance) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
         match evidence {
-            DataInstance::Table(table) => Some(Prepared::Table(self.prepare_table(table))),
+            InstanceRef::Table(table) => Some(Prepared::Table(Box::new(self.prepare_table(table)))),
             _ => None,
         }
     }
@@ -176,15 +176,15 @@ impl Reranker for TableReranker {
         "opentfv-table"
     }
 
-    fn supports(&self, evidence: &DataInstance) -> bool {
-        matches!(evidence, DataInstance::Table(_))
+    fn supports(&self, evidence: InstanceRef<'_>) -> bool {
+        matches!(evidence, InstanceRef::Table(_))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Value};
     use verifai_llm::TextClaim;
 
     fn table(id: u64, caption: &str, teams: &[(&str, i64)]) -> Table {
@@ -285,7 +285,8 @@ mod tests {
             want.push(0.0);
             let per_pair: Vec<f64> = evidence.iter().map(|e| r.score(&q, e)).collect();
             assert_eq!(per_pair, want);
-            let features: Vec<Option<Prepared>> = evidence.iter().map(|e| r.prepare(e)).collect();
+            let features: Vec<Option<Prepared>> =
+                evidence.iter().map(|e| r.prepare(e.view())).collect();
             assert!(features[3].is_none(), "only tables are prepared");
             for keep_every in [1, 2, usize::MAX] {
                 let candidates: Vec<Candidate<'_>> = evidence
@@ -293,7 +294,7 @@ mod tests {
                     .zip(&features)
                     .enumerate()
                     .map(|(i, (evidence, f))| Candidate {
-                        evidence,
+                        evidence: evidence.view(),
                         prepared: f.as_ref().filter(|_| i % keep_every == 0),
                     })
                     .collect();

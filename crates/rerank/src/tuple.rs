@@ -6,9 +6,11 @@
 //! This mirrors the (tuple, tuple) reranking RetClean performs before its
 //! RoBERTa verifier.
 
-use crate::{Candidate, Reranker};
-use verifai_embed::{TupleEmbedder, Vector};
-use verifai_lake::{DataInstance, Tuple, Value};
+use std::borrow::Cow;
+
+use crate::{Candidate, Prepared, Reranker};
+use verifai_embed::{TupleEmbedder, TupleFeatures, Vector};
+use verifai_lake::{InstanceRef, Schema, TupleRef, Value};
 use verifai_llm::DataObject;
 
 /// Weights of the structural signals.
@@ -35,6 +37,83 @@ impl Default for TupleRerankWeights {
     }
 }
 
+/// What the query's schema and one candidate schema have to do with each
+/// other — everything about a (tuple, tuple) pair that does not depend on
+/// the values. It is a function of the two lists of normalized headers
+/// alone, tuples of one table share its [`Schema`], and the tables a
+/// request's candidates come from mostly share their headers, so this is
+/// computed once per distinct candidate header list of a request, not once
+/// per pair.
+struct SchemaAlignment<'a> {
+    candidate: &'a Schema,
+    /// Jaccard similarity of the two normalized, non-empty header sets.
+    header_jaccard: f64,
+    /// For each query column, the candidate column its header binds to
+    /// (exact normalized match first, then containment either way).
+    columns: Vec<Option<usize>>,
+}
+
+impl<'a> SchemaAlignment<'a> {
+    fn new(query: &Schema, candidate: &'a Schema) -> SchemaAlignment<'a> {
+        let (ours, theirs) = (query.normalized_names(), candidate.normalized_names());
+        let (a, b) = (header_set(ours).count(), header_set(theirs).count());
+        let header_jaccard = if a == 0 && b == 0 {
+            1.0
+        } else {
+            let shared = header_set(ours)
+                .filter(|name| theirs.contains(name))
+                .count();
+            shared as f64 / (a + b - shared) as f64
+        };
+        SchemaAlignment {
+            candidate,
+            header_jaccard,
+            columns: ours
+                .iter()
+                .map(|name| candidate.fuzzy_index_of_normalized(name))
+                .collect(),
+        }
+    }
+
+    /// Whether this alignment is also `candidate`'s: the same schema, or one
+    /// with the same normalized headers.
+    fn serves(&self, candidate: &Schema) -> bool {
+        self.candidate.is_same(candidate)
+            || self.candidate.normalized_names() == candidate.normalized_names()
+    }
+
+    /// Fraction of aligned, mutually non-null attributes on which the two
+    /// tuples agree; 0 when they share none.
+    fn value_agreement(&self, query: &[Value], candidate: &[Value]) -> f64 {
+        let (mut shared, mut agree) = (0usize, 0usize);
+        for (a, column) in query.iter().zip(&self.columns) {
+            let Some(column) = *column else { continue };
+            let b = &candidate[column];
+            if a.is_null() || b.is_null() {
+                continue;
+            }
+            shared += 1;
+            if a.matches(b) {
+                agree += 1;
+            }
+        }
+        if shared == 0 {
+            0.0
+        } else {
+            agree as f64 / shared as f64
+        }
+    }
+}
+
+/// A schema's header set: its distinct non-empty normalized names.
+fn header_set(names: &[String]) -> impl Iterator<Item = &String> {
+    names
+        .iter()
+        .enumerate()
+        .filter(move |(i, name)| !name.is_empty() && !names[..*i].contains(name))
+        .map(|(_, name)| name)
+}
+
 /// The (tuple, tuple) reranker.
 #[derive(Debug)]
 pub struct TupleReranker {
@@ -56,83 +135,204 @@ impl TupleReranker {
         )
     }
 
-    /// Structural relevance of `candidate` to `query`, whose embedding the
-    /// caller computed once for the whole request.
-    fn score_tuples(
+    /// Clamped cosine between the request's query vector and a candidate,
+    /// whose stored features (extracted here when the caller kept none) are
+    /// replayed into `scratch`.
+    fn dense(
         &self,
-        query: &Tuple,
-        keys: &[&Value],
         query_dense: &Vector,
-        candidate: &Tuple,
+        candidate: TupleRef<'_>,
+        prepared: Option<&Prepared>,
+        scratch: &mut Vector,
     ) -> f64 {
-        let w = &self.weights;
-        let schema = query.schema.header_jaccard(&candidate.schema);
-        let key = if keys.is_empty() {
-            0.0
-        } else {
-            keys.iter()
-                .filter(|k| candidate.values.iter().any(|v| v.matches(k)))
-                .count() as f64
-                / keys.len() as f64
+        let features: Cow<'_, TupleFeatures> = match prepared {
+            Some(Prepared::Tuple(features)) => Cow::Borrowed(features),
+            _ => Cow::Owned(self.embedder.features(candidate)),
         };
-        let agreement = query.agreement(candidate).unwrap_or(0.0);
-        w.schema * schema
-            + w.key * key
-            + w.agreement * agreement
-            + w.dense * self.dense(query_dense, candidate)
-    }
-
-    /// Clamped cosine between the request's query vector and a candidate.
-    /// The candidate is embedded here, per request: tuple vectors are the
-    /// one evidence feature *not* prepared ahead (DESIGN.md §18 — a
-    /// 256-dim f32 per tuple would outweigh every other stored feature).
-    fn dense(&self, query_dense: &Vector, candidate: &Tuple) -> f64 {
+        self.embedder.embed_features_into(&features, scratch);
         // Tuple embeddings are unit by construction: fused dot = cosine.
-        (query_dense.dot_unit(&self.embedder.embed(candidate)) as f64).max(0.0)
+        (query_dense.dot_unit(scratch) as f64).max(0.0)
     }
 }
 
 impl Reranker for TupleReranker {
+    /// Structural relevance of every tuple candidate. Per request: the query
+    /// is embedded once and its key values picked once. Per distinct
+    /// candidate header list: one [`SchemaAlignment`]. Per candidate: a
+    /// replay of its stored features and the value comparisons.
     fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
         if !candidates.iter().any(|c| self.supports(c.evidence)) {
             return vec![0.0; candidates.len()];
         }
-        let (query_dense, keys) = match object {
+        let mut scratch = Vector::zeros(self.embedder.dim());
+        let tuples = candidates.iter().map(|c| match c.evidence {
+            InstanceRef::Tuple(candidate) => Some((candidate, c.prepared)),
+            _ => None,
+        });
+        match object {
             DataObject::ImputedCell(cell) => {
-                (self.embedder.embed(&cell.tuple), cell.tuple.key_values())
+                let query = &cell.tuple;
+                let query_dense = self.embedder.embed(query);
+                let keys = query.key_values();
+                let mut alignments: Vec<SchemaAlignment<'_>> = Vec::new();
+                let w = &self.weights;
+                tuples
+                    .map(|tuple| {
+                        let Some((candidate, prepared)) = tuple else {
+                            return 0.0;
+                        };
+                        let known = alignments.iter().position(|a| a.serves(candidate.schema));
+                        let alignment = match known {
+                            Some(known) => &alignments[known],
+                            None => {
+                                alignments
+                                    .push(SchemaAlignment::new(&query.schema, candidate.schema));
+                                alignments.last().expect("just pushed")
+                            }
+                        };
+                        let key = if keys.is_empty() {
+                            0.0
+                        } else {
+                            keys.iter()
+                                .filter(|k| candidate.values.iter().any(|v| v.matches(k)))
+                                .count() as f64
+                                / keys.len() as f64
+                        };
+                        w.schema * alignment.header_jaccard
+                            + w.key * key
+                            + w.agreement
+                                * alignment.value_agreement(&query.values, candidate.values)
+                            + w.dense * self.dense(&query_dense, candidate, prepared, &mut scratch)
+                    })
+                    .collect()
             }
             // (text, tuple): an extension pair — fall back to dense similarity
             // between the claim text and the candidate tuple.
-            DataObject::TextClaim(c) => (self.embedder.embed_text(&c.text), Vec::new()),
-        };
-        candidates
-            .iter()
-            .map(|c| match (object, c.evidence) {
-                (DataObject::ImputedCell(cell), DataInstance::Tuple(candidate)) => {
-                    self.score_tuples(&cell.tuple, &keys, &query_dense, candidate)
-                }
-                (DataObject::TextClaim(_), DataInstance::Tuple(candidate)) => {
-                    self.dense(&query_dense, candidate)
-                }
-                _ => 0.0,
-            })
-            .collect()
+            DataObject::TextClaim(claim) => {
+                let query_dense = self.embedder.embed_text(&claim.text);
+                tuples
+                    .map(|tuple| match tuple {
+                        Some((candidate, prepared)) => {
+                            self.dense(&query_dense, candidate, prepared, &mut scratch)
+                        }
+                        None => 0.0,
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
+        match evidence {
+            InstanceRef::Tuple(tuple) => Some(Prepared::Tuple(self.embedder.features(tuple))),
+            _ => None,
+        }
     }
 
     fn name(&self) -> &'static str {
         "retclean-tuple"
     }
 
-    fn supports(&self, evidence: &DataInstance) -> bool {
-        matches!(evidence, DataInstance::Tuple(_))
+    fn supports(&self, evidence: InstanceRef<'_>) -> bool {
+        matches!(evidence, InstanceRef::Tuple(_))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use proptest::prelude::*;
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple, Value};
     use verifai_llm::ImputedCell;
+
+    /// The per-pair formulas this reranker shipped with before anything
+    /// about a tuple was prepared or shared: two normalized header sets per
+    /// pair, every candidate header re-normalized for every query column,
+    /// two normalized strings per value comparison, both tuples embedded.
+    mod oracle {
+        use super::super::TupleRerankWeights;
+        use std::collections::HashSet;
+        use verifai_embed::TupleEmbedder;
+        use verifai_lake::value::{float_eq, normalize_str};
+        use verifai_lake::{Schema, Tuple, Value};
+
+        fn fuzzy_index_of(schema: &Schema, name: &str) -> Option<usize> {
+            let want = normalize_str(name);
+            if want.is_empty() {
+                return None;
+            }
+            if let Some(i) = schema
+                .columns()
+                .iter()
+                .position(|c| normalize_str(&c.name) == want)
+            {
+                return Some(i);
+            }
+            schema.columns().iter().position(|c| {
+                let have = normalize_str(&c.name);
+                have.contains(&want) || want.contains(&have)
+            })
+        }
+
+        fn matches(a: &Value, b: &Value) -> bool {
+            if a.is_null() || b.is_null() {
+                return false;
+            }
+            if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+                return float_eq(x, y);
+            }
+            a.normalized() == b.normalized()
+        }
+
+        pub fn header_jaccard(a: &Schema, b: &Schema) -> f64 {
+            let set = |s: &Schema| -> HashSet<String> {
+                s.names()
+                    .map(normalize_str)
+                    .filter(|s| !s.is_empty())
+                    .collect()
+            };
+            let (a, b) = (set(a), set(b));
+            if a.is_empty() && b.is_empty() {
+                return 1.0;
+            }
+            a.intersection(&b).count() as f64 / a.union(&b).count() as f64
+        }
+
+        pub fn agreement(a: &Tuple, b: &Tuple) -> Option<f64> {
+            let (mut shared, mut agree) = (0usize, 0usize);
+            for (i, col) in a.schema.columns().iter().enumerate() {
+                if let Some(j) = fuzzy_index_of(&b.schema, &col.name) {
+                    let (x, y) = (&a.values[i], &b.values[j]);
+                    if x.is_null() || y.is_null() {
+                        continue;
+                    }
+                    shared += 1;
+                    if matches(x, y) {
+                        agree += 1;
+                    }
+                }
+            }
+            (shared > 0).then(|| agree as f64 / shared as f64)
+        }
+
+        pub fn score(embedder: &TupleEmbedder, query: &Tuple, candidate: &Tuple) -> f64 {
+            let w = TupleRerankWeights::default();
+            let keys = query.key_values();
+            let key = if keys.is_empty() {
+                0.0
+            } else {
+                keys.iter()
+                    .filter(|k| candidate.values.iter().any(|v| matches(v, k)))
+                    .count() as f64
+                    / keys.len() as f64
+            };
+            let dense = embedder.embed(query).dot_unit(&embedder.embed(candidate)) as f64;
+            w.schema * header_jaccard(&query.schema, &candidate.schema)
+                + w.key * key
+                + w.agreement * agreement(query, candidate).unwrap_or(0.0)
+                + w.dense * dense.max(0.0)
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -225,6 +425,22 @@ mod tests {
             assert_eq!(cost.embeds, per_pair_embeds);
             let candidates: Vec<Candidate<'_>> =
                 evidence.iter().map(Candidate::unprepared).collect();
+            // Prepared ahead, the candidates charge nothing: one query embed
+            // for a cell, none for a claim — and not one bit of score moves.
+            let features: Vec<Option<Prepared>> =
+                evidence.iter().map(|e| r.prepare(e.view())).collect();
+            assert!(features[1].is_none(), "only tuples are prepared");
+            let prepared: Vec<Candidate<'_>> = evidence
+                .iter()
+                .zip(&features)
+                .map(|(e, f)| Candidate {
+                    evidence: e.view(),
+                    prepared: f.as_ref(),
+                })
+                .collect();
+            let (scores, cost) = verifai_obs::meter::scoped(|| r.score_all(&obj, &prepared));
+            assert_eq!(scores, per_pair);
+            assert_eq!(cost.embeds, request_embeds - 3);
             let (scores, cost) = verifai_obs::meter::scoped(|| r.score_all(&obj, &candidates));
             assert_eq!(scores, per_pair);
             assert_eq!(cost.embeds, request_embeds);
@@ -250,5 +466,137 @@ mod tests {
         let related = DataInstance::Tuple(tuple(1, "New York 1", "Otis Pike", 1960));
         let unrelated = DataInstance::Tuple(tuple(2, "Q3 revenue", "up 4 percent", 2021));
         assert!(r.score(&claim, &related) > r.score(&claim, &unrelated));
+    }
+
+    fn wide_tuple(schema: &Schema, vals: Vec<Value>) -> Tuple {
+        Tuple {
+            id: 1,
+            table: 1,
+            row_index: 0,
+            schema: schema.clone(),
+            values: vals,
+            source: 0,
+        }
+    }
+
+    /// The hand-computed cases the lake's `header_jaccard` / `agreement`
+    /// unit tests held, against the oracle and the per-schema alignment.
+    #[test]
+    fn alignment_matches_the_hand_computed_cases() {
+        let s = schema();
+        let text = |v: &str| Value::text(v);
+        let a = wide_tuple(&s, vec![text("NY-1"), text("Otis Pike"), Value::Int(1960)]);
+        let b = wide_tuple(
+            &s,
+            vec![text("NY-1"), text("Someone Else"), Value::Int(1960)],
+        );
+        let masked = wide_tuple(&s, vec![text("NY-1"), Value::Null, Value::Int(1960)]);
+        let city = Schema::new(vec![Column::new("city", DataType::Text)]);
+        let boston = wide_tuple(&city, vec![text("Boston")]);
+
+        let same = SchemaAlignment::new(&s, &s);
+        assert_eq!(same.header_jaccard, 1.0);
+        assert_eq!(oracle::header_jaccard(&s, &s), 1.0);
+        assert_eq!(same.columns, vec![Some(0), Some(1), Some(2)]);
+        // district + first elected agree, incumbent disagrees => 2/3.
+        assert_eq!(same.value_agreement(&a.values, &b.values), 2.0 / 3.0);
+        assert_eq!(oracle::agreement(&a, &b), Some(2.0 / 3.0));
+        // Nulls are not shared attributes.
+        assert_eq!(same.value_agreement(&masked.values, &b.values), 1.0);
+        assert_eq!(oracle::agreement(&masked, &b), Some(1.0));
+
+        let disjoint = SchemaAlignment::new(&s, &city);
+        assert_eq!(disjoint.header_jaccard, 0.0);
+        assert_eq!(oracle::header_jaccard(&s, &city), 0.0);
+        assert_eq!(disjoint.columns, vec![None, None, None]);
+        assert_eq!(disjoint.value_agreement(&a.values, &boston.values), 0.0);
+        assert_eq!(oracle::agreement(&a, &boston), None);
+    }
+
+    fn arb_schema() -> impl Strategy<Value = Schema> {
+        // A three-letter alphabet with separators: duplicates, containment
+        // ("a" in "a b"), all-punctuation and empty headers all turn up.
+        proptest::collection::vec(("[a-cB _.]{0,4}", any::<bool>()), 0..5).prop_map(|cols| {
+            Schema::new(
+                cols.into_iter()
+                    .map(|(name, key)| Column {
+                        name,
+                        dtype: DataType::Text,
+                        is_key: key,
+                    })
+                    .collect(),
+            )
+        })
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            "[a-bA .]{0,3}".prop_map(Value::Text),
+            (0i64..3).prop_map(Value::Int),
+            Just(Value::text("1")),
+            Just(Value::Float(1.0)),
+        ]
+    }
+
+    proptest! {
+        /// Every score of a request — candidates prepared ahead, on the
+        /// spot, or mixed; candidate schemas shared with each other, with
+        /// the query, or with nothing — has the bits of the old per-pair
+        /// formula. Each request draws three schemas and deals them to
+        /// seven tuples, so the per-schema alignment is reused and rebuilt
+        /// within one call.
+        #[test]
+        fn request_scores_equal_the_per_pair_oracle_bit_for_bit(
+            schemas in proptest::collection::vec(arb_schema(), 3..4),
+            picks in proptest::collection::vec(0usize..3, 7..8),
+            cells in proptest::collection::vec(arb_value(), 28..29),
+        ) {
+            // Schemas have at most four columns: tuple i takes its values
+            // from the i-th run of four cells.
+            let tuples: Vec<Tuple> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &pick)| {
+                    let schema = &schemas[pick];
+                    let mut t = wide_tuple(schema, cells[4 * i..][..schema.arity()].to_vec());
+                    t.id = i as u64;
+                    t
+                })
+                .collect();
+            let r = TupleReranker::with_defaults();
+            let embedder = TupleEmbedder::new(256, 0x07e1);
+            let object = DataObject::ImputedCell(ImputedCell {
+                id: 0,
+                tuple: tuples[0].clone(),
+                column: "a".into(),
+                value: Value::text("a"),
+            });
+            let evidence: Vec<DataInstance> =
+                tuples[1..].iter().cloned().map(DataInstance::Tuple).collect();
+            let want: Vec<u64> = tuples[1..]
+                .iter()
+                .map(|c| oracle::score(&embedder, &tuples[0], c).to_bits())
+                .collect();
+            let features: Vec<Option<Prepared>> =
+                evidence.iter().map(|e| r.prepare(e.view())).collect();
+            for keep_every in [1, 2, usize::MAX] {
+                let candidates: Vec<Candidate<'_>> = evidence
+                    .iter()
+                    .zip(&features)
+                    .enumerate()
+                    .map(|(i, (e, f))| Candidate {
+                        evidence: e.view(),
+                        prepared: f.as_ref().filter(|_| i % keep_every == 0),
+                    })
+                    .collect();
+                let got: Vec<u64> = r
+                    .score_all(&object, &candidates)
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect();
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

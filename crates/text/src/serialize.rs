@@ -6,10 +6,12 @@
 //! (`caption . col1 is v1 . col2 is v2 ...`), which keeps header tokens adjacent
 //! to their values so BM25 can exploit both.
 
-use verifai_lake::{DataInstance, KgEntity, Table, TextDocument, Tuple};
+use verifai_lake::{InstanceRef, KgEntity, Table, TextDocument, Tuple, TupleRef};
 
-/// Serialize a tuple: caption-free attribute-value verbalization.
-pub fn serialize_tuple(tuple: &Tuple) -> String {
+/// Serialize a tuple (owned or borrowed from the lake): caption-free
+/// attribute-value verbalization.
+pub fn serialize_tuple<'a>(tuple: impl Into<TupleRef<'a>>) -> String {
+    let tuple = tuple.into();
     let mut s = String::new();
     for (col, val) in tuple.schema.columns().iter().zip(tuple.values.iter()) {
         if val.is_null() {
@@ -74,13 +76,13 @@ pub fn serialize_kg(entity: &KgEntity) -> String {
     s
 }
 
-/// Serialize any data instance.
-pub fn serialize_instance(instance: &DataInstance) -> String {
-    match instance {
-        DataInstance::Tuple(t) => serialize_tuple(t),
-        DataInstance::Table(t) => serialize_table(t),
-        DataInstance::Text(d) => serialize_doc(d),
-        DataInstance::Kg(e) => serialize_kg(e),
+/// Serialize any data instance, owned or borrowed from the lake.
+pub fn serialize_instance<'a>(instance: impl Into<InstanceRef<'a>>) -> String {
+    match instance.into() {
+        InstanceRef::Tuple(t) => serialize_tuple(t),
+        InstanceRef::Table(t) => serialize_table(t),
+        InstanceRef::Text(d) => serialize_doc(d),
+        InstanceRef::Kg(e) => serialize_kg(e),
     }
 }
 
@@ -105,7 +107,7 @@ pub fn tuple_query(tuple: &Tuple, imputed: Option<(&str, &str)>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Value};
 
     fn tuple() -> Tuple {
         Tuple {

@@ -35,7 +35,10 @@ cargo run -q --release --bin verifai-serve -- \
 
 # Gating distributed-tracing smoke: a 4-shard run with tail sampling and
 # a Perfetto trace dump must exit 0 (verifai-serve self-validates the
-# dump: parseable trace-event JSON, >= 1 trace, per-shard child spans).
+# dump: parseable trace-event JSON, >= 1 trace, per-shard child spans —
+# it dumps the slowest retained traces that stitch shard children before
+# the slowest that do not, so the run fails only when no retained trace
+# went through the router).
 # Then assert the dump and the exemplar-enabled Prometheus exposition
 # from the stitched path hold their invariants here too: the JSON parses
 # and names shard spans, and the PR 5 pathological-label escaping
@@ -75,15 +78,25 @@ cargo test -q --test metering > /dev/null
 cargo test -q -p verifai-obs --lib meter > /dev/null
 cargo test -q -p verifai-obs --lib profile > /dev/null
 
-# Gating live-lake smoke: build a live system, stream documents in, check
-# every modality's content index stands within its segment bound (the CLI
-# prints the counts; the line is shown here and asserted by name), delete
-# half, compact, snapshot the standing indexes, reload them, and verify the
-# reloaded indexes search identically. Nonzero exit means the live
-# mutation path, the segment policy or the snapshot v3 round-trip broke.
+# Gating live-lake smoke, at `small` (the scale the prepared-feature budget
+# is stated at): build a live system, check every tuple has prepared rerank
+# features within 300 bytes each, stream documents in, check every
+# modality's content index stands within its segment bound (the CLI prints
+# both figures and exits nonzero past either bound; the lines are shown
+# here and asserted by name), delete half, compact, snapshot the standing
+# indexes, reload them, and verify the reloaded indexes search identically.
+# Nonzero exit means the live mutation path, the feature budget, the
+# segment policy or the snapshot v3 round-trip broke.
 echo "==> live-lake smoke (gating)"
 LIVE_OUT="$(mktemp)"
-cargo run -q --release --bin verifai-cli -- live > "$LIVE_OUT"
+cargo run -q --release --bin verifai-cli -- live small > "$LIVE_OUT"
+grep 'prepared_instances' "$LIVE_OUT" \
+  || { echo "live smoke: prepared-feature stats were not printed"; exit 1; }
+grep 'prepared bytes per tuple' "$LIVE_OUT" \
+  || { echo "live smoke: feature-budget check did not run"; exit 1; }
+PER_TUPLE="$(sed -n 's/^prepared bytes per tuple: \([0-9]*\) .*/\1/p' "$LIVE_OUT")"
+[ "$PER_TUPLE" -le 300 ] \
+  || { echo "live smoke: $PER_TUPLE prepared bytes per tuple exceed 300"; exit 1; }
 grep 'content segments per modality after ingest' "$LIVE_OUT" \
   || { echo "live smoke: segment-bound check did not run"; exit 1; }
 rm -f "$LIVE_OUT"

@@ -5,7 +5,7 @@
 //! verifai-cli search <kind> <query...>         ad-hoc retrieval over a tiny lake
 //! verifai-cli check <table.csv> <claim...>     verify a claim against your own CSV table
 //! verifai-cli experiments [tiny|small|paper]   run the paper's full evaluation
-//! verifai-cli live [tiny|small|paper]          live-lake smoke: ingest, delete,
+//! verifai-cli live [tiny|small|paper]          live-lake smoke: feature budget, ingest, delete,
 //!                                              compact, snapshot, reload, query
 //! verifai-cli quant [tiny|small|paper]         quantized-mode smoke: int8 flat
 //!                                              build, query, snapshot, reload
@@ -151,10 +151,11 @@ fn cmd_experiments(scale: Option<&str>) -> ExitCode {
 }
 
 /// Gating live-lake smoke (used by `scripts/check.sh`): build a live
-/// system, stream documents in, check every modality's content index is
-/// within its segment bound, delete half, compact, snapshot the
-/// standing text indexes, reload them, and check the reloaded indexes
-/// search identically. Any violated expectation exits nonzero.
+/// system, report what its prepared rerank features weigh (per tuple,
+/// against the budget), stream documents in, check every modality's
+/// content index is within its segment bound, delete half, compact,
+/// snapshot the standing text indexes, reload them, and check the reloaded
+/// indexes search identically. Any violated expectation exits nonzero.
 fn cmd_live(scale: Option<&str>) -> ExitCode {
     use verifai::LakeMutation;
     use verifai_index::{save_atomic, AnyVectorIndex, SegmentedInvertedIndex, VectorIndex};
@@ -169,6 +170,30 @@ fn cmd_live(scale: Option<&str>) -> ExitCode {
     let t0 = std::time::Instant::now();
     let mut system = VerifAi::build(verifai_datagen::build(&spec_of(scale)), config);
     println!("built in {:?}: {}", t0.elapsed(), system.lake().stats());
+
+    // What the rerank stage keeps per instance — and per tuple, the one
+    // modality numerous enough to be held to a budget (DESIGN.md §20).
+    const TUPLE_BUDGET_BYTES: usize = 300;
+    let prepared = system.stages().rerank_stage().feature_stats();
+    println!(
+        "prepared_instances {} prepared_bytes {}",
+        prepared.instances, prepared.bytes
+    );
+    let per_tuple = prepared.tuple_bytes / prepared.tuples.max(1);
+    println!(
+        "prepared bytes per tuple: {per_tuple} over {} tuples (budget {TUPLE_BUDGET_BYTES})",
+        prepared.tuples
+    );
+    if prepared.tuples != system.lake().num_tuples() || per_tuple > TUPLE_BUDGET_BYTES {
+        return fail(
+            "prepare",
+            format!(
+                "{} of {} tuples prepared at {per_tuple} B each",
+                prepared.tuples,
+                system.lake().num_tuples()
+            ),
+        );
+    }
 
     // Ingest: stream documents with per-doc marker tokens.
     let base: u64 = 80_000;

@@ -546,18 +546,24 @@ fn main() -> ExitCode {
     // `--trace-dump PATH`: export the slowest retained traces as Chrome
     // trace-event JSON (loadable at ui.perfetto.dev). Sharded runs stitch
     // each tree through the router first so per-shard child spans ride
-    // along. The dump is self-validated before it is written; a dump that
-    // fails validation (or contains no traces) fails the run.
+    // along — and dump the slowest traces that *have* shard children ahead
+    // of the slowest that do not (cache hits never reach the router, and
+    // under queueing they can be the slowest requests of a run), so the
+    // dump shows the scatter/gather whenever any retained trace went
+    // through it. The dump is self-validated before it is written; a dump
+    // that fails validation (or contains no traces) fails the run.
     if let Some(path) = &args.trace_dump {
         let slowest = service.obs().recorder().slowest();
-        let stitched: Vec<RequestTrace> = slowest
+        let mut stitched: Vec<RequestTrace> = slowest
             .iter()
-            .take(args.slowest.max(1))
             .map(|t| match &router {
                 Some(r) => r.lookup_trace(t.trace_id).unwrap_or_else(|| (**t).clone()),
                 None => (**t).clone(),
             })
             .collect();
+        // Stable: slowest-first order survives within each group.
+        stitched.sort_by_key(|t| !t.spans.iter().any(|s| s.stage.starts_with("shard-")));
+        stitched.truncate(args.slowest.max(1));
         let refs: Vec<&RequestTrace> = stitched.iter().collect();
         let json = render_perfetto(&refs).to_string();
         match validate_trace_dump(&json) {

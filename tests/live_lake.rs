@@ -12,9 +12,10 @@
 //!   to recall against its own fresh batch build.
 //!
 //! The rerank stage scores against *prepared* evidence features kept
-//! current by the same mutations (DESIGN.md §18), so the property extends
-//! to it: after any history, the staged rerank equals a store-less oracle
-//! over the same candidates and the rerank of a fresh batch build.
+//! current by the same mutations (DESIGN.md §18, §20), so the property
+//! extends to it: after any history, the staged rerank equals a store-less
+//! oracle over the same candidates and the rerank of a fresh batch build —
+//! for document, table and tuple evidence alike.
 
 use proptest::prelude::*;
 use verifai::{DataObject, LakeMutation, SemanticBackend, TextClaim, VerifAi, VerifAiConfig};
@@ -25,6 +26,12 @@ use verifai_lake::{
     Column, DataInstance, DataType, InstanceId, InstanceKind, Schema, Table, TextDocument, Value,
 };
 use verifai_rerank::composite::CompositeReranker;
+
+/// `script` menus: document and tuple ops; those plus whole tables; tuple
+/// and table ops only (the tuple-evidence history).
+const DOC_AND_TUPLE_OPS: [usize; 7] = [0, 1, 2, 3, 4, 5, 6];
+const ALL_OPS: [usize; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
+const TUPLE_AND_TABLE_OPS: [usize; 6] = [3, 4, 5, 7, 8, 9];
 
 const KINDS: [InstanceKind; 4] = [
     InstanceKind::Tuple,
@@ -69,10 +76,12 @@ fn doc_body(tag: u64) -> String {
 /// target instances created earlier in the same history (including re-adds
 /// of tombstoned doc ids), and every op is legal when the test replays it.
 ///
-/// With `table_ops`, whole tables are streamed in and out too (only tables
-/// the script itself added are removed, so workloads generated from the
-/// original lake keep their source tables).
-fn script(spec: &LakeSpec, seed: u64, len: usize, table_ops: bool) -> Vec<LakeMutation> {
+/// Each op is drawn from `menu` (see the `*_OPS` menus). Whole tables are
+/// streamed in and out by ops 7 and 8 (only tables the script itself added
+/// are removed, so workloads generated from the original lake keep their
+/// source tables); op 9 removes the *first* row of a table that has more,
+/// so every later row of it shifts down one index under its unchanged id.
+fn script(spec: &LakeSpec, seed: u64, len: usize, menu: &[usize]) -> Vec<LakeMutation> {
     let mut scratch = build(spec).lake;
     let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(len);
@@ -83,7 +92,18 @@ fn script(spec: &LakeSpec, seed: u64, len: usize, table_ops: bool) -> Vec<LakeMu
         let tables: Vec<_> = scratch.tables().map(|t| (t.id, t.schema.arity())).collect();
         let docs: Vec<_> = scratch.docs().map(|d| d.id).collect();
         let tuples: Vec<_> = scratch.tuple_ids().collect();
-        let mutation = match rng.below(if table_ops { 9 } else { 7 }) {
+        let mutation = match menu[rng.below(menu.len())] {
+            9 if tables
+                .iter()
+                .any(|&(t, _)| scratch.tuples_of_table(t).len() > 1) =>
+            {
+                let shiftable: Vec<_> = tables
+                    .iter()
+                    .map(|&(t, _)| scratch.tuples_of_table(t))
+                    .filter(|rows| rows.len() > 1)
+                    .collect();
+                LakeMutation::RemoveTuple(shiftable[rng.below(shiftable.len())][0])
+            }
             7 => {
                 let id = next_table;
                 next_table += 1;
@@ -242,7 +262,7 @@ proptest! {
     #[test]
     fn interleaved_history_equals_batch_build_of_survivors(seed in 0u64..1000) {
         let spec = LakeSpec::tiny(seed % 97);
-        let history = script(&spec, seed, 24, false);
+        let history = script(&spec, seed, 24, &DOC_AND_TUPLE_OPS);
 
         for (config, label) in [
             (VerifAiConfig::paper_setting(), "content-only"),
@@ -277,7 +297,7 @@ proptest! {
     #[test]
     fn long_history_merges_tails_and_equals_batch_build(seed in 0u64..1000) {
         let spec = LakeSpec::tiny(seed % 97);
-        let history = script(&spec, seed, 96, false);
+        let history = script(&spec, seed, 96, &DOC_AND_TUPLE_OPS);
         let config = VerifAiConfig::paper_setting();
         let mut live = VerifAi::build(build(&spec), config);
         for content in &live.live().expect("a built system is live").content {
@@ -337,7 +357,7 @@ fn fresh_builds_stand_on_one_segment_per_modality() {
 #[test]
 fn hnsw_live_history_recalls_its_batch_build() {
     let spec = LakeSpec::tiny(17);
-    let history = script(&spec, 17, 24, false);
+    let history = script(&spec, 17, 24, &DOC_AND_TUPLE_OPS);
     let live = live_system(&spec, &history, VerifAiConfig::default());
     let reference = batch_reference(&spec, &history, VerifAiConfig::default());
 
@@ -455,14 +475,13 @@ proptest! {
     #[test]
     fn rerank_after_interleaved_history_equals_oracle_and_batch_build(seed in 0u64..1000) {
         let spec = LakeSpec::tiny(seed % 97);
-        let history = script(&spec, seed, 32, true);
+        let history = script(&spec, seed, 32, &ALL_OPS);
         let config = flat_config();
         let live = live_system(&spec, &history, config);
         let reference = batch_reference(&spec, &history, config);
-        // Every surviving document, table and KG entity has prepared
-        // features — and nothing that was removed still does.
-        let featured = live.lake().num_tables() + live.lake().num_docs()
-            + live.lake().num_kg_entities();
+        // Every surviving instance has prepared features — and nothing
+        // that was removed still does.
+        let featured = live_instances(&live);
         prop_assert_eq!(live.live_stats().prepared_instances, featured);
         prop_assert_eq!(reference.live_stats().prepared_instances, featured);
         for object in rerank_probe_objects(&reference) {
@@ -474,6 +493,89 @@ proptest! {
                     "live rerank diverged from the batch build: kind={:?} object={}",
                     plan.0, object.id()
                 );
+            }
+        }
+    }
+}
+
+/// How many instances `sys`' lake holds: what the feature store must cover.
+fn live_instances(sys: &VerifAi) -> usize {
+    let lake = sys.lake();
+    lake.num_tuples() + lake.num_tables() + lake.num_docs() + lake.num_kg_entities()
+}
+
+/// An imputed-cell object aimed at tuple `id` as `sys` holds it now: the
+/// tuple itself with its last cell masked and offered back as the
+/// imputation, so that very tuple is the best evidence there is.
+fn cell_aimed_at(sys: &VerifAi, id: u64, object_id: u64) -> DataObject {
+    let mut tuple = sys.lake().tuple(id).expect("live tuple");
+    let column = tuple.schema.arity() - 1;
+    let value = std::mem::replace(&mut tuple.values[column], Value::Null);
+    DataObject::ImputedCell(verifai::ImputedCell {
+        id: object_id,
+        column: tuple.schema.columns()[column].name.clone(),
+        tuple,
+        value,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Tuple evidence, step by step. Through a history of tuple adds,
+    /// updates and removals (including the removal of an *earlier* row, so
+    /// later rows of the table shift index under their ids) and whole
+    /// tables streamed in and out, after **every** step: the feature store
+    /// covers exactly the lake's live instances (a removed table leaves no
+    /// tuple entry behind); and for cell and claim objects — among them a
+    /// cell aimed at the tuple the step just wrote, whose stale features
+    /// would score differently — the store-backed rerank equals the
+    /// store-less oracle and a fresh batch build of the survivors, bit for
+    /// bit.
+    #[test]
+    fn tuple_rerank_tracks_every_step_of_a_tuple_and_table_history(seed in 0u64..1000) {
+        let spec = LakeSpec::tiny(seed % 97);
+        let history = script(&spec, seed, 10, &TUPLE_AND_TABLE_OPS);
+        prop_assert!(
+            history.iter().any(|m| matches!(m, LakeMutation::RemoveTuple(_))),
+            "the history never removed a tuple"
+        );
+        let config = flat_config();
+        let mut live = VerifAi::build(build(&spec), config);
+        // Probes come from the untouched lake: they are only queries, valid
+        // against whatever the history leaves.
+        let probes = rerank_probe_objects(&live);
+        for (step, mutation) in history.iter().enumerate() {
+            let next_tuple = live.lake().tuple_ids().last().map_or(0, |id| id + 1);
+            live.apply(mutation.clone()).expect("live apply succeeds");
+            let reference = batch_reference(&spec, &history[..=step], config);
+            let featured = live_instances(&live);
+            prop_assert_eq!(live.live_stats().prepared_instances, featured, "step {}", step);
+            prop_assert_eq!(reference.live_stats().prepared_instances, featured, "step {}", step);
+
+            let written = match mutation {
+                LakeMutation::UpdateTuple { id, .. } => Some(*id),
+                LakeMutation::AddTuple { .. } | LakeMutation::AddTable(_) => Some(next_tuple),
+                _ => None,
+            };
+            let aimed = written.map(|id| cell_aimed_at(&live, id, 900_100 + step as u64));
+            if let (Some(id), Some(object)) = (written, &aimed) {
+                let hits = live.retrieve(&VerifAi::query_of(object), InstanceKind::Tuple, 10);
+                prop_assert!(
+                    hits.iter().any(|h| h.id == InstanceId::Tuple(id)),
+                    "step {}: the tuple just written is not a candidate of its own query", step
+                );
+            }
+            for object in probes.iter().chain(&aimed) {
+                for plan in rerank_plan(object, &config) {
+                    let got = staged_rerank_checked(&live, object, plan, "live");
+                    let want = staged_rerank_checked(&reference, object, plan, "batch");
+                    prop_assert_eq!(
+                        got, want,
+                        "step {}: live rerank diverged from the batch build: kind={:?} object={}",
+                        step, plan.0, object.id()
+                    );
+                }
             }
         }
     }
@@ -527,8 +629,8 @@ fn added_tuple_refreshes_a_candidate_tables_prepared_features() {
     .expect("tuple add applies");
     assert_eq!(
         sys.live_stats().prepared_instances,
-        prepared_before,
-        "a refreshed table replaces its entry; the new tuple keeps none"
+        prepared_before + 1,
+        "a refreshed table replaces its entry; the new tuple adds its own"
     );
 
     let after = score_of(&staged_rerank_checked(&sys, &object, plan, "after"));

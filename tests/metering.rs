@@ -12,6 +12,7 @@ use verifai::{CostVector, DataObject, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_index::SegmentedInvertedIndex;
+use verifai_lake::InstanceKind;
 use verifai_obs::meter;
 use verifai_service::{RequestOutcome, ServiceConfig, TenantSpec, VerificationService};
 
@@ -149,21 +150,9 @@ fn metered_work_is_independent_of_request_order_and_batching() {
     assert_eq!(forward, backward, "cost depends on position in the run");
 
     // The embeds are exactly the request's own: the retrieval query, plus
-    // the rerank's query side once — and, for cell objects, one per coarse
-    // tuple candidate (tuple vectors are the one feature not stored).
-    let config = forward_sys.config();
+    // the rerank's query side once.
     for (object, cost) in objects.iter().zip(&forward) {
-        let embeds = cost.embeds;
-        match object {
-            DataObject::TextClaim(_) => assert_eq!(embeds, 2, "claim {}", object.id()),
-            DataObject::ImputedCell(_) => {
-                assert!(
-                    (2..=2 + config.coarse_k as u64).contains(&embeds),
-                    "cell {}: {embeds} embeds",
-                    object.id()
-                );
-            }
-        }
+        assert_eq!(cost.embeds, 2, "object {}", object.id());
     }
 
     // Solo against a micro-batch on a third fresh system: the batched
@@ -178,6 +167,50 @@ fn metered_work_is_independent_of_request_order_and_batching() {
             solo_sum.merge(&cost);
         }
         assert_eq!(work_only(sweep), work_only(solo_sum));
+    }
+}
+
+/// A request embeds two things, whatever it retrieves: its retrieval query
+/// and the query side of its rerank. Every candidate's evidence side —
+/// tuples included — was prepared when it entered the lake, so the coarse
+/// k moves the scans and postings a request is charged, never its embeds.
+/// And rerank and verify charge nothing else: the rest of the vector is,
+/// count for count, what the modalities' retrievals charge on their own.
+#[test]
+fn a_request_embeds_its_two_queries_at_any_coarse_k() {
+    for coarse_k in [10, 50, 200] {
+        let config = VerifAiConfig {
+            coarse_k,
+            ..VerifAiConfig::default()
+        };
+        let sys = VerifAi::build(build(&LakeSpec::tiny(609)), config);
+        for object in mixed_objects(&sys) {
+            let report = sys.verify_object(&object);
+            assert_eq!(
+                report.cost.embeds,
+                2,
+                "coarse_k {coarse_k}: object {} ({} candidates in)",
+                object.id(),
+                report.timing.candidates_in
+            );
+            let kinds: &[InstanceKind] = match object {
+                DataObject::ImputedCell(_) => &[InstanceKind::Tuple, InstanceKind::Text],
+                DataObject::TextClaim(_) => &[InstanceKind::Table],
+            };
+            let query = VerifAi::query_of(&object);
+            let mut retrieval = CostVector::zero();
+            for &kind in kinds {
+                let (hits, cost) = meter::scoped(|| sys.retrieve(&query, kind, coarse_k));
+                assert!(!hits.is_empty());
+                retrieval.merge(&cost);
+            }
+            // `retrieve` embeds the query once per call; a request once.
+            assert_eq!(retrieval.embeds, kinds.len() as u64);
+            retrieval.embeds = 0;
+            let mut rest = work_only(report.cost);
+            rest.embeds = 0;
+            assert_eq!(rest, work_only(retrieval), "coarse_k {coarse_k}");
+        }
     }
 }
 

@@ -207,3 +207,121 @@ fn mock_clock_makes_stage_timings_exact() {
         assert_eq!(report.trace_id, i as u64 + 1);
     }
 }
+
+/// A retrieval source that returns a hit the lake no longer holds next to
+/// one it does: the dangling hit costs a provenance note — same text, same
+/// place — not a candidate; the live one is ranked from where it lies and
+/// only then copied out, equal to what `resolve` returns. Both hits were
+/// *seen*: two retrieval rows, two candidates in, one out.
+#[test]
+fn dangling_hit_is_noted_and_the_live_one_survives() {
+    use verifai::{RequestTrace, ScoreRerank, StagePlan, StagedPipeline};
+    use verifai_index::{EvidenceSource, SearchHit, SourceQuery};
+    use verifai_lake::{InstanceId, LakeError};
+    use verifai_llm::{SimLlm, SimLlmConfig, WorldModel};
+    use verifai_obs::SpanContext;
+    use verifai_rerank::Reranker;
+    use verifai_verify::{
+        Agent, AgentPolicy, LlmVerifier, ProvenanceRecord, SharedProvenance, Stage, StageRecorder,
+    };
+
+    struct Fixed(Vec<SearchHit>);
+    impl EvidenceSource for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn search(&self, _query: SourceQuery<'_>, k: usize) -> Vec<SearchHit> {
+            self.0.iter().copied().take(k).collect()
+        }
+    }
+
+    let generated = build(&LakeSpec::tiny(29));
+    let task = &completion_workload(&generated, 1, 29)[0];
+    let object = DataObject::ImputedCell(verifai::ImputedCell {
+        id: 7,
+        tuple: task.masked.clone(),
+        column: task.column.clone(),
+        value: task.truth.clone(),
+    });
+    let live = InstanceId::Tuple(task.counterpart);
+    let dangling = InstanceId::Tuple(u64::MAX);
+    let source = |hits| -> Box<dyn EvidenceSource> { Box::new(Fixed(hits)) };
+    let pipeline = StagedPipeline::new(
+        [
+            source(vec![
+                SearchHit::new(dangling, 2.0),
+                SearchHit::new(live, 1.0),
+            ]),
+            source(vec![]),
+            source(vec![]),
+            source(vec![]),
+        ],
+        Box::new(ScoreRerank::new(CompositeReranker::with_defaults())),
+        Box::new(Agent::new(
+            vec![],
+            Box::new(LlmVerifier::new(SimLlm::new(
+                SimLlmConfig::oracle(1),
+                WorldModel::new(),
+            ))),
+            AgentPolicy::LlmOnly,
+        )),
+    );
+    let sink = SharedProvenance::new();
+    let (evidence, timing) = pipeline.discover(
+        &object,
+        SourceQuery {
+            text: "q",
+            vector: None,
+            ctx: SpanContext::none(),
+        },
+        &[StagePlan {
+            kind: InstanceKind::Tuple,
+            coarse_k: 10,
+            final_k: 3,
+        }],
+        &generated.lake,
+        &mut StageRecorder::new(&sink),
+        &mut RequestTrace::disabled(),
+    );
+
+    let resolved = generated.lake.resolve(live).expect("live hit resolves");
+    let score = CompositeReranker::with_defaults().score(&object, &resolved);
+    assert_eq!(evidence, vec![(resolved, score)]);
+    assert_eq!((timing.candidates_in, timing.candidates_out), (2, 1));
+    let row = |stage, instance, score, note: String| ProvenanceRecord {
+        object_id: 7,
+        stage,
+        instance: Some(instance),
+        score: Some(score),
+        verdict: None,
+        note,
+    };
+    let retrieval = |rank| Stage::Retrieval {
+        index: "fixed-tuple".into(),
+        rank,
+    };
+    assert_eq!(
+        sink.lock().for_object(7),
+        vec![
+            row(
+                retrieval(0),
+                dangling,
+                2.0,
+                format!(
+                    "unresolved evidence instance dropped: {:?}",
+                    LakeError::TupleNotFound(u64::MAX)
+                ),
+            ),
+            row(retrieval(1), live, 1.0, String::new()),
+            row(
+                Stage::Rerank {
+                    reranker: "composite".into(),
+                    rank: 0,
+                },
+                live,
+                score,
+                String::new(),
+            ),
+        ]
+    );
+}
