@@ -152,6 +152,9 @@ pub struct LiveLakeStats {
     pub semantic_tombstones: usize,
     /// Semantic compactions performed.
     pub semantic_compactions: u64,
+    /// Bytes of heap the semantic indexes hold (rows, adjacency or code
+    /// sidecar, ids), tombstoned entries and spare capacity included.
+    pub semantic_bytes: usize,
     /// Instances with prepared rerank features (every tuple, table,
     /// document and knowledge-graph entity; 0 with the reranker off).
     pub prepared_instances: usize,
@@ -188,6 +191,7 @@ impl LiveIndexes {
             s.semantic_vectors += VectorIndex::len(&*v);
             s.semantic_tombstones += v.tombstones();
             s.semantic_compactions += v.compactions();
+            s.semantic_bytes += v.heap_bytes();
         }
         s
     }

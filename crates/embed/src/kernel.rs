@@ -4,41 +4,103 @@
 //! MaxSim, the dense terms of the tuple/table rerankers — bottoms out in a
 //! dot product over `f32` slices. The kernels here make that flop-minimal:
 //!
-//! * [`dot`] accumulates in **eight independent lanes** over
-//!   `chunks_exact(8)` with a scalar tail. Breaking the sequential
-//!   float-add dependency chain lets LLVM autovectorize the loop (the
-//!   naive `zip().map().sum()` chain cannot be reassociated without
-//!   `-ffast-math`), and on scalar hardware it still pipelines ~8 FMAs in
-//!   flight instead of 1.
+//! * [`dot`] accumulates in **eight independent lanes**, eight floats per
+//!   step, with a scalar tail. On x86_64 the lanes are two SSE registers
+//!   ([`dot_sse2`]: explicit intrinsics, SSE2 being baseline there exactly
+//!   as for [`crate::quant::dot_i8`]); elsewhere they are an array
+//!   ([`dot_portable`]). The portable loop is *not* left to the
+//!   autovectorizer on x86_64: LLVM's SLP pass takes its lane layout from
+//!   the pairwise reduction tree and re-shuffles every chunk to keep it —
+//!   a dozen shuffles around four multiplies (DESIGN.md §21).
 //! * [`dot_scalar`] is the strict-order reference the property tests (and
 //!   `kernel_bench`) compare against.
 //! * [`norm`] is a fused self-dot + sqrt using the same lanes.
 //!
-//! Determinism: the lane-summation order is **fixed** (pairwise over the
-//! eight accumulators, then the tail), so results are bit-identical across
-//! runs and machines with IEEE-754 `f32`. The lane sum *differs* from the
-//! strict left-to-right scalar sum by ordinary float reassociation error —
-//! ulp-scale, bounded by the property tests in this module.
+//! Determinism: lane `i` sums the products at indices `i, i + 8, …`, each a
+//! separately rounded multiply then add (never a fused multiply-add), and
+//! the lane-summation order is **fixed** (pairwise over the eight
+//! accumulators, then the tail), so results are bit-identical across runs,
+//! code paths and machines with IEEE-754 `f32` — [`dot_sse2`] and
+//! [`dot_portable`] are tested equal bit for bit. The lane sum *differs*
+//! from the strict left-to-right scalar sum by ordinary float
+//! reassociation error — ulp-scale, bounded by the property tests in this
+//! module.
 
-/// Chunked 8-lane dot product with a scalar tail.
+/// Chunked 8-lane dot product with a scalar tail: [`dot_sse2`] on x86_64,
+/// [`dot_portable`] elsewhere, the same bits from both.
 ///
 /// Panics in debug builds on length mismatch (mirrors [`crate::Vector::dot`]).
+#[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        dot_sse2(a, b)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        dot_portable(a, b)
+    }
+}
+
+/// SSE2 dot over the first `min(a.len(), b.len())` elements: lanes 0–3 and
+/// 4–7 live in two `__m128` accumulators, each step is `_mm_mul_ps` then
+/// `_mm_add_ps` on unaligned loads, and the lanes are stored and reduced by
+/// the same expression as [`dot_portable`].
+#[cfg(target_arch = "x86_64")]
+pub fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let n = a.len().min(b.len());
+    let chunks = n / 8;
     let mut lanes = [0.0f32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
+    // SAFETY: `loadu` / `storeu` have no alignment requirement; every
+    // 4-float read at `pa.add(i * 8)` / `pa.add(i * 8 + 4)` (and `pb`) for
+    // `i < chunks` ends at or before element `chunks * 8 <= n`, inside both
+    // slices; the two stores cover exactly the eight floats of `lanes`. The
+    // tail below is handled in safe code.
+    unsafe {
+        let pa = a.as_ptr();
+        let pb = b.as_ptr();
+        let mut lo = _mm_setzero_ps();
+        let mut hi = _mm_setzero_ps();
+        for i in 0..chunks {
+            let at = i * 8;
+            let xa = _mm_loadu_ps(pa.add(at));
+            let xb = _mm_loadu_ps(pb.add(at));
+            lo = _mm_add_ps(lo, _mm_mul_ps(xa, xb));
+            let ya = _mm_loadu_ps(pa.add(at + 4));
+            let yb = _mm_loadu_ps(pb.add(at + 4));
+            hi = _mm_add_ps(hi, _mm_mul_ps(ya, yb));
+        }
+        _mm_storeu_ps(lanes.as_mut_ptr(), lo);
+        _mm_storeu_ps(lanes.as_mut_ptr().add(4), hi);
+    }
+    reduce(lanes, &a[chunks * 8..n], &b[chunks * 8..n])
+}
+
+/// Portable dot over the first `min(a.len(), b.len())` elements: the path
+/// off x86_64 and the twin [`dot_sse2`] is tested against.
+pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
+    let n = a.len().min(b.len());
+    let mut lanes = [0.0f32; 8];
+    let mut ca = a[..n].chunks_exact(8);
+    let mut cb = b[..n].chunks_exact(8);
     for (xa, xb) in (&mut ca).zip(&mut cb) {
         for i in 0..8 {
             lanes[i] += xa[i] * xb[i];
         }
     }
-    // Fixed pairwise reduction: ((0+1)+(2+3))+((4+5)+(6+7)), then the tail
-    // in index order. This order is part of the determinism contract.
+    reduce(lanes, ca.remainder(), cb.remainder())
+}
+
+/// Fixed pairwise reduction: ((0+1)+(2+3))+((4+5)+(6+7)), then the tail in
+/// index order. This order is part of the determinism contract.
+#[inline]
+fn reduce(lanes: [f32; 8], tail_a: &[f32], tail_b: &[f32]) -> f32 {
     let head = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
     let mut tail = 0.0f32;
-    for (xa, xb) in ca.remainder().iter().zip(cb.remainder()) {
+    for (xa, xb) in tail_a.iter().zip(tail_b) {
         tail += xa * xb;
     }
     head + tail
@@ -53,8 +115,26 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Euclidean norm via the chunked self-dot.
+#[inline]
 pub fn norm(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
+}
+
+/// The norm to divide `a` by to make it unit length; `None` when it
+/// already is within float tolerance, or is the zero vector.
+#[inline]
+pub fn unit_scale(a: &[f32]) -> Option<f32> {
+    let n = norm(a);
+    (n > 0.0 && (n - 1.0).abs() > f32::EPSILON).then_some(n)
+}
+
+/// Scale `a` to unit length in place (no-op when [`unit_scale`] is `None`).
+pub fn normalize(a: &mut [f32]) {
+    if let Some(n) = unit_scale(a) {
+        for x in a {
+            *x /= n;
+        }
+    }
 }
 
 /// Dot product of two **unit (or zero) vectors**, i.e. their cosine
@@ -62,6 +142,7 @@ pub fn norm(a: &[f32]) -> f32 {
 /// caller's responsibility: the vector indexes enforce it on `add`/load,
 /// the embedders by construction (both are property-tested). Debug builds
 /// check it.
+#[inline]
 pub fn dot_unit(a: &[f32], b: &[f32]) -> f32 {
     debug_assert!(
         is_unit_or_zero(a),
@@ -114,6 +195,152 @@ mod tests {
         assert!(is_unit_or_zero(&[0.0, 0.0]));
         assert!(is_unit_or_zero(&[0.6, 0.8]));
         assert!(!is_unit_or_zero(&[1.0, 1.0]));
+    }
+
+    type Kernel = fn(&[f32], &[f32]) -> f32;
+
+    /// Every implementation this build has, by name.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> =
+            vec![("dot", dot), ("dot_portable", dot_portable)];
+        #[cfg(target_arch = "x86_64")]
+        all.push(("dot_sse2", dot_sse2));
+        all
+    }
+
+    /// Three results worked out by hand from the contract — lane `i` sums
+    /// indices `i, i + 8, …`; reduce ((0+1)+(2+3))+((4+5)+(6+7)); the tail
+    /// is summed on its own and added last; multiply and add round
+    /// separately. `f32` spacing is 2 at 2^24, so a lone `+ 1` there is
+    /// lost and a `+ 2` is not; any other order or a fused multiply-add
+    /// lands on different bits.
+    #[test]
+    fn lane_order_is_pinned_by_hand_computed_bits() {
+        let big = 4096.0f32; // big * big = 2^24
+
+        // Lanes [2^24, 0, 0, 0, 1, 1, 0, 0]: (4+5) = 2 survives the add to
+        // 2^24. Summing lane 0 with lane 4 first, or left to right, loses
+        // both ones and gives 2^24.
+        let pairing = [big, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0];
+
+        // One chunk with lane 0 = 2^24, then the tail 1, 1, 2 = 4, added as
+        // one value: 2^24 + 4. Folding the tail into the head one element
+        // at a time loses the ones: 2^24 + 2.
+        let mut tail_a = [0.0f32; 11];
+        let mut tail_b = [0.0f32; 11];
+        (tail_a[0], tail_b[0]) = (big, big);
+        tail_a[8..].copy_from_slice(&[1.0, 1.0, 2.0]);
+        tail_b[8..].copy_from_slice(&[1.0, 1.0, 1.0]);
+
+        // Lane 0 over two chunks: -(1 + 2^-11), then x * x for
+        // x = 1 + 2^-12. Exactly x * x = 1 + 2^-11 + 2^-24, which rounds to
+        // 1 + 2^-11 (tie to even), so lane 0 ends at 0 and the result is
+        // lane 1's 2^-12 * 2^-12 = 2^-24. A fused multiply-add keeps the
+        // 2^-24 in lane 0 and returns 2^-23.
+        let x = 1.0 + 2.0f32.powi(-12);
+        let tiny = 2.0f32.powi(-12);
+        let mut fma_a = [0.0f32; 16];
+        let mut fma_b = [0.0f32; 16];
+        (fma_a[0], fma_b[0]) = (-(1.0 + 2.0f32.powi(-11)), 1.0);
+        (fma_a[1], fma_b[1]) = (tiny, tiny);
+        (fma_a[8], fma_b[8]) = (x, x);
+
+        for (name, kernel) in kernels() {
+            assert_eq!(kernel(&pairing, &pairing).to_bits(), 0x4b80_0001, "{name}");
+            assert_eq!(kernel(&tail_a, &tail_b).to_bits(), 0x4b80_0002, "{name}");
+            assert_eq!(kernel(&fma_a, &fma_b).to_bits(), 0x3380_0000, "{name}");
+        }
+    }
+
+    /// Bits, except that any NaN equals any NaN: IEEE-754 leaves the
+    /// payload of an operation on two NaNs to the implementation.
+    #[cfg(target_arch = "x86_64")]
+    fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn assert_twins_agree(a: &[f32], b: &[f32], what: &str) {
+        let (fast, slow) = (dot_sse2(a, b), dot_portable(a, b));
+        assert!(
+            same_bits(fast, slow),
+            "{what}: sse2 {fast:e} ({:#010x}) vs portable {slow:e} ({:#010x})",
+            fast.to_bits(),
+            slow.to_bits()
+        );
+    }
+
+    /// The `unsafe` kernel against its safe twin, bit for bit: every tail
+    /// length, every load alignment, unequal operands, and the values
+    /// where float arithmetic stops being ordinary.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_matches_portable_bit_for_bit() {
+        let gen = |salt: u64, i: usize| {
+            let h = crate::hashing::splitmix64(salt ^ ((i as u64) << 8));
+            (crate::hashing::unit_float(h) * 2.0 - 1.0) as f32
+        };
+        let a: Vec<f32> = (0..536).map(|i| gen(0x0a, i)).collect();
+        let b: Vec<f32> = (0..536).map(|i| gen(0x0b, i)).collect();
+        for dim in 0..=520 {
+            assert_twins_agree(&a[..dim], &b[..dim], &format!("dim {dim}"));
+        }
+        // Sub-slices at every offset: no load is 16-byte aligned by luck.
+        for off_a in 0..8 {
+            for off_b in 0..8 {
+                for dim in [0, 1, 7, 8, 9, 64, 67, 128, 131] {
+                    assert_twins_agree(
+                        &a[off_a..off_a + dim],
+                        &b[off_b..off_b + dim],
+                        &format!("offsets {off_a}/{off_b} dim {dim}"),
+                    );
+                }
+            }
+        }
+        // Unequal lengths: both read the common prefix and nothing else.
+        for (la, lb) in [(17, 9), (9, 17), (128, 3), (0, 40), (24, 16), (16, 31)] {
+            assert_twins_agree(&a[..la], &b[..lb], &format!("lengths {la}/{lb}"));
+            let common = la.min(lb);
+            assert_eq!(
+                dot_sse2(&a[..la], &b[..lb]).to_bits(),
+                dot_sse2(&a[..common], &b[..common]).to_bits(),
+                "lengths {la}/{lb} read past the common prefix"
+            );
+        }
+        // Adversarial values in every lane and in the tail.
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.0,
+            -1.0,
+        ];
+        for dim in [8usize, 11, 16, 21] {
+            for (si, &s) in specials.iter().enumerate() {
+                for (ti, &t) in specials.iter().enumerate() {
+                    for pos in 0..dim {
+                        let mut xa: Vec<f32> = a[..dim].to_vec();
+                        let mut xb: Vec<f32> = b[..dim].to_vec();
+                        xa[pos] = s;
+                        xb[(pos + 8) % dim] = t;
+                        xb[pos] = t;
+                        assert_twins_agree(&xa, &xb, &format!("special {si}x{ti} at {pos}/{dim}"));
+                    }
+                }
+            }
+            // All-special operands: signed zeros and subnormals only.
+            let za: Vec<f32> = (0..dim).map(|i| specials[i % 6]).collect();
+            let zb: Vec<f32> = (0..dim).map(|i| specials[(i * 5 + 1) % 6]).collect();
+            assert_twins_agree(&za, &zb, &format!("zeros and subnormals dim {dim}"));
+        }
     }
 }
 

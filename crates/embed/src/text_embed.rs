@@ -2,7 +2,7 @@
 
 use crate::hashing::{coord_and_sign, feature_hash};
 use crate::vector::Vector;
-use verifai_text::ngram::char_ngrams;
+use verifai_text::ngram::for_each_char_ngram;
 use verifai_text::Analyzer;
 
 /// Configuration of a [`TextEmbedder`].
@@ -74,9 +74,9 @@ impl TextEmbedder {
         for term in &terms {
             self.add_feature(&mut v, term, 1.0);
             if self.config.char_ngram > 0 && term.len() > self.config.char_ngram {
-                for gram in char_ngrams(term, self.config.char_ngram) {
-                    self.add_feature(&mut v, &gram, self.config.char_weight);
-                }
+                for_each_char_ngram(term, self.config.char_ngram, |gram| {
+                    self.add_feature(&mut v, gram, self.config.char_weight)
+                });
             }
         }
         v.normalize();

@@ -7,7 +7,7 @@
 
 use crate::hashing::{coord_and_sign, feature_hash};
 use crate::vector::Vector;
-use verifai_text::ngram::char_ngrams;
+use verifai_text::ngram::for_each_char_ngram;
 use verifai_text::Analyzer;
 
 /// Per-token encoder used by the (text, text) reranker.
@@ -40,9 +40,7 @@ impl TokenEmbedder {
         let mut v = Vector::zeros(self.dim);
         self.add(&mut v, token, 1.0);
         if token.len() > 3 {
-            for gram in char_ngrams(token, 3) {
-                self.add(&mut v, &gram, 0.4);
-            }
+            for_each_char_ngram(token, 3, |gram| self.add(&mut v, gram, 0.4));
         }
         v.normalize();
         v

@@ -1,101 +1,36 @@
 //! Dense vectors and their operations.
 
+use std::borrow::Cow;
 use std::ops::{Deref, Index};
-use std::sync::Arc;
-
-/// Storage behind a [`Vector`]: either an owned buffer or a view into a
-/// shared slab.
-///
-/// The shared form is what makes warm snapshot loads cheap: a v3 index
-/// snapshot decodes *all* of its vector payload into one contiguous
-/// `Arc<Vec<f32>>` and hands each vector a `(start, len)` view — one bulk
-/// allocation instead of one heap allocation per vector, and cloning a
-/// loaded vector is an `Arc` bump. Mutation (`normalize`, `as_mut_slice`,
-/// `add_scaled`) transparently copies the view out into an owned buffer
-/// first, so the slab itself is immutable for its whole life.
-#[derive(Debug, Clone)]
-enum Repr {
-    Owned(Vec<f32>),
-    Shared {
-        slab: Arc<Vec<f32>>,
-        start: usize,
-        len: usize,
-    },
-}
 
 /// A dense `f32` vector, the unit the semantic index stores.
-#[derive(Debug, Clone)]
-pub struct Vector(Repr);
-
-/// Equality is by components, regardless of representation — an owned
-/// vector and a slab view over the same values compare equal.
-impl PartialEq for Vector {
-    fn eq(&self, other: &Vector) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
+#[derive(Debug, Clone, PartialEq)]
+pub struct Vector(Vec<f32>);
 
 impl Vector {
     /// Zero vector of the given dimension.
     pub fn zeros(dim: usize) -> Vector {
-        Vector(Repr::Owned(vec![0.0; dim]))
+        Vector(vec![0.0; dim])
     }
 
     /// Wrap raw components.
     pub fn from_vec(v: Vec<f32>) -> Vector {
-        Vector(Repr::Owned(v))
-    }
-
-    /// A view of `len` components of `slab` starting at `start`, without
-    /// copying. Panics when the range is out of bounds — callers (the v3
-    /// snapshot loaders) size the slab themselves.
-    pub fn from_slab(slab: Arc<Vec<f32>>, start: usize, len: usize) -> Vector {
-        assert!(
-            start + len <= slab.len(),
-            "slab view {start}..{} out of bounds (slab len {})",
-            start + len,
-            slab.len()
-        );
-        Vector(Repr::Shared { slab, start, len })
-    }
-
-    /// Whether this vector borrows a shared slab (true after a zero-copy
-    /// snapshot load) rather than owning its buffer.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.0, Repr::Shared { .. })
+        Vector(v)
     }
 
     /// Dimension.
     pub fn dim(&self) -> usize {
-        match &self.0 {
-            Repr::Owned(v) => v.len(),
-            Repr::Shared { len, .. } => *len,
-        }
+        self.0.len()
     }
 
     /// Raw slice.
     pub fn as_slice(&self) -> &[f32] {
-        match &self.0 {
-            Repr::Owned(v) => v,
-            Repr::Shared { slab, start, len } => &slab[*start..*start + *len],
-        }
+        &self.0
     }
 
-    /// Copy a shared view out into an owned buffer (no-op when already
-    /// owned), so mutation never writes through the slab.
-    fn make_owned(&mut self) -> &mut Vec<f32> {
-        if let Repr::Shared { slab, start, len } = &self.0 {
-            self.0 = Repr::Owned(slab[*start..*start + *len].to_vec());
-        }
-        match &mut self.0 {
-            Repr::Owned(v) => v,
-            Repr::Shared { .. } => unreachable!("just converted to owned"),
-        }
-    }
-
-    /// Mutable raw slice (copies out of a shared slab first).
+    /// Mutable raw slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.make_owned()
+        &mut self.0
     }
 
     /// Dot product via the chunked 8-lane kernel. Panics in debug builds on
@@ -143,27 +78,29 @@ impl Vector {
             .sum()
     }
 
-    /// Normalize in place to unit length (no-op for the zero vector, and —
-    /// to keep slab-backed loads zero-copy — for vectors that are already
-    /// unit within float tolerance).
+    /// Normalize in place to unit length (no-op for the zero vector and
+    /// for vectors that are already unit within float tolerance).
     pub fn normalize(&mut self) {
-        let n = self.norm();
-        if n > 0.0 && (n - 1.0).abs() > f32::EPSILON {
-            for x in self.make_owned() {
-                *x /= n;
-            }
+        crate::kernel::normalize(&mut self.0);
+    }
+
+    /// The unit-length form of this vector: borrowed when [`normalize`]
+    /// would leave it as it is — every embedder output, so a search pays no
+    /// copy for its query — and a scaled copy otherwise.
+    ///
+    /// [`normalize`]: Vector::normalize
+    pub fn to_unit(&self) -> Cow<'_, Vector> {
+        match crate::kernel::unit_scale(&self.0) {
+            None => Cow::Borrowed(self),
+            Some(n) => Cow::Owned(Vector(self.0.iter().map(|x| x / n).collect())),
         }
     }
 
     /// Accumulate `scale * other` into self.
     pub fn add_scaled(&mut self, other: &Vector, scale: f32) {
         debug_assert_eq!(self.dim(), other.dim());
-        let o = other.as_slice();
-        // `other` cannot alias `self.make_owned()`'s buffer through the
-        // borrow checker, but a Shared `other` over a slab `self` also views
-        // is fine: make_owned copies out before writing.
-        for (i, a) in self.make_owned().iter_mut().enumerate() {
-            *a += scale * o[i];
+        for (a, o) in self.0.iter_mut().zip(&other.0) {
+            *a += scale * o;
         }
     }
 }
@@ -276,6 +213,19 @@ mod tests {
         let lhs = a.l2_sq(&b);
         let rhs = 2.0 - 2.0 * a.cosine(&b);
         assert!((lhs - rhs).abs() < 1e-5);
+    }
+
+    #[test]
+    fn to_unit_borrows_unit_vectors_and_matches_normalize() {
+        let raw = Vector::from_vec(vec![0.3, -0.7, 0.2, 0.9, -0.1, 0.4, 0.8, -0.5, 0.6]);
+        let mut unit = raw.clone();
+        unit.normalize();
+        let scaled = raw.to_unit();
+        assert!(matches!(scaled, Cow::Owned(_)));
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scaled), bits(&unit));
+        assert!(matches!(unit.to_unit(), Cow::Borrowed(_)));
+        assert!(matches!(Vector::zeros(4).to_unit(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -19,9 +19,8 @@ pub const MAGIC: &[u8; 4] = b"VFAI";
 /// * Version 3 — the live-lake format: every snapshot carries a `u64`
 ///   generation immediately after the header; vector indexes carry
 ///   per-entry tombstone bytes and store their vector payload as one
-///   contiguous `f32` slab (loaded in bulk into a shared allocation,
-///   [`verifai_embed::Vector::from_slab`]); HNSW additionally persists its
-///   cached edge distances so load skips the re-derivation pass.
+///   contiguous `f32` slab (decoded in bulk straight into the index's row
+///   chunks); HNSW additionally persists its edge distances.
 ///
 /// * Version 4 — flat vector snapshots append the int8 quantization
 ///   sidecar (per-vector scales + the contiguous code array) behind
@@ -219,14 +218,6 @@ pub(crate) fn get_f64(buf: &mut Bytes) -> Result<f64, PersistError> {
         return Err(PersistError::Truncated);
     }
     Ok(buf.get_f64_le())
-}
-
-/// Decode a little-endian f32 with bounds checking.
-pub(crate) fn get_f32(buf: &mut Bytes) -> Result<f32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_f32_le())
 }
 
 /// Decode a single byte with bounds checking.

@@ -11,16 +11,26 @@
 //! when the snapshot does not already carry the
 //! [`persist::FLAG_UNIT_NORM`] guarantee). With every stored vector unit,
 //! cosine similarity degenerates to a single fused dot product
-//! ([`Vector::dot_unit`]) — one pass over the data instead of the three a
+//! ([`kernel::dot_unit`]) — one pass over the data instead of the three a
 //! raw `cosine` costs — for the flat scan and for every distance evaluated
 //! during HNSW construction and search. Queries are normalized once at the
 //! search (or insert) entry point. Scores are unchanged up to float
 //! normalization error (≤ ~1e-6 for the already-unit embedder outputs).
-
+//!
+//! ## One row slab
+//!
+//! Neither index boxes its vectors. Rows live in a `RowSlab`: chunks of
+//! [`ROWS_PER_CHUNK`] fixed-stride rows, so an index of `n` vectors is
+//! `⌈n / 256⌉` allocations, a row is two index computations away, growth
+//! allocates one chunk and never copies (a doubling `Vec<f32>` holds up to
+//! twice its contents and, while it reallocates, the old buffer too — that
+//! showed as +17 % peak RSS), and a snapshot's slab section decodes straight
+//! into place. HNSW keeps its adjacency in the same structure (DESIGN.md
+//! §21).
 //!
 //! ## The quantized two-phase scan
 //!
-//! [`FlatIndex`] keeps an int8 **code sidecar** next to the f32 slabs:
+//! [`FlatIndex`] keeps an int8 **code sidecar** next to the f32 rows:
 //! every vector is symmetric-scalar-quantized on `add`
 //! ([`verifai_embed::quant`]), codes live in one contiguous array (stride
 //! `dim`, parallel to the rows, tombstones included, rebuilt on
@@ -36,21 +46,14 @@
 use crate::hit::{sort_hits, SearchHit};
 use crate::persist::{self, PersistError, SnapshotKind, FLAG_QUANT_CODES, FLAG_UNIT_NORM};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::cmp::Ordering;
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
-use verifai_embed::quant;
-use verifai_embed::Vector;
+use std::mem::size_of;
+use verifai_embed::{kernel, quant, Vector};
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
-
-/// A unit-length copy of `query` (zero stays zero): the one normalization
-/// a search pays, after which every candidate comparison is a single dot.
-fn unit_query(query: &Vector) -> Vector {
-    let mut q = query.clone();
-    q.normalize();
-    q
-}
 
 /// Common interface of the semantic indexes.
 pub trait VectorIndex {
@@ -77,6 +80,160 @@ pub trait VectorIndex {
 }
 
 // ---------------------------------------------------------------------------
+// Row slab
+// ---------------------------------------------------------------------------
+
+/// Rows per chunk of the indexes' row storage (128 KB of `f32` rows at
+/// dimension 128): an index holds at most this many rows' worth of memory it
+/// has not filled yet.
+pub const ROWS_PER_CHUNK: usize = 256;
+
+/// Fixed-stride rows in chunks of [`ROWS_PER_CHUNK`]. Each chunk is
+/// allocated once at its full size and filled in place, so growth never
+/// copies a row and never holds more than one chunk of spare capacity. An
+/// empty slab takes its stride from the first row pushed.
+#[derive(Debug)]
+struct RowSlab<T> {
+    stride: usize,
+    len: usize,
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Default for RowSlab<T> {
+    fn default() -> RowSlab<T> {
+        RowSlab {
+            stride: 0,
+            len: 0,
+            chunks: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> RowSlab<T> {
+    /// Elements per row (0 while empty).
+    fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Rows held.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `ord`.
+    #[inline]
+    fn row(&self, ord: usize) -> &[T] {
+        let at = (ord % ROWS_PER_CHUNK) * self.stride;
+        &self.chunks[ord / ROWS_PER_CHUNK][at..at + self.stride]
+    }
+
+    /// Row `ord`, writable.
+    #[inline]
+    fn row_mut(&mut self, ord: usize) -> &mut [T] {
+        let at = (ord % ROWS_PER_CHUNK) * self.stride;
+        &mut self.chunks[ord / ROWS_PER_CHUNK][at..at + self.stride]
+    }
+
+    /// Append one row. Every row of a slab has the same length: row
+    /// offsets are computed from it, so a mismatch panics rather than
+    /// shifting every later row.
+    fn push(&mut self, row: impl ExactSizeIterator<Item = T>) {
+        if self.len == 0 {
+            self.stride = row.len();
+        }
+        assert_eq!(row.len(), self.stride, "row slab holds one stride");
+        if self.len.is_multiple_of(ROWS_PER_CHUNK) {
+            self.chunks
+                .push(Vec::with_capacity(ROWS_PER_CHUNK * self.stride));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        chunk.extend(row);
+        self.len += 1;
+    }
+
+    /// All rows in order.
+    fn iter(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.len).map(|ord| self.row(ord))
+    }
+
+    /// Bytes of heap the slab holds, spare capacity included.
+    fn heap_bytes(&self) -> usize {
+        let rows: usize = self.chunks.iter().map(|c| c.capacity()).sum();
+        rows * size_of::<T>() + self.chunks.capacity() * size_of::<Vec<T>>()
+    }
+}
+
+/// Largest dimension a snapshot may declare. A slab allocates a whole chunk
+/// for its first row, so the dimension is bounded before anything is sized
+/// from it.
+const MAX_DIM: usize = 1 << 16;
+
+/// Encoded size of one `dim`-float row, `dim` checked against [`MAX_DIM`].
+fn row_bytes(dim: usize) -> Result<usize, PersistError> {
+    if dim > MAX_DIM {
+        return Err(PersistError::BadTag(dim as u8));
+    }
+    Ok(dim * 4)
+}
+
+impl RowSlab<f32> {
+    /// Append one row of little-endian floats.
+    fn push_le(&mut self, raw: &[u8]) {
+        self.push(
+            raw.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+    }
+
+    /// Decode a snapshot's slab section — `n` rows of `dim` little-endian
+    /// floats — straight into chunks: one pass, no per-vector allocation.
+    fn decode(buf: &mut Bytes, n: usize, dim: usize) -> Result<RowSlab<f32>, PersistError> {
+        let row_bytes = row_bytes(dim)?;
+        let total = n.checked_mul(row_bytes).ok_or(PersistError::Truncated)?;
+        if buf.remaining() < total {
+            return Err(PersistError::Truncated);
+        }
+        let mut rows = RowSlab::default();
+        for _ in 0..n {
+            rows.push_le(&buf.copy_to_bytes(row_bytes));
+        }
+        Ok(rows)
+    }
+
+    /// Decode one `u32 dim + f32 components` vector (the v1/v2 per-entry
+    /// encoding) as the next row.
+    fn decode_vector(&mut self, buf: &mut Bytes) -> Result<(), PersistError> {
+        let dim = persist::get_u32(buf)? as usize;
+        if self.len > 0 && dim != self.stride {
+            return Err(PersistError::BadTag(dim as u8));
+        }
+        let row_bytes = row_bytes(dim)?;
+        if buf.remaining() < row_bytes {
+            return Err(PersistError::Truncated);
+        }
+        self.push_le(&buf.copy_to_bytes(row_bytes));
+        Ok(())
+    }
+
+    /// Scale every row to unit length: the migration for snapshots that
+    /// predate [`FLAG_UNIT_NORM`].
+    fn normalize_rows(&mut self) {
+        for ord in 0..self.len {
+            kernel::normalize(self.row_mut(ord));
+        }
+    }
+
+    /// Encode every row's components as little-endian floats, in order.
+    fn put_rows(&self, buf: &mut BytesMut) {
+        for row in self.iter() {
+            for &x in row {
+                buf.put_f32_le(x);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Flat (exact) index
 // ---------------------------------------------------------------------------
 
@@ -96,7 +253,9 @@ pub trait VectorIndex {
 #[derive(Debug)]
 pub struct FlatIndex {
     ids: Vec<InstanceId>,
-    vectors: Vec<Vector>,
+    /// Unit rows, parallel to `ids`; the stride is the index's dimension,
+    /// fixed by the first `add` (0 while empty).
+    rows: RowSlab<f32>,
     deleted: Vec<bool>,
     dead: usize,
     generation: u64,
@@ -105,8 +264,6 @@ pub struct FlatIndex {
     codes: Vec<i8>,
     /// Per-row symmetric quantization scale.
     scales: Vec<f32>,
-    /// Row stride of `codes`; fixed by the first `add` (0 while empty).
-    dim: usize,
     /// Serve searches through the quantized two-phase scan.
     quantized: bool,
     /// Shortlist over-fetch: phase 1 keeps `rescore_factor · k` candidates.
@@ -120,14 +277,13 @@ impl Default for FlatIndex {
     fn default() -> FlatIndex {
         FlatIndex {
             ids: Vec::new(),
-            vectors: Vec::new(),
+            rows: RowSlab::default(),
             deleted: Vec::new(),
             dead: 0,
             generation: 0,
             compactions: 0,
             codes: Vec::new(),
             scales: Vec::new(),
-            dim: 0,
             quantized: false,
             rescore_factor: DEFAULT_RESCORE_FACTOR,
         }
@@ -185,6 +341,16 @@ impl FlatIndex {
         self.compactions
     }
 
+    /// Bytes of heap the index holds (rows, code sidecar, ids, tombstones),
+    /// spare capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.heap_bytes()
+            + self.ids.capacity() * size_of::<InstanceId>()
+            + self.deleted.capacity()
+            + self.codes.capacity()
+            + self.scales.capacity() * size_of::<f32>()
+    }
+
     /// Drop tombstoned entries now, preserving live insertion order. The
     /// code sidecar is rebuilt alongside (codes are copied, not
     /// re-derived — quantization is deterministic so both agree).
@@ -192,21 +358,22 @@ impl FlatIndex {
         if self.dead == 0 {
             return;
         }
+        let dim = self.rows.stride();
         let live = self.ids.len() - self.dead;
         let mut ids = Vec::with_capacity(live);
-        let mut vectors = Vec::with_capacity(live);
-        let mut codes = Vec::with_capacity(live * self.dim);
+        let mut rows = RowSlab::default();
+        let mut codes = Vec::with_capacity(live * dim);
         let mut scales = Vec::with_capacity(live);
-        for (ord, v) in self.vectors.drain(..).enumerate() {
+        for ord in 0..self.ids.len() {
             if !self.deleted[ord] {
                 ids.push(self.ids[ord]);
                 scales.push(self.scales[ord]);
-                codes.extend_from_slice(&self.codes[ord * self.dim..(ord + 1) * self.dim]);
-                vectors.push(v);
+                codes.extend_from_slice(self.code_row(ord));
+                rows.push(self.rows.row(ord).iter().copied());
             }
         }
         self.ids = ids;
-        self.vectors = vectors;
+        self.rows = rows;
         self.codes = codes;
         self.scales = scales;
         self.deleted = vec![false; self.ids.len()];
@@ -216,7 +383,8 @@ impl FlatIndex {
 
     /// The int8 code row of entry `ord`.
     fn code_row(&self, ord: usize) -> &[i8] {
-        &self.codes[ord * self.dim..(ord + 1) * self.dim]
+        let dim = self.rows.stride();
+        &self.codes[ord * dim..(ord + 1) * dim]
     }
 }
 
@@ -280,11 +448,7 @@ impl FlatIndex {
     /// [`persist::FLAG_QUANT_CODES`] so a reload serves quantized scans
     /// without re-encoding.
     pub fn to_bytes(&self) -> Bytes {
-        let dim = self.vectors.first().map(|v| v.dim()).unwrap_or(0);
-        debug_assert!(
-            self.vectors.iter().all(|v| v.dim() == dim),
-            "flat index holds mixed dimensions"
-        );
+        let dim = self.rows.stride();
         let n = self.ids.len();
         let mut buf = BytesMut::with_capacity(48 + n * (14 + dim * 5));
         persist::put_header(
@@ -295,19 +459,7 @@ impl FlatIndex {
         buf.put_u64_le(self.generation);
         buf.put_u8(self.quantized as u8);
         buf.put_u64_le(self.rescore_factor as u64);
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(dim as u32);
-        for id in &self.ids {
-            persist::put_instance_id(&mut buf, *id);
-        }
-        for &d in &self.deleted {
-            buf.put_u8(d as u8);
-        }
-        for v in &self.vectors {
-            for &x in v.as_slice() {
-                buf.put_f32_le(x);
-            }
-        }
+        self.put_v3_body(&mut buf);
         for &s in &self.scales {
             buf.put_f32_le(s);
         }
@@ -322,25 +474,25 @@ impl FlatIndex {
     /// migration tests: loading one must re-quantize to a bit-identical
     /// sidecar.
     pub fn to_bytes_v3(&self) -> Bytes {
-        let dim = self.vectors.first().map(|v| v.dim()).unwrap_or(0);
         let n = self.ids.len();
-        let mut buf = BytesMut::with_capacity(32 + n * (10 + dim * 4));
+        let mut buf = BytesMut::with_capacity(32 + n * (10 + self.rows.stride() * 4));
         persist::put_header_versioned(&mut buf, SnapshotKind::Flat, FLAG_UNIT_NORM, 3);
         buf.put_u64_le(self.generation);
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(dim as u32);
+        self.put_v3_body(&mut buf);
+        buf.freeze()
+    }
+
+    /// The part v3 and v4 share: counts, ids, tombstone bytes, the slab.
+    fn put_v3_body(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.ids.len() as u32);
+        buf.put_u32_le(self.rows.stride() as u32);
         for id in &self.ids {
-            persist::put_instance_id(&mut buf, *id);
+            persist::put_instance_id(buf, *id);
         }
         for &d in &self.deleted {
             buf.put_u8(d as u8);
         }
-        for v in &self.vectors {
-            for &x in v.as_slice() {
-                buf.put_f32_le(x);
-            }
-        }
-        buf.freeze()
+        self.rows.put_rows(buf);
     }
 
     /// Serialize in the legacy version-2 wire format (per-entry
@@ -349,13 +501,13 @@ impl FlatIndex {
     /// benchmark; the index must hold no tombstones (v2 cannot express them).
     pub fn to_bytes_v2(&self) -> Bytes {
         assert_eq!(self.dead, 0, "compact before encoding a v2 snapshot");
-        let dim = self.vectors.first().map(|v| v.dim()).unwrap_or(0);
+        let dim = self.rows.stride();
         let mut buf = BytesMut::with_capacity(16 + self.ids.len() * (13 + dim * 4));
         persist::put_header_versioned(&mut buf, SnapshotKind::Flat, FLAG_UNIT_NORM, 2);
         buf.put_u32_le(self.ids.len() as u32);
-        for (id, v) in self.ids.iter().zip(self.vectors.iter()) {
+        for (id, row) in self.ids.iter().zip(self.rows.iter()) {
             persist::put_instance_id(&mut buf, *id);
-            put_vector(&mut buf, v);
+            put_vector(&mut buf, row);
         }
         buf.freeze()
     }
@@ -363,80 +515,46 @@ impl FlatIndex {
     /// Reconstruct an index from a snapshot produced by [`Self::to_bytes`]
     /// (or a legacy encoder).
     ///
-    /// Version-3+ snapshots load zero-copy: the vector payload decodes in
-    /// one bulk pass into a shared slab and every [`Vector`] borrows a view
-    /// of it. Version-4 snapshots additionally reload their quantization
-    /// sidecar and scan mode verbatim; older versions migrate on load —
-    /// v1/v2 eagerly decode per entry (generation 0, no tombstones), any
-    /// snapshot without [`persist::FLAG_QUANT_CODES`] re-quantizes its
-    /// vectors (bit-identical to an eager writer's codes, quantization
-    /// being pure), and any without [`persist::FLAG_UNIT_NORM`] predates
-    /// the unit-norm invariant and is normalized, never silently
-    /// mis-scored.
+    /// Every version decodes its vectors straight into the row slab — the
+    /// v3+ slab section in one bulk pass, the v1/v2 per-entry vectors one
+    /// row at a time — with no per-vector allocation. Version-4 snapshots
+    /// additionally reload their quantization sidecar and scan mode
+    /// verbatim; older versions migrate on load — v1/v2 carry no
+    /// generation or tombstones, any snapshot without
+    /// [`persist::FLAG_QUANT_CODES`] re-quantizes its vectors
+    /// (bit-identical to an eager writer's codes, quantization being
+    /// pure), and any without [`persist::FLAG_UNIT_NORM`] predates the
+    /// unit-norm invariant and is normalized, never silently mis-scored.
     pub fn from_bytes(mut buf: Bytes) -> Result<FlatIndex, PersistError> {
         let (version, flags) = persist::check_header(&mut buf, SnapshotKind::Flat)?;
+        let mut idx = FlatIndex::default();
         if version < 3 {
-            let n = persist::get_u32(&mut buf)? as usize;
-            let mut ids = Vec::with_capacity(n);
-            let mut vectors = Vec::with_capacity(n);
+            let n = get_count(&mut buf)?;
+            idx.ids.reserve_exact(n);
             for _ in 0..n {
-                ids.push(persist::get_instance_id(&mut buf)?);
-                let mut v = get_vector(&mut buf)?;
-                if flags & FLAG_UNIT_NORM == 0 {
-                    v.normalize();
-                }
-                vectors.push(v);
+                idx.ids.push(persist::get_instance_id(&mut buf)?);
+                idx.rows.decode_vector(&mut buf)?;
             }
-            let deleted = vec![false; ids.len()];
-            let mut idx = FlatIndex {
-                ids,
-                vectors,
-                deleted,
-                ..FlatIndex::default()
-            };
-            idx.requantize();
-            return Ok(idx);
-        }
-        let generation = persist::get_u64(&mut buf)?;
-        let (quantized, rescore_factor) = if version >= 4 {
-            let q = persist::get_u8(&mut buf)? != 0;
-            let rf = (persist::get_u64(&mut buf)? as usize).max(1);
-            (q, rf)
+            idx.deleted = vec![false; n];
         } else {
-            (false, DEFAULT_RESCORE_FACTOR)
-        };
-        let n = persist::get_u32(&mut buf)? as usize;
-        let dim = persist::get_u32(&mut buf)? as usize;
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(persist::get_instance_id(&mut buf)?);
-        }
-        let (deleted, dead) = get_tombstones(&mut buf, n)?;
-        let slab = get_slab(&mut buf, n * dim)?;
-        let mut vectors = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut v = Vector::from_slab(slab.clone(), i * dim, dim);
-            if flags & FLAG_UNIT_NORM == 0 {
-                v.normalize();
+            idx.generation = persist::get_u64(&mut buf)?;
+            if version >= 4 {
+                idx.quantized = persist::get_u8(&mut buf)? != 0;
+                idx.rescore_factor = (persist::get_u64(&mut buf)? as usize).max(1);
             }
-            vectors.push(v);
+            let n = get_count(&mut buf)?;
+            let dim = persist::get_u32(&mut buf)? as usize;
+            idx.ids = get_instance_ids(&mut buf, n)?;
+            (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
+            idx.rows = RowSlab::decode(&mut buf, n, dim)?;
         }
-        let mut idx = FlatIndex {
-            ids,
-            vectors,
-            deleted,
-            dead,
-            generation,
-            compactions: 0,
-            codes: Vec::new(),
-            scales: Vec::new(),
-            dim,
-            quantized,
-            rescore_factor,
-        };
+        if flags & FLAG_UNIT_NORM == 0 {
+            idx.rows.normalize_rows();
+        }
         if flags & FLAG_QUANT_CODES != 0 {
+            let n = idx.ids.len();
             idx.scales = get_f32s(&mut buf, n)?;
-            idx.codes = get_i8s(&mut buf, n * dim)?;
+            idx.codes = get_i8s(&mut buf, n * idx.rows.stride())?;
         } else {
             idx.requantize();
         }
@@ -446,12 +564,11 @@ impl FlatIndex {
     /// Rebuild the code sidecar from the (already unit) stored vectors —
     /// the migration path for snapshots that predate the codes.
     fn requantize(&mut self) {
-        self.dim = self.vectors.first().map(|v| v.dim()).unwrap_or(self.dim);
         self.scales.clear();
         self.codes.clear();
-        self.codes.reserve(self.vectors.len() * self.dim);
-        for v in &self.vectors {
-            let (codes, scale) = quant::quantize(v.as_slice());
+        self.codes.reserve(self.rows.len() * self.rows.stride());
+        for row in self.rows.iter() {
+            let (codes, scale) = quant::quantize(row);
             self.codes.extend_from_slice(&codes);
             self.scales.push(scale);
         }
@@ -459,43 +576,36 @@ impl FlatIndex {
 }
 
 /// Encode a vector as `u32 dim + f32 components`.
-fn put_vector(buf: &mut BytesMut, v: &Vector) {
-    buf.put_u32_le(v.dim() as u32);
-    for &x in v.as_slice() {
+fn put_vector(buf: &mut BytesMut, v: &[f32]) {
+    buf.put_u32_le(v.len() as u32);
+    for &x in v {
         buf.put_f32_le(x);
     }
 }
 
-/// Decode a vector.
-fn get_vector(buf: &mut Bytes) -> Result<Vector, PersistError> {
-    let dim = persist::get_u32(buf)? as usize;
-    let mut v = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        v.push(persist::get_f32(buf)?);
-    }
-    Ok(Vector::from_vec(v))
-}
-
-/// Bulk-decode `count` little-endian f32s into one shared slab — the v3
-/// zero-copy load path: one allocation for the whole vector payload, each
-/// [`Vector`] then borrows a `(start, len)` view of it.
-fn get_slab(buf: &mut Bytes, count: usize) -> Result<Arc<Vec<f32>>, PersistError> {
-    if buf.remaining() < count * 4 {
+/// Decode an entry count, bounded by what the rest of the buffer could
+/// hold (every entry carries at least its 9-byte id) so a corrupt count
+/// cannot size an allocation.
+fn get_count(buf: &mut Bytes) -> Result<usize, PersistError> {
+    let n = persist::get_u32(buf)? as usize;
+    if n > buf.remaining() / 9 {
         return Err(PersistError::Truncated);
     }
-    let raw = buf.copy_to_bytes(count * 4);
-    let mut slab = Vec::with_capacity(count);
-    slab.extend(
-        raw.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-    );
-    Ok(Arc::new(slab))
+    Ok(n)
 }
 
-/// Bulk-decode `count` little-endian f32s into an owned vec (the
-/// quantization scales — small next to the slab, so no sharing needed).
+/// Decode `n` instance ids.
+fn get_instance_ids(buf: &mut Bytes, n: usize) -> Result<Vec<InstanceId>, PersistError> {
+    let mut ids = Vec::with_capacity(n);
+    for _ in 0..n {
+        ids.push(persist::get_instance_id(buf)?);
+    }
+    Ok(ids)
+}
+
+/// Bulk-decode `count` little-endian f32s (the quantization scales).
 fn get_f32s(buf: &mut Bytes, count: usize) -> Result<Vec<f32>, PersistError> {
-    if buf.remaining() < count * 4 {
+    if buf.remaining() / 4 < count {
         return Err(PersistError::Truncated);
     }
     let raw = buf.copy_to_bytes(count * 4);
@@ -558,15 +668,21 @@ impl FlatIndex {
         }
         // One tally update per range, never per row: int8 codes are one
         // byte per dimension.
-        meter::charge_quantized(scored, scored * self.dim as u64);
+        meter::charge_quantized(scored, scored * self.rows.stride() as u64);
     }
 
     /// Phase 2: exact f32 rescore of a phase-1 shortlist, reorder, truncate.
-    fn rescore(&self, heap: BinaryHeap<MinEntry>, q: &Vector, k: usize) -> Vec<SearchHit> {
-        meter::charge_rescore(heap.len() as u64, (heap.len() * self.dim * 4) as u64);
+    fn rescore(&self, heap: BinaryHeap<MinEntry>, q: &[f32], k: usize) -> Vec<SearchHit> {
+        meter::charge_rescore(
+            heap.len() as u64,
+            (heap.len() * self.rows.stride() * 4) as u64,
+        );
         let mut hits: Vec<SearchHit> = heap
             .into_iter()
-            .map(|e| SearchHit::new(self.ids[e.ord], self.vectors[e.ord].dot_unit(q) as f64))
+            .map(|e| {
+                let score = kernel::dot_unit(self.rows.row(e.ord), q) as f64;
+                SearchHit::new(self.ids[e.ord], score)
+            })
             .collect();
         sort_hits(&mut hits);
         hits.truncate(k);
@@ -582,15 +698,11 @@ impl FlatIndex {
 impl VectorIndex for FlatIndex {
     fn add(&mut self, id: InstanceId, mut vector: Vector) {
         vector.normalize();
-        if self.ids.is_empty() {
-            self.dim = vector.dim();
-        }
-        debug_assert_eq!(vector.dim(), self.dim, "flat index holds one dimension");
-        let (codes, scale) = quant::quantize(vector.as_slice());
+        let (codes, scale) = quant::quantize(&vector);
+        self.rows.push(vector.iter().copied());
         self.codes.extend_from_slice(&codes);
         self.scales.push(scale);
         self.ids.push(id);
-        self.vectors.push(vector);
         self.deleted.push(false);
         self.generation += 1;
     }
@@ -617,26 +729,27 @@ impl VectorIndex for FlatIndex {
         if k == 0 {
             return Vec::new();
         }
-        let q = unit_query(query);
+        let q = query.to_unit();
+        let dim = self.rows.stride();
         if self.quantized {
             // Phase 1: int8 scan over the code sidecar — a quarter of the
             // memory traffic — keeping a shortlist of rescore_factor · k.
-            let (qcodes, qscale) = quant::quantize(q.as_slice());
+            let (qcodes, qscale) = quant::quantize(&q);
             let shortlist = self.shortlist_len(k);
             let mut heap: BinaryHeap<MinEntry> =
                 BinaryHeap::with_capacity(shortlist.min(self.ids.len()) + 1);
             self.quantized_scan_range(&qcodes, qscale, 0, self.ids.len(), shortlist, &mut heap);
-            // Phase 2: exact rescore of the shortlist on the f32 slabs.
+            // Phase 2: exact rescore of the shortlist on the f32 rows.
             return self.rescore(heap, &q, k);
         }
         let mut heap: BinaryHeap<MinEntry> = BinaryHeap::with_capacity(k + 1);
         let mut scored = 0u64;
-        for (ord, v) in self.vectors.iter().enumerate() {
+        for (ord, row) in self.rows.iter().enumerate() {
             if self.deleted[ord] {
                 continue;
             }
             scored += 1;
-            let score = v.dot_unit(&q) as f64;
+            let score = kernel::dot_unit(row, &q) as f64;
             heap.push(MinEntry {
                 score,
                 ord,
@@ -646,7 +759,7 @@ impl VectorIndex for FlatIndex {
                 heap.pop();
             }
         }
-        meter::charge_scan(scored, scored * (self.dim * 4) as u64);
+        meter::charge_scan(scored, scored * (dim * 4) as u64);
         let mut hits: Vec<SearchHit> = heap
             .into_iter()
             .map(|e| SearchHit::new(self.ids[e.ord], e.score))
@@ -655,11 +768,6 @@ impl VectorIndex for FlatIndex {
         hits
     }
 
-    /// Blocked multi-query scan: the candidate array is walked once per
-    /// **block** for the whole batch, so B queries share every block's trip
-    /// through the cache hierarchy instead of sweeping the corpus B times.
-    /// Per-query results are identical to [`VectorIndex::search`] — each
-    /// query's heap sees the same candidates in the same order.
     /// Blocked multi-query scan: **one sweep** of the stored rows serves the
     /// whole batch — each row (code row in quantized mode, f32 row in
     /// exact mode) is loaded once and scored against every query while hot,
@@ -674,11 +782,11 @@ impl VectorIndex for FlatIndex {
         if queries.len() == 1 {
             return vec![self.search(&queries[0], k)];
         }
-        let qs: Vec<Vector> = queries.iter().map(unit_query).collect();
+        let qs: Vec<Cow<'_, Vector>> = queries.iter().map(Vector::to_unit).collect();
         let n = self.ids.len();
+        let dim = self.rows.stride();
         if self.quantized {
-            let enc: Vec<(Vec<i8>, f32)> =
-                qs.iter().map(|q| quant::quantize(q.as_slice())).collect();
+            let enc: Vec<(Vec<i8>, f32)> = qs.iter().map(|q| quant::quantize(q)).collect();
             let shortlist = self.shortlist_len(k);
             let mut heaps: Vec<BinaryHeap<MinEntry>> = qs
                 .iter()
@@ -701,7 +809,7 @@ impl VectorIndex for FlatIndex {
             // Charged as if each query swept alone, so blocked and
             // per-query execution meter identically.
             let ops = scored * qs.len() as u64;
-            meter::charge_quantized(ops, ops * self.dim as u64);
+            meter::charge_quantized(ops, ops * dim as u64);
             return heaps
                 .into_iter()
                 .zip(qs.iter())
@@ -713,20 +821,19 @@ impl VectorIndex for FlatIndex {
             .map(|_| BinaryHeap::with_capacity(k + 1))
             .collect();
         let mut scored = 0u64;
-        for ord in 0..n {
+        for (ord, row) in self.rows.iter().enumerate() {
             if self.deleted[ord] {
                 continue;
             }
             scored += 1;
-            let v = &self.vectors[ord];
             let id = self.ids[ord];
             for (q, heap) in qs.iter().zip(heaps.iter_mut()) {
-                let score = v.dot_unit(q) as f64;
+                let score = kernel::dot_unit(row, q) as f64;
                 offer(heap, k, MinEntry { score, ord, id });
             }
         }
         let ops = scored * qs.len() as u64;
-        meter::charge_scan(ops, ops * (self.dim * 4) as u64);
+        meter::charge_scan(ops, ops * (dim * 4) as u64);
         heaps
             .into_iter()
             .map(|heap| {
@@ -773,23 +880,287 @@ impl Default for HnswConfig {
     }
 }
 
-/// One directed HNSW edge with the endpoint distance cached at creation
-/// time. Stored vectors are immutable (and unit), so the cache is exact:
-/// `connect`'s back-link prune sorts on it instead of cloning the node's
-/// vector and re-scoring every neighbour. Snapshots store only the ordinal;
-/// distances are re-derived on load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Neighbor {
+/// Largest `m` an index accepts: edge-list lengths are stored as `u16` and
+/// a layer-0 list holds `2 * m` edges. Also what bounds the adjacency
+/// allocation a snapshot's `m` field can ask for.
+const MAX_M: usize = 1 << 12;
+
+/// Highest level [`HnswIndex::draw_level`] can draw.
+const MAX_LEVEL: usize = 16;
+
+/// One directed HNSW edge: 8 bytes. The endpoint similarity is cached at
+/// creation time — stored vectors are immutable (and unit), so the cache
+/// is exact — and the distance every comparison uses is derived from it by
+/// the same `1.0 - sim as f64` that produced it in `search_layer`, so the
+/// back-link prune sorts on the very values a 16-byte `{ord, dist: f64}`
+/// edge would hold. Snapshots store that derived distance; load re-derives
+/// the similarity from the rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Edge {
     ord: u32,
-    dist: f64,
+    sim: f32,
 }
 
+impl Edge {
+    /// Cosine distance to the endpoint: lower is closer.
+    #[inline]
+    fn dist(self) -> f64 {
+        1.0 - self.sim as f64
+    }
+}
+
+/// Edge lists in fixed-stride slots: list `r` holds up to `max_conn` edges,
+/// `lens[r]` of them in use. No per-list allocation, and a list is one
+/// index computation away from its number.
 #[derive(Debug)]
-struct HnswNode {
-    id: InstanceId,
-    vector: Vector,
-    /// Adjacency per layer; `neighbors[l]` exists for l <= node level.
-    neighbors: Vec<Vec<Neighbor>>,
+struct EdgeLists {
+    max_conn: usize,
+    slots: RowSlab<Edge>,
+    lens: Vec<u16>,
+}
+
+impl EdgeLists {
+    fn new(max_conn: usize) -> EdgeLists {
+        EdgeLists {
+            max_conn,
+            slots: RowSlab::default(),
+            lens: Vec::new(),
+        }
+    }
+
+    /// Append an empty list.
+    fn push_list(&mut self) {
+        self.slots
+            .push(std::iter::repeat_n(Edge::default(), self.max_conn));
+        self.lens.push(0);
+    }
+
+    /// The edges of list `r`.
+    #[inline]
+    fn edges(&self, r: usize) -> &[Edge] {
+        &self.slots.row(r)[..self.lens[r] as usize]
+    }
+
+    /// The edges of list `r`, writable.
+    fn edges_mut(&mut self, r: usize) -> &mut [Edge] {
+        &mut self.slots.row_mut(r)[..self.lens[r] as usize]
+    }
+
+    /// Replace list `r` with `edges` (at most `max_conn` of them are taken).
+    fn set(&mut self, r: usize, edges: impl Iterator<Item = Edge>) {
+        let mut len = 0;
+        for (slot, edge) in self.slots.row_mut(r).iter_mut().zip(edges) {
+            *slot = edge;
+            len += 1;
+        }
+        self.lens[r] = len;
+    }
+
+    /// Add `edge` to list `r` unless its endpoint is already there. A full
+    /// list keeps the `max_conn` closest of its edges and the new one: a
+    /// stable sort by distance over (list order, then `edge`), through
+    /// `spill`.
+    fn link(&mut self, r: usize, edge: Edge, spill: &mut Vec<Edge>) {
+        let len = self.lens[r] as usize;
+        let slots = self.slots.row_mut(r);
+        if slots[..len].iter().any(|x| x.ord == edge.ord) {
+            return;
+        }
+        if len < self.max_conn {
+            slots[len] = edge;
+            self.lens[r] += 1;
+            return;
+        }
+        spill.clear();
+        spill.extend_from_slice(slots);
+        spill.push(edge);
+        spill.sort_by(|a, b| a.dist().partial_cmp(&b.dist()).unwrap_or(Ordering::Equal));
+        slots.copy_from_slice(&spill[..self.max_conn]);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes() + self.lens.capacity() * size_of::<u16>()
+    }
+}
+
+/// The graph's shape: each node's level and its edges on every layer up to
+/// it. Layer 0 is flat — node `ord`'s edges are list `ord` of `layer0`,
+/// `2 * m` slots each. Only one node in `m` is drawn above layer 0, so the
+/// upper layers are sparse: such a node's layer-`l` edges are list
+/// `tower[ord] + l - 1` of `upper`, `m` slots each.
+#[derive(Debug)]
+struct Graph {
+    levels: Vec<u8>,
+    layer0: EdgeLists,
+    upper: EdgeLists,
+    /// First `upper` list of each node; unread for level-0 nodes.
+    tower: Vec<u32>,
+}
+
+impl Graph {
+    fn new(m: usize) -> Graph {
+        Graph {
+            levels: Vec::new(),
+            layer0: EdgeLists::new(m * 2),
+            upper: EdgeLists::new(m),
+            tower: Vec::new(),
+        }
+    }
+
+    /// Node `ord`'s level.
+    fn level(&self, ord: u32) -> usize {
+        self.levels[ord as usize] as usize
+    }
+
+    /// Append a node with empty edge lists on layers `0..=level`.
+    fn push_node(&mut self, level: usize) {
+        self.levels.push(level as u8);
+        self.layer0.push_list();
+        self.tower.push(self.upper.lens.len() as u32);
+        for _ in 0..level {
+            self.upper.push_list();
+        }
+    }
+
+    /// Where node `ord`'s edges at `layer` (at most its level) live.
+    #[inline]
+    fn list_of(&self, ord: u32, layer: usize) -> usize {
+        match layer {
+            0 => ord as usize,
+            _ => self.tower[ord as usize] as usize + layer - 1,
+        }
+    }
+
+    /// Node `ord`'s edges at `layer` (at most its level).
+    #[inline]
+    fn edges(&self, ord: u32, layer: usize) -> &[Edge] {
+        let r = self.list_of(ord, layer);
+        match layer {
+            0 => self.layer0.edges(r),
+            _ => self.upper.edges(r),
+        }
+    }
+
+    /// The lists of `layer` and node `ord`'s list among them.
+    fn list_mut(&mut self, ord: u32, layer: usize) -> (&mut EdgeLists, usize) {
+        let r = self.list_of(ord, layer);
+        match layer {
+            0 => (&mut self.layer0, r),
+            _ => (&mut self.upper, r),
+        }
+    }
+
+    /// Connect `node` to the closest `max_conn` of `found` at `layer`, and
+    /// back-link with pruning.
+    ///
+    /// The `search_layer` similarities ride along into the edge cache, and
+    /// the back-link reuses them (the fused dot is symmetric), so pruning a
+    /// neighbour's over-full list is a sort over cached values: no
+    /// re-scoring of edges that were already scored when created.
+    fn connect(&mut self, node: u32, found: &[Scored], layer: usize, spill: &mut Vec<Edge>) {
+        let (lists, own) = self.list_mut(node, layer);
+        let selected = found
+            .iter()
+            .take(lists.max_conn)
+            .filter(|f| f.ord != node)
+            .map(|f| Edge {
+                ord: f.ord,
+                sim: f.sim,
+            });
+        lists.set(own, selected);
+        // No back-link lands in `node`'s own list (it is not its own
+        // neighbour), so the list can be re-read by position while the
+        // lists it names change.
+        for i in 0..self.edges(node, layer).len() {
+            let e = self.edges(node, layer)[i];
+            let back = Edge {
+                ord: node,
+                sim: e.sim,
+            };
+            let (lists, theirs) = self.list_mut(e.ord, layer);
+            lists.link(theirs, back, spill);
+        }
+    }
+
+    /// Encode node `ord`'s edge lists, layer 0 upward: layer count, then
+    /// per layer a length and the endpoint ordinals (v3: each with its
+    /// distance).
+    fn put_node(&self, buf: &mut BytesMut, ord: u32, with_dist: bool) {
+        let layers = self.level(ord) + 1;
+        buf.put_u32_le(layers as u32);
+        for layer in 0..layers {
+            let edges = self.edges(ord, layer);
+            buf.put_u32_le(edges.len() as u32);
+            for e in edges {
+                buf.put_u32_le(e.ord);
+                if with_dist {
+                    buf.put_f64_le(e.dist());
+                }
+            }
+        }
+    }
+
+    /// Decode one node's edge lists as [`Self::put_node`] wrote them,
+    /// appending the node; `n` is the snapshot's node count. Similarities
+    /// are left zero for [`HnswIndex::derive_edge_sims`]; a v3 list's
+    /// stored distances are skipped.
+    fn get_node(&mut self, buf: &mut Bytes, n: usize, with_dist: bool) -> Result<(), PersistError> {
+        let layers = persist::get_u32(buf)? as usize;
+        if layers == 0 || layers > MAX_LEVEL + 1 {
+            return Err(PersistError::BadTag(layers as u8));
+        }
+        let ord = self.levels.len() as u32;
+        self.push_node(layers - 1);
+        for layer in 0..layers {
+            let (lists, r) = self.list_mut(ord, layer);
+            let len = persist::get_u32(buf)? as usize;
+            if len > lists.max_conn {
+                return Err(PersistError::BadTag(len as u8));
+            }
+            lists.lens[r] = len as u16;
+            for slot in lists.edges_mut(r) {
+                let to = persist::get_u32(buf)?;
+                if to as usize >= n {
+                    return Err(PersistError::BadTag(to as u8));
+                }
+                if with_dist {
+                    persist::get_f64(buf)?;
+                }
+                *slot = Edge { ord: to, sim: 0.0 };
+            }
+        }
+        Ok(())
+    }
+
+    /// Reject a decoded graph a walk could step out of: an edge at a layer
+    /// its endpoint does not reach, or an entry point below the top layer.
+    fn check(&self, entry: Option<u32>, max_level: usize) -> Result<(), PersistError> {
+        let n = self.levels.len();
+        match entry {
+            Some(e) if (e as usize) < n && self.level(e) >= max_level => {}
+            None if n == 0 => {}
+            _ => return Err(PersistError::BadTag(max_level as u8)),
+        }
+        for ord in 0..n as u32 {
+            for layer in 1..=self.level(ord) {
+                if self
+                    .edges(ord, layer)
+                    .iter()
+                    .any(|e| self.level(e.ord) < layer)
+                {
+                    return Err(PersistError::BadTag(layer as u8));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.layer0.heap_bytes()
+            + self.upper.heap_bytes()
+            + self.levels.capacity()
+            + self.tower.capacity() * size_of::<u32>()
+    }
 }
 
 /// Hierarchical Navigable Small World graph over cosine similarity.
@@ -800,21 +1171,21 @@ struct HnswNode {
 /// the tombstone count so `k` live results still come back, and an explicit
 /// [`HnswIndex::compact`] rebuilds the graph from the live nodes when the
 /// caller decides the dead weight is worth shedding.
+///
+/// A node is an ordinal into parallel arrays, not an allocation: its unit
+/// row in `rows`, its id and tombstone, its level and edges in `graph`.
 #[derive(Debug)]
 pub struct HnswIndex {
     config: HnswConfig,
-    nodes: Vec<HnswNode>,
+    rows: RowSlab<f32>,
+    ids: Vec<InstanceId>,
+    deleted: Vec<bool>,
+    graph: Graph,
     entry: Option<u32>,
     max_level: usize,
-    deleted: Vec<bool>,
     dead: usize,
     generation: u64,
     compactions: u64,
-    /// Pooled visited buffer for `search_layer`: epoch-stamped so reuse is
-    /// an epoch bump, not a clear. Behind a mutex only so `&self` searches
-    /// can borrow it; a concurrent search that finds it taken falls back to
-    /// a fresh buffer rather than waiting.
-    visited: Mutex<VisitedSet>,
 }
 
 /// Epoch-stamped visited set: `stamps[ord] == epoch` means "seen this
@@ -841,6 +1212,7 @@ impl VisitedSet {
     }
 
     /// Mark `ord` visited; true when it was not already.
+    #[inline]
     pub(crate) fn insert(&mut self, ord: u32) -> bool {
         let s = &mut self.stamps[ord as usize];
         if *s == self.epoch {
@@ -852,32 +1224,96 @@ impl VisitedSet {
     }
 }
 
-/// Hint the prefetcher at a node's vector ahead of the dot that will read
-/// it — the descent loops touch neighbours whose slabs the hardware
-/// stride prefetcher cannot predict. No-op off x86_64.
+/// A scored node: what the search heaps and `search_layer`'s output hold.
+/// Ordered by `(dist, ord)`; the similarity rides along so a result can
+/// become an [`Edge`].
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    dist: f64,
+    ord: u32,
+    sim: f32,
+}
+
+impl PartialEq for Scored {
+    fn eq(&self, other: &Self) -> bool {
+        self.dist == other.dist && self.ord == other.ord
+    }
+}
+impl Eq for Scored {}
+impl PartialOrd for Scored {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Scored {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.dist
+            .partial_cmp(&other.dist)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| self.ord.cmp(&other.ord))
+    }
+}
+
+/// Everything a graph walk needs besides the graph, kept per thread so
+/// concurrent searches share nothing and a steady-state search allocates
+/// only its result. The visited stamps serve every index the thread
+/// searches: an epoch is never reused, so another index's stale stamps
+/// read as unvisited.
+#[derive(Default)]
+struct Scratch {
+    visited: VisitedSet,
+    /// Closest first.
+    candidates: BinaryHeap<Reverse<Scored>>,
+    /// Farthest first, so the worst can be evicted.
+    results: BinaryHeap<Scored>,
+    /// The popped candidate's not-yet-visited neighbours, in edge order.
+    unvisited: Vec<u32>,
+    /// `search_layer`'s output, ascending by distance.
+    found: Vec<Scored>,
+    /// `EdgeLists::link`'s sort buffer.
+    spill: Vec<Edge>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Hint every cache line of a row toward L1 ahead of the dot that will
+/// read it — graph walks touch rows the hardware stride prefetcher cannot
+/// predict. No-op off x86_64.
 #[inline(always)]
-fn prefetch_slice(v: &[f32]) {
+fn prefetch_row(row: &[f32]) {
     #[cfg(target_arch = "x86_64")]
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(v.as_ptr() as *const i8, std::arch::x86_64::_MM_HINT_T0);
+    for line in row.chunks(16) {
+        // SAFETY: a prefetch is a hint with no architectural effect — it
+        // cannot fault — and the address is inside `row` regardless.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch(
+                line.as_ptr() as *const i8,
+                std::arch::x86_64::_MM_HINT_T0,
+            );
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = v;
+    let _ = row;
 }
 
 impl HnswIndex {
-    /// Empty index with the given parameters.
+    /// Empty index with the given parameters. Panics when `config.m`
+    /// exceeds 4096.
     pub fn new(config: HnswConfig) -> HnswIndex {
+        assert!(config.m <= MAX_M, "hnsw m {} exceeds {MAX_M}", config.m);
         HnswIndex {
             config,
-            nodes: Vec::new(),
+            rows: RowSlab::default(),
+            ids: Vec::new(),
+            deleted: Vec::new(),
+            graph: Graph::new(config.m),
             entry: None,
             max_level: 0,
-            deleted: Vec::new(),
             dead: 0,
             generation: 0,
             compactions: 0,
-            visited: Mutex::new(VisitedSet::default()),
         }
     }
 
@@ -914,6 +1350,16 @@ impl HnswIndex {
         self.compactions
     }
 
+    /// Bytes of heap the index holds (rows, edge lists, ids, tombstones,
+    /// levels), spare capacity included. The per-thread search scratch
+    /// belongs to the searching threads, not the index, and is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.heap_bytes()
+            + self.graph.heap_bytes()
+            + self.ids.capacity() * size_of::<InstanceId>()
+            + self.deleted.capacity()
+    }
+
     /// Rebuild the graph from the live nodes (insertion order preserved),
     /// shedding tombstones. Unlike the flat index this is not triggered
     /// automatically: a rebuild re-runs construction, so the caller (the
@@ -923,9 +1369,9 @@ impl HnswIndex {
             return;
         }
         let mut fresh = HnswIndex::new(self.config);
-        for (ord, node) in self.nodes.drain(..).enumerate() {
+        for (ord, row) in self.rows.iter().enumerate() {
             if !self.deleted[ord] {
-                fresh.add(node.id, node.vector);
+                fresh.add(self.ids[ord], Vector::from_vec(row.to_vec()));
             }
         }
         fresh.generation = self.generation;
@@ -933,11 +1379,18 @@ impl HnswIndex {
         *self = fresh;
     }
 
-    /// Cosine *distance* (1 - similarity): lower is closer. A single fused
-    /// dot — both operands are unit by the index invariant (`q` must be
-    /// pre-normalized by the caller, which `add`/`search` guarantee).
-    fn dist(&self, a: u32, q: &Vector) -> f64 {
-        1.0 - self.nodes[a as usize].vector.dot_unit(q) as f64
+    /// The node's similarity to `q` and the cosine *distance*
+    /// (1 - similarity, lower is closer) every ordering uses. A single
+    /// fused dot — both operands are unit by the index invariant (`q` must
+    /// be pre-normalized by the caller, which `add`/`search` guarantee).
+    #[inline]
+    fn score(&self, ord: u32, q: &[f32]) -> Scored {
+        let sim = kernel::dot_unit(self.rows.row(ord as usize), q);
+        Scored {
+            dist: 1.0 - sim as f64,
+            ord,
+            sim,
+        }
     }
 
     /// Deterministic geometric level for the `ord`-th insertion.
@@ -946,7 +1399,7 @@ impl HnswIndex {
         let mut h = verifai_embed::hashing::splitmix64(self.config.seed ^ (ord as u64) << 1);
         let mut level = 0usize;
         let threshold = u64::MAX / self.config.m.max(2) as u64;
-        while h < threshold && level < 16 {
+        while h < threshold && level < MAX_LEVEL {
             level += 1;
             h = verifai_embed::hashing::splitmix64(h);
         }
@@ -954,230 +1407,115 @@ impl HnswIndex {
     }
 
     /// Greedy descent from the entry point to the closest node at `layer`.
-    /// Each neighbour's vector is prefetched one step ahead of the dot that
-    /// scores it, hiding the slab miss behind the current evaluation.
-    fn greedy_at_layer(&self, start: u32, q: &Vector, layer: usize) -> u32 {
-        let mut cur = start;
-        let mut cur_d = self.dist(cur, q);
+    /// A node's neighbours are all prefetched before the first is scored,
+    /// hiding the row misses behind one another.
+    fn greedy_at_layer(&self, start: u32, q: &[f32], layer: usize) -> u32 {
+        let mut cur = self.score(start, q);
         let mut evals = 1u64;
         loop {
             let mut improved = false;
-            let edges = &self.nodes[cur as usize].neighbors[layer];
+            let edges = self.graph.edges(cur.ord, layer);
             evals += edges.len() as u64;
-            for (i, e) in edges.iter().enumerate() {
-                if let Some(next) = edges.get(i + 1) {
-                    prefetch_slice(self.nodes[next.ord as usize].vector.as_slice());
-                }
-                let d = self.dist(e.ord, q);
-                if d < cur_d {
-                    cur = e.ord;
-                    cur_d = d;
+            for e in edges {
+                prefetch_row(self.rows.row(e.ord as usize));
+            }
+            for e in edges {
+                let next = self.score(e.ord, q);
+                if next.dist < cur.dist {
+                    cur = next;
                     improved = true;
                 }
             }
             if !improved {
-                meter::charge_scan(evals, evals * (q.dim() * 4) as u64);
-                return cur;
+                meter::charge_scan(evals, evals * (q.len() * 4) as u64);
+                return cur.ord;
             }
         }
     }
 
-    /// Best-first search at one layer, returning up to `ef` closest candidates
-    /// as (distance, ordinal) sorted ascending by distance.
+    /// Best-first search at one layer, leaving up to `ef` closest
+    /// candidates in `scratch.found`, ascending by distance.
     ///
-    /// The visited set comes from the pooled epoch-stamped buffer (taken
-    /// for the duration of the call; concurrent searches that find the
-    /// pool taken use a fresh buffer), so steady-state searches allocate
-    /// nothing for visit tracking.
-    fn search_layer(&self, entry: u32, q: &Vector, layer: usize, ef: usize) -> Vec<(f64, u32)> {
-        let mut visited: VisitedSet = self
-            .visited
-            .try_lock()
-            .map(|mut pool| std::mem::take(&mut *pool))
-            .unwrap_or_default();
-        visited.begin(self.nodes.len());
+    /// Each popped candidate's unvisited neighbours are gathered (and
+    /// marked) first, every cache line of their rows prefetched, and only
+    /// then scored — in edge order, so the heaps see exactly the sequence
+    /// of pushes and pops a score-as-you-go walk makes, and ties fall the
+    /// same way.
+    fn search_layer(&self, scratch: &mut Scratch, entry: u32, q: &[f32], layer: usize, ef: usize) {
+        let Scratch {
+            visited,
+            candidates,
+            results,
+            unvisited,
+            found,
+            ..
+        } = scratch;
+        visited.begin(self.ids.len());
         visited.insert(entry);
+        candidates.clear();
+        results.clear();
+        let first = self.score(entry, q);
         let mut evals = 1u64;
-        let d0 = self.dist(entry, q);
-        // Candidates: min-dist first (use Reverse ordering via negated compare).
-        let mut candidates: BinaryHeap<CandEntry> = BinaryHeap::new();
-        candidates.push(CandEntry {
-            dist: d0,
-            ord: entry,
-            min_first: true,
-        });
-        // Results: max-dist first so the worst can be evicted.
-        let mut results: BinaryHeap<CandEntry> = BinaryHeap::new();
-        results.push(CandEntry {
-            dist: d0,
-            ord: entry,
-            min_first: false,
-        });
+        candidates.push(Reverse(first));
+        results.push(first);
 
-        while let Some(c) = candidates.pop() {
-            let worst = results.peek().map(|r| r.dist).unwrap_or(f64::INFINITY);
+        while let Some(Reverse(c)) = candidates.pop() {
+            let worst = results.peek().map_or(f64::INFINITY, |r| r.dist);
             if c.dist > worst && results.len() >= ef {
                 break;
             }
-            let edges = &self.nodes[c.ord as usize].neighbors[layer];
-            for (i, e) in edges.iter().enumerate() {
-                if let Some(next) = edges.get(i + 1) {
-                    prefetch_slice(self.nodes[next.ord as usize].vector.as_slice());
+            unvisited.clear();
+            for e in self.graph.edges(c.ord, layer) {
+                if visited.insert(e.ord) {
+                    prefetch_row(self.rows.row(e.ord as usize));
+                    unvisited.push(e.ord);
                 }
-                if !visited.insert(e.ord) {
-                    continue;
-                }
-                evals += 1;
-                let d = self.dist(e.ord, q);
-                let worst = results.peek().map(|r| r.dist).unwrap_or(f64::INFINITY);
-                if results.len() < ef || d < worst {
-                    candidates.push(CandEntry {
-                        dist: d,
-                        ord: e.ord,
-                        min_first: true,
-                    });
-                    results.push(CandEntry {
-                        dist: d,
-                        ord: e.ord,
-                        min_first: false,
-                    });
+            }
+            evals += unvisited.len() as u64;
+            for &ord in unvisited.iter() {
+                let next = self.score(ord, q);
+                let worst = results.peek().map_or(f64::INFINITY, |r| r.dist);
+                if results.len() < ef || next.dist < worst {
+                    candidates.push(Reverse(next));
+                    results.push(next);
                     if results.len() > ef {
                         results.pop();
                     }
                 }
             }
         }
-        meter::charge_scan(evals, evals * (q.dim() * 4) as u64);
-        // Return the buffer to the pool for the next search.
-        if let Ok(mut pool) = self.visited.try_lock() {
-            *pool = visited;
-        }
-        let mut out: Vec<(f64, u32)> = results.into_iter().map(|e| (e.dist, e.ord)).collect();
-        out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-        out
-    }
-
-    /// Connect `node` to the closest `max_conn` of `candidates` at `layer`,
-    /// and back-link with pruning.
-    ///
-    /// The `search_layer` distances ride along into the edge cache, and the
-    /// back-link reuses them (the fused dot is symmetric), so pruning a
-    /// neighbour's over-full list is a sort over cached values: no vector
-    /// clone, no re-scoring of edges that were already scored when created.
-    fn connect(&mut self, node: u32, candidates: &[(f64, u32)], layer: usize, max_conn: usize) {
-        let selected: Vec<Neighbor> = candidates
-            .iter()
-            .take(max_conn)
-            .filter(|&&(_, o)| o != node)
-            .map(|&(dist, ord)| Neighbor { ord, dist })
-            .collect();
-        self.nodes[node as usize].neighbors[layer] = selected.clone();
-        for e in &selected {
-            let nv = &mut self.nodes[e.ord as usize].neighbors[layer];
-            if nv.iter().any(|x| x.ord == node) {
-                continue;
-            }
-            nv.push(Neighbor {
-                ord: node,
-                dist: e.dist,
-            });
-            if nv.len() > max_conn {
-                // Prune: keep the max_conn closest neighbours of e.ord.
-                nv.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap_or(Ordering::Equal));
-                nv.truncate(max_conn);
-            }
-        }
-    }
-}
-
-struct CandEntry {
-    dist: f64,
-    ord: u32,
-    /// true = min-heap behaviour (closest first), false = max-heap (farthest first).
-    min_first: bool,
-}
-impl PartialEq for CandEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.ord == other.ord
-    }
-}
-impl Eq for CandEntry {}
-impl PartialOrd for CandEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CandEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let ord = self
-            .dist
-            .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.ord.cmp(&other.ord));
-        if self.min_first {
-            ord.reverse()
-        } else {
-            ord
-        }
+        meter::charge_scan(evals, evals * (q.len() * 4) as u64);
+        // The sort is stable over the heap's internal order, which the
+        // push/pop sequence above determines: distance ties keep it.
+        found.clear();
+        found.extend(results.drain());
+        found.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap_or(Ordering::Equal));
     }
 }
 
 impl HnswIndex {
     /// Serialize the graph into a version-3 binary snapshot: generation,
     /// config, ids, tombstones, adjacency **with cached edge distances**,
-    /// then every vector's components as one contiguous `f32` slab. Storing
-    /// the distances means load skips the O(edges) re-derivation pass the
-    /// v1/v2 format paid, and the slab makes the vector payload one bulk
-    /// decode — together this is what makes warm restart near-instant.
+    /// then every vector's components as one contiguous `f32` slab.
     pub fn to_bytes(&self) -> Bytes {
-        let dim = self.nodes.first().map(|n| n.vector.dim()).unwrap_or(0);
-        debug_assert!(
-            self.nodes.iter().all(|n| n.vector.dim() == dim),
-            "hnsw index holds mixed dimensions"
-        );
-        let payload: usize = self
-            .nodes
-            .iter()
-            .map(|n| 10 + dim * 4 + n.neighbors.iter().map(|l| 4 + 12 * l.len()).sum::<usize>())
-            .sum();
-        let mut buf = BytesMut::with_capacity(64 + payload);
+        let dim = self.rows.stride();
+        let n = self.ids.len();
+        let per_node = 22 + dim * 4 + self.graph.layer0.max_conn * 12;
+        let mut buf = BytesMut::with_capacity(64 + n * per_node);
         persist::put_header(&mut buf, SnapshotKind::Hnsw, FLAG_UNIT_NORM);
         buf.put_u64_le(self.generation);
-        buf.put_u32_le(self.config.m as u32);
-        buf.put_u32_le(self.config.ef_construction as u32);
-        buf.put_u32_le(self.config.ef_search as u32);
-        buf.put_u64_le(self.config.seed);
-        buf.put_u32_le(self.max_level as u32);
-        match self.entry {
-            Some(e) => {
-                buf.put_u8(1);
-                buf.put_u32_le(e);
-            }
-            None => buf.put_u8(0),
-        }
-        buf.put_u32_le(self.nodes.len() as u32);
+        self.put_graph_header(&mut buf);
         buf.put_u32_le(dim as u32);
-        for node in &self.nodes {
-            persist::put_instance_id(&mut buf, node.id);
+        for id in &self.ids {
+            persist::put_instance_id(&mut buf, *id);
         }
         for &d in &self.deleted {
             buf.put_u8(d as u8);
         }
-        for node in &self.nodes {
-            buf.put_u32_le(node.neighbors.len() as u32);
-            for layer in &node.neighbors {
-                buf.put_u32_le(layer.len() as u32);
-                for e in layer {
-                    buf.put_u32_le(e.ord);
-                    buf.put_f64_le(e.dist);
-                }
-            }
+        for ord in 0..n as u32 {
+            self.graph.put_node(&mut buf, ord, true);
         }
-        for node in &self.nodes {
-            for &x in node.vector.as_slice() {
-                buf.put_f32_le(x);
-            }
-        }
+        self.rows.put_rows(&mut buf);
         buf.freeze()
     }
 
@@ -1188,15 +1526,20 @@ impl HnswIndex {
     /// tombstones (v2 cannot express them).
     pub fn to_bytes_v2(&self) -> Bytes {
         assert_eq!(self.dead, 0, "compact before encoding a v2 snapshot");
-        let payload: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                17 + n.vector.dim() * 4 + n.neighbors.iter().map(|l| 4 + 4 * l.len()).sum::<usize>()
-            })
-            .sum();
-        let mut buf = BytesMut::with_capacity(48 + payload);
+        let mut buf = BytesMut::new();
         persist::put_header_versioned(&mut buf, SnapshotKind::Hnsw, FLAG_UNIT_NORM, 2);
+        self.put_graph_header(&mut buf);
+        for (ord, row) in self.rows.iter().enumerate() {
+            persist::put_instance_id(&mut buf, self.ids[ord]);
+            put_vector(&mut buf, row);
+            self.graph.put_node(&mut buf, ord as u32, false);
+        }
+        buf.freeze()
+    }
+
+    /// Config, top level, entry point and node count — the fields every
+    /// version's body opens with.
+    fn put_graph_header(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.config.m as u32);
         buf.put_u32_le(self.config.ef_construction as u32);
         buf.put_u32_le(self.config.ef_search as u32);
@@ -1209,29 +1552,32 @@ impl HnswIndex {
             }
             None => buf.put_u8(0),
         }
-        buf.put_u32_le(self.nodes.len() as u32);
-        for node in &self.nodes {
-            persist::put_instance_id(&mut buf, node.id);
-            put_vector(&mut buf, &node.vector);
-            buf.put_u32_le(node.neighbors.len() as u32);
-            for layer in &node.neighbors {
-                buf.put_u32_le(layer.len() as u32);
-                for e in layer {
-                    buf.put_u32_le(e.ord);
+        buf.put_u32_le(self.ids.len() as u32);
+    }
+
+    /// Fill every edge's cached similarity from the (unit) rows — the same
+    /// dot that scored the edge when it was created, so the derived
+    /// distances are the ones a v3 snapshot stored.
+    fn derive_edge_sims(&mut self) {
+        for ord in 0..self.ids.len() as u32 {
+            let row = self.rows.row(ord as usize);
+            for layer in 0..=self.graph.level(ord) {
+                let (lists, r) = self.graph.list_mut(ord, layer);
+                for e in lists.edges_mut(r) {
+                    e.sim = kernel::dot_unit(row, self.rows.row(e.ord as usize));
                 }
             }
         }
-        buf.freeze()
     }
 
     /// Reconstruct the graph from a snapshot produced by [`Self::to_bytes`]
     /// (or a legacy encoder).
     ///
-    /// Version-3 snapshots load zero-copy (shared vector slab) with their
-    /// cached edge distances intact. Version-1/2 snapshots migrate on load:
-    /// eager per-entry vector decode, distances re-derived, generation 0,
-    /// no tombstones; vectors without [`persist::FLAG_UNIT_NORM`] are
-    /// normalized.
+    /// Every version decodes its vectors straight into the row slab (v3:
+    /// the slab section in one bulk pass) and its adjacency straight into
+    /// the edge slots, then derives the cached edge similarities from the
+    /// rows. Version-1/2 snapshots carry no generation or tombstones;
+    /// vectors without [`persist::FLAG_UNIT_NORM`] are normalized first.
     pub fn from_bytes(mut buf: Bytes) -> Result<HnswIndex, PersistError> {
         let (version, flags) = persist::check_header(&mut buf, SnapshotKind::Hnsw)?;
         let generation = if version >= 3 {
@@ -1240,146 +1586,60 @@ impl HnswIndex {
             0
         };
         let m = persist::get_u32(&mut buf)? as usize;
-        let ef_construction = persist::get_u32(&mut buf)? as usize;
-        let ef_search = persist::get_u32(&mut buf)? as usize;
-        let seed = persist::get_u64(&mut buf)?;
-        let max_level = persist::get_u32(&mut buf)? as usize;
-        let entry = match persist::get_u8(&mut buf)? {
+        if m > MAX_M {
+            return Err(PersistError::BadTag(m as u8));
+        }
+        let config = HnswConfig {
+            m,
+            ef_construction: persist::get_u32(&mut buf)? as usize,
+            ef_search: persist::get_u32(&mut buf)? as usize,
+            seed: persist::get_u64(&mut buf)?,
+        };
+        let mut idx = HnswIndex::new(config);
+        idx.generation = generation;
+        idx.max_level = persist::get_u32(&mut buf)? as usize;
+        idx.entry = match persist::get_u8(&mut buf)? {
             0 => None,
             1 => Some(persist::get_u32(&mut buf)?),
             other => return Err(PersistError::BadTag(other)),
         };
-        let n = persist::get_u32(&mut buf)? as usize;
-        let config = HnswConfig {
-            m,
-            ef_construction,
-            ef_search,
-            seed,
-        };
-
+        let n = get_count(&mut buf)?;
         if version >= 3 {
             let dim = persist::get_u32(&mut buf)? as usize;
-            let mut ids = Vec::with_capacity(n);
+            idx.ids = get_instance_ids(&mut buf, n)?;
+            (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
             for _ in 0..n {
-                ids.push(persist::get_instance_id(&mut buf)?);
+                idx.graph.get_node(&mut buf, n, true)?;
             }
-            let (deleted, dead) = get_tombstones(&mut buf, n)?;
-            let mut adjacency = Vec::with_capacity(n);
+            idx.rows = RowSlab::decode(&mut buf, n, dim)?;
+        } else {
+            idx.ids.reserve_exact(n);
             for _ in 0..n {
-                let n_layers = persist::get_u32(&mut buf)? as usize;
-                let mut neighbors = Vec::with_capacity(n_layers);
-                for _ in 0..n_layers {
-                    let len = persist::get_u32(&mut buf)? as usize;
-                    let mut layer = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let ord = persist::get_u32(&mut buf)?;
-                        if ord as usize >= n {
-                            return Err(PersistError::BadTag(ord as u8));
-                        }
-                        let dist = persist::get_f64(&mut buf)?;
-                        layer.push(Neighbor { ord, dist });
-                    }
-                    neighbors.push(layer);
-                }
-                adjacency.push(neighbors);
+                idx.ids.push(persist::get_instance_id(&mut buf)?);
+                idx.rows.decode_vector(&mut buf)?;
+                idx.graph.get_node(&mut buf, n, false)?;
             }
-            let slab = get_slab(&mut buf, n * dim)?;
-            let nodes: Vec<HnswNode> = ids
-                .into_iter()
-                .zip(adjacency)
-                .enumerate()
-                .map(|(i, (id, neighbors))| {
-                    let mut vector = Vector::from_slab(slab.clone(), i * dim, dim);
-                    if flags & FLAG_UNIT_NORM == 0 {
-                        vector.normalize();
-                    }
-                    HnswNode {
-                        id,
-                        vector,
-                        neighbors,
-                    }
-                })
-                .collect();
-            return Ok(HnswIndex {
-                config,
-                nodes,
-                entry,
-                max_level,
-                deleted,
-                dead,
-                generation,
-                compactions: 0,
-                visited: Mutex::new(VisitedSet::default()),
-            });
+            idx.deleted = vec![false; n];
         }
-
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = persist::get_instance_id(&mut buf)?;
-            let mut vector = get_vector(&mut buf)?;
-            if flags & FLAG_UNIT_NORM == 0 {
-                vector.normalize();
-            }
-            let n_layers = persist::get_u32(&mut buf)? as usize;
-            let mut neighbors = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
-                let len = persist::get_u32(&mut buf)? as usize;
-                let mut layer = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let ord = persist::get_u32(&mut buf)?;
-                    if ord as usize >= n {
-                        return Err(PersistError::BadTag(ord as u8));
-                    }
-                    layer.push(Neighbor { ord, dist: 0.0 });
-                }
-                neighbors.push(layer);
-            }
-            nodes.push(HnswNode {
-                id,
-                vector,
-                neighbors,
-            });
+        idx.graph.check(idx.entry, idx.max_level)?;
+        if flags & FLAG_UNIT_NORM == 0 {
+            idx.rows.normalize_rows();
         }
-        // Re-derive the cached edge distances from the (now unit) vectors.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..nodes.len() {
-            for l in 0..nodes[i].neighbors.len() {
-                for j in 0..nodes[i].neighbors[l].len() {
-                    let o = nodes[i].neighbors[l][j].ord as usize;
-                    let d = 1.0 - nodes[i].vector.dot_unit(&nodes[o].vector) as f64;
-                    nodes[i].neighbors[l][j].dist = d;
-                }
-            }
-        }
-        let deleted = vec![false; nodes.len()];
-        Ok(HnswIndex {
-            config,
-            nodes,
-            entry,
-            max_level,
-            deleted,
-            dead: 0,
-            generation,
-            compactions: 0,
-            visited: Mutex::new(VisitedSet::default()),
-        })
+        idx.derive_edge_sims();
+        Ok(idx)
     }
 }
 
 impl VectorIndex for HnswIndex {
     fn add(&mut self, id: InstanceId, mut vector: Vector) {
         vector.normalize();
-        let ord = self.nodes.len() as u32;
+        let ord = self.ids.len() as u32;
         let level = self.draw_level(ord as usize);
+        self.rows.push(vector.iter().copied());
+        self.ids.push(id);
         self.deleted.push(false);
+        self.graph.push_node(level);
         self.generation += 1;
-        self.nodes.push(HnswNode {
-            id,
-            vector,
-            neighbors: vec![Vec::new(); level + 1],
-        });
-        // Already unit: every `dist` during construction is a single dot.
-        let q = self.nodes[ord as usize].vector.clone();
 
         let Some(mut entry) = self.entry else {
             self.entry = Some(ord);
@@ -1387,23 +1647,24 @@ impl VectorIndex for HnswIndex {
             return;
         };
 
+        // Already unit, and bit for bit the row just stored: every distance
+        // during construction is a single dot against the caller's buffer.
+        let q: &[f32] = &vector;
         // Descend from the top layer to level+1 greedily.
         for l in ((level + 1)..=self.max_level).rev() {
-            entry = self.greedy_at_layer(entry, &q, l);
+            entry = self.greedy_at_layer(entry, q, l);
         }
         // Insert at each layer from min(level, max_level) down to 0.
-        for l in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(entry, &q, l, self.config.ef_construction);
-            let max_conn = if l == 0 {
-                self.config.m * 2
-            } else {
-                self.config.m
-            };
-            self.connect(ord, &found, l, max_conn);
-            if let Some(&(_, best)) = found.first() {
-                entry = best;
+        SCRATCH.with_borrow_mut(|scratch| {
+            for l in (0..=level.min(self.max_level)).rev() {
+                self.search_layer(scratch, entry, q, l, self.config.ef_construction);
+                self.graph
+                    .connect(ord, &scratch.found, l, &mut scratch.spill);
+                if let Some(best) = scratch.found.first() {
+                    entry = best.ord;
+                }
             }
-        }
+        });
         if level > self.max_level {
             self.max_level = level;
             self.entry = Some(ord);
@@ -1412,8 +1673,8 @@ impl VectorIndex for HnswIndex {
 
     fn remove(&mut self, id: InstanceId) -> bool {
         let mut any = false;
-        for (ord, node) in self.nodes.iter().enumerate() {
-            if node.id == id && !self.deleted[ord] {
+        for (ord, eid) in self.ids.iter().enumerate() {
+            if *eid == id && !self.deleted[ord] {
                 self.deleted[ord] = true;
                 self.dead += 1;
                 any = true;
@@ -1429,30 +1690,33 @@ impl VectorIndex for HnswIndex {
         let Some(mut entry) = self.entry else {
             return Vec::new();
         };
-        if k == 0 || self.dead == self.nodes.len() {
+        if k == 0 || self.dead == self.ids.len() {
             return Vec::new();
         }
-        let q = unit_query(query);
+        let q = query.to_unit();
         for l in (1..=self.max_level).rev() {
             entry = self.greedy_at_layer(entry, &q, l);
         }
         // Over-fetch by the tombstone count: dead nodes still route (their
         // edges are intact) but cannot be returned, so widening the
         // candidate list keeps `k` honored after filtering.
-        let ef = (self.config.ef_search.max(k) + self.dead).min(self.nodes.len());
-        let found = self.search_layer(entry, &q, 0, ef);
-        let mut hits: Vec<SearchHit> = found
-            .into_iter()
-            .filter(|&(_, o)| !self.deleted[o as usize])
-            .take(k)
-            .map(|(d, o)| SearchHit::new(self.nodes[o as usize].id, 1.0 - d))
-            .collect();
+        let ef = (self.config.ef_search.max(k) + self.dead).min(self.ids.len());
+        let mut hits: Vec<SearchHit> = SCRATCH.with_borrow_mut(|scratch| {
+            self.search_layer(scratch, entry, &q, 0, ef);
+            scratch
+                .found
+                .iter()
+                .filter(|f| !self.deleted[f.ord as usize])
+                .take(k)
+                .map(|f| SearchHit::new(self.ids[f.ord as usize], 1.0 - f.dist))
+                .collect()
+        });
         sort_hits(&mut hits);
         hits
     }
 
     fn len(&self) -> usize {
-        self.nodes.len() - self.dead
+        self.ids.len() - self.dead
     }
 }
 
@@ -1502,6 +1766,14 @@ impl AnyVectorIndex {
         match self {
             AnyVectorIndex::Flat(i) => i.compactions(),
             AnyVectorIndex::Hnsw(i) => i.compactions(),
+        }
+    }
+
+    /// Bytes of heap the wrapped index holds.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            AnyVectorIndex::Flat(i) => i.heap_bytes(),
+            AnyVectorIndex::Hnsw(i) => i.heap_bytes(),
         }
     }
 
@@ -1851,12 +2123,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_load_is_zero_copy_and_keeps_state() {
+    fn v3_load_allocates_per_chunk_not_per_vector_and_keeps_state() {
+        // Enough rows to span chunks, with a ragged last one.
+        let e = TextEmbedder::with_seed(11);
+        let n = 2 * ROWS_PER_CHUNK + 44;
         let mut flat = FlatIndex::new();
         let mut hnsw = HnswIndex::with_defaults();
-        for (id, v) in corpus() {
-            flat.add(id, v.clone());
-            hnsw.add(id, v);
+        for i in 0..n as u64 {
+            let v = e.embed(&format!(
+                "entity {} topic {} attribute {}",
+                i,
+                i % 17,
+                i % 7
+            ));
+            flat.add(tid(i), v.clone());
+            hnsw.add(tid(i), v);
         }
         flat.remove(tid(3));
         hnsw.remove(tid(3));
@@ -1870,14 +2151,25 @@ mod tests {
         assert_eq!(hnsw2.tombstones(), 1);
         assert_eq!(flat2.len(), flat.len());
         assert_eq!(hnsw2.len(), hnsw.len());
-        // Every reloaded vector borrows the shared slab — the zero-copy path.
-        assert!(flat2.vectors.iter().all(|v| v.is_shared()));
-        assert!(hnsw2.nodes.iter().all(|n| n.vector.is_shared()));
+        // The rows decoded into ⌈n / rows-per-chunk⌉ allocations, each of
+        // exactly one chunk — as they stand in the index that was saved.
+        for rows in [&flat2.rows, &hnsw2.rows, &flat.rows, &hnsw.rows] {
+            assert_eq!(rows.len(), n);
+            assert_eq!(rows.chunks.len(), n.div_ceil(ROWS_PER_CHUNK));
+            assert!(rows
+                .chunks
+                .iter()
+                .all(|c| c.capacity() == ROWS_PER_CHUNK * rows.stride()));
+        }
+        // The reloaded graph is the saved graph, cached similarities
+        // included: it snapshots to the same bytes.
+        assert_eq!(hnsw2.to_bytes(), hnsw.to_bytes());
+        assert_eq!(flat2.to_bytes(), flat.to_bytes());
         // And the tombstone survives the round-trip.
-        let e = TextEmbedder::with_seed(11);
-        let q = e.embed("dance drama film stomp the yard 2007");
+        let q = e.embed("entity 3 topic 3 attribute 3");
         assert!(flat2.search(&q, 8).iter().all(|h| h.id != tid(3)));
         assert!(hnsw2.search(&q, 8).iter().all(|h| h.id != tid(3)));
+        assert_eq!(hnsw2.search(&q, 8), hnsw.search(&q, 8));
     }
 
     #[test]
@@ -2040,7 +2332,7 @@ mod tests {
             idx.remove(tid(i));
         }
         assert_eq!(idx.tombstones(), 0);
-        assert_eq!(idx.codes.len(), idx.ids.len() * idx.dim);
+        assert_eq!(idx.codes.len(), idx.ids.len() * idx.rows.stride());
         assert_eq!(idx.scales.len(), idx.ids.len());
         let hits = idx.search(&e.embed("chicago bulls championship"), 8);
         assert_eq!(hits.len(), 3);
@@ -2058,7 +2350,7 @@ mod tests {
         assert_eq!(back.rescore_factor(), 7);
         assert_eq!(back.codes, idx.codes);
         assert_eq!(back.scales, idx.scales);
-        assert_eq!(back.dim, idx.dim);
+        assert_eq!(back.rows.stride(), idx.rows.stride());
         let e = TextEmbedder::with_seed(11);
         for q in ["jordan basketball", "election district new york"] {
             let qv = e.embed(q);
@@ -2128,24 +2420,134 @@ mod tests {
     }
 
     #[test]
-    fn visited_pool_reuse_is_stable_across_searches() {
-        // Repeated searches reuse the pooled epoch-stamped buffer; results
-        // must not drift between the cold (allocating) first search and
-        // warm reuse, including interleaved mutations.
+    fn scratch_reuse_is_stable_across_searches_and_growth() {
+        // Repeated searches reuse the thread's scratch; results must not
+        // drift between the cold (allocating) first search and warm reuse,
+        // nor when another index's searches and this index's growth
+        // (stamps resized) come in between.
         let e = TextEmbedder::with_seed(3);
         let mut idx = HnswIndex::with_defaults();
+        let mut other = HnswIndex::with_defaults();
         for i in 0..60u64 {
             idx.add(tid(i), e.embed(&format!("entity {} topic {}", i, i % 5)));
+        }
+        for i in 0..200u64 {
+            other.add(tid(i), e.embed(&format!("other {} topic {}", i, i % 9)));
         }
         let q = e.embed("entity 31 topic 1");
         let first = idx.search(&q, 5);
         for _ in 0..50 {
+            other.search(&q, 7);
             assert_eq!(idx.search(&q, 5), first);
+        }
+        // A fresh thread (fresh scratch) answers the same.
+        let fresh = std::thread::scope(|s| s.spawn(|| idx.search(&q, 5)).join().unwrap());
+        assert_eq!(fresh, first);
+        // Grow past every stamp the scratch has seen for this index.
+        for i in 60..400u64 {
+            idx.add(tid(i), e.embed(&format!("entity {} topic {}", i, i % 5)));
         }
         idx.add(tid(1000), e.embed("entity 31 topic 1 duplicate"));
         let after = idx.search(&q, 5);
         assert_eq!(after.len(), 5);
         assert_eq!(idx.search(&q, 5), after);
+        let fresh = std::thread::scope(|s| s.spawn(|| idx.search(&q, 5)).join().unwrap());
+        assert_eq!(fresh, after);
+    }
+
+    #[test]
+    fn concurrent_searches_return_the_sequential_answers() {
+        // 4 threads x 200 searches over one shared index, all started
+        // together: every thread walks on its own scratch, so each answer
+        // is exactly the one a lone caller gets.
+        let e = TextEmbedder::with_seed(3);
+        let mut idx = HnswIndex::with_defaults();
+        for i in 0..500u64 {
+            idx.add(tid(i), e.embed(&format!("entity {} topic {}", i, i % 11)));
+        }
+        for i in (0..500u64).step_by(9) {
+            idx.remove(tid(i));
+        }
+        let queries: Vec<Vector> = (0..200u64)
+            .map(|i| e.embed(&format!("entity {} topic {}", i * 7 % 500, i % 11)))
+            .collect();
+        let want: Vec<Vec<SearchHit>> = queries.iter().map(|q| idx.search(q, 10)).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (idx, queries, want, start) = (&idx, &queries, &want, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        // Each thread starts at a different query so the
+                        // four are never in step.
+                        for i in 0..queries.len() {
+                            let at = (i + t * 50) % queries.len();
+                            assert_eq!(idx.search(&queries[at], 10), want[at], "query {at}");
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().expect("search thread panicked");
+            }
+        });
+    }
+
+    #[test]
+    fn row_slab_grows_by_whole_chunks_without_moving_rows() {
+        let mut slab: RowSlab<f32> = RowSlab::default();
+        let row = |i: usize| [i as f32, -(i as f32), 0.5];
+        slab.push(row(0).into_iter());
+        let first = slab.row(0).as_ptr();
+        for i in 1..ROWS_PER_CHUNK * 3 + 1 {
+            slab.push(row(i).into_iter());
+        }
+        assert_eq!(slab.stride(), 3);
+        assert_eq!(slab.len(), ROWS_PER_CHUNK * 3 + 1);
+        assert_eq!(slab.chunks.len(), 4);
+        assert_eq!(slab.row(0).as_ptr(), first, "growth must not move rows");
+        for i in [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK * 3] {
+            assert_eq!(slab.row(i), row(i));
+        }
+        assert_eq!(
+            slab.heap_bytes(),
+            4 * ROWS_PER_CHUNK * 3 * 4 + slab.chunks.capacity() * size_of::<Vec<f32>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row slab holds one stride")]
+    fn mixed_dimensions_are_rejected_not_misindexed() {
+        let mut idx = HnswIndex::with_defaults();
+        idx.add(tid(0), Vector::from_vec(vec![1.0, 0.0, 0.0]));
+        idx.add(tid(1), Vector::from_vec(vec![1.0, 0.0]));
+    }
+
+    #[test]
+    fn malformed_graph_snapshots_are_rejected() {
+        let mut hnsw = HnswIndex::with_defaults();
+        for (id, v) in corpus() {
+            hnsw.add(id, v);
+        }
+        let good = hnsw.to_bytes().to_vec();
+        assert!(HnswIndex::from_bytes(Bytes::from(good.clone())).is_ok());
+        // v3 body: header 7, generation 8, then m at byte 15.
+        let mut huge_m = good.clone();
+        huge_m[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(HnswIndex::from_bytes(Bytes::from(huge_m)).is_err());
+        // An m smaller than the lists the body holds.
+        let mut small_m = good.clone();
+        small_m[15..19].copy_from_slice(&1u32.to_le_bytes());
+        assert!(HnswIndex::from_bytes(Bytes::from(small_m)).is_err());
+        // max_level (byte 35) above every node's level.
+        let mut tall = good.clone();
+        tall[35..39].copy_from_slice(&9u32.to_le_bytes());
+        assert!(HnswIndex::from_bytes(Bytes::from(tall)).is_err());
+        // Entry ordinal (byte 40) past the node count.
+        let mut lost = good;
+        lost[40..44].copy_from_slice(&1000u32.to_le_bytes());
+        assert!(HnswIndex::from_bytes(Bytes::from(lost)).is_err());
     }
 
     #[test]

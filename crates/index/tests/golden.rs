@@ -1,0 +1,179 @@
+//! Golden fingerprints of the semantic indexes.
+//!
+//! The constants below were captured at the commit *before* the vector
+//! indexes moved onto the row slab and the flat HNSW adjacency, from the
+//! boxed-`Vector` / per-node `Vec<Vec<Neighbor>>` implementation and the
+//! autovectorized dot kernel. One FNV-64 over `to_bytes()` pins the graph
+//! (levels, every edge, edge order), the cached distances, the tombstones
+//! and the snapshot wire format at once; one FNV-64 over the `(id, score
+//! bits)` of the top-50 of 64 queries pins what searches return. A layout
+//! or kernel change that moves any of them has changed behaviour, not just
+//! speed.
+
+use verifai_embed::hashing::{fnv1a, splitmix64, unit_float};
+use verifai_embed::Vector;
+use verifai_index::{FlatIndex, HnswIndex, SearchHit, VectorIndex};
+use verifai_lake::InstanceId;
+
+const DIM: usize = 128;
+const N: u64 = 2_048;
+const CLUSTERS: u64 = 40;
+
+fn component(seed: u64, row: u64, i: usize) -> f32 {
+    let h = splitmix64(seed ^ (row << 20) ^ ((i as u64) << 4));
+    (unit_float(h) * 2.0 - 1.0) as f32
+}
+
+/// Row `row` of the corpus: a cluster centre plus noise, unit length. Every
+/// 16th row repeats the row seven before it exactly, so the build, the
+/// back-link prune and the result heaps all meet exact distance ties.
+fn corpus_vector(row: u64) -> Vector {
+    let row = if row % 16 == 15 { row - 7 } else { row };
+    let cluster = splitmix64(row) % CLUSTERS;
+    let mut v = Vector::from_vec(
+        (0..DIM)
+            .map(|i| component(0xc0ffee, cluster, i) + 0.5 * component(0xfeed, row, i))
+            .collect(),
+    );
+    v.normalize();
+    v
+}
+
+/// Query `qi`: a perturbed corpus row, deliberately *not* unit — `search`
+/// owns the normalization.
+fn query_vector(qi: u64) -> Vector {
+    let base = corpus_vector(qi * 31 % N);
+    Vector::from_vec(
+        (0..DIM)
+            .map(|i| 1.5 * base[i] + 0.2 * component(0xabcd, qi, i))
+            .collect(),
+    )
+}
+
+fn id(row: u64) -> InstanceId {
+    InstanceId::Text(row)
+}
+
+fn bytes_fp(bytes: &[u8]) -> u64 {
+    fnv1a(bytes, 0)
+}
+
+fn hits_fp(index: &dyn VectorIndex) -> u64 {
+    let mut buf = Vec::new();
+    for qi in 0..64 {
+        let hits: Vec<SearchHit> = index.search(&query_vector(qi), 50);
+        buf.extend_from_slice(&(hits.len() as u32).to_le_bytes());
+        for h in hits {
+            let InstanceId::Text(doc) = h.id else {
+                panic!("corpus holds text ids only");
+            };
+            buf.extend_from_slice(&doc.to_le_bytes());
+            buf.extend_from_slice(&h.score.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a(&buf, 0)
+}
+
+fn build(index: &mut dyn VectorIndex) {
+    for row in 0..N {
+        index.add(id(row), corpus_vector(row));
+    }
+}
+
+/// 150 removes of distinct standing ids (13 is coprime to 2048) with an add
+/// after every third one — 50 adds, landing among the tombstones.
+fn mutate(index: &mut dyn VectorIndex) {
+    for j in 0..150u64 {
+        assert!(index.remove(id(j * 13 % N)));
+        if j % 3 == 2 {
+            let fresh = N + j / 3;
+            index.add(id(fresh), corpus_vector(fresh));
+        }
+    }
+}
+
+/// `[bytes, hits]` after the build, after the mutations, after `compact`.
+fn fingerprints<I: VectorIndex>(
+    mut index: I,
+    to_bytes: impl Fn(&I) -> bytes::Bytes,
+    compact: impl Fn(&mut I),
+) -> [[u64; 2]; 3] {
+    let fp = |index: &I| [bytes_fp(&to_bytes(index)), hits_fp(index)];
+    build(&mut index);
+    let built = fp(&index);
+    mutate(&mut index);
+    let mutated = fp(&index);
+    compact(&mut index);
+    [built, mutated, fp(&index)]
+}
+
+fn show(name: &str, got: &[[u64; 2]; 3]) -> String {
+    let rows: Vec<String> = got
+        .iter()
+        .map(|[b, h]| format!("    [{b:#018x}, {h:#018x}],"))
+        .collect();
+    format!("{name}:\n{}", rows.join("\n"))
+}
+
+const HNSW_GOLDEN: [[u64; 2]; 3] = [
+    [0x56374af19a17fcce, 0xd888278b23ce27ef],
+    [0xe6336684f62ddb16, 0x89c94f73fea557f2],
+    [0xaafa81d4fd7a6e25, 0xcf550daae9a3e792],
+];
+const FLAT_EXACT_GOLDEN: [[u64; 2]; 3] = [
+    [0xa2ca5b2ac7c3f952, 0x7a13e02e41582a07],
+    [0x9bf51f0039d7cae6, 0x7ecde0f6d6275431],
+    [0xb023a7e7495e8c20, 0x7ecde0f6d6275431],
+];
+const FLAT_QUANTIZED_GOLDEN: [[u64; 2]; 3] = [
+    [0xd02d53ef8592f53d, 0x7a13e02e41582a07],
+    [0xeff8df4c0cbe6e95, 0x7ecde0f6d6275431],
+    [0x71dc877998fc05bb, 0x7ecde0f6d6275431],
+];
+
+#[test]
+fn hnsw_graph_snapshot_and_hits_match_the_golden_build() {
+    let got = fingerprints(
+        HnswIndex::with_defaults(),
+        HnswIndex::to_bytes,
+        HnswIndex::compact,
+    );
+    assert_eq!(got, HNSW_GOLDEN, "{}", show("hnsw", &got));
+}
+
+#[test]
+fn flat_exact_snapshot_and_hits_match_the_golden_build() {
+    let got = fingerprints(FlatIndex::new(), FlatIndex::to_bytes, FlatIndex::compact);
+    assert_eq!(got, FLAT_EXACT_GOLDEN, "{}", show("flat exact", &got));
+}
+
+#[test]
+fn flat_quantized_snapshot_and_hits_match_the_golden_build() {
+    let got = fingerprints(
+        FlatIndex::new_quantized(4),
+        FlatIndex::to_bytes,
+        FlatIndex::compact,
+    );
+    assert_eq!(
+        got,
+        FLAT_QUANTIZED_GOLDEN,
+        "{}",
+        show("flat quantized", &got)
+    );
+}
+
+/// The legacy fixture writers: HNSW v2 and flat v2 of the fresh build, flat
+/// v3 of the mutated index (v3 carries tombstones, v2 cannot).
+const LEGACY_GOLDEN: [u64; 3] = [0x69b645cb443623ee, 0x2bb101c30958d898, 0xb212433eab2e0452];
+
+#[test]
+fn legacy_fixture_writers_emit_the_golden_bytes() {
+    let mut hnsw = HnswIndex::with_defaults();
+    build(&mut hnsw);
+    let mut flat = FlatIndex::new();
+    build(&mut flat);
+    let v2 = [bytes_fp(&hnsw.to_bytes_v2()), bytes_fp(&flat.to_bytes_v2())];
+    mutate(&mut flat);
+    let got = [v2[0], v2[1], bytes_fp(&flat.to_bytes_v3())];
+    assert_eq!(got, LEGACY_GOLDEN, "legacy: {got:#018x?}");
+}

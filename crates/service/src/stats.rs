@@ -224,6 +224,7 @@ impl ServiceStats {
         self.lake.semantic_vectors += other.lake.semantic_vectors;
         self.lake.semantic_tombstones += other.lake.semantic_tombstones;
         self.lake.semantic_compactions += other.lake.semantic_compactions;
+        self.lake.semantic_bytes += other.lake.semantic_bytes;
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;

@@ -1,23 +1,34 @@
 //! Character and word n-grams.
 
-/// Character n-grams of a string (over chars, not bytes). The string is padded
-/// with `_` on both ends so that prefixes/suffixes produce distinguishing grams,
-/// as is conventional for fuzzy-matching features.
-pub fn char_ngrams(s: &str, n: usize) -> Vec<String> {
+/// Call `f` with each character n-gram of a string (over chars, not
+/// bytes), in order. The string is padded with `_` on both ends so that
+/// prefixes/suffixes produce distinguishing grams, as is conventional for
+/// fuzzy-matching features. Every gram is a window of one padded buffer, so
+/// a call allocates once however many grams it yields.
+pub fn for_each_char_ngram(s: &str, n: usize, mut f: impl FnMut(&str)) {
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let pad = n - 1;
-    let mut chars: Vec<char> = Vec::with_capacity(s.chars().count() + 2 * pad);
-    chars.extend(std::iter::repeat_n('_', pad));
-    chars.extend(s.chars());
-    chars.extend(std::iter::repeat_n('_', pad));
-    if chars.len() < n {
-        return Vec::new();
+    let mut padded = String::with_capacity(s.len() + 2 * pad);
+    padded.extend(std::iter::repeat_n('_', pad));
+    padded.push_str(s);
+    padded.extend(std::iter::repeat_n('_', pad));
+    // The gram starting at char `i` ends where char `i + n - 1` does.
+    let ends = padded
+        .char_indices()
+        .map(|(at, c)| at + c.len_utf8())
+        .skip(pad);
+    for ((start, _), end) in padded.char_indices().zip(ends) {
+        f(&padded[start..end]);
     }
-    (0..=chars.len() - n)
-        .map(|i| chars[i..i + n].iter().collect())
-        .collect()
+}
+
+/// The grams [`for_each_char_ngram`] yields, collected.
+pub fn char_ngrams(s: &str, n: usize) -> Vec<String> {
+    let mut grams = Vec::new();
+    for_each_char_ngram(s, n, |gram| grams.push(gram.to_string()));
+    grams
 }
 
 /// Word n-grams (shingles) over a term slice.
@@ -61,5 +72,33 @@ mod tests {
         assert_eq!(word_ngrams(&terms, 2), vec!["stomp the", "the yard"]);
         assert_eq!(word_ngrams(&terms, 3), vec!["stomp the yard"]);
         assert!(word_ngrams(&terms, 4).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The windowed-`Vec<char>` form `char_ngrams` had before it became a
+    /// collect of the streaming one: the independent reference.
+    fn reference_char_ngrams(s: &str, n: usize) -> Vec<String> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let pad = std::iter::repeat_n('_', n - 1);
+        let chars: Vec<char> = pad.clone().chain(s.chars()).chain(pad).collect();
+        chars.windows(n).map(|w| w.iter().collect()).collect()
+    }
+
+    proptest! {
+        /// Same grams in the same order over chars of one to four bytes
+        /// (and the pad character itself), `n` 0..=5, empty and
+        /// shorter-than-`n` strings.
+        #[test]
+        fn streamed_grams_equal_the_windowed_reference(s in "[ab_ éΩ中😀]{0,12}", n in 0usize..6) {
+            // `char_ngrams` is the streaming form, collected.
+            prop_assert_eq!(char_ngrams(&s, n), reference_char_ngrams(&s, n));
+        }
     }
 }

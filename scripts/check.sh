@@ -80,13 +80,15 @@ cargo test -q -p verifai-obs --lib profile > /dev/null
 
 # Gating live-lake smoke, at `small` (the scale the prepared-feature budget
 # is stated at): build a live system, check every tuple has prepared rerank
-# features within 300 bytes each, stream documents in, check every
+# features within 300 bytes each and the semantic indexes hold at most
+# 4*dim + 400 = 912 bytes per stored vector, stream documents in, check every
 # modality's content index stands within its segment bound (the CLI prints
 # both figures and exits nonzero past either bound; the lines are shown
 # here and asserted by name), delete half, compact, snapshot the standing
 # indexes, reload them, and verify the reloaded indexes search identically.
 # Nonzero exit means the live mutation path, the feature budget, the
-# segment policy or the snapshot v3 round-trip broke.
+# semantic-index budget, the segment policy or the snapshot v3 round-trip
+# broke.
 echo "==> live-lake smoke (gating)"
 LIVE_OUT="$(mktemp)"
 cargo run -q --release --bin verifai-cli -- live small > "$LIVE_OUT"
@@ -97,6 +99,11 @@ grep 'prepared bytes per tuple' "$LIVE_OUT" \
 PER_TUPLE="$(sed -n 's/^prepared bytes per tuple: \([0-9]*\) .*/\1/p' "$LIVE_OUT")"
 [ "$PER_TUPLE" -le 300 ] \
   || { echo "live smoke: $PER_TUPLE prepared bytes per tuple exceed 300"; exit 1; }
+grep 'semantic bytes per vector' "$LIVE_OUT" \
+  || { echo "live smoke: semantic-index budget check did not run"; exit 1; }
+PER_VECTOR="$(sed -n 's/^semantic bytes per vector: \([0-9]*\) .*/\1/p' "$LIVE_OUT")"
+[ "$PER_VECTOR" -le 912 ] \
+  || { echo "live smoke: $PER_VECTOR semantic bytes per vector exceed 912"; exit 1; }
 grep 'content segments per modality after ingest' "$LIVE_OUT" \
   || { echo "live smoke: segment-bound check did not run"; exit 1; }
 rm -f "$LIVE_OUT"

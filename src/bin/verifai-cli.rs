@@ -152,7 +152,8 @@ fn cmd_experiments(scale: Option<&str>) -> ExitCode {
 
 /// Gating live-lake smoke (used by `scripts/check.sh`): build a live
 /// system, report what its prepared rerank features weigh (per tuple,
-/// against the budget), stream documents in, check every modality's
+/// against the budget) and what its semantic indexes weigh (per stored
+/// vector, against theirs), stream documents in, check every modality's
 /// content index is within its segment bound, delete half, compact,
 /// snapshot the standing text indexes, reload them, and check the reloaded
 /// indexes search identically. Any violated expectation exits nonzero.
@@ -191,6 +192,30 @@ fn cmd_live(scale: Option<&str>) -> ExitCode {
                 "{} of {} tuples prepared at {per_tuple} B each",
                 prepared.tuples,
                 system.lake().num_tuples()
+            ),
+        );
+    }
+
+    // What the semantic indexes keep per stored vector: its f32 row plus
+    // 400 bytes for edges, id, tombstone and level (DESIGN.md §21). Each
+    // index may also hold one chunk of rows it has not filled yet — noise
+    // at `small`, most of the figure at `tiny`.
+    let semantic_budget = 4 * config.embed_dim + 400;
+    let stats = system.live_stats();
+    let stored = stats.semantic_vectors + stats.semantic_tombstones;
+    let unfilled = system.live().map_or(0, |live| {
+        live.semantic.iter().flatten().count() * verifai_index::vector::ROWS_PER_CHUNK
+    });
+    let per_vector = stats.semantic_bytes / stored.max(1);
+    println!(
+        "semantic bytes per vector: {per_vector} over {stored} vectors (budget {semantic_budget})"
+    );
+    if stats.semantic_bytes > (stored + unfilled) * semantic_budget {
+        return fail(
+            "semantic budget",
+            format!(
+                "{} B over {stored} stored vectors (+{unfilled} unfilled chunk rows) exceed {semantic_budget} each",
+                stats.semantic_bytes
             ),
         );
     }
