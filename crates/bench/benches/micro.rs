@@ -194,7 +194,7 @@ fn bench_claims_and_verifiers(c: &mut Criterion) {
         b.iter(|| execute(black_box(&expr), black_box(tbl)))
     });
     group.bench_function("pasta_verify", |b| {
-        b.iter(|| pasta.verify(&claim_obj, &table))
+        b.iter(|| pasta.verify(&claim_obj, table.view()))
     });
     group.bench_function("llm_verify", |b| b.iter(|| llm.verify(&claim_obj, &table)));
     group.finish();

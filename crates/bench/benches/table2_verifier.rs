@@ -78,7 +78,7 @@ fn bench_table2(c: &mut Criterion) {
         b.iter(|| ctx.system.llm().verify(&object, &evidence))
     });
     group.bench_function(format!("pasta_per_pair/{}", scale.label()), |b| {
-        b.iter(|| pasta.verify(&object, &evidence))
+        b.iter(|| pasta.verify(&object, evidence.view()))
     });
     group.finish();
 }

@@ -271,7 +271,7 @@ pub fn table2(ctx: &mut ExperimentContext) -> Table2Result {
         let relevant_instance = DataInstance::Table(relevant);
         let chatgpt = ctx.system.llm().verify(&object, &relevant_instance).verdict;
         claim_relevant_chatgpt.record(paper_correct(expected, chatgpt, false));
-        let pasta_v = pasta.verify(&object, &relevant_instance).verdict;
+        let pasta_v = pasta.verify(&object, relevant_instance.view()).verdict;
         claim_relevant_pasta.record(paper_correct(expected, pasta_v, true));
 
         // Retrieved tables: the pipeline's top-k.
@@ -280,7 +280,7 @@ pub fn table2(ctx: &mut ExperimentContext) -> Table2Result {
             let expected = ctx.expected_verdict(&object, &instance);
             let chatgpt = ctx.system.llm().verify(&object, &instance).verdict;
             claim_retrieved_chatgpt.record(paper_correct(expected, chatgpt, false));
-            let pasta_v = pasta.verify(&object, &instance).verdict;
+            let pasta_v = pasta.verify(&object, instance.view()).verdict;
             claim_retrieved_pasta.record(paper_correct(expected, pasta_v, true));
         }
     }

@@ -75,7 +75,7 @@ pub use metrics::{paper_correct, recall_at_k, Accuracy, LatencyHistogram};
 pub use pipeline::{BuildStats, EvidenceVerdict, VerifAi, VerificationReport};
 pub use stages::{
     JudgeOutcome, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,
-    TopKPassthrough, VerifyStage,
+    TopKPassthrough, VerifyStage, Views,
 };
 
 // Re-export the vocabulary types so downstream users need only this crate.

@@ -16,8 +16,8 @@ use crate::live::{
     LiveSemanticSource, MutationError, MutationOutcome,
 };
 use crate::stages::{
-    PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,
-    TopKPassthrough,
+    views_of, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,
+    TopKPassthrough, Views,
 };
 use parking_lot::{MutexGuard, RwLock};
 use verifai_datagen::{GeneratedLake, MaskedTupleTask};
@@ -26,7 +26,7 @@ use verifai_index::{
     AnyVectorIndex, Bm25Params, Combiner, EvidenceSource, FlatIndex, FusedSource, HnswConfig,
     HnswIndex, SearchHit, SegmentedInvertedIndex, SourceQuery, VectorIndex,
 };
-use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind, SourceId};
+use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind, InstanceRef, SourceId};
 use verifai_llm::{DataObject, ImputedCell, SimLlm, TextClaim, Verdict};
 use verifai_obs::{
     meter, ns_between, Clock, CostVector, RequestTrace, SpanContext, SystemClock, TraceId,
@@ -137,6 +137,14 @@ pub struct BuildStats {
 fn sync_features(stages: &StagedPipeline, lake: &DataLake, ops: &[IndexOp]) {
     let ids: Vec<InstanceId> = ops.iter().map(|op| op.id).collect();
     stages.rerank_stage().sync_features(lake, &ids);
+}
+
+/// Copy evidence views out of the lake, for a caller that keeps them.
+fn materialize(views: Views<'_>) -> Vec<(DataInstance, f64)> {
+    views
+        .into_iter()
+        .map(|(view, score)| (view.to_owned(), score))
+        .collect()
 }
 
 /// The empty semantic backend for one modality, per the configured backend
@@ -668,27 +676,15 @@ impl VerifAi {
             .collect()
     }
 
-    /// Run retrieval → combine → rerank for an object; returns the surviving
-    /// evidence instances with scores, logging provenance.
-    pub fn discover_evidence(&self, object: &DataObject) -> Vec<(DataInstance, f64)> {
-        self.discover_evidence_timed(object).0
-    }
-
-    /// [`VerifAi::discover_evidence`] plus the discovery-side stage timings.
-    pub fn discover_evidence_timed(
-        &self,
-        object: &DataObject,
-    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
-        self.discover_evidence_traced(object, &mut RequestTrace::disabled())
-    }
-
-    /// [`VerifAi::discover_evidence_timed`] recording retrieval/rerank span
-    /// events into `trace` (no-ops when the trace is disabled).
-    pub fn discover_evidence_traced(
+    /// Run retrieval → combine → rerank for an object, logging provenance
+    /// and recording retrieval/rerank span events into `trace` (no-ops when
+    /// the trace is disabled); returns the surviving evidence, read where it
+    /// lies in the lake, with scores and the discovery-side stage timings.
+    pub fn discover(
         &self,
         object: &DataObject,
         trace: &mut RequestTrace,
-    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
+    ) -> (Views<'_>, StageTiming) {
         let query = Self::query_of(object);
         let vector = self.embed_query(&query);
         let plan = self.stage_plans(object);
@@ -707,6 +703,30 @@ impl VerifAi {
         )
     }
 
+    /// [`VerifAi::discover`] with the evidence materialized for a caller
+    /// that keeps it.
+    pub fn discover_evidence(&self, object: &DataObject) -> Vec<(DataInstance, f64)> {
+        self.discover_evidence_timed(object).0
+    }
+
+    /// [`VerifAi::discover_evidence`] plus the discovery-side stage timings.
+    pub fn discover_evidence_timed(
+        &self,
+        object: &DataObject,
+    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
+        self.discover_evidence_traced(object, &mut RequestTrace::disabled())
+    }
+
+    /// [`VerifAi::discover_evidence_timed`] under a request trace.
+    pub fn discover_evidence_traced(
+        &self,
+        object: &DataObject,
+        trace: &mut RequestTrace,
+    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
+        let (views, timing) = self.discover(object, trace);
+        (materialize(views), timing)
+    }
+
     /// Run discovery for a batch of same-kind objects at once, amortizing
     /// one blocked multi-query index sweep per modality across the whole
     /// batch (see [`crate::stages::StagedPipeline::discover_batch`]).
@@ -715,24 +735,17 @@ impl VerifAi {
     /// micro-batching workers) group by object kind, so the plan of
     /// `objects[0]` covers the batch; mixing kinds is a caller bug caught
     /// by a debug assertion. Results and provenance rows are identical to
-    /// per-object [`VerifAi::discover_evidence_timed`] calls.
-    pub fn discover_evidence_batch(
-        &self,
-        objects: &[&DataObject],
-    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
-        self.discover_evidence_batch_ctx(objects, &[])
-    }
-
-    /// [`VerifAi::discover_evidence_batch`] with per-request trace
-    /// coordinates: `ctxs[i]` rides on `objects[i]`'s query so distributed
-    /// sources (the cluster router) attribute their per-shard child spans
-    /// to each request's trace. Pass an empty slice (or
-    /// [`SpanContext::none`] entries) for untraced batches.
-    pub fn discover_evidence_batch_ctx(
+    /// per-object [`VerifAi::discover`] calls.
+    ///
+    /// `ctxs[i]` rides on `objects[i]`'s query so distributed sources (the
+    /// cluster router) attribute their per-shard child spans to each
+    /// request's trace. Pass an empty slice (or [`SpanContext::none`]
+    /// entries) for untraced batches.
+    pub fn discover_batch(
         &self,
         objects: &[&DataObject],
         ctxs: &[SpanContext],
-    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
+    ) -> Vec<(Views<'_>, StageTiming)> {
         let Some(first) = objects.first() else {
             return Vec::new();
         };
@@ -740,7 +753,7 @@ impl VerifAi {
         let plan = self.stage_plans(first);
         debug_assert!(
             objects.iter().all(|o| self.stage_plans(o) == plan),
-            "discover_evidence_batch requires a kind-homogeneous batch"
+            "discover_batch requires a kind-homogeneous batch"
         );
         let texts: Vec<String> = objects.iter().map(|o| Self::query_of(o)).collect();
         let vectors: Vec<Option<Vector>> = texts.iter().map(|t| self.embed_query(t)).collect();
@@ -764,25 +777,54 @@ impl VerifAi {
         )
     }
 
-    /// Resolve cached evidence ids against the lake, restoring the
-    /// instances a previous discovery found. Unlike discovery — where a
-    /// dangling retrieval hit is noted and skipped — a dangling *cached* id
-    /// means the caller's evidence set no longer describes the lake, so the
-    /// whole set is rejected as [`PipelineError::StaleEvidence`].
-    pub fn try_resolve_evidence(
+    /// [`VerifAi::discover_batch`], untraced, with the evidence
+    /// materialized for a caller that keeps it.
+    pub fn discover_evidence_batch(
         &self,
-        cached: &[(InstanceId, f64)],
-    ) -> Result<Vec<(DataInstance, f64)>, PipelineError> {
+        objects: &[&DataObject],
+    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
+        self.discover_evidence_batch_ctx(objects, &[])
+    }
+
+    /// [`VerifAi::discover_batch`] with the evidence materialized for a
+    /// caller that keeps it.
+    pub fn discover_evidence_batch_ctx(
+        &self,
+        objects: &[&DataObject],
+        ctxs: &[SpanContext],
+    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
+        self.discover_batch(objects, ctxs)
+            .into_iter()
+            .map(|(views, timing)| (materialize(views), timing))
+            .collect()
+    }
+
+    /// Look cached evidence ids up in the lake, restoring — in place, as
+    /// views — the instances a previous discovery found. Unlike discovery,
+    /// where a dangling retrieval hit is noted and skipped, a dangling
+    /// *cached* id means the caller's evidence set no longer describes the
+    /// lake, so the whole set is rejected as
+    /// [`PipelineError::StaleEvidence`].
+    pub fn view_evidence(&self, cached: &[(InstanceId, f64)]) -> Result<Views<'_>, PipelineError> {
         cached
             .iter()
-            .map(|&(id, score)| match self.generated.lake.resolve(id) {
-                Ok(instance) => Ok((instance, score)),
+            .map(|&(id, score)| match self.generated.lake.view(id) {
+                Ok(view) => Ok((view, score)),
                 Err(error) => Err(PipelineError::StaleEvidence {
                     id,
                     detail: format!("{error:?}"),
                 }),
             })
             .collect()
+    }
+
+    /// [`VerifAi::view_evidence`] with the evidence materialized for a
+    /// caller that keeps it.
+    pub fn try_resolve_evidence(
+        &self,
+        cached: &[(InstanceId, f64)],
+    ) -> Result<Vec<(DataInstance, f64)>, PipelineError> {
+        self.view_evidence(cached).map(materialize)
     }
 
     /// Verify a generated data object end to end: discover evidence, verify
@@ -798,13 +840,13 @@ impl VerifAi {
         object: &DataObject,
         trace: &mut RequestTrace,
     ) -> VerificationReport {
-        let (evidence, timing) = self.discover_evidence_traced(object, trace);
-        self.judge_and_decide(object, evidence, None, timing, trace)
+        let (evidence, timing) = self.discover(object, trace);
+        self.judge(object, &evidence, timing, None, trace)
     }
 
-    /// Verify an object against already-discovered evidence (e.g. from a
-    /// serving-layer evidence cache). `verify_object` is exactly
-    /// `discover_evidence` followed by this.
+    /// Verify an object against already-discovered evidence the caller
+    /// owns. `verify_object` is exactly `discover_evidence` followed by
+    /// this.
     pub fn verify_with_evidence(
         &self,
         object: &DataObject,
@@ -836,18 +878,24 @@ impl VerifAi {
         trace: &mut RequestTrace,
     ) -> VerificationReport {
         let timing = StageTiming::for_cached(evidence.len());
-        self.judge_and_decide(object, evidence, deadline, timing, trace)
+        self.judge(object, &views_of(&evidence), timing, deadline, trace)
     }
 
-    /// The shared tail of every verification path: run the verify stage,
-    /// make the trust-weighted decision, and log it (one decision-stage
-    /// flush on top of the verify stage's own).
-    fn judge_and_decide(
+    /// The shared tail of every verification path: run the verify stage
+    /// over evidence read in place, make the trust-weighted decision, and
+    /// log it (one decision-stage flush on top of the verify stage's own).
+    /// `timing` is that of the discovery that produced `evidence`
+    /// ([`StageTiming::for_cached`] for evidence that skipped it); the
+    /// report carries it with the verify stage's wall time filled in.
+    /// Evidence pairs are judged until `deadline` passes, after which the
+    /// report is partial, as [`VerifAi::verify_with_evidence_until`]
+    /// describes.
+    pub fn judge(
         &self,
         object: &DataObject,
-        evidence: Vec<(DataInstance, f64)>,
-        deadline: Option<std::time::Instant>,
+        evidence: &[(InstanceRef<'_>, f64)],
         mut timing: StageTiming,
+        deadline: Option<std::time::Instant>,
         trace: &mut RequestTrace,
     ) -> VerificationReport {
         let planned = evidence.len();

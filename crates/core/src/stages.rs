@@ -19,10 +19,11 @@
 //!   resolves is recorded as a provenance note, and stale cached evidence
 //!   is a distinguishable error the service can react to.
 //!
-//! Retrieval and rerank read evidence where it lies: coarse hits become
+//! Every stage reads evidence where it lies: coarse hits become
 //! [`InstanceRef`] views borrowed from the lake, the rerank stage ranks the
-//! views, and only the `final_k` survivors the verifier will read are
-//! materialized as owned [`DataInstance`]s (DESIGN.md §20).
+//! views, and the verify stage judges the surviving views — no request
+//! copies an instance out of the lake (DESIGN.md §20, §22). An owned
+//! [`DataInstance`] exists only for a caller that asks for one.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -143,13 +144,7 @@ pub trait RerankStage: Send + Sync {
         candidates: Vec<(DataInstance, f64)>,
         k: usize,
     ) -> Vec<(DataInstance, f64)> {
-        let selected = {
-            let views: Vec<(InstanceRef<'_>, f64)> = candidates
-                .iter()
-                .map(|(instance, score)| (instance.view(), *score))
-                .collect();
-            self.select(object, &views, k)
-        };
+        let selected = self.select(object, &views_of(&candidates), k);
         let instances = candidates
             .into_iter()
             .map(|(instance, _)| instance)
@@ -255,7 +250,7 @@ pub trait VerifyStage: Send + Sync {
     fn verify(
         &self,
         object: &DataObject,
-        evidence: &DataInstance,
+        evidence: InstanceRef<'_>,
     ) -> (VerifierOutput, &'static str);
 }
 
@@ -263,7 +258,7 @@ impl VerifyStage for Agent {
     fn verify(
         &self,
         object: &DataObject,
-        evidence: &DataInstance,
+        evidence: InstanceRef<'_>,
     ) -> (VerifierOutput, &'static str) {
         Agent::verify(self, object, evidence)
     }
@@ -296,8 +291,17 @@ pub struct StagedPipeline {
     clock: Arc<dyn Clock>,
 }
 
-/// One modality's live coarse hits, read where they lie in the lake.
-type Views<'a> = Vec<(InstanceRef<'a>, f64)>;
+/// Scored evidence read where it lies in the lake: one modality's live
+/// coarse hits, or an object's survivors of the rerank stage.
+pub type Views<'a> = Vec<(InstanceRef<'a>, f64)>;
+
+/// Evidence a caller owns, lent as [`Views`].
+pub(crate) fn views_of(owned: &[(DataInstance, f64)]) -> Views<'_> {
+    owned
+        .iter()
+        .map(|(instance, score)| (instance.view(), *score))
+        .collect()
+}
 
 /// One object's coarse candidates, one slot per modality stage plan.
 type ViewSlots<'a> = Vec<(StagePlan, Views<'a>)>;
@@ -354,21 +358,20 @@ impl StagedPipeline {
 
     /// Run retrieval → rerank for an object across the planned modalities,
     /// buffering provenance and flushing it once per stage. Candidates are
-    /// borrowed from `lake` throughout; the returned survivors are the only
-    /// instances copied out of it.
+    /// borrowed from `lake` throughout, the returned survivors included.
     ///
     /// A hit whose instance is no longer in the lake is *not* silently
     /// dropped: a provenance note records the dangling id before the
     /// pipeline continues with the remaining candidates.
-    pub fn discover(
+    pub fn discover<'a>(
         &self,
         object: &DataObject,
         query: SourceQuery<'_>,
         plan: &[StagePlan],
-        lake: &DataLake,
+        lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
         trace: &mut RequestTrace,
-    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
+    ) -> (Views<'a>, StageTiming) {
         let mut timing = StageTiming::default();
 
         // Stage 1: retrieval (and resolution) across all modalities, then
@@ -435,14 +438,14 @@ impl StagedPipeline {
     /// stage flushes provenance once for the whole batch, and each
     /// object's timing carries its per-object candidate counts with an
     /// even 1/B share of the batch's stage wall times.
-    pub fn discover_batch(
+    pub fn discover_batch<'a>(
         &self,
         objects: &[&DataObject],
         queries: &[SourceQuery<'_>],
         plan: &[StagePlan],
-        lake: &DataLake,
+        lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
-    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
+    ) -> Vec<(Views<'a>, StageTiming)> {
         debug_assert_eq!(objects.len(), queries.len());
         let batch = objects.len();
         if batch == 0 {
@@ -511,11 +514,12 @@ impl StagedPipeline {
         lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
     ) -> Views<'a> {
-        let index = format!(
+        let index: Arc<str> = format!(
             "{}-{}",
             self.source(stage_plan.kind).name(),
             stage_plan.kind
-        );
+        )
+        .into();
         let mut views = Vec::with_capacity(hits.len());
         for (rank, hit) in hits.iter().enumerate() {
             let note = match lake.view(hit.id) {
@@ -528,7 +532,7 @@ impl StagedPipeline {
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
                 stage: Stage::Retrieval {
-                    index: index.clone(),
+                    index: Arc::clone(&index),
                     rank,
                 },
                 instance: Some(hit.id),
@@ -541,23 +545,23 @@ impl StagedPipeline {
     }
 
     /// Rerank one modality's candidates for one object down to the plan's
-    /// final k, recording a provenance row per survivor — and only then
-    /// copying the survivors out of the lake.
-    fn rerank_modality(
+    /// final k, recording a provenance row per survivor.
+    fn rerank_modality<'a>(
         &self,
         object: &DataObject,
         stage_plan: StagePlan,
-        views: &[(InstanceRef<'_>, f64)],
+        views: &[(InstanceRef<'a>, f64)],
         recorder: &mut StageRecorder<'_>,
-    ) -> Vec<(DataInstance, f64)> {
+    ) -> Views<'a> {
         let selected = self.reranker.select(object, views, stage_plan.final_k);
+        let reranker: Arc<str> = self.reranker.name().into();
         let mut ranked = Vec::with_capacity(selected.len());
         for (rank, (index, score)) in selected.into_iter().enumerate() {
             let view = views[index].0;
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
                 stage: Stage::Rerank {
-                    reranker: self.reranker.name().into(),
+                    reranker: Arc::clone(&reranker),
                     rank,
                 },
                 instance: Some(view.id()),
@@ -565,19 +569,20 @@ impl StagedPipeline {
                 verdict: None,
                 note: String::new(),
             });
-            ranked.push((view.to_owned(), score));
+            ranked.push((view, score));
         }
         ranked
     }
 
-    /// Run the verify stage over discovered evidence, buffering provenance
-    /// and flushing once. Judging stops early when `deadline` passes, in
-    /// which case [`JudgeOutcome::timed_out`] is set and the verdicts
-    /// gathered so far are returned.
+    /// Run the verify stage over scored evidence — discovered, or looked up
+    /// from cached ids, either way read in place — buffering provenance and
+    /// flushing once. This is the one judge loop. Judging stops early when
+    /// `deadline` passes, in which case [`JudgeOutcome::timed_out`] is set
+    /// and the verdicts gathered so far are returned.
     pub fn judge(
         &self,
         object: &DataObject,
-        evidence: Vec<(DataInstance, f64)>,
+        evidence: &[(InstanceRef<'_>, f64)],
         deadline: Option<Instant>,
         recorder: &mut StageRecorder<'_>,
         trace: &mut RequestTrace,
@@ -587,17 +592,23 @@ impl StagedPipeline {
         let mut verdicts = Vec::with_capacity(evidence.len());
         let mut observations = Vec::with_capacity(evidence.len());
         let mut timed_out = false;
-        for (instance, score) in evidence {
+        // The verifier's name as a shared label, rebuilt only when the
+        // judging verifier changes from one pair to the next.
+        let mut label: Option<(&'static str, Arc<str>)> = None;
+        for &(instance, score) in evidence {
             if deadline.is_some_and(|d| self.clock.now() >= d) {
                 timed_out = true;
                 break;
             }
-            let (output, verifier) = self.verifier.verify(object, &instance);
+            let (output, verifier) = self.verifier.verify(object, instance);
+            let shared = match label.take() {
+                Some((name, shared)) if name == verifier => shared,
+                _ => verifier.into(),
+            };
+            label = Some((verifier, Arc::clone(&shared)));
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
-                stage: Stage::Verify {
-                    verifier: verifier.into(),
-                },
+                stage: Stage::Verify { verifier: shared },
                 instance: Some(instance.id()),
                 score: Some(score),
                 verdict: Some(output.verdict),
@@ -767,7 +778,7 @@ mod tests {
         assert_eq!(sink.batches(), 2, "retrieval + rerank, one flush each");
         let outcome = pipeline.judge(
             &object(),
-            evidence,
+            &evidence,
             None,
             &mut recorder,
             &mut RequestTrace::disabled(),
@@ -806,7 +817,7 @@ mod tests {
             &mut recorder,
             &mut trace,
         );
-        pipeline.judge(&object(), evidence, None, &mut recorder, &mut trace);
+        pipeline.judge(&object(), &evidence, None, &mut recorder, &mut trace);
         let retrieval = trace.span_for("retrieval").expect("retrieval span");
         assert_eq!(retrieval.candidates_in, 2, "both hits entered retrieval");
         assert_eq!(retrieval.candidates_out, 1, "dangling hit dropped");

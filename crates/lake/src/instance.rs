@@ -2,8 +2,9 @@
 //!
 //! Retrieval, reranking, and verification are generic over the modality of the
 //! evidence; [`InstanceId`] names an instance in the lake, [`InstanceRef`] is
-//! that instance read in place (what retrieval and rerank look at), and
-//! [`DataInstance`] is a resolved (owned) copy handed to the verifier.
+//! that instance read in place (what retrieval, rerank and the verifiers
+//! look at), and [`DataInstance`] is a resolved (owned) copy for a caller
+//! that keeps evidence of its own.
 
 use crate::kg::{KgEntity, KgEntityId};
 use crate::source::SourceId;
@@ -94,32 +95,17 @@ pub enum DataInstance {
 impl DataInstance {
     /// Modality.
     pub fn kind(&self) -> InstanceKind {
-        match self {
-            DataInstance::Tuple(_) => InstanceKind::Tuple,
-            DataInstance::Table(_) => InstanceKind::Table,
-            DataInstance::Text(_) => InstanceKind::Text,
-            DataInstance::Kg(_) => InstanceKind::Kg,
-        }
+        self.view().kind()
     }
 
     /// Typed id of this instance.
     pub fn id(&self) -> InstanceId {
-        match self {
-            DataInstance::Tuple(t) => InstanceId::Tuple(t.id),
-            DataInstance::Table(t) => InstanceId::Table(t.id),
-            DataInstance::Text(d) => InstanceId::Text(d.id),
-            DataInstance::Kg(e) => InstanceId::Kg(e.id),
-        }
+        self.view().id()
     }
 
     /// Contributing source.
     pub fn source(&self) -> SourceId {
-        match self {
-            DataInstance::Tuple(t) => t.source,
-            DataInstance::Table(t) => t.source,
-            DataInstance::Text(d) => d.source,
-            DataInstance::Kg(e) => e.source,
-        }
+        self.view().source()
     }
 
     /// This instance, borrowed.
@@ -182,6 +168,11 @@ pub enum InstanceRef<'a> {
 }
 
 impl InstanceRef<'_> {
+    /// Modality.
+    pub fn kind(&self) -> InstanceKind {
+        self.id().kind()
+    }
+
     /// Typed id of this instance.
     pub fn id(&self) -> InstanceId {
         match self {
@@ -189,6 +180,16 @@ impl InstanceRef<'_> {
             InstanceRef::Table(t) => InstanceId::Table(t.id),
             InstanceRef::Text(d) => InstanceId::Text(d.id),
             InstanceRef::Kg(e) => InstanceId::Kg(e.id),
+        }
+    }
+
+    /// Contributing source.
+    pub fn source(&self) -> SourceId {
+        match self {
+            InstanceRef::Tuple(t) => t.source,
+            InstanceRef::Table(t) => t.source,
+            InstanceRef::Text(d) => d.source,
+            InstanceRef::Kg(e) => e.source,
         }
     }
 

@@ -41,9 +41,7 @@ impl Tuple {
 
     /// Value of the column with the given header, using fuzzy header matching.
     pub fn get_fuzzy(&self, column: &str) -> Option<&Value> {
-        self.schema
-            .fuzzy_index_of(column)
-            .and_then(|i| self.values.get(i))
+        self.view().get_fuzzy(column)
     }
 
     /// Key values (the paper's workloads mask only non-key cells, so keys always
@@ -98,7 +96,14 @@ pub struct TupleRef<'a> {
     pub source: SourceId,
 }
 
-impl TupleRef<'_> {
+impl<'a> TupleRef<'a> {
+    /// Value of the column with the given header, using fuzzy header matching.
+    pub fn get_fuzzy(self, column: &str) -> Option<&'a Value> {
+        self.schema
+            .fuzzy_index_of(column)
+            .and_then(|i| self.values.get(i))
+    }
+
     /// Materialize: the schema is shared, the values are copied.
     pub fn to_owned(self) -> Tuple {
         Tuple {

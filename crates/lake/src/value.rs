@@ -7,7 +7,7 @@
 
 use crate::error::LakeError;
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A calendar date. Only the fields needed by generated data; no timezone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -131,12 +131,19 @@ impl Value {
         if let (Some(a), Some(b)) = (self.as_f64(), other.as_f64()) {
             return float_eq(a, b);
         }
-        // The common evidence comparison: two texts, compared as the
-        // normalized strings would be, without building either.
-        if let (Value::Text(a), Value::Text(b)) = (self, other) {
-            return normalized_chars(a).eq(normalized_chars(b));
+        // Text against anything is compared as the normalized strings
+        // would be, without building either: two texts stream side by side,
+        // and a number, bool or date is *rendered* (not normalized — a date
+        // keeps its hyphens) straight into the comparison.
+        match (self, other) {
+            (Value::Text(a), Value::Text(b)) => normalized_chars(a).eq(normalized_chars(b)),
+            (Value::Text(text), rendered) | (rendered, Value::Text(text)) => {
+                let mut rest = EqChars(normalized_chars(text));
+                write!(rest, "{rendered}").is_ok() && rest.0.next().is_none()
+            }
+            // Two non-texts that are not both numbers: a date is involved.
+            _ => self.normalized() == other.normalized(),
         }
-        self.normalized() == other.normalized()
     }
 
     /// Total ordering for sorting and superlative operations. `Null` sorts first;
@@ -230,9 +237,29 @@ fn format_float(f: f64) -> String {
 /// Normalize free text: lowercase, strip punctuation, collapse whitespace.
 pub fn normalize_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut last_space = true;
+    normalize_onto(&mut out, s);
+    if out.ends_with(' ') {
+        out.pop();
+    }
+    out
+}
+
+/// Continue a normalization: append to `out` what [`normalize_str`] of
+/// (the text `out` was normalized from, followed by `s`) would add. `out`
+/// must not have been trimmed in between — a separator run is one space
+/// whichever call it started in, and the stream's final space, if any, is
+/// the caller's to drop. This is how a text held in pieces (a document's
+/// title and body) is normalized in one pass without joining the pieces.
+pub fn normalize_onto(out: &mut String, s: &str) {
+    let mut last_space = out.is_empty() || out.ends_with(' ');
     for ch in s.chars() {
-        if ch.is_alphanumeric() {
+        // Evidence is overwhelmingly ASCII, where the predicate and the
+        // lowercasing are range checks instead of Unicode table searches
+        // (`is_ascii_alphanumeric` is false for every non-ASCII character).
+        if ch.is_ascii_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+            last_space = false;
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
             for l in ch.to_lowercase() {
                 out.push(l);
             }
@@ -242,27 +269,37 @@ pub fn normalize_str(s: &str) -> String {
             last_space = true;
         }
     }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 /// The characters of [`normalize_str`]`(s)`, streamed: comparing two of
 /// these decides normalized equality without allocating either string.
 pub fn normalized_chars(s: &str) -> impl Iterator<Item = char> + '_ {
     let mut chars = s.chars();
+    // What is still owed for the current character: the rest of a non-ASCII
+    // lowercasing, or an ASCII character held back behind a gap's space.
     let mut lower: Option<std::char::ToLowercase> = None;
+    let mut held: Option<char> = None;
     // `started`: an alphanumeric has been emitted; `gap`: separators have
     // been skipped since. A gap becomes one space only when another
     // alphanumeric follows, so leading and trailing separators vanish.
     let (mut started, mut gap) = (false, false);
     std::iter::from_fn(move || loop {
+        if let Some(ch) = held.take() {
+            return Some(ch);
+        }
         if let Some(ch) = lower.as_mut().and_then(Iterator::next) {
             return Some(ch);
         }
         let ch = chars.next()?;
-        if ch.is_alphanumeric() {
+        if ch.is_ascii_alphanumeric() {
+            started = true;
+            let ch = ch.to_ascii_lowercase();
+            if std::mem::take(&mut gap) {
+                held = Some(ch);
+                return Some(' ');
+            }
+            return Some(ch);
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
             lower = Some(ch.to_lowercase());
             started = true;
             if std::mem::take(&mut gap) {
@@ -272,6 +309,22 @@ pub fn normalized_chars(s: &str) -> impl Iterator<Item = char> + '_ {
             gap = started;
         }
     })
+}
+
+/// A `fmt::Write` sink that checks what is written against an expected
+/// character stream instead of storing it: the write fails at the first
+/// difference, and whatever the stream still holds afterwards is the
+/// expected text the writer never produced.
+struct EqChars<I>(I);
+
+impl<I: Iterator<Item = char>> fmt::Write for EqChars<I> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.chars().all(|ch| self.0.next() == Some(ch)) {
+            Ok(())
+        } else {
+            Err(fmt::Error)
+        }
+    }
 }
 
 /// Relative-tolerance float comparison used by value matching.
@@ -387,6 +440,65 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `normalize_str` as it was before the ASCII branch: every character
+    /// through the Unicode predicates, one at a time.
+    fn oracle_normalize_str(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut last_space = true;
+        for ch in s.chars() {
+            if ch.is_alphanumeric() {
+                for l in ch.to_lowercase() {
+                    out.push(l);
+                }
+                last_space = false;
+            } else if !last_space {
+                out.push(' ');
+                last_space = true;
+            }
+        }
+        while out.ends_with(' ') {
+            out.pop();
+        }
+        out
+    }
+
+    /// `Value::matches` as it was before mixed pairs stopped building two
+    /// strings: numbers numerically, everything else by normalized string.
+    fn oracle_matches(a: &Value, b: &Value) -> bool {
+        if a.is_null() || b.is_null() {
+            return false;
+        }
+        if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+            return float_eq(x, y);
+        }
+        let normalized = |v: &Value| match v {
+            Value::Text(s) => oracle_normalize_str(s),
+            other => other.normalized(),
+        };
+        normalized(a) == normalized(b)
+    }
+
+    /// Text built to stress the normalizer: arbitrary Unicode, separator
+    /// runs at either end and inside, ASCII words, characters whose
+    /// lowercasing is several characters (`İ`, `ẞ`) or a different script's
+    /// title case (`ǅ`), `ß`, combining marks, non-ASCII digits.
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                ".{0,6}",
+                "[ .,;:!?_-]{0,4}",
+                "[a-zA-Z0-9]{0,5}",
+                Just("İ".to_string()),
+                Just("ẞǅß".to_string()),
+                Just("e\u{301}a\u{308}".to_string()),
+                Just("٣४５".to_string()),
+                Just(String::new()),
+            ],
+            0..8,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
     fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             Just(Value::Null),
@@ -397,6 +509,22 @@ mod prop_tests {
             ((1900i32..2100), (1u8..13), (1u8..29))
                 .prop_map(|(y, m, d)| Value::Date(Date::new(y, m, d))),
         ]
+    }
+
+    /// [`arb_value`] plus the texts a mixed comparison can be fooled by:
+    /// renderings of the other variants (bare, punctuated, upper-cased) and
+    /// stress text.
+    fn arb_mixed_value() -> impl Strategy<Value = Value> {
+        let rendered = (arb_value(), 0u8..4).prop_map(|(v, style)| {
+            let s = v.to_string();
+            Value::Text(match style {
+                0 => s,
+                1 => format!("({s})"),
+                2 => s.to_uppercase(),
+                _ => s.replace('-', " "),
+            })
+        });
+        prop_oneof![arb_value(), rendered, arb_text().prop_map(Value::Text)]
     }
 
     proptest! {
@@ -419,29 +547,6 @@ mod prop_tests {
         fn normalize_idempotent(s in ".{0,40}") {
             let once = normalize_str(&s);
             prop_assert_eq!(normalize_str(&once), once.clone());
-        }
-
-        /// The streamed normalizer yields exactly `normalize_str`'s
-        /// characters: arbitrary Unicode, multi-char lowercasings (`İ`,
-        /// `ẞ`), leading / trailing / repeated separators, empty and
-        /// all-punctuation strings.
-        #[test]
-        fn normalized_chars_equal_normalize_str(
-            parts in proptest::collection::vec(
-                prop_oneof![
-                    ".{0,6}",
-                    "[ .,;:!?_-]{0,4}",
-                    "[a-zA-Z0-9]{0,5}",
-                    Just("İ".to_string()),
-                    Just("ẞǅ".to_string()),
-                    Just(String::new()),
-                ],
-                0..8,
-            )
-        ) {
-            let s: String = parts.concat();
-            let streamed: String = normalized_chars(&s).collect();
-            prop_assert_eq!(streamed, normalize_str(&s));
         }
 
         /// Two texts match exactly when their normalized strings are equal
@@ -492,6 +597,40 @@ mod prop_tests {
         #[test]
         fn total_cmp_antisymmetric(a in arb_value(), b in arb_value()) {
             prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `normalize_str`, the streamed `normalized_chars` and a
+        /// `normalize_onto` continued across an arbitrary split all produce
+        /// the char-by-char reference's output.
+        #[test]
+        fn normalizers_equal_the_char_by_char_reference(s in arb_text(), split in 0usize..64) {
+            let want = oracle_normalize_str(&s);
+            prop_assert_eq!(&normalize_str(&s), &want);
+            let streamed: String = normalized_chars(&s).collect();
+            prop_assert_eq!(&streamed, &want);
+            let mut at = split.min(s.len());
+            while !s.is_char_boundary(at) {
+                at -= 1;
+            }
+            let mut pieces = String::new();
+            normalize_onto(&mut pieces, &s[..at]);
+            normalize_onto(&mut pieces, &s[at..]);
+            prop_assert_eq!(pieces.trim_end_matches(' '), want.as_str());
+        }
+
+        /// Matching is what it was: over every pair of variants, including
+        /// text that parses as a number, as a date, as a bool, and
+        /// non-ASCII text.
+        #[test]
+        fn matches_equals_the_normalized_string_oracle(
+            a in arb_mixed_value(),
+            b in arb_mixed_value(),
+        ) {
+            prop_assert_eq!(a.matches(&b), oracle_matches(&a, &b), "{:?} vs {:?}", a, b);
         }
     }
 }

@@ -1,9 +1,12 @@
 //! Grounded verification reasoning — ChatGPT's second role in the paper.
 //!
-//! Given a generated [`DataObject`] and one retrieved [`DataInstance`], the
-//! simulated LLM produces a ternary [`Verdict`] plus a natural-language
-//! explanation (the red boxes of the paper's Figure 4) and the prompt/response
-//! [`Transcript`] for provenance.
+//! Given a generated [`DataObject`] and one retrieved evidence instance —
+//! read where it lies, as an [`InstanceRef`] — the simulated LLM produces a
+//! ternary [`Verdict`] plus a natural-language explanation (the red boxes of
+//! the paper's Figure 4). The prompt/response [`Transcript`] of a call is
+//! rendered on request ([`SimLlm::transcript`]), not per call: it is a pure
+//! function of the pair and the verdict, and most verdicts are never audited
+//! at prompt level.
 //!
 //! The reasoning is genuine — value matching, fact-sentence scanning, claim
 //! execution — with residual hash-derived error channels for the things real
@@ -17,12 +20,14 @@
 //! [`lookup_error_rate`]: crate::SimLlmConfig::lookup_error_rate
 //! [`relatedness_error_rate`]: crate::SimLlmConfig::relatedness_error_rate
 
+use std::cell::RefCell;
+
 use crate::generate::{entity_key, SimLlm};
 use crate::object::{DataObject, ImputedCell, TextClaim, Verdict};
 use crate::prompt::{verification_prompt, Transcript};
 use verifai_claims::{aggregate_value, execute, parse_claim, ClaimExpr, ExecOutcome};
-use verifai_lake::value::normalize_str;
-use verifai_lake::{DataInstance, InstanceKind, KgEntity, Table, TextDocument, Tuple, Value};
+use verifai_lake::value::normalize_onto;
+use verifai_lake::{InstanceRef, KgEntity, Table, TextDocument, TupleRef, Value};
 
 /// The result of one grounded verification call.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,17 +36,15 @@ pub struct LlmVerdict {
     pub verdict: Verdict,
     /// Natural-language justification (Figure 4's "further explanation").
     pub explanation: String,
-    /// Prompt/response exchange, for provenance (challenge C4).
-    pub transcript: Transcript,
 }
 
 /// Stable tag for an evidence instance, fed into noise channels.
-fn evidence_tag(evidence: &DataInstance) -> u64 {
-    let kind = match evidence.kind() {
-        InstanceKind::Tuple => 1u64,
-        InstanceKind::Table => 2,
-        InstanceKind::Text => 3,
-        InstanceKind::Kg => 4,
+fn evidence_tag(evidence: InstanceRef<'_>) -> u64 {
+    let kind = match evidence {
+        InstanceRef::Tuple(_) => 1u64,
+        InstanceRef::Table(_) => 2,
+        InstanceRef::Text(_) => 3,
+        InstanceRef::Kg(_) => 4,
     };
     (kind << 56) ^ evidence.id().raw()
 }
@@ -55,68 +58,174 @@ fn flip(v: Verdict) -> Verdict {
     }
 }
 
+/// One normalization pass over a text, kept with the places its sentences
+/// end: `text` is [`verifai_lake::value::normalize_str`] of the source (plus
+/// at most one trailing space) and `cuts` holds, for every `.` of the
+/// source, how much of `text` had been written when it was met. A `.` is a
+/// separator like any other and lowercasing is per character, so the
+/// source's sentence between two dots, normalized on its own, is exactly
+/// the slice of `text` between their cuts with the spaces at its ends
+/// dropped — the fact scan reads sentences out of the buffer the entity
+/// check ran on instead of normalizing each one again.
+#[derive(Default)]
+struct FactScan {
+    text: String,
+    cuts: Vec<usize>,
+    needle: String,
+}
+
+thread_local! {
+    /// Per-thread scan buffers: a verify call normalizes into them and
+    /// allocates nothing once they have grown to the longest document.
+    static SCAN: RefCell<FactScan> = RefCell::default();
+}
+
+impl FactScan {
+    /// Normalize `pieces`, read as one text, in place of whatever was here.
+    fn read(&mut self, pieces: &[&str]) {
+        self.text.clear();
+        self.cuts.clear();
+        for piece in pieces {
+            for (i, sentence) in piece.split('.').enumerate() {
+                if i > 0 {
+                    self.cuts.push(self.text.len());
+                    normalize_onto(&mut self.text, ".");
+                }
+                normalize_onto(&mut self.text, sentence);
+            }
+        }
+    }
+
+    /// Whether the whole normalized text contains `entity` (already
+    /// normalized). An entity may span a `.`, so this is not per sentence.
+    fn mentions(&self, entity: &str) -> bool {
+        self.text.trim_end_matches(' ').contains(entity)
+    }
+
+    /// The value asserted by the first sentence of the pattern
+    /// `"... {attribute} of {entity} is {value}"`, normalized.
+    fn fact(&mut self, entity: &str, attribute: &str) -> Option<&str> {
+        // Append `s` normalized; false if it normalizes to nothing.
+        fn push_normalized(needle: &mut String, s: &str) -> bool {
+            let at = needle.len();
+            normalize_onto(needle, s);
+            if needle.len() > at && needle.ends_with(' ') {
+                needle.pop();
+            }
+            needle.len() > at
+        }
+        let needle = &mut self.needle;
+        needle.clear();
+        if !push_normalized(needle, attribute) {
+            return None;
+        }
+        needle.push_str(" of ");
+        if !push_normalized(needle, entity) {
+            return None;
+        }
+        needle.push_str(" is ");
+
+        let mut start = 0;
+        for end in self.cuts.iter().copied().chain([self.text.len()]) {
+            let sentence = self.text[start..end].trim_matches(' ');
+            start = end;
+            if let Some(pos) = sentence.find(needle.as_str()) {
+                let value = sentence[pos + needle.len()..].trim();
+                if !value.is_empty() {
+                    return Some(value);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Run `f` over this thread's scan of `pieces` read as one text.
+fn with_scan<R>(pieces: &[&str], f: impl FnOnce(&mut FactScan) -> R) -> R {
+    SCAN.with(|scan| {
+        let mut scan = scan.borrow_mut();
+        scan.read(pieces);
+        f(&mut scan)
+    })
+}
+
+/// [`with_scan`] over `doc`'s title and body — the same character stream as
+/// [`TextDocument::full_text`], without joining it.
+fn with_doc_scan<R>(doc: &TextDocument, f: impl FnOnce(&mut FactScan) -> R) -> R {
+    with_scan(&[&doc.title, ". ", &doc.body], f)
+}
+
 /// Scan text for the fact sentence pattern `"... {attr} of {entity} is {value}"`
 /// and return the (normalized) asserted value. Sentences are split on `.` and
 /// normalized before matching, so stylistic prefixes don't matter.
 pub fn scan_fact(text: &str, entity: &str, attribute: &str) -> Option<String> {
-    let entity = normalize_str(entity);
-    let attribute = normalize_str(attribute);
-    if entity.is_empty() || attribute.is_empty() {
-        return None;
-    }
-    let needle = format!("{attribute} of {entity} is ");
-    for sentence in text.split('.') {
-        let norm = normalize_str(sentence);
-        if let Some(pos) = norm.find(&needle) {
-            let value = norm[pos + needle.len()..].trim();
-            if !value.is_empty() {
-                return Some(value.to_string());
-            }
-        }
-    }
-    None
+    with_scan(&[text], |scan| {
+        scan.fact(entity, attribute).map(str::to_string)
+    })
 }
 
 impl SimLlm {
-    /// Verify a generated data object against one retrieved evidence instance.
-    pub fn verify(&self, object: &DataObject, evidence: &DataInstance) -> LlmVerdict {
+    /// Verify a generated data object against one retrieved evidence
+    /// instance, owned (`&DataInstance`) or read in place (`InstanceRef`).
+    pub fn verify<'a>(
+        &self,
+        object: &DataObject,
+        evidence: impl Into<InstanceRef<'a>>,
+    ) -> LlmVerdict {
+        let evidence = evidence.into();
+        let tag = evidence_tag(evidence);
         let (verdict, explanation) = match (object, evidence) {
-            (DataObject::ImputedCell(cell), DataInstance::Tuple(t)) => {
-                self.verify_cell_vs_tuple(cell, t, evidence)
+            (DataObject::ImputedCell(cell), InstanceRef::Tuple(t)) => {
+                self.verify_cell_vs_tuple(cell, t, tag)
             }
-            (DataObject::ImputedCell(cell), DataInstance::Text(d)) => {
-                self.verify_cell_vs_text(cell, d, evidence)
+            (DataObject::ImputedCell(cell), InstanceRef::Text(d)) => {
+                self.verify_cell_vs_text(cell, d, tag)
             }
-            (DataObject::ImputedCell(cell), DataInstance::Table(t)) => {
-                self.verify_cell_vs_table(cell, t, evidence)
+            (DataObject::ImputedCell(cell), InstanceRef::Table(t)) => {
+                self.verify_cell_vs_table(cell, t, tag)
             }
-            (DataObject::TextClaim(claim), DataInstance::Table(t)) => {
-                self.verify_claim_vs_table(claim, t, evidence)
+            (DataObject::TextClaim(claim), InstanceRef::Table(t)) => {
+                self.verify_claim_vs_table(claim, t, tag)
             }
-            (DataObject::TextClaim(claim), DataInstance::Tuple(t)) => {
-                self.verify_claim_vs_tuple(claim, t, evidence)
+            (DataObject::TextClaim(claim), InstanceRef::Tuple(t)) => {
+                self.verify_claim_vs_tuple(claim, t, tag)
             }
-            (DataObject::TextClaim(claim), DataInstance::Text(d)) => {
-                self.verify_claim_vs_text(claim, d, evidence)
+            (DataObject::TextClaim(claim), InstanceRef::Text(d)) => {
+                self.verify_claim_vs_text(claim, d, tag)
             }
-            (DataObject::ImputedCell(cell), DataInstance::Kg(e)) => {
-                self.verify_cell_vs_kg(cell, e, evidence)
+            (DataObject::ImputedCell(cell), InstanceRef::Kg(e)) => {
+                self.verify_cell_vs_kg(cell, e, tag)
             }
-            (DataObject::TextClaim(claim), DataInstance::Kg(e)) => {
-                self.verify_claim_vs_kg(claim, e, evidence)
+            (DataObject::TextClaim(claim), InstanceRef::Kg(e)) => {
+                self.verify_claim_vs_kg(claim, e, tag)
             }
         };
+        LlmVerdict {
+            verdict,
+            explanation,
+        }
+    }
+
+    /// The prompt/response exchange of [`SimLlm::verify`] for this pair and
+    /// the verdict it returned, for prompt-level provenance (challenge C4):
+    /// the paper's verification prompt over the serialized evidence, and
+    /// the model's reply.
+    pub fn transcript<'a>(
+        &self,
+        object: &DataObject,
+        evidence: impl Into<InstanceRef<'a>>,
+        verdict: &LlmVerdict,
+    ) -> Transcript {
         let mut transcript = Transcript::default();
         transcript.user(verification_prompt(
             &verifai_text::serialize_instance(evidence),
             &object.render(),
         ));
-        transcript.assistant(format!("Result: {verdict}. {explanation}"));
-        LlmVerdict {
-            verdict,
-            explanation,
-            transcript,
-        }
+        transcript.assistant(format!(
+            "Result: {}. {}",
+            verdict.verdict, verdict.explanation
+        ));
+        transcript
     }
 
     /// Apply the Verified/Refuted flip channel.
@@ -147,10 +256,10 @@ impl SimLlm {
     fn verify_cell_vs_tuple(
         &self,
         cell: &ImputedCell,
-        tuple: &Tuple,
-        evidence: &DataInstance,
+        tuple: TupleRef<'_>,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [cell.id, evidence_tag(evidence), 0x71];
+        let tags = [cell.id, tag, 0x71];
         // Relatedness: every key value of the generated tuple must appear
         // somewhere in the evidence tuple.
         let keys = cell.tuple.key_values();
@@ -203,53 +312,54 @@ impl SimLlm {
         &self,
         cell: &ImputedCell,
         doc: &TextDocument,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [cell.id, evidence_tag(evidence), 0x72];
+        let tags = [cell.id, tag, 0x72];
         let entity = entity_key(&cell.tuple);
-        let body = doc.full_text();
-        if !normalize_str(&body).contains(&entity) {
-            let v = self.relatedness_noise(&tags);
-            return (
-                v,
-                "The text does not mention the entity in question.".to_string(),
-            );
-        }
-        match scan_fact(&body, &entity, &cell.column) {
-            Some(asserted) => {
-                let generated = cell.value.normalized();
-                let matches = asserted == generated
-                    || match (cell.value.as_f64(), Value::infer(&asserted).as_f64()) {
-                        (Some(a), Some(b)) => verifai_lake::value::float_eq(a, b),
-                        _ => false,
-                    };
-                let base = if matches {
-                    Verdict::Verified
-                } else {
-                    Verdict::Refuted
-                };
-                let v = self.noisy(base, &tags, self.config().tuple_verify_error_rate);
-                let expl = if matches {
-                    format!(
-                        "The text states the {} is '{asserted}', which matches.",
-                        cell.column
-                    )
-                } else {
-                    format!(
-                        "The text states the {} is '{asserted}', not '{generated}'.",
-                        cell.column
-                    )
-                };
-                (v, expl)
+        with_doc_scan(doc, |scan| {
+            if !scan.mentions(&entity) {
+                let v = self.relatedness_noise(&tags);
+                return (
+                    v,
+                    "The text does not mention the entity in question.".to_string(),
+                );
             }
-            None => (
-                self.relatedness_noise(&tags),
-                format!(
-                    "The text mentions the entity but says nothing about its {}.",
-                    cell.column
+            match scan.fact(&entity, &cell.column) {
+                Some(asserted) => {
+                    let generated = cell.value.normalized();
+                    let matches = asserted == generated
+                        || match (cell.value.as_f64(), Value::infer(asserted).as_f64()) {
+                            (Some(a), Some(b)) => verifai_lake::value::float_eq(a, b),
+                            _ => false,
+                        };
+                    let base = if matches {
+                        Verdict::Verified
+                    } else {
+                        Verdict::Refuted
+                    };
+                    let v = self.noisy(base, &tags, self.config().tuple_verify_error_rate);
+                    let expl = if matches {
+                        format!(
+                            "The text states the {} is '{asserted}', which matches.",
+                            cell.column
+                        )
+                    } else {
+                        format!(
+                            "The text states the {} is '{asserted}', not '{generated}'.",
+                            cell.column
+                        )
+                    };
+                    (v, expl)
+                }
+                None => (
+                    self.relatedness_noise(&tags),
+                    format!(
+                        "The text mentions the entity but says nothing about its {}.",
+                        cell.column
+                    ),
                 ),
-            ),
-        }
+            }
+        })
     }
 
     // -- (imputed cell, table) ------------------------------------------------
@@ -258,15 +368,15 @@ impl SimLlm {
         &self,
         cell: &ImputedCell,
         table: &Table,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
         // Reason over each row as a tuple and take the strongest signal.
         let mut saw_refuted = false;
         for row in 0..table.num_rows() {
-            let Some(t) = table.tuple_at(row, row as u64) else {
+            let Some(t) = table.tuple_ref_at(row, row as u64) else {
                 continue;
             };
-            let (v, expl) = self.verify_cell_vs_tuple(cell, &t, evidence);
+            let (v, expl) = self.verify_cell_vs_tuple(cell, t, tag);
             match v {
                 Verdict::Verified => {
                     return (
@@ -297,9 +407,9 @@ impl SimLlm {
         &self,
         claim: &TextClaim,
         table: &Table,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [claim.id, evidence_tag(evidence), 0x73];
+        let tags = [claim.id, tag, 0x73];
         // Misread channel: the model occasionally misunderstands the sentence.
         if self.chance(&[tags[0], tags[1], 0x3f], self.config().misread_rate) {
             let pick = self.chance(&[tags[0], tags[1], 0x40], 0.5);
@@ -387,8 +497,8 @@ impl SimLlm {
     fn verify_claim_vs_tuple(
         &self,
         claim: &TextClaim,
-        tuple: &Tuple,
-        evidence: &DataInstance,
+        tuple: TupleRef<'_>,
+        tag: u64,
     ) -> (Verdict, String) {
         // View the tuple as a one-row table; single-row evidence can support
         // lookups but never aggregates. A tuple is *direct* evidence about its
@@ -405,7 +515,7 @@ impl SimLlm {
             tuple.schema.clone(),
             tuple.source,
         );
-        let _ = table.push_row(tuple.values.clone());
+        let _ = table.push_row(tuple.values.to_vec());
         let expr = claim.expr.clone().or_else(|| parse_claim(&claim.text));
         match expr {
             Some(e) if e.is_aggregate_like() => (
@@ -415,7 +525,7 @@ impl SimLlm {
             _ => {
                 let mut scoped = claim.clone();
                 scoped.scope = Some(caption);
-                self.verify_claim_vs_table(&scoped, &table, evidence)
+                self.verify_claim_vs_table(&scoped, &table, tag)
             }
         }
     }
@@ -426,9 +536,9 @@ impl SimLlm {
         &self,
         claim: &TextClaim,
         doc: &TextDocument,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [claim.id, evidence_tag(evidence), 0x74];
+        let tags = [claim.id, tag, 0x74];
         let Some(ClaimExpr::Lookup {
             key,
             column,
@@ -442,12 +552,11 @@ impl SimLlm {
                 "The text evidence cannot evaluate a table-level claim.".to_string(),
             );
         };
-        let body = doc.full_text();
-        match scan_fact(&body, &key.to_string(), &column) {
+        with_doc_scan(doc, |scan| match scan.fact(&key.to_string(), &column) {
             Some(asserted) => {
                 // Evaluate the claim's comparison against the asserted value —
                 // a negated claim ("is not X") is REFUTED by a text asserting X.
-                let asserted_value = Value::infer(&asserted);
+                let asserted_value = Value::infer(asserted);
                 let holds = op.eval(&asserted_value, &value);
                 let base = if holds {
                     Verdict::Verified
@@ -469,7 +578,7 @@ impl SimLlm {
                 self.relatedness_noise(&tags),
                 "The text says nothing about the claimed fact.".to_string(),
             ),
-        }
+        })
     }
 }
 
@@ -483,9 +592,9 @@ impl SimLlm {
         &self,
         cell: &ImputedCell,
         entity: &KgEntity,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [cell.id, evidence_tag(evidence), 0x75];
+        let tags = [cell.id, tag, 0x75];
         let subject = entity_key(&cell.tuple);
         if !entity.is_about(&subject) {
             let v = self.relatedness_noise(&tags);
@@ -533,9 +642,9 @@ impl SimLlm {
         &self,
         claim: &TextClaim,
         entity: &KgEntity,
-        evidence: &DataInstance,
+        tag: u64,
     ) -> (Verdict, String) {
-        let tags = [claim.id, evidence_tag(evidence), 0x76];
+        let tags = [claim.id, tag, 0x76];
         let Some(ClaimExpr::Lookup {
             key,
             column,
@@ -660,7 +769,7 @@ mod tests {
     use crate::config::SimLlmConfig;
     use crate::world::WorldModel;
     use verifai_claims::{AggFunc, CmpOp, Predicate};
-    use verifai_lake::{Column, DataType, Schema};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple};
 
     fn oracle() -> SimLlm {
         SimLlm::new(SimLlmConfig::oracle(1), WorldModel::new())
@@ -856,13 +965,125 @@ mod tests {
     fn transcripts_follow_paper_template() {
         let llm = oracle();
         let obj = DataObject::ImputedCell(gen_cell("Otis Pike"));
-        let v = llm.verify(&obj, &evidence_tuple("New York 1", "Otis Pike"));
-        let prompt = &v.transcript.messages[0].content;
+        let evidence = evidence_tuple("New York 1", "Otis Pike");
+        let v = llm.verify(&obj, &evidence);
+        let transcript = llm.transcript(&obj, &evidence, &v);
+        let prompt = &transcript.messages[0].content;
         assert!(prompt.starts_with("Please use the evidence below"));
         assert!(prompt.contains("Generative Data:"));
-        assert!(v.transcript.messages[1]
+        assert!(transcript.messages[1]
             .content
             .starts_with("Result: Verified"));
+    }
+
+    /// The transcript rendered on demand is, word for word, the one
+    /// `verify` used to attach to every verdict: one pair of each of the
+    /// eight modality combinations against strings captured from that
+    /// version.
+    #[test]
+    fn on_demand_transcripts_equal_the_eager_ones() {
+        const PROMPT: &str =
+            "Please use the evidence below to validate the generative data.\nEvidence: ";
+        const CELL: &str = "\nGenerative Data: tuple [district is New York 1] with generated incumbent = Otis Pike\nResult: Verified/Refuted/Not Related + Further explanation";
+        const CLAIM: &str = "\nGenerative Data: claim: in the 1959 NCAA Track and Field Championships, the points of Brown is 1\nResult: Verified/Refuted/Not Related + Further explanation";
+        let llm = oracle();
+        let cell = DataObject::ImputedCell(gen_cell("Otis Pike"));
+        let claim = DataObject::TextClaim(TextClaim {
+            id: 20,
+            text: "in the 1959 NCAA Track and Field Championships, the points of Brown is 1".into(),
+            expr: Some(ClaimExpr::Lookup {
+                key_column: "team".into(),
+                key: Value::text("Brown"),
+                column: "points".into(),
+                op: CmpOp::Eq,
+                value: Value::Int(1),
+            }),
+            scope: Some("1959 NCAA Track and Field Championships".into()),
+        });
+        let mut elections = Table::new(40, "elections", schema(), 0);
+        elections
+            .push_row(vec![Value::text("Ohio 5"), Value::Null])
+            .unwrap();
+        elections
+            .push_row(vec![Value::text("New York 1"), Value::text("Otis Pike")])
+            .unwrap();
+        let mut ny = KgEntity::new(60, "New York 1", 0);
+        ny.assert_fact("incumbent", Value::text("Otis Pike"));
+        ny.assert_fact("first elected", Value::Int(1960));
+        let mut brown = KgEntity::new(70, "Brown", 0);
+        brown.assert_fact("points", Value::Int(1));
+        let cases = [
+            (
+                &cell,
+                DataInstance::Tuple(elections.tuple_at(1, 10).unwrap()),
+                "district is New York 1 . incumbent is Otis Pike",
+                "Result: Verified. The evidence tuple records incumbent = Otis Pike, matching the generated value.",
+            ),
+            (
+                &cell,
+                DataInstance::Table(elections),
+                "elections . district , incumbent . district Ohio 5 . district New York 1 , incumbent Otis Pike",
+                "Result: Verified. Row 2 of the table: The evidence tuple records incumbent = Otis Pike, matching the generated value.",
+            ),
+            (
+                &cell,
+                DataInstance::Text(TextDocument::new(
+                    1,
+                    "New York 1",
+                    "New York 1 is a congressional district. The incumbent of New York 1 is Otis Pike.",
+                    0,
+                )),
+                "New York 1. New York 1 is a congressional district. The incumbent of New York 1 is Otis Pike.",
+                "Result: Verified. The text states the incumbent is 'otis pike', which matches.",
+            ),
+            (
+                &cell,
+                DataInstance::Kg(ny),
+                "New York 1 . incumbent Otis Pike . first elected 1960",
+                "Result: Verified. The knowledge graph asserts (New York 1, incumbent, Otis Pike), matching the generated value.",
+            ),
+            (
+                &claim,
+                DataInstance::Tuple(ncaa_table().tuple_at(1, 50).unwrap()),
+                "team is Brown . points is 1",
+                "Result: Verified. Looking up Brown in the evidence table '1959 NCAA Track and Field Championships' shows its points, which supports the claim.",
+            ),
+            (
+                &claim,
+                DataInstance::Table(ncaa_table()),
+                "1959 NCAA Track and Field Championships . team , points . team Kansas , points 42 . team Brown , points 1 . team Yale , points 1",
+                "Result: Verified. Looking up Brown in the evidence table '1959 NCAA Track and Field Championships' shows its points, which supports the claim.",
+            ),
+            (
+                &claim,
+                DataInstance::Text(TextDocument::new(2, "Brown", "The points of Brown is 2.", 0)),
+                "Brown. The points of Brown is 2.",
+                "Result: Refuted. The text states the points of Brown is '2', contradicting the claim.",
+            ),
+            (
+                &claim,
+                DataInstance::Kg(brown),
+                "Brown . points 1",
+                "Result: Verified. The knowledge graph asserts (Brown, points, 1), as claimed.",
+            ),
+        ];
+        for (object, evidence, serialized, reply) in &cases {
+            let verdict = llm.verify(object, evidence);
+            let transcript = llm.transcript(object, evidence, &verdict);
+            let data = if matches!(object, DataObject::ImputedCell(_)) {
+                CELL
+            } else {
+                CLAIM
+            };
+            assert_eq!(transcript.messages.len(), 2);
+            assert_eq!(
+                transcript.messages[0].content,
+                format!("{PROMPT}{serialized}{data}")
+            );
+            assert_eq!(transcript.messages[1].content, *reply);
+            // A view of the same evidence reads the same.
+            assert_eq!(llm.verify(object, evidence.view()), verdict);
+        }
     }
 
     #[test]
@@ -1000,5 +1221,100 @@ mod tests {
         let obj = DataObject::ImputedCell(gen_cell("Otis Pike"));
         let v = llm.verify(&obj, &DataInstance::Table(table));
         assert_eq!(v.verdict, Verdict::Verified);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use verifai_lake::value::normalize_str;
+
+    /// `scan_fact` as it was before the one-pass scanner: split the text on
+    /// `.` and normalize every sentence on its own.
+    fn oracle_scan_fact(text: &str, entity: &str, attribute: &str) -> Option<String> {
+        let entity = normalize_str(entity);
+        let attribute = normalize_str(attribute);
+        if entity.is_empty() || attribute.is_empty() {
+            return None;
+        }
+        let needle = format!("{attribute} of {entity} is ");
+        for sentence in text.split('.') {
+            let norm = normalize_str(sentence);
+            if let Some(pos) = norm.find(&needle) {
+                let value = norm[pos + needle.len()..].trim();
+                if !value.is_empty() {
+                    return Some(value.to_string());
+                }
+            }
+        }
+        None
+    }
+
+    /// Text assembled from the pieces the scan cares about: the entity
+    /// (whole, and split by a `.`), the attribute, the words of the fact
+    /// pattern, values, dots and spaces in runs, a multi-char lowercasing.
+    fn arb_text(max_pieces: usize) -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just("New York 1"),
+                Just("New. York 1"),
+                Just("The incumbent of New York 1 is Otis Pike"),
+                Just("incumbent of New York 1 is"),
+                Just("incumbent"),
+                Just(" of "),
+                Just(" is "),
+                Just("Otis Pike"),
+                Just("İ"),
+                Just("."),
+                Just(". "),
+                Just(" . . "),
+                Just(" "),
+                Just("-- "),
+                Just("x"),
+            ],
+            0..max_pieces,
+        )
+        .prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// One pass over (title, ". ", body) decides what the two passes
+        /// over `full_text()` decided: the entity check on the whole
+        /// normalized text and the first matching sentence's value — with
+        /// entities that span a `.`, empty sentences, the fact in the
+        /// title, several matching sentences, and a value at the end of
+        /// the text with and without its final `.`.
+        #[test]
+        fn one_pass_scan_equals_normalize_then_scan_fact(
+            title in arb_text(4),
+            body in arb_text(10),
+            entity in prop_oneof![
+                Just("New York 1"),
+                Just("new york"),
+                Just("York. 1"),
+                Just("İ"),
+                Just("--"),
+            ],
+            attribute in prop_oneof![Just("incumbent"), Just("Incumbent!"), Just("of"), Just("")],
+        ) {
+            let doc = TextDocument::new(1, title, body, 0);
+            let full = doc.full_text();
+            let entity_key = normalize_str(entity);
+            let want = (
+                normalize_str(&full).contains(&entity_key),
+                oracle_scan_fact(&full, entity, attribute),
+            );
+            let got = with_doc_scan(&doc, |scan| {
+                (
+                    scan.mentions(&entity_key),
+                    scan.fact(entity, attribute).map(str::to_string),
+                )
+            });
+            prop_assert_eq!(&got, &want, "{:?}", full);
+            prop_assert_eq!(scan_fact(&full, entity, attribute), want.1);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Keyed by the normalized retrieval query (plus the object-kind
 //! discriminant, since tuple cells and text claims have different evidence
 //! plans). Values are the post-rerank `(InstanceId, score)` lists — instance
-//! *ids*, not resolved instances, so a hit re-resolves against the lake and
+//! *ids*, not resolved instances, so a hit looks the ids up in the lake and
 //! yields byte-identical reports to the uncached path.
 
 use std::collections::hash_map::DefaultHasher;
@@ -17,6 +17,48 @@ use verifai_lake::InstanceId;
 /// A cached post-rerank evidence list.
 pub type CachedEvidence = Vec<(InstanceId, f64)>;
 
+/// What evidence is cached under: the object kind and the retrieval query,
+/// with their hash taken once. A request builds its key when it is dequeued
+/// and every lookup it makes — shard choice, map probe, the batch-local and
+/// prewarm maps — reuses that hash; the query is read again only to confirm
+/// a probe that landed.
+#[derive(Debug, Clone)]
+pub struct EvidenceKey {
+    kind: u8,
+    query: String,
+    hash: u64,
+}
+
+impl EvidenceKey {
+    /// The key for an object kind's retrieval query.
+    pub fn new(kind: u8, query: String) -> EvidenceKey {
+        let mut hasher = DefaultHasher::new();
+        kind.hash(&mut hasher);
+        query.hash(&mut hasher);
+        EvidenceKey {
+            kind,
+            query,
+            hash: hasher.finish(),
+        }
+    }
+}
+
+impl PartialEq for EvidenceKey {
+    fn eq(&self, other: &EvidenceKey) -> bool {
+        self.hash == other.hash && self.kind == other.kind && self.query == other.query
+    }
+}
+
+impl Eq for EvidenceKey {}
+
+/// Equal keys have equal `(kind, query)` and so equal hashes; two different
+/// keys that share a hash are told apart by `Eq`, as in any hash map.
+impl Hash for EvidenceKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 struct Entry {
     evidence: CachedEvidence,
     last_used: u64,
@@ -24,7 +66,7 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<(u8, String), Entry>,
+    map: HashMap<EvidenceKey, Entry>,
     tick: u64,
 }
 
@@ -62,13 +104,6 @@ impl CacheStats {
     }
 }
 
-fn shard_index(kind: u8, query: &str, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    kind.hash(&mut hasher);
-    query.hash(&mut hasher);
-    (hasher.finish() as usize) % shards
-}
-
 impl EvidenceCache {
     /// A cache of `capacity` total entries split across `shards` shards.
     /// Each shard holds at least one entry, so tiny capacities still cache.
@@ -83,18 +118,17 @@ impl EvidenceCache {
         }
     }
 
+    fn shard(&self, key: &EvidenceKey) -> &Mutex<Shard> {
+        &self.shards[(key.hash as usize) % self.shards.len()]
+    }
+
     /// Look up an evidence list, refreshing its recency on hit.
-    pub fn get(&self, kind: u8, query: &str) -> Option<CachedEvidence> {
-        let mut shard = self.shards[shard_index(kind, query, self.shards.len())].lock();
+    pub fn get(&self, key: &EvidenceKey) -> Option<CachedEvidence> {
+        let mut shard = self.shard(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
-        // Keyed lookup without allocating an owned key for the miss path.
-        match shard
-            .map
-            .iter_mut()
-            .find(|((k, q), _)| *k == kind && q == query)
-        {
-            Some((_, entry)) => {
+        match shard.map.get_mut(key) {
+            Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.evidence.clone())
@@ -110,18 +144,16 @@ impl EvidenceCache {
     /// or recency. Used by the batch prewarmer to decide what to discover
     /// ahead of time; the counters keep describing request-path lookups
     /// only.
-    pub fn contains(&self, kind: u8, query: &str) -> bool {
-        let shard = self.shards[shard_index(kind, query, self.shards.len())].lock();
-        shard.map.keys().any(|(k, q)| *k == kind && q == query)
+    pub fn contains(&self, key: &EvidenceKey) -> bool {
+        self.shard(key).lock().map.contains_key(key)
     }
 
     /// Insert (or refresh) an evidence list, evicting the least recently
     /// used entry of the shard when it is full.
-    pub fn insert(&self, kind: u8, query: String, evidence: CachedEvidence) {
-        let mut shard = self.shards[shard_index(kind, &query, self.shards.len())].lock();
+    pub fn insert(&self, key: EvidenceKey, evidence: CachedEvidence) {
+        let mut shard = self.shard(&key).lock();
         shard.tick += 1;
         let tick = shard.tick;
-        let key = (kind, query);
         if !shard.map.contains_key(&key) && shard.map.len() >= self.shard_capacity {
             if let Some(oldest) = shard
                 .map
@@ -171,30 +203,38 @@ mod tests {
         vec![(InstanceId::Tuple(id), 0.5)]
     }
 
+    fn key(kind: u8, query: &str) -> EvidenceKey {
+        EvidenceKey::new(kind, query.into())
+    }
+
     #[test]
     fn hit_miss_counters() {
         let cache = EvidenceCache::new(4, 64);
-        assert_eq!(cache.get(0, "q"), None);
-        cache.insert(0, "q".into(), ev(1));
-        assert_eq!(cache.get(0, "q"), Some(ev(1)));
+        assert_eq!(cache.get(&key(0, "q")), None);
+        cache.insert(key(0, "q"), ev(1));
+        assert_eq!(cache.get(&key(0, "q")), Some(ev(1)));
         // Same query under a different object kind is a different entry.
-        assert_eq!(cache.get(1, "q"), None);
+        assert_eq!(cache.get(&key(1, "q")), None);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        // `contains` sees the entry and moves no counter.
+        assert!(cache.contains(&key(0, "q")));
+        assert!(!cache.contains(&key(1, "q")));
+        assert_eq!(cache.stats(), s);
     }
 
     #[test]
     fn lru_eviction_per_shard() {
         // One shard of capacity 2 makes recency observable.
         let cache = EvidenceCache::new(1, 2);
-        cache.insert(0, "a".into(), ev(1));
-        cache.insert(0, "b".into(), ev(2));
-        assert!(cache.get(0, "a").is_some()); // refresh "a"
-        cache.insert(0, "c".into(), ev(3)); // evicts "b"
-        assert!(cache.get(0, "a").is_some());
-        assert!(cache.get(0, "b").is_none());
-        assert!(cache.get(0, "c").is_some());
+        cache.insert(key(0, "a"), ev(1));
+        cache.insert(key(0, "b"), ev(2));
+        assert!(cache.get(&key(0, "a")).is_some()); // refresh "a"
+        cache.insert(key(0, "c"), ev(3)); // evicts "b"
+        assert!(cache.get(&key(0, "a")).is_some());
+        assert!(cache.get(&key(0, "b")).is_none());
+        assert!(cache.get(&key(0, "c")).is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
@@ -203,11 +243,34 @@ mod tests {
     #[test]
     fn reinsert_refreshes_without_evicting() {
         let cache = EvidenceCache::new(1, 2);
-        cache.insert(0, "a".into(), ev(1));
-        cache.insert(0, "b".into(), ev(2));
-        cache.insert(0, "a".into(), ev(9));
+        cache.insert(key(0, "a"), ev(1));
+        cache.insert(key(0, "b"), ev(2));
+        cache.insert(key(0, "a"), ev(9));
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.get(0, "a"), Some(ev(9)));
-        assert!(cache.get(0, "b").is_some());
+        assert_eq!(cache.get(&key(0, "a")), Some(ev(9)));
+        assert!(cache.get(&key(0, "b")).is_some());
+    }
+
+    /// Two different keys with one hash land in one shard and one bucket
+    /// chain; each still finds its own entry and neither displaces the
+    /// other.
+    #[test]
+    fn colliding_keys_both_round_trip() {
+        let collide = |kind: u8, query: &str| EvidenceKey {
+            kind,
+            query: query.into(),
+            hash: 42,
+        };
+        let cache = EvidenceCache::new(4, 64);
+        cache.insert(collide(0, "a"), ev(1));
+        cache.insert(collide(0, "b"), ev(2));
+        cache.insert(collide(1, "a"), ev(3));
+        assert_eq!(cache.get(&collide(0, "a")), Some(ev(1)));
+        assert_eq!(cache.get(&collide(0, "b")), Some(ev(2)));
+        assert_eq!(cache.get(&collide(1, "a")), Some(ev(3)));
+        assert!(!cache.contains(&collide(1, "b")));
+        assert_eq!(cache.get(&collide(1, "b")), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (3, 1, 3));
     }
 }

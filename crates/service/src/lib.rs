@@ -10,7 +10,7 @@ pub mod service;
 pub mod stats;
 pub mod tenants;
 
-pub use cache::{CacheStats, EvidenceCache};
+pub use cache::{CacheStats, EvidenceCache, EvidenceKey};
 pub use obs::ServiceObs;
 pub use quality::{QualityConfig, QualityMonitor, QualityStats};
 pub use service::{RequestOutcome, ServiceConfig, SubmitError, Ticket, VerificationService};

@@ -27,14 +27,13 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use verifai::exec::WorkerPool;
 use verifai::{
     CostVector, DataObject, ObsConfig, PipelineError, RequestTrace, StageTiming, TraceId, Verdict,
-    VerifAi, VerificationReport,
+    VerifAi, VerificationReport, Views,
 };
-use verifai_lake::DataInstance;
 use verifai_obs::{
     meter, ns_between, render_json, render_prometheus, Profiler, SpanContext, WorkerProfiler,
 };
 
-use crate::cache::{CachedEvidence, EvidenceCache};
+use crate::cache::{CachedEvidence, EvidenceCache, EvidenceKey};
 use crate::obs::ServiceObs;
 use crate::quality::QualityConfig;
 use crate::stats::ServiceStats;
@@ -433,7 +432,8 @@ impl VerificationService {
             let warm = WarmEvidence::new();
             while let Some((_, request, _)) = scheduler.pop() {
                 self.inner.obs.in_flight_add(1);
-                process(&self.inner, request, &mut local, &warm);
+                let key = evidence_key(&request.object);
+                process(&self.inner, request, key, &mut local, &warm);
                 self.inner.obs.in_flight_add(-1);
             }
         }
@@ -522,19 +522,31 @@ fn shed_request(inner: &Inner, request: Request, backlog: usize) {
 /// shares an evidence plan, so identical queries coalesce to one discovery
 /// even when the cross-request cache is disabled — and a group's distinct
 /// uncached queries prewarm through **one batched index sweep** before the
-/// per-request loop runs.
+/// per-request loop runs. Each request's cache key is built here, once, and
+/// carried through the prewarm, the lookups and the insert.
 fn process_batch(inner: &Inner, batch: Vec<Request>) {
     let (cells, claims): (Vec<Request>, Vec<Request>) = batch
         .into_iter()
         .partition(|r| matches!(r.object, DataObject::ImputedCell(_)));
     for group in [cells, claims] {
-        let mut local: HashMap<(u8, String), CachedEvidence> = HashMap::new();
-        let warm = prewarm_group(inner, &group);
-        for request in group {
-            process(inner, request, &mut local, &warm);
+        let keys: Vec<EvidenceKey> = group.iter().map(|r| evidence_key(&r.object)).collect();
+        let mut local: HashMap<EvidenceKey, CachedEvidence> = HashMap::new();
+        let warm = prewarm_group(inner, &group, &keys);
+        for (request, key) in group.into_iter().zip(keys) {
+            process(inner, request, key, &mut local, &warm);
             inner.obs.in_flight_add(-1);
         }
     }
+}
+
+/// The key an object's evidence is cached under: its kind (tuple cells and
+/// text claims have different evidence plans) and its retrieval query.
+fn evidence_key(object: &DataObject) -> EvidenceKey {
+    let kind = match object {
+        DataObject::ImputedCell(_) => 0,
+        DataObject::TextClaim(_) => 1,
+    };
+    EvidenceKey::new(kind, VerifAi::query_of(object))
 }
 
 /// Batch-discovered evidence keyed like the caches, consulted only at the
@@ -542,13 +554,14 @@ fn process_batch(inner: &Inner, batch: Vec<Request>) {
 /// counters) are untouched, so serving from the warm map is
 /// indistinguishable from per-request discovery except for the amortized
 /// index sweep.
-type WarmEvidence = HashMap<(u8, String), WarmEntry>;
+type WarmEvidence<'a> = HashMap<EvidenceKey, WarmEntry<'a>>;
 
 /// One prewarmed discovery plus its batch membership: which micro-batch
 /// sweep produced it and how many distinct queries rode along, and this
-/// entry's even share of the sweep's harvested resource cost.
-struct WarmEntry {
-    evidence: Vec<(DataInstance, f64)>,
+/// entry's even share of the sweep's harvested resource cost. The evidence
+/// is read in place, borrowed from the system the service serves.
+struct WarmEntry<'a> {
+    evidence: Views<'a>,
     timing: StageTiming,
     batch_seq: u64,
     co_riders: usize,
@@ -556,35 +569,35 @@ struct WarmEntry {
 }
 
 /// Discover the group's distinct not-yet-cached queries through
-/// [`VerifAi::discover_evidence_batch`]: one blocked multi-query scan per
+/// [`VerifAi::discover_batch`]: one blocked multi-query scan per
 /// modality covers the whole micro-batch. Groups too small to amortize
 /// anything (fewer than two discoveries pending) skip the sweep and keep
 /// the per-request path.
-fn prewarm_group(inner: &Inner, group: &[Request]) -> WarmEvidence {
+fn prewarm_group<'a>(
+    inner: &'a Inner,
+    group: &[Request],
+    keys: &[EvidenceKey],
+) -> WarmEvidence<'a> {
     if group.len() < 2 {
         return HashMap::new();
     }
     let now = inner.obs.config().clock.now();
-    let mut keys: Vec<(u8, String)> = Vec::new();
+    let mut pending: Vec<&EvidenceKey> = Vec::new();
     let mut objects: Vec<&DataObject> = Vec::new();
     let mut ctxs: Vec<SpanContext> = Vec::new();
-    for request in group {
+    for (request, key) in group.iter().zip(keys) {
         // Already-expired requests answer empty without discovery; don't
         // spend the sweep (or provenance rows) on them.
         if request.deadline.is_some_and(|d| now >= d) {
             continue;
         }
-        let key = (
-            object_kind(&request.object),
-            VerifAi::query_of(&request.object),
-        );
-        if keys.contains(&key) {
+        if pending.contains(&key) {
             continue;
         }
         if inner
             .cache
             .as_ref()
-            .is_some_and(|cache| cache.contains(key.0, &key.1))
+            .is_some_and(|cache| cache.contains(key))
         {
             continue;
         }
@@ -597,7 +610,7 @@ fn prewarm_group(inner: &Inner, group: &[Request]) -> WarmEvidence {
             span_id: 0,
             parent_id: 0,
         });
-        keys.push(key);
+        pending.push(key);
     }
     if objects.len() < 2 {
         return HashMap::new();
@@ -608,14 +621,14 @@ fn prewarm_group(inner: &Inner, group: &[Request]) -> WarmEvidence {
     // it evenly across the batch members; each share is re-charged when
     // (and only when) the owning request is processed, so the blocked
     // sweep meters exactly like `co_riders` independent discoveries.
-    let (discovered, sweep_cost) =
-        meter::scoped(|| inner.system.discover_evidence_batch_ctx(&objects, &ctxs));
+    let (discovered, sweep_cost) = meter::scoped(|| inner.system.discover_batch(&objects, &ctxs));
     let shares = sweep_cost.split(co_riders);
-    keys.into_iter()
+    pending
+        .into_iter()
         .zip(discovered.into_iter().zip(shares))
         .map(|(key, ((evidence, timing), cost))| {
             (
-                key,
+                key.clone(),
                 WarmEntry {
                     evidence,
                     timing,
@@ -628,19 +641,17 @@ fn prewarm_group(inner: &Inner, group: &[Request]) -> WarmEvidence {
         .collect()
 }
 
-fn object_kind(object: &DataObject) -> u8 {
-    match object {
-        DataObject::ImputedCell(_) => 0,
-        DataObject::TextClaim(_) => 1,
-    }
-}
+/// What [`evidence_for`] finds: views borrowed from the system the service
+/// serves (immutable while serving), and the timing of the discovery that
+/// produced them, if one ran.
+type DiscoveredEvidence<'a> = (Views<'a>, Option<StageTiming>);
 
 /// Evidence for `object`, preferring the shared cache, then the batch-local
 /// memo, then full discovery — returning the discovery-side [`StageTiming`]
 /// when discovery actually ran (`None` on cache hits, whose reports keep
-/// cached-path timing semantics). Both cached paths re-resolve instance ids
-/// against the lake through [`VerifAi::try_resolve_evidence`], so reports
-/// are identical whichever path served them — and a dangling id is handled
+/// cached-path timing semantics). Both cached paths look their instance ids
+/// up in the lake through [`VerifAi::view_evidence`], so reports are
+/// identical whichever path served them — and a dangling id is handled
 /// explicitly instead of silently shrinking the evidence set:
 ///
 /// * a stale **shared-cache** entry is rediscovered and overwritten (the
@@ -648,21 +659,19 @@ fn object_kind(object: &DataObject) -> u8 {
 /// * a stale **batch-local** memo — built moments ago within this very
 ///   batch — means the evidence genuinely no longer describes the lake,
 ///   and propagates as [`PipelineError::StaleEvidence`].
-type DiscoveredEvidence = (Vec<(DataInstance, f64)>, Option<StageTiming>);
-
-fn evidence_for(
-    inner: &Inner,
+fn evidence_for<'a>(
+    inner: &'a Inner,
     object: &DataObject,
-    local: &mut HashMap<(u8, String), CachedEvidence>,
-    warm: &WarmEvidence,
+    key: EvidenceKey,
+    local: &mut HashMap<EvidenceKey, CachedEvidence>,
+    warm: &WarmEvidence<'a>,
     trace: &mut RequestTrace,
-) -> Result<DiscoveredEvidence, PipelineError> {
+) -> Result<DiscoveredEvidence<'a>, PipelineError> {
     let clock = &inner.obs.config().clock;
-    let key = (object_kind(object), VerifAi::query_of(object));
     // Discovery, possibly pre-paid: the batch prewarmer already ran this
     // query through the blocked multi-query sweep (provenance included), so
     // a warm entry substitutes for the per-request discovery call.
-    let discover = |trace: &mut RequestTrace| match warm.get(&key) {
+    let discover = |key: &EvidenceKey, trace: &mut RequestTrace| match warm.get(key) {
         Some(entry) => {
             // Re-charge this request's share of the sweep the prewarmer
             // harvested; the drain at report assembly then attributes it
@@ -701,13 +710,14 @@ fn evidence_for(
             }
             (entry.evidence.clone(), *timing)
         }
-        None => inner.system.discover_evidence_traced(object, trace),
+        None => inner.system.discover(object, trace),
     };
+    let ids = |evidence: &Views<'_>| evidence.iter().map(|(i, s)| (i.id(), *s)).collect();
     if let Some(cache) = &inner.cache {
         let lookup_start = clock.now();
         let mut cache_note = "miss";
-        if let Some(cached) = cache.get(key.0, &key.1) {
-            match inner.system.try_resolve_evidence(&cached) {
+        if let Some(cached) = cache.get(&key) {
+            match inner.system.view_evidence(&cached) {
                 Ok(evidence) => {
                     meter::charge_cache_hit();
                     trace.span(
@@ -732,17 +742,13 @@ fn evidence_for(
             0,
             cache_note,
         );
-        let (discovered, timing) = discover(trace);
-        cache.insert(
-            key.0,
-            key.1,
-            discovered.iter().map(|(i, s)| (i.id(), *s)).collect(),
-        );
+        let (discovered, timing) = discover(&key, trace);
+        cache.insert(key, ids(&discovered));
         return Ok((discovered, Some(timing)));
     }
     if let Some(cached) = local.get(&key) {
         let lookup_start = clock.now();
-        return inner.system.try_resolve_evidence(cached).map(|evidence| {
+        return inner.system.view_evidence(cached).map(|evidence| {
             meter::charge_cache_hit();
             trace.span(
                 "cache",
@@ -755,8 +761,8 @@ fn evidence_for(
         });
     }
     meter::charge_cache_miss();
-    let (discovered, timing) = discover(trace);
-    local.insert(key, discovered.iter().map(|(i, s)| (i.id(), *s)).collect());
+    let (discovered, timing) = discover(&key, trace);
+    local.insert(key, ids(&discovered));
     Ok((discovered, Some(timing)))
 }
 
@@ -785,8 +791,9 @@ fn thread_profiler(profiler: &Arc<Profiler>) -> WorkerProfiler {
 fn process(
     inner: &Inner,
     request: Request,
-    local: &mut HashMap<(u8, String), CachedEvidence>,
-    warm: &WarmEvidence,
+    key: EvidenceKey,
+    local: &mut HashMap<EvidenceKey, CachedEvidence>,
+    warm: &WarmEvidence<'_>,
 ) {
     let clock = &inner.obs.config().clock;
     let started = clock.now();
@@ -824,12 +831,12 @@ fn process(
         ))
     } else {
         // Queue wait is charged up front so the drain at report assembly
-        // (inside `verify_with_evidence_traced`'s judge) folds it into
-        // this request's cost vector alongside the discovery charges.
+        // (inside `VerifAi::judge`) folds it into this request's cost
+        // vector alongside the discovery charges.
         meter::charge_queue_ns(queue_ns);
         let discovered = {
             let _scope = profiler.as_ref().map(|worker| worker.enter("discover"));
-            let result = evidence_for(inner, &request.object, local, warm, &mut trace);
+            let result = evidence_for(inner, &request.object, key, local, warm, &mut trace);
             if let Some(worker) = &profiler {
                 worker.sample_if_due();
             }
@@ -837,23 +844,17 @@ fn process(
         };
         discovered.map(|(evidence, discovered)| {
             let _scope = profiler.as_ref().map(|worker| worker.enter("judge"));
-            let mut report = inner.system.verify_with_evidence_traced(
-                &request.object,
-                evidence,
-                request.deadline,
-                &mut trace,
-            );
             // When this request paid for discovery, its report carries the
             // discovery-side timing too, same as `verify_object` would —
             // and the cost vector's stage clocks follow the same rule.
-            if let Some(timing) = discovered {
-                report.timing.retrieval_ns = timing.retrieval_ns;
-                report.timing.rerank_ns = timing.rerank_ns;
-                report.timing.candidates_in = timing.candidates_in;
-                report.timing.candidates_out = timing.candidates_out;
-                report.cost.retrieval_ns = timing.retrieval_ns;
-                report.cost.rerank_ns = timing.rerank_ns;
-            }
+            let timing = discovered.unwrap_or_else(|| StageTiming::for_cached(evidence.len()));
+            let report = inner.system.judge(
+                &request.object,
+                &evidence,
+                timing,
+                request.deadline,
+                &mut trace,
+            );
             // Deadline-partial reports carry `Unknown` at zero confidence.
             let partial = request.deadline.is_some()
                 && report.decision == Verdict::Unknown

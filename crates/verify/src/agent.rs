@@ -6,7 +6,7 @@
 //! accuracy, the generic LLM for coverage and generalization.
 
 use crate::{Verifier, VerifierOutput};
-use verifai_lake::DataInstance;
+use verifai_lake::InstanceRef;
 use verifai_llm::DataObject;
 
 /// Verifier-selection policy.
@@ -48,7 +48,7 @@ impl Agent {
     }
 
     /// Pick the verifier for a pair.
-    pub fn choose(&self, object: &DataObject, evidence: &DataInstance) -> &dyn Verifier {
+    pub fn choose(&self, object: &DataObject, evidence: InstanceRef<'_>) -> &dyn Verifier {
         if self.policy == AgentPolicy::PreferLocal {
             for v in &self.local {
                 if v.supports(object, evidence) {
@@ -64,7 +64,7 @@ impl Agent {
     pub fn verify(
         &self,
         object: &DataObject,
-        evidence: &DataInstance,
+        evidence: InstanceRef<'_>,
     ) -> (VerifierOutput, &'static str) {
         let v = self.choose(object, evidence);
         (v.verify(object, evidence), v.name())
@@ -90,7 +90,7 @@ mod tests {
     use crate::llm_verifier::LlmVerifier;
     use crate::pasta::PastaVerifier;
     use crate::tuple_model::TupleModelVerifier;
-    use verifai_lake::{Column, DataType, Schema, Table, Tuple, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Table, Tuple, Value};
     use verifai_llm::{ImputedCell, SimLlm, SimLlmConfig, TextClaim, WorldModel};
 
     fn agent(policy: AgentPolicy) -> Agent {
@@ -134,7 +134,10 @@ mod tests {
     #[test]
     fn prefer_local_routes_by_modality() {
         let a = agent(AgentPolicy::PreferLocal);
-        assert_eq!(a.choose(&claim_object(), &table_evidence()).name(), "pasta");
+        assert_eq!(
+            a.choose(&claim_object(), table_evidence().view()).name(),
+            "pasta"
+        );
         let cell = DataObject::ImputedCell(ImputedCell {
             id: 0,
             tuple: Tuple {
@@ -148,10 +151,13 @@ mod tests {
             column: "k".into(),
             value: Value::text("v"),
         });
-        assert_eq!(a.choose(&cell, &tuple_evidence()).name(), "roberta-tuple");
+        assert_eq!(
+            a.choose(&cell, tuple_evidence().view()).name(),
+            "roberta-tuple"
+        );
         // No local model handles (claim, tuple): falls back to the LLM.
         assert_eq!(
-            a.choose(&claim_object(), &tuple_evidence()).name(),
+            a.choose(&claim_object(), tuple_evidence().view()).name(),
             "chatgpt-sim"
         );
     }
@@ -160,7 +166,7 @@ mod tests {
     fn llm_only_ignores_locals() {
         let a = agent(AgentPolicy::LlmOnly);
         assert_eq!(
-            a.choose(&claim_object(), &table_evidence()).name(),
+            a.choose(&claim_object(), table_evidence().view()).name(),
             "chatgpt-sim"
         );
     }
@@ -168,7 +174,7 @@ mod tests {
     #[test]
     fn verify_reports_chosen_verifier() {
         let a = agent(AgentPolicy::PreferLocal);
-        let (_, name) = a.verify(&claim_object(), &table_evidence());
+        let (_, name) = a.verify(&claim_object(), table_evidence().view());
         assert_eq!(name, "pasta");
     }
 }

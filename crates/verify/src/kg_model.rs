@@ -11,7 +11,7 @@
 use crate::{Verifier, VerifierOutput};
 use verifai_claims::{parse_claim, ClaimExpr};
 use verifai_embed::hashing::{splitmix64, unit_float};
-use verifai_lake::{DataInstance, InstanceKind, KgEntity};
+use verifai_lake::{InstanceRef, KgEntity};
 use verifai_llm::{entity_key, DataObject, ImputedCell, TextClaim, Verdict};
 
 /// Behavioural knobs of the local KG model.
@@ -128,16 +128,15 @@ impl Verifier for KgModelVerifier {
         "kg-local"
     }
 
-    fn supports(&self, _object: &DataObject, evidence: &DataInstance) -> bool {
-        evidence.kind() == InstanceKind::Kg
+    fn supports(&self, _object: &DataObject, evidence: InstanceRef<'_>) -> bool {
+        matches!(evidence, InstanceRef::Kg(_))
     }
 
-    fn verify(&self, object: &DataObject, evidence: &DataInstance) -> VerifierOutput {
-        let DataInstance::Kg(entity) = evidence else {
+    fn verify(&self, object: &DataObject, evidence: InstanceRef<'_>) -> VerifierOutput {
+        let InstanceRef::Kg(entity) = evidence else {
             return VerifierOutput {
                 verdict: Verdict::NotRelated,
                 explanation: "The KG model only handles knowledge-graph evidence.".to_string(),
-                transcript: None,
             };
         };
         let verdict = match object {
@@ -152,7 +151,6 @@ impl Verifier for KgModelVerifier {
                 entity.name,
                 entity.triples.len()
             ),
-            transcript: None,
         }
     }
 }
@@ -160,7 +158,7 @@ impl Verifier for KgModelVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Tuple, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple, Value};
 
     fn subgraph() -> KgEntity {
         let mut e = KgEntity::new(7, "New York 3", 0);
@@ -258,9 +256,9 @@ mod tests {
     fn supports_only_kg_evidence() {
         let m = KgModelVerifier::with_defaults();
         let obj = DataObject::ImputedCell(cell("New York 3", "x"));
-        assert!(m.supports(&obj, &DataInstance::Kg(subgraph())));
+        assert!(m.supports(&obj, DataInstance::Kg(subgraph()).view()));
         let doc = DataInstance::Text(verifai_lake::TextDocument::new(1, "t", "b", 0));
-        assert!(!m.supports(&obj, &doc));
+        assert!(!m.supports(&obj, doc.view()));
     }
 
     #[test]

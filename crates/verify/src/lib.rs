@@ -45,7 +45,7 @@ pub use tuple_model::{TupleModelConfig, TupleModelVerifier};
 // `verifai-llm`; re-exported here because it is the Verifier's output type.
 pub use verifai_llm::Verdict;
 
-use verifai_lake::DataInstance;
+use verifai_lake::InstanceRef;
 use verifai_llm::{DataObject, Transcript};
 
 /// Output of one verifier invocation.
@@ -55,18 +55,32 @@ pub struct VerifierOutput {
     pub verdict: Verdict,
     /// Natural-language justification.
     pub explanation: String,
-    /// Prompt/response exchange, when the verifier is prompt-driven.
-    pub transcript: Option<Transcript>,
 }
 
 /// A verification model for (generated object, evidence instance) pairs.
+/// Evidence is read where it lies: an [`InstanceRef`] borrowed from the
+/// lake, or from an owned instance through [`verifai_lake::DataInstance::view`].
 pub trait Verifier: Send + Sync {
     /// Stable name for provenance and reports.
     fn name(&self) -> &'static str;
 
     /// Whether this verifier is trained for the given modality pair.
-    fn supports(&self, object: &DataObject, evidence: &DataInstance) -> bool;
+    fn supports(&self, object: &DataObject, evidence: InstanceRef<'_>) -> bool;
 
     /// Verify the object against one evidence instance.
-    fn verify(&self, object: &DataObject, evidence: &DataInstance) -> VerifierOutput;
+    fn verify(&self, object: &DataObject, evidence: InstanceRef<'_>) -> VerifierOutput;
+
+    /// The prompt/response exchange behind `output`, which this verifier's
+    /// [`Verifier::verify`] returned for the pair — prompt-level lineage
+    /// (challenge C4) for the caller that wants it. `None` for verifiers
+    /// that are not prompt-driven (the default).
+    fn transcript(
+        &self,
+        object: &DataObject,
+        evidence: InstanceRef<'_>,
+        output: &VerifierOutput,
+    ) -> Option<Transcript> {
+        let _ = (object, evidence, output);
+        None
+    }
 }

@@ -1,8 +1,8 @@
 //! The generic LLM verifier (ChatGPT's role as the default Verifier).
 
 use crate::{Verifier, VerifierOutput};
-use verifai_lake::DataInstance;
-use verifai_llm::{DataObject, SimLlm};
+use verifai_lake::InstanceRef;
+use verifai_llm::{DataObject, LlmVerdict, SimLlm, Transcript};
 
 /// Wraps the simulated LLM as a [`Verifier`]. Supports every modality pair —
 /// the paper's "one-size-fits-all model such as ChatGPT".
@@ -28,24 +28,36 @@ impl Verifier for LlmVerifier {
         "chatgpt-sim"
     }
 
-    fn supports(&self, _object: &DataObject, _evidence: &DataInstance) -> bool {
+    fn supports(&self, _object: &DataObject, _evidence: InstanceRef<'_>) -> bool {
         true
     }
 
-    fn verify(&self, object: &DataObject, evidence: &DataInstance) -> VerifierOutput {
+    fn verify(&self, object: &DataObject, evidence: InstanceRef<'_>) -> VerifierOutput {
         let out = self.llm.verify(object, evidence);
         VerifierOutput {
             verdict: out.verdict,
             explanation: out.explanation,
-            transcript: Some(out.transcript),
         }
+    }
+
+    fn transcript(
+        &self,
+        object: &DataObject,
+        evidence: InstanceRef<'_>,
+        output: &VerifierOutput,
+    ) -> Option<Transcript> {
+        let verdict = LlmVerdict {
+            verdict: output.verdict,
+            explanation: output.explanation.clone(),
+        };
+        Some(self.llm.transcript(object, evidence, &verdict))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Tuple, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple, Value};
     use verifai_llm::{ImputedCell, SimLlmConfig, Verdict, WorldModel};
 
     #[test]
@@ -76,10 +88,20 @@ mod tests {
             values: vec![Value::text("NY-1"), Value::text("Otis Pike")],
             source: 0,
         });
-        assert!(v.supports(&obj, &evidence));
-        let out = v.verify(&obj, &evidence);
+        let evidence = evidence.view();
+        assert!(v.supports(&obj, evidence));
+        let out = v.verify(&obj, evidence);
         assert_eq!(out.verdict, Verdict::Verified);
-        assert!(out.transcript.is_some());
+        let transcript = v
+            .transcript(&obj, evidence, &out)
+            .expect("the LLM verifier is prompt-driven");
+        assert!(transcript.messages[0]
+            .content
+            .starts_with("Please use the evidence below"));
+        assert_eq!(
+            transcript.messages[1].content,
+            format!("Result: Verified. {}", out.explanation)
+        );
         assert_eq!(v.name(), "chatgpt-sim");
     }
 }

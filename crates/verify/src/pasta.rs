@@ -20,7 +20,7 @@
 use crate::{Verifier, VerifierOutput};
 use verifai_claims::{execute, parse_claim, ExecOutcome};
 use verifai_embed::hashing::{fnv1a, splitmix64, unit_float};
-use verifai_lake::{DataInstance, InstanceKind, Table};
+use verifai_lake::{InstanceRef, Table};
 use verifai_llm::{DataObject, TextClaim, Verdict};
 use verifai_text::sim::containment;
 use verifai_text::Analyzer;
@@ -123,16 +123,18 @@ impl Verifier for PastaVerifier {
         "pasta"
     }
 
-    fn supports(&self, object: &DataObject, evidence: &DataInstance) -> bool {
-        matches!(object, DataObject::TextClaim(_)) && evidence.kind() == InstanceKind::Table
+    fn supports(&self, object: &DataObject, evidence: InstanceRef<'_>) -> bool {
+        matches!(
+            (object, evidence),
+            (DataObject::TextClaim(_), InstanceRef::Table(_))
+        )
     }
 
-    fn verify(&self, object: &DataObject, evidence: &DataInstance) -> VerifierOutput {
-        let (DataObject::TextClaim(claim), DataInstance::Table(table)) = (object, evidence) else {
+    fn verify(&self, object: &DataObject, evidence: InstanceRef<'_>) -> VerifierOutput {
+        let (DataObject::TextClaim(claim), InstanceRef::Table(table)) = (object, evidence) else {
             return VerifierOutput {
                 verdict: Verdict::NotRelated,
                 explanation: "PASTA only handles (text, table) pairs.".to_string(),
-                transcript: None,
             };
         };
         let answer = self.verify_binary(claim, table);
@@ -148,7 +150,6 @@ impl Verifier for PastaVerifier {
                 if answer { "entailed" } else { "not entailed" },
                 table.caption
             ),
-            transcript: None,
         }
     }
 }
@@ -156,7 +157,7 @@ impl Verifier for PastaVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Value};
 
     fn ncaa_table() -> Table {
         let mut t = Table::new(
@@ -210,7 +211,7 @@ mod tests {
         ] {
             let out = p.verify(
                 &DataObject::TextClaim(claim(text)),
-                &DataInstance::Table(t.clone()),
+                DataInstance::Table(t.clone()).view(),
             );
             assert_ne!(
                 out.verdict,
@@ -266,8 +267,8 @@ mod tests {
     fn supports_only_text_table() {
         let p = PastaVerifier::with_defaults();
         let obj = DataObject::TextClaim(claim("x"));
-        assert!(p.supports(&obj, &DataInstance::Table(ncaa_table())));
+        assert!(p.supports(&obj, DataInstance::Table(ncaa_table()).view()));
         let doc = DataInstance::Text(verifai_lake::TextDocument::new(1, "t", "b", 0));
-        assert!(!p.supports(&obj, &doc));
+        assert!(!p.supports(&obj, doc.view()));
     }
 }

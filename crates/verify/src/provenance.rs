@@ -18,20 +18,27 @@
 //! [`ProvenanceLog`] plus a batch counter that makes the lock discipline
 //! observable); [`NullSink`] discards records for provenance-free runs.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use verifai_lake::InstanceId;
 use verifai_llm::Verdict;
 
 /// Which pipeline stage produced a record.
+///
+/// The labels are shared strings: a stage builds its label once and every
+/// record it emits holds a reference, so building a record allocates
+/// nothing (the log interns labels on arrival either way).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stage {
     /// A coarse index retrieved an instance.
     Retrieval {
         /// Index name (e.g. `bm25`, `hnsw`).
-        index: String,
+        index: Arc<str>,
         /// Rank within that index's result list (0-based).
         rank: usize,
     },
@@ -40,14 +47,14 @@ pub enum Stage {
     /// A reranker re-scored an instance.
     Rerank {
         /// Reranker name.
-        reranker: String,
+        reranker: Arc<str>,
         /// Rank after reranking (0-based).
         rank: usize,
     },
     /// A verifier judged the pair.
     Verify {
         /// Verifier name.
-        verifier: String,
+        verifier: Arc<str>,
     },
     /// The trust model made the final decision.
     Decision,
@@ -85,15 +92,20 @@ pub struct ProvenanceRecord {
 /// A maximal run of consecutive records that share an object and a stage
 /// label and whose ranks (if the stage has one) count up by one — in
 /// practice, one modality's hit list or one stage's flush for one object.
+/// A run knows how many rows and how many noted rows it covers, not where
+/// they start: every reader walks the runs in order anyway, so the starts
+/// are running sums and a run is 32 bytes.
 #[derive(Debug, Clone)]
 struct Run {
     object_id: u64,
-    /// Index of the run's first row.
-    first_row: usize,
     /// Stage variant and its label, as indices into [`ProvenanceLog::labels`].
     stage: StageKey,
     /// Rank of the first row (0 for stages without ranks).
     first_rank: usize,
+    /// Rows in the run (a longer run simply continues as a second one).
+    rows: u32,
+    /// How many of them carry a note.
+    noted: u32,
 }
 
 /// A [`Stage`] without its rank: variant plus interned label.
@@ -120,11 +132,13 @@ const HAS_NOTE: u8 = 0b1000_0000;
 /// in memory is what a request costs for as long as the process lives.
 /// Records are therefore stored column-wise, 17 bytes per row: what a run of
 /// consecutive records shares (object, stage, label, the rank sequence) is
-/// stored once per run, labels are interned, and the rare non-empty note
-/// is copied into one shared text buffer. [`ProvenanceRecord`] stays the exchange type on
-/// both sides: records go in through [`ProvenanceLog::add`] and come back
-/// out of [`ProvenanceLog::records`] / [`ProvenanceLog::for_object`] equal
-/// to what went in.
+/// stored once per run, labels are interned, and a non-empty note is a
+/// reference into one shared text buffer that holds each distinct text once
+/// — a request served from cache repeats the explanations of the request
+/// that filled the cache, word for word. [`ProvenanceRecord`] stays the
+/// exchange type on both sides: records go in through
+/// [`ProvenanceLog::add`] and come back out of [`ProvenanceLog::records`] /
+/// [`ProvenanceLog::for_object`] equal to what went in.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     runs: Vec<Run>,
@@ -134,17 +148,34 @@ pub struct ProvenanceLog {
     score: Vec<f64>,
     /// Per row: instance kind, verdict, and presence bits.
     flags: Vec<u8>,
-    /// Rows with a non-empty note, in row order, each with the end of its
-    /// note in `note_text` (it starts where the previous one ends).
-    notes: Vec<(usize, usize)>,
-    /// Every note, back to back. Copying a note in here and letting the
-    /// record's own `String` go means a request's allocations are all
-    /// returned when it ends; keeping the `String`s instead leaves one
-    /// long-lived chunk per note scattered through the heap, which slowed
-    /// every later allocation in the process (a cached verify by 20 %).
+    /// Per row with a non-empty note, in row order: the index of its text
+    /// in `note_ends`.
+    notes: Vec<usize>,
+    /// Per distinct note text: where it ends in `note_text` (it starts where
+    /// the previous one ends).
+    note_ends: Vec<usize>,
+    /// Every distinct note text, back to back. Copying a note in here and
+    /// letting the record's own `String` go means a request's allocations
+    /// are all returned when it ends; keeping the `String`s instead leaves
+    /// one long-lived chunk per note scattered through the heap, which
+    /// slowed every later allocation in the process (a cached verify by
+    /// 20 %).
     note_text: String,
+    /// Content hash → the first note text with that hash, so `add` finds a
+    /// text the log already holds. Nine bytes a bucket, not a second copy
+    /// of the text: the candidate is compared against the buffer, so two
+    /// texts sharing a hash cost the later one a copy per use, never a
+    /// wrong note.
+    note_index: HashMap<u32, u32>,
     /// Interned stage labels (index names, reranker names, verifier names).
-    labels: Vec<Box<str>>,
+    labels: Vec<Arc<str>>,
+}
+
+/// The content hash `note_index` is keyed by.
+fn note_hash(note: &str) -> u32 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(note.as_bytes());
+    hasher.finish() as u32
 }
 
 impl ProvenanceLog {
@@ -153,19 +184,61 @@ impl ProvenanceLog {
         ProvenanceLog::default()
     }
 
-    fn label(&mut self, label: &str) -> u32 {
+    fn label(&mut self, label: &Arc<str>) -> u32 {
         // A handful of distinct labels ever exist; a scan beats a map.
-        let found = self.labels.iter().position(|l| &**l == label);
+        let found = self.labels.iter().position(|l| l == label);
         let index = found.unwrap_or_else(|| {
-            self.labels.push(label.into());
+            self.labels.push(Arc::clone(label));
             self.labels.len() - 1
         });
         u32::try_from(index).expect("fewer than 2^32 stage labels")
     }
 
+    /// The distinct note text at `index`.
+    fn note(&self, index: usize) -> &str {
+        let start = index.checked_sub(1).map_or(0, |prev| self.note_ends[prev]);
+        &self.note_text[start..self.note_ends[index]]
+    }
+
+    /// The index of `note` among the distinct texts, storing it first if
+    /// the log does not hold it yet.
+    fn intern_note(&mut self, note: &str) -> usize {
+        let hash = note_hash(note);
+        if let Some(&held) = self.note_index.get(&hash) {
+            if self.note(held as usize) == note {
+                return held as usize;
+            }
+        }
+        let index = self.note_ends.len();
+        self.note_text.push_str(note);
+        self.note_ends.push(self.note_text.len());
+        if let Ok(index) = u32::try_from(index) {
+            self.note_index.entry(hash).or_insert(index);
+        }
+        index
+    }
+
+    /// Bytes of lineage the log holds: rows, runs, note references, the
+    /// distinct note texts with their index, and labels — lengths, not
+    /// capacities, so the figure is a function of what was added (growth
+    /// slack of the vectors, at most as much again, comes on top).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.runs.len() * size_of::<Run>()
+            + self.flags.len() * (size_of::<u64>() + size_of::<f64>() + size_of::<u8>())
+            + self.notes.len() * size_of::<usize>()
+            + self.note_ends.len() * size_of::<usize>()
+            + self.note_text.len()
+            + self.note_index.len() * (size_of::<(u32, u32)>() + 1)
+            + self
+                .labels
+                .iter()
+                .map(|l| size_of::<Arc<str>>() + l.len())
+                .sum::<usize>()
+    }
+
     /// Append a record.
     pub fn add(&mut self, record: ProvenanceRecord) {
-        let row = self.flags.len();
         let (stage, rank) = match &record.stage {
             Stage::Retrieval { index, rank } => (StageKey::Retrieval(self.label(index)), *rank),
             Stage::Combine => (StageKey::Combine, 0),
@@ -177,16 +250,22 @@ impl ProvenanceLog {
         let continues = self.runs.last().is_some_and(|run| {
             run.object_id == record.object_id
                 && run.stage == stage
-                && (!ranked || run.first_rank + (row - run.first_row) == rank)
+                && run.rows < u32::MAX
+                && (!ranked || run.first_rank.checked_add(run.rows as usize) == Some(rank))
         });
         if !continues {
             self.runs.push(Run {
                 object_id: record.object_id,
-                first_row: row,
                 stage,
                 first_rank: rank,
+                rows: 0,
+                noted: 0,
             });
         }
+        let noted = !record.note.is_empty();
+        let run = self.runs.last_mut().expect("a run was just ensured");
+        run.rows += 1;
+        run.noted += u32::from(noted);
         let mut flags = 0u8;
         let mut raw_id = 0u64;
         if let Some(instance) = record.instance {
@@ -211,10 +290,10 @@ impl ProvenanceLog {
         if record.score.is_some() {
             flags |= HAS_SCORE;
         }
-        if !record.note.is_empty() {
+        if noted {
             flags |= HAS_NOTE;
-            self.note_text.push_str(&record.note);
-            self.notes.push((row, self.note_text.len()));
+            let text = self.intern_note(&record.note);
+            self.notes.push(text);
         }
         self.instance.push(raw_id);
         self.score.push(record.score.unwrap_or(0.0));
@@ -238,16 +317,30 @@ impl ProvenanceLog {
         self.flags.is_empty()
     }
 
-    /// Rebuild the records of run `index`, appending them to `out`.
-    fn decode_run(&self, index: usize, out: &mut Vec<ProvenanceRecord>) {
-        let run = &self.runs[index];
-        let end = self
-            .runs
-            .get(index + 1)
-            .map_or(self.flags.len(), |next| next.first_row);
-        let label = |l: u32| self.labels[l as usize].to_string();
-        for row in run.first_row..end {
-            let rank = run.first_rank + (row - run.first_row);
+    /// The runs in order, each with the index of its first row and of its
+    /// first entry in `notes`.
+    fn located_runs(&self) -> impl Iterator<Item = (&Run, usize, usize)> {
+        self.runs.iter().scan((0, 0), |(row, note), run| {
+            let located = (run, *row, *note);
+            *row += run.rows as usize;
+            *note += run.noted as usize;
+            Some(located)
+        })
+    }
+
+    /// Rebuild the records of `run`, whose rows start at `first_row` and
+    /// whose notes start at `first_note`, appending them to `out`.
+    fn decode_run(
+        &self,
+        run: &Run,
+        first_row: usize,
+        first_note: usize,
+        out: &mut Vec<ProvenanceRecord>,
+    ) {
+        let label = |l: u32| Arc::clone(&self.labels[l as usize]);
+        let mut notes = self.notes[first_note..].iter();
+        for row in first_row..first_row + run.rows as usize {
+            let rank = run.first_rank + (row - first_row);
             let flags = self.flags[row];
             let raw_id = self.instance[row];
             out.push(ProvenanceRecord {
@@ -281,12 +374,8 @@ impl ProvenanceLog {
                     _ => Some(Verdict::Unknown),
                 },
                 note: if flags & HAS_NOTE != 0 {
-                    let at = self
-                        .notes
-                        .binary_search_by_key(&row, |(r, _)| *r)
-                        .expect("a row flagged HAS_NOTE has a note");
-                    let start = at.checked_sub(1).map_or(0, |prev| self.notes[prev].1);
-                    self.note_text[start..self.notes[at].1].to_string()
+                    let text = *notes.next().expect("a row flagged HAS_NOTE has a note");
+                    self.note(text).to_string()
                 } else {
                     String::new()
                 },
@@ -297,8 +386,8 @@ impl ProvenanceLog {
     /// All records, in insertion order.
     pub fn records(&self) -> Vec<ProvenanceRecord> {
         let mut out = Vec::with_capacity(self.len());
-        for run in 0..self.runs.len() {
-            self.decode_run(run, &mut out);
+        for (run, first_row, first_note) in self.located_runs() {
+            self.decode_run(run, first_row, first_note, &mut out);
         }
         out
     }
@@ -306,9 +395,9 @@ impl ProvenanceLog {
     /// Records concerning one generated object, in pipeline order.
     pub fn for_object(&self, object_id: u64) -> Vec<ProvenanceRecord> {
         let mut out = Vec::new();
-        for (index, run) in self.runs.iter().enumerate() {
+        for (run, first_row, first_note) in self.located_runs() {
             if run.object_id == object_id {
-                self.decode_run(index, &mut out);
+                self.decode_run(run, first_row, first_note, &mut out);
             }
         }
         out
@@ -508,7 +597,7 @@ mod tests {
                 1 => next(500) as usize,
                 _ => rank + 1,
             };
-            let label = labels[next(4) as usize].to_string();
+            let label: Arc<str> = labels[next(4) as usize].into();
             let stage = match next(6) {
                 0 | 1 => Stage::Retrieval { index: label, rank },
                 2 => Stage::Rerank {
@@ -561,6 +650,136 @@ mod tests {
             assert_eq!(log.for_object(object_id), want);
         }
         assert!(log.for_object(99).is_empty());
+    }
+
+    /// Notes are stored once per distinct text and still come back exactly:
+    /// 1 000 distinct notes, each repeated at random, with empty notes and
+    /// two texts that share a content hash interleaved.
+    #[test]
+    fn interned_notes_round_trip() {
+        // Two different texts with one hash: the index keeps the first, the
+        // second is stored again on every use and must still read back.
+        let mut seen = HashMap::new();
+        let (first, second) = (0u32..)
+            .find_map(|i| {
+                let text = format!("colliding note {i}");
+                let earlier = seen.insert(note_hash(&text), text.clone());
+                earlier.map(|earlier| (earlier, text))
+            })
+            .expect("32-bit hashes collide within a few hundred thousand texts");
+        assert_ne!(first, second);
+        assert_eq!(note_hash(&first), note_hash(&second));
+
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut records = Vec::new();
+        for i in 0..1000u64 {
+            let distinct = format!("explanation {i}: the evidence records value {}", i * 7);
+            for _ in 0..=next(3) {
+                let note = match next(6) {
+                    0 => String::new(),
+                    1 => first.clone(),
+                    2 => second.clone(),
+                    3 => format!(
+                        "explanation {}: the evidence records value {}",
+                        next(i + 1),
+                        0
+                    ),
+                    _ => distinct.clone(),
+                };
+                records.push(ProvenanceRecord {
+                    note,
+                    ..record(
+                        next(4),
+                        Stage::Verify {
+                            verifier: "chatgpt-sim".into(),
+                        },
+                    )
+                });
+            }
+            records.push(ProvenanceRecord {
+                note: distinct,
+                ..record(next(4), Stage::Decision)
+            });
+        }
+        let mut log = ProvenanceLog::new();
+        log.add_all(records.iter().cloned());
+        assert_eq!(log.records(), records);
+        for object_id in 0..4 {
+            let want: Vec<ProvenanceRecord> = records
+                .iter()
+                .filter(|r| r.object_id == object_id)
+                .cloned()
+                .collect();
+            assert_eq!(log.for_object(object_id), want);
+        }
+        // Every distinct text is held once — except the later of the two
+        // colliding ones, which is held once per use.
+        let distinct: std::collections::HashSet<&str> = records
+            .iter()
+            .map(|r| r.note.as_str())
+            .filter(|n| !n.is_empty() && *n != second)
+            .collect();
+        let second_uses = records.iter().filter(|r| r.note == second).count();
+        assert_eq!(log.note_ends.len(), distinct.len() + second_uses);
+    }
+
+    /// What a request served from cache leaves behind, over and over: the
+    /// same verify rows with the same explanations, and the same decision
+    /// note. The first request pays for the texts; every repeat costs rows
+    /// and references only.
+    #[test]
+    fn a_repeated_request_costs_rows_not_text() {
+        let request = |log: &mut ProvenanceLog| {
+            for i in 0..6u64 {
+                log.add(ProvenanceRecord {
+                    instance: Some(InstanceId::Tuple(100 + i)),
+                    score: Some(0.5),
+                    verdict: Some(Verdict::Verified),
+                    note: format!(
+                        "The evidence tuple records incumbent = Otis Pike {i}, matching the \
+                         generated value, as one would expect of an explanation this long."
+                    ),
+                    ..record(
+                        7,
+                        Stage::Verify {
+                            // Evidence arrives modality by modality.
+                            verifier: if i < 4 {
+                                "roberta-tuple"
+                            } else {
+                                "chatgpt-sim"
+                            }
+                            .into(),
+                        },
+                    )
+                });
+            }
+            log.add(ProvenanceRecord {
+                score: Some(1.0),
+                verdict: Some(Verdict::Verified),
+                note: "over 6 evidence verdicts".into(),
+                ..record(7, Stage::Decision)
+            });
+        };
+        let mut log = ProvenanceLog::new();
+        request(&mut log);
+        let first = log.heap_bytes();
+        assert!(first > 600, "the first request holds its texts: {first} B");
+        for _ in 0..1000 {
+            request(&mut log);
+        }
+        let per_request = (log.heap_bytes() - first) / 1000;
+        assert!(
+            per_request <= 300,
+            "a repeated request grew the log by {per_request} B"
+        );
+        assert_eq!(log.len(), 7 * 1001);
+        assert_eq!(log.for_object(7).len(), 7 * 1001);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::{Verifier, VerifierOutput};
 use verifai_embed::hashing::{splitmix64, unit_float};
-use verifai_lake::{DataInstance, InstanceKind, Tuple};
+use verifai_lake::{InstanceRef, TupleRef};
 use verifai_llm::{DataObject, ImputedCell, Verdict};
 
 /// Behavioural knobs of the local tuple model.
@@ -61,7 +61,8 @@ impl TupleModelVerifier {
     }
 
     /// Classify one (imputed cell, evidence tuple) pair.
-    pub fn classify(&self, cell: &ImputedCell, evidence: &Tuple) -> Verdict {
+    pub fn classify<'a>(&self, cell: &ImputedCell, evidence: impl Into<TupleRef<'a>>) -> Verdict {
+        let evidence = evidence.into();
         let tags = [cell.id, evidence.id, 0x7e];
         let keys = cell.tuple.key_values();
         let matched = keys
@@ -100,16 +101,18 @@ impl Verifier for TupleModelVerifier {
         "roberta-tuple"
     }
 
-    fn supports(&self, object: &DataObject, evidence: &DataInstance) -> bool {
-        matches!(object, DataObject::ImputedCell(_)) && evidence.kind() == InstanceKind::Tuple
+    fn supports(&self, object: &DataObject, evidence: InstanceRef<'_>) -> bool {
+        matches!(
+            (object, evidence),
+            (DataObject::ImputedCell(_), InstanceRef::Tuple(_))
+        )
     }
 
-    fn verify(&self, object: &DataObject, evidence: &DataInstance) -> VerifierOutput {
-        let (DataObject::ImputedCell(cell), DataInstance::Tuple(t)) = (object, evidence) else {
+    fn verify(&self, object: &DataObject, evidence: InstanceRef<'_>) -> VerifierOutput {
+        let (DataObject::ImputedCell(cell), InstanceRef::Tuple(t)) = (object, evidence) else {
             return VerifierOutput {
                 verdict: Verdict::NotRelated,
                 explanation: "The tuple model only handles (tuple, tuple) pairs.".to_string(),
-                transcript: None,
             };
         };
         let verdict = self.classify(cell, t);
@@ -119,7 +122,6 @@ impl Verifier for TupleModelVerifier {
                 "Local tuple model compared the generated {} against evidence tuple {}.",
                 cell.column, t.id
             ),
-            transcript: None,
         }
     }
 }
@@ -127,7 +129,7 @@ impl Verifier for TupleModelVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verifai_lake::{Column, DataType, Schema, Value};
+    use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -233,8 +235,8 @@ mod tests {
     fn supports_only_cell_tuple() {
         let m = TupleModelVerifier::with_defaults();
         let obj = DataObject::ImputedCell(cell("x"));
-        assert!(m.supports(&obj, &DataInstance::Tuple(evidence(1, "a", "b"))));
+        assert!(m.supports(&obj, DataInstance::Tuple(evidence(1, "a", "b")).view()));
         let doc = DataInstance::Text(verifai_lake::TextDocument::new(1, "t", "b", 0));
-        assert!(!m.supports(&obj, &doc));
+        assert!(!m.supports(&obj, doc.view()));
     }
 }

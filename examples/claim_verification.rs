@@ -42,7 +42,7 @@ fn main() {
 
         let chatgpt = system.llm().verify(&object, &evidence);
         chatgpt_acc.record(paper_correct(expected, chatgpt.verdict, false));
-        let local = pasta.verify(&object, &evidence);
+        let local = pasta.verify(&object, evidence.view());
         pasta_acc.record(paper_correct(expected, local.verdict, true));
 
         if shown < 4 {

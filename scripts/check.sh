@@ -16,6 +16,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# Per-request allocation and lineage budgets, again in the profile that
+# serves. Named, so the gate fails if the test target goes missing instead
+# of passing on zero tests.
+echo "==> allocation budgets, release (gating)"
+cargo test -q --release --test alloc_budget
+
 # Gating canary smoke: a short healthy serving run with golden-set canaries
 # must exit 0 — a nonzero exit means a critical quality alert (drift or
 # canary failure) was active at shutdown on a known-good configuration.

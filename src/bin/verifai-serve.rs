@@ -615,6 +615,12 @@ fn main() -> ExitCode {
         );
     }
     println!("lost requests: {lost}");
+    // What serving left behind for good: the lineage of every request.
+    println!(
+        "lineage: {} bytes over {} requests",
+        sys.provenance().heap_bytes(),
+        stats.submitted
+    );
     if lost != 0 || stats.submitted != args.requests as u64 + canary_submissions {
         eprintln!(
             "accounting violated: {} submitted ({} traffic + {} canaries), {} accounted",

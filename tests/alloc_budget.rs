@@ -1,0 +1,185 @@
+//! What a request allocates and what it leaves behind, held to a budget.
+//!
+//! The cached path of the service — look cached evidence ids up in the lake,
+//! judge the views — constructs no `DataInstance` and renders no transcript,
+//! so what it allocates is the report it returns, the lineage records it
+//! flushes, and the explanations in both. The cold path adds retrieval and
+//! rerank. Both are counted here with a counting global allocator, per
+//! request, so a change that starts copying evidence again (or formatting
+//! text nobody reads) fails a test instead of shaving a benchmark.
+//!
+//! `scripts/check.sh` runs this file by name in release as well: the budgets
+//! must hold in the profile that serves.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use verifai::{DataObject, RequestTrace, StageTiming, VerifAi, VerifAiConfig};
+use verifai_claims::ClaimGenConfig;
+use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
+use verifai_lake::InstanceId;
+
+thread_local! {
+    /// Allocator calls made by this thread while it is measuring. Tests run
+    /// on parallel threads; each counts only itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The system allocator, counting `alloc` / `alloc_zeroed` / `realloc`
+/// calls of the thread that asked to be measured.
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // `try_with`: the allocator also runs while a thread's locals are
+        // being torn down. Both cells are const-initialized and have no
+        // destructor, so touching them never allocates.
+        let _ = MEASURING.try_with(|measuring| {
+            if measuring.get() {
+                let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f`, returning how many allocator calls this thread made inside it.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    MEASURING.with(|m| m.set(true));
+    let result = f();
+    MEASURING.with(|m| m.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
+}
+
+const OBJECTS: usize = 50;
+
+fn system() -> VerifAi {
+    VerifAi::build(build(&LakeSpec::tiny(31)), VerifAiConfig::default())
+}
+
+fn tuple_objects(sys: &VerifAi) -> Vec<DataObject> {
+    let tasks = completion_workload(sys.generated(), OBJECTS, 3);
+    tasks.iter().map(|task| sys.impute(task)).collect()
+}
+
+fn claim_objects(sys: &VerifAi) -> Vec<DataObject> {
+    let claims = claim_workload(sys.generated(), OBJECTS, ClaimGenConfig::default());
+    claims.iter().map(|claim| sys.claim_object(claim)).collect()
+}
+
+/// The ids and scores a cache would hold for `object`.
+fn cached_ids(sys: &VerifAi, object: &DataObject) -> Vec<(InstanceId, f64)> {
+    let (evidence, _) = sys.discover(object, &mut RequestTrace::disabled());
+    evidence.iter().map(|(view, s)| (view.id(), *s)).collect()
+}
+
+/// What the service does for a cache hit: view the cached ids, judge them.
+fn serve_cached(sys: &VerifAi, object: &DataObject, cached: &[(InstanceId, f64)]) {
+    let evidence = sys.view_evidence(cached).expect("fresh ids resolve");
+    let timing = StageTiming::for_cached(evidence.len());
+    let report = sys.judge(
+        object,
+        &evidence,
+        timing,
+        None,
+        &mut RequestTrace::disabled(),
+    );
+    assert_eq!(report.evidence.len(), cached.len());
+}
+
+/// Mean allocator calls per request of (the cached path, cold
+/// `verify_object`) over `objects`, each warmed once first so per-thread
+/// scratch has grown to size.
+fn mean_allocations(sys: &VerifAi, objects: &[DataObject]) -> (f64, f64) {
+    assert_eq!(objects.len(), OBJECTS);
+    let (mut cached_total, mut cold_total) = (0, 0);
+    for object in objects {
+        let cached = cached_ids(sys, object);
+        assert!(!cached.is_empty(), "object {} has evidence", object.id());
+        serve_cached(sys, object, &cached);
+        cached_total += allocations_in(|| serve_cached(sys, object, &cached)).1;
+        cold_total += allocations_in(|| sys.verify_object(object)).1;
+    }
+    let n = objects.len() as f64;
+    (cached_total as f64 / n, cold_total as f64 / n)
+}
+
+#[test]
+fn tuple_requests_allocate_within_budget() {
+    let sys = system();
+    let (cached, cold) = mean_allocations(&sys, &tuple_objects(&sys));
+    println!("tuple request: {cached:.1} allocations cached, {cold:.1} cold");
+    // 41 and 474 measured here; 40 and 504 at `LakeSpec::small`.
+    assert!(
+        cached <= 50.0,
+        "cached tuple request: {cached:.1} allocations"
+    );
+    assert!(cold <= 600.0, "cold tuple request: {cold:.1} allocations");
+}
+
+#[test]
+fn claim_requests_allocate_within_budget() {
+    let sys = system();
+    let (cached, cold) = mean_allocations(&sys, &claim_objects(&sys));
+    println!("claim request: {cached:.1} allocations cached, {cold:.1} cold");
+    // 53 and 325 measured here; 56 and 333 at `LakeSpec::small`.
+    assert!(
+        cached <= 66.0,
+        "cached claim request: {cached:.1} allocations"
+    );
+    assert!(cold <= 400.0, "cold claim request: {cold:.1} allocations");
+}
+
+/// A request served from cache a thousand times over leaves rows and
+/// references in the lineage log, not a thousand copies of its
+/// explanations.
+#[test]
+fn repeated_cached_requests_leave_rows_not_text() {
+    let sys = system();
+    for object in [&tuple_objects(&sys)[0], &claim_objects(&sys)[0]] {
+        let cached = cached_ids(&sys, object);
+        serve_cached(&sys, object, &cached);
+        let before = sys.provenance().heap_bytes();
+        for _ in 0..1000 {
+            serve_cached(&sys, object, &cached);
+        }
+        let per_request = (sys.provenance().heap_bytes() - before) / 1000;
+        println!(
+            "object {}: {per_request} lineage bytes per cached request",
+            object.id()
+        );
+        // 239 (tuple) and 214 (claim) measured.
+        assert!(
+            per_request <= 300,
+            "a repeated cached request left {per_request} B of lineage"
+        );
+    }
+}

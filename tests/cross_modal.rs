@@ -127,7 +127,7 @@ fn scope_mismatch_yields_not_related_for_the_llm_only() {
 
     // PASTA is scope-blind: it force-answers true/false.
     let pasta = PastaVerifier::with_defaults();
-    let pasta_verdict = pasta.verify(&object, &evidence).verdict;
+    let pasta_verdict = pasta.verify(&object, evidence.view()).verdict;
     assert_ne!(pasta_verdict, Verdict::NotRelated);
 }
 

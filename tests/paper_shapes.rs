@@ -114,7 +114,7 @@ fn pasta_is_binary_llm_is_ternary() {
             if !matches!(instance, DataInstance::Table(_)) {
                 continue;
             }
-            let p = pasta.verify(&object, &instance).verdict;
+            let p = pasta.verify(&object, instance.view()).verdict;
             assert_ne!(p, Verdict::NotRelated, "PASTA abstained");
             if c.system.llm().verify(&object, &instance).verdict == Verdict::NotRelated {
                 llm_not_related += 1;

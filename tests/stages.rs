@@ -286,7 +286,7 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
 
     let resolved = generated.lake.resolve(live).expect("live hit resolves");
     let score = CompositeReranker::with_defaults().score(&object, &resolved);
-    assert_eq!(evidence, vec![(resolved, score)]);
+    assert_eq!(evidence, vec![(resolved.view(), score)]);
     assert_eq!((timing.candidates_in, timing.candidates_out), (2, 1));
     let row = |stage, instance, score, note: String| ProvenanceRecord {
         object_id: 7,
