@@ -95,9 +95,9 @@ impl ClaimGenerator {
             }
             let level = self.draw_level();
             let scope = if self.rng.gen_bool(self.config.vague_caption_rate) {
-                crate::scope::vague_caption(&table.caption)
+                crate::scope::vague_caption(table.caption())
             } else {
-                table.caption.clone()
+                table.caption().to_string()
             };
             let text = render_claim(&expr, &scope, level, &mut self.rng);
             out.push(Claim {
@@ -460,7 +460,7 @@ mod tests {
                 c.text
             );
             assert!(
-                crate::scope::scope_matches(&c.scope, &t.caption),
+                crate::scope::scope_matches(&c.scope, t.caption()),
                 "scope '{}' does not match source caption",
                 c.scope
             );

@@ -34,4 +34,6 @@ pub use exec::{aggregate_value, execute, ExecOutcome};
 pub use generate::{ClaimGenConfig, ClaimGenerator};
 pub use parse::parse_claim;
 pub use render::render_claim;
-pub use scope::{scope_matches, scope_relation, vague_caption, ScopeRelation};
+pub use scope::{
+    scope_matches, scope_relation, scope_relation_normalized, vague_caption, ScopeRelation,
+};

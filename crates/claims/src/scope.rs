@@ -30,16 +30,24 @@ pub enum ScopeRelation {
 
 /// Classify the relation between a claim `scope` and a table `caption`.
 pub fn scope_relation(scope: &str, caption: &str) -> ScopeRelation {
-    let scope_norm = normalize_str(scope);
-    if scope_norm.is_empty() {
+    scope_relation_normalized(&normalize_str(scope), &normalize_str(caption))
+}
+
+/// [`scope_relation`] of a scope and a caption that are already normalized
+/// (a table keeps its caption that way: [`verifai_lake::Table::normalized_caption`]).
+/// A caption has a handful of tokens, so each scope token is looked for by
+/// walking them rather than through a set built per call.
+pub fn scope_relation_normalized(scope: &str, caption: &str) -> ScopeRelation {
+    if scope.is_empty() {
         return ScopeRelation::Partial;
     }
-    let caption_norm = normalize_str(caption);
-    let caption_tokens: std::collections::HashSet<&str> = caption_norm.split(' ').collect();
-    if !scope_norm.split(' ').all(|t| caption_tokens.contains(t)) {
+    if !scope
+        .split(' ')
+        .all(|t| caption.split(' ').any(|have| have == t))
+    {
         return ScopeRelation::Mismatch;
     }
-    if scope_norm == caption_norm {
+    if scope == caption {
         ScopeRelation::Exact
     } else {
         ScopeRelation::Partial
@@ -125,6 +133,41 @@ mod tests {
             "list of DRAMA films of 1960",
             "List of drama films of 1960!"
         ));
+    }
+
+    /// `scope_relation` as it was before captions came normalized: both
+    /// sides normalized per call and the caption's tokens put in a set.
+    fn set_scope_relation(scope: &str, caption: &str) -> ScopeRelation {
+        let scope_norm = normalize_str(scope);
+        if scope_norm.is_empty() {
+            return ScopeRelation::Partial;
+        }
+        let caption_norm = normalize_str(caption);
+        let caption_tokens: std::collections::HashSet<&str> = caption_norm.split(' ').collect();
+        if !scope_norm.split(' ').all(|t| caption_tokens.contains(t)) {
+            return ScopeRelation::Mismatch;
+        }
+        if scope_norm == caption_norm {
+            ScopeRelation::Exact
+        } else {
+            ScopeRelation::Partial
+        }
+    }
+
+    proptest::proptest! {
+        /// Walking the caption's tokens relates every (scope, caption) pair
+        /// as the per-call set did: repeated tokens, punctuation-only and
+        /// empty sides, a scope longer than the caption.
+        #[test]
+        fn token_walk_equals_the_token_set(
+            scope in "[ab1 .-]{0,10}",
+            caption in "[ab1 .-]{0,10}",
+        ) {
+            proptest::prop_assert_eq!(
+                scope_relation(&scope, &caption),
+                set_scope_relation(&scope, &caption)
+            );
+        }
     }
 
     #[test]

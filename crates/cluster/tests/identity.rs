@@ -242,7 +242,7 @@ fn routed_mutations_match_single_lake_live_system() {
         id: 770_001,
         text: format!(
             "in the {}, streamed0 is streamed1",
-            reference.lake().table(table_id).unwrap().caption
+            reference.lake().table(table_id).unwrap().caption()
         ),
         expr: None,
         scope: None,

@@ -81,7 +81,7 @@ impl ExperimentContext {
                 let relation = c
                     .scope
                     .as_deref()
-                    .map(|scope| verifai_claims::scope_relation(scope, &t.caption))
+                    .map(|scope| verifai_claims::scope_relation(scope, t.caption()))
                     .unwrap_or(ScopeRelation::Partial);
                 if relation == ScopeRelation::Mismatch {
                     return Verdict::NotRelated;
@@ -333,7 +333,7 @@ pub fn figure4(ctx: &mut ExperimentContext) -> Option<Fig4Case> {
     // dominant behaviour rather than of a residual noise draw.
     let mut candidates = Vec::new();
     for table in lake.tables() {
-        if !table.caption.contains("Championships") || table.schema.index_of("points").is_none() {
+        if !table.caption().contains("Championships") || table.schema.index_of("points").is_none() {
             continue;
         }
         let mut seen = std::collections::HashMap::new();
@@ -368,10 +368,12 @@ pub fn figure4(ctx: &mut ExperimentContext) -> Option<Fig4Case> {
         .cloned()?;
     // E2: the same championship series, a different year — exactly the paper's
     // "not related because it is for the year 1959" distractor.
-    let family = verifai_claims::vague_caption(&e1.caption);
+    let family = verifai_claims::vague_caption(e1.caption());
     let e2 = lake
         .tables()
-        .find(|t| t.caption != e1.caption && verifai_claims::vague_caption(&t.caption) == family)
+        .find(|t| {
+            t.caption() != e1.caption() && verifai_claims::vague_caption(t.caption()) == family
+        })
         .cloned()?;
 
     let object = fig4_object(&e1, tied_value);
@@ -381,7 +383,7 @@ pub fn figure4(ctx: &mut ExperimentContext) -> Option<Fig4Case> {
     };
     let mut evidence = Vec::new();
     for table in [e1, e2] {
-        let caption = table.caption.clone();
+        let caption = table.caption().to_string();
         let out = llm.verify(&object, &DataInstance::Table(table));
         evidence.push(Fig4Evidence {
             caption,
@@ -414,13 +416,13 @@ fn fig4_object(table: &verifai_lake::Table, tied_value: i64) -> DataObject {
     };
     let text = format!(
         "in the {}, the number of rows where points is {tied_value} is 1",
-        table.caption
+        table.caption()
     );
     DataObject::TextClaim(verifai_llm::TextClaim {
         id: u64::MAX - 1,
         text,
         expr: Some(expr),
-        scope: Some(table.caption.clone()),
+        scope: Some(table.caption().to_string()),
     })
 }
 

@@ -34,8 +34,9 @@ use verifai_obs::{
 use verifai_rerank::composite::CompositeReranker;
 use verifai_text::Analyzer;
 use verifai_verify::{
-    Agent, KgModelVerifier, LlmVerifier, PastaVerifier, ProvenanceLog, ProvenanceRecord,
-    SharedProvenance, Stage, StageRecorder, TrustModel, TupleModelVerifier, VerdictObservation,
+    stamp_trace, Agent, KgModelVerifier, LlmVerifier, PastaVerifier, ProvenanceLog,
+    ProvenanceRecord, SharedProvenance, Stage, StageRecorder, TrustModel, TupleModelVerifier,
+    VerdictObservation,
 };
 
 /// One verified (object, evidence) pair in a report.
@@ -920,9 +921,10 @@ impl VerifAi {
             format!("over {} evidence verdicts", outcome.verdicts.len())
         };
         // Stamp the trace id into the decision lineage so a provenance
-        // record can be joined back to its flight-recorder trace.
+        // record can be joined back to its flight-recorder trace (the log
+        // keeps the id as a number, so the stamp costs no distinct note).
         if trace.is_enabled() {
-            note.push_str(&format!(" [trace {}]", trace.trace_id));
+            stamp_trace(&mut note, trace.trace_id);
         }
         recorder.record(ProvenanceRecord {
             object_id: object.id(),

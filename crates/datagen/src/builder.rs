@@ -569,7 +569,11 @@ mod tests {
         let mut by_family: HashMap<String, usize> = HashMap::new();
         for t in lake.lake.tables() {
             // Family key: caption with digits stripped.
-            let family: String = t.caption.chars().filter(|c| !c.is_ascii_digit()).collect();
+            let family: String = t
+                .caption()
+                .chars()
+                .filter(|c| !c.is_ascii_digit())
+                .collect();
             *by_family.entry(family).or_insert(0) += 1;
         }
         let max_family = by_family.values().max().copied().unwrap_or(0);
@@ -586,7 +590,7 @@ mod tests {
         let table = lake
             .lake
             .tables()
-            .find(|t| t.caption.ends_with("Championships"))
+            .find(|t| t.caption().ends_with("Championships"))
             .expect("championship tables exist");
         let points: Vec<i64> = table
             .column_values(1)

@@ -153,7 +153,7 @@ mod tests {
             assert!(
                 keys.iter().any(|k| doc.mentions(&k.to_string())),
                 "doc '{}' not about task keys {:?}",
-                doc.title,
+                doc.title(),
                 keys
             );
         }

@@ -254,7 +254,8 @@ impl DataLake {
     }
 
     /// Replace the title and body of an existing document, keeping its id,
-    /// source, and linked entities.
+    /// source, and linked entities. The document's normalized text is
+    /// prepared anew here, with the write ([`TextDocument::normalized`]).
     pub fn update_doc(
         &mut self,
         id: DocId,
@@ -262,8 +263,7 @@ impl DataLake {
         body: impl Into<String>,
     ) -> Result<(), LakeError> {
         let doc = self.docs.get_mut(&id).ok_or(LakeError::DocNotFound(id))?;
-        doc.title = title.into();
-        doc.body = body.into();
+        doc.set_text(title, body);
         self.record_write(InstanceId::Text(id));
         Ok(())
     }
@@ -415,7 +415,7 @@ impl DataLake {
             stats.max_table_rows = stats.max_table_rows.max(t.num_rows());
         }
         for d in self.docs() {
-            stats.total_text_bytes += d.body.len() + d.title.len();
+            stats.total_text_bytes += d.body().len() + d.title().len();
         }
         stats
     }
@@ -644,9 +644,9 @@ mod tests {
         lake.add_doc(TextDocument::new(5, "Title", "Body", 0))
             .unwrap();
         lake.update_doc(5, "Title", "New body").unwrap();
-        assert_eq!(lake.doc(5).unwrap().body, "New body");
+        assert_eq!(lake.doc(5).unwrap().body(), "New body");
         let removed = lake.remove_doc(5).unwrap();
-        assert_eq!(removed.body, "New body");
+        assert_eq!(removed.body(), "New body");
         assert!(lake.doc(5).is_err());
         assert_eq!(lake.num_tombstones(), 1);
         assert!(lake.update_doc(5, "t", "b").is_err());
@@ -656,6 +656,39 @@ mod tests {
             .unwrap();
         assert_eq!(lake.num_tombstones(), 0);
         assert_eq!(lake.docs().count(), 1);
+    }
+
+    /// An updated document reads as a freshly built one: its prepared
+    /// normalized text and sentence cuts are those of the new text.
+    #[test]
+    fn update_doc_prepares_the_new_text() {
+        let mut lake = DataLake::new();
+        lake.add_doc(TextDocument::new(
+            5,
+            "Brown",
+            "The points of Brown is 1.",
+            0,
+        ))
+        .unwrap();
+        let (title, body) = (
+            "New York 1",
+            "A district. The incumbent of New. York 1 is Otis Pike",
+        );
+        lake.update_doc(5, title, body).unwrap();
+        let doc = lake.doc(5).unwrap();
+        let mut fresh = crate::text_doc::NormalizedText::default();
+        fresh.read(&[&doc.full_text()]);
+        assert_eq!(doc.normalized(), &fresh);
+        assert_eq!(doc, &TextDocument::new(5, title, body, 0));
+        assert_eq!(
+            doc.normalized().sentences().collect::<Vec<_>>(),
+            [
+                "new york 1",
+                "a district",
+                "the incumbent of new",
+                "york 1 is otis pike"
+            ]
+        );
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use lake::DataLake;
 pub use source::{SourceId, SourceMeta, SourceOrigin};
 pub use stats::LakeStats;
 pub use table::{Column, DataType, Schema, Table, TableId};
-pub use text_doc::{DocId, TextDocument};
+pub use text_doc::{DocId, NormalizedText, TextDocument};
 pub use tuple::{Tuple, TupleId, TupleRef};
 pub use value::{Date, Value};

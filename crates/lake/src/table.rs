@@ -191,13 +191,17 @@ impl Schema {
 ///
 /// Tables carry a caption (web tables almost always do, and both the content
 /// index and the (text, table) reranker lean on it) and a back-reference to the
-/// source that contributed them, which feeds the trust model.
+/// source that contributed them, which feeds the trust model. The caption is
+/// set once, at construction, which is also when its normalized form — what
+/// a claim's scope is checked against — is prepared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Lake-wide identifier.
     pub id: TableId,
     /// Caption / title (e.g. `"1959 NCAA track and field championships"`).
-    pub caption: String,
+    caption: String,
+    /// `normalize_str` of the caption.
+    normalized_caption: String,
     /// Column definitions.
     pub schema: Schema,
     /// Row values, each of arity `schema.arity()`.
@@ -209,13 +213,26 @@ pub struct Table {
 impl Table {
     /// Create an empty table.
     pub fn new(id: TableId, caption: impl Into<String>, schema: Schema, source: SourceId) -> Table {
+        let caption = caption.into();
         Table {
             id,
-            caption: caption.into(),
+            normalized_caption: normalize_str(&caption),
+            caption,
             schema,
             rows: Vec::new(),
             source,
         }
+    }
+
+    /// Caption / title (e.g. `"1959 NCAA track and field championships"`).
+    pub fn caption(&self) -> &str {
+        &self.caption
+    }
+
+    /// The caption normalized (case/punctuation-insensitive, single spaces)
+    /// — computed once, when the table was built.
+    pub fn normalized_caption(&self) -> &str {
+        &self.normalized_caption
     }
 
     /// Append a row, checking arity.

@@ -18,7 +18,7 @@ use crate::config::SimLlmConfig;
 use crate::prompt::{tuple_completion_prompt, Transcript};
 use crate::world::WorldModel;
 use verifai_embed::hashing::{fnv1a, splitmix64, unit_float};
-use verifai_lake::value::normalize_str;
+use verifai_lake::value::{normalize_onto, normalize_str};
 use verifai_lake::{Table, Tuple, Value};
 
 /// The normalized entity key of a tuple: its key-column values joined.
@@ -26,12 +26,38 @@ use verifai_lake::{Table, Tuple, Value};
 /// Both the world model population (datagen) and the LLM's fact lookups use
 /// this convention, so they agree on what "the entity of this tuple" means.
 pub fn entity_key(tuple: &Tuple) -> String {
-    let parts: Vec<String> = tuple
-        .key_values()
-        .iter()
-        .map(|v| normalize_str(&v.to_string()))
-        .collect();
-    parts.join(" ")
+    let mut key = String::new();
+    push_entity_key(&mut key, tuple);
+    key
+}
+
+/// [`Tuple::key_values`], without collecting them.
+pub(crate) fn key_values(tuple: &Tuple) -> impl Iterator<Item = &Value> {
+    let columns = tuple.schema.columns().iter();
+    columns
+        .zip(&tuple.values)
+        .filter(|(column, _)| column.is_key)
+        .map(|(_, value)| value)
+}
+
+/// [`entity_key`] written into `out` in place of what it held: each key
+/// value normalized straight into the buffer, one space between values.
+pub(crate) fn push_entity_key(out: &mut String, tuple: &Tuple) {
+    out.clear();
+    for (i, value) in key_values(tuple).enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let at = out.len();
+        match value {
+            Value::Text(s) => normalize_onto(out, s),
+            other => normalize_onto(out, &other.to_string()),
+        }
+        // `normalize_str` drops the part's trailing separator, not the join's.
+        if out.len() > at && out.ends_with(' ') {
+            out.pop();
+        }
+    }
 }
 
 /// A deterministic simulated large language model.
@@ -288,5 +314,63 @@ mod tests {
     fn entity_key_uses_key_columns_only() {
         let t = tuple("New York 1", Value::text("Otis Pike"));
         assert_eq!(entity_key(&t), "new york 1");
+    }
+
+    /// `entity_key` as it was before it wrote in place: every key value
+    /// rendered, normalized on its own, and the parts joined.
+    fn joined_entity_key(tuple: &Tuple) -> String {
+        let parts: Vec<String> = tuple
+            .key_values()
+            .iter()
+            .map(|v| normalize_str(&v.to_string()))
+            .collect();
+        parts.join(" ")
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The key written in place is the joined one: over key and non-key
+        /// columns in any order, text that normalizes to nothing or carries
+        /// separators at its ends, and non-text keys.
+        #[test]
+        fn entity_key_equals_the_joined_parts(
+            cells in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    prop_oneof![
+                        "[a-zA-Z0-9 .,-]{0,8}".prop_map(Value::Text),
+                        Just(Value::text("-- ")),
+                        Just(Value::text("İx. ")),
+                        (-100i64..100).prop_map(Value::Int),
+                        Just(Value::Float(-2.5)),
+                        Just(Value::Null),
+                    ],
+                ),
+                0..5,
+            ),
+        ) {
+            let columns = cells
+                .iter()
+                .enumerate()
+                .map(|(i, (key, _))| {
+                    let name = format!("c{i}");
+                    if *key {
+                        Column::key(name, DataType::Text)
+                    } else {
+                        Column::new(name, DataType::Text)
+                    }
+                })
+                .collect();
+            let tuple = Tuple {
+                id: 0,
+                table: 0,
+                row_index: 0,
+                schema: Schema::new(columns),
+                values: cells.into_iter().map(|(_, v)| v).collect(),
+                source: 0,
+            };
+            prop_assert_eq!(entity_key(&tuple), joined_entity_key(&tuple));
+        }
     }
 }

@@ -61,7 +61,7 @@ impl Transcript {
 /// ```
 pub fn tuple_completion_prompt(table: &Table) -> String {
     let mut s = String::from("Question:\n");
-    s.push_str(&table.caption);
+    s.push_str(table.caption());
     s.push('\n');
     let headers: Vec<&str> = table.schema.names().collect();
     s.push_str(&headers.join(" | "));

@@ -20,14 +20,18 @@
 //! [`lookup_error_rate`]: crate::SimLlmConfig::lookup_error_rate
 //! [`relatedness_error_rate`]: crate::SimLlmConfig::relatedness_error_rate
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 
-use crate::generate::{entity_key, SimLlm};
+use crate::generate::{entity_key, key_values, push_entity_key, SimLlm};
 use crate::object::{DataObject, ImputedCell, TextClaim, Verdict};
 use crate::prompt::{verification_prompt, Transcript};
-use verifai_claims::{aggregate_value, execute, parse_claim, ClaimExpr, ExecOutcome};
+use verifai_claims::{
+    aggregate_value, execute, parse_claim, scope_relation_normalized, ClaimExpr, ExecOutcome,
+    ScopeRelation,
+};
 use verifai_lake::value::normalize_onto;
-use verifai_lake::{InstanceRef, KgEntity, Table, TextDocument, TupleRef, Value};
+use verifai_lake::{InstanceRef, KgEntity, NormalizedText, Table, TextDocument, TupleRef, Value};
 
 /// The result of one grounded verification call.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,110 +62,90 @@ fn flip(v: Verdict) -> Verdict {
     }
 }
 
-/// One normalization pass over a text, kept with the places its sentences
-/// end: `text` is [`verifai_lake::value::normalize_str`] of the source (plus
-/// at most one trailing space) and `cuts` holds, for every `.` of the
-/// source, how much of `text` had been written when it was met. A `.` is a
-/// separator like any other and lowercasing is per character, so the
-/// source's sentence between two dots, normalized on its own, is exactly
-/// the slice of `text` between their cuts with the spaces at its ends
-/// dropped — the fact scan reads sentences out of the buffer the entity
-/// check ran on instead of normalizing each one again.
+/// Per-thread buffers for what a verify call derives from the *object* —
+/// the fact pattern it looks for, its entity key, its scope normalized — and
+/// the text [`scan_fact`] normalizes on the fly. Evidence is never
+/// normalized here: a document and a caption arrive prepared
+/// ([`TextDocument::normalized`], [`Table::normalized_caption`]). Once the
+/// buffers have grown, a verify call allocates nothing for them.
 #[derive(Default)]
-struct FactScan {
-    text: String,
-    cuts: Vec<usize>,
+struct Scratch {
     needle: String,
+    entity: String,
+    column: String,
+    scope: String,
+    text: NormalizedText,
+}
+
+/// Normalize `s` into `buffer` in place of what it held — `normalize_str`
+/// without the allocation.
+fn normalize_into<'b>(buffer: &'b mut String, s: &str) -> &'b str {
+    buffer.clear();
+    normalize_onto(buffer, s);
+    buffer.trim_end_matches(' ')
 }
 
 thread_local! {
-    /// Per-thread scan buffers: a verify call normalizes into them and
-    /// allocates nothing once they have grown to the longest document.
-    static SCAN: RefCell<FactScan> = RefCell::default();
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-impl FactScan {
-    /// Normalize `pieces`, read as one text, in place of whatever was here.
-    fn read(&mut self, pieces: &[&str]) {
-        self.text.clear();
-        self.cuts.clear();
-        for piece in pieces {
-            for (i, sentence) in piece.split('.').enumerate() {
-                if i > 0 {
-                    self.cuts.push(self.text.len());
-                    normalize_onto(&mut self.text, ".");
-                }
-                normalize_onto(&mut self.text, sentence);
-            }
-        }
-    }
-
-    /// Whether the whole normalized text contains `entity` (already
-    /// normalized). An entity may span a `.`, so this is not per sentence.
-    fn mentions(&self, entity: &str) -> bool {
-        self.text.trim_end_matches(' ').contains(entity)
-    }
-
-    /// The value asserted by the first sentence of the pattern
-    /// `"... {attribute} of {entity} is {value}"`, normalized.
-    fn fact(&mut self, entity: &str, attribute: &str) -> Option<&str> {
-        // Append `s` normalized; false if it normalizes to nothing.
-        fn push_normalized(needle: &mut String, s: &str) -> bool {
-            let at = needle.len();
-            normalize_onto(needle, s);
-            if needle.len() > at && needle.ends_with(' ') {
-                needle.pop();
-            }
-            needle.len() > at
-        }
-        let needle = &mut self.needle;
-        needle.clear();
-        if !push_normalized(needle, attribute) {
-            return None;
-        }
-        needle.push_str(" of ");
-        if !push_normalized(needle, entity) {
-            return None;
-        }
-        needle.push_str(" is ");
-
-        let mut start = 0;
-        for end in self.cuts.iter().copied().chain([self.text.len()]) {
-            let sentence = self.text[start..end].trim_matches(' ');
-            start = end;
-            if let Some(pos) = sentence.find(needle.as_str()) {
-                let value = sentence[pos + needle.len()..].trim();
-                if !value.is_empty() {
-                    return Some(value);
-                }
-            }
-        }
-        None
-    }
+/// Run `f` over this thread's scratch buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
-/// Run `f` over this thread's scan of `pieces` read as one text.
-fn with_scan<R>(pieces: &[&str], f: impl FnOnce(&mut FactScan) -> R) -> R {
-    SCAN.with(|scan| {
-        let mut scan = scan.borrow_mut();
-        scan.read(pieces);
-        f(&mut scan)
+/// The value asserted by the first sentence of `text` of the pattern
+/// `"... {attribute} of {entity} is {value}"`, normalized. `needle` is
+/// scratch space for the pattern.
+fn fact<'t>(
+    text: &'t NormalizedText,
+    needle: &mut String,
+    entity: &str,
+    attribute: &str,
+) -> Option<&'t str> {
+    // Append `s` normalized; false if it normalizes to nothing.
+    fn push_normalized(needle: &mut String, s: &str) -> bool {
+        let at = needle.len();
+        normalize_onto(needle, s);
+        if needle.len() > at && needle.ends_with(' ') {
+            needle.pop();
+        }
+        needle.len() > at
+    }
+    needle.clear();
+    if !push_normalized(needle, attribute) {
+        return None;
+    }
+    needle.push_str(" of ");
+    if !push_normalized(needle, entity) {
+        return None;
+    }
+    needle.push_str(" is ");
+    let needle = needle.as_str();
+    text.sentences().find_map(|sentence| {
+        let pos = sentence.find(needle)?;
+        let value = sentence[pos + needle.len()..].trim();
+        (!value.is_empty()).then_some(value)
     })
-}
-
-/// [`with_scan`] over `doc`'s title and body — the same character stream as
-/// [`TextDocument::full_text`], without joining it.
-fn with_doc_scan<R>(doc: &TextDocument, f: impl FnOnce(&mut FactScan) -> R) -> R {
-    with_scan(&[&doc.title, ". ", &doc.body], f)
 }
 
 /// Scan text for the fact sentence pattern `"... {attr} of {entity} is {value}"`
 /// and return the (normalized) asserted value. Sentences are split on `.` and
 /// normalized before matching, so stylistic prefixes don't matter.
 pub fn scan_fact(text: &str, entity: &str, attribute: &str) -> Option<String> {
-    with_scan(&[text], |scan| {
-        scan.fact(entity, attribute).map(str::to_string)
+    with_scratch(|scratch| {
+        scratch.text.read(&[text]);
+        fact(&scratch.text, &mut scratch.needle, entity, attribute).map(str::to_string)
     })
+}
+
+/// The claim's semantics: its known expression, borrowed, or a parse of its
+/// text.
+fn claim_expr(claim: &TextClaim) -> Option<Cow<'_, ClaimExpr>> {
+    match &claim.expr {
+        Some(expr) => Some(Cow::Borrowed(expr)),
+        None => parse_claim(&claim.text).map(Cow::Owned),
+    }
 }
 
 impl SimLlm {
@@ -262,11 +246,9 @@ impl SimLlm {
         let tags = [cell.id, tag, 0x71];
         // Relatedness: every key value of the generated tuple must appear
         // somewhere in the evidence tuple.
-        let keys = cell.tuple.key_values();
-        let related = !keys.is_empty()
-            && keys
-                .iter()
-                .all(|k| tuple.values.iter().any(|v| v.matches(k)));
+        let mut keys = key_values(&cell.tuple).peekable();
+        let related =
+            keys.peek().is_some() && keys.all(|k| tuple.values.iter().any(|v| v.matches(k)));
         if !related {
             let v = self.relatedness_noise(&tags);
             return (
@@ -274,7 +256,12 @@ impl SimLlm {
                 "The evidence tuple describes a different entity.".to_string(),
             );
         }
-        match tuple.get_fuzzy(&cell.column) {
+        // `TupleRef::get_fuzzy`, with the column normalized into scratch.
+        let column = with_scratch(|scratch| {
+            let want = normalize_into(&mut scratch.column, &cell.column);
+            tuple.schema.fuzzy_index_of_normalized(want)
+        });
+        match column.and_then(|i| tuple.values.get(i)) {
             Some(actual) if !actual.is_null() => {
                 let matches = actual.matches(&cell.value);
                 let base = if matches {
@@ -315,51 +302,55 @@ impl SimLlm {
         tag: u64,
     ) -> (Verdict, String) {
         let tags = [cell.id, tag, 0x72];
-        let entity = entity_key(&cell.tuple);
-        with_doc_scan(doc, |scan| {
-            if !scan.mentions(&entity) {
+        let text = doc.normalized();
+        let asserted = with_scratch(|scratch| {
+            push_entity_key(&mut scratch.entity, &cell.tuple);
+            let entity = scratch.entity.as_str();
+            text.contains(entity)
+                .then(|| fact(text, &mut scratch.needle, entity, &cell.column))
+        });
+        match asserted {
+            None => {
                 let v = self.relatedness_noise(&tags);
-                return (
+                (
                     v,
                     "The text does not mention the entity in question.".to_string(),
-                );
+                )
             }
-            match scan.fact(&entity, &cell.column) {
-                Some(asserted) => {
-                    let generated = cell.value.normalized();
-                    let matches = asserted == generated
-                        || match (cell.value.as_f64(), Value::infer(asserted).as_f64()) {
-                            (Some(a), Some(b)) => verifai_lake::value::float_eq(a, b),
-                            _ => false,
-                        };
-                    let base = if matches {
-                        Verdict::Verified
-                    } else {
-                        Verdict::Refuted
+            Some(Some(asserted)) => {
+                let generated = cell.value.normalized();
+                let matches = asserted == generated
+                    || match (cell.value.as_f64(), Value::infer(asserted).as_f64()) {
+                        (Some(a), Some(b)) => verifai_lake::value::float_eq(a, b),
+                        _ => false,
                     };
-                    let v = self.noisy(base, &tags, self.config().tuple_verify_error_rate);
-                    let expl = if matches {
-                        format!(
-                            "The text states the {} is '{asserted}', which matches.",
-                            cell.column
-                        )
-                    } else {
-                        format!(
-                            "The text states the {} is '{asserted}', not '{generated}'.",
-                            cell.column
-                        )
-                    };
-                    (v, expl)
-                }
-                None => (
-                    self.relatedness_noise(&tags),
+                let base = if matches {
+                    Verdict::Verified
+                } else {
+                    Verdict::Refuted
+                };
+                let v = self.noisy(base, &tags, self.config().tuple_verify_error_rate);
+                let expl = if matches {
                     format!(
-                        "The text mentions the entity but says nothing about its {}.",
+                        "The text states the {} is '{asserted}', which matches.",
                         cell.column
-                    ),
-                ),
+                    )
+                } else {
+                    format!(
+                        "The text states the {} is '{asserted}', not '{generated}'.",
+                        cell.column
+                    )
+                };
+                (v, expl)
             }
-        })
+            Some(None) => (
+                self.relatedness_noise(&tags),
+                format!(
+                    "The text mentions the entity but says nothing about its {}.",
+                    cell.column
+                ),
+            ),
+        }
     }
 
     // -- (imputed cell, table) ------------------------------------------------
@@ -409,6 +400,32 @@ impl SimLlm {
         table: &Table,
         tag: u64,
     ) -> (Verdict, String) {
+        // Caption-scope check — the LLM's contextual strength, and the paper's
+        // Figure 4 mechanism: E2 is "not related because it is for the year
+        // 1959". An out-of-scope table (e.g. the same championship series but
+        // a different year) can neither support nor refute the claim. A table
+        // matched only by an under-specified (vague) scope gets the existential
+        // reading: it can verify the claim but not single-handedly refute it.
+        let relation = match claim.scope.as_deref() {
+            Some(scope) => with_scratch(|scratch| {
+                let scope = normalize_into(&mut scratch.scope, scope);
+                scope_relation_normalized(scope, table.normalized_caption())
+            }),
+            None => ScopeRelation::Partial,
+        };
+        self.judge_claim_on_table(claim, claim_expr(claim), relation, table, tag)
+    }
+
+    /// Judge a claim — read as `expr`, its scope standing in `relation` to
+    /// the table's caption — against a table.
+    fn judge_claim_on_table(
+        &self,
+        claim: &TextClaim,
+        expr: Option<Cow<'_, ClaimExpr>>,
+        relation: ScopeRelation,
+        table: &Table,
+        tag: u64,
+    ) -> (Verdict, String) {
         let tags = [claim.id, tag, 0x73];
         // Misread channel: the model occasionally misunderstands the sentence.
         if self.chance(&[tags[0], tags[1], 0x3f], self.config().misread_rate) {
@@ -423,18 +440,7 @@ impl SimLlm {
                 "The claim was interpreted loosely against the table.".to_string(),
             );
         }
-        // Caption-scope check — the LLM's contextual strength, and the paper's
-        // Figure 4 mechanism: E2 is "not related because it is for the year
-        // 1959". An out-of-scope table (e.g. the same championship series but
-        // a different year) can neither support nor refute the claim. A table
-        // matched only by an under-specified (vague) scope gets the existential
-        // reading: it can verify the claim but not single-handedly refute it.
-        let scope_relation = claim
-            .scope
-            .as_deref()
-            .map(|scope| verifai_claims::scope_relation(scope, &table.caption))
-            .unwrap_or(verifai_claims::ScopeRelation::Partial);
-        if scope_relation == verifai_claims::ScopeRelation::Mismatch {
+        if relation == ScopeRelation::Mismatch {
             let scope = claim.scope.as_deref().unwrap_or_default();
             let v = self.relatedness_noise(&tags);
             return (
@@ -442,13 +448,12 @@ impl SimLlm {
                 format!(
                     "The claim concerns '{scope}', but the evidence table is \
                      '{}'; it is not related.",
-                    table.caption
+                    table.caption()
                 ),
             );
         }
         // Language understanding: the LLM grasps the claim even in hard
         // paraphrase (its strength); fall back to the grammar parser otherwise.
-        let expr = claim.expr.clone().or_else(|| parse_claim(&claim.text));
         let Some(expr) = expr else {
             // No reading of the claim at all — judge relatedness lexically.
             return (
@@ -461,7 +466,7 @@ impl SimLlm {
                 let v = self.relatedness_noise(&tags);
                 (v, explain_unsupported(&expr, table))
             }
-            ExecOutcome::False if scope_relation == verifai_claims::ScopeRelation::Partial => {
+            ExecOutcome::False if relation == ScopeRelation::Partial => {
                 // Existential reading of an under-specified claim: this family
                 // member does not bear it out, but another might — abstain.
                 let v = self.relatedness_noise(&tags);
@@ -471,7 +476,7 @@ impl SimLlm {
                         "The evidence table '{}' does not bear the claim out, but the \
                          claim does not pin down which table it refers to; it cannot be \
                          refuted from this table alone.",
-                        table.caption
+                        table.caption()
                     ),
                 )
             }
@@ -503,31 +508,25 @@ impl SimLlm {
         // View the tuple as a one-row table; single-row evidence can support
         // lookups but never aggregates. A tuple is *direct* evidence about its
         // subject — no caption family to be ambiguous over — so the pseudo-table
-        // takes the claim's own scope as caption (relation Exact): a tuple that
-        // contradicts a lookup about its subject refutes it outright.
-        let caption = claim
-            .scope
-            .clone()
-            .unwrap_or_else(|| "evidence tuple".to_string());
-        let mut table = Table::new(
-            u64::MAX,
-            caption.clone(),
-            tuple.schema.clone(),
-            tuple.source,
-        );
-        let _ = table.push_row(tuple.values.to_vec());
-        let expr = claim.expr.clone().or_else(|| parse_claim(&claim.text));
-        match expr {
-            Some(e) if e.is_aggregate_like() => (
+        // takes the claim's own scope as caption (relation Exact, or Partial
+        // for a scope that normalizes to nothing): a tuple that contradicts a
+        // lookup about its subject refutes it outright.
+        let expr = claim_expr(claim);
+        if expr.as_deref().is_some_and(ClaimExpr::is_aggregate_like) {
+            return (
                 Verdict::NotRelated,
                 "A single tuple cannot establish a claim about the whole table.".to_string(),
-            ),
-            _ => {
-                let mut scoped = claim.clone();
-                scoped.scope = Some(caption);
-                self.verify_claim_vs_table(&scoped, &table, tag)
-            }
+            );
         }
+        let caption = claim.scope.as_deref().unwrap_or("evidence tuple");
+        let mut table = Table::new(u64::MAX, caption, tuple.schema.clone(), tuple.source);
+        let _ = table.push_row(tuple.values.to_vec());
+        let relation = if table.normalized_caption().is_empty() {
+            ScopeRelation::Partial
+        } else {
+            ScopeRelation::Exact
+        };
+        self.judge_claim_on_table(claim, expr, relation, &table, tag)
     }
 
     // -- (claim, text) ----------------------------------------------------------
@@ -539,25 +538,29 @@ impl SimLlm {
         tag: u64,
     ) -> (Verdict, String) {
         let tags = [claim.id, tag, 0x74];
+        let expr = claim_expr(claim);
         let Some(ClaimExpr::Lookup {
             key,
             column,
             op,
             value,
             ..
-        }) = claim.expr.clone().or_else(|| parse_claim(&claim.text))
+        }) = expr.as_deref()
         else {
             return (
                 Verdict::NotRelated,
                 "The text evidence cannot evaluate a table-level claim.".to_string(),
             );
         };
-        with_doc_scan(doc, |scan| match scan.fact(&key.to_string(), &column) {
+        let text = doc.normalized();
+        let asserted =
+            with_scratch(|scratch| fact(text, &mut scratch.needle, &key.to_string(), column));
+        match asserted {
             Some(asserted) => {
                 // Evaluate the claim's comparison against the asserted value —
                 // a negated claim ("is not X") is REFUTED by a text asserting X.
                 let asserted_value = Value::infer(asserted);
-                let holds = op.eval(&asserted_value, &value);
+                let holds = op.eval(&asserted_value, value);
                 let base = if holds {
                     Verdict::Verified
                 } else {
@@ -578,7 +581,7 @@ impl SimLlm {
                 self.relatedness_noise(&tags),
                 "The text says nothing about the claimed fact.".to_string(),
             ),
-        })
+        }
     }
 }
 
@@ -645,13 +648,14 @@ impl SimLlm {
         tag: u64,
     ) -> (Verdict, String) {
         let tags = [claim.id, tag, 0x76];
+        let expr = claim_expr(claim);
         let Some(ClaimExpr::Lookup {
             key,
             column,
             op,
             value,
             ..
-        }) = claim.expr.clone().or_else(|| parse_claim(&claim.text))
+        }) = expr.as_deref()
         else {
             return (
                 Verdict::NotRelated,
@@ -665,9 +669,9 @@ impl SimLlm {
                 "The knowledge-graph entity is a different subject.".to_string(),
             );
         }
-        match entity.object_of(&column) {
+        match entity.object_of(column) {
             Some(object) if !object.is_null() => {
-                let holds = op.eval(object, &value);
+                let holds = op.eval(object, value);
                 let base = if holds {
                     Verdict::Verified
                 } else {
@@ -725,22 +729,22 @@ fn explain_outcome(expr: &ClaimExpr, table: &Table, verdict: Verdict) -> String 
             match shown {
                 Some(x) => format!(
                     "An aggregation query over the evidence table '{}' yields {}, {relation}.",
-                    table.caption,
+                    table.caption(),
                     trim_float(x)
                 ),
                 None => format!(
                     "Aggregating the evidence table '{}' decides the claim, {relation}.",
-                    table.caption
+                    table.caption()
                 ),
             }
         }
         ClaimExpr::Lookup { key, column, .. } => format!(
             "Looking up {key} in the evidence table '{}' shows its {column}, {relation}.",
-            table.caption
+            table.caption()
         ),
         ClaimExpr::Superlative { rank_column, .. } => format!(
             "Ranking the evidence table '{}' by {rank_column} decides the claim, {relation}.",
-            table.caption
+            table.caption()
         ),
     }
 }
@@ -751,7 +755,7 @@ fn explain_unsupported(expr: &ClaimExpr, table: &Table) -> String {
     format!(
         "The evidence table '{}' does not contain the information the claim is about ({cols}); \
          it is not related.",
-        table.caption
+        table.caption()
     )
 }
 
@@ -1281,12 +1285,13 @@ mod prop_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// One pass over (title, ". ", body) decides what the two passes
-        /// over `full_text()` decided: the entity check on the whole
-        /// normalized text and the first matching sentence's value — with
-        /// entities that span a `.`, empty sentences, the fact in the
-        /// title, several matching sentences, and a value at the end of
-        /// the text with and without its final `.`.
+        /// The text a document prepared when it was built decides what the
+        /// two passes over `full_text()` decided: the entity check on the
+        /// whole normalized text and the first matching sentence's value —
+        /// with entities that span a `.`, empty sentences, the fact in the
+        /// title, several matching sentences, and a value at the end of the
+        /// text with and without its final `.`. So does a document whose
+        /// text was replaced in a lake, and `scan_fact` over the joined text.
         #[test]
         fn one_pass_scan_equals_normalize_then_scan_fact(
             title in arb_text(4),
@@ -1307,13 +1312,20 @@ mod prop_tests {
                 normalize_str(&full).contains(&entity_key),
                 oracle_scan_fact(&full, entity, attribute),
             );
-            let got = with_doc_scan(&doc, |scan| {
+            let read = |doc: &TextDocument| {
+                let text = doc.normalized();
+                let mut needle = String::new();
                 (
-                    scan.mentions(&entity_key),
-                    scan.fact(entity, attribute).map(str::to_string),
+                    text.contains(&entity_key),
+                    fact(text, &mut needle, entity, attribute).map(str::to_string),
                 )
-            });
-            prop_assert_eq!(&got, &want, "{:?}", full);
+            };
+            prop_assert_eq!(&read(&doc), &want, "{:?}", full);
+            let mut lake = verifai_lake::DataLake::new();
+            lake.add_doc(TextDocument::new(1, "stale. title", "The incumbent of New York 1 is x", 0))
+                .unwrap();
+            lake.update_doc(1, doc.title(), doc.body()).unwrap();
+            prop_assert_eq!(&read(lake.doc(1).unwrap()), &want);
             prop_assert_eq!(scan_fact(&full, entity, attribute), want.1);
         }
     }

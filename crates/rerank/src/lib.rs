@@ -203,7 +203,7 @@ mod tests {
             candidates
                 .iter()
                 .map(|c| match c.evidence {
-                    InstanceRef::Text(d) => d.body.len() as f64,
+                    InstanceRef::Text(d) => d.body().len() as f64,
                     _ => 0.0,
                 })
                 .collect()

@@ -91,7 +91,7 @@ impl TableReranker {
 
     /// The evidence side of one table.
     pub fn prepare_table(&self, table: &Table) -> PreparedTable {
-        let caption = self.analyzer.analyze(&table.caption);
+        let caption = self.analyzer.analyze(table.caption());
         let header_text: String = table.schema.names().collect::<Vec<_>>().join(" ");
         let header = self.analyzer.analyze(&header_text);
         // Cells: analyze a bounded sample of values (first 64 rows) to keep the
@@ -224,7 +224,7 @@ mod tests {
         if claim_terms.is_empty() {
             return 0.0;
         }
-        let caption_terms = analyzer.analyze(&table.caption);
+        let caption_terms = analyzer.analyze(table.caption());
         let header_text: String = table.schema.names().collect::<Vec<_>>().join(" ");
         let header_terms = analyzer.analyze(&header_text);
         let mut cell_text = String::new();

@@ -30,7 +30,7 @@ pub fn serialize_tuple<'a>(tuple: impl Into<TupleRef<'a>>) -> String {
 /// Serialize a whole table: caption, headers, then all rows.
 pub fn serialize_table(table: &Table) -> String {
     let mut s = String::with_capacity(64 + table.num_rows() * 32);
-    s.push_str(&table.caption);
+    s.push_str(table.caption());
     s.push_str(" . ");
     let headers: Vec<&str> = table.schema.names().collect();
     s.push_str(&headers.join(" , "));

@@ -36,8 +36,8 @@ pub use kg_model::{KgModelConfig, KgModelVerifier};
 pub use llm_verifier::LlmVerifier;
 pub use pasta::{PastaConfig, PastaVerifier};
 pub use provenance::{
-    NullSink, ProvenanceLog, ProvenanceRecord, ProvenanceSink, SharedProvenance, Stage,
-    StageRecorder,
+    stamp_trace, NullSink, ProvenanceLog, ProvenanceRecord, ProvenanceSink, SharedProvenance,
+    Stage, StageRecorder,
 };
 pub use trust::{TrustModel, VerdictObservation};
 pub use tuple_model::{TupleModelConfig, TupleModelVerifier};

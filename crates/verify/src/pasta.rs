@@ -148,7 +148,7 @@ impl Verifier for PastaVerifier {
             explanation: format!(
                 "PASTA judges the claim {} by table '{}'.",
                 if answer { "entailed" } else { "not entailed" },
-                table.caption
+                table.caption()
             ),
         }
     }

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{DefaultHasher, Hasher};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -89,13 +89,13 @@ pub struct ProvenanceRecord {
     pub note: String,
 }
 
-/// A maximal run of consecutive records that share an object and a stage
-/// label and whose ranks (if the stage has one) count up by one — in
-/// practice, one modality's hit list or one stage's flush for one object.
-/// A run knows how many rows and how many noted rows it covers, not where
-/// they start: every reader walks the runs in order anyway, so the starts
-/// are running sums and a run is 32 bytes.
-#[derive(Debug, Clone)]
+/// A maximal run of consecutive records of one batch that share an object
+/// and a stage label and whose ranks (if the stage has one) count up by one
+/// — in practice, one modality's hit list or one stage's flush for one
+/// object. A run knows how many rows and how many noted rows it covers, not
+/// where they start: every reader walks the runs in order anyway, so the
+/// starts are running sums and a run is 32 bytes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Run {
     object_id: u64,
     /// Stage variant and its label, as indices into [`ProvenanceLog::labels`].
@@ -109,7 +109,7 @@ struct Run {
 }
 
 /// A [`Stage`] without its rank: variant plus interned label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum StageKey {
     Retrieval(u32),
     Combine,
@@ -125,6 +125,44 @@ const VERDICT_MASK: u8 = 0b0011_1000; // 0 = no verdict, else 1 + verdict
 const HAS_SCORE: u8 = 0b0100_0000;
 const HAS_NOTE: u8 = 0b1000_0000;
 
+/// Low bit of a `notes` entry: the note ended in a trace stamp, whose id is
+/// the next one in [`ProvenanceLog::traces`].
+const TRACED: usize = 1;
+
+/// What [`stamp_trace`] appends, up to the id.
+const TRACE_OPEN: &str = " [trace ";
+
+/// Append to a lineage note the stamp that joins its row to the request's
+/// flight-recorder trace: `" [trace {id}]"`. The log keeps a stamped note's
+/// id as a number and its text once, so stamping every request's decision
+/// costs eight bytes a row, not a distinct note each.
+pub fn stamp_trace(note: &mut String, trace_id: u64) {
+    use std::fmt::Write as _;
+    let _ = write!(note, "{TRACE_OPEN}{trace_id}]");
+}
+
+/// A note ending in exactly what [`stamp_trace`] writes, split into the text
+/// before the stamp and the id. Anything else that merely looks like a stamp
+/// — a leading zero, a sign, an id past `u64::MAX` — is not one, so
+/// rendering the split back always gives the note.
+fn split_trace(note: &str) -> Option<(&str, u64)> {
+    let at = note.rfind(TRACE_OPEN)?;
+    let digits = note[at + TRACE_OPEN.len()..].strip_suffix(']')?;
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    let id = digits.parse().ok().filter(|_| canonical)?;
+    Some((&note[..at], id))
+}
+
+/// Where a stored batch ends in the row columns; it starts where the
+/// previous stored batch ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BatchEnd {
+    runs: usize,
+    rows: usize,
+    notes: usize,
+}
+
 /// Append-only lineage store.
 ///
 /// A verify request leaves ~90 records behind, most of them one coarse
@@ -133,12 +171,18 @@ const HAS_NOTE: u8 = 0b1000_0000;
 /// Records are therefore stored column-wise, 17 bytes per row: what a run of
 /// consecutive records shares (object, stage, label, the rank sequence) is
 /// stored once per run, labels are interned, and a non-empty note is a
-/// reference into one shared text buffer that holds each distinct text once
-/// — a request served from cache repeats the explanations of the request
-/// that filled the cache, word for word. [`ProvenanceRecord`] stays the
-/// exchange type on both sides: records go in through
-/// [`ProvenanceLog::add`] and come back out of [`ProvenanceLog::records`] /
-/// [`ProvenanceLog::for_object`] equal to what went in.
+/// reference into one shared text buffer that holds each distinct text once.
+///
+/// Records arrive in batches — one stage's flush for one object
+/// ([`ProvenanceLog::add_all`]) — and a batch equal to one the log already
+/// holds is stored as a four-byte reference to it: a request served from
+/// cache repeats the verify and decision rows of the last request for the
+/// same object, row for row. What would keep two such batches apart, the
+/// trace stamp on a traced decision's note, is kept beside the rows as a
+/// number ([`stamp_trace`]) and put back into the note on read.
+/// [`ProvenanceRecord`] stays the exchange type on both sides: records come
+/// back out of [`ProvenanceLog::records`] / [`ProvenanceLog::for_object`]
+/// equal to what went in, in order.
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     runs: Vec<Run>,
@@ -149,7 +193,7 @@ pub struct ProvenanceLog {
     /// Per row: instance kind, verdict, and presence bits.
     flags: Vec<u8>,
     /// Per row with a non-empty note, in row order: the index of its text
-    /// in `note_ends`.
+    /// in `note_ends`, shifted up one bit over the [`TRACED`] bit.
     notes: Vec<usize>,
     /// Per distinct note text: where it ends in `note_text` (it starts where
     /// the previous one ends).
@@ -169,6 +213,16 @@ pub struct ProvenanceLog {
     note_index: HashMap<u32, u32>,
     /// Interned stage labels (index names, reranker names, verifier names).
     labels: Vec<Arc<str>>,
+    /// Per stored batch, in order of arrival: where it ends in the columns.
+    batch_ends: Vec<BatchEnd>,
+    /// Batch hash → the first stored batch with that hash.
+    batch_index: HashMap<u64, u32>,
+    /// The log in append order: per batch, the stored batch it is.
+    order: Vec<u32>,
+    /// The ids of stamped notes, in log order.
+    traces: Vec<u64>,
+    /// Rows in the log, a reference counting as many as its batch holds.
+    len: usize,
 }
 
 /// The content hash `note_index` is keyed by.
@@ -219,7 +273,8 @@ impl ProvenanceLog {
     }
 
     /// Bytes of lineage the log holds: rows, runs, note references, the
-    /// distinct note texts with their index, and labels — lengths, not
+    /// distinct note texts with their index, labels, stored batches with
+    /// their index, batch references and trace ids — lengths, not
     /// capacities, so the figure is a function of what was added (growth
     /// slack of the vectors, at most as much again, comes on top).
     pub fn heap_bytes(&self) -> usize {
@@ -235,10 +290,99 @@ impl ProvenanceLog {
                 .iter()
                 .map(|l| size_of::<Arc<str>>() + l.len())
                 .sum::<usize>()
+            + self.batch_ends.len() * size_of::<BatchEnd>()
+            + self.batch_index.len() * (size_of::<(u64, u32)>() + 1)
+            + self.order.len() * size_of::<u32>()
+            + self.traces.len() * size_of::<u64>()
     }
 
-    /// Append a record.
+    /// Append a record, as a batch of its own.
     pub fn add(&mut self, record: ProvenanceRecord) {
+        self.add_all([record]);
+    }
+
+    /// Append a batch of records, preserving their order. The batch is
+    /// encoded onto the columns; if the log already holds a batch with the
+    /// same encoding, the new rows are dropped again and a reference to
+    /// that batch is appended instead.
+    pub fn add_all(&mut self, records: impl IntoIterator<Item = ProvenanceRecord>) {
+        let mark = self.end();
+        for record in records {
+            self.push(record, mark.runs);
+        }
+        let rows = self.flags.len() - mark.rows;
+        if rows == 0 {
+            return;
+        }
+        self.len += rows;
+        let hash = self.hash_since(mark);
+        if let Some(&held) = self.batch_index.get(&hash) {
+            if self.holds_since(held as usize, mark) {
+                self.runs.truncate(mark.runs);
+                self.instance.truncate(mark.rows);
+                self.score.truncate(mark.rows);
+                self.flags.truncate(mark.rows);
+                self.notes.truncate(mark.notes);
+                self.order.push(held);
+                return;
+            }
+        }
+        let stored = u32::try_from(self.batch_ends.len()).expect("fewer than 2^32 stored batches");
+        self.batch_ends.push(self.end());
+        self.batch_index.entry(hash).or_insert(stored);
+        self.order.push(stored);
+    }
+
+    /// Where the columns end now.
+    fn end(&self) -> BatchEnd {
+        BatchEnd {
+            runs: self.runs.len(),
+            rows: self.flags.len(),
+            notes: self.notes.len(),
+        }
+    }
+
+    /// Where stored batch `batch` starts and ends.
+    fn span(&self, batch: usize) -> (BatchEnd, BatchEnd) {
+        let start = batch
+            .checked_sub(1)
+            .map_or(BatchEnd::default(), |prev| self.batch_ends[prev]);
+        (start, self.batch_ends[batch])
+    }
+
+    /// Hash of the columns past `mark`. A collision costs a batch stored
+    /// again, never a wrong row: a candidate is compared in full.
+    fn hash_since(&self, mark: BatchEnd) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        self.runs[mark.runs..].hash(&mut hasher);
+        self.instance[mark.rows..].hash(&mut hasher);
+        self.flags[mark.rows..].hash(&mut hasher);
+        self.notes[mark.notes..].hash(&mut hasher);
+        for score in &self.score[mark.rows..] {
+            hasher.write_u64(score.to_bits());
+        }
+        hasher.finish()
+    }
+
+    /// Whether stored batch `held` encodes exactly what the columns hold
+    /// past `mark` — same runs, rows, score bits and note references (an
+    /// equal reference is an equal text).
+    fn holds_since(&self, held: usize, mark: BatchEnd) -> bool {
+        let (start, end) = self.span(held);
+        let scores = &self.score[start.rows..end.rows];
+        self.runs[start.runs..end.runs] == self.runs[mark.runs..]
+            && self.flags[start.rows..end.rows] == self.flags[mark.rows..]
+            && self.instance[start.rows..end.rows] == self.instance[mark.rows..]
+            && self.notes[start.notes..end.notes] == self.notes[mark.notes..]
+            && scores
+                .iter()
+                .zip(&self.score[mark.rows..])
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// Encode one record onto the columns, continuing the last run if it
+    /// starts at or after `first_run` (runs never span batches).
+    fn push(&mut self, record: ProvenanceRecord, first_run: usize) {
         let (stage, rank) = match &record.stage {
             Stage::Retrieval { index, rank } => (StageKey::Retrieval(self.label(index)), *rank),
             Stage::Combine => (StageKey::Combine, 0),
@@ -247,12 +391,13 @@ impl ProvenanceLog {
             Stage::Decision => (StageKey::Decision, 0),
         };
         let ranked = matches!(stage, StageKey::Retrieval(_) | StageKey::Rerank(_));
-        let continues = self.runs.last().is_some_and(|run| {
-            run.object_id == record.object_id
-                && run.stage == stage
-                && run.rows < u32::MAX
-                && (!ranked || run.first_rank.checked_add(run.rows as usize) == Some(rank))
-        });
+        let continues = self.runs.len() > first_run
+            && self.runs.last().is_some_and(|run| {
+                run.object_id == record.object_id
+                    && run.stage == stage
+                    && run.rows < u32::MAX
+                    && (!ranked || run.first_rank.checked_add(run.rows as usize) == Some(rank))
+            });
         if !continues {
             self.runs.push(Run {
                 object_id: record.object_id,
@@ -292,53 +437,74 @@ impl ProvenanceLog {
         }
         if noted {
             flags |= HAS_NOTE;
-            let text = self.intern_note(&record.note);
-            self.notes.push(text);
+            let entry = match split_trace(&record.note) {
+                Some((text, trace)) => {
+                    self.traces.push(trace);
+                    self.intern_note(text) << 1 | TRACED
+                }
+                None => self.intern_note(&record.note) << 1,
+            };
+            self.notes.push(entry);
         }
         self.instance.push(raw_id);
         self.score.push(record.score.unwrap_or(0.0));
         self.flags.push(flags);
     }
 
-    /// Append a batch of records, preserving their order.
-    pub fn add_all(&mut self, records: impl IntoIterator<Item = ProvenanceRecord>) {
-        for record in records {
-            self.add(record);
-        }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.flags.len()
+        self.len
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
+        self.len == 0
     }
 
-    /// The runs in order, each with the index of its first row and of its
-    /// first entry in `notes`.
-    fn located_runs(&self) -> impl Iterator<Item = (&Run, usize, usize)> {
-        self.runs.iter().scan((0, 0), |(row, note), run| {
-            let located = (run, *row, *note);
-            *row += run.rows as usize;
-            *note += run.noted as usize;
-            Some(located)
-        })
+    /// Number of batches appended.
+    pub fn batches(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Number of appended batches stored as rows; the rest of
+    /// [`ProvenanceLog::batches`] are references to one of these.
+    pub fn stored_batches(&self) -> usize {
+        self.batch_ends.len()
+    }
+
+    /// Rebuild, in log order, the records of every run `keep` accepts,
+    /// appending them to `out`.
+    fn decode(&self, keep: impl Fn(&Run) -> bool, out: &mut Vec<ProvenanceRecord>) {
+        let mut next_trace = 0;
+        for &batch in &self.order {
+            let (start, end) = self.span(batch as usize);
+            let (mut row, mut note) = (start.rows, start.notes);
+            for run in &self.runs[start.runs..end.runs] {
+                let notes = &self.notes[note..note + run.noted as usize];
+                if keep(run) {
+                    self.decode_run(run, row, notes, &mut next_trace, out);
+                } else {
+                    next_trace += notes.iter().filter(|&&n| n & TRACED != 0).count();
+                }
+                row += run.rows as usize;
+                note += run.noted as usize;
+            }
+        }
     }
 
     /// Rebuild the records of `run`, whose rows start at `first_row` and
-    /// whose notes start at `first_note`, appending them to `out`.
+    /// whose note entries are `notes`, appending them to `out`; stamped
+    /// notes take their ids from `traces` starting at `next_trace`.
     fn decode_run(
         &self,
         run: &Run,
         first_row: usize,
-        first_note: usize,
+        notes: &[usize],
+        next_trace: &mut usize,
         out: &mut Vec<ProvenanceRecord>,
     ) {
         let label = |l: u32| Arc::clone(&self.labels[l as usize]);
-        let mut notes = self.notes[first_note..].iter();
+        let mut notes = notes.iter();
         for row in first_row..first_row + run.rows as usize {
             let rank = run.first_rank + (row - first_row);
             let flags = self.flags[row];
@@ -374,8 +540,13 @@ impl ProvenanceLog {
                     _ => Some(Verdict::Unknown),
                 },
                 note: if flags & HAS_NOTE != 0 {
-                    let text = *notes.next().expect("a row flagged HAS_NOTE has a note");
-                    self.note(text).to_string()
+                    let entry = *notes.next().expect("a row flagged HAS_NOTE has a note");
+                    let mut note = self.note(entry >> 1).to_string();
+                    if entry & TRACED != 0 {
+                        stamp_trace(&mut note, self.traces[*next_trace]);
+                        *next_trace += 1;
+                    }
+                    note
                 } else {
                     String::new()
                 },
@@ -386,20 +557,14 @@ impl ProvenanceLog {
     /// All records, in insertion order.
     pub fn records(&self) -> Vec<ProvenanceRecord> {
         let mut out = Vec::with_capacity(self.len());
-        for (run, first_row, first_note) in self.located_runs() {
-            self.decode_run(run, first_row, first_note, &mut out);
-        }
+        self.decode(|_| true, &mut out);
         out
     }
 
     /// Records concerning one generated object, in pipeline order.
     pub fn for_object(&self, object_id: u64) -> Vec<ProvenanceRecord> {
         let mut out = Vec::new();
-        for (run, first_row, first_note) in self.located_runs() {
-            if run.object_id == object_id {
-                self.decode_run(run, first_row, first_note, &mut out);
-            }
-        }
+        self.decode(|run| run.object_id == object_id, &mut out);
         out
     }
 
@@ -731,8 +896,8 @@ mod tests {
 
     /// What a request served from cache leaves behind, over and over: the
     /// same verify rows with the same explanations, and the same decision
-    /// note. The first request pays for the texts; every repeat costs rows
-    /// and references only.
+    /// note. The first request pays for the rows and texts; every repeat
+    /// costs references only.
     #[test]
     fn a_repeated_request_costs_rows_not_text() {
         let request = |log: &mut ProvenanceLog| {
@@ -774,8 +939,9 @@ mod tests {
             request(&mut log);
         }
         let per_request = (log.heap_bytes() - first) / 1000;
+        // Seven one-record batches, each a four-byte reference.
         assert!(
-            per_request <= 300,
+            per_request <= 40,
             "a repeated request grew the log by {per_request} B"
         );
         assert_eq!(log.len(), 7 * 1001);
@@ -872,6 +1038,264 @@ mod tests {
             }
             .to_string(),
             "rerank[colbert]#2"
+        );
+    }
+}
+
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const LABELS: [&str; 2] = ["fused-text", "chatgpt-sim"];
+
+    /// Notes as the pipeline writes them, and notes that only look like a
+    /// trace stamp: a leading zero, a sign, an id past `u64::MAX`, no id,
+    /// text after the bracket, two stamps, no leading space, a doubled
+    /// bracket.
+    const NOTES: [&str; 13] = [
+        "",
+        "",
+        "over 5 evidence verdicts",
+        "The text states the incumbent is 'otis pike', which matches.",
+        "x [trace 007]",
+        "x [trace +5]",
+        "x [trace 18446744073709551616]",
+        "x [trace ]",
+        "x [trace 5] tail",
+        "x [trace 1] [trace 2]",
+        "[trace 3]",
+        " [trace 0]",
+        "x [trace 5]]",
+    ];
+
+    fn arb_stage() -> impl Strategy<Value = Stage> {
+        prop_oneof![
+            (0usize..2, 0usize..3).prop_map(|(l, rank)| Stage::Retrieval {
+                index: LABELS[l].into(),
+                rank,
+            }),
+            Just(Stage::Combine),
+            (0usize..2, 0usize..3).prop_map(|(l, rank)| Stage::Rerank {
+                reranker: LABELS[l].into(),
+                rank,
+            }),
+            (0usize..2).prop_map(|l| Stage::Verify {
+                verifier: LABELS[l].into(),
+            }),
+            Just(Stage::Decision),
+            Just(Stage::Decision),
+        ]
+    }
+
+    fn arb_record() -> impl Strategy<Value = ProvenanceRecord> {
+        let fields = (0u8..5, 0u64..3, 0u8..5, 0u8..3);
+        (0u64..3, arb_stage(), fields, 0usize..NOTES.len()).prop_map(
+            |(object_id, stage, (kind, id, verdict, score), note)| ProvenanceRecord {
+                object_id,
+                stage,
+                instance: match kind {
+                    0 => None,
+                    1 => Some(InstanceId::Tuple(id)),
+                    2 => Some(InstanceId::Table(id)),
+                    3 => Some(InstanceId::Text(id)),
+                    _ => Some(InstanceId::Kg(id)),
+                },
+                score: match score {
+                    0 => None,
+                    1 => Some(0.5),
+                    _ => Some(-0.0),
+                },
+                verdict: match verdict {
+                    0 => None,
+                    1 => Some(Verdict::Verified),
+                    2 => Some(Verdict::Refuted),
+                    3 => Some(Verdict::NotRelated),
+                    _ => Some(Verdict::Unknown),
+                },
+                note: NOTES[note].to_string(),
+            },
+        )
+    }
+
+    /// [`ProvenanceLog::report`] over a plain record list.
+    fn model_report(records: &[ProvenanceRecord], object_id: u64) -> String {
+        let mut out = format!("provenance for object {object_id}:\n");
+        for r in records.iter().filter(|r| r.object_id == object_id) {
+            out.push_str(&format!("  {}", r.stage));
+            if let Some(i) = r.instance {
+                out.push_str(&format!(" {i}"));
+            }
+            if let Some(s) = r.score {
+                out.push_str(&format!(" score={s:.4}"));
+            }
+            if let Some(v) = r.verdict {
+                out.push_str(&format!(" verdict={v}"));
+            }
+            if !r.note.is_empty() {
+                out.push_str(&format!(" — {}", r.note));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The log is a `Vec<ProvenanceRecord>`, whatever it stores as a
+        /// reference. Batches are drawn from a small pool of templates, so
+        /// equal batches recur, adjacent or not; each append may move the
+        /// template's rows under another object, and may stamp every
+        /// decision row with a trace id, as a traced request does (several
+        /// decision rows to a batch included). After every append,
+        /// `records`, `for_object`, `len` and `report` equal the model's.
+        #[test]
+        fn log_equals_a_record_list_after_every_append(
+            templates in collection::vec(collection::vec(arb_record(), 0..5), 1..4),
+            appends in collection::vec((0usize..4, 0u64..5, any::<bool>(), any::<u64>()), 1..24),
+        ) {
+            let mut log = ProvenanceLog::new();
+            let mut model: Vec<ProvenanceRecord> = Vec::new();
+            for (template, object, traced, trace_id) in appends {
+                let mut batch = templates[template % templates.len()].clone();
+                for record in &mut batch {
+                    // 3 and 4 keep the template's objects.
+                    if object < 3 {
+                        record.object_id = object;
+                    }
+                    if traced && record.stage == Stage::Decision {
+                        stamp_trace(&mut record.note, trace_id % 4 * (u64::MAX / 3));
+                    }
+                }
+                model.extend(batch.iter().cloned());
+                log.add_all(batch);
+                prop_assert_eq!(log.len(), model.len());
+                prop_assert_eq!(log.is_empty(), model.is_empty());
+                prop_assert_eq!(&log.records(), &model);
+                for object_id in 0..4 {
+                    let want: Vec<ProvenanceRecord> =
+                        model.iter().filter(|r| r.object_id == object_id).cloned().collect();
+                    prop_assert_eq!(&log.for_object(object_id), &want);
+                    prop_assert_eq!(log.report(object_id), model_report(&model, object_id));
+                }
+            }
+        }
+    }
+
+    /// The stamp round-trips only in the form `stamp_trace` writes.
+    #[test]
+    fn only_a_canonical_stamp_splits() {
+        for id in [0, 7, u64::MAX] {
+            let mut note = "over 2 evidence verdicts".to_string();
+            stamp_trace(&mut note, id);
+            assert_eq!(split_trace(&note), Some(("over 2 evidence verdicts", id)));
+        }
+        for note in NOTES.iter().filter(|n| !n.is_empty()) {
+            if let Some((text, id)) = split_trace(note) {
+                let mut back = text.to_string();
+                stamp_trace(&mut back, id);
+                assert_eq!(&back, note);
+            }
+        }
+        assert_eq!(split_trace("x [trace 007]"), None);
+        assert_eq!(split_trace("x [trace +5]"), None);
+        assert_eq!(split_trace("x [trace 18446744073709551616]"), None);
+        assert_eq!(split_trace("x [trace 5] tail"), None);
+    }
+
+    /// Whether a batch is a reference is decided by comparing every column,
+    /// not by the hash: a candidate that differs from a stored batch in any
+    /// one field — down to the sign of a zero score or a trace stamp — is
+    /// not that batch.
+    #[test]
+    fn a_reference_needs_every_column_equal() {
+        let base = ProvenanceRecord {
+            object_id: 1,
+            stage: Stage::Verify {
+                verifier: "chatgpt-sim".into(),
+            },
+            instance: Some(InstanceId::Text(4)),
+            score: Some(0.0),
+            verdict: Some(Verdict::Verified),
+            note: "over 1 evidence verdicts".into(),
+        };
+        let variants = [
+            base.clone(),
+            ProvenanceRecord {
+                object_id: 2,
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                stage: Stage::Decision,
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                instance: Some(InstanceId::Table(4)),
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                score: Some(-0.0),
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                verdict: Some(Verdict::Refuted),
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                note: "over 2 evidence verdicts".into(),
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                note: "over 1 evidence verdicts [trace 0]".into(),
+                ..base.clone()
+            },
+            ProvenanceRecord {
+                note: String::new(),
+                ..base.clone()
+            },
+        ];
+        for (i, candidate) in variants.into_iter().enumerate() {
+            let mut log = ProvenanceLog::new();
+            log.add_all([base.clone()]);
+            let mark = log.end();
+            log.push(candidate, mark.runs);
+            assert_eq!(log.holds_since(0, mark), i == 0, "variant {i}");
+        }
+    }
+
+    /// A batch equal to one the log holds is stored as a reference, traced
+    /// or not; the same rows under another object, or with a note changed,
+    /// are stored again.
+    #[test]
+    fn an_equal_batch_is_a_reference() {
+        let batch = |object_id: u64, trace: Option<u64>, note: &str| {
+            let mut decision = ProvenanceRecord {
+                object_id,
+                stage: Stage::Decision,
+                instance: None,
+                score: Some(1.0),
+                verdict: Some(Verdict::Verified),
+                note: note.into(),
+            };
+            if let Some(id) = trace {
+                stamp_trace(&mut decision.note, id);
+            }
+            vec![decision]
+        };
+        let mut log = ProvenanceLog::new();
+        log.add_all(batch(1, None, "over 1 evidence verdicts"));
+        log.add_all(batch(2, None, "over 1 evidence verdicts"));
+        log.add_all(batch(1, Some(41), "over 1 evidence verdicts"));
+        assert_eq!((log.batches(), log.stored_batches()), (3, 3));
+        log.add_all(batch(1, None, "over 1 evidence verdicts"));
+        log.add_all(batch(1, Some(42), "over 1 evidence verdicts"));
+        log.add_all(batch(2, None, "over 2 evidence verdicts"));
+        log.add_all(Vec::new());
+        assert_eq!((log.batches(), log.stored_batches()), (6, 4));
+        assert_eq!(
+            log.for_object(1)[3].note,
+            "over 1 evidence verdicts [trace 42]"
         );
     }
 }

@@ -37,12 +37,12 @@ fn main() {
     let mut seen = std::collections::HashSet::new();
     for table in generated.lake.tables() {
         let family: String = table
-            .caption
+            .caption()
             .chars()
             .filter(|c| !c.is_ascii_digit())
             .collect();
         if seen.insert(family) {
-            println!("  [{} rows] {}", table.num_rows(), table.caption);
+            println!("  [{} rows] {}", table.num_rows(), table.caption());
         }
         if seen.len() >= 6 {
             break;

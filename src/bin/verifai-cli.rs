@@ -98,7 +98,7 @@ fn cmd_check(path: &str, claim_text: &str) -> ExitCode {
     };
     println!(
         "loaded '{}' ({} rows, {} columns)",
-        table.caption,
+        table.caption(),
         table.num_rows(),
         table.schema.arity()
     );
@@ -116,7 +116,7 @@ fn cmd_check(path: &str, claim_text: &str) -> ExitCode {
         expr,
         // The user handed us this exact table: scope the claim to it, so a
         // false claim is refuted rather than existentially abstained on.
-        scope: Some(table.caption.clone()),
+        scope: Some(table.caption().to_string()),
     });
     // A standalone check has no lake: use the LLM verifier directly over the
     // supplied table.

@@ -615,12 +615,20 @@ fn main() -> ExitCode {
         );
     }
     println!("lost requests: {lost}");
-    // What serving left behind for good: the lineage of every request.
-    println!(
-        "lineage: {} bytes over {} requests",
-        sys.provenance().heap_bytes(),
-        stats.submitted
-    );
+    // What serving left behind for good: the lineage of every request, and
+    // how much of it repeated a batch the log already held.
+    {
+        let log = sys.provenance();
+        let bytes = log.heap_bytes();
+        let references = log.batches() - log.stored_batches();
+        println!(
+            "lineage: {bytes} bytes over {} requests ({:.0} B per request) | {:.1}% of {} batches stored as references",
+            stats.submitted,
+            bytes as f64 / stats.submitted.max(1) as f64,
+            100.0 * references as f64 / log.batches().max(1) as f64,
+            log.batches()
+        );
+    }
     if lost != 0 || stats.submitted != args.requests as u64 + canary_submissions {
         eprintln!(
             "accounting violated: {} submitted ({} traffic + {} canaries), {} accounted",

@@ -103,15 +103,20 @@ fn cached_ids(sys: &VerifAi, object: &DataObject) -> Vec<(InstanceId, f64)> {
 
 /// What the service does for a cache hit: view the cached ids, judge them.
 fn serve_cached(sys: &VerifAi, object: &DataObject, cached: &[(InstanceId, f64)]) {
+    serve_cached_traced(sys, object, cached, &mut RequestTrace::disabled());
+}
+
+/// [`serve_cached`] under a request trace, as the service runs it when it
+/// keeps traces: the decision's lineage note carries the trace id.
+fn serve_cached_traced(
+    sys: &VerifAi,
+    object: &DataObject,
+    cached: &[(InstanceId, f64)],
+    trace: &mut RequestTrace,
+) {
     let evidence = sys.view_evidence(cached).expect("fresh ids resolve");
     let timing = StageTiming::for_cached(evidence.len());
-    let report = sys.judge(
-        object,
-        &evidence,
-        timing,
-        None,
-        &mut RequestTrace::disabled(),
-    );
+    let report = sys.judge(object, &evidence, timing, None, trace);
     assert_eq!(report.evidence.len(), cached.len());
 }
 
@@ -137,7 +142,7 @@ fn tuple_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &tuple_objects(&sys));
     println!("tuple request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 41 and 474 measured here; 40 and 504 at `LakeSpec::small`.
+    // 22 and 454 measured here; 21 and 474 at `LakeSpec::small`.
     assert!(
         cached <= 50.0,
         "cached tuple request: {cached:.1} allocations"
@@ -150,7 +155,7 @@ fn claim_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &claim_objects(&sys));
     println!("claim request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 53 and 325 measured here; 56 and 333 at `LakeSpec::small`.
+    // 28 and 300 measured here; 31 and 309 at `LakeSpec::small`.
     assert!(
         cached <= 66.0,
         "cached claim request: {cached:.1} allocations"
@@ -158,28 +163,51 @@ fn claim_requests_allocate_within_budget() {
     assert!(cold <= 400.0, "cold claim request: {cold:.1} allocations");
 }
 
-/// A request served from cache a thousand times over leaves rows and
-/// references in the lineage log, not a thousand copies of its
-/// explanations.
-#[test]
-fn repeated_cached_requests_leave_rows_not_text() {
+/// Lineage bytes per request of serving each object's cached evidence a
+/// thousand times over, after one warm-up request; with `traced`, each
+/// request runs under a trace of its own.
+fn lineage_per_cached_request(traced: bool) {
     let sys = system();
     for object in [&tuple_objects(&sys)[0], &claim_objects(&sys)[0]] {
         let cached = cached_ids(&sys, object);
-        serve_cached(&sys, object, &cached);
+        let trace = |i: u64| {
+            if traced {
+                RequestTrace::new(1 + i, object.id())
+            } else {
+                RequestTrace::disabled()
+            }
+        };
+        serve_cached_traced(&sys, object, &cached, &mut trace(0));
         let before = sys.provenance().heap_bytes();
-        for _ in 0..1000 {
-            serve_cached(&sys, object, &cached);
+        for i in 1..=1000 {
+            serve_cached_traced(&sys, object, &cached, &mut trace(i));
         }
         let per_request = (sys.provenance().heap_bytes() - before) / 1000;
         println!(
-            "object {}: {per_request} lineage bytes per cached request",
-            object.id()
+            "object {} ({}): {per_request} lineage bytes per cached request",
+            object.id(),
+            if traced { "traced" } else { "untraced" }
         );
-        // 239 (tuple) and 214 (claim) measured.
+        // A repeated request appends two batch references (verify and
+        // decision), four bytes each, and a traced one its trace id.
+        // 8 (untraced) and 16 (traced) measured.
         assert!(
-            per_request <= 300,
+            per_request <= 40,
             "a repeated cached request left {per_request} B of lineage"
         );
     }
+}
+
+/// A request served from cache a thousand times over leaves references in
+/// the lineage log, not a thousand copies of its rows and explanations.
+#[test]
+fn repeated_cached_requests_leave_rows_not_text() {
+    lineage_per_cached_request(false);
+}
+
+/// The same for traced requests: each decision note carries its own trace
+/// id, which the log keeps as a number beside a reference.
+#[test]
+fn repeated_traced_cached_requests_leave_ids_not_text() {
+    lineage_per_cached_request(true);
 }

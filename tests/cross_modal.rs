@@ -94,17 +94,22 @@ fn scope_mismatch_yields_not_related_for_the_llm_only() {
             c.scope.contains("Championships")
                 && verifai_claims::scope_relation(
                     &c.scope,
-                    &generated.lake.table(c.table).unwrap().caption,
+                    generated.lake.table(c.table).unwrap().caption(),
                 ) == verifai_claims::ScopeRelation::Exact
         })
         .expect("an exactly-scoped championship claim exists");
-    let source_caption = generated.lake.table(claim.table).unwrap().caption.clone();
+    let source_caption = generated
+        .lake
+        .table(claim.table)
+        .unwrap()
+        .caption()
+        .to_string();
     let sibling = generated
         .lake
         .tables()
         .find(|t| {
-            t.caption != source_caption
-                && verifai_claims::vague_caption(&t.caption)
+            t.caption() != source_caption
+                && verifai_claims::vague_caption(t.caption())
                     == verifai_claims::vague_caption(&source_caption)
         })
         .expect("sibling year exists")

@@ -42,8 +42,8 @@ fn lake_generation_is_stable_across_repeated_builds() {
         assert_eq!(a.lake.table(id).unwrap(), b.lake.table(id).unwrap());
     }
     // Doc bodies included.
-    let docs_a: Vec<String> = a.lake.docs().map(|d| d.body.clone()).collect();
-    let docs_b: Vec<String> = b.lake.docs().map(|d| d.body.clone()).collect();
+    let docs_a: Vec<String> = a.lake.docs().map(|d| d.body().to_string()).collect();
+    let docs_b: Vec<String> = b.lake.docs().map(|d| d.body().to_string()).collect();
     assert_eq!(docs_a, docs_b);
 }
 

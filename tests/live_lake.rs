@@ -280,6 +280,176 @@ proptest! {
     }
 }
 
+/// What `script` never guarantees, in one tail: a streamed document whose
+/// title and body are then replaced (its fact sentence changes its value),
+/// one added and removed again, a table streamed in and out, and tuple
+/// writes — all on ids clear of anything `script` uses.
+fn tail_of_every_kind(lake_table: u64, arity: usize) -> Vec<LakeMutation> {
+    let fact = |tag: u64| {
+        format!("Bulletin 9500 was filed by the district. The incumbent of bulletin 9500 is filer {tag}.")
+    };
+    let ledger = |id: u64| {
+        let mut table = Table::new(
+            id,
+            format!("Ledger {id}: the districts (revised)"),
+            Schema::new(vec![
+                Column::key("district", DataType::Text),
+                Column::new("incumbent", DataType::Text),
+            ]),
+            0,
+        );
+        table
+            .push_row(vec![Value::text("bulletin 9500"), Value::text("filer 1")])
+            .expect("row matches the schema");
+        table
+    };
+    vec![
+        LakeMutation::AddDoc(TextDocument::new(9_500, "Bulletin 9500", fact(1), 0)),
+        LakeMutation::AddDoc(TextDocument::new(9_501, "Bulletin 9501", fact(2), 0)),
+        LakeMutation::AddTable(ledger(9_500)),
+        LakeMutation::AddTable(ledger(9_501)),
+        LakeMutation::UpdateDoc {
+            id: 9_500,
+            title: "Bulletin 9500, revised".into(),
+            body: fact(3),
+        },
+        LakeMutation::RemoveDoc(9_501),
+        LakeMutation::RemoveTable(9_501),
+        LakeMutation::AddTuple {
+            table: lake_table,
+            values: (0..arity)
+                .map(|c| Value::text(format!("tail{c}")))
+                .collect(),
+        },
+    ]
+}
+
+/// `view` rebuilt from its raw fields alone, so whatever it prepares is
+/// prepared fresh: a document from its title and body, a table from its
+/// caption and rows.
+fn rebuilt(view: verifai_lake::InstanceRef<'_>) -> DataInstance {
+    use verifai_lake::InstanceRef;
+    match view {
+        InstanceRef::Text(doc) => DataInstance::Text(
+            TextDocument::new(doc.id, doc.title(), doc.body(), doc.source)
+                .with_entities(doc.entities.clone()),
+        ),
+        InstanceRef::Table(table) => {
+            let mut fresh = Table::new(
+                table.id,
+                table.caption(),
+                table.schema.clone(),
+                table.source,
+            );
+            for row in table.rows() {
+                fresh
+                    .push_row(row.clone())
+                    .expect("row matches its own schema");
+            }
+            DataInstance::Table(fresh)
+        }
+        other => other.to_owned(),
+    }
+}
+
+/// Prepared evidence follows the live lake. After histories of document
+/// adds, updates and removals, tables streamed in and out, and tuple
+/// writes: every live document and table holds the prepared form a fresh
+/// build of its raw fields would (normalized text and sentence cuts,
+/// normalized caption); the verifier judges the lake's copies exactly as it
+/// judges rebuilt ones; and the live system's reports — for claims, for
+/// workload cells, and for a cell aimed at the document whose text was
+/// replaced — equal a fresh batch build's.
+#[test]
+fn prepared_evidence_follows_the_live_lake() {
+    use verifai::RequestTrace;
+    use verifai_lake::value::normalize_str;
+    let config = flat_config();
+    for seed in [3u64, 58, 911] {
+        let spec = LakeSpec::tiny(seed % 97);
+        let mut history = script(&spec, seed, 24, &ALL_OPS);
+        let mut scratch = build(&spec).lake;
+        for mutation in &history {
+            verifai::mutate_lake(&mut scratch, mutation.clone()).expect("script op is valid");
+        }
+        let (table, arity) = scratch
+            .tables()
+            .map(|t| (t.id, t.schema.arity()))
+            .next()
+            .expect("a table survives");
+        history.extend(tail_of_every_kind(table, arity));
+        let live = live_system(&spec, &history, config);
+        let reference = batch_reference(&spec, &history, config);
+
+        for doc in live.lake().docs() {
+            let fresh = TextDocument::new(doc.id, doc.title(), doc.body(), doc.source);
+            assert_eq!(
+                doc.normalized(),
+                fresh.normalized(),
+                "seed {seed}: doc {}",
+                doc.id
+            );
+        }
+        for table in live.lake().tables() {
+            assert_eq!(table.normalized_caption(), normalize_str(table.caption()));
+        }
+
+        let mut objects: Vec<DataObject> = completion_workload(reference.generated(), 4, 5)
+            .iter()
+            .map(|t| reference.impute(t))
+            .collect();
+        objects.extend(
+            claim_workload(reference.generated(), 4, ClaimGenConfig::default())
+                .iter()
+                .map(|c| reference.claim_object(c)),
+        );
+        let schema = Schema::new(vec![
+            Column::key("district", DataType::Text),
+            Column::new("incumbent", DataType::Text),
+        ]);
+        for (id, value) in [(900_200, "filer 3"), (900_201, "filer 1")] {
+            objects.push(DataObject::ImputedCell(verifai::ImputedCell {
+                id,
+                tuple: verifai_lake::Tuple {
+                    id: 0,
+                    table: 0,
+                    row_index: 0,
+                    schema: schema.clone(),
+                    values: vec![Value::text("Bulletin 9500"), Value::Null],
+                    source: 0,
+                },
+                column: "incumbent".into(),
+                value: Value::text(value),
+            }));
+        }
+        let mut judged_updated_doc = false;
+        for object in &objects {
+            let want = reference.verify_object(object);
+            assert_eq!(
+                live.verify_object(object),
+                want,
+                "seed {seed}: object {}",
+                object.id()
+            );
+            let (views, timing) = live.discover(object, &mut RequestTrace::disabled());
+            judged_updated_doc |= views.iter().any(|(v, _)| v.id() == InstanceId::Text(9_500));
+            let in_place = live.judge(object, &views, timing, None, &mut RequestTrace::disabled());
+            let copies = views.iter().map(|&(v, s)| (rebuilt(v), s)).collect();
+            assert_eq!(
+                live.verify_with_evidence(object, copies),
+                in_place,
+                "seed {seed}: object {} judged differently against rebuilt evidence",
+                object.id()
+            );
+            assert_eq!(in_place, want);
+        }
+        assert!(
+            judged_updated_doc,
+            "seed {seed}: the replaced document was never judged"
+        );
+    }
+}
+
 /// Per-modality content segment counts of a live system.
 fn content_segments(sys: &VerifAi) -> Vec<usize> {
     let live = sys.live().expect("a built system is live");
@@ -595,8 +765,8 @@ fn added_tuple_refreshes_a_candidate_tables_prepared_features() {
         .lake()
         .table(table)
         .expect("source table")
-        .caption
-        .clone();
+        .caption()
+        .to_string();
     let object = DataObject::TextClaim(TextClaim {
         id: 900_003,
         text: format!("in the {caption}, the quokkaville marsupial census"),
