@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use verifai_claims::{execute, parse_claim};
 use verifai_embed::{TextEmbedder, TokenEmbedder, TupleEmbedder};
-use verifai_index::{FlatIndex, HnswIndex, InvertedIndex, VectorIndex};
+use verifai_index::{FlatIndex, HnswIndex, SegmentedInvertedIndex, VectorIndex};
 use verifai_lake::{DataInstance, InstanceId};
 use verifai_llm::{DataObject, SimLlm, SimLlmConfig, TextClaim};
 use verifai_rerank::colbert::ColbertReranker;
@@ -61,7 +61,7 @@ fn bench_embeddings(c: &mut Criterion) {
 fn bench_indexes(c: &mut Criterion) {
     // 10k synthetic documents.
     let embedder = TextEmbedder::with_seed(2);
-    let mut inverted = InvertedIndex::default();
+    let mut inverted = SegmentedInvertedIndex::default();
     let mut flat = FlatIndex::new();
     let mut hnsw = HnswIndex::with_defaults();
     for i in 0..10_000u64 {
@@ -78,6 +78,8 @@ fn bench_indexes(c: &mut Criterion) {
         flat.add(InstanceId::Text(i), v.clone());
         hnsw.add(InstanceId::Text(i), v);
     }
+    // One sealed segment, as a batch build leaves it.
+    inverted.compact();
     let query = "entity category attribute region 42";
     let qv = embedder.embed(query);
     let mut group = c.benchmark_group("index_10k");

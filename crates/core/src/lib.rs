@@ -71,7 +71,7 @@ pub use live::{
     LiveLakeStats, LiveSemanticSource, MutationError, MutationOutcome, SharedContent,
     SharedSemantic,
 };
-pub use metrics::{paper_correct, recall_at_k, Accuracy, LatencyHistogram};
+pub use metrics::{paper_correct, recall_at_k, Accuracy};
 pub use pipeline::{BuildStats, EvidenceVerdict, VerifAi, VerificationReport};
 pub use stages::{
     JudgeOutcome, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,

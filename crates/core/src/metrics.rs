@@ -1,6 +1,4 @@
-//! Evaluation metrics (paper §4) and serving-side latency aggregation.
-
-use std::time::Duration;
+//! Evaluation metrics (paper §4).
 
 use verifai_lake::InstanceId;
 use verifai_llm::Verdict;
@@ -75,102 +73,6 @@ pub fn paper_correct(expected: Verdict, actual: Verdict, binary_verifier: bool) 
     binary_verifier && expected == Verdict::NotRelated && actual == Verdict::Refuted
 }
 
-// Bucket layout shared with the lock-free `verifai_obs::Histogram`, so
-// snapshots of either histogram are comparable bucket for bucket.
-use verifai_obs::hist::{bucket_of, bucket_upper, BUCKETS as HISTOGRAM_BUCKETS};
-
-/// A fixed-size log-linear latency histogram (HdrHistogram-style, ~12.5%
-/// relative error per bucket) supporting quantile queries and merging.
-/// Values are recorded in whole microseconds.
-#[derive(Clone)]
-pub struct LatencyHistogram {
-    counts: [u64; HISTOGRAM_BUCKETS],
-    total: u64,
-    sum_micros: u64,
-    max_micros: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> LatencyHistogram {
-        LatencyHistogram {
-            counts: [0; HISTOGRAM_BUCKETS],
-            total: 0,
-            sum_micros: 0,
-            max_micros: 0,
-        }
-    }
-}
-
-impl std::fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.total)
-            .field("mean", &self.mean())
-            .field("p50", &self.quantile(0.50))
-            .field("p95", &self.quantile(0.95))
-            .field("p99", &self.quantile(0.99))
-            .finish()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::default()
-    }
-
-    /// Record one latency observation.
-    pub fn record(&mut self, latency: Duration) {
-        let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.counts[bucket_of(micros)] += 1;
-        self.total += 1;
-        self.sum_micros = self.sum_micros.saturating_add(micros);
-        self.max_micros = self.max_micros.max(micros);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean latency (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_micros(self.sum_micros / self.total)
-    }
-
-    /// The latency at quantile `q` in `[0, 1]` (zero when empty). Estimates
-    /// carry the histogram's bucket resolution; the top quantile is exact
-    /// (the recorded maximum).
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Duration::from_micros(bucket_upper(bucket).min(self.max_micros));
-            }
-        }
-        Duration::from_micros(self.max_micros)
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_micros = self.sum_micros.saturating_add(other.sum_micros);
-        self.max_micros = self.max_micros.max(other.max_micros);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,42 +108,6 @@ mod tests {
         assert_eq!(recall_at_k(&retrieved, &relevant, 3), 1.0);
         assert_eq!(recall_at_k(&retrieved, &relevant, 1), 0.0);
         assert_eq!(recall_at_k(&retrieved, &[], 3), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_track_uniform_data() {
-        let mut h = LatencyHistogram::new();
-        for ms in 1..=1000u64 {
-            h.record(Duration::from_millis(ms));
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.50).as_millis() as f64;
-        let p95 = h.quantile(0.95).as_millis() as f64;
-        let p99 = h.quantile(0.99).as_millis() as f64;
-        // Log-linear buckets guarantee ~12.5% relative resolution.
-        assert!((p50 - 500.0).abs() / 500.0 < 0.13, "p50 = {p50}");
-        assert!((p95 - 950.0).abs() / 950.0 < 0.13, "p95 = {p95}");
-        assert!((p99 - 990.0).abs() / 990.0 < 0.13, "p99 = {p99}");
-        assert_eq!(h.quantile(1.0), Duration::from_millis(1000));
-        assert!(h.quantile(0.95) >= h.quantile(0.50));
-    }
-
-    #[test]
-    fn histogram_merge_and_edges() {
-        assert_eq!(LatencyHistogram::new().quantile(0.5), Duration::ZERO);
-        assert_eq!(LatencyHistogram::new().mean(), Duration::ZERO);
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_micros(3));
-        b.record(Duration::from_micros(7));
-        b.record(Duration::from_secs(2));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.quantile(0.01), Duration::from_micros(3));
-        assert_eq!(a.quantile(1.0), Duration::from_secs(2));
-        // Sub-8µs buckets are exact.
-        assert_eq!(a.quantile(0.30), Duration::from_micros(3));
-        assert_eq!(a.quantile(0.60), Duration::from_micros(7));
     }
 
     #[test]

@@ -707,25 +707,7 @@ impl VerifAi {
     /// [`VerifAi::discover`] with the evidence materialized for a caller
     /// that keeps it.
     pub fn discover_evidence(&self, object: &DataObject) -> Vec<(DataInstance, f64)> {
-        self.discover_evidence_timed(object).0
-    }
-
-    /// [`VerifAi::discover_evidence`] plus the discovery-side stage timings.
-    pub fn discover_evidence_timed(
-        &self,
-        object: &DataObject,
-    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
-        self.discover_evidence_traced(object, &mut RequestTrace::disabled())
-    }
-
-    /// [`VerifAi::discover_evidence_timed`] under a request trace.
-    pub fn discover_evidence_traced(
-        &self,
-        object: &DataObject,
-        trace: &mut RequestTrace,
-    ) -> (Vec<(DataInstance, f64)>, StageTiming) {
-        let (views, timing) = self.discover(object, trace);
-        (materialize(views), timing)
+        materialize(self.discover(object, &mut RequestTrace::disabled()).0)
     }
 
     /// Run discovery for a batch of same-kind objects at once, amortizing
@@ -784,17 +766,7 @@ impl VerifAi {
         &self,
         objects: &[&DataObject],
     ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
-        self.discover_evidence_batch_ctx(objects, &[])
-    }
-
-    /// [`VerifAi::discover_batch`] with the evidence materialized for a
-    /// caller that keeps it.
-    pub fn discover_evidence_batch_ctx(
-        &self,
-        objects: &[&DataObject],
-        ctxs: &[SpanContext],
-    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
-        self.discover_batch(objects, ctxs)
+        self.discover_batch(objects, &[])
             .into_iter()
             .map(|(views, timing)| (materialize(views), timing))
             .collect()
@@ -853,33 +825,14 @@ impl VerifAi {
         object: &DataObject,
         evidence: Vec<(DataInstance, f64)>,
     ) -> VerificationReport {
-        self.verify_with_evidence_until(object, evidence, None)
-    }
-
-    /// Deadline-bounded verification: evidence pairs are judged until
-    /// `deadline` passes, after which the report is partial — it carries the
-    /// verdicts produced so far with decision [`Verdict::Unknown`] and zero
-    /// confidence. With `deadline: None` this is total and byte-identical to
-    /// [`VerifAi::verify_with_evidence`].
-    pub fn verify_with_evidence_until(
-        &self,
-        object: &DataObject,
-        evidence: Vec<(DataInstance, f64)>,
-        deadline: Option<std::time::Instant>,
-    ) -> VerificationReport {
-        self.verify_with_evidence_traced(object, evidence, deadline, &mut RequestTrace::disabled())
-    }
-
-    /// [`VerifAi::verify_with_evidence_until`] under a request trace.
-    pub fn verify_with_evidence_traced(
-        &self,
-        object: &DataObject,
-        evidence: Vec<(DataInstance, f64)>,
-        deadline: Option<std::time::Instant>,
-        trace: &mut RequestTrace,
-    ) -> VerificationReport {
         let timing = StageTiming::for_cached(evidence.len());
-        self.judge(object, &views_of(&evidence), timing, deadline, trace)
+        self.judge(
+            object,
+            &views_of(&evidence),
+            timing,
+            None,
+            &mut RequestTrace::disabled(),
+        )
     }
 
     /// The shared tail of every verification path: run the verify stage
@@ -889,8 +842,9 @@ impl VerifAi {
     /// ([`StageTiming::for_cached`] for evidence that skipped it); the
     /// report carries it with the verify stage's wall time filled in.
     /// Evidence pairs are judged until `deadline` passes, after which the
-    /// report is partial, as [`VerifAi::verify_with_evidence_until`]
-    /// describes.
+    /// report is partial — it carries the verdicts produced so far with
+    /// decision [`Verdict::Unknown`] and zero confidence. With `deadline:
+    /// None` the judgement is total.
     pub fn judge(
         &self,
         object: &DataObject,
@@ -1052,7 +1006,7 @@ mod tests {
         let batch = sys.discover_evidence_batch(&refs);
         assert_eq!(batch.len(), objects.len());
         for (object, (evidence, timing)) in objects.iter().zip(&batch) {
-            let (want, want_timing) = sys.discover_evidence_timed(object);
+            let (want, want_timing) = sys.discover(object, &mut RequestTrace::disabled());
             let got: Vec<(InstanceId, f64)> = evidence.iter().map(|(i, s)| (i.id(), *s)).collect();
             let want: Vec<(InstanceId, f64)> = want.iter().map(|(i, s)| (i.id(), *s)).collect();
             assert_eq!(got, want);

@@ -1,8 +1,12 @@
-//! The content-based index: a tokenizing inverted index with BM25 ranking.
+//! The content index's building block: a segment of tokenized documents
+//! ranked by BM25, and the one scoring kernel every search runs.
 //!
 //! This is the Elasticsearch substitute. Documents (serialized instances) are
 //! analyzed into terms; postings record per-document term frequencies; queries
-//! are analyzed with the *same* analyzer and scored with Okapi BM25.
+//! are analyzed with the *same* analyzer and scored with Okapi BM25. A
+//! segment is append-only and private to this crate: the one content index
+//! is [`crate::SegmentedInvertedIndex`], which keeps a memtable and sealed
+//! segments and scores all of them in one pass.
 
 use crate::hit::SearchHit;
 use crate::persist::{self, PersistError, SnapshotKind};
@@ -12,7 +16,6 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
 use verifai_text::{Analyzer, AnalyzerConfig};
@@ -20,15 +23,17 @@ use verifai_text::{Analyzer, AnalyzerConfig};
 /// Corpus-wide statistics BM25 scoring depends on: document count, total
 /// analyzed length, and per-term document frequencies.
 ///
-/// A single index computes these from its own postings. A *sharded* corpus
-/// cannot — each shard sees only its partition, and shard-local idf /
-/// average-length would score the same document differently depending on
-/// which shard it landed on. Shard builders therefore [`merge`] the stats
-/// of every partition and hand the global totals back to each shard via
-/// [`InvertedIndex::set_shared_stats`], making per-shard scores exactly
-/// equal to a single whole-corpus index.
+/// An index keeps these for its own live documents. A *sharded* corpus
+/// cannot score from them — each shard sees only its partition, and
+/// shard-local idf / average-length would score the same document
+/// differently depending on which shard it landed on. Shard builders
+/// therefore [`merge`] the stats of every partition and hand the global
+/// totals back to each shard via
+/// [`SegmentedInvertedIndex::set_shared_stats`], making per-shard scores
+/// exactly equal to a single whole-corpus index.
 ///
 /// [`merge`]: CorpusStats::merge
+/// [`SegmentedInvertedIndex::set_shared_stats`]: crate::SegmentedInvertedIndex::set_shared_stats
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorpusStats {
     /// Number of indexed documents.
@@ -73,9 +78,13 @@ struct Posting {
     tf: u32,
 }
 
-/// Inverted index over serialized data instances.
+/// One segment of a [`crate::SegmentedInvertedIndex`]: an append-only
+/// inverted index over serialized data instances. Every postings list is
+/// strictly ascending by ordinal and every ordinal is a stored document —
+/// scoring and merging index `lengths`, `ids` and remap tables by it, so
+/// the reader checks both.
 #[derive(Debug)]
-pub struct InvertedIndex {
+pub(crate) struct Segment {
     analyzer: Analyzer,
     params: Bm25Params,
     postings: HashMap<String, Vec<Posting>>,
@@ -84,10 +93,6 @@ pub struct InvertedIndex {
     /// doc ordinal -> analyzed length.
     lengths: Vec<u32>,
     total_len: u64,
-    /// Global corpus statistics overriding the local ones during scoring.
-    /// `None` (the default, and what snapshots reload to) means this index
-    /// IS the whole corpus. Set by shard builders after a cross-shard merge.
-    shared_stats: Option<Arc<CorpusStats>>,
 }
 
 /// Tombstoned ordinals of one segment: a bitset and its population count.
@@ -194,7 +199,7 @@ thread_local! {
 pub(crate) fn search_segments<'a>(
     query: Option<PreparedQuery>,
     k: usize,
-    segments: impl IntoIterator<Item = (&'a InvertedIndex, &'a Tombstones)>,
+    segments: impl IntoIterator<Item = (&'a Segment, &'a Tombstones)>,
 ) -> Vec<SearchHit> {
     let Some(query) = query.filter(|_| k > 0) else {
         return Vec::new();
@@ -249,70 +254,31 @@ impl Ord for HeapEntry {
     }
 }
 
-impl Default for InvertedIndex {
-    fn default() -> Self {
-        InvertedIndex::new(Analyzer::standard(), Bm25Params::default())
-    }
-}
-
-impl InvertedIndex {
-    /// Index with the given analyzer and BM25 parameters.
-    pub fn new(analyzer: Analyzer, params: Bm25Params) -> InvertedIndex {
-        InvertedIndex {
+impl Segment {
+    /// Empty segment with the given analyzer and BM25 parameters.
+    pub(crate) fn new(analyzer: Analyzer, params: Bm25Params) -> Segment {
+        Segment {
             analyzer,
             params,
             postings: HashMap::new(),
             ids: Vec::new(),
             lengths: Vec::new(),
             total_len: 0,
-            shared_stats: None,
         }
     }
 
-    /// This index's own corpus statistics, for cross-shard merging.
-    pub fn corpus_stats(&self) -> CorpusStats {
-        CorpusStats {
-            docs: self.ids.len() as u64,
-            total_len: self.total_len,
-            doc_freqs: self
-                .postings
-                .iter()
-                .map(|(term, postings)| (term.clone(), postings.len() as u64))
-                .collect(),
-        }
-    }
-
-    /// Score against corpus-wide statistics instead of this index's own.
-    ///
-    /// With the merged stats of every shard installed, a shard-local index
-    /// scores each of its documents identically to a single index over the
-    /// whole corpus — the invariant sharded scatter/gather relies on.
-    pub fn set_shared_stats(&mut self, stats: Arc<CorpusStats>) {
-        self.shared_stats = Some(stats);
-    }
-
-    /// Number of indexed documents.
-    pub fn len(&self) -> usize {
+    /// Number of stored documents, tombstoned or not.
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// True when nothing has been indexed.
-    pub fn is_empty(&self) -> bool {
+    /// True when nothing has been stored.
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
-    /// Number of distinct terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Add a document. Returns its internal ordinal.
-    pub fn add(&mut self, id: InstanceId, text: &str) -> u32 {
-        self.add_analyzed(id, self.analyzer.term_frequencies(text))
-    }
-
     /// Add a document already analyzed into term frequencies (by this
-    /// index's analyzer). Returns its internal ordinal.
+    /// segment's analyzer). Returns its internal ordinal.
     pub(crate) fn add_analyzed(&mut self, id: InstanceId, tf: HashMap<String, u32>) -> u32 {
         let doc = self.ids.len() as u32;
         self.ids.push(id);
@@ -334,23 +300,6 @@ impl InvertedIndex {
         doc
     }
 
-    /// Search the index, returning the top-k hits by BM25 score — against
-    /// the shared (merged) corpus statistics when installed, this index's
-    /// own otherwise.
-    pub fn search(&self, query: &str, k: usize) -> Vec<SearchHit> {
-        let shared = self.shared_stats.as_deref().filter(|s| s.docs > 0);
-        let (docs, total_len) = shared.map_or((self.ids.len() as u64, self.total_len), |s| {
-            (s.docs, s.total_len)
-        });
-        let df_of = |term: &str| {
-            shared
-                .and_then(|s| s.doc_freqs.get(term).copied())
-                .unwrap_or_else(|| self.postings.get(term).map_or(0, |p| p.len() as u64))
-        };
-        let query = PreparedQuery::new(&self.analyzer, query, docs, total_len, df_of);
-        search_segments(query, k, [(self, &Tombstones::default())])
-    }
-
     /// BM25 length normalization of a document of `dl` analyzed terms. The
     /// one expression every `denom` is built from, table or not, so a score
     /// has the same bits however its norm was obtained.
@@ -365,8 +314,8 @@ impl InvertedIndex {
     /// postings visited — every posting of every query term present here,
     /// scored or not. A document's score is the sum of its term
     /// contributions in sorted term order from `0.0`, against the
-    /// statistics baked into `query` — bit-identical to one monolithic
-    /// index over the surviving corpus, whatever the segment layout.
+    /// statistics baked into `query` — bit-identical to one segment holding
+    /// the whole surviving corpus, whatever the segment layout.
     fn score_into(
         &self,
         query: &PreparedQuery,
@@ -425,8 +374,11 @@ impl InvertedIndex {
         visited
     }
 
-    /// Serialize the index into a versioned binary snapshot.
-    pub fn to_bytes(&self) -> Bytes {
+    /// Serialize the segment into a snapshot blob of kind
+    /// [`SnapshotKind::Inverted`]: analyzer and BM25 parameters, the
+    /// documents' ids and lengths in ordinal order, then every postings
+    /// list in sorted term order.
+    pub(crate) fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64 + self.ids.len() * 16);
         persist::put_header(&mut buf, SnapshotKind::Inverted, 0);
         let cfg = self.analyzer.config();
@@ -441,7 +393,6 @@ impl InvertedIndex {
             persist::put_instance_id(&mut buf, *id);
             buf.put_u32_le(len);
         }
-        // Postings in sorted term order for deterministic snapshots.
         let mut terms: Vec<&String> = self.postings.keys().collect();
         terms.sort_unstable();
         buf.put_u32_le(terms.len() as u32);
@@ -457,36 +408,51 @@ impl InvertedIndex {
         buf.freeze()
     }
 
-    /// Reconstruct an index from a snapshot produced by [`Self::to_bytes`].
-    pub fn from_bytes(mut buf: Bytes) -> Result<InvertedIndex, PersistError> {
-        persist::check_header(&mut buf, SnapshotKind::Inverted)?;
+    /// Reconstruct a segment from a blob produced by [`Self::to_bytes`].
+    /// Every count is bounded by the bytes left before anything is sized
+    /// from it, and a posting whose ordinal is not a stored document or
+    /// does not follow its list's previous one is
+    /// [`PersistError::Corrupt`].
+    pub(crate) fn from_bytes(mut buf: Bytes) -> Result<Segment, PersistError> {
+        persist::check_header(&mut buf, SnapshotKind::Inverted, 0)?;
         let lowercase = persist::get_u8(&mut buf)? != 0;
         let remove_stopwords = persist::get_u8(&mut buf)? != 0;
         let stem = persist::get_u8(&mut buf)? != 0;
         let k1 = persist::get_f64(&mut buf)?;
         let b = persist::get_f64(&mut buf)?;
         let total_len = persist::get_u64(&mut buf)?;
-        let n_docs = persist::get_u32(&mut buf)? as usize;
+        // A document is its 9-byte id and its length.
+        let n_docs = persist::get_count(&mut buf, 13)?;
         let mut ids = Vec::with_capacity(n_docs);
         let mut lengths = Vec::with_capacity(n_docs);
         for _ in 0..n_docs {
             ids.push(persist::get_instance_id(&mut buf)?);
             lengths.push(persist::get_u32(&mut buf)?);
         }
-        let n_terms = persist::get_u32(&mut buf)? as usize;
+        // A term is at least its string length and its postings count.
+        let n_terms = persist::get_count(&mut buf, 8)?;
         let mut postings = HashMap::with_capacity(n_terms);
         for _ in 0..n_terms {
             let term = persist::get_str(&mut buf)?;
-            let n = persist::get_u32(&mut buf)? as usize;
+            let n = persist::get_count(&mut buf, 8)?;
             let mut list = Vec::with_capacity(n);
+            // The least ordinal the next posting may hold.
+            let mut next = 0usize;
             for _ in 0..n {
                 let doc = persist::get_u32(&mut buf)?;
                 let tf = persist::get_u32(&mut buf)?;
+                if (doc as usize) < next || doc as usize >= n_docs {
+                    return Err(PersistError::Corrupt(
+                        "posting ordinal out of order or past the document count",
+                    ));
+                }
+                next = doc as usize + 1;
                 list.push(Posting { doc, tf });
             }
             postings.insert(term, list);
         }
-        Ok(InvertedIndex {
+        persist::finish(&buf)?;
+        Ok(Segment {
             analyzer: Analyzer::new(AnalyzerConfig {
                 lowercase,
                 remove_stopwords,
@@ -497,52 +463,39 @@ impl InvertedIndex {
             ids,
             lengths,
             total_len,
-            // Shared stats are runtime wiring, not part of the snapshot; a
-            // reloaded shard gets them re-installed by its builder.
-            shared_stats: None,
         })
     }
 
-    /// Document frequency of an (analyzed) term — exposed for diagnostics.
-    pub fn doc_frequency(&self, term: &str) -> usize {
-        let analyzed = self.analyzer.analyze(term);
-        analyzed
-            .first()
-            .and_then(|t| self.postings.get(t))
-            .map(|p| p.len())
-            .unwrap_or(0)
-    }
-
     /// The external ids in internal-ordinal order.
-    pub fn doc_ids(&self) -> &[InstanceId] {
+    pub(crate) fn doc_ids(&self) -> &[InstanceId] {
         &self.ids
     }
 
-    /// The analyzer this index tokenizes with.
-    pub fn analyzer(&self) -> Analyzer {
+    /// The analyzer this segment tokenizes with.
+    pub(crate) fn analyzer(&self) -> Analyzer {
         self.analyzer
     }
 
-    /// The BM25 parameters this index scores with.
-    pub fn params(&self) -> Bm25Params {
+    /// The BM25 parameters this segment scores with.
+    pub(crate) fn params(&self) -> Bm25Params {
         self.params
     }
 
-    /// Merge segments into one compacted index, dropping each segment's
+    /// Merge segments into one compacted segment, dropping each segment's
     /// dead ordinals.
     ///
     /// Surviving documents are renumbered in `(segment, ordinal)` order, so
-    /// the result is exactly the index a fresh sequential build over the
+    /// the result is exactly the segment a fresh sequential build over the
     /// surviving documents (in that order) would produce: posting lists stay
     /// sorted by document ordinal, per-document term frequencies and lengths
     /// are carried over verbatim, and no re-analysis happens. The merge is
     /// pure posting-list surgery — O(total postings), not O(total text).
-    pub(crate) fn merge_compact(parts: &[(&InvertedIndex, &Tombstones)]) -> InvertedIndex {
+    pub(crate) fn merge_compact(parts: &[(&Segment, &Tombstones)]) -> Segment {
         let (analyzer, params) = parts
             .first()
             .map(|(seg, _)| (seg.analyzer, seg.params))
             .unwrap_or_else(|| (Analyzer::standard(), Bm25Params::default()));
-        let mut merged = InvertedIndex::new(analyzer, params);
+        let mut merged = Segment::new(analyzer, params);
         // Per-segment remap: old ordinal -> new ordinal (dead -> None).
         let mut remaps: Vec<Vec<Option<u32>>> = Vec::with_capacity(parts.len());
         for (seg, dead) in parts {
@@ -641,30 +594,44 @@ pub(crate) fn oracle_search(
 mod tests {
     use super::*;
     use crate::hit::sort_hits;
+    use crate::SegmentedInvertedIndex;
+    use std::sync::Arc;
 
     fn tid(i: u64) -> InstanceId {
         InstanceId::Text(i)
     }
 
-    fn small_index() -> InvertedIndex {
-        let mut idx = InvertedIndex::default();
-        idx.add(
-            tid(0),
-            "Meagan Good is an American actress born in Panorama City",
-        );
-        idx.add(
-            tid(1),
-            "Stomp the Yard is a 2007 dance drama film starring Columbus Short",
-        );
-        idx.add(
-            tid(2),
-            "Michael Jordan played basketball for the Chicago Bulls",
-        );
-        idx.add(
-            tid(3),
-            "The 1959 NCAA track and field championships were held in June",
-        );
+    const TEXTS: [&str; 4] = [
+        "Meagan Good is an American actress born in Panorama City",
+        "Stomp the Yard is a 2007 dance drama film starring Columbus Short",
+        "Michael Jordan played basketball for the Chicago Bulls",
+        "The 1959 NCAA track and field championships were held in June",
+    ];
+
+    fn small_index() -> SegmentedInvertedIndex {
+        let mut idx = SegmentedInvertedIndex::default();
+        for (i, text) in TEXTS.iter().enumerate() {
+            idx.add(tid(i as u64), text);
+        }
         idx
+    }
+
+    /// A segment holding `texts`, each under its position as id.
+    fn segment_of(texts: &[&str]) -> Segment {
+        let analyzer = Analyzer::standard();
+        let mut seg = Segment::new(analyzer, Bm25Params::default());
+        for (i, text) in texts.iter().enumerate() {
+            seg.add_analyzed(tid(i as u64), analyzer.term_frequencies(text));
+        }
+        seg
+    }
+
+    /// Top-`k` of one segment scored against its own statistics.
+    fn search(seg: &Segment, query: &str, k: usize) -> Vec<SearchHit> {
+        let df_of = |term: &str| seg.postings.get(term).map_or(0, |p| p.len() as u64);
+        let query =
+            PreparedQuery::new(&seg.analyzer, query, seg.len() as u64, seg.total_len, df_of);
+        search_segments(query, k, [(seg, &Tombstones::default())])
     }
 
     #[test]
@@ -685,7 +652,7 @@ mod tests {
 
     #[test]
     fn empty_index_and_query() {
-        let idx = InvertedIndex::default();
+        let idx = SegmentedInvertedIndex::default();
         assert!(idx.search("anything", 5).is_empty());
         let idx = small_index();
         assert!(idx.search("", 5).is_empty());
@@ -693,7 +660,7 @@ mod tests {
 
     #[test]
     fn idf_downweights_common_terms() {
-        let mut idx = InvertedIndex::default();
+        let mut idx = SegmentedInvertedIndex::default();
         for i in 0..20 {
             idx.add(tid(i), "common filler text");
         }
@@ -720,7 +687,7 @@ mod tests {
 
     #[test]
     fn length_normalization_prefers_concise_docs() {
-        let mut idx = InvertedIndex::default();
+        let mut idx = SegmentedInvertedIndex::default();
         idx.add(tid(0), "jordan");
         idx.add(
             tid(1),
@@ -740,39 +707,83 @@ mod tests {
 
     #[test]
     fn doc_frequency_reports_analyzed_terms() {
-        let idx = small_index();
-        assert_eq!(idx.doc_frequency("basketball"), 1);
-        assert_eq!(idx.doc_frequency("zebra"), 0);
+        // Statistics are keyed by analyzed terms: "basketball" is counted
+        // under its stem, and a term no document holds is absent.
+        let stats = small_index().corpus_stats();
+        let stem = |word: &str| Analyzer::standard().analyze(word).remove(0);
+        assert_eq!(stats.doc_freqs.get(&stem("basketball")), Some(&1));
+        assert_eq!(stats.doc_freqs.get(&stem("zebra")), None);
     }
 
     #[test]
     fn snapshot_roundtrip_preserves_rankings() {
-        let idx = small_index();
-        let restored = InvertedIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert_eq!(restored.len(), idx.len());
-        assert_eq!(restored.vocabulary_size(), idx.vocabulary_size());
+        let seg = segment_of(&TEXTS);
+        let restored = Segment::from_bytes(seg.to_bytes()).unwrap();
+        assert_eq!(restored.doc_ids(), seg.doc_ids());
         for q in [
             "Meagan Good actress",
             "basketball career",
             "championship 1959",
         ] {
-            assert_eq!(restored.search(q, 4), idx.search(q, 4), "query {q}");
+            assert_eq!(search(&restored, q, 4), search(&seg, q, 4), "query {q}");
         }
         // Snapshots are deterministic.
-        assert_eq!(idx.to_bytes(), restored.to_bytes());
+        assert_eq!(seg.to_bytes(), restored.to_bytes());
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
-        use crate::persist::PersistError;
         assert!(matches!(
-            InvertedIndex::from_bytes(bytes::Bytes::from_static(b"garbage")),
+            Segment::from_bytes(Bytes::from_static(b"garbage")),
             Err(PersistError::BadMagic | PersistError::Truncated)
         ));
         // Truncated valid snapshot.
-        let full = small_index().to_bytes();
+        let full = segment_of(&TEXTS).to_bytes();
         let cut = full.slice(0..full.len() / 2);
-        assert!(InvertedIndex::from_bytes(cut).is_err());
+        assert!(Segment::from_bytes(cut).is_err());
+    }
+
+    #[test]
+    fn corrupt_postings_and_counts_are_errors_not_panics() {
+        // Terms in sorted order: "aardvark" (ordinals 0, 1), "yak", "zebra".
+        let good = segment_of(&["aardvark zebra", "aardvark yak"])
+            .to_bytes()
+            .to_vec();
+        // Past the header and fixed fields (34 bytes), the document count
+        // and two 13-byte documents, the term count, then "aardvark": its
+        // length, its 8 bytes, its postings count, its postings.
+        let n_docs_at = 34;
+        let n_terms_at = n_docs_at + 4 + 2 * 13;
+        let postings_at = n_terms_at + 4 + 4 + 8 + 4;
+        let corrupt = |at: usize, word: u32| {
+            let mut raw = good.clone();
+            raw[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            Segment::from_bytes(Bytes::from(raw)).map(|_| ())
+        };
+        assert_eq!(
+            corrupt(postings_at, 0),
+            Ok(()),
+            "offsets must hit a posting"
+        );
+        // An ordinal past the document count: scoring would index past
+        // `lengths`, merging past its remap table.
+        assert!(matches!(
+            corrupt(postings_at, 2),
+            Err(PersistError::Corrupt(_))
+        ));
+        // The second posting repeating the first.
+        assert!(matches!(
+            corrupt(postings_at + 8, 0),
+            Err(PersistError::Corrupt(_))
+        ));
+        // Document, term and postings counts no buffer could hold.
+        for at in [n_docs_at, n_terms_at, postings_at - 4] {
+            assert_eq!(
+                corrupt(at, u32::MAX),
+                Err(PersistError::Truncated),
+                "at {at}"
+            );
+        }
     }
 
     #[test]
@@ -781,15 +792,9 @@ mod tests {
         // installed, each shard scores its documents exactly as the
         // whole-corpus index does.
         let global = small_index();
-        let texts = [
-            "Meagan Good is an American actress born in Panorama City",
-            "Stomp the Yard is a 2007 dance drama film starring Columbus Short",
-            "Michael Jordan played basketball for the Chicago Bulls",
-            "The 1959 NCAA track and field championships were held in June",
-        ];
-        let mut shard_a = InvertedIndex::default();
-        let mut shard_b = InvertedIndex::default();
-        for (i, text) in texts.iter().enumerate() {
+        let mut shard_a = SegmentedInvertedIndex::default();
+        let mut shard_b = SegmentedInvertedIndex::default();
+        for (i, text) in TEXTS.iter().enumerate() {
             let shard = if i % 2 == 0 {
                 &mut shard_a
             } else {
@@ -815,7 +820,7 @@ mod tests {
     fn tied_scores_keep_smallest_ids_at_k_boundary() {
         // Identical documents tie exactly; the k survivors must be the
         // smallest ids (sort_hits' total order), not heap-insertion order.
-        let mut idx = InvertedIndex::default();
+        let mut idx = SegmentedInvertedIndex::default();
         for i in 0..10 {
             idx.add(tid(i), "identical zebra document");
         }
@@ -827,7 +832,7 @@ mod tests {
     #[test]
     fn vocabulary_grows() {
         let idx = small_index();
-        assert!(idx.vocabulary_size() > 10);
+        assert!(idx.corpus_stats().doc_freqs.len() > 10);
         assert_eq!(idx.len(), 4);
         assert!(!idx.is_empty());
     }
@@ -835,15 +840,16 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use super::*;
+    use crate::SegmentedInvertedIndex;
     use proptest::prelude::*;
+    use verifai_lake::InstanceId;
 
     proptest! {
         /// Top-k results are always sorted by descending score.
         #[test]
         fn results_sorted(docs in proptest::collection::vec("[a-z ]{5,40}", 1..20),
                           query in "[a-z ]{1,20}", k in 1usize..10) {
-            let mut idx = InvertedIndex::default();
+            let mut idx = SegmentedInvertedIndex::default();
             for (i, d) in docs.iter().enumerate() {
                 idx.add(InstanceId::Text(i as u64), d);
             }
@@ -857,7 +863,7 @@ mod prop_tests {
         /// A document is always retrievable by its own (non-stopword) content.
         #[test]
         fn self_retrieval(content in "[b-df-hj-np-tv-xz]{4,10} [b-df-hj-np-tv-xz]{4,10}") {
-            let mut idx = InvertedIndex::default();
+            let mut idx = SegmentedInvertedIndex::default();
             idx.add(InstanceId::Text(0), &content);
             idx.add(InstanceId::Text(1), "completely different words here");
             let hits = idx.search(&content, 1);

@@ -6,10 +6,11 @@
 //! The Indexer is *task-agnostic* and supports both **content-based** and
 //! **semantic-based** search:
 //!
-//! * [`content::InvertedIndex`] — a tokenizing inverted index with BM25 ranking,
-//!   the Elasticsearch substitute;
-//! * [`trie::TrieIndex`] — prefix/exact lookup over serialized strings (the
-//!   paper mentions tries/suffix structures as alternative content indexes);
+//! * [`segment::SegmentedInvertedIndex`] — the one content index: a
+//!   tokenizing inverted index with BM25 ranking (the Elasticsearch
+//!   substitute), live-mutable through a memtable, sealed segments and
+//!   tombstones. The paper also names tries and suffix trees as content
+//!   indexes; none is built;
 //! * [`vector::FlatIndex`] — exact nearest-neighbour search over embeddings;
 //! * [`vector::HnswIndex`] — approximate nearest-neighbour search (the
 //!   Faiss/pgvector substitute);
@@ -20,6 +21,10 @@
 //!   staged pipeline drives, implemented by the content and semantic indexes
 //!   and by [`source::FusedSource`] (several sources behind one Combiner).
 //!
+//! Each index has one snapshot writer and one reader ([`persist`]), at one
+//! format version; an older snapshot is rejected with
+//! [`PersistError::BadVersion`].
+//!
 //! All indexes key their entries by [`verifai_lake::InstanceId`], so results from
 //! different modalities and index types can be combined freely.
 
@@ -29,16 +34,14 @@ pub mod hit;
 pub mod persist;
 pub mod segment;
 pub mod source;
-pub mod trie;
 pub mod vector;
 
 pub use combiner::{Combiner, FusionStrategy};
-pub use content::{Bm25Params, CorpusStats, InvertedIndex};
+pub use content::{Bm25Params, CorpusStats};
 pub use hit::SearchHit;
 pub use persist::{save_atomic, PersistError};
 pub use segment::SegmentedInvertedIndex;
 pub use source::{EvidenceSource, FusedSource, SourceQuery};
-pub use trie::TrieIndex;
 pub use vector::{
     AnyVectorIndex, FlatIndex, HnswConfig, HnswIndex, VectorIndex, DEFAULT_RESCORE_FACTOR,
 };

@@ -1,10 +1,17 @@
 //! Binary persistence of indexes.
 //!
 //! Rebuilding the content and semantic indexes dominates system start-up at
-//! lake scale (minutes at the paper's corpus size), so both support a compact
-//! binary snapshot: build once, [`crate::InvertedIndex::to_bytes`] /
-//! [`crate::HnswIndex::to_bytes`], and reload in milliseconds. The format is a
-//! versioned little-endian encoding with no external schema.
+//! lake scale (minutes at the paper's corpus size), so each index —
+//! [`crate::SegmentedInvertedIndex`], [`crate::FlatIndex`] and
+//! [`crate::HnswIndex`] — has one `to_bytes` and one `from_bytes`: build
+//! once, reload in milliseconds. The format is a little-endian encoding with
+//! no external schema, at one version, [`VERSION`]. A reader accepts exactly
+//! that version and exactly the flags byte its own writer writes, so an
+//! older snapshot is [`PersistError::BadVersion`], never migrated. Readers
+//! bound every count by the bytes left before sizing anything from it, check
+//! every ordinal against what it indexes, and reject bytes left over after
+//! the body: a corrupt snapshot is a typed error, never a panic — at load or
+//! at the first search.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -12,48 +19,26 @@ use verifai_lake::InstanceId;
 
 /// Magic prefix of every snapshot.
 pub const MAGIC: &[u8; 4] = b"VFAI";
-/// Current format version.
-///
-/// * Version 1 — no flags byte; vector payloads eagerly decoded.
-/// * Version 2 — appends a flags byte to the header.
-/// * Version 3 — the live-lake format: every snapshot carries a `u64`
-///   generation immediately after the header; vector indexes carry
-///   per-entry tombstone bytes and store their vector payload as one
-///   contiguous `f32` slab (decoded in bulk straight into the index's row
-///   chunks); HNSW additionally persists its edge distances.
-///
-/// * Version 4 — flat vector snapshots append the int8 quantization
-///   sidecar (per-vector scales + the contiguous code array) behind
-///   [`FLAG_QUANT_CODES`], so a reload serves the quantized two-phase
-///   scan without a re-encode pass.
-///
-/// Version 1 through 3 snapshots are still decoded (migrated on load);
-/// pre-3 generations are 0 and carry no tombstones, and pre-4 flat
-/// snapshots re-quantize their vectors on load (quantization is a pure
-/// function of the floats, so the rebuilt codes are bit-identical to
-/// what an eager v4 writer would have produced).
+/// The snapshot format version, and the only one a reader accepts.
 pub const VERSION: u8 = 4;
 /// Header flag: every stored vector is unit-normalized, so similarity is a
-/// single fused dot. Vector snapshots without this flag are migrated by
-/// normalizing on load — never silently mis-scored.
+/// single fused dot. The vector readers check every row against it.
 pub const FLAG_UNIT_NORM: u8 = 1;
 /// Header flag: the flat snapshot body carries the int8 quantization
-/// sidecar (scales + codes) after the f32 slab. Snapshots without it are
-/// migrated by re-quantizing on load.
+/// sidecar (scales + codes) after the f32 slab.
 pub const FLAG_QUANT_CODES: u8 = 2;
-/// All flag bits any decoder understands; unknown bits are a typed error.
-const KNOWN_FLAGS: u8 = FLAG_UNIT_NORM | FLAG_QUANT_CODES;
 
 /// Snapshot kind tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// An [`crate::InvertedIndex`].
+    /// One segment of a [`crate::SegmentedInvertedIndex`], nested in that
+    /// index's snapshot.
     Inverted = 1,
     /// A [`crate::FlatIndex`].
     Flat = 2,
     /// An [`crate::HnswIndex`].
     Hnsw = 3,
-    /// A [`crate::SegmentedInvertedIndex`] (v3+ only).
+    /// A [`crate::SegmentedInvertedIndex`].
     Segmented = 4,
 }
 
@@ -64,7 +49,7 @@ pub enum PersistError {
     Truncated,
     /// The magic prefix is missing.
     BadMagic,
-    /// The version byte is unknown.
+    /// The version byte is not [`VERSION`].
     BadVersion(u8),
     /// The kind tag does not match the requested index type.
     BadKind {
@@ -77,8 +62,10 @@ pub enum PersistError {
     BadUtf8,
     /// An enum tag is out of range.
     BadTag(u8),
-    /// The header carries flag bits this decoder does not understand.
+    /// The header's flags byte is not the one this kind's writer writes.
     BadFlags(u8),
+    /// The body breaks an invariant its writer guarantees.
+    Corrupt(&'static str),
 }
 
 impl fmt::Display for PersistError {
@@ -93,39 +80,31 @@ impl fmt::Display for PersistError {
             PersistError::BadUtf8 => write!(f, "snapshot contains invalid UTF-8"),
             PersistError::BadTag(t) => write!(f, "snapshot contains invalid tag {t}"),
             PersistError::BadFlags(bits) => {
-                write!(f, "snapshot carries unknown header flags {bits:#04x}")
+                write!(f, "snapshot carries unexpected header flags {bits:#04x}")
             }
+            PersistError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
     }
 }
 
 impl std::error::Error for PersistError {}
 
-/// Write the current-version snapshot header: magic, version, kind, flags.
+/// Write the snapshot header: magic, version, kind, flags.
 pub(crate) fn put_header(buf: &mut BytesMut, kind: SnapshotKind, flags: u8) {
-    put_header_versioned(buf, kind, flags, VERSION);
-}
-
-/// Write a snapshot header at an explicit `version` — the legacy encoders
-/// (`to_bytes_v2`) use this to produce migration-test and cold-load-bench
-/// fixtures in the older wire formats.
-pub(crate) fn put_header_versioned(buf: &mut BytesMut, kind: SnapshotKind, flags: u8, version: u8) {
     buf.put_slice(MAGIC);
-    buf.put_u8(version);
+    buf.put_u8(VERSION);
     buf.put_u8(kind as u8);
-    if version >= 2 {
-        buf.put_u8(flags);
-    }
+    buf.put_u8(flags);
 }
 
-/// Check and consume the snapshot header, returning `(version, flags)`.
-///
-/// Accepts versions 1 through [`VERSION`]. Version-1 (pre-flags) headers
-/// decode with flags `0`, so vector decoders see the unit-norm invariant as
-/// *not* guaranteed and migrate by normalizing. Unknown flag bits are
-/// rejected outright; decoders branch on the returned version to pick the
-/// body format.
-pub(crate) fn check_header(buf: &mut Bytes, kind: SnapshotKind) -> Result<(u8, u8), PersistError> {
+/// Check and consume the snapshot header: the magic, exactly [`VERSION`],
+/// `kind`, and exactly `flags` — the byte the kind's writer writes, so a
+/// flag missing or a flag added is [`PersistError::BadFlags`].
+pub(crate) fn check_header(
+    buf: &mut Bytes,
+    kind: SnapshotKind,
+    flags: u8,
+) -> Result<(), PersistError> {
     if buf.remaining() < 6 {
         return Err(PersistError::Truncated);
     }
@@ -135,7 +114,7 @@ pub(crate) fn check_header(buf: &mut Bytes, kind: SnapshotKind) -> Result<(u8, u
         return Err(PersistError::BadMagic);
     }
     let version = buf.get_u8();
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(PersistError::BadVersion(version));
     }
     let got = buf.get_u8();
@@ -145,16 +124,24 @@ pub(crate) fn check_header(buf: &mut Bytes, kind: SnapshotKind) -> Result<(u8, u
             got,
         });
     }
-    let flags = if version >= 2 { get_u8(buf)? } else { 0 };
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(PersistError::BadFlags(flags));
+    match get_u8(buf)? {
+        found if found == flags => Ok(()),
+        found => Err(PersistError::BadFlags(found)),
     }
-    Ok((version, flags))
+}
+
+/// Check that a body ended where its writer stopped. Bytes left over mean
+/// a count or a length was corrupted into one that still decodes.
+pub(crate) fn finish(buf: &Bytes) -> Result<(), PersistError> {
+    if buf.remaining() > 0 {
+        return Err(PersistError::Corrupt("bytes after the end of the body"));
+    }
+    Ok(())
 }
 
 /// The kind tag of a snapshot without consuming it, so composite decoders
-/// (the segmented index, the live-lake loader) can dispatch on what a blob
-/// holds before handing it to the matching typed decoder.
+/// (the live-lake loader) can dispatch on what a blob holds before handing
+/// it to the matching typed decoder.
 pub fn peek_kind(buf: &[u8]) -> Result<u8, PersistError> {
     if buf.len() < 6 {
         return Err(PersistError::Truncated);
@@ -194,6 +181,17 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, PersistError> {
     }
     let raw = buf.copy_to_bytes(len);
     String::from_utf8(raw.to_vec()).map_err(|_| PersistError::BadUtf8)
+}
+
+/// Decode an entry count, bounded by what the rest of the buffer could
+/// hold at `min_entry_bytes` per entry, so a corrupt count cannot size an
+/// allocation.
+pub(crate) fn get_count(buf: &mut Bytes, min_entry_bytes: usize) -> Result<usize, PersistError> {
+    let n = get_u32(buf)? as usize;
+    if n > buf.remaining() / min_entry_bytes {
+        return Err(PersistError::Truncated);
+    }
+    Ok(n)
 }
 
 /// Decode a little-endian u32 with bounds checking.
@@ -257,18 +255,25 @@ pub(crate) fn get_instance_id(buf: &mut Bytes) -> Result<InstanceId, PersistErro
 mod tests {
     use super::*;
 
+    const FLAT_FLAGS: u8 = FLAG_UNIT_NORM | FLAG_QUANT_CODES;
+
+    fn header(version: u8, kind: u8, flags: u8) -> Bytes {
+        Bytes::from(vec![b'V', b'F', b'A', b'I', version, kind, flags])
+    }
+
     #[test]
     fn header_roundtrip_and_mismatch() {
         let mut buf = BytesMut::new();
         put_header(&mut buf, SnapshotKind::Inverted, FLAG_UNIT_NORM);
         let mut b = buf.clone().freeze();
         assert_eq!(
-            check_header(&mut b, SnapshotKind::Inverted),
-            Ok((VERSION, FLAG_UNIT_NORM))
+            check_header(&mut b, SnapshotKind::Inverted, FLAG_UNIT_NORM),
+            Ok(())
         );
+        assert_eq!(b.remaining(), 0, "a header is seven bytes");
         let mut b = buf.freeze();
         assert_eq!(
-            check_header(&mut b, SnapshotKind::Hnsw),
+            check_header(&mut b, SnapshotKind::Hnsw, FLAG_UNIT_NORM),
             Err(PersistError::BadKind {
                 expected: 3,
                 got: 1
@@ -278,33 +283,50 @@ mod tests {
 
     #[test]
     fn version_one_headers_decode_with_zero_flags() {
-        // A pre-invariant header: magic, version 1, kind — no flags byte.
+        // A version-1 header: magic, version 1, kind — no flags byte. It is
+        // an older version, rejected before a flags byte is looked for.
         let mut b = Bytes::from_static(b"VFAI\x01\x02");
-        assert_eq!(check_header(&mut b, SnapshotKind::Flat), Ok((1, 0)));
-        assert_eq!(b.remaining(), 0, "v1 header consumes exactly six bytes");
+        assert_eq!(
+            check_header(&mut b, SnapshotKind::Flat, FLAT_FLAGS),
+            Err(PersistError::BadVersion(1))
+        );
+        // Zero flags under the current version are not read as a v1 header
+        // either: the flat writer's byte is not zero.
+        assert_eq!(
+            check_header(&mut header(VERSION, 2, 0), SnapshotKind::Flat, FLAT_FLAGS),
+            Err(PersistError::BadFlags(0))
+        );
     }
 
     #[test]
     fn unknown_flags_and_versions_rejected() {
-        let mut b = Bytes::from_static(b"VFAI\x02\x02\x80");
+        // The flat writer sets both flags: one missing, none, or a foreign
+        // bit added is not its snapshot.
+        for flags in [0, FLAG_UNIT_NORM, FLAG_QUANT_CODES, FLAT_FLAGS | 0x80] {
+            assert_eq!(
+                check_header(
+                    &mut header(VERSION, 2, flags),
+                    SnapshotKind::Flat,
+                    FLAT_FLAGS
+                ),
+                Err(PersistError::BadFlags(flags))
+            );
+        }
+        // Every version but the current one, the older ones included.
+        for version in [0, 1, 2, 3, 5, u8::MAX] {
+            assert_eq!(
+                check_header(
+                    &mut header(version, 2, FLAT_FLAGS),
+                    SnapshotKind::Flat,
+                    FLAT_FLAGS
+                ),
+                Err(PersistError::BadVersion(version))
+            );
+        }
+        // A header truncated before its flags byte.
+        let mut b = Bytes::from_static(b"VFAI\x04\x02");
         assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
-            Err(PersistError::BadFlags(0x80))
-        );
-        let mut b = Bytes::from_static(b"VFAI\x05\x02\x00");
-        assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
-            Err(PersistError::BadVersion(5))
-        );
-        let mut b = Bytes::from_static(b"VFAI\x00\x02\x00");
-        assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
-            Err(PersistError::BadVersion(0))
-        );
-        // A v2 header truncated before its flags byte.
-        let mut b = Bytes::from_static(b"VFAI\x02\x02");
-        assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
+            check_header(&mut b, SnapshotKind::Flat, FLAT_FLAGS),
             Err(PersistError::Truncated)
         );
     }
@@ -313,14 +335,28 @@ mod tests {
     fn bad_magic_and_truncation() {
         let mut b = Bytes::from_static(b"NOPE\x01\x01");
         assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
+            check_header(&mut b, SnapshotKind::Flat, FLAT_FLAGS),
             Err(PersistError::BadMagic)
         );
         let mut b = Bytes::from_static(b"VF");
         assert_eq!(
-            check_header(&mut b, SnapshotKind::Flat),
+            check_header(&mut b, SnapshotKind::Flat, FLAT_FLAGS),
             Err(PersistError::Truncated)
         );
+    }
+
+    #[test]
+    fn counts_are_bounded_and_bodies_must_end() {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(2);
+        buf.put_u64_le(0);
+        let mut b = buf.clone().freeze();
+        assert_eq!(get_count(&mut b, 4), Ok(2));
+        let mut b = buf.freeze();
+        assert_eq!(get_count(&mut b, 5), Err(PersistError::Truncated));
+        assert!(matches!(finish(&b), Err(PersistError::Corrupt(_))));
+        assert_eq!(get_u64(&mut b), Ok(0));
+        assert_eq!(finish(&b), Ok(()));
     }
 
     #[test]

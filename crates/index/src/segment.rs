@@ -1,12 +1,11 @@
-//! Segmented inverted index: the live-mutable BM25 index.
+//! Segmented inverted index: the one content index, live-mutable BM25.
 //!
-//! A monolithic [`InvertedIndex`] is append-only — deleting or updating a
-//! document means rebuilding the whole index. This wrapper gives the content
-//! path a log-structured lifecycle instead: writes land in one small mutable
-//! **memtable** segment; when it reaches the seal threshold it is frozen
-//! into the list of immutable **sealed** segments and a fresh memtable
-//! starts. Deletes tombstone the document's ordinal inside whichever
-//! segment holds it.
+//! A segment is append-only — deleting or updating a document in it would
+//! mean rebuilding it. This index gives the content path a log-structured
+//! lifecycle instead: writes land in one small mutable **memtable** segment;
+//! when it reaches the seal threshold it is frozen into the list of immutable
+//! **sealed** segments and a fresh memtable starts. Deletes tombstone the
+//! document's ordinal inside whichever segment holds it.
 //!
 //! ## Segment policy
 //!
@@ -21,7 +20,7 @@
 //! re-analysis), so the result equals a fresh sequential build of the
 //! survivors.
 //!
-//! ## Score equivalence with a monolithic index
+//! ## Score equivalence across segment layouts
 //!
 //! BM25 is corpus-relative, so naive per-segment scoring would drift as
 //! segments fill. The index therefore maintains **live corpus statistics**
@@ -32,14 +31,15 @@
 //! ordinals skipped, feeding one top-k. Identical integer statistics,
 //! identical per-document term frequencies, the same sorted-term
 //! accumulation order and the same length-norm expression make each
-//! document's score **bit-identical** to a fresh monolithic index over the
+//! document's score **bit-identical** to one segment holding the whole
 //! surviving corpus, and the top-k is taken under `sort_hits`' total order
 //! — so results do not depend on the segment layout (DESIGN.md §19). The
-//! layout-independence property test below and the interleaved-history
-//! property test in `verifai` hold the system to exactly this.
+//! layout-independence property test below (against the test-only oracle in
+//! `content.rs`) and the interleaved-history property test in `verifai`
+//! hold the system to exactly this.
 
 use crate::content::{
-    search_segments, Bm25Params, CorpusStats, InvertedIndex, PreparedQuery, Tombstones,
+    search_segments, Bm25Params, CorpusStats, PreparedQuery, Segment, Tombstones,
 };
 use crate::hit::SearchHit;
 use crate::persist::{self, PersistError, SnapshotKind};
@@ -65,11 +65,11 @@ const MAX_SEALED_SEGMENTS: usize = 8;
 pub struct SegmentedInvertedIndex {
     analyzer: Analyzer,
     params: Bm25Params,
-    memtable: InvertedIndex,
+    memtable: Segment,
     /// id -> memtable ordinal, for live memtable documents.
     mem_locations: HashMap<InstanceId, u32>,
     mem_dead: Tombstones,
-    sealed: Vec<Arc<InvertedIndex>>,
+    sealed: Vec<Arc<Segment>>,
     /// Tombstoned ordinals per sealed segment (parallel to `sealed`).
     dead: Vec<Tombstones>,
     /// id -> (sealed segment index, ordinal), for live sealed documents.
@@ -99,7 +99,7 @@ impl SegmentedInvertedIndex {
         SegmentedInvertedIndex {
             analyzer,
             params,
-            memtable: InvertedIndex::new(analyzer, params),
+            memtable: Segment::new(analyzer, params),
             mem_locations: HashMap::new(),
             mem_dead: Tombstones::default(),
             sealed: Vec::new(),
@@ -155,8 +155,10 @@ impl SegmentedInvertedIndex {
         self.live.clone()
     }
 
-    /// Score against corpus-wide statistics instead of the live-local ones
-    /// (the sharded invariant — see [`InvertedIndex::set_shared_stats`]).
+    /// Score against corpus-wide statistics instead of the live-local ones:
+    /// with the merged statistics of every shard installed, each shard
+    /// scores its documents exactly as one index over the whole corpus
+    /// would (see [`CorpusStats`]).
     pub fn set_shared_stats(&mut self, stats: Arc<CorpusStats>) {
         self.shared_stats = Some(stats);
     }
@@ -235,10 +237,7 @@ impl SegmentedInvertedIndex {
             return;
         }
         let seg = self.sealed.len();
-        let full = std::mem::replace(
-            &mut self.memtable,
-            InvertedIndex::new(self.analyzer, self.params),
-        );
+        let full = std::mem::replace(&mut self.memtable, Segment::new(self.analyzer, self.params));
         self.sealed.push(Arc::new(full));
         self.dead.push(std::mem::take(&mut self.mem_dead));
         for (id, ord) in self.mem_locations.drain() {
@@ -274,12 +273,12 @@ impl SegmentedInvertedIndex {
     /// Merge the adjacent sealed segments `start..` into one, dropping
     /// their tombstones; `locations` is remapped for that run only.
     fn merge_sealed(&mut self, start: usize) {
-        let parts: Vec<(&InvertedIndex, &Tombstones)> = self.sealed[start..]
+        let parts: Vec<(&Segment, &Tombstones)> = self.sealed[start..]
             .iter()
             .map(|s| &**s)
             .zip(&self.dead[start..])
             .collect();
-        let merged = InvertedIndex::merge_compact(&parts);
+        let merged = Segment::merge_compact(&parts);
         for (ord, &id) in merged.doc_ids().iter().enumerate() {
             self.locations.insert(id, (start, ord as u32));
         }
@@ -319,11 +318,11 @@ impl SegmentedInvertedIndex {
         search_segments(query, k, sealed.chain([(&self.memtable, &self.mem_dead)]))
     }
 
-    /// Serialize into a version-3 snapshot (kind
-    /// [`SnapshotKind::Segmented`]): generation, every segment (memtable
-    /// last) as a length-prefixed [`InvertedIndex`] blob plus its sorted
-    /// tombstone ordinals, then the live statistics in sorted term order.
-    /// Deterministic for a given index state.
+    /// Serialize into a snapshot of kind [`SnapshotKind::Segmented`]:
+    /// generation and compaction count, every segment (memtable last) as a
+    /// length-prefixed segment blob (kind [`SnapshotKind::Inverted`]) plus
+    /// its sorted tombstone ordinals, then the live statistics in sorted
+    /// term order. Deterministic for a given index state.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
         persist::put_header(&mut buf, SnapshotKind::Segmented, 0);
@@ -331,7 +330,7 @@ impl SegmentedInvertedIndex {
         buf.put_u64_le(self.compactions);
         let include_mem = !self.memtable.is_empty();
         buf.put_u32_le((self.sealed.len() + usize::from(include_mem)) as u32);
-        let write_segment = |buf: &mut BytesMut, seg: &InvertedIndex, dead: &Tombstones| {
+        let write_segment = |buf: &mut BytesMut, seg: &Segment, dead: &Tombstones| {
             let blob = seg.to_bytes();
             buf.put_u32_le(blob.len() as u32);
             buf.put_slice(&blob);
@@ -358,25 +357,15 @@ impl SegmentedInvertedIndex {
         buf.freeze()
     }
 
-    /// Reconstruct from a snapshot.
-    ///
-    /// Accepts two shapes: a [`SnapshotKind::Segmented`] snapshot produced
-    /// by [`Self::to_bytes`], or — the migration path — any monolithic
-    /// [`SnapshotKind::Inverted`] snapshot (v1/v2/v3), which loads as a
-    /// single sealed segment with generation 0 and its statistics derived
-    /// from the postings. Loaded segments are all sealed (tail-merged down
-    /// to the fan-out cap when the snapshot holds more); the memtable starts
-    /// fresh.
-    pub fn from_bytes(buf: Bytes) -> Result<SegmentedInvertedIndex, PersistError> {
-        if persist::peek_kind(&buf)? == SnapshotKind::Inverted as u8 {
-            let seg = InvertedIndex::from_bytes(buf)?;
-            return Ok(SegmentedInvertedIndex::from_monolith(seg));
-        }
-        let mut buf = buf;
-        let _ = persist::check_header(&mut buf, SnapshotKind::Segmented)?;
+    /// Reconstruct from a snapshot produced by [`Self::to_bytes`]. Every
+    /// stored segment loads as sealed (tail-merged down to the fan-out cap
+    /// when the snapshot holds more); the memtable starts fresh.
+    pub fn from_bytes(mut buf: Bytes) -> Result<SegmentedInvertedIndex, PersistError> {
+        persist::check_header(&mut buf, SnapshotKind::Segmented, 0)?;
         let generation = persist::get_u64(&mut buf)?;
         let compactions = persist::get_u64(&mut buf)?;
-        let nsegs = persist::get_u32(&mut buf)? as usize;
+        // A segment is at least its blob length and its tombstone count.
+        let nsegs = persist::get_count(&mut buf, 8)?;
         let mut sealed = Vec::with_capacity(nsegs);
         let mut dead = Vec::with_capacity(nsegs);
         let mut locations = HashMap::new();
@@ -385,14 +374,13 @@ impl SegmentedInvertedIndex {
             if buf.remaining() < blob_len {
                 return Err(PersistError::Truncated);
             }
-            let blob = buf.copy_to_bytes(blob_len);
-            let seg = InvertedIndex::from_bytes(blob)?;
-            let ndead = persist::get_u32(&mut buf)? as usize;
+            let seg = Segment::from_bytes(buf.copy_to_bytes(blob_len))?;
+            let ndead = persist::get_count(&mut buf, 4)?;
             let mut dead_set = Tombstones::default();
             for _ in 0..ndead {
                 let ord = persist::get_u32(&mut buf)?;
                 if ord as usize >= seg.len() {
-                    return Err(PersistError::BadTag(ord as u8));
+                    return Err(PersistError::Corrupt("tombstone ordinal out of range"));
                 }
                 dead_set.insert(ord);
             }
@@ -406,12 +394,14 @@ impl SegmentedInvertedIndex {
         }
         let docs = persist::get_u64(&mut buf)?;
         let total_len = persist::get_u64(&mut buf)?;
-        let nterms = persist::get_u32(&mut buf)? as usize;
+        // A term is at least its string length and its frequency.
+        let nterms = persist::get_count(&mut buf, 12)?;
         let mut doc_freqs = HashMap::with_capacity(nterms);
         for _ in 0..nterms {
             let term = persist::get_str(&mut buf)?;
             doc_freqs.insert(term, persist::get_u64(&mut buf)?);
         }
+        persist::finish(&buf)?;
         let (analyzer, params) = sealed
             .first()
             .map(|s| (s.analyzer(), s.params()))
@@ -419,7 +409,7 @@ impl SegmentedInvertedIndex {
         let mut index = SegmentedInvertedIndex {
             analyzer,
             params,
-            memtable: InvertedIndex::new(analyzer, params),
+            memtable: Segment::new(analyzer, params),
             mem_locations: HashMap::new(),
             mem_dead: Tombstones::default(),
             sealed,
@@ -438,44 +428,6 @@ impl SegmentedInvertedIndex {
         // Every stored segment loaded as sealed: restore the fan-out cap.
         index.seal();
         Ok(index)
-    }
-
-    /// Wrap a monolithic index as a single sealed segment (the v1/v2
-    /// migration path and the batch-build fast path).
-    pub fn from_monolith(seg: InvertedIndex) -> SegmentedInvertedIndex {
-        let analyzer = seg.analyzer();
-        let params = seg.params();
-        let live = seg.corpus_stats();
-        let locations: HashMap<InstanceId, (usize, u32)> = seg
-            .doc_ids()
-            .iter()
-            .enumerate()
-            .map(|(ord, &id)| (id, (0usize, ord as u32)))
-            .collect();
-        let empty = seg.is_empty();
-        SegmentedInvertedIndex {
-            analyzer,
-            params,
-            memtable: InvertedIndex::new(analyzer, params),
-            mem_locations: HashMap::new(),
-            mem_dead: Tombstones::default(),
-            sealed: if empty {
-                Vec::new()
-            } else {
-                vec![Arc::new(seg)]
-            },
-            dead: if empty {
-                Vec::new()
-            } else {
-                vec![Tombstones::default()]
-            },
-            locations,
-            live,
-            shared_stats: None,
-            seal_threshold: DEFAULT_SEAL_THRESHOLD,
-            generation: 0,
-            compactions: 0,
-        }
     }
 }
 
@@ -507,19 +459,19 @@ mod tests {
             .collect()
     }
 
-    fn monolith_of(surviving: &[(u64, &str)]) -> InvertedIndex {
-        let mut idx = InvertedIndex::default();
-        for &(i, t) in surviving {
-            idx.add(tid(i), t);
-        }
-        idx
+    /// The survivors `(position, text)` as the oracle's documents.
+    fn docs_of(surviving: &[(u64, &str)]) -> Vec<(InstanceId, String)> {
+        surviving
+            .iter()
+            .map(|&(i, t)| (tid(i), t.to_string()))
+            .collect()
     }
 
     #[test]
     fn segmented_matches_monolith_bit_exact() {
         // Multi-segment layout (tiny seal threshold) with interleaved
-        // deletes must score bit-identically to a fresh monolithic build of
-        // the survivors.
+        // deletes must score bit-identically to the oracle over the
+        // survivors.
         let all = texts();
         let mut seg = SegmentedInvertedIndex::default().with_seal_threshold(7);
         for (i, t) in all.iter().enumerate() {
@@ -533,15 +485,19 @@ mod tests {
                 survivors.push((i as u64, t));
             }
         }
-        let mono = monolith_of(&survivors);
-        assert_eq!(seg.len(), mono.len());
+        let docs = docs_of(&survivors);
+        assert_eq!(seg.len(), docs.len());
         for q in [
             "jordan basketball chicago",
             "election district york",
             "film actress stomp",
             "document words",
         ] {
-            assert_eq!(seg.search(q, 10), mono.search(q, 10), "query {q}");
+            assert_eq!(
+                seg.search(q, 10),
+                oracle_search(&docs, None, q, 10),
+                "query {q}"
+            );
         }
     }
 
@@ -556,15 +512,15 @@ mod tests {
         let hits = seg.search("zebra", 3);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, tid(4));
-        // The monolith of the surviving state agrees.
-        let mut mono = InvertedIndex::default();
-        for i in (0..9u64).filter(|&i| i != 4) {
-            mono.add(tid(i), &format!("original text number {i}"));
-        }
-        mono.add(tid(4), "completely replaced zebra content");
+        // The oracle over the surviving state agrees.
+        let mut docs: Vec<(InstanceId, String)> = (0..9u64)
+            .filter(|&i| i != 4)
+            .map(|i| (tid(i), format!("original text number {i}")))
+            .collect();
+        docs.push((tid(4), "completely replaced zebra content".into()));
         assert_eq!(
             seg.search("original number", 10),
-            mono.search("original number", 10)
+            oracle_search(&docs, None, "original number", 10)
         );
     }
 
@@ -592,9 +548,13 @@ mod tests {
             .skip(24)
             .map(|(i, t)| (i as u64, t.as_str()))
             .collect();
-        let mono = monolith_of(&survivors);
+        let docs = docs_of(&survivors);
         for q in ["jordan basketball", "championship ncaa"] {
-            assert_eq!(seg.search(q, 10), mono.search(q, 10), "query {q}");
+            assert_eq!(
+                seg.search(q, 10),
+                oracle_search(&docs, None, q, 10),
+                "query {q}"
+            );
         }
     }
 
@@ -651,18 +611,30 @@ mod tests {
 
     #[test]
     fn monolith_snapshots_migrate_to_single_segment() {
-        let mut mono = InvertedIndex::default();
-        mono.add(tid(0), "alpha beta gamma");
-        mono.add(tid(1), "delta epsilon zeta");
-        // v3 monolith blob.
-        let seg = SegmentedInvertedIndex::from_bytes(mono.to_bytes()).unwrap();
-        assert_eq!(seg.segments(), 1);
-        assert_eq!(seg.len(), 2);
-        assert_eq!(seg.search("alpha", 2), mono.search("alpha", 2));
-        // And the index is mutable after migration.
-        let mut seg = seg;
-        assert!(seg.remove(tid(0), "alpha beta gamma"));
-        assert!(seg.search("alpha", 2).is_empty());
+        // A bare segment blob is what a monolithic index once saved at the
+        // top level. It is not a segmented snapshot: rejected by kind.
+        let analyzer = Analyzer::standard();
+        let mut mono = Segment::new(analyzer, Bm25Params::default());
+        mono.add_analyzed(tid(0), analyzer.term_frequencies("alpha beta gamma"));
+        mono.add_analyzed(tid(1), analyzer.term_frequencies("delta epsilon zeta"));
+        assert_eq!(
+            SegmentedInvertedIndex::from_bytes(mono.to_bytes()).unwrap_err(),
+            PersistError::BadKind {
+                expected: SnapshotKind::Segmented as u8,
+                got: SnapshotKind::Inverted as u8,
+            }
+        );
+        // The same documents saved by the segmented writer reload as one
+        // sealed segment that answers alike and stays mutable.
+        let mut seg = SegmentedInvertedIndex::default();
+        seg.add(tid(0), "alpha beta gamma");
+        seg.add(tid(1), "delta epsilon zeta");
+        let mut back = SegmentedInvertedIndex::from_bytes(seg.to_bytes()).unwrap();
+        assert_eq!(back.segments(), 1);
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.search("alpha", 2), seg.search("alpha", 2));
+        assert!(back.remove(tid(0), "alpha beta gamma"));
+        assert!(back.search("alpha", 2).is_empty());
     }
 
     #[test]
@@ -679,12 +651,19 @@ mod tests {
                 "prefix of {cut} bytes must not decode"
             );
         }
+        // Nor does a snapshot with anything after its body.
+        let mut long = full.to_vec();
+        long.push(0);
+        assert!(matches!(
+            SegmentedInvertedIndex::from_bytes(Bytes::from(long)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn shared_stats_make_sharded_segmented_scores_global() {
         // Two segmented "shards" with merged stats installed must together
-        // equal one whole-corpus monolith, mutations included.
+        // equal the oracle over the whole corpus, mutations included.
         let all = texts();
         let mut a = SegmentedInvertedIndex::default().with_seal_threshold(4);
         let mut b = SegmentedInvertedIndex::default().with_seal_threshold(4);
@@ -708,13 +687,13 @@ mod tests {
             .filter(|(i, _)| *i != 6 && *i != 9)
             .map(|(i, t)| (i as u64, t.as_str()))
             .collect();
-        let mono = monolith_of(&survivors);
+        let docs = docs_of(&survivors);
         for q in ["jordan basketball chicago", "election district"] {
             let mut hits = a.search(q, 10);
             hits.extend(b.search(q, 10));
             sort_hits(&mut hits);
             hits.truncate(10);
-            assert_eq!(hits, mono.search(q, 10), "query {q}");
+            assert_eq!(hits, oracle_search(&docs, None, q, 10), "query {q}");
         }
     }
 
@@ -752,21 +731,14 @@ mod tests {
         assert_layout_independent(&seg, &docs, None);
     }
 
-    /// `seg` must answer every probe exactly — ids and score bits — as a
-    /// fresh monolithic index over `survivors` and as the `HashMap` oracle,
-    /// under `shared` statistics when given.
+    /// `seg` must answer every probe exactly — ids and score bits — as the
+    /// `HashMap` oracle over `survivors`, under `shared` statistics when
+    /// given.
     fn assert_layout_independent(
         seg: &SegmentedInvertedIndex,
         survivors: &[(InstanceId, String)],
         shared: Option<&Arc<CorpusStats>>,
     ) {
-        let mut mono = InvertedIndex::default();
-        for (id, text) in survivors {
-            mono.add(*id, text);
-        }
-        if let Some(stats) = shared {
-            mono.set_shared_stats(stats.clone());
-        }
         let bits = |hits: Vec<SearchHit>| -> Vec<(InstanceId, u64)> {
             hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
         };
@@ -780,14 +752,12 @@ mod tests {
             // 2 cuts through runs of tied duplicates; 1000 exceeds any
             // live count.
             for k in [1, 2, 5, 1000] {
-                let got = bits(seg.search(query, k));
-                assert_eq!(
-                    got,
-                    bits(mono.search(query, k)),
-                    "monolith: {query:?} k={k}"
-                );
                 let oracle = oracle_search(survivors, shared.map(|s| &**s), query, k);
-                assert_eq!(got, bits(oracle), "oracle: {query:?} k={k}");
+                assert_eq!(
+                    bits(seg.search(query, k)),
+                    bits(oracle),
+                    "oracle: {query:?} k={k}"
+                );
             }
         }
     }
@@ -820,9 +790,9 @@ mod tests {
         /// Results do not depend on the segment layout: after any
         /// interleaving of adds, removes, explicit seals, tail merges and
         /// full compactions, at any seal threshold, with or without shared
-        /// statistics, `search` equals a fresh monolith over the survivors
-        /// and the oracle — ids and `f64` bits. Texts come from a small
-        /// pool, so duplicates that tie exactly are the common case.
+        /// statistics, `search` equals the oracle over the survivors — ids
+        /// and `f64` bits. Texts come from a small pool, so duplicates that
+        /// tie exactly are the common case.
         #[test]
         fn search_is_independent_of_segment_layout(
             threshold in 1usize..16,
@@ -858,7 +828,7 @@ mod tests {
             // Shared statistics: this index is one shard of a larger corpus.
             let shared = share.then(|| {
                 let mut stats = seg.corpus_stats();
-                let mut other = InvertedIndex::default();
+                let mut other = SegmentedInvertedIndex::default();
                 for (i, text) in POOL.iter().enumerate() {
                     other.add(tid(10_000 + i as u64), text);
                 }

@@ -4,7 +4,7 @@
 //! The staged pipeline in `verifai` drives retrieval through this trait so
 //! that new backends (another content index, a different ANN structure, a
 //! remote search service) plug in without reopening the pipeline. The
-//! in-tree backends are the [`crate::InvertedIndex`] (content), the
+//! in-tree backends are the [`crate::SegmentedInvertedIndex`] (content), the
 //! [`crate::HnswIndex`] / [`crate::FlatIndex`] (semantic), and
 //! [`FusedSource`], which composes several sources with a [`Combiner`] —
 //! the Combiner step of §3.1 expressed as just another source.
@@ -83,16 +83,6 @@ fn vector_search_batch<I: crate::VectorIndex>(
         .collect()
 }
 
-impl EvidenceSource for crate::InvertedIndex {
-    fn name(&self) -> &'static str {
-        "bm25"
-    }
-
-    fn search(&self, query: SourceQuery<'_>, k: usize) -> Vec<SearchHit> {
-        crate::InvertedIndex::search(self, query.text, k)
-    }
-}
-
 impl EvidenceSource for crate::HnswIndex {
     fn name(&self) -> &'static str {
         "hnsw"
@@ -129,8 +119,7 @@ impl EvidenceSource for crate::FlatIndex {
 
 impl EvidenceSource for crate::SegmentedInvertedIndex {
     fn name(&self) -> &'static str {
-        // Same name as the monolithic index: provenance records describe
-        // the ranking function, and segmented BM25 scores identically.
+        // Provenance records name the ranking function.
         "bm25"
     }
 
@@ -219,12 +208,11 @@ impl EvidenceSource for FusedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bm25Params, FusionStrategy, InvertedIndex};
+    use crate::{FusionStrategy, SegmentedInvertedIndex};
     use verifai_lake::InstanceId;
-    use verifai_text::Analyzer;
 
-    fn content_index() -> InvertedIndex {
-        let mut idx = InvertedIndex::new(Analyzer::standard(), Bm25Params::default());
+    fn content_index() -> SegmentedInvertedIndex {
+        let mut idx = SegmentedInvertedIndex::default();
         idx.add(InstanceId::Text(1), "the incumbent of new york one");
         idx.add(InstanceId::Text(2), "points scored in the championship");
         idx
@@ -313,7 +301,7 @@ mod tests {
             vector: None,
             ctx: SpanContext::none(),
         };
-        let manual = combiner.combine(&[crate::InvertedIndex::search(&idx, query.text, 5)], 5);
+        let manual = combiner.combine(&[idx.search(query.text, 5)], 5);
         let fused = FusedSource::new(vec![Box::new(content_index())], combiner);
         assert_eq!(fused.search(query, 5), manual);
         assert_eq!(fused.sources().len(), 1);

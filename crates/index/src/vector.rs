@@ -7,9 +7,9 @@
 //!
 //! ## The unit-norm invariant
 //!
-//! Both indexes **normalize every vector on `add`** (and on snapshot load,
-//! when the snapshot does not already carry the
-//! [`persist::FLAG_UNIT_NORM`] guarantee). With every stored vector unit,
+//! Both indexes **normalize every vector on `add`**; a snapshot carries the
+//! guarantee as [`persist::FLAG_UNIT_NORM`], and its reader checks every
+//! row against it. With every stored vector unit,
 //! cosine similarity degenerates to a single fused dot product
 //! ([`kernel::dot_unit`]) — one pass over the data instead of the three a
 //! raw `cosine` costs — for the flat scan and for every distance evaluated
@@ -115,11 +115,6 @@ impl<T: Copy> RowSlab<T> {
         self.stride
     }
 
-    /// Rows held.
-    fn len(&self) -> usize {
-        self.len
-    }
-
     /// Row `ord`.
     #[inline]
     fn row(&self, ord: usize) -> &[T] {
@@ -177,16 +172,10 @@ fn row_bytes(dim: usize) -> Result<usize, PersistError> {
 }
 
 impl RowSlab<f32> {
-    /// Append one row of little-endian floats.
-    fn push_le(&mut self, raw: &[u8]) {
-        self.push(
-            raw.chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-    }
-
     /// Decode a snapshot's slab section — `n` rows of `dim` little-endian
     /// floats — straight into chunks: one pass, no per-vector allocation.
+    /// Every row must be unit (or zero), as the header's
+    /// [`FLAG_UNIT_NORM`] promises and every fused dot assumes.
     fn decode(buf: &mut Bytes, n: usize, dim: usize) -> Result<RowSlab<f32>, PersistError> {
         let row_bytes = row_bytes(dim)?;
         let total = n.checked_mul(row_bytes).ok_or(PersistError::Truncated)?;
@@ -194,33 +183,17 @@ impl RowSlab<f32> {
             return Err(PersistError::Truncated);
         }
         let mut rows = RowSlab::default();
-        for _ in 0..n {
-            rows.push_le(&buf.copy_to_bytes(row_bytes));
+        for ord in 0..n {
+            let raw = buf.copy_to_bytes(row_bytes);
+            rows.push(
+                raw.chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+            if !kernel::is_unit_or_zero(rows.row(ord)) {
+                return Err(PersistError::Corrupt("a stored vector is not unit length"));
+            }
         }
         Ok(rows)
-    }
-
-    /// Decode one `u32 dim + f32 components` vector (the v1/v2 per-entry
-    /// encoding) as the next row.
-    fn decode_vector(&mut self, buf: &mut Bytes) -> Result<(), PersistError> {
-        let dim = persist::get_u32(buf)? as usize;
-        if self.len > 0 && dim != self.stride {
-            return Err(PersistError::BadTag(dim as u8));
-        }
-        let row_bytes = row_bytes(dim)?;
-        if buf.remaining() < row_bytes {
-            return Err(PersistError::Truncated);
-        }
-        self.push_le(&buf.copy_to_bytes(row_bytes));
-        Ok(())
-    }
-
-    /// Scale every row to unit length: the migration for snapshots that
-    /// predate [`FLAG_UNIT_NORM`].
-    fn normalize_rows(&mut self) {
-        for ord in 0..self.len {
-            kernel::normalize(self.row_mut(ord));
-        }
     }
 
     /// Encode every row's components as little-endian floats, in order.
@@ -325,7 +298,7 @@ impl FlatIndex {
         self.rescore_factor
     }
 
-    /// Mutation generation: bumped on every add/remove, persisted in v3
+    /// Mutation generation: bumped on every add/remove, persisted in
     /// snapshots so a reloaded index resumes where the saved one stopped.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -440,26 +413,32 @@ pub(crate) fn offer<T: Ord>(heap: &mut BinaryHeap<T>, cap: usize, entry: T) {
     }
 }
 
+/// The flags byte of every flat snapshot: unit rows, quantization sidecar.
+const FLAT_FLAGS: u8 = FLAG_UNIT_NORM | FLAG_QUANT_CODES;
+
 impl FlatIndex {
-    /// Serialize the index into a version-4 binary snapshot: generation,
-    /// scan mode (quantized flag + rescore factor), ids, tombstone bytes,
+    /// Serialize the index into a binary snapshot: generation, scan mode
+    /// (quantized flag + rescore factor), counts, ids, tombstone bytes,
     /// every vector's components as one contiguous `f32` slab, then the
-    /// quantization sidecar (per-row scales + the int8 code array) behind
-    /// [`persist::FLAG_QUANT_CODES`] so a reload serves quantized scans
-    /// without re-encoding.
+    /// quantization sidecar (per-row scales + the int8 code array) so a
+    /// reload serves quantized scans without re-encoding.
     pub fn to_bytes(&self) -> Bytes {
         let dim = self.rows.stride();
         let n = self.ids.len();
         let mut buf = BytesMut::with_capacity(48 + n * (14 + dim * 5));
-        persist::put_header(
-            &mut buf,
-            SnapshotKind::Flat,
-            FLAG_UNIT_NORM | FLAG_QUANT_CODES,
-        );
+        persist::put_header(&mut buf, SnapshotKind::Flat, FLAT_FLAGS);
         buf.put_u64_le(self.generation);
         buf.put_u8(self.quantized as u8);
         buf.put_u64_le(self.rescore_factor as u64);
-        self.put_v3_body(&mut buf);
+        buf.put_u32_le(n as u32);
+        buf.put_u32_le(dim as u32);
+        for id in &self.ids {
+            persist::put_instance_id(&mut buf, *id);
+        }
+        for &d in &self.deleted {
+            buf.put_u8(d as u8);
+        }
+        self.rows.put_rows(&mut buf);
         for &s in &self.scales {
             buf.put_f32_le(s);
         }
@@ -469,129 +448,37 @@ impl FlatIndex {
         buf.freeze()
     }
 
-    /// Serialize in the legacy version-3 wire format (no quantization
-    /// sidecar or scan-mode fields). Kept as the fixture encoder for the
-    /// migration tests: loading one must re-quantize to a bit-identical
-    /// sidecar.
-    pub fn to_bytes_v3(&self) -> Bytes {
-        let n = self.ids.len();
-        let mut buf = BytesMut::with_capacity(32 + n * (10 + self.rows.stride() * 4));
-        persist::put_header_versioned(&mut buf, SnapshotKind::Flat, FLAG_UNIT_NORM, 3);
-        buf.put_u64_le(self.generation);
-        self.put_v3_body(&mut buf);
-        buf.freeze()
-    }
-
-    /// The part v3 and v4 share: counts, ids, tombstone bytes, the slab.
-    fn put_v3_body(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.ids.len() as u32);
-        buf.put_u32_le(self.rows.stride() as u32);
-        for id in &self.ids {
-            persist::put_instance_id(buf, *id);
-        }
-        for &d in &self.deleted {
-            buf.put_u8(d as u8);
-        }
-        self.rows.put_rows(buf);
-    }
-
-    /// Serialize in the legacy version-2 wire format (per-entry
-    /// length-prefixed vectors, no generation or tombstones). Kept as the
-    /// fixture encoder for migration tests and the cold-vs-warm load
-    /// benchmark; the index must hold no tombstones (v2 cannot express them).
-    pub fn to_bytes_v2(&self) -> Bytes {
-        assert_eq!(self.dead, 0, "compact before encoding a v2 snapshot");
-        let dim = self.rows.stride();
-        let mut buf = BytesMut::with_capacity(16 + self.ids.len() * (13 + dim * 4));
-        persist::put_header_versioned(&mut buf, SnapshotKind::Flat, FLAG_UNIT_NORM, 2);
-        buf.put_u32_le(self.ids.len() as u32);
-        for (id, row) in self.ids.iter().zip(self.rows.iter()) {
-            persist::put_instance_id(&mut buf, *id);
-            put_vector(&mut buf, row);
-        }
-        buf.freeze()
-    }
-
-    /// Reconstruct an index from a snapshot produced by [`Self::to_bytes`]
-    /// (or a legacy encoder).
-    ///
-    /// Every version decodes its vectors straight into the row slab — the
-    /// v3+ slab section in one bulk pass, the v1/v2 per-entry vectors one
-    /// row at a time — with no per-vector allocation. Version-4 snapshots
-    /// additionally reload their quantization sidecar and scan mode
-    /// verbatim; older versions migrate on load — v1/v2 carry no
-    /// generation or tombstones, any snapshot without
-    /// [`persist::FLAG_QUANT_CODES`] re-quantizes its vectors
-    /// (bit-identical to an eager writer's codes, quantization being
-    /// pure), and any without [`persist::FLAG_UNIT_NORM`] predates the
-    /// unit-norm invariant and is normalized, never silently mis-scored.
+    /// Reconstruct an index from a snapshot produced by [`Self::to_bytes`]:
+    /// the slab section decodes in one bulk pass straight into the row
+    /// slab, every row checked unit, and the quantization sidecar and scan
+    /// mode reload verbatim.
     pub fn from_bytes(mut buf: Bytes) -> Result<FlatIndex, PersistError> {
-        let (version, flags) = persist::check_header(&mut buf, SnapshotKind::Flat)?;
-        let mut idx = FlatIndex::default();
-        if version < 3 {
-            let n = get_count(&mut buf)?;
-            idx.ids.reserve_exact(n);
-            for _ in 0..n {
-                idx.ids.push(persist::get_instance_id(&mut buf)?);
-                idx.rows.decode_vector(&mut buf)?;
-            }
-            idx.deleted = vec![false; n];
-        } else {
-            idx.generation = persist::get_u64(&mut buf)?;
-            if version >= 4 {
-                idx.quantized = persist::get_u8(&mut buf)? != 0;
-                idx.rescore_factor = (persist::get_u64(&mut buf)? as usize).max(1);
-            }
-            let n = get_count(&mut buf)?;
-            let dim = persist::get_u32(&mut buf)? as usize;
-            idx.ids = get_instance_ids(&mut buf, n)?;
-            (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
-            idx.rows = RowSlab::decode(&mut buf, n, dim)?;
-        }
-        if flags & FLAG_UNIT_NORM == 0 {
-            idx.rows.normalize_rows();
-        }
-        if flags & FLAG_QUANT_CODES != 0 {
-            let n = idx.ids.len();
-            idx.scales = get_f32s(&mut buf, n)?;
-            idx.codes = get_i8s(&mut buf, n * idx.rows.stride())?;
-        } else {
-            idx.requantize();
-        }
-        Ok(idx)
+        persist::check_header(&mut buf, SnapshotKind::Flat, FLAT_FLAGS)?;
+        let generation = persist::get_u64(&mut buf)?;
+        let quantized = persist::get_u8(&mut buf)? != 0;
+        let rescore_factor = (persist::get_u64(&mut buf)? as usize).max(1);
+        // Every entry carries at least its 9-byte id.
+        let n = persist::get_count(&mut buf, 9)?;
+        let dim = persist::get_u32(&mut buf)? as usize;
+        let ids = get_instance_ids(&mut buf, n)?;
+        let (deleted, dead) = get_tombstones(&mut buf, n)?;
+        let rows = RowSlab::decode(&mut buf, n, dim)?;
+        let scales = get_f32s(&mut buf, n)?;
+        let codes = get_i8s(&mut buf, n * dim)?;
+        persist::finish(&buf)?;
+        Ok(FlatIndex {
+            ids,
+            rows,
+            deleted,
+            dead,
+            generation,
+            compactions: 0,
+            codes,
+            scales,
+            quantized,
+            rescore_factor,
+        })
     }
-
-    /// Rebuild the code sidecar from the (already unit) stored vectors —
-    /// the migration path for snapshots that predate the codes.
-    fn requantize(&mut self) {
-        self.scales.clear();
-        self.codes.clear();
-        self.codes.reserve(self.rows.len() * self.rows.stride());
-        for row in self.rows.iter() {
-            let (codes, scale) = quant::quantize(row);
-            self.codes.extend_from_slice(&codes);
-            self.scales.push(scale);
-        }
-    }
-}
-
-/// Encode a vector as `u32 dim + f32 components`.
-fn put_vector(buf: &mut BytesMut, v: &[f32]) {
-    buf.put_u32_le(v.len() as u32);
-    for &x in v {
-        buf.put_f32_le(x);
-    }
-}
-
-/// Decode an entry count, bounded by what the rest of the buffer could
-/// hold (every entry carries at least its 9-byte id) so a corrupt count
-/// cannot size an allocation.
-fn get_count(buf: &mut Bytes) -> Result<usize, PersistError> {
-    let n = persist::get_u32(buf)? as usize;
-    if n > buf.remaining() / 9 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(n)
 }
 
 /// Decode `n` instance ids.
@@ -1083,9 +970,9 @@ impl Graph {
     }
 
     /// Encode node `ord`'s edge lists, layer 0 upward: layer count, then
-    /// per layer a length and the endpoint ordinals (v3: each with its
-    /// distance).
-    fn put_node(&self, buf: &mut BytesMut, ord: u32, with_dist: bool) {
+    /// per layer a length and the endpoint ordinals, each with its
+    /// distance.
+    fn put_node(&self, buf: &mut BytesMut, ord: u32) {
         let layers = self.level(ord) + 1;
         buf.put_u32_le(layers as u32);
         for layer in 0..layers {
@@ -1093,18 +980,16 @@ impl Graph {
             buf.put_u32_le(edges.len() as u32);
             for e in edges {
                 buf.put_u32_le(e.ord);
-                if with_dist {
-                    buf.put_f64_le(e.dist());
-                }
+                buf.put_f64_le(e.dist());
             }
         }
     }
 
     /// Decode one node's edge lists as [`Self::put_node`] wrote them,
-    /// appending the node; `n` is the snapshot's node count. Similarities
-    /// are left zero for [`HnswIndex::derive_edge_sims`]; a v3 list's
-    /// stored distances are skipped.
-    fn get_node(&mut self, buf: &mut Bytes, n: usize, with_dist: bool) -> Result<(), PersistError> {
+    /// appending the node; `n` is the snapshot's node count. The stored
+    /// distances are skipped: similarities are left zero for
+    /// [`HnswIndex::derive_edge_sims`].
+    fn get_node(&mut self, buf: &mut Bytes, n: usize) -> Result<(), PersistError> {
         let layers = persist::get_u32(buf)? as usize;
         if layers == 0 || layers > MAX_LEVEL + 1 {
             return Err(PersistError::BadTag(layers as u8));
@@ -1123,9 +1008,7 @@ impl Graph {
                 if to as usize >= n {
                     return Err(PersistError::BadTag(to as u8));
                 }
-                if with_dist {
-                    persist::get_f64(buf)?;
-                }
+                persist::get_f64(buf)?;
                 *slot = Edge { ord: to, sim: 0.0 };
             }
         }
@@ -1334,7 +1217,7 @@ impl HnswIndex {
         self.config.ef_search = ef_search.max(1);
     }
 
-    /// Mutation generation: bumped on every add/remove, persisted in v3
+    /// Mutation generation: bumped on every add/remove, persisted in
     /// snapshots.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1494,9 +1377,10 @@ impl HnswIndex {
 }
 
 impl HnswIndex {
-    /// Serialize the graph into a version-3 binary snapshot: generation,
-    /// config, ids, tombstones, adjacency **with cached edge distances**,
-    /// then every vector's components as one contiguous `f32` slab.
+    /// Serialize the graph into a binary snapshot: generation, config, top
+    /// level, entry point, counts, ids, tombstones, adjacency **with cached
+    /// edge distances**, then every vector's components as one contiguous
+    /// `f32` slab.
     pub fn to_bytes(&self) -> Bytes {
         let dim = self.rows.stride();
         let n = self.ids.len();
@@ -1504,42 +1388,6 @@ impl HnswIndex {
         let mut buf = BytesMut::with_capacity(64 + n * per_node);
         persist::put_header(&mut buf, SnapshotKind::Hnsw, FLAG_UNIT_NORM);
         buf.put_u64_le(self.generation);
-        self.put_graph_header(&mut buf);
-        buf.put_u32_le(dim as u32);
-        for id in &self.ids {
-            persist::put_instance_id(&mut buf, *id);
-        }
-        for &d in &self.deleted {
-            buf.put_u8(d as u8);
-        }
-        for ord in 0..n as u32 {
-            self.graph.put_node(&mut buf, ord, true);
-        }
-        self.rows.put_rows(&mut buf);
-        buf.freeze()
-    }
-
-    /// Serialize in the legacy version-2 wire format (per-entry
-    /// length-prefixed vectors, ordinal-only adjacency, no generation or
-    /// tombstones — distances re-derived on load). Fixture encoder for
-    /// migration tests and the cold-load benchmark; the graph must hold no
-    /// tombstones (v2 cannot express them).
-    pub fn to_bytes_v2(&self) -> Bytes {
-        assert_eq!(self.dead, 0, "compact before encoding a v2 snapshot");
-        let mut buf = BytesMut::new();
-        persist::put_header_versioned(&mut buf, SnapshotKind::Hnsw, FLAG_UNIT_NORM, 2);
-        self.put_graph_header(&mut buf);
-        for (ord, row) in self.rows.iter().enumerate() {
-            persist::put_instance_id(&mut buf, self.ids[ord]);
-            put_vector(&mut buf, row);
-            self.graph.put_node(&mut buf, ord as u32, false);
-        }
-        buf.freeze()
-    }
-
-    /// Config, top level, entry point and node count — the fields every
-    /// version's body opens with.
-    fn put_graph_header(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.config.m as u32);
         buf.put_u32_le(self.config.ef_construction as u32);
         buf.put_u32_le(self.config.ef_search as u32);
@@ -1552,12 +1400,24 @@ impl HnswIndex {
             }
             None => buf.put_u8(0),
         }
-        buf.put_u32_le(self.ids.len() as u32);
+        buf.put_u32_le(n as u32);
+        buf.put_u32_le(dim as u32);
+        for id in &self.ids {
+            persist::put_instance_id(&mut buf, *id);
+        }
+        for &d in &self.deleted {
+            buf.put_u8(d as u8);
+        }
+        for ord in 0..n as u32 {
+            self.graph.put_node(&mut buf, ord);
+        }
+        self.rows.put_rows(&mut buf);
+        buf.freeze()
     }
 
     /// Fill every edge's cached similarity from the (unit) rows — the same
     /// dot that scored the edge when it was created, so the derived
-    /// distances are the ones a v3 snapshot stored.
+    /// distances are the ones the snapshot stored.
     fn derive_edge_sims(&mut self) {
         for ord in 0..self.ids.len() as u32 {
             let row = self.rows.row(ord as usize);
@@ -1570,21 +1430,14 @@ impl HnswIndex {
         }
     }
 
-    /// Reconstruct the graph from a snapshot produced by [`Self::to_bytes`]
-    /// (or a legacy encoder).
-    ///
-    /// Every version decodes its vectors straight into the row slab (v3:
-    /// the slab section in one bulk pass) and its adjacency straight into
-    /// the edge slots, then derives the cached edge similarities from the
-    /// rows. Version-1/2 snapshots carry no generation or tombstones;
-    /// vectors without [`persist::FLAG_UNIT_NORM`] are normalized first.
+    /// Reconstruct the graph from a snapshot produced by [`Self::to_bytes`]:
+    /// the adjacency decodes straight into the edge slots (every endpoint
+    /// and layer checked) and the slab section in one bulk pass into the row
+    /// slab (every row checked unit), then the cached edge similarities are
+    /// derived from the rows.
     pub fn from_bytes(mut buf: Bytes) -> Result<HnswIndex, PersistError> {
-        let (version, flags) = persist::check_header(&mut buf, SnapshotKind::Hnsw)?;
-        let generation = if version >= 3 {
-            persist::get_u64(&mut buf)?
-        } else {
-            0
-        };
+        persist::check_header(&mut buf, SnapshotKind::Hnsw, FLAG_UNIT_NORM)?;
+        let generation = persist::get_u64(&mut buf)?;
         let m = persist::get_u32(&mut buf)? as usize;
         if m > MAX_M {
             return Err(PersistError::BadTag(m as u8));
@@ -1603,28 +1456,17 @@ impl HnswIndex {
             1 => Some(persist::get_u32(&mut buf)?),
             other => return Err(PersistError::BadTag(other)),
         };
-        let n = get_count(&mut buf)?;
-        if version >= 3 {
-            let dim = persist::get_u32(&mut buf)? as usize;
-            idx.ids = get_instance_ids(&mut buf, n)?;
-            (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
-            for _ in 0..n {
-                idx.graph.get_node(&mut buf, n, true)?;
-            }
-            idx.rows = RowSlab::decode(&mut buf, n, dim)?;
-        } else {
-            idx.ids.reserve_exact(n);
-            for _ in 0..n {
-                idx.ids.push(persist::get_instance_id(&mut buf)?);
-                idx.rows.decode_vector(&mut buf)?;
-                idx.graph.get_node(&mut buf, n, false)?;
-            }
-            idx.deleted = vec![false; n];
+        // Every node carries at least its 9-byte id.
+        let n = persist::get_count(&mut buf, 9)?;
+        let dim = persist::get_u32(&mut buf)? as usize;
+        idx.ids = get_instance_ids(&mut buf, n)?;
+        (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
+        for _ in 0..n {
+            idx.graph.get_node(&mut buf, n)?;
         }
+        idx.rows = RowSlab::decode(&mut buf, n, dim)?;
+        persist::finish(&buf)?;
         idx.graph.check(idx.entry, idx.max_level)?;
-        if flags & FLAG_UNIT_NORM == 0 {
-            idx.rows.normalize_rows();
-        }
         idx.derive_edge_sims();
         Ok(idx)
     }
@@ -2012,6 +1854,26 @@ mod tests {
     fn snapshot_garbage_rejected() {
         assert!(FlatIndex::from_bytes(bytes::Bytes::from_static(b"nah")).is_err());
         assert!(HnswIndex::from_bytes(bytes::Bytes::from_static(b"VFAI\x01\x02")).is_err());
+        // One unit row [1, 0]; its first float sits after the 7-byte header,
+        // generation, scan mode, counts, id and tombstone byte.
+        let mut flat = FlatIndex::new();
+        flat.add(tid(0), Vector::from_vec(vec![1.0, 0.0]));
+        let good = flat.to_bytes().to_vec();
+        let mut scaled = good.clone();
+        scaled[42..46].copy_from_slice(&2.0f32.to_le_bytes());
+        assert!(matches!(
+            FlatIndex::from_bytes(Bytes::from(scaled)),
+            Err(PersistError::Corrupt(_))
+        ));
+        // A dimension of 0 (at byte 28) decodes empty rows and leaves the
+        // body unread; accepted, every search would dot rows of length 0
+        // against a query of length 2.
+        let mut flat_rows = good;
+        flat_rows[28..32].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            FlatIndex::from_bytes(Bytes::from(flat_rows)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -2028,98 +1890,6 @@ mod tests {
         assert_eq!(ha, hb);
         let expect = Vector::from_vec(vec![3.0, 4.0, 0.0]).cosine(&q) as f64;
         assert!((ha[0].score - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn v1_flat_snapshot_migrates_by_normalizing() {
-        // Hand-encode a version-1 Flat snapshot (no flags byte) holding a
-        // deliberately non-unit vector, as the pre-invariant encoder could.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"VFAI\x01");
-        buf.put_u8(SnapshotKind::Flat as u8);
-        buf.put_u32_le(1);
-        persist::put_instance_id(&mut buf, tid(7));
-        put_vector(&mut buf, &Vector::from_vec(vec![3.0, 4.0]));
-        let idx = FlatIndex::from_bytes(buf.freeze()).unwrap();
-        let hits = idx.search(&Vector::from_vec(vec![1.0, 0.0]), 1);
-        assert_eq!(hits[0].id, tid(7));
-        // cosine([3,4],[1,0]) = 0.6; an unmigrated raw dot would score 3.0.
-        assert!(
-            (hits[0].score - 0.6).abs() < 1e-6,
-            "migrated vector must be normalized, got score {}",
-            hits[0].score
-        );
-    }
-
-    #[test]
-    fn v1_hnsw_snapshot_migrates_by_normalizing() {
-        // Minimal version-1 graph: one level-0 node with a non-unit vector.
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"VFAI\x01");
-        buf.put_u8(SnapshotKind::Hnsw as u8);
-        buf.put_u32_le(16); // m
-        buf.put_u32_le(100); // ef_construction
-        buf.put_u32_le(64); // ef_search
-        buf.put_u64_le(0x9e37); // seed
-        buf.put_u32_le(0); // max_level
-        buf.put_u8(1);
-        buf.put_u32_le(0); // entry = node 0
-        buf.put_u32_le(1); // node count
-        persist::put_instance_id(&mut buf, tid(5));
-        put_vector(&mut buf, &Vector::from_vec(vec![0.0, 3.0, 4.0]));
-        buf.put_u32_le(1); // one layer
-        buf.put_u32_le(0); // no neighbours
-        let idx = HnswIndex::from_bytes(buf.freeze()).unwrap();
-        let hits = idx.search(&Vector::from_vec(vec![0.0, 1.0, 0.0]), 1);
-        assert_eq!(hits[0].id, tid(5));
-        assert!(
-            (hits[0].score - 0.6).abs() < 1e-6,
-            "migrated vector must be normalized, got score {}",
-            hits[0].score
-        );
-    }
-
-    #[test]
-    fn v1_hnsw_snapshot_body_decodes_identically() {
-        // The v2 body is byte-for-byte the v1 body; only the header differs.
-        // A real pre-invariant snapshot (unit vectors, same graph wire
-        // format) must reload to an equivalent graph.
-        let e = TextEmbedder::with_seed(11);
-        let mut hnsw = HnswIndex::with_defaults();
-        for (id, v) in corpus() {
-            hnsw.add(id, v);
-        }
-        let v2 = hnsw.to_bytes_v2();
-        let mut v1 = BytesMut::new();
-        v1.put_slice(b"VFAI\x01");
-        v1.put_u8(v2[5]); // kind
-        v1.put_slice(&v2[7..]); // body, minus the v2 flags byte
-        let old = HnswIndex::from_bytes(v1.freeze()).unwrap();
-        let q = e.embed("championship season");
-        assert_eq!(old.search(&q, 4), hnsw.search(&q, 4));
-    }
-
-    #[test]
-    fn v2_snapshots_migrate_to_equivalent_indexes() {
-        // The legacy encoders emit the exact v2 wire format; loading them
-        // must produce indexes that answer identically to the live ones
-        // (generation resets to 0 — v2 carries none).
-        let e = TextEmbedder::with_seed(11);
-        let mut flat = FlatIndex::new();
-        let mut hnsw = HnswIndex::with_defaults();
-        for (id, v) in corpus() {
-            flat.add(id, v.clone());
-            hnsw.add(id, v);
-        }
-        let flat2 = FlatIndex::from_bytes(flat.to_bytes_v2()).unwrap();
-        let hnsw2 = HnswIndex::from_bytes(hnsw.to_bytes_v2()).unwrap();
-        assert_eq!(flat2.generation(), 0);
-        assert_eq!(hnsw2.generation(), 0);
-        for q in ["jordan basketball", "election district new york"] {
-            let qv = e.embed(q);
-            assert_eq!(flat.search(&qv, 4), flat2.search(&qv, 4), "flat {q}");
-            assert_eq!(hnsw.search(&qv, 4), hnsw2.search(&qv, 4), "hnsw {q}");
-        }
     }
 
     #[test]
@@ -2154,7 +1924,7 @@ mod tests {
         // The rows decoded into ⌈n / rows-per-chunk⌉ allocations, each of
         // exactly one chunk — as they stand in the index that was saved.
         for rows in [&flat2.rows, &hnsw2.rows, &flat.rows, &hnsw.rows] {
-            assert_eq!(rows.len(), n);
+            assert_eq!(rows.len, n);
             assert_eq!(rows.chunks.len(), n.div_ceil(ROWS_PER_CHUNK));
             assert!(rows
                 .chunks
@@ -2253,7 +2023,7 @@ mod tests {
 
     #[test]
     fn truncated_v3_snapshots_rejected_not_garbled() {
-        // Chop a valid v3 snapshot at every prefix length; the decoder must
+        // Chop a valid snapshot at every prefix length; the decoder must
         // return a typed error every time, never panic or succeed.
         let mut flat = FlatIndex::new();
         let mut hnsw = HnswIndex::with_defaults();
@@ -2358,18 +2128,155 @@ mod tests {
         }
     }
 
+    /// `bytes` with its version byte set to `version`.
+    fn with_version(bytes: &Bytes, version: u8) -> Bytes {
+        let mut raw = bytes.to_vec();
+        raw[4] = version;
+        Bytes::from(raw)
+    }
+
+    #[test]
+    fn v1_flat_snapshot_migrates_by_normalizing() {
+        // A hand-encoded version-1 Flat snapshot (no flags byte) holding a
+        // non-unit vector, as the pre-invariant encoder wrote one. It is
+        // rejected by version, not normalized and not misscored.
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"VFAI\x01");
+        buf.put_u8(SnapshotKind::Flat as u8);
+        buf.put_u32_le(1);
+        persist::put_instance_id(&mut buf, tid(7));
+        buf.put_u32_le(2);
+        buf.put_f32_le(3.0);
+        buf.put_f32_le(4.0);
+        assert_eq!(
+            FlatIndex::from_bytes(buf.freeze()).unwrap_err(),
+            PersistError::BadVersion(1)
+        );
+        // The current snapshot holds the vector normalized at add:
+        // cosine([3,4],[1,0]) = 0.6, where a raw dot would score 3.0.
+        let mut flat = FlatIndex::new();
+        flat.add(tid(7), Vector::from_vec(vec![3.0, 4.0]));
+        let back = FlatIndex::from_bytes(flat.to_bytes()).unwrap();
+        let hits = back.search(&Vector::from_vec(vec![1.0, 0.0]), 1);
+        assert_eq!(hits[0].id, tid(7));
+        assert!(
+            (hits[0].score - 0.6).abs() < 1e-6,
+            "score {}",
+            hits[0].score
+        );
+    }
+
+    #[test]
+    fn v1_hnsw_snapshot_migrates_by_normalizing() {
+        // Minimal version-1 graph: one level-0 node with a non-unit vector.
+        // It is rejected by version.
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"VFAI\x01");
+        buf.put_u8(SnapshotKind::Hnsw as u8);
+        buf.put_u32_le(16); // m
+        buf.put_u32_le(100); // ef_construction
+        buf.put_u32_le(64); // ef_search
+        buf.put_u64_le(0x9e37); // seed
+        buf.put_u32_le(0); // max_level
+        buf.put_u8(1);
+        buf.put_u32_le(0); // entry = node 0
+        buf.put_u32_le(1); // node count
+        persist::put_instance_id(&mut buf, tid(5));
+        buf.put_u32_le(3);
+        for x in [0.0f32, 3.0, 4.0] {
+            buf.put_f32_le(x);
+        }
+        buf.put_u32_le(1); // one layer
+        buf.put_u32_le(0); // no neighbours
+        assert_eq!(
+            HnswIndex::from_bytes(buf.freeze()).unwrap_err(),
+            PersistError::BadVersion(1)
+        );
+        // The current snapshot of the same node scores it as a cosine.
+        let mut hnsw = HnswIndex::with_defaults();
+        hnsw.add(tid(5), Vector::from_vec(vec![0.0, 3.0, 4.0]));
+        let back = HnswIndex::from_bytes(hnsw.to_bytes()).unwrap();
+        let hits = back.search(&Vector::from_vec(vec![0.0, 1.0, 0.0]), 1);
+        assert_eq!(hits[0].id, tid(5));
+        assert!(
+            (hits[0].score - 0.6).abs() < 1e-6,
+            "score {}",
+            hits[0].score
+        );
+    }
+
+    #[test]
+    fn v1_hnsw_snapshot_body_decodes_identically() {
+        // A current graph under a version-1 header (no flags byte) is
+        // rejected by version; under its own header it reloads to a graph
+        // that answers identically.
+        let e = TextEmbedder::with_seed(11);
+        let mut hnsw = HnswIndex::with_defaults();
+        for (id, v) in corpus() {
+            hnsw.add(id, v);
+        }
+        let current = hnsw.to_bytes();
+        let mut v1 = BytesMut::new();
+        v1.put_slice(b"VFAI\x01");
+        v1.put_u8(current[5]); // kind
+        v1.put_slice(&current[7..]); // body, minus the flags byte
+        assert_eq!(
+            HnswIndex::from_bytes(v1.freeze()).unwrap_err(),
+            PersistError::BadVersion(1)
+        );
+        let back = HnswIndex::from_bytes(current).unwrap();
+        let q = e.embed("championship season");
+        assert_eq!(back.search(&q, 4), hnsw.search(&q, 4));
+    }
+
+    #[test]
+    fn v2_snapshots_migrate_to_equivalent_indexes() {
+        // Version-2 snapshots are rejected by version; current ones reload
+        // to indexes that keep their generation and answer identically.
+        let e = TextEmbedder::with_seed(11);
+        let mut flat = FlatIndex::new();
+        let mut hnsw = HnswIndex::with_defaults();
+        for (id, v) in corpus() {
+            flat.add(id, v.clone());
+            hnsw.add(id, v);
+        }
+        let (fb, hb) = (flat.to_bytes(), hnsw.to_bytes());
+        assert_eq!(
+            FlatIndex::from_bytes(with_version(&fb, 2)).unwrap_err(),
+            PersistError::BadVersion(2)
+        );
+        assert_eq!(
+            HnswIndex::from_bytes(with_version(&hb, 2)).unwrap_err(),
+            PersistError::BadVersion(2)
+        );
+        let flat2 = FlatIndex::from_bytes(fb).unwrap();
+        let hnsw2 = HnswIndex::from_bytes(hb).unwrap();
+        assert_eq!(flat2.generation(), flat.generation());
+        assert_eq!(hnsw2.generation(), hnsw.generation());
+        for q in ["jordan basketball", "election district new york"] {
+            let qv = e.embed(q);
+            assert_eq!(flat.search(&qv, 4), flat2.search(&qv, 4), "flat {q}");
+            assert_eq!(hnsw.search(&qv, 4), hnsw2.search(&qv, 4), "hnsw {q}");
+        }
+    }
+
     #[test]
     fn v3_snapshot_migrates_by_requantizing() {
-        // A v3 snapshot predates the code sidecar: loading one must
-        // re-quantize to codes bit-identical to the eager writer's
-        // (quantization is pure), defaulting to the exact scan mode.
+        // A version-3 snapshot predates the code sidecar and is rejected by
+        // version. The current one carries the codes: an exact-mode index
+        // reloads with codes bit-identical to the eager writer's.
         let mut idx = FlatIndex::new();
         for (id, v) in corpus() {
             idx.add(id, v);
         }
         idx.remove(tid(1));
         let gen = idx.generation();
-        let back = FlatIndex::from_bytes(idx.to_bytes_v3()).unwrap();
+        let bytes = idx.to_bytes();
+        assert_eq!(
+            FlatIndex::from_bytes(with_version(&bytes, 3)).unwrap_err(),
+            PersistError::BadVersion(3)
+        );
+        let back = FlatIndex::from_bytes(bytes).unwrap();
         assert!(!back.is_quantized());
         assert_eq!(back.generation(), gen);
         assert_eq!(back.tombstones(), 1);
@@ -2504,7 +2411,7 @@ mod tests {
             slab.push(row(i).into_iter());
         }
         assert_eq!(slab.stride(), 3);
-        assert_eq!(slab.len(), ROWS_PER_CHUNK * 3 + 1);
+        assert_eq!(slab.len, ROWS_PER_CHUNK * 3 + 1);
         assert_eq!(slab.chunks.len(), 4);
         assert_eq!(slab.row(0).as_ptr(), first, "growth must not move rows");
         for i in [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK * 3] {
@@ -2532,7 +2439,7 @@ mod tests {
         }
         let good = hnsw.to_bytes().to_vec();
         assert!(HnswIndex::from_bytes(Bytes::from(good.clone())).is_ok());
-        // v3 body: header 7, generation 8, then m at byte 15.
+        // Body: header 7, generation 8, then m at byte 15.
         let mut huge_m = good.clone();
         huge_m[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(HnswIndex::from_bytes(Bytes::from(huge_m)).is_err());

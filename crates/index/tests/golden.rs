@@ -1,18 +1,20 @@
-//! Golden fingerprints of the semantic indexes.
+//! Golden fingerprints of the semantic and content indexes.
 //!
-//! The constants below were captured at the commit *before* the vector
-//! indexes moved onto the row slab and the flat HNSW adjacency, from the
-//! boxed-`Vector` / per-node `Vec<Vec<Neighbor>>` implementation and the
+//! The vector constants below were captured at the commit *before* the
+//! vector indexes moved onto the row slab and the flat HNSW adjacency, from
+//! the boxed-`Vector` / per-node `Vec<Vec<Neighbor>>` implementation and the
 //! autovectorized dot kernel. One FNV-64 over `to_bytes()` pins the graph
 //! (levels, every edge, edge order), the cached distances, the tombstones
 //! and the snapshot wire format at once; one FNV-64 over the `(id, score
-//! bits)` of the top-50 of 64 queries pins what searches return. A layout
+//! bits)` of the top-50 of 64 queries pins what searches return. The
+//! segmented BM25 index is pinned the same way: its snapshot (every
+//! segment, tombstone and statistic) and the top-20 of 64 queries. A layout
 //! or kernel change that moves any of them has changed behaviour, not just
 //! speed.
 
 use verifai_embed::hashing::{fnv1a, splitmix64, unit_float};
 use verifai_embed::Vector;
-use verifai_index::{FlatIndex, HnswIndex, SearchHit, VectorIndex};
+use verifai_index::{FlatIndex, HnswIndex, SearchHit, SegmentedInvertedIndex, VectorIndex};
 use verifai_lake::InstanceId;
 
 const DIM: usize = 128;
@@ -162,18 +164,79 @@ fn flat_quantized_snapshot_and_hits_match_the_golden_build() {
     );
 }
 
-/// The legacy fixture writers: HNSW v2 and flat v2 of the fresh build, flat
-/// v3 of the mutated index (v3 carries tombstones, v2 cannot).
-const LEGACY_GOLDEN: [u64; 3] = [0x69b645cb443623ee, 0x2bb101c30958d898, 0xb212433eab2e0452];
+const DOCS: u64 = 1_024;
+
+/// Document `row` of the content corpus: 4 to 27 terms from a 500-term
+/// vocabulary, skewed toward its low end so postings lists differ widely
+/// in length. Every 16th row repeats the row seven before it, so scores tie
+/// exactly within and across segments.
+fn doc_text(row: u64) -> String {
+    let row = if row % 16 == 15 { row - 7 } else { row };
+    let len = 4 + splitmix64(row ^ 0x5eed) % 24;
+    let terms: Vec<String> = (0..len)
+        .map(|i| {
+            let u = unit_float(splitmix64((row << 8) ^ i));
+            format!("term{}", (u * u * 500.0) as u64)
+        })
+        .collect();
+    terms.join(" ")
+}
+
+/// Query `qi`: 1 to 4 terms from the same vocabulary.
+fn query_text(qi: u64) -> String {
+    let text = doc_text(DOCS * 4 + qi);
+    let terms: Vec<&str> = text.split(' ').take(1 + (qi % 4) as usize).collect();
+    terms.join(" ")
+}
+
+fn content_hits_fp(index: &SegmentedInvertedIndex) -> u64 {
+    let mut buf = Vec::new();
+    for qi in 0..64 {
+        let hits = index.search(&query_text(qi), 20);
+        buf.extend_from_slice(&(hits.len() as u32).to_le_bytes());
+        for h in hits {
+            let InstanceId::Text(doc) = h.id else {
+                panic!("corpus holds text ids only");
+            };
+            buf.extend_from_slice(&doc.to_le_bytes());
+            buf.extend_from_slice(&h.score.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a(&buf, 0)
+}
+
+/// `[bytes, hits]` of a segmented BM25 index after an add-only build (a seal
+/// every 24 documents, tail merges past the fan-out cap), after 300 removes
+/// with an add after every third, and after a full `compact`.
+fn content_fingerprints() -> [[u64; 2]; 3] {
+    let fp = |index: &SegmentedInvertedIndex| [bytes_fp(&index.to_bytes()), content_hits_fp(index)];
+    let mut index = SegmentedInvertedIndex::default().with_seal_threshold(24);
+    for row in 0..DOCS {
+        index.add(id(row), &doc_text(row));
+    }
+    let built = fp(&index);
+    for j in 0..300u64 {
+        let row = j * 13 % DOCS;
+        assert!(index.remove(id(row), &doc_text(row)));
+        if j % 3 == 2 {
+            let fresh = DOCS + j / 3;
+            index.add(id(fresh), &doc_text(fresh));
+        }
+    }
+    let mutated = fp(&index);
+    index.compact();
+    [built, mutated, fp(&index)]
+}
+
+/// Captured before the content index shrank to one segment type.
+const SEGMENTED_GOLDEN: [[u64; 2]; 3] = [
+    [0x2f4c3401ed97cea9, 0x2885f5fd2238796e],
+    [0xb2294a79b5ec82d9, 0x710bdcaa00fdaf29],
+    [0xcd0ec4daf2499646, 0x710bdcaa00fdaf29],
+];
 
 #[test]
-fn legacy_fixture_writers_emit_the_golden_bytes() {
-    let mut hnsw = HnswIndex::with_defaults();
-    build(&mut hnsw);
-    let mut flat = FlatIndex::new();
-    build(&mut flat);
-    let v2 = [bytes_fp(&hnsw.to_bytes_v2()), bytes_fp(&flat.to_bytes_v2())];
-    mutate(&mut flat);
-    let got = [v2[0], v2[1], bytes_fp(&flat.to_bytes_v3())];
-    assert_eq!(got, LEGACY_GOLDEN, "legacy: {got:#018x?}");
+fn segmented_snapshot_and_hits_match_the_golden_build() {
+    let got = content_fingerprints();
+    assert_eq!(got, SEGMENTED_GOLDEN, "{}", show("segmented", &got));
 }

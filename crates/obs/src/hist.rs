@@ -1,10 +1,9 @@
 //! Fixed-bucket log-linear histograms.
 //!
-//! The bucket layout (HdrHistogram-style, ~12.5% relative error) is shared
-//! between the lock-free [`Histogram`] here and the single-threaded
-//! `verifai::LatencyHistogram`, so snapshots of either are comparable
-//! bucket for bucket. Values are whole microseconds: 8 exact sub-8µs
-//! buckets, then 8 log-linear sub-buckets per power of two.
+//! The bucket layout is HdrHistogram-style, ~12.5% relative error, and the
+//! lock-free [`Histogram`] here is the workspace's one latency histogram.
+//! Values are whole microseconds: 8 exact sub-8µs buckets, then 8
+//! log-linear sub-buckets per power of two.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

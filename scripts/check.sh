@@ -22,6 +22,12 @@ cargo test -q --workspace
 echo "==> allocation budgets, release (gating)"
 cargo test -q --release --test alloc_budget
 
+# Golden fingerprints of every index's snapshot bytes and search hits: a
+# change that moves one changed behaviour or the wire format. Named, like
+# the step above, so the gate fails if the test target goes missing.
+echo "==> golden index fingerprints (gating)"
+cargo test -q -p verifai-index --test golden
+
 # Gating canary smoke: a short healthy serving run with golden-set canaries
 # must exit 0 — a nonzero exit means a critical quality alert (drift or
 # canary failure) was active at shutdown on a known-good configuration.
@@ -93,7 +99,7 @@ cargo test -q -p verifai-obs --lib profile > /dev/null
 # here and asserted by name), delete half, compact, snapshot the standing
 # indexes, reload them, and verify the reloaded indexes search identically.
 # Nonzero exit means the live mutation path, the feature budget, the
-# semantic-index budget, the segment policy or the snapshot v3 round-trip
+# semantic-index budget, the segment policy or the snapshot round-trip
 # broke.
 echo "==> live-lake smoke (gating)"
 LIVE_OUT="$(mktemp)"

@@ -192,28 +192,6 @@ proptest! {
         prop_assert_eq!(&with_empty, &left);
     }
 
-    /// The lock-free atomic histogram and the single-threaded
-    /// `LatencyHistogram` share one bucket layout: fed the same samples they
-    /// report identical counts, means, and quantiles.
-    #[test]
-    fn atomic_and_serial_histograms_agree(
-        samples in proptest::collection::vec(0u64..u64::from(u32::MAX), 1..80),
-    ) {
-        use std::time::Duration;
-        let atomic = verifai_obs::Histogram::new();
-        let mut serial = verifai::LatencyHistogram::new();
-        for &s in &samples {
-            atomic.record_micros(s);
-            serial.record(Duration::from_micros(s));
-        }
-        let snap = atomic.snapshot();
-        prop_assert_eq!(snap.count(), serial.count());
-        prop_assert_eq!(snap.mean(), serial.mean());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(snap.quantile(q), serial.quantile(q), "quantile {}", q);
-        }
-    }
-
     /// Quality-window merging matches sequential aggregation: feeding three
     /// observation sets into separate [`verifai_obs::CategoryWindow`]s and
     /// [`verifai_obs::CalibrationBins`] then merging the snapshots — in

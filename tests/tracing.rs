@@ -289,7 +289,7 @@ proptest! {
             let ctxs: Vec<SpanContext> = (1..=objects.len() as u64)
                 .map(|trace_id| SpanContext { trace_id, span_id: 0, parent_id: 0 })
                 .collect();
-            let results = cluster.system.discover_evidence_batch_ctx(&refs, &ctxs);
+            let results = cluster.system.discover_batch(&refs, &ctxs);
             for (i, (evidence, timing)) in results.iter().enumerate() {
                 let id = i as u64 + 1;
                 let mut trace = RequestTrace::new(id, objects[i].id());
