@@ -62,7 +62,10 @@ pub trait VectorIndex {
     /// Tombstone every entry stored under `id`; true when anything was
     /// removed. Tombstoned entries never appear in search results.
     fn remove(&mut self, id: InstanceId) -> bool;
-    /// Top-k most similar entries (cosine).
+    /// Top-k most similar live entries (cosine). A tombstoned entry never
+    /// takes a slot: [`FlatIndex`] returns `min(k, len())` hits, and
+    /// [`HnswIndex`] returns fewer than that only when fewer live nodes are
+    /// reachable from its entry point.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit>;
     /// Top-k for each of `queries`, in order. The default runs the
     /// single-query search per query; [`FlatIndex`] overrides it with a
@@ -1050,10 +1053,12 @@ impl Graph {
 ///
 /// Insertion has always been incremental (the graph grows one node at a
 /// time); deletion is tombstoning — removed nodes keep their edges and keep
-/// routing searches, they just cannot be returned. Search over-fetches by
-/// the tombstone count so `k` live results still come back, and an explicit
-/// [`HnswIndex::compact`] rebuilds the graph from the live nodes when the
-/// caller decides the dead weight is worth shedding.
+/// routing searches, they just cannot be returned. A tombstone is scored
+/// and expanded like any node but never takes a result slot, so a search
+/// holds `max(ef_search, k)` *live* results without widening its list as
+/// tombstones accumulate. An explicit [`HnswIndex::compact`] rebuilds the
+/// graph from the live nodes when the caller decides the dead weight is
+/// worth shedding.
 ///
 /// A node is an ordinal into parallel arrays, not an allocation: its unit
 /// row in `rows`, its id and tombstone, its level and edges in `graph`.
@@ -1135,6 +1140,15 @@ impl Ord for Scored {
             .unwrap_or(Ordering::Equal)
             .then_with(|| self.ord.cmp(&other.ord))
     }
+}
+
+/// Which reached nodes a graph walk may return. Construction links a new
+/// node to whatever is closest, tombstones included; a search returns live
+/// nodes only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    Every,
+    Live,
 }
 
 /// Everything a graph walk needs besides the graph, kept per thread so
@@ -1316,15 +1330,31 @@ impl HnswIndex {
         }
     }
 
-    /// Best-first search at one layer, leaving up to `ef` closest
-    /// candidates in `scratch.found`, ascending by distance.
+    /// Best-first search at one layer, leaving up to `ef` closest admitted
+    /// nodes in `scratch.found`, ascending by distance.
+    ///
+    /// Every reached node is scored, becomes a candidate and is expanded;
+    /// `admit` decides only which ones may take a result slot. "Results
+    /// full" and "worst result" count admitted nodes alone, so a walk that
+    /// holds fewer than `ef` of them admits every neighbour as a candidate.
+    /// On a graph without tombstones both rules make the same pushes and
+    /// pops.
     ///
     /// Each popped candidate's unvisited neighbours are gathered (and
     /// marked) first, every cache line of their rows prefetched, and only
     /// then scored — in edge order, so the heaps see exactly the sequence
     /// of pushes and pops a score-as-you-go walk makes, and ties fall the
     /// same way.
-    fn search_layer(&self, scratch: &mut Scratch, entry: u32, q: &[f32], layer: usize, ef: usize) {
+    fn search_layer(
+        &self,
+        scratch: &mut Scratch,
+        entry: u32,
+        q: &[f32],
+        layer: usize,
+        ef: usize,
+        admit: Admit,
+    ) {
+        let admits = |ord: u32| admit == Admit::Every || !self.deleted[ord as usize];
         let Scratch {
             visited,
             candidates,
@@ -1340,7 +1370,9 @@ impl HnswIndex {
         let first = self.score(entry, q);
         let mut evals = 1u64;
         candidates.push(Reverse(first));
-        results.push(first);
+        if admits(entry) {
+            results.push(first);
+        }
 
         while let Some(Reverse(c)) = candidates.pop() {
             let worst = results.peek().map_or(f64::INFINITY, |r| r.dist);
@@ -1360,9 +1392,11 @@ impl HnswIndex {
                 let worst = results.peek().map_or(f64::INFINITY, |r| r.dist);
                 if results.len() < ef || next.dist < worst {
                     candidates.push(Reverse(next));
-                    results.push(next);
-                    if results.len() > ef {
-                        results.pop();
+                    if admits(ord) {
+                        results.push(next);
+                        if results.len() > ef {
+                            results.pop();
+                        }
                     }
                 }
             }
@@ -1499,7 +1533,14 @@ impl VectorIndex for HnswIndex {
         // Insert at each layer from min(level, max_level) down to 0.
         SCRATCH.with_borrow_mut(|scratch| {
             for l in (0..=level.min(self.max_level)).rev() {
-                self.search_layer(scratch, entry, q, l, self.config.ef_construction);
+                self.search_layer(
+                    scratch,
+                    entry,
+                    q,
+                    l,
+                    self.config.ef_construction,
+                    Admit::Every,
+                );
                 self.graph
                     .connect(ord, &scratch.found, l, &mut scratch.spill);
                 if let Some(best) = scratch.found.first() {
@@ -1539,16 +1580,15 @@ impl VectorIndex for HnswIndex {
         for l in (1..=self.max_level).rev() {
             entry = self.greedy_at_layer(entry, &q, l);
         }
-        // Over-fetch by the tombstone count: dead nodes still route (their
-        // edges are intact) but cannot be returned, so widening the
-        // candidate list keeps `k` honored after filtering.
-        let ef = (self.config.ef_search.max(k) + self.dead).min(self.ids.len());
+        // Tombstones route (their edges are intact) but take no result
+        // slot: the walk holds up to `ef` live results at any dead count.
+        let ef = self.config.ef_search.max(k);
         let mut hits: Vec<SearchHit> = SCRATCH.with_borrow_mut(|scratch| {
-            self.search_layer(scratch, entry, &q, 0, ef);
+            self.search_layer(scratch, entry, &q, 0, ef, Admit::Live);
+            debug_assert!(scratch.found.iter().all(|f| !self.deleted[f.ord as usize]));
             scratch
                 .found
                 .iter()
-                .filter(|f| !self.deleted[f.ord as usize])
                 .take(k)
                 .map(|f| SearchHit::new(self.ids[f.ord as usize], 1.0 - f.dist))
                 .collect()
@@ -1969,9 +2009,10 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_tombstones_overfetch_honors_k() {
-        // Delete half the corpus; searches for k=4 must still fill from the
-        // live half and never surface a tombstoned id.
+    fn hnsw_tombstone_routes_but_takes_no_result_slot() {
+        // Delete half the corpus and narrow the list to k: the walk still
+        // routes through the tombstones, and k=4 live results fill the 4
+        // slots without any widening.
         let e = TextEmbedder::with_seed(3);
         let mut idx = HnswIndex::with_defaults();
         for i in 0..40u64 {
@@ -1982,8 +2023,9 @@ mod tests {
         }
         assert_eq!(idx.len(), 20);
         assert_eq!(idx.tombstones(), 20);
+        idx.set_ef_search(1);
         let hits = idx.search(&e.embed("entity 25 topic 0"), 4);
-        assert_eq!(hits.len(), 4, "over-fetch must fill k past tombstones");
+        assert_eq!(hits.len(), 4, "k live results past the tombstones");
         assert!(hits.iter().all(|h| h.id >= tid(20)));
         // Compaction rebuilds from the live nodes and keeps answering.
         idx.compact();
@@ -1993,6 +2035,70 @@ mod tests {
         let hits2 = idx.search(&e.embed("entity 25 topic 0"), 4);
         assert_eq!(hits2.len(), 4);
         assert!(hits2.iter().all(|h| h.id >= tid(20)));
+    }
+
+    #[test]
+    fn hnsw_tombstoned_entry_point_still_routes() {
+        let e = TextEmbedder::with_seed(5);
+        let mut idx = HnswIndex::with_defaults();
+        let mut flat = FlatIndex::new();
+        for i in 0..60u64 {
+            let v = e.embed(&format!("entity {} topic {}", i, i % 7));
+            idx.add(tid(i), v.clone());
+            flat.add(tid(i), v);
+        }
+        let entry = idx.ids[idx.entry.unwrap() as usize];
+        assert!(idx.remove(entry));
+        assert!(flat.remove(entry));
+        let qv = Vector::from_vec(idx.rows.row(idx.entry.unwrap() as usize).to_vec());
+        let hits = idx.search(&qv, 5);
+        assert_eq!(hits.len(), 5);
+        assert!(hits.iter().all(|h| h.id != entry));
+        // Fewer live nodes than `ef`: the walk covers the whole component,
+        // so the answer is the exact one.
+        let ids = |hits: Vec<SearchHit>| hits.into_iter().map(|h| h.id).collect::<Vec<_>>();
+        assert_eq!(ids(hits), ids(flat.search(&qv, 5)));
+    }
+
+    #[test]
+    fn hnsw_exactly_k_live_among_many_dead_all_come_back() {
+        let e = TextEmbedder::with_seed(7);
+        let mut idx = HnswIndex::with_defaults();
+        for i in 0..200u64 {
+            idx.add(tid(i), e.embed(&format!("entity {} topic {}", i, i % 11)));
+        }
+        let live: HashSet<InstanceId> = (0..200u64).filter(|i| i % 40 == 7).map(tid).collect();
+        for i in 0..200u64 {
+            if !live.contains(&tid(i)) {
+                assert!(idx.remove(tid(i)));
+            }
+        }
+        assert_eq!(idx.len(), 5);
+        idx.set_ef_search(1);
+        let hits = idx.search(&e.embed("entity 100 topic 1"), 5);
+        let got: HashSet<InstanceId> = hits.iter().map(|h| h.id).collect();
+        assert_eq!(got, live);
+    }
+
+    #[test]
+    fn hnsw_all_removed_returns_nothing() {
+        let e = TextEmbedder::with_seed(9);
+        let mut idx = HnswIndex::with_defaults();
+        for i in 0..30u64 {
+            idx.add(tid(i), e.embed(&format!("entity {i}")));
+        }
+        for i in 0..30u64 {
+            assert!(idx.remove(tid(i)));
+        }
+        assert!(idx.is_empty());
+        assert!(idx.search(&e.embed("entity 3"), 5).is_empty());
+        // One fresh node among thirty tombstones, the entry point among
+        // them: the search routes to it and returns it alone.
+        idx.add(tid(99), e.embed("entity 99"));
+        assert!(idx.deleted[idx.entry.unwrap() as usize]);
+        let hits = idx.search(&e.embed("entity 3"), 5);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].id, tid(99));
     }
 
     #[test]

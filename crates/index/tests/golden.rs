@@ -117,9 +117,13 @@ fn show(name: &str, got: &[[u64; 2]; 3]) -> String {
     format!("{name}:\n{}", rows.join("\n"))
 }
 
+/// The mutated row's hits (`[1][1]`) were re-captured when a search stopped
+/// widening its candidate list by the tombstone count and began holding
+/// `ef` live results instead (a tombstone routes but takes no result slot).
+/// Every graph byte and the built and compacted hits predate that change.
 const HNSW_GOLDEN: [[u64; 2]; 3] = [
     [0x56374af19a17fcce, 0xd888278b23ce27ef],
-    [0xe6336684f62ddb16, 0x89c94f73fea557f2],
+    [0xe6336684f62ddb16, 0x3b2aa009510f0a7e],
     [0xaafa81d4fd7a6e25, 0xcf550daae9a3e792],
 ];
 const FLAT_EXACT_GOLDEN: [[u64; 2]; 3] = [

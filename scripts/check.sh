@@ -28,6 +28,13 @@ cargo test -q --release --test alloc_budget
 echo "==> golden index fingerprints (gating)"
 cargo test -q -p verifai-index --test golden
 
+# Recall and cost of an HNSW graph after churn: 40 % of its rows replaced,
+# it must answer like its compacted copy (recall@10 within 0.03, >= 0.95)
+# for at most 1.5x the distance evaluations per query. Named, like the
+# golden step, so a renamed or deleted test fails the gate.
+echo "==> live HNSW recall and cost (gating)"
+cargo test -q --release -p verifai-index --test live_recall
+
 # Gating canary smoke: a short healthy serving run with golden-set canaries
 # must exit 0 — a nonzero exit means a critical quality alert (drift or
 # canary failure) was active at shutdown on a known-good configuration.
