@@ -430,14 +430,12 @@ impl Router {
         drop(tx);
         let mut lists = vec![Vec::new(); n];
         let mut responses = 0u64;
-        let mut max_queue_ns = 0u64;
         for _ in 0..expected {
             let Ok((i, hits, queue_ns, scan_ns, cost)) = rx.recv() else {
                 break;
             };
             meter::charge_cost(&cost);
             responses += 1;
-            max_queue_ns = max_queue_ns.max(queue_ns);
             let series = &self.obs.shards[i];
             series.searches.inc();
             series
@@ -452,9 +450,9 @@ impl Router {
             }
             lists[i] = hits;
         }
-        // Queue wait is the slowest shard's (waits overlap); fanout is the
-        // responses actually merged.
-        meter::charge_queue_ns(max_queue_ns);
+        // Fanout is the responses actually merged. Shard queue wait is not
+        // charged: it overlaps the retrieval wall time the request already
+        // reports, and stays visible in the `shard-{i}` spans.
         meter::charge_shard_fanout(responses);
         let merged = merge_topk(&lists, k);
         if let Some(probes) = probes {
@@ -549,14 +547,12 @@ impl Router {
         drop(tx);
         let mut per_shard: Vec<Vec<Vec<SearchHit>>> = vec![Vec::new(); n];
         let mut responses = 0u64;
-        let mut max_queue_ns = 0u64;
         for _ in 0..expected {
             let Ok((i, per_query, queue_ns, scan_ns, cost)) = rx.recv() else {
                 break;
             };
             meter::charge_cost(&cost);
             responses += 1;
-            max_queue_ns = max_queue_ns.max(queue_ns);
             let series = &self.obs.shards[i];
             series.searches.add(batch as u64);
             series
@@ -577,9 +573,8 @@ impl Router {
             per_shard[i] = per_query;
         }
         // Charged `batch` times so an even per-request split leaves each
-        // request seeing the slowest shard's wait and the full fanout —
-        // the same semantics the single-query path records.
-        meter::charge_queue_ns(max_queue_ns * batch as u64);
+        // request seeing the full fanout — the same semantics the
+        // single-query path records.
         meter::charge_shard_fanout(responses * batch as u64);
         (0..batch)
             .map(|qi| {

@@ -72,9 +72,9 @@ pub struct VerificationReport {
     /// Trace id the run executed under (0 = untraced). Like timing, this is
     /// run bookkeeping, not semantics: excluded from report equality.
     pub trace_id: TraceId,
-    /// Resources this run consumed — vectors scanned, postings visited,
-    /// bytes moved, stage wall time (see [`CostVector`]). Run bookkeeping
-    /// like `timing`: excluded from report equality.
+    /// Work this run consumed — vectors scanned, postings visited, bytes
+    /// moved (see [`CostVector`]); wall time lives in `timing`. Run
+    /// bookkeeping like `timing`: excluded from report equality.
     pub cost: CostVector,
 }
 
@@ -760,18 +760,6 @@ impl VerifAi {
         )
     }
 
-    /// [`VerifAi::discover_batch`], untraced, with the evidence
-    /// materialized for a caller that keeps it.
-    pub fn discover_evidence_batch(
-        &self,
-        objects: &[&DataObject],
-    ) -> Vec<(Vec<(DataInstance, f64)>, StageTiming)> {
-        self.discover_batch(objects, &[])
-            .into_iter()
-            .map(|(views, timing)| (materialize(views), timing))
-            .collect()
-    }
-
     /// Look cached evidence ids up in the lake, restoring — in place, as
     /// views — the instances a previous discovery found. Unlike discovery,
     /// where a dangling retrieval hit is noted and skipped, a dangling
@@ -839,8 +827,9 @@ impl VerifAi {
     /// over evidence read in place, make the trust-weighted decision, and
     /// log it (one decision-stage flush on top of the verify stage's own).
     /// `timing` is that of the discovery that produced `evidence`
-    /// ([`StageTiming::for_cached`] for evidence that skipped it); the
-    /// report carries it with the verify stage's wall time filled in.
+    /// ([`StageTiming::for_cached`] for evidence that skipped it), plus the
+    /// queue wait a serving layer stamped; the report carries it with the
+    /// verify stage's wall time filled in.
     /// Evidence pairs are judged until `deadline` passes, after which the
     /// report is partial — it carries the verdicts produced so far with
     /// decision [`Verdict::Unknown`] and zero confidence. With `deadline:
@@ -889,14 +878,6 @@ impl VerifAi {
             note,
         });
         recorder.flush_stage();
-        // Drain the thread's resource tally: every kernel charge since the
-        // last report — this request's scans, postings walks, re-charged
-        // shard costs — belongs to this report. Stage wall times are
-        // stamped from the timing the stages measured.
-        let mut cost = meter::take();
-        cost.retrieval_ns = timing.retrieval_ns;
-        cost.rerank_ns = timing.rerank_ns;
-        cost.verify_ns = timing.verify_ns;
         VerificationReport {
             object_id: object.id(),
             evidence: outcome.verdicts,
@@ -904,7 +885,10 @@ impl VerifAi {
             confidence,
             timing,
             trace_id: trace.trace_id,
-            cost,
+            // Drain the thread's resource tally: every kernel charge since
+            // the last report — this request's scans, postings walks,
+            // re-charged shard costs — belongs to this report.
+            cost: meter::take(),
         }
     }
 
@@ -1003,7 +987,7 @@ mod tests {
         let tasks = completion_workload(sys.generated(), 6, 3);
         let objects: Vec<DataObject> = tasks.iter().map(|t| sys.impute(t)).collect();
         let refs: Vec<&DataObject> = objects.iter().collect();
-        let batch = sys.discover_evidence_batch(&refs);
+        let batch = sys.discover_batch(&refs, &[]);
         assert_eq!(batch.len(), objects.len());
         for (object, (evidence, timing)) in objects.iter().zip(&batch) {
             let (want, want_timing) = sys.discover(object, &mut RequestTrace::disabled());
@@ -1013,7 +997,7 @@ mod tests {
             assert_eq!(timing.candidates_in, want_timing.candidates_in);
             assert_eq!(timing.candidates_out, want_timing.candidates_out);
         }
-        assert!(sys.discover_evidence_batch(&[]).is_empty());
+        assert!(sys.discover_batch(&[], &[]).is_empty());
     }
 
     #[test]

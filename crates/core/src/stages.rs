@@ -41,12 +41,16 @@ use verifai_verify::{
     Agent, ProvenanceRecord, Stage, StageRecorder, VerdictObservation, VerifierOutput,
 };
 
-/// Per-object instrumentation of one pipeline run.
+/// Per-object instrumentation of one pipeline run: the one record of
+/// where a request's wall time went, lane by lane.
 ///
 /// Excluded from [`crate::VerificationReport`] equality: wall times differ
 /// between bit-identical runs, and determinism contracts compare reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTiming {
+    /// Wait between admission and the start of processing, nanoseconds
+    /// (stamped by the serving layer; zero for direct pipeline calls).
+    pub queue_ns: u64,
     /// Wall time of retrieval + instance resolution, nanoseconds.
     pub retrieval_ns: u64,
     /// Wall time of the rerank stage, nanoseconds.

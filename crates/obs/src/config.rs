@@ -10,6 +10,9 @@ use crate::recorder::SamplingPolicy;
 /// tracing and per-stage histograms are collected, how many traces the
 /// flight recorder retains, and which clock stamps everything.
 ///
+/// With `enabled: true` the latency and per-stage histograms pin
+/// `(trace_id, value)` exemplars, exported in OpenMetrics exemplar syntax.
+///
 /// With `enabled: false` the hot path records nothing and allocates
 /// nothing: traces are [`crate::RequestTrace::disabled`] (an empty,
 /// never-growing `Vec`), histogram recording is skipped, and the flight
@@ -27,10 +30,6 @@ pub struct ObsConfig {
     /// The clock stamping spans, deadlines, and latencies. Tests inject a
     /// [`crate::MockClock`]; production uses the monotonic system clock.
     pub clock: Arc<dyn Clock>,
-    /// Pin `(trace_id, value)` exemplars on the latency and per-stage
-    /// histograms, exported in OpenMetrics exemplar syntax. On by
-    /// default; only meaningful when `enabled` is also true.
-    pub exemplars: bool,
     /// How the flight recorder decides which completed traces to keep.
     /// Defaults to [`SamplingPolicy::keep_all`] (the pre-tail-sampling
     /// behavior); serving binaries opt into [`SamplingPolicy::tail`].
@@ -71,7 +70,6 @@ impl Default for ObsConfig {
             recent_traces: 64,
             slowest_traces: 16,
             clock: Arc::new(SystemClock),
-            exemplars: true,
             sampling: SamplingPolicy::keep_all(),
         }
     }
@@ -83,7 +81,6 @@ impl std::fmt::Debug for ObsConfig {
             .field("enabled", &self.enabled)
             .field("recent_traces", &self.recent_traces)
             .field("slowest_traces", &self.slowest_traces)
-            .field("exemplars", &self.exemplars)
             .field("sampling", &self.sampling)
             .finish_non_exhaustive()
     }

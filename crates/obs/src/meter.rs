@@ -24,28 +24,23 @@
 //!   result channel, and re-charges it on the gathering thread with
 //!   [`charge_cost`]. Nothing is double-counted and nothing is lost.
 //!
-//! The [`set_enabled`] kill-switch exists solely so the benchmark suite
-//! can A/B the overhead of the charge calls themselves; it defaults to on
-//! and production code never flips it.
+//! A cost vector counts work only. Where a request's wall time went is
+//! recorded once, in the pipeline's `StageTiming`; keeping clocks out of
+//! the vector is what lets two runs of the same request compare equal.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of resource dimensions in a [`CostVector`].
-pub const COST_FIELDS: usize = 13;
+pub const COST_FIELDS: usize = 9;
 
 /// Per-request resource consumption, one `u64` per resource dimension.
+/// Every dimension is a deterministic work count: the same request over
+/// the same lake charges the same vector on every run.
 ///
 /// Equality is exact fieldwise equality; [`CostVector::merge`] is
 /// fieldwise saturating addition. The zero vector is the identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostVector {
-    /// Wall nanoseconds attributed to the retrieval stage.
-    pub retrieval_ns: u64,
-    /// Wall nanoseconds attributed to the rerank stage.
-    pub rerank_ns: u64,
-    /// Wall nanoseconds attributed to the verify (judge) stage.
-    pub verify_ns: u64,
     /// Vectors touched by semantic scans (flat, quantized, or HNSW).
     pub vectors_scanned: u64,
     /// Int8 quantized dot-products evaluated.
@@ -60,8 +55,6 @@ pub struct CostVector {
     pub cache_hits: u64,
     /// Evidence-cache misses charged to this request.
     pub cache_misses: u64,
-    /// Nanoseconds spent waiting in admission or shard queues.
-    pub queue_ns: u64,
     /// Shard responses merged into this request's result.
     pub shard_fanout: u64,
     /// Query/text embeddings computed.
@@ -73,9 +66,6 @@ impl CostVector {
     /// the `resource` label values of the `verifai_tenant_cost_total`
     /// series.
     pub const FIELD_NAMES: [&'static str; COST_FIELDS] = [
-        "retrieval_ns",
-        "rerank_ns",
-        "verify_ns",
         "vectors_scanned",
         "quantized_ops",
         "exact_rescores",
@@ -83,7 +73,6 @@ impl CostVector {
         "bytes_read",
         "cache_hits",
         "cache_misses",
-        "queue_ns",
         "shard_fanout",
         "embeds",
     ];
@@ -91,9 +80,6 @@ impl CostVector {
     /// The zero vector (the merge identity).
     pub const fn zero() -> CostVector {
         CostVector {
-            retrieval_ns: 0,
-            rerank_ns: 0,
-            verify_ns: 0,
             vectors_scanned: 0,
             quantized_ops: 0,
             exact_rescores: 0,
@@ -101,7 +87,6 @@ impl CostVector {
             bytes_read: 0,
             cache_hits: 0,
             cache_misses: 0,
-            queue_ns: 0,
             shard_fanout: 0,
             embeds: 0,
         }
@@ -110,9 +95,6 @@ impl CostVector {
     /// Field values in [`CostVector::FIELD_NAMES`] order.
     pub fn values(&self) -> [u64; COST_FIELDS] {
         [
-            self.retrieval_ns,
-            self.rerank_ns,
-            self.verify_ns,
             self.vectors_scanned,
             self.quantized_ops,
             self.exact_rescores,
@@ -120,7 +102,6 @@ impl CostVector {
             self.bytes_read,
             self.cache_hits,
             self.cache_misses,
-            self.queue_ns,
             self.shard_fanout,
             self.embeds,
         ]
@@ -129,30 +110,16 @@ impl CostVector {
     /// Rebuild a vector from values in [`CostVector::FIELD_NAMES`] order.
     pub fn from_values(values: [u64; COST_FIELDS]) -> CostVector {
         CostVector {
-            retrieval_ns: values[0],
-            rerank_ns: values[1],
-            verify_ns: values[2],
-            vectors_scanned: values[3],
-            quantized_ops: values[4],
-            exact_rescores: values[5],
-            bm25_postings: values[6],
-            bytes_read: values[7],
-            cache_hits: values[8],
-            cache_misses: values[9],
-            queue_ns: values[10],
-            shard_fanout: values[11],
-            embeds: values[12],
+            vectors_scanned: values[0],
+            quantized_ops: values[1],
+            exact_rescores: values[2],
+            bm25_postings: values[3],
+            bytes_read: values[4],
+            cache_hits: values[5],
+            cache_misses: values[6],
+            shard_fanout: values[7],
+            embeds: values[8],
         }
-    }
-
-    /// Named field values, for reports and exporters.
-    pub fn fields(&self) -> [(&'static str, u64); COST_FIELDS] {
-        let values = self.values();
-        let mut out = [("", 0u64); COST_FIELDS];
-        for i in 0..COST_FIELDS {
-            out[i] = (Self::FIELD_NAMES[i], values[i]);
-        }
-        out
     }
 
     /// Fold `other` into `self`, fieldwise saturating addition.
@@ -170,18 +137,6 @@ impl CostVector {
     pub fn merged(mut self, other: &CostVector) -> CostVector {
         self.merge(other);
         self
-    }
-
-    /// Fieldwise saturating difference `self - earlier` — the cost accrued
-    /// between two tally snapshots (the tally only ever grows, so within
-    /// one thread this is exact).
-    #[must_use]
-    pub fn since(&self, earlier: &CostVector) -> CostVector {
-        let mut values = self.values();
-        for (slot, e) in values.iter_mut().zip(earlier.values()) {
-            *slot = slot.saturating_sub(e);
-        }
-        CostVector::from_values(values)
     }
 
     /// Split this vector into `n` shares that sum exactly back to it:
@@ -208,28 +163,6 @@ impl CostVector {
     pub fn is_zero(&self) -> bool {
         self.values().iter().all(|&v| v == 0)
     }
-
-    /// Total wall nanoseconds across the three pipeline stages.
-    pub fn stage_ns(&self) -> u64 {
-        self.retrieval_ns
-            .saturating_add(self.rerank_ns)
-            .saturating_add(self.verify_ns)
-    }
-}
-
-/// Kill-switch for the charge functions, default on. Exists so the bench
-/// suite can measure the overhead of metering itself; never flipped by
-/// production code paths.
-static METER_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the thread-local charge functions (bench A/B only).
-pub fn set_enabled(enabled: bool) {
-    METER_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the charge functions are currently live.
-pub fn enabled() -> bool {
-    METER_ENABLED.load(Ordering::Relaxed)
 }
 
 std::thread_local! {
@@ -238,9 +171,6 @@ std::thread_local! {
 
 #[inline]
 fn charge_with(f: impl FnOnce(&mut CostVector)) {
-    if !enabled() {
-        return;
-    }
     TALLY.with(|t| {
         let mut v = t.get();
         f(&mut v);
@@ -298,12 +228,6 @@ pub fn charge_cache_miss() {
     charge_with(|c| c.cache_misses = c.cache_misses.saturating_add(1));
 }
 
-/// Charge nanoseconds spent waiting in a queue (admission or shard).
-#[inline]
-pub fn charge_queue_ns(ns: u64) {
-    charge_with(|c| c.queue_ns = c.queue_ns.saturating_add(ns));
-}
-
 /// Charge `n` shard responses merged into the current request.
 #[inline]
 pub fn charge_shard_fanout(n: u64) {
@@ -317,9 +241,7 @@ pub fn charge_embed() {
 }
 
 /// Fold a whole harvested vector into this thread's tally — the
-/// re-charge half of the router's harvest-and-ship protocol. Unlike the
-/// site-specific charges this ignores the kill-switch: a vector that was
-/// harvested must land somewhere or [`scoped`] totals stop reconciling.
+/// re-charge half of the router's harvest-and-ship protocol.
 #[inline]
 pub fn charge_cost(cost: &CostVector) {
     if cost.is_zero() {
@@ -328,7 +250,7 @@ pub fn charge_cost(cost: &CostVector) {
     TALLY.with(|t| t.set(t.get().merged(cost)));
 }
 
-/// A snapshot of this thread's tally (it only grows between harvests).
+/// A snapshot of this thread's tally.
 pub fn tally() -> CostVector {
     TALLY.with(|t| t.get())
 }
@@ -345,14 +267,13 @@ pub fn take() -> CostVector {
 /// thread; that cost is removed from the local tally so the caller can
 /// re-attribute it (to a report, a shard response, a batch) without
 /// double-counting. Nests: an outer `scoped` sees only what inner scopes
-/// did **not** harvest.
+/// did **not** harvest. The caller's tally is set aside while `f` runs
+/// and put back afterwards, so `f` charges into a fresh zero tally.
 pub fn scoped<T>(f: impl FnOnce() -> T) -> (T, CostVector) {
-    let before = tally();
+    let outer = take();
     let result = f();
-    let after = tally();
-    let diff = after.since(&before);
-    TALLY.with(|t| t.set(before));
-    (result, diff)
+    let cost = TALLY.with(|t| t.replace(outer));
+    (result, cost)
 }
 
 #[cfg(test)]
@@ -378,8 +299,6 @@ mod tests {
         assert_eq!(v.merged(&CostVector::zero()), v);
         assert_eq!(CostVector::zero().merged(&v), v);
         assert_eq!(CostVector::from_values(v.values()), v);
-        assert_eq!(v.fields()[3].0, "vectors_scanned");
-        assert_eq!(v.fields()[3].1, v.vectors_scanned);
     }
 
     #[test]
@@ -402,14 +321,6 @@ mod tests {
         let mut b = CostVector::zero();
         b.bytes_read = 5;
         assert_eq!(a.merged(&b).bytes_read, u64::MAX);
-    }
-
-    #[test]
-    fn since_recovers_the_increment() {
-        let a = arbitrary(1);
-        let b = arbitrary(2);
-        assert_eq!(a.merged(&b).since(&a), b);
-        assert_eq!(a.since(&a), CostVector::zero());
     }
 
     #[test]
@@ -442,7 +353,6 @@ mod tests {
             charge_rescore(8, 320);
             charge_postings(50, 400);
             charge_cache_miss();
-            charge_queue_ns(777);
             charge_shard_fanout(2);
             charge_embed();
         });
@@ -453,7 +363,6 @@ mod tests {
         assert_eq!(cost.bytes_read, 400 + 1600 + 320 + 400);
         assert_eq!(cost.cache_misses, 1);
         assert_eq!(cost.cache_hits, 0);
-        assert_eq!(cost.queue_ns, 777);
         assert_eq!(cost.shard_fanout, 2);
         assert_eq!(cost.embeds, 1);
         // Harvest removed the charges: the tally is back to baseline.
@@ -473,22 +382,6 @@ mod tests {
         assert_eq!(outer.cache_hits, 1);
         assert_eq!(outer.vectors_scanned, 5, "re-charged cost lands once");
         assert_eq!(outer.bytes_read, 20);
-    }
-
-    #[test]
-    fn kill_switch_suppresses_charges_but_not_recharge() {
-        let ((), cost) = scoped(|| {
-            set_enabled(false);
-            charge_scan(10, 40);
-            charge_embed();
-            set_enabled(true);
-            charge_cost(&CostVector {
-                embeds: 3,
-                ..CostVector::zero()
-            });
-        });
-        assert_eq!(cost.vectors_scanned, 0);
-        assert_eq!(cost.embeds, 3);
     }
 }
 

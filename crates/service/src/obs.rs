@@ -32,6 +32,16 @@ use crate::stats::{StageLatency, StageTotals, TenantStats, VerdictCounts};
 /// Pipeline stage names, indexed the way [`ServiceObs`] stores their series.
 pub(crate) const STAGES: [&str; 4] = ["queue", "retrieval", "rerank", "verify"];
 
+/// A report's wall-clock lanes in [`STAGES`] order.
+fn stage_lanes(timing: &StageTiming) -> [u64; 4] {
+    [
+        timing.queue_ns,
+        timing.retrieval_ns,
+        timing.rerank_ns,
+        timing.verify_ns,
+    ]
+}
+
 /// Verdict category count — the quality monitor's window width.
 pub(crate) const VERDICT_CATEGORIES: usize = 4;
 
@@ -399,8 +409,9 @@ pub struct ServiceObs {
     in_flight: Arc<Gauge>,
     index_build_ns: Arc<Gauge>,
 
-    // Always-on stage sums (the `StageTotals` backing store).
-    stage_ns: [Arc<Counter>; 3],
+    // Always-on stage sums (the `StageTotals` backing store), indexed like
+    // `STAGES`.
+    stage_ns: [Arc<Counter>; 4],
     candidates_in: Arc<Counter>,
     candidates_out: Arc<Counter>,
 
@@ -493,12 +504,11 @@ impl ServiceObs {
         };
         // Exemplared histograms pin one recent (trace_id, value) pair per
         // latency bucket, linking slow buckets to retrievable traces.
-        let exemplars = config.enabled && config.exemplars;
         let stage_hist = |s: &str| {
             let name = "verifai_stage_latency_seconds";
             let help = "Per-request stage latency";
             let labels: &[(&'static str, &str)] = &[("stage", s)];
-            if exemplars {
+            if config.enabled {
                 registry.histogram_with_exemplars(name, help, labels)
             } else {
                 registry.histogram(name, help, labels)
@@ -537,11 +547,7 @@ impl ServiceObs {
                 "One-off lake index construction wall time, nanoseconds",
                 &[],
             ),
-            stage_ns: [
-                stage_ns("retrieval"),
-                stage_ns("rerank"),
-                stage_ns("verify"),
-            ],
+            stage_ns: STAGES.map(stage_ns),
             candidates_in: registry.counter(
                 "verifai_candidates_total",
                 "Evidence candidates entering / surviving the rerank stage",
@@ -575,18 +581,13 @@ impl ServiceObs {
             latency: {
                 let name = "verifai_request_latency_seconds";
                 let help = "End-to-end latency of completed requests (enqueue to reply)";
-                if exemplars {
+                if config.enabled {
                     registry.histogram_with_exemplars(name, help, &[])
                 } else {
                     registry.histogram(name, help, &[])
                 }
             },
-            stage_latency: [
-                stage_hist(STAGES[0]),
-                stage_hist(STAGES[1]),
-                stage_hist(STAGES[2]),
-                stage_hist(STAGES[3]),
-            ],
+            stage_latency: STAGES.map(stage_hist),
             verdicts: [
                 verdict("verified"),
                 verdict("refuted"),
@@ -796,7 +797,6 @@ impl ServiceObs {
         trace_id: TraceId,
         timing: &StageTiming,
         decision: Verdict,
-        queue_ns: u64,
         latency_ns: u64,
         top_score: Option<f64>,
     ) {
@@ -806,13 +806,12 @@ impl ServiceObs {
             return;
         }
         // `record_traced` pins the request's trace id as the bucket
-        // exemplar (a plain record when exemplars are off or the id is 0).
+        // exemplar (a plain record when the id is 0).
         self.latency
             .record_traced(Duration::from_nanos(latency_ns), trace_id);
-        self.stage_latency[0].record_traced(Duration::from_nanos(queue_ns), trace_id);
-        self.stage_latency[1].record_traced(Duration::from_nanos(timing.retrieval_ns), trace_id);
-        self.stage_latency[2].record_traced(Duration::from_nanos(timing.rerank_ns), trace_id);
-        self.stage_latency[3].record_traced(Duration::from_nanos(timing.verify_ns), trace_id);
+        for (hist, ns) in self.stage_latency.iter().zip(stage_lanes(timing)) {
+            hist.record_traced(Duration::from_nanos(ns), trace_id);
+        }
         self.verdicts[verdict_slot(decision)].inc();
         if let Some(quality) = &self.quality {
             quality.monitor.observe(verdict_slot(decision), top_score);
@@ -827,9 +826,9 @@ impl ServiceObs {
 
     /// Fold one report's stage timing into the always-on sums.
     fn absorb_timing(&self, timing: &StageTiming) {
-        self.stage_ns[0].add(timing.retrieval_ns);
-        self.stage_ns[1].add(timing.rerank_ns);
-        self.stage_ns[2].add(timing.verify_ns);
+        for (counter, ns) in self.stage_ns.iter().zip(stage_lanes(timing)) {
+            counter.add(ns);
+        }
         self.candidates_in.add(timing.candidates_in as u64);
         self.candidates_out.add(timing.candidates_out as u64);
     }
@@ -859,9 +858,10 @@ impl ServiceObs {
 
     pub(crate) fn stage_totals(&self) -> StageTotals {
         StageTotals {
-            retrieval_ns: self.stage_ns[0].get(),
-            rerank_ns: self.stage_ns[1].get(),
-            verify_ns: self.stage_ns[2].get(),
+            queue_ns: self.stage_ns[0].get(),
+            retrieval_ns: self.stage_ns[1].get(),
+            rerank_ns: self.stage_ns[2].get(),
+            verify_ns: self.stage_ns[3].get(),
             candidates_in: self.candidates_in.get(),
             candidates_out: self.candidates_out.get(),
         }
@@ -931,7 +931,6 @@ mod tests {
             0,
             &StageTiming::default(),
             Verdict::Verified,
-            10,
             100,
             Some(0.9),
         );
@@ -947,19 +946,21 @@ mod tests {
         assert_eq!(obs.allocate_trace_id(), 1);
         assert_eq!(obs.allocate_trace_id(), 2);
         let timing = StageTiming {
+            queue_ns: 500_000,
             retrieval_ns: 1_000_000,
             rerank_ns: 2_000_000,
             verify_ns: 3_000_000,
             candidates_in: 10,
             candidates_out: 4,
         };
-        obs.on_completed(1, &timing, Verdict::Refuted, 500_000, 7_000_000, Some(0.4));
+        obs.on_completed(1, &timing, Verdict::Refuted, 7_000_000, Some(0.4));
         assert_eq!(obs.latency_snapshot().count(), 1);
         let stages = obs.stage_latency_snapshot();
         assert_eq!(stages.queue.count(), 1);
         assert_eq!(stages.verify.count(), 1);
         assert_eq!(obs.verdict_counts().refuted, 1);
         let totals = obs.stage_totals();
+        assert_eq!(totals.queue_ns, 500_000);
         assert_eq!(totals.verify_ns, 3_000_000);
         assert_eq!(totals.candidates_in, 10);
     }
@@ -1005,7 +1006,6 @@ mod tests {
             1,
             &StageTiming::default(),
             Verdict::Verified,
-            10,
             100,
             Some(0.95),
         );
@@ -1051,7 +1051,7 @@ mod tests {
             QualityConfig::default(),
             &["acme".to_string(), "beta".to_string()],
         );
-        obs.on_completed(1, &StageTiming::default(), Verdict::Verified, 10, 100, None);
+        obs.on_completed(1, &StageTiming::default(), Verdict::Verified, 100, None);
         obs.tenant_completed(0, 100);
         obs.record_cost(
             0,
@@ -1146,6 +1146,12 @@ mod tests {
                 ref other => panic!("expected counter, got {other:?}"),
             }
         }
+        // One service-wide row per work counter, and no clock rows.
+        let rows = snap
+            .series
+            .iter()
+            .filter(|s| s.name == "verifai_cost_total");
+        assert_eq!(rows.count(), 9);
         // And the read-back paths agree.
         assert_eq!(obs.cost_totals(), cost.merged(&cost));
         assert_eq!(obs.tenant_stats()[0].cost, cost.merged(&cost));

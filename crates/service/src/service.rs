@@ -642,14 +642,13 @@ fn prewarm_group<'a>(
 }
 
 /// What [`evidence_for`] finds: views borrowed from the system the service
-/// serves (immutable while serving), and the timing of the discovery that
-/// produced them, if one ran.
-type DiscoveredEvidence<'a> = (Views<'a>, Option<StageTiming>);
+/// serves (immutable while serving), and the discovery-side timing.
+type DiscoveredEvidence<'a> = (Views<'a>, StageTiming);
 
 /// Evidence for `object`, preferring the shared cache, then the batch-local
 /// memo, then full discovery — returning the discovery-side [`StageTiming`]
-/// when discovery actually ran (`None` on cache hits, whose reports keep
-/// cached-path timing semantics). Both cached paths look their instance ids
+/// of the discovery that ran, or [`StageTiming::for_cached`] on a cache
+/// hit. Both cached paths look their instance ids
 /// up in the lake through [`VerifAi::view_evidence`], so reports are
 /// identical whichever path served them — and a dangling id is handled
 /// explicitly instead of silently shrinking the evidence set:
@@ -727,7 +726,8 @@ fn evidence_for<'a>(
                         evidence.len(),
                         "hit",
                     );
-                    return Ok((evidence, None));
+                    let timing = StageTiming::for_cached(evidence.len());
+                    return Ok((evidence, timing));
                 }
                 // A stale shared-cache entry is rediscovered below.
                 Err(PipelineError::StaleEvidence { .. }) => cache_note = "stale",
@@ -744,7 +744,7 @@ fn evidence_for<'a>(
         );
         let (discovered, timing) = discover(&key, trace);
         cache.insert(key, ids(&discovered));
-        return Ok((discovered, Some(timing)));
+        return Ok((discovered, timing));
     }
     if let Some(cached) = local.get(&key) {
         let lookup_start = clock.now();
@@ -757,13 +757,14 @@ fn evidence_for<'a>(
                 evidence.len(),
                 "local-hit",
             );
-            (evidence, None)
+            let timing = StageTiming::for_cached(evidence.len());
+            (evidence, timing)
         });
     }
     meter::charge_cache_miss();
     let (discovered, timing) = discover(&key, trace);
     local.insert(key, ids(&discovered));
-    Ok((discovered, Some(timing)))
+    Ok((discovered, timing))
 }
 
 /// This thread's registered [`WorkerProfiler`], registering on first use.
@@ -812,28 +813,23 @@ fn process(
         // The deadline passed before evidence discovery even started (e.g. a
         // zero budget, or long queueing): answer immediately with an empty
         // partial report rather than doing work the caller gave no time for.
-        // No pipeline runs, so the cost vector is stamped directly: all the
-        // request consumed was its queue slot.
+        // No pipeline runs: all the request consumed was its queue slot.
         Ok((
             VerificationReport {
                 object_id: request.object.id(),
                 evidence: Vec::new(),
                 decision: Verdict::Unknown,
                 confidence: 0.0,
-                timing: StageTiming::default(),
-                trace_id: request.trace_id,
-                cost: CostVector {
+                timing: StageTiming {
                     queue_ns,
-                    ..CostVector::zero()
+                    ..StageTiming::default()
                 },
+                trace_id: request.trace_id,
+                cost: CostVector::zero(),
             },
             true,
         ))
     } else {
-        // Queue wait is charged up front so the drain at report assembly
-        // (inside `VerifAi::judge`) folds it into this request's cost
-        // vector alongside the discovery charges.
-        meter::charge_queue_ns(queue_ns);
         let discovered = {
             let _scope = profiler.as_ref().map(|worker| worker.enter("discover"));
             let result = evidence_for(inner, &request.object, key, local, warm, &mut trace);
@@ -842,16 +838,14 @@ fn process(
             }
             result
         };
-        discovered.map(|(evidence, discovered)| {
+        discovered.map(|(evidence, timing)| {
             let _scope = profiler.as_ref().map(|worker| worker.enter("judge"));
-            // When this request paid for discovery, its report carries the
-            // discovery-side timing too, same as `verify_object` would —
-            // and the cost vector's stage clocks follow the same rule.
-            let timing = discovered.unwrap_or_else(|| StageTiming::for_cached(evidence.len()));
+            // The report carries the queue wait beside the discovery-side
+            // timing, the same value the `queue` span recorded.
             let report = inner.system.judge(
                 &request.object,
                 &evidence,
-                timing,
+                StageTiming { queue_ns, ..timing },
                 request.deadline,
                 &mut trace,
             );
@@ -869,7 +863,6 @@ fn process(
                 request.trace_id,
                 &report.timing,
                 report.decision,
-                queue_ns,
                 latency_ns,
                 report.top_score(),
             );

@@ -50,6 +50,8 @@ pub struct StageLatency {
 /// [`verifai::StageTiming`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTotals {
+    /// Total wall time spent waiting for admission, nanoseconds.
+    pub queue_ns: u64,
     /// Total wall time spent in retrieval + resolution, nanoseconds.
     pub retrieval_ns: u64,
     /// Total wall time spent reranking, nanoseconds.
@@ -65,6 +67,7 @@ pub struct StageTotals {
 impl StageTotals {
     /// Fold one report's timing into the totals.
     pub fn absorb(&mut self, timing: &verifai::StageTiming) {
+        self.queue_ns += timing.queue_ns;
         self.retrieval_ns += timing.retrieval_ns;
         self.rerank_ns += timing.rerank_ns;
         self.verify_ns += timing.verify_ns;
@@ -229,6 +232,7 @@ impl ServiceStats {
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;
         self.cache.entries += other.cache.entries;
+        self.stages.queue_ns += other.stages.queue_ns;
         self.stages.retrieval_ns += other.stages.retrieval_ns;
         self.stages.rerank_ns += other.stages.rerank_ns;
         self.stages.verify_ns += other.stages.verify_ns;
@@ -315,7 +319,8 @@ impl fmt::Display for ServiceStats {
         )?;
         writeln!(
             f,
-            "stages:   retrieval {:?} | rerank {:?} | verify {:?} | candidates {} -> {}",
+            "stages:   queue {:?} | retrieval {:?} | rerank {:?} | verify {:?} | candidates {} -> {}",
+            Duration::from_nanos(self.stages.queue_ns),
             Duration::from_nanos(self.stages.retrieval_ns),
             Duration::from_nanos(self.stages.rerank_ns),
             Duration::from_nanos(self.stages.verify_ns),

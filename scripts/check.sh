@@ -76,10 +76,11 @@ cargo test -q -p verifai-obs --lib export > /dev/null
 # Gating metering smoke: a sharded multi-tenant run with --usage-report
 # must reconcile exactly (verifai-serve exits nonzero if any tenant's
 # cost rollup differs from the sum of the per-request vectors its client
-# received, or if the service total differs from the client ledger), and
-# --profile-dump must produce a validated non-empty collapsed-stack dump.
-# Then assert the artifacts here too: the reconciliation line printed,
-# and the dump folds worker request scopes.
+# received, if the service total differs from the client ledger, or if the
+# service's stage totals differ from the sum of the per-request timings),
+# and --profile-dump must produce a validated non-empty collapsed-stack
+# dump. Then assert the artifacts here too: both reconciliation lines
+# printed, and the dump folds worker request scopes.
 echo "==> metering smoke (gating)"
 USAGE_OUT="$(mktemp)"
 PROFILE_DUMP="$(mktemp)"
@@ -88,6 +89,8 @@ cargo run -q --release --bin verifai-serve -- \
   --usage-report --profile-dump "$PROFILE_DUMP" > "$USAGE_OUT"
 grep -q 'usage reconciliation: tenant rollups equal' "$USAGE_OUT" \
   || { echo "usage report did not reconcile"; exit 1; }
+grep -q 'stage-time reconciliation: stage totals equal' "$USAGE_OUT" \
+  || { echo "stage times did not reconcile"; exit 1; }
 grep -q 'profile dump: .* folded stacks' "$USAGE_OUT" \
   || { echo "profile dump was not validated"; exit 1; }
 grep -q ';request' "$PROFILE_DUMP" \

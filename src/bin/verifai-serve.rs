@@ -49,7 +49,7 @@ use verifai_obs::{
     RequestTrace, SamplingPolicy, SystemClock,
 };
 use verifai_service::{
-    QualityConfig, RequestOutcome, ServiceConfig, SubmitError, TenantSpec, Ticket,
+    QualityConfig, RequestOutcome, ServiceConfig, StageTotals, SubmitError, TenantSpec, Ticket,
     VerificationService,
 };
 
@@ -387,10 +387,12 @@ fn main() -> ExitCode {
         .unwrap_or(args.workers.max(1) * args.max_batch.max(1));
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut outstanding: VecDeque<(Ticket, bool, usize)> = VecDeque::with_capacity(window);
-    // The client-side cost ledger: every completed report's cost vector is
-    // summed per tenant, independently of the service's own rollup — the
-    // two must reconcile exactly (`--usage-report` checks).
+    // The client-side ledgers: every completed report's cost vector is
+    // summed per tenant, and its stage timing across all traffic,
+    // independently of the service's own rollups — each pair must
+    // reconcile exactly (`--usage-report` checks).
     let mut client_costs: Vec<CostVector> = vec![CostVector::zero(); args.tenants.len().max(1)];
+    let mut client_stages = StageTotals::default();
     let mut completed = 0u64;
     let mut shed = 0u64;
     let mut rejected = 0u64;
@@ -421,12 +423,14 @@ fn main() -> ExitCode {
                  completed: &mut u64,
                  shed: &mut u64,
                  failed: &mut u64,
-                 client_costs: &mut Vec<CostVector>| {
+                 client_costs: &mut Vec<CostVector>,
+                 client_stages: &mut StageTotals| {
         match ticket.wait() {
             RequestOutcome::Completed(report) => {
                 // Canary reports bill their tenant like any other request,
                 // so the ledger matches the service's rollup.
                 client_costs[tenant].merge(&report.cost);
+                client_stages.absorb(&report.timing);
                 if canary {
                     service.obs().record_canary(
                         report.decision == Verdict::Verified,
@@ -469,6 +473,7 @@ fn main() -> ExitCode {
                 &mut shed,
                 &mut failed,
                 &mut client_costs,
+                &mut client_stages,
             );
         }
         let (tenant, submitted) = if args.tenants.is_empty() {
@@ -496,6 +501,7 @@ fn main() -> ExitCode {
                     &mut shed,
                     &mut failed,
                     &mut client_costs,
+                    &mut client_stages,
                 );
             }
             let probe = golden[probe_idx % golden.len()].clone();
@@ -521,6 +527,7 @@ fn main() -> ExitCode {
             &mut shed,
             &mut failed,
             &mut client_costs,
+            &mut client_stages,
         );
     }
     let elapsed = t_run.elapsed();
@@ -641,14 +648,15 @@ fn main() -> ExitCode {
     }
     // `--usage-report`: print the per-tenant cost rollup and reconcile it
     // against the client-side ledger — the sum of every completed report's
-    // cost vector, per tenant. Any mismatch fails the run: the rollup is
-    // billing, and billing that drifts from what customers were handed is
-    // a bug, not noise.
+    // cost vector, per tenant — then reconcile the service's stage totals
+    // against the sum of every report's timing. Any mismatch fails the
+    // run: the rollup is billing, and billing that drifts from what
+    // customers were handed is a bug, not noise.
     if args.usage_report {
         println!("\n==> usage report");
         let fmt_cost = |cost: &CostVector| {
             format!(
-                "vectors {} (quantized {} / rescored {}) | postings {} | bytes {} | embeds {} | cache {}/{} | queue {:?} | fanout {}",
+                "vectors {} (quantized {} / rescored {}) | postings {} | bytes {} | embeds {} | cache {}/{} | fanout {}",
                 cost.vectors_scanned,
                 cost.quantized_ops,
                 cost.exact_rescores,
@@ -657,7 +665,6 @@ fn main() -> ExitCode {
                 cost.embeds,
                 cost.cache_hits,
                 cost.cache_hits + cost.cache_misses,
-                Duration::from_nanos(cost.queue_ns),
                 cost.shard_fanout
             )
         };
@@ -688,6 +695,16 @@ fn main() -> ExitCode {
         }
         println!(
             "usage reconciliation: tenant rollups equal the sum of per-request cost vectors exactly"
+        );
+        if stats.stages != client_stages {
+            eprintln!(
+                "stage-time reconciliation failed: service totals {:?} != client ledger {:?}",
+                stats.stages, client_stages
+            );
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "stage-time reconciliation: stage totals equal the sum of per-request timings exactly"
         );
     }
 

@@ -14,7 +14,9 @@ use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_index::SegmentedInvertedIndex;
 use verifai_lake::InstanceKind;
 use verifai_obs::meter;
-use verifai_service::{RequestOutcome, ServiceConfig, TenantSpec, VerificationService};
+use verifai_service::{
+    RequestOutcome, ServiceConfig, StageTotals, TenantSpec, VerificationService,
+};
 
 fn system(seed: u64) -> VerifAi {
     VerifAi::build(build(&LakeSpec::tiny(seed)), VerifAiConfig::default())
@@ -34,17 +36,6 @@ fn mixed_objects(sys: &VerifAi) -> Vec<DataObject> {
     objects
 }
 
-/// A cost vector with its wall-clock dimensions zeroed: the deterministic
-/// work counters (scans, postings, bytes, embeds, cache traffic, fanout)
-/// that must reproduce exactly across runs, unlike nanosecond timings.
-fn work_only(mut cost: CostVector) -> CostVector {
-    cost.retrieval_ns = 0;
-    cost.rerank_ns = 0;
-    cost.verify_ns = 0;
-    cost.queue_ns = 0;
-    cost
-}
-
 #[test]
 fn reports_carry_exact_cost_vectors() {
     let sys = system(601);
@@ -57,10 +48,6 @@ fn reports_carry_exact_cost_vectors() {
         assert!(report.cost.bm25_postings > 0, "no postings metered");
         assert!(report.cost.bytes_read > 0, "no bytes metered");
         assert!(report.cost.embeds > 0, "no embeds metered");
-        // Stage clocks are stamped from the same timing the report carries.
-        assert_eq!(report.cost.retrieval_ns, report.timing.retrieval_ns);
-        assert_eq!(report.cost.rerank_ns, report.timing.rerank_ns);
-        assert_eq!(report.cost.verify_ns, report.timing.verify_ns);
     }
 }
 
@@ -86,8 +73,7 @@ fn repeated_runs_meter_identical_work() {
         let first = sys.verify_object(&object);
         let second = sys.verify_object(&object);
         assert_eq!(
-            work_only(first.cost),
-            work_only(second.cost),
+            first.cost, second.cost,
             "metered work must be deterministic per object"
         );
     }
@@ -100,15 +86,12 @@ fn batched_and_sequential_execution_meter_identically() {
     let objects: Vec<DataObject> = tasks.iter().map(|t| sys.impute(t)).collect();
 
     // verify_batch spreads whole objects across threads; each report's
-    // vector must match its solo-run twin exactly (work dimensions).
-    let solo: Vec<CostVector> = objects
-        .iter()
-        .map(|o| work_only(sys.verify_object(o).cost))
-        .collect();
+    // vector must match its solo-run twin exactly.
+    let solo: Vec<CostVector> = objects.iter().map(|o| sys.verify_object(o).cost).collect();
     let batched: Vec<CostVector> = sys
         .verify_batch(&objects, 3)
         .into_iter()
-        .map(|r| work_only(r.cost))
+        .map(|r| r.cost)
         .collect();
     assert_eq!(solo, batched);
 
@@ -116,13 +99,13 @@ fn batched_and_sequential_execution_meter_identically() {
     // swept alone": the sweep's harvested total equals the sum of the
     // per-object discovery costs.
     let refs: Vec<&DataObject> = objects.iter().collect();
-    let (_, sweep) = meter::scoped(|| sys.discover_evidence_batch(&refs));
+    let (_, sweep) = meter::scoped(|| sys.discover_batch(&refs, &[]));
     let mut solo_sum = CostVector::zero();
     for object in &objects {
         let (_, cost) = meter::scoped(|| sys.discover_evidence(object));
         solo_sum.merge(&cost);
     }
-    assert_eq!(work_only(sweep), work_only(solo_sum));
+    assert_eq!(sweep, solo_sum);
 }
 
 /// What a request is charged does not depend on what ran before it.
@@ -132,7 +115,7 @@ fn batched_and_sequential_execution_meter_identically() {
 /// inside a micro-batch — and its embeds are the query's, not the corpus's.
 #[test]
 fn metered_work_is_independent_of_request_order_and_batching() {
-    let work = |sys: &VerifAi, object: &DataObject| work_only(sys.verify_object(object).cost);
+    let work = |sys: &VerifAi, object: &DataObject| sys.verify_object(object).cost;
 
     // Two identical fresh systems: one sees the objects first to last, the
     // other last to first, so every object but the middle one changes from
@@ -160,13 +143,13 @@ fn metered_work_is_independent_of_request_order_and_batching() {
     let batched_sys = system(606);
     for same_kind in [&objects[..5], &objects[5..]] {
         let refs: Vec<&DataObject> = same_kind.iter().collect();
-        let (_, sweep) = meter::scoped(|| batched_sys.discover_evidence_batch(&refs));
+        let (_, sweep) = meter::scoped(|| batched_sys.discover_batch(&refs, &[]));
         let mut solo_sum = CostVector::zero();
         for object in same_kind {
             let (_, cost) = meter::scoped(|| forward_sys.discover_evidence(object));
             solo_sum.merge(&cost);
         }
-        assert_eq!(work_only(sweep), work_only(solo_sum));
+        assert_eq!(sweep, solo_sum);
     }
 }
 
@@ -207,9 +190,9 @@ fn a_request_embeds_its_two_queries_at_any_coarse_k() {
             // `retrieve` embeds the query once per call; a request once.
             assert_eq!(retrieval.embeds, kinds.len() as u64);
             retrieval.embeds = 0;
-            let mut rest = work_only(report.cost);
+            let mut rest = report.cost;
             rest.embeds = 0;
-            assert_eq!(rest, work_only(retrieval), "coarse_k {coarse_k}");
+            assert_eq!(rest, retrieval, "coarse_k {coarse_k}");
         }
     }
 }
@@ -258,7 +241,7 @@ fn postings_charge_is_independent_of_segment_layout() {
         let want = default_sys.verify_object(&object);
         let got = segmented_sys.verify_object(&object);
         assert!(want.cost.bm25_postings > 0);
-        assert_eq!(work_only(got.cost), work_only(want.cost), "{}", object.id());
+        assert_eq!(got.cost, want.cost, "{}", object.id());
         assert_eq!(got, want, "{}", object.id());
     }
 }
@@ -287,12 +270,7 @@ fn postings_charge_is_unchanged_by_a_tail_merge() {
     );
     for (object, first) in objects.iter().zip(&first) {
         let second = sys.verify_object(object);
-        assert_eq!(
-            work_only(second.cost),
-            work_only(first.cost),
-            "{}",
-            object.id()
-        );
+        assert_eq!(second.cost, first.cost, "{}", object.id());
         assert_eq!(&second, first, "{}", object.id());
     }
 }
@@ -301,7 +279,8 @@ fn postings_charge_is_unchanged_by_a_tail_merge() {
 /// threads completing requests concurrently, micro-batched prewarm sweeps,
 /// and cache hits, each tenant's `verifai_tenant_cost_total` rollup equals
 /// the fieldwise sum of the cost vectors returned to that tenant — exactly,
-/// not approximately — and the service-wide rollup equals their total.
+/// not approximately — and the service-wide rollup equals their total. The
+/// service's stage totals likewise equal the sum of the returned timings.
 #[test]
 fn tenant_rollups_reconcile_under_concurrent_completion() {
     let sys = Arc::new(system(605));
@@ -329,11 +308,18 @@ fn tenant_rollups_reconcile_under_concurrent_completion() {
         }
     }
     let mut client_ledger = [CostVector::zero(), CostVector::zero()];
+    let mut client_stages = StageTotals::default();
     let mut cache_hits_seen = 0u64;
     for (tenant, ticket) in tickets {
         match ticket.wait() {
             RequestOutcome::Completed(report) => {
                 client_ledger[tenant].merge(&report.cost);
+                client_stages.queue_ns += report.timing.queue_ns;
+                client_stages.retrieval_ns += report.timing.retrieval_ns;
+                client_stages.rerank_ns += report.timing.rerank_ns;
+                client_stages.verify_ns += report.timing.verify_ns;
+                client_stages.candidates_in += report.timing.candidates_in as u64;
+                client_stages.candidates_out += report.timing.candidates_out as u64;
                 cache_hits_seen += report.cost.cache_hits;
             }
             other => panic!("request did not complete: {other:?}"),
@@ -351,6 +337,10 @@ fn tenant_rollups_reconcile_under_concurrent_completion() {
         total.merge(ledger);
     }
     assert_eq!(stats.cost, total, "service-wide rollup != sum of tenants");
+    assert_eq!(
+        stats.stages, client_stages,
+        "stage totals drifted from the timings clients received"
+    );
 }
 
 proptest! {

@@ -222,7 +222,10 @@ fn flight_recorder_retrieves_full_trace_by_id() {
                 assert!(span.note.contains("co-riders"), "note: {}", span.note);
             }
         }
-        // Span candidate counts agree with the report's instrumentation.
+        // Span durations and candidate counts agree with the report's
+        // instrumentation.
+        let queue = trace.span_for("queue").expect("queue span");
+        assert_eq!(queue.duration_ns, report.timing.queue_ns);
         let retrieval = trace.span_for("retrieval").expect("retrieval span");
         assert_eq!(retrieval.candidates_in, report.timing.candidates_in);
         assert_eq!(retrieval.duration_ns, report.timing.retrieval_ns);
