@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde_json::json;
 use verifai::experiments::ExperimentContext;
 use verifai::metrics::recall_at_k;
-use verifai::{VerifAi, VerifAiConfig};
+use verifai::{RequestTrace, VerifAi, VerifAiConfig};
 use verifai_bench::{write_artifact, BenchScale};
 use verifai_lake::{InstanceId, InstanceKind};
 
@@ -135,7 +135,7 @@ fn ablation_reranker(scale: BenchScale) -> serde_json::Value {
         let tasks_cloned = ctx.tasks.clone();
         for task in &tasks_cloned {
             let object = ctx.system.impute(task);
-            let evidence = ctx.system.discover_evidence(&object);
+            let (evidence, _) = ctx.system.discover(&object, &mut RequestTrace::disabled());
             if evidence
                 .iter()
                 .any(|(i, _)| i.id() == InstanceId::Tuple(task.counterpart))
@@ -147,7 +147,7 @@ fn ablation_reranker(scale: BenchScale) -> serde_json::Value {
         let claims_cloned = ctx.claims.clone();
         for claim in &claims_cloned {
             let object = ctx.system.claim_object(claim);
-            let evidence = ctx.system.discover_evidence(&object);
+            let (evidence, _) = ctx.system.discover(&object, &mut RequestTrace::disabled());
             if evidence
                 .iter()
                 .any(|(i, _)| i.id() == InstanceId::Table(claim.table))

@@ -11,7 +11,7 @@ use verifai_index::{
     HnswIndex, SegmentedInvertedIndex, VectorIndex,
 };
 use verifai_lake::InstanceKind;
-use verifai_obs::{ns_between, Clock, SloConfig, SystemClock};
+use verifai_obs::{ns_between, Clock, SystemClock};
 use verifai_text::Analyzer;
 
 use crate::partition::shard_of;
@@ -28,8 +28,6 @@ pub struct ClusterConfig {
     /// Bounded job-queue depth per shard pool; overflow runs inline on the
     /// router thread (backpressure, not loss).
     pub shard_queue: usize,
-    /// Per-shard latency SLO driving the `{shard}`-labeled burn alerts.
-    pub slo: SloConfig,
 }
 
 impl ClusterConfig {
@@ -39,7 +37,6 @@ impl ClusterConfig {
             shards: n.max(1),
             shard_workers: 1,
             shard_queue: 64,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -234,7 +231,6 @@ pub fn build_cluster_with_clock(
         want_semantic,
         want_semantic.then_some(embedder),
         generated.lake.generation(),
-        cluster.slo,
         clock.clone(),
     ));
     let sources: [Box<dyn EvidenceSource>; 4] = [

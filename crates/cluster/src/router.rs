@@ -12,9 +12,8 @@ use verifai_embed::{TextEmbedder, Vector};
 use verifai_index::{Combiner, CorpusStats, EvidenceSource, SearchHit, SourceQuery, VectorIndex};
 use verifai_lake::InstanceKind;
 use verifai_obs::{
-    meter, ns_between, Alert, AlertKind, AlertLog, BurnRateTracker, Clock, CostVector, Counter,
-    FlightRecorder, FloatGauge, Gauge, Histogram, Registry, RegistrySnapshot, RequestTrace,
-    Severity, SloConfig, SpanContext, SpanEvent, SpanLog, TraceId,
+    meter, ns_between, Clock, CostVector, Counter, FlightRecorder, Gauge, Histogram, Registry,
+    RegistrySnapshot, RequestTrace, SpanContext, SpanEvent, SpanLog, TraceId,
 };
 
 use crate::merge::merge_topk;
@@ -58,25 +57,21 @@ struct ShardProbe {
     scan_ns: u64,
 }
 
-/// Per-shard observability: request/latency series plus an SLO burn
-/// tracker, all labeled `{shard="i"}` so PR 5's alerting discipline fires
-/// *per shard* instead of hiding a sick shard inside a cluster average.
+/// Per-shard observability: request counters and a latency histogram,
+/// all labeled `{shard="i"}` so a sick shard shows as its own series
+/// instead of hiding inside a cluster average (a per-shard SLO burn rate
+/// is a query over `verifai_shard_latency_seconds`).
 struct ShardSeries {
     searches: Arc<Counter>,
     inline_runs: Arc<Counter>,
     mutations: Arc<Counter>,
     latency: Arc<Histogram>,
-    fast_burn: Arc<FloatGauge>,
-    slow_burn: Arc<FloatGauge>,
-    tracker: Mutex<BurnRateTracker>,
-    alerts: AlertLog,
 }
 
 /// Router-owned metrics registry (separate from the serving tier's so the
 /// cluster layer stays usable without a service in front of it).
 struct RouterObs {
     registry: Registry,
-    epoch: std::time::Instant,
     shards: Vec<ShardSeries>,
     /// Cluster-wide generation watermark mirror (the authoritative value is
     /// the router's atomic).
@@ -84,7 +79,7 @@ struct RouterObs {
 }
 
 impl RouterObs {
-    fn new(n: usize, slo: SloConfig, epoch: std::time::Instant) -> RouterObs {
+    fn new(n: usize) -> RouterObs {
         let registry = Registry::new();
         let watermark = registry.gauge(
             "verifai_lake_generation_watermark",
@@ -116,24 +111,11 @@ impl RouterObs {
                         "Per-shard member search latency",
                         labels,
                     ),
-                    fast_burn: registry.float_gauge(
-                        "verifai_quality_shard_slo_fast_burn",
-                        "Fast-window SLO burn rate of this shard",
-                        labels,
-                    ),
-                    slow_burn: registry.float_gauge(
-                        "verifai_quality_shard_slo_slow_burn",
-                        "Slow-window SLO burn rate of this shard",
-                        labels,
-                    ),
-                    tracker: Mutex::new(BurnRateTracker::new(slo)),
-                    alerts: AlertLog::new(32),
                 }
             })
             .collect();
         RouterObs {
             registry,
-            epoch,
             shards,
             watermark,
         }
@@ -191,10 +173,9 @@ impl Router {
         use_semantic: bool,
         embedder: Option<TextEmbedder>,
         generation: u64,
-        slo: SloConfig,
         clock: Arc<dyn Clock>,
     ) -> Router {
-        let obs = RouterObs::new(shards.len(), slo, clock.now());
+        let obs = RouterObs::new(shards.len());
         obs.watermark.set(generation as i64);
         let span_logs = (0..shards.len())
             .map(|_| SpanLog::new(SPAN_LOG_CAPACITY))
@@ -734,53 +715,10 @@ impl Router {
         &self.maint_recorder
     }
 
-    /// Evaluate every shard's SLO burn (multi-window, against the per-shard
-    /// latency series), update the burn gauges, and fire/resolve per-shard
-    /// [`AlertKind::SloBurn`] alerts. Call at quality ticks or before
-    /// snapshots.
-    pub fn assess_slo(&self) {
-        let now_ns = ns_between(self.obs.epoch, self.clock.now());
-        for (i, series) in self.obs.shards.iter().enumerate() {
-            let snapshot = series.latency.snapshot();
-            let mut tracker = series.tracker.lock();
-            let threshold = tracker.config().threshold;
-            let assessment =
-                tracker.observe(now_ns, snapshot.count(), snapshot.count_over(threshold));
-            drop(tracker);
-            series.fast_burn.set(assessment.fast_burn);
-            series.slow_burn.set(assessment.slow_burn);
-            if assessment.firing {
-                series.alerts.fire(Alert {
-                    kind: AlertKind::SloBurn,
-                    severity: Severity::Critical,
-                    message: format!(
-                        "shard {i}: fast burn {:.1}, slow burn {:.1}",
-                        assessment.fast_burn, assessment.slow_burn
-                    ),
-                    window: 0,
-                    at_ns: now_ns,
-                });
-            } else {
-                series.alerts.resolve(AlertKind::SloBurn);
-            }
-        }
-    }
-
-    /// Currently-firing per-shard alerts as `(shard, alert)` pairs.
-    pub fn active_alerts(&self) -> Vec<(usize, Alert)> {
-        self.obs
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(i, s)| s.alerts.active().into_iter().map(move |a| (i, a)))
-            .collect()
-    }
-
-    /// Snapshot the router's per-shard metric series (after refreshing the
-    /// SLO burn gauges). Render with [`verifai_obs::render_prometheus`] or
+    /// Snapshot the router's per-shard metric series; a pure read. Render
+    /// with [`verifai_obs::render_prometheus`] or
     /// [`verifai_obs::render_json`] — series carry `{shard="i"}` labels.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        self.assess_slo();
         self.obs.registry.snapshot()
     }
 }

@@ -318,8 +318,14 @@ fn router_snapshot_carries_shard_labels() {
             )),
             "missing shard {shard} series in:\n{text}"
         );
+        // The per-shard latency histogram a burn rate is queried from.
+        assert!(
+            text.contains(&format!(
+                "verifai_shard_latency_seconds{{shard=\"{shard}\",quantile=\"0.99\"}}"
+            )),
+            "missing shard {shard} latency series in:\n{text}"
+        );
     }
-    assert!(text.contains("verifai_quality_shard_slo_fast_burn"));
     let json = verifai_obs::render_json(&cluster.router.snapshot()).to_string();
     assert!(
         json.contains("verifai_shard_searches_total{shard=\\\"2\\\"}"),

@@ -17,11 +17,12 @@
 
 use crate::config::VerifAiConfig;
 use crate::metrics::{paper_correct, recall_at_k, Accuracy};
-use crate::pipeline::VerifAi;
+use crate::pipeline::{materialize, VerifAi};
 use verifai_claims::{execute, Claim, ClaimGenConfig, ExecOutcome};
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec, MaskedTupleTask};
 use verifai_lake::{DataInstance, InstanceId, InstanceKind};
 use verifai_llm::{DataObject, SimLlm, SimLlmConfig, Verdict};
+use verifai_obs::RequestTrace;
 use verifai_verify::{PastaVerifier, Verifier};
 
 /// A built system plus the paper's two workloads and the ground-truth oracle.
@@ -240,7 +241,11 @@ pub fn table2(ctx: &mut ExperimentContext) -> Table2Result {
     let tasks = ctx.tasks.clone();
     for task in &tasks {
         let object = ctx.system.impute(task);
-        let evidence = ctx.system.discover_evidence(&object);
+        let evidence = materialize(
+            ctx.system
+                .discover(&object, &mut RequestTrace::disabled())
+                .0,
+        );
         for (instance, _) in evidence {
             let expected = ctx.expected_verdict(&object, &instance);
             let actual = ctx.system.llm().verify(&object, &instance).verdict;
@@ -275,7 +280,11 @@ pub fn table2(ctx: &mut ExperimentContext) -> Table2Result {
         claim_relevant_pasta.record(paper_correct(expected, pasta_v, true));
 
         // Retrieved tables: the pipeline's top-k.
-        let evidence = ctx.system.discover_evidence(&object);
+        let evidence = materialize(
+            ctx.system
+                .discover(&object, &mut RequestTrace::disabled())
+                .0,
+        );
         for (instance, _) in evidence {
             let expected = ctx.expected_verdict(&object, &instance);
             let chatgpt = ctx.system.llm().verify(&object, &instance).verdict;

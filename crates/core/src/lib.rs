@@ -72,7 +72,7 @@ pub use live::{
     SharedSemantic,
 };
 pub use metrics::{paper_correct, recall_at_k, Accuracy};
-pub use pipeline::{BuildStats, EvidenceVerdict, VerifAi, VerificationReport};
+pub use pipeline::{materialize, BuildStats, EvidenceVerdict, VerifAi, VerificationReport};
 pub use stages::{
     JudgeOutcome, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,
     TopKPassthrough, VerifyStage, Views,

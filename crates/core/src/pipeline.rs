@@ -78,31 +78,6 @@ pub struct VerificationReport {
     pub cost: CostVector,
 }
 
-impl VerificationReport {
-    /// The reranker score of the top-ranked evidence (`evidence` is in
-    /// rerank order), or `None` for evidence-free reports — the quality
-    /// monitor pairs this with the final decision for calibration
-    /// tracking.
-    pub fn top_score(&self) -> Option<f64> {
-        self.evidence.first().map(|e| e.score)
-    }
-
-    /// Per-evidence verdict counts in verified/refuted/not-related/unknown
-    /// order — the verify stage's contribution to windowed quality signals.
-    pub fn evidence_verdict_counts(&self) -> [u64; 4] {
-        let mut counts = [0u64; 4];
-        for e in &self.evidence {
-            counts[match e.verdict {
-                Verdict::Verified => 0,
-                Verdict::Refuted => 1,
-                Verdict::NotRelated => 2,
-                Verdict::Unknown => 3,
-            }] += 1;
-        }
-        counts
-    }
-}
-
 /// Report equality is semantic — wall-clock [`StageTiming`] is excluded so
 /// that bit-identical pipeline runs compare equal across machines and
 /// repeated executions (the determinism contracts depend on this).
@@ -140,8 +115,9 @@ fn sync_features(stages: &StagedPipeline, lake: &DataLake, ops: &[IndexOp]) {
     stages.rerank_stage().sync_features(lake, &ids);
 }
 
-/// Copy evidence views out of the lake, for a caller that keeps them.
-fn materialize(views: Views<'_>) -> Vec<(DataInstance, f64)> {
+/// Copy evidence views out of the lake, for a caller that keeps them
+/// (`materialize(sys.discover(object, trace).0)`).
+pub fn materialize(views: Views<'_>) -> Vec<(DataInstance, f64)> {
     views
         .into_iter()
         .map(|(view, score)| (view.to_owned(), score))
@@ -704,12 +680,6 @@ impl VerifAi {
         )
     }
 
-    /// [`VerifAi::discover`] with the evidence materialized for a caller
-    /// that keeps it.
-    pub fn discover_evidence(&self, object: &DataObject) -> Vec<(DataInstance, f64)> {
-        materialize(self.discover(object, &mut RequestTrace::disabled()).0)
-    }
-
     /// Run discovery for a batch of same-kind objects at once, amortizing
     /// one blocked multi-query index sweep per modality across the whole
     /// batch (see [`crate::stages::StagedPipeline::discover_batch`]).
@@ -806,8 +776,8 @@ impl VerifAi {
     }
 
     /// Verify an object against already-discovered evidence the caller
-    /// owns. `verify_object` is exactly `discover_evidence` followed by
-    /// this.
+    /// owns. `verify_object` is exactly [`VerifAi::discover`] followed by
+    /// [`materialize`] and this.
     pub fn verify_with_evidence(
         &self,
         object: &DataObject,
@@ -941,7 +911,7 @@ mod tests {
         let tasks = completion_workload(sys.generated(), 10, 3);
         for task in &tasks {
             let object = sys.impute(task);
-            let evidence = sys.discover_evidence(&object);
+            let evidence = sys.discover(&object, &mut RequestTrace::disabled()).0;
             let tuple_ids: Vec<InstanceId> = evidence
                 .iter()
                 .filter(|(i, _)| i.kind() == InstanceKind::Tuple)
@@ -967,7 +937,7 @@ mod tests {
         let mut hit = 0;
         for claim in &claims {
             let object = sys.claim_object(claim);
-            let evidence = sys.discover_evidence(&object);
+            let evidence = sys.discover(&object, &mut RequestTrace::disabled()).0;
             if evidence
                 .iter()
                 .any(|(i, _)| i.id() == InstanceId::Table(claim.table))
@@ -1012,7 +982,7 @@ mod tests {
         let tasks = completion_workload(sys.generated(), 5, 3);
         for task in &tasks {
             let object = sys.impute(task);
-            let evidence = sys.discover_evidence(&object);
+            let evidence = sys.discover(&object, &mut RequestTrace::disabled()).0;
             assert!(!evidence.is_empty());
         }
     }
@@ -1055,7 +1025,7 @@ mod tests {
             "retrieval + rerank + verify + decision, one flush each"
         );
         // The cached-evidence path skips discovery: verify + decision only.
-        let evidence = sys.discover_evidence(&object);
+        let evidence = materialize(sys.discover(&object, &mut RequestTrace::disabled()).0);
         let before = sys.provenance_batches();
         sys.verify_with_evidence(&object, evidence);
         assert_eq!(sys.provenance_batches() - before, 2);

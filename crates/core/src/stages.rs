@@ -283,7 +283,7 @@ pub struct JudgeOutcome {
 
 /// The staged pipeline driver: one retrieval source per modality, one
 /// rerank stage, one verify stage. [`crate::VerifAi`] delegates
-/// `discover_evidence` / `verify_object` here.
+/// `discover` / `verify_object` here.
 pub struct StagedPipeline {
     /// Sources by modality slot (0 = tuple, 1 = table, 2 = text, 3 = kg).
     sources: [Box<dyn EvidenceSource>; 4],

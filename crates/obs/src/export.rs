@@ -362,16 +362,16 @@ mod tests {
     fn float_gauge_renders_in_both_exporters() {
         let registry = Registry::new();
         registry
-            .float_gauge("verifai_quality_canary_pass_rate", "pass rate", &[])
+            .float_gauge("verifai_process_uptime_seconds", "uptime", &[])
             .set(0.75);
         let snap = registry.snapshot();
         let text = render_prometheus(&snap);
-        assert!(text.contains("# TYPE verifai_quality_canary_pass_rate gauge"));
-        assert!(text.contains("verifai_quality_canary_pass_rate 0.75"));
+        assert!(text.contains("# TYPE verifai_process_uptime_seconds gauge"));
+        assert!(text.contains("verifai_process_uptime_seconds 0.75"));
         let json = render_json(&snap);
         assert_eq!(
             json.as_object()
-                .and_then(|o| o.get("verifai_quality_canary_pass_rate"))
+                .and_then(|o| o.get("verifai_process_uptime_seconds"))
                 .and_then(|v| v.as_f64()),
             Some(0.75)
         );

@@ -313,17 +313,6 @@ impl HistogramSnapshot {
         Duration::from_micros(self.max_micros)
     }
 
-    /// Observations strictly above `threshold`, at bucket resolution: only
-    /// buckets lying entirely above the threshold's own bucket are counted,
-    /// so the estimate never overstates violations — the SLO burn-rate path
-    /// errs toward under-alerting by at most one bucket (≤12.5%) of
-    /// boundary traffic.
-    pub fn count_over(&self, threshold: Duration) -> u64 {
-        let threshold_micros = threshold.as_micros().min(u128::from(u64::MAX)) as u64;
-        let first_over = bucket_of(threshold_micros) + 1;
-        self.counts.iter().skip(first_over).sum()
-    }
-
     /// The pinned exemplars, at most one per bucket, ascending by bucket.
     pub fn exemplars(&self) -> &[Exemplar] {
         &self.exemplars
@@ -426,22 +415,6 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count(), 4000);
         assert_eq!(snap.max(), Duration::from_micros(3999));
-    }
-
-    #[test]
-    fn count_over_splits_at_bucket_resolution() {
-        let h = Histogram::new();
-        for micros in [1u64, 5, 100, 5_000, 5_000, 80_000] {
-            h.record_micros(micros);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count_over(Duration::from_micros(1_000)), 3);
-        assert_eq!(snap.count_over(Duration::from_micros(50_000)), 1);
-        assert_eq!(snap.count_over(Duration::from_secs(1)), 0);
-        // Never overstates: everything over zero still excludes the zero
-        // bucket's own occupants only.
-        assert!(snap.count_over(Duration::ZERO) <= snap.count());
-        assert_eq!(HistogramSnapshot::default().count_over(Duration::ZERO), 0);
     }
 
     #[test]

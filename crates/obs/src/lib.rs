@@ -21,25 +21,17 @@
 //!   and rolled up per tenant;
 //! * [`Profiler`] — a cooperative wall-clock sampling profiler over the
 //!   same [`Clock`], exporting collapsed ("folded") stacks for
-//!   flamegraph/speedscope;
-//! * quality-health primitives — [`CategoryWindow`] tumbling windows,
-//!   [`DriftDetector`] G-test drift scoring against a frozen baseline,
-//!   [`CanarySchedule`] / [`CanaryTracker`] golden-set probes,
-//!   [`BurnRateTracker`] multi-window SLO burn rates, and a severity-
-//!   leveled [`AlertLog`].
+//!   flamegraph/speedscope.
+//!
+//! The crate exports series, not judgements: a verdict-mix drift or a
+//! latency SLO burn rate is a query over the counters and histograms it
+//! already exports, computed by whoever asks.
 //!
 //! The crate is deliberately a leaf: it knows nothing about lakes,
 //! indexes, or verdicts, so every layer of the workspace can depend on it.
-//! The quality primitives follow the same rule — windows count opaque
-//! category slots and canaries count opaque pass/fail outcomes; mapping
-//! verdicts onto slots and golden probes onto requests is the serving
-//! layer's business.
 
-pub mod alert;
-pub mod canary;
 pub mod clock;
 pub mod config;
-pub mod drift;
 pub mod export;
 pub mod hist;
 pub mod meter;
@@ -47,15 +39,10 @@ pub mod perfetto;
 pub mod profile;
 pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod trace;
-pub mod window;
 
-pub use alert::{Alert, AlertKind, AlertLog, Severity};
-pub use canary::{CanarySchedule, CanaryTracker, CanaryWindow};
 pub use clock::{Clock, MockClock, SystemClock};
 pub use config::{ns_between, ObsConfig};
-pub use drift::{DriftAssessment, DriftBaseline, DriftDetector, CHI2_P001_DF3};
 pub use export::{render_json, render_prometheus, validate_prometheus};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
 pub use meter::CostVector;
@@ -63,6 +50,4 @@ pub use perfetto::{render_perfetto, validate_trace_dump, TraceDumpSummary};
 pub use profile::{validate_folded, Profiler, WorkerProfiler};
 pub use recorder::{FlightRecorder, SamplingPolicy, SpanLog};
 pub use registry::{Counter, FloatGauge, Gauge, Registry, RegistrySnapshot, SeriesValue};
-pub use slo::{BurnRateTracker, SloAssessment, SloConfig};
 pub use trace::{RequestTrace, SpanContext, SpanEvent, TraceId};
-pub use window::{CalibrationBins, CalibrationSnapshot, CategoryWindow, WindowCounts};

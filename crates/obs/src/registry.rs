@@ -111,9 +111,8 @@ impl Gauge {
     }
 }
 
-/// An instantaneous floating-point value (pass rates, drift scores, burn
-/// rates) stored as its IEEE-754 bit pattern in an atomic — lock-free set
-/// and get, no NaN ever written by the quality paths that feed it.
+/// An instantaneous floating-point value (uptime seconds) stored as its
+/// IEEE-754 bit pattern in an atomic — lock-free set and get.
 #[derive(Default)]
 pub struct FloatGauge {
     bits: AtomicU64,

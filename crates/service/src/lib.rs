@@ -5,14 +5,12 @@
 
 pub mod cache;
 pub mod obs;
-pub mod quality;
 pub mod service;
 pub mod stats;
 pub mod tenants;
 
 pub use cache::{CacheStats, EvidenceCache, EvidenceKey};
 pub use obs::ServiceObs;
-pub use quality::{QualityConfig, QualityMonitor, QualityStats};
 pub use service::{RequestOutcome, ServiceConfig, SubmitError, Ticket, VerificationService};
 pub use stats::{ServiceStats, StageLatency, StageTotals, TenantStats, VerdictCounts};
 pub use tenants::TenantSpec;

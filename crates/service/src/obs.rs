@@ -26,7 +26,6 @@ use verifai_obs::{
 };
 
 use crate::cache::CacheStats;
-use crate::quality::{QualityConfig, QualityMonitor, QualityStats};
 use crate::stats::{StageLatency, StageTotals, TenantStats, VerdictCounts};
 
 /// Pipeline stage names, indexed the way [`ServiceObs`] stores their series.
@@ -42,177 +41,13 @@ fn stage_lanes(timing: &StageTiming) -> [u64; 4] {
     ]
 }
 
-/// Verdict category count — the quality monitor's window width.
-pub(crate) const VERDICT_CATEGORIES: usize = 4;
-
-/// The window slot a verdict counts under (Verified first, so slot 0 is
-/// the calibration tracker's positive outcome).
-pub(crate) fn verdict_slot(verdict: Verdict) -> usize {
+/// The `verifai_verdicts_total` row a verdict counts under.
+fn verdict_slot(verdict: Verdict) -> usize {
     match verdict {
         Verdict::Verified => 0,
         Verdict::Refuted => 1,
         Verdict::NotRelated => 2,
         Verdict::Unknown => 3,
-    }
-}
-
-/// The quality monitor plus the registry series mirroring its state.
-/// Counters are incremented inline; gauges are refreshed from
-/// [`QualityMonitor::stats`] at snapshot time, like the cache gauges.
-struct QualityObs {
-    monitor: QualityMonitor,
-    windows: Arc<Gauge>,
-    drift_score: Arc<FloatGauge>,
-    canary_passed: Arc<Counter>,
-    canary_failed: Arc<Counter>,
-    canary_pass_rate: Arc<FloatGauge>,
-    fast_burn: Arc<FloatGauge>,
-    slow_burn: Arc<FloatGauge>,
-    alerts_active: [Arc<Gauge>; 3],
-    alerts_fired: [Arc<Gauge>; 3],
-    cal_count: Vec<Arc<Gauge>>,
-    cal_score: Vec<Arc<FloatGauge>>,
-    cal_rate: Vec<Arc<FloatGauge>>,
-}
-
-impl QualityObs {
-    fn new(registry: &Registry, config: QualityConfig, epoch: std::time::Instant) -> QualityObs {
-        let severity = |name: &'static str, help: &'static str, s: &str| {
-            registry.gauge(name, help, &[("severity", s)])
-        };
-        let bins = config.calibration_bins.max(1);
-        let mut cal_count = Vec::with_capacity(bins);
-        let mut cal_score = Vec::with_capacity(bins);
-        let mut cal_rate = Vec::with_capacity(bins);
-        for bin in 0..bins {
-            let label = bin.to_string();
-            cal_count.push(registry.gauge(
-                "verifai_quality_calibration_count",
-                "Completed requests per top-score calibration bin",
-                &[("bin", &label)],
-            ));
-            cal_score.push(registry.float_gauge(
-                "verifai_quality_calibration_score",
-                "Mean reranker top score per calibration bin",
-                &[("bin", &label)],
-            ));
-            cal_rate.push(registry.float_gauge(
-                "verifai_quality_calibration_verified_rate",
-                "Share of Verified decisions per calibration bin",
-                &[("bin", &label)],
-            ));
-        }
-        QualityObs {
-            monitor: QualityMonitor::new(config, epoch),
-            windows: registry.gauge(
-                "verifai_quality_windows_total",
-                "Quality windows rolled since start",
-                &[],
-            ),
-            drift_score: registry.float_gauge(
-                "verifai_quality_drift_score",
-                "G statistic of the last window's verdict mix against the baseline",
-                &[],
-            ),
-            canary_passed: registry.counter(
-                "verifai_quality_canaries_total",
-                "Golden-set canary probes by outcome",
-                &[("result", "passed")],
-            ),
-            canary_failed: registry.counter(
-                "verifai_quality_canaries_total",
-                "Golden-set canary probes by outcome",
-                &[("result", "failed")],
-            ),
-            canary_pass_rate: registry.float_gauge(
-                "verifai_quality_canary_pass_rate",
-                "Lifetime canary pass rate (1.0 before any probe)",
-                &[],
-            ),
-            fast_burn: registry.float_gauge(
-                "verifai_quality_slo_fast_burn",
-                "Latency SLO burn rate over the fast window",
-                &[],
-            ),
-            slow_burn: registry.float_gauge(
-                "verifai_quality_slo_slow_burn",
-                "Latency SLO burn rate over the slow window",
-                &[],
-            ),
-            alerts_active: [
-                severity(
-                    "verifai_quality_alerts_active",
-                    "Currently-firing quality alerts by severity",
-                    "info",
-                ),
-                severity(
-                    "verifai_quality_alerts_active",
-                    "Currently-firing quality alerts by severity",
-                    "warning",
-                ),
-                severity(
-                    "verifai_quality_alerts_active",
-                    "Currently-firing quality alerts by severity",
-                    "critical",
-                ),
-            ],
-            alerts_fired: [
-                severity(
-                    "verifai_quality_alerts_fired",
-                    "Lifetime quality-alert firings by severity",
-                    "info",
-                ),
-                severity(
-                    "verifai_quality_alerts_fired",
-                    "Lifetime quality-alert firings by severity",
-                    "warning",
-                ),
-                severity(
-                    "verifai_quality_alerts_fired",
-                    "Lifetime quality-alert firings by severity",
-                    "critical",
-                ),
-            ],
-            cal_count,
-            cal_score,
-            cal_rate,
-        }
-    }
-
-    /// Push the monitor's current state into the mirrored registry series.
-    fn refresh(&self) {
-        let stats = self.monitor.stats();
-        self.windows.set(stats.windows.min(i64::MAX as u64) as i64);
-        self.drift_score
-            .set(stats.drift.map(|d| d.score).unwrap_or(0.0));
-        self.canary_pass_rate.set(stats.canary_lifetime.pass_rate());
-        self.fast_burn.set(stats.slo.fast_burn);
-        self.slow_burn.set(stats.slo.slow_burn);
-        let mut active = [0i64; 3];
-        for alert in &stats.active_alerts {
-            active[match alert.severity {
-                verifai_obs::Severity::Info => 0,
-                verifai_obs::Severity::Warning => 1,
-                verifai_obs::Severity::Critical => 2,
-            }] += 1;
-        }
-        for (gauge, count) in self.alerts_active.iter().zip(active) {
-            gauge.set(count);
-        }
-        for (gauge, fired) in self.alerts_fired.iter().zip(stats.alerts_fired) {
-            gauge.set(fired.min(i64::MAX as u64) as i64);
-        }
-        for (bin, snapshot) in stats.calibration.bins.iter().enumerate() {
-            if let Some(gauge) = self.cal_count.get(bin) {
-                gauge.set(snapshot.count.min(i64::MAX as u64) as i64);
-            }
-            if let Some(gauge) = self.cal_score.get(bin) {
-                gauge.set(snapshot.mean_score());
-            }
-            if let Some(gauge) = self.cal_rate.get(bin) {
-                gauge.set(snapshot.positive_rate());
-            }
-        }
     }
 }
 
@@ -444,37 +279,15 @@ pub struct ServiceObs {
     next_trace_id: AtomicU64,
     /// Micro-batch sequence numbers for batch-membership spans.
     next_batch_seq: AtomicU64,
-
-    // Quality monitoring (gated like the tier above; None when either
-    // observability or quality is disabled).
-    quality: Option<QualityObs>,
 }
 
 impl ServiceObs {
-    /// Stand up the registry with every series the service exports, with
-    /// default quality monitoring.
-    pub fn new(config: ObsConfig) -> ServiceObs {
-        ServiceObs::with_quality(config, QualityConfig::default())
-    }
-
-    /// [`ServiceObs::new`] with explicit quality tuning. Quality rides the
-    /// gated tier: it runs only when observability is enabled (its SLO
-    /// signal reads the gated latency histogram).
-    pub fn with_quality(config: ObsConfig, quality: QualityConfig) -> ServiceObs {
-        ServiceObs::with_quality_and_tenants(config, quality, &[])
-    }
-
-    /// [`ServiceObs::with_quality`] plus per-tenant accounting series, one
-    /// `{tenant="name"}` family per entry of `tenant_names`.
-    pub fn with_quality_and_tenants(
-        config: ObsConfig,
-        quality: QualityConfig,
-        tenant_names: &[String],
-    ) -> ServiceObs {
+    /// Stand up the registry with every series the service exports, plus
+    /// per-tenant accounting series, one `{tenant="name"}` family per entry
+    /// of `tenant_names` (none for the single shared queue).
+    pub fn new(config: ObsConfig, tenant_names: &[String]) -> ServiceObs {
         let registry = Registry::new();
         let epoch = config.clock.now();
-        let quality =
-            (config.enabled && quality.enabled).then(|| QualityObs::new(&registry, quality, epoch));
         // Constant-1 info gauge carrying the build identity as labels —
         // the conventional Prometheus shape for joining version/feature
         // metadata onto any other series.
@@ -601,44 +414,9 @@ impl ServiceObs {
             )),
             next_trace_id: AtomicU64::new(1),
             next_batch_seq: AtomicU64::new(1),
-            quality,
             config,
             registry,
         }
-    }
-
-    /// The quality monitor, when one is running.
-    pub fn quality(&self) -> Option<&QualityMonitor> {
-        self.quality.as_ref().map(|q| &q.monitor)
-    }
-
-    /// Record one canary probe outcome (no-op without a quality monitor).
-    pub fn record_canary(&self, pass: bool, note: &str) {
-        if let Some(quality) = &self.quality {
-            quality.monitor.record_canary(pass, note);
-            if pass {
-                quality.canary_passed.inc();
-            } else {
-                quality.canary_failed.inc();
-            }
-        }
-    }
-
-    /// Force-roll the quality monitor's current window (shutdown path), so
-    /// short real-clock runs still evaluate their traffic once.
-    pub fn finalize_quality(&self) {
-        if let Some(quality) = &self.quality {
-            let now_ns = ns_between(quality.monitor.epoch(), self.config.clock.now());
-            quality.monitor.finalize(now_ns, &self.latency.snapshot());
-        }
-    }
-
-    /// Frozen quality state (disabled default when no monitor runs).
-    pub fn quality_stats(&self) -> QualityStats {
-        self.quality
-            .as_ref()
-            .map(|q| q.monitor.stats())
-            .unwrap_or_default()
     }
 
     /// The observability configuration (clock, retention, enablement).
@@ -789,16 +567,13 @@ impl ServiceObs {
     }
 
     /// Account one completed request: outcome counter, end-to-end latency,
-    /// queue-wait distribution, stage sums and distributions, verdict, and
-    /// the quality monitor's window (`top_score` is the reranker's top
-    /// evidence score, `None` for evidence-free reports).
+    /// queue-wait distribution, stage sums and distributions, and verdict.
     pub(crate) fn on_completed(
         &self,
         trace_id: TraceId,
         timing: &StageTiming,
         decision: Verdict,
         latency_ns: u64,
-        top_score: Option<f64>,
     ) {
         self.completed.inc();
         self.absorb_timing(timing);
@@ -813,15 +588,6 @@ impl ServiceObs {
             hist.record_traced(Duration::from_nanos(ns), trace_id);
         }
         self.verdicts[verdict_slot(decision)].inc();
-        if let Some(quality) = &self.quality {
-            quality.monitor.observe(verdict_slot(decision), top_score);
-            let now_ns = ns_between(quality.monitor.epoch(), self.config.clock.now());
-            if quality.monitor.due(now_ns) {
-                quality
-                    .monitor
-                    .maybe_roll(now_ns, || self.latency.snapshot());
-            }
-        }
     }
 
     /// Fold one report's stage timing into the always-on sums.
@@ -909,9 +675,6 @@ impl ServiceObs {
             .set(cache.evictions.min(i64::MAX as u64) as i64);
         self.cache_entries
             .set(cache.entries.min(i64::MAX as usize) as i64);
-        if let Some(quality) = &self.quality {
-            quality.refresh();
-        }
         self.registry.snapshot()
     }
 }
@@ -922,18 +685,12 @@ mod tests {
 
     #[test]
     fn disabled_obs_allocates_no_trace_and_records_no_histograms() {
-        let obs = ServiceObs::new(ObsConfig::off());
+        let obs = ServiceObs::new(ObsConfig::off(), &[]);
         assert_eq!(obs.allocate_trace_id(), 0);
         let trace = obs.begin_trace(0, 9);
         assert!(!trace.is_enabled());
         assert_eq!(trace.spans.capacity(), 0);
-        obs.on_completed(
-            0,
-            &StageTiming::default(),
-            Verdict::Verified,
-            100,
-            Some(0.9),
-        );
+        obs.on_completed(0, &StageTiming::default(), Verdict::Verified, 100);
         assert_eq!(obs.latency_snapshot().count(), 0, "histograms stay empty");
         assert_eq!(obs.verdict_counts(), VerdictCounts::default());
         // The always-on tier still counts.
@@ -942,7 +699,7 @@ mod tests {
 
     #[test]
     fn enabled_obs_records_distributions_and_verdicts() {
-        let obs = ServiceObs::new(ObsConfig::default());
+        let obs = ServiceObs::new(ObsConfig::default(), &[]);
         assert_eq!(obs.allocate_trace_id(), 1);
         assert_eq!(obs.allocate_trace_id(), 2);
         let timing = StageTiming {
@@ -953,7 +710,7 @@ mod tests {
             candidates_in: 10,
             candidates_out: 4,
         };
-        obs.on_completed(1, &timing, Verdict::Refuted, 7_000_000, Some(0.4));
+        obs.on_completed(1, &timing, Verdict::Refuted, 7_000_000);
         assert_eq!(obs.latency_snapshot().count(), 1);
         let stages = obs.stage_latency_snapshot();
         assert_eq!(stages.queue.count(), 1);
@@ -967,7 +724,7 @@ mod tests {
 
     #[test]
     fn snapshot_refreshes_cache_gauges() {
-        let obs = ServiceObs::new(ObsConfig::default());
+        let obs = ServiceObs::new(ObsConfig::default(), &[]);
         let cache = CacheStats {
             hits: 3,
             misses: 2,
@@ -997,61 +754,14 @@ mod tests {
     }
 
     #[test]
-    fn quality_series_appear_and_refresh() {
-        let obs = ServiceObs::new(ObsConfig::default());
-        obs.record_canary(true, "");
-        obs.record_canary(true, "");
-        obs.record_canary(false, "probe regressed");
-        obs.on_completed(
-            1,
-            &StageTiming::default(),
-            Verdict::Verified,
-            100,
-            Some(0.95),
-        );
-        let snap = obs.snapshot(0, &CacheStats::default());
-        let find = |name: &str, label: Option<(&str, &str)>| {
-            snap.series
-                .iter()
-                .find(|s| {
-                    s.name == name
-                        && label.is_none_or(|(k, v)| {
-                            s.labels.iter().any(|(lk, lv)| *lk == k && lv == v)
-                        })
-                })
-                .unwrap_or_else(|| panic!("series {name} missing"))
-        };
-        match find("verifai_quality_canaries_total", Some(("result", "passed"))).value {
-            verifai_obs::SeriesValue::Counter(v) => assert_eq!(v, 2),
-            ref other => panic!("expected counter, got {other:?}"),
-        }
-        match find("verifai_quality_canary_pass_rate", None).value {
-            verifai_obs::SeriesValue::Float(v) => assert!((v - 2.0 / 3.0).abs() < 1e-9),
-            ref other => panic!("expected float gauge, got {other:?}"),
-        }
-        // Calibration bins exist per bin index; 0.95 lands in the top bin.
-        match find("verifai_quality_calibration_count", Some(("bin", "9"))).value {
-            verifai_obs::SeriesValue::Gauge(v) => assert_eq!(v, 1),
-            ref other => panic!("expected gauge, got {other:?}"),
-        }
-        find("verifai_quality_drift_score", None);
-        find("verifai_quality_slo_fast_burn", None);
-        find(
-            "verifai_quality_alerts_active",
-            Some(("severity", "critical")),
-        );
-    }
-
-    #[test]
     fn every_series_ships_with_help_and_type() {
-        // The fullest registry we can stand up: quality + tenants + cost,
+        // The fullest registry we can stand up: tenants + cost,
         // with traffic so histograms render their summary expansion.
-        let obs = ServiceObs::with_quality_and_tenants(
+        let obs = ServiceObs::new(
             ObsConfig::default(),
-            QualityConfig::default(),
             &["acme".to_string(), "beta".to_string()],
         );
-        obs.on_completed(1, &StageTiming::default(), Verdict::Verified, 100, None);
+        obs.on_completed(1, &StageTiming::default(), Verdict::Verified, 100);
         obs.tenant_completed(0, 100);
         obs.record_cost(
             0,
@@ -1081,11 +791,7 @@ mod tests {
             clock: clock.clone(),
             ..ObsConfig::default()
         };
-        let obs = ServiceObs::with_quality_and_tenants(
-            config,
-            QualityConfig::default(),
-            &["acme".to_string()],
-        );
+        let obs = ServiceObs::new(config, &["acme".to_string()]);
         let cost = CostVector {
             vectors_scanned: 5,
             bm25_postings: 3,
@@ -1155,13 +861,5 @@ mod tests {
         // And the read-back paths agree.
         assert_eq!(obs.cost_totals(), cost.merged(&cost));
         assert_eq!(obs.tenant_stats()[0].cost, cost.merged(&cost));
-    }
-
-    #[test]
-    fn disabled_obs_runs_no_quality_monitor() {
-        let obs = ServiceObs::new(ObsConfig::off());
-        assert!(obs.quality().is_none());
-        obs.record_canary(true, ""); // must be a silent no-op
-        assert!(!obs.quality_stats().enabled);
     }
 }

@@ -35,7 +35,6 @@ use verifai_obs::{
 
 use crate::cache::{CachedEvidence, EvidenceCache, EvidenceKey};
 use crate::obs::ServiceObs;
-use crate::quality::QualityConfig;
 use crate::stats::ServiceStats;
 use crate::tenants::{EnqueueError, TenantScheduler, TenantSpec};
 
@@ -57,8 +56,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Deadline applied to requests submitted without an explicit one.
     pub default_deadline: Option<Duration>,
-    /// Quality-monitoring tuning (drift windows, canaries, SLO burn).
-    pub quality: QualityConfig,
     /// Tenant QoS contracts. Empty (the default) keeps the single shared
     /// FIFO; non-empty splits admission into weighted-fair per-tenant
     /// queues with token-bucket rate quotas — `queue_capacity` and
@@ -81,7 +78,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             cache_capacity: 1024,
             default_deadline: None,
-            quality: QualityConfig::default(),
             tenants: Vec::new(),
             profiler: None,
         }
@@ -194,8 +190,7 @@ impl VerificationService {
         let cache = (config.cache_capacity > 0)
             .then(|| EvidenceCache::new(config.cache_shards, config.cache_capacity));
         let tenant_names: Vec<String> = config.tenants.iter().map(|t| t.name.clone()).collect();
-        let obs =
-            ServiceObs::with_quality_and_tenants(obs_config, config.quality.clone(), &tenant_names);
+        let obs = ServiceObs::new(obs_config, &tenant_names);
         obs.set_index_build_ns(system.build_stats().index_ns);
         let scheduler = (!config.tenants.is_empty()).then(|| {
             TenantScheduler::new(
@@ -378,7 +373,6 @@ impl VerificationService {
             verdicts: obs.verdict_counts(),
             traces_recorded: obs.recorder().recorded(),
             traces_sampled_out: obs.recorder().sampled_out(),
-            quality: obs.quality_stats(),
             cost: obs.cost_totals(),
             cache: self
                 .inner
@@ -437,10 +431,6 @@ impl VerificationService {
                 self.inner.obs.in_flight_add(-1);
             }
         }
-        // Evaluate whatever the last partial quality window accumulated —
-        // without this, short runs would exit with signals collected but
-        // never judged.
-        self.inner.obs.finalize_quality();
         self.stats()
     }
 }
@@ -864,7 +854,6 @@ fn process(
                 &report.timing,
                 report.decision,
                 latency_ns,
-                report.top_score(),
             );
             inner.obs.tenant_completed(request.tenant, latency_ns);
             // Tenant cost rollup, from the very vector the caller receives:

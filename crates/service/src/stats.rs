@@ -7,7 +7,6 @@ use verifai::{CostVector, LiveLakeStats};
 use verifai_obs::HistogramSnapshot;
 
 use crate::cache::CacheStats;
-use crate::quality::QualityStats;
 
 /// Final-decision counts by verdict across completed requests (empty when
 /// observability is disabled).
@@ -166,8 +165,6 @@ pub struct ServiceStats {
     /// Healthy traces the tail sampler dropped at completion time (always
     /// zero under the default keep-all policy).
     pub traces_sampled_out: u64,
-    /// Quality-monitoring state (disabled default when no monitor runs).
-    pub quality: QualityStats,
     /// Per-tenant accounting, in configuration order (empty without
     /// tenants).
     pub tenants: Vec<TenantStats>,
@@ -250,24 +247,6 @@ impl ServiceStats {
         self.verdicts.unknown += other.verdicts.unknown;
         self.traces_recorded += other.traces_recorded;
         self.traces_sampled_out += other.traces_sampled_out;
-        self.quality.enabled |= other.quality.enabled;
-        self.quality.windows += other.quality.windows;
-        self.quality.canary_lifetime.passed += other.quality.canary_lifetime.passed;
-        self.quality.canary_lifetime.failed += other.quality.canary_lifetime.failed;
-        self.quality
-            .active_alerts
-            .extend(other.quality.active_alerts.iter().cloned());
-        for (mine, theirs) in self
-            .quality
-            .alerts_fired
-            .iter_mut()
-            .zip(other.quality.alerts_fired)
-        {
-            *mine += theirs;
-        }
-        self.quality.slo.fast_burn = self.quality.slo.fast_burn.max(other.quality.slo.fast_burn);
-        self.quality.slo.slow_burn = self.quality.slo.slow_burn.max(other.quality.slo.slow_burn);
-        self.quality.slo.firing |= other.quality.slo.firing;
         for tenant in &other.tenants {
             match self.tenants.iter_mut().find(|t| t.name == tenant.name) {
                 Some(mine) => mine.merge(tenant),
@@ -350,40 +329,6 @@ impl fmt::Display for ServiceStats {
                 self.verdicts.unknown
             )?;
         }
-        if self.quality.enabled {
-            // Every figure here is NaN-proof at zero traffic: drift before
-            // any judged window renders as a phase, canary rates render as
-            // "no probes" until a probe ran, burn rates are 0 without
-            // samples.
-            let drift = match self.quality.drift {
-                Some(d) if d.judged => format!("G {:.2}", d.score),
-                Some(d) => format!("G {:.2} (thin window)", d.score),
-                None if self.quality.baseline_frozen => "pending".to_string(),
-                None => "learning baseline".to_string(),
-            };
-            let canary = if self.quality.canary_lifetime.total() == 0 {
-                "no probes".to_string()
-            } else {
-                format!(
-                    "{:.1}% ({}/{})",
-                    self.quality.canary_lifetime.pass_rate() * 100.0,
-                    self.quality.canary_lifetime.passed,
-                    self.quality.canary_lifetime.total()
-                )
-            };
-            writeln!(
-                f,
-                "quality:  windows {} | drift {} | canary {} | burn fast {:.2} slow {:.2}",
-                self.quality.windows,
-                drift,
-                canary,
-                self.quality.slo.fast_burn,
-                self.quality.slo.slow_burn
-            )?;
-            for alert in &self.quality.active_alerts {
-                writeln!(f, "alert:    {alert}")?;
-            }
-        }
         if self.stage_latency.verify.count() > 0 {
             writeln!(
                 f,
@@ -443,46 +388,6 @@ mod tests {
         assert!(!banner.contains("NaN"), "banner: {banner}");
         assert!(banner.contains("hit rate 0.0%"));
         assert_eq!(stats.accounted(), 0);
-    }
-
-    /// Satellite regression: a quality-enabled banner with zero windows and
-    /// zero canaries (a service that just started) must render finite
-    /// numbers — no `NaN` pass rate, no div-by-zero burn rate.
-    #[test]
-    fn zero_traffic_quality_banner_has_no_nan() {
-        let stats = ServiceStats {
-            quality: QualityStats {
-                enabled: true,
-                ..QualityStats::default()
-            },
-            ..ServiceStats::default()
-        };
-        let banner = stats.to_string();
-        assert!(!banner.contains("NaN"), "banner: {banner}");
-        assert!(banner.contains("quality:  windows 0"));
-        assert!(banner.contains("canary no probes"));
-        assert!(banner.contains("burn fast 0.00 slow 0.00"));
-        assert!(banner.contains("learning baseline"));
-    }
-
-    #[test]
-    fn active_alerts_render_in_banner() {
-        let stats = ServiceStats {
-            quality: QualityStats {
-                enabled: true,
-                active_alerts: vec![verifai_obs::Alert {
-                    kind: verifai_obs::AlertKind::VerdictDrift,
-                    severity: verifai_obs::Severity::Critical,
-                    message: "verdict mix G 42.00 > 16.27".to_string(),
-                    window: 3,
-                    at_ns: 1,
-                }],
-                ..QualityStats::default()
-            },
-            ..ServiceStats::default()
-        };
-        let banner = stats.to_string();
-        assert!(banner.contains("alert:    [critical] verdict_drift"));
     }
 
     #[test]

@@ -22,6 +22,12 @@ cargo test -q --workspace
 echo "==> allocation budgets, release (gating)"
 cargo test -q --release --test alloc_budget
 
+# What the default observability config adds to a cached request, in clock
+# reads and allocations against ObsConfig::off(), pinned exactly. Named,
+# like the step above.
+echo "==> observability budget, release (gating)"
+cargo test -q --release --test obs_budget
+
 # Golden fingerprints of every index's snapshot bytes and search hits: a
 # change that moves one changed behaviour or the wire format. Named, like
 # the step above, so the gate fails if the test target goes missing.
@@ -36,8 +42,9 @@ echo "==> live HNSW recall and cost (gating)"
 cargo test -q --release -p verifai-index --test live_recall
 
 # Gating canary smoke: a short healthy serving run with golden-set canaries
-# must exit 0 — a nonzero exit means a critical quality alert (drift or
-# canary failure) was active at shutdown on a known-good configuration.
+# must exit 0. verifai-serve judges every probe itself, and any failed
+# probe fails the run: a golden object that verified at startup and does
+# not verify now is a regression on a known-good configuration.
 echo "==> canary smoke (gating)"
 cargo run -q --release --bin verifai-serve -- \
   --requests 120 --canary-every 10 --slowest 0 > /dev/null

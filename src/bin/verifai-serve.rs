@@ -17,13 +17,11 @@
 //! the same lake, the same object pool, and the same submission order.
 //!
 //! With `--canary-every N`, every Nth submission is followed by a
-//! golden-set canary probe: an object whose healthy verdict was
-//! pre-screened at startup, so a probe that stops verifying signals a
-//! quality regression, not a flaky input. `--baseline p0,p1,p2,p3` freezes
-//! an explicit healthy verdict-mix for the drift monitor (proportions of
-//! verified/refuted/not-related/unknown); without it the baseline is
-//! learned from the first full window. The process exits nonzero when any
-//! critical quality alert is still active at shutdown.
+//! golden-set canary probe: an object the same pipeline verified at
+//! startup, so a probe that stops verifying is a quality regression, not a
+//! flaky input. This binary judges each probe itself, prints every failed
+//! probe once, and exits nonzero if any probe failed. A shed or rejected
+//! probe was never judged and counts neither way.
 //!
 //! `--shards N` (N >= 2) partitions the lake into N shards behind a
 //! scatter/gather router; results are identical to the single-lake build.
@@ -45,11 +43,11 @@ use verifai_claims::ClaimGenConfig;
 use verifai_cluster::{build_cluster, ClusterConfig, Router};
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_obs::{
-    render_perfetto, validate_folded, validate_trace_dump, CanarySchedule, Clock, Profiler,
-    RequestTrace, SamplingPolicy, SystemClock,
+    render_perfetto, validate_folded, validate_trace_dump, Clock, Profiler, RequestTrace,
+    SamplingPolicy, SystemClock,
 };
 use verifai_service::{
-    QualityConfig, RequestOutcome, ServiceConfig, StageTotals, SubmitError, TenantSpec, Ticket,
+    RequestOutcome, ServiceConfig, StageTotals, SubmitError, TenantSpec, Ticket,
     VerificationService,
 };
 
@@ -67,7 +65,6 @@ struct Args {
     metrics_every: usize,
     slowest: usize,
     canary_every: u64,
-    baseline: Option<Vec<f64>>,
     shards: usize,
     tenants: Vec<TenantSpec>,
     trace_dump: Option<String>,
@@ -92,7 +89,6 @@ impl Default for Args {
             metrics_every: 0,
             slowest: 3,
             canary_every: 0,
-            baseline: None,
             shards: 0,
             tenants: Vec::new(),
             trace_dump: None,
@@ -106,7 +102,7 @@ impl Default for Args {
 const USAGE: &str = "verifai-serve [--requests N] [--workers N] [--seed N] \
 [--queue-capacity N] [--high-water N] [--max-batch N] [--cache-capacity N] \
 [--deadline-ms N] [--distinct N] [--window N] [--metrics-every N] [--slowest N] \
-[--canary-every N] [--baseline p0,p1,p2,p3] [--shards N] \
+[--canary-every N] [--shards N] \
 [--tenants name:weight[:rate[:burst]],...] [--trace-dump PATH] [--tail-sample N] \
 [--profile-dump PATH] [--usage-report]";
 
@@ -175,27 +171,6 @@ fn parse_args() -> Result<Args, String> {
             args.profile_dump = Some(value);
             continue;
         }
-        if flag == "--baseline" {
-            let proportions: Vec<f64> = value
-                .split(',')
-                .map(|p| {
-                    p.trim().parse::<f64>().map_err(|_| {
-                        format!("--baseline needs comma-separated floats, got '{value}'")
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            if proportions.len() != 4 {
-                return Err(format!(
-                    "--baseline needs exactly 4 proportions (verified,refuted,not-related,unknown), got {}",
-                    proportions.len()
-                ));
-            }
-            if proportions.iter().any(|p| !p.is_finite() || *p < 0.0) {
-                return Err("--baseline proportions must be finite and non-negative".to_string());
-            }
-            args.baseline = Some(proportions);
-            continue;
-        }
         let parsed: u64 = value
             .parse()
             .map_err(|_| format!("{flag} needs an integer, got '{value}'"))?;
@@ -260,6 +235,74 @@ fn golden_set(sys: &VerifAi, seed: u64, want: usize) -> Vec<DataObject> {
         }
     }
     golden
+}
+
+/// What the driving client saw, kept apart from the service's own rollups
+/// so the two can be reconciled: its dispositions, the canary outcomes it
+/// judged, and the cost (per tenant) and stage time of every report it was
+/// handed.
+struct Ledger {
+    completed: u64,
+    shed: u64,
+    failed: u64,
+    canaries_passed: u64,
+    canaries_failed: u64,
+    costs: Vec<CostVector>,
+    stages: StageTotals,
+}
+
+impl Ledger {
+    fn new(tenants: usize) -> Ledger {
+        Ledger {
+            completed: 0,
+            shed: 0,
+            failed: 0,
+            canaries_passed: 0,
+            canaries_failed: 0,
+            costs: vec![CostVector::zero(); tenants],
+            stages: StageTotals::default(),
+        }
+    }
+
+    /// Wait for one outstanding `(ticket, is_canary, tenant)` and book its
+    /// outcome. A canary passes when it still verifies; each failed probe
+    /// is printed once, here.
+    fn drain(&mut self, (ticket, canary, tenant): (Ticket, bool, usize)) {
+        match ticket.wait() {
+            RequestOutcome::Completed(report) => {
+                // Canary reports bill their tenant like any other request,
+                // so the ledger matches the service's rollup.
+                self.costs[tenant].merge(&report.cost);
+                self.stages.absorb(&report.timing);
+                if !canary {
+                    self.completed += 1;
+                } else if report.decision == Verdict::Verified {
+                    self.canaries_passed += 1;
+                } else {
+                    self.canaries_failed += 1;
+                    eprintln!(
+                        "canary failed: probe object {}: expected Verified, got {:?}",
+                        report.object_id, report.decision
+                    );
+                }
+            }
+            // A shed probe was never judged: it counts neither way.
+            RequestOutcome::Shed => {
+                if !canary {
+                    self.shed += 1;
+                }
+            }
+            RequestOutcome::Failed(error) => {
+                if canary {
+                    self.canaries_failed += 1;
+                    eprintln!("canary failed: {error}");
+                } else {
+                    self.failed += 1;
+                    eprintln!("request failed: {error}");
+                }
+            }
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -334,10 +377,6 @@ fn main() -> ExitCode {
             max_batch: args.max_batch,
             cache_capacity: args.cache_capacity,
             default_deadline: args.deadline_ms.map(Duration::from_millis),
-            quality: QualityConfig {
-                baseline: args.baseline.clone(),
-                ..QualityConfig::default()
-            },
             tenants: args.tenants.clone(),
             profiler: profiler.clone(),
             ..ServiceConfig::default()
@@ -372,32 +411,18 @@ fn main() -> ExitCode {
     } else {
         Vec::new()
     };
-    let schedule = CanarySchedule::new(if golden.is_empty() {
-        0
-    } else {
-        args.canary_every
-    });
-
     // Closed loop: at most `window` requests outstanding; when the window is
     // full, block on the oldest ticket before submitting the next request.
-    // Canary probes ride the same window, tagged so their outcomes feed the
-    // quality monitor instead of the client counters.
+    // Canary probes ride the same window, tagged so the ledger judges them
+    // instead of counting them as traffic.
     let window = args
         .window
         .unwrap_or(args.workers.max(1) * args.max_batch.max(1));
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut outstanding: VecDeque<(Ticket, bool, usize)> = VecDeque::with_capacity(window);
-    // The client-side ledgers: every completed report's cost vector is
-    // summed per tenant, and its stage timing across all traffic,
-    // independently of the service's own rollups — each pair must
-    // reconcile exactly (`--usage-report` checks).
-    let mut client_costs: Vec<CostVector> = vec![CostVector::zero(); args.tenants.len().max(1)];
-    let mut client_stages = StageTotals::default();
-    let mut completed = 0u64;
-    let mut shed = 0u64;
+    let mut ledger = Ledger::new(args.tenants.len().max(1));
     let mut rejected = 0u64;
     let mut throttled = 0u64;
-    let mut failed = 0u64;
     // Weighted-random tenant assignment: each request is attributed to a
     // tenant in proportion to its fair-share weight, from the same seeded
     // RNG as the object draw so the mix is reproducible.
@@ -417,64 +442,12 @@ fn main() -> ExitCode {
         }
         unreachable!("weights sum to total_weight")
     };
-    let mut probe_idx = 0usize;
     let mut canary_submissions = 0u64;
-    let drain = |(ticket, canary, tenant): (Ticket, bool, usize),
-                 completed: &mut u64,
-                 shed: &mut u64,
-                 failed: &mut u64,
-                 client_costs: &mut Vec<CostVector>,
-                 client_stages: &mut StageTotals| {
-        match ticket.wait() {
-            RequestOutcome::Completed(report) => {
-                // Canary reports bill their tenant like any other request,
-                // so the ledger matches the service's rollup.
-                client_costs[tenant].merge(&report.cost);
-                client_stages.absorb(&report.timing);
-                if canary {
-                    service.obs().record_canary(
-                        report.decision == Verdict::Verified,
-                        &format!(
-                            "probe object {}: expected Verified, got {:?}",
-                            report.object_id, report.decision
-                        ),
-                    );
-                } else {
-                    *completed += 1;
-                }
-            }
-            // A shed probe carries no quality signal — the pipeline never
-            // judged it.
-            RequestOutcome::Shed => {
-                if !canary {
-                    *shed += 1;
-                }
-            }
-            RequestOutcome::Failed(error) => {
-                eprintln!("request failed: {error}");
-                if canary {
-                    service
-                        .obs()
-                        .record_canary(false, &format!("probe failed: {error}"));
-                } else {
-                    *failed += 1;
-                }
-            }
-        }
-    };
     let t_run = Instant::now();
     for i in 0..args.requests {
         let object = pool[rng.gen_range(0..pool.len())].clone();
         if outstanding.len() >= window {
-            let entry = outstanding.pop_front().expect("window non-empty");
-            drain(
-                entry,
-                &mut completed,
-                &mut shed,
-                &mut failed,
-                &mut client_costs,
-                &mut client_stages,
-            );
+            ledger.drain(outstanding.pop_front().expect("window non-empty"));
         }
         let (tenant, submitted) = if args.tenants.is_empty() {
             (0, service.submit(object))
@@ -490,22 +463,14 @@ fn main() -> ExitCode {
             Err(SubmitError::Throttled) => throttled += 1,
             Err(_) => rejected += 1,
         }
-        // Interleave a golden probe when due. Probes are deadline-free so
-        // an overloaded run cannot turn them into partial Unknowns.
-        if schedule.tick() {
+        // Interleave a golden probe after every `canary_every`-th request.
+        // Probes are deadline-free so an overloaded run cannot turn them
+        // into partial Unknowns.
+        if !golden.is_empty() && (i as u64 + 1).is_multiple_of(args.canary_every) {
             if outstanding.len() >= window {
-                let entry = outstanding.pop_front().expect("window non-empty");
-                drain(
-                    entry,
-                    &mut completed,
-                    &mut shed,
-                    &mut failed,
-                    &mut client_costs,
-                    &mut client_stages,
-                );
+                ledger.drain(outstanding.pop_front().expect("window non-empty"));
             }
-            let probe = golden[probe_idx % golden.len()].clone();
-            probe_idx += 1;
+            let probe = golden[canary_submissions as usize % golden.len()].clone();
             canary_submissions += 1;
             // Probes ride as tenant 0 (`submit_with_deadline` maps there).
             if let Ok(ticket) = service.submit_with_deadline(probe, None) {
@@ -521,14 +486,7 @@ fn main() -> ExitCode {
         }
     }
     for entry in outstanding {
-        drain(
-            entry,
-            &mut completed,
-            &mut shed,
-            &mut failed,
-            &mut client_costs,
-            &mut client_stages,
-        );
+        ledger.drain(entry);
     }
     let elapsed = t_run.elapsed();
 
@@ -610,15 +568,13 @@ fn main() -> ExitCode {
 
     let lost = stats.submitted - stats.accounted();
     println!(
-        "\nclient view: completed {completed} | shed {shed} | rejected {rejected} | throttled {throttled} | failed {failed}"
+        "\nclient view: completed {} | shed {} | rejected {rejected} | throttled {throttled} | failed {}",
+        ledger.completed, ledger.shed, ledger.failed
     );
     if canary_submissions > 0 {
         println!(
-            "canaries: {} submitted | {} passed | {} failed (window pass rate {:.1}%)",
-            canary_submissions,
-            stats.quality.canary_lifetime.passed,
-            stats.quality.canary_lifetime.failed,
-            stats.quality.canary_lifetime.pass_rate() * 100.0
+            "canaries: {canary_submissions} submitted | {} passed | {} failed",
+            ledger.canaries_passed, ledger.canaries_failed
         );
     }
     println!("lost requests: {lost}");
@@ -669,7 +625,7 @@ fn main() -> ExitCode {
             )
         };
         let mut client_total = CostVector::zero();
-        for cost in &client_costs {
+        for cost in &ledger.costs {
             client_total.merge(cost);
         }
         if args.tenants.is_empty() {
@@ -677,10 +633,10 @@ fn main() -> ExitCode {
         } else {
             for (index, tenant) in stats.tenants.iter().enumerate() {
                 println!("tenant {}: {}", tenant.name, fmt_cost(&tenant.cost));
-                if tenant.cost != client_costs[index] {
+                if tenant.cost != ledger.costs[index] {
                     eprintln!(
                         "usage reconciliation failed for tenant {}: rollup {:?} != client ledger {:?}",
-                        tenant.name, tenant.cost, client_costs[index]
+                        tenant.name, tenant.cost, ledger.costs[index]
                     );
                     return ExitCode::FAILURE;
                 }
@@ -696,10 +652,10 @@ fn main() -> ExitCode {
         println!(
             "usage reconciliation: tenant rollups equal the sum of per-request cost vectors exactly"
         );
-        if stats.stages != client_stages {
+        if stats.stages != ledger.stages {
             eprintln!(
                 "stage-time reconciliation failed: service totals {:?} != client ledger {:?}",
-                stats.stages, client_stages
+                stats.stages, ledger.stages
             );
             return ExitCode::FAILURE;
         }
@@ -736,14 +692,50 @@ fn main() -> ExitCode {
         }
     }
 
-    // A run that ends with a critical quality alert still active is a
-    // failed run — this is what lets check.sh gate on canary health.
-    if stats.quality.has_critical() {
-        eprintln!("critical quality alerts active at shutdown:");
-        for alert in &stats.quality.active_alerts {
-            eprintln!("  {alert}");
-        }
+    // Every golden probe verified at startup; one that does not verify
+    // now is a quality regression, and it fails the run (check.sh gates
+    // canary health on this exit).
+    if ledger.canaries_failed > 0 {
+        eprintln!(
+            "{} of {canary_submissions} canary probes failed",
+            ledger.canaries_failed
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The ledger judges a probe by its verdict alone: one that comes back
+    /// `Verified` passes, any other completed verdict fails, and neither
+    /// counts as client traffic or moves the traffic counters.
+    #[test]
+    fn ledger_fails_a_probe_that_does_not_verify() {
+        let sys = Arc::new(VerifAi::build(
+            build(&LakeSpec::tiny(5)),
+            VerifAiConfig::default(),
+        ));
+        let decided = |verified: bool| {
+            completion_workload(sys.generated(), 40, 5)
+                .iter()
+                .map(|task| sys.impute(task))
+                .find(|object| {
+                    (sys.verify_object(object).decision == Verdict::Verified) == verified
+                })
+                .expect("the workload holds both outcomes")
+        };
+        let (pass, fail) = (decided(true), decided(false));
+        let service = VerificationService::new(Arc::clone(&sys), ServiceConfig::default());
+        let mut ledger = Ledger::new(1);
+        for object in [pass.clone(), fail, pass] {
+            let ticket = service.submit(object).expect("admitted");
+            ledger.drain((ticket, true, 0));
+        }
+        assert_eq!((ledger.canaries_passed, ledger.canaries_failed), (2, 1));
+        assert_eq!((ledger.completed, ledger.shed, ledger.failed), (0, 0, 0));
+        assert_eq!(service.shutdown().completed, 3);
+    }
 }

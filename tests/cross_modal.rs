@@ -3,7 +3,7 @@
 //! including the modality routing of the PreferLocal policy and the caption
 //! scoping that separates Refuted from NotRelated.
 
-use verifai::{Verdict, VerifAi, VerifAiConfig};
+use verifai::{RequestTrace, Verdict, VerifAi, VerifAiConfig};
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_lake::{DataInstance, InstanceKind};
 use verifai_llm::SimLlmConfig;
@@ -19,7 +19,8 @@ fn cell_objects_get_tuple_and_text_evidence_claims_get_tables() {
     for task in &tasks {
         let object = sys.impute(task);
         let kinds: Vec<InstanceKind> = sys
-            .discover_evidence(&object)
+            .discover(&object, &mut RequestTrace::disabled())
+            .0
             .iter()
             .map(|(i, _)| i.kind())
             .collect();
@@ -33,7 +34,8 @@ fn cell_objects_get_tuple_and_text_evidence_claims_get_tables() {
     for claim in &claims {
         let object = sys.claim_object(claim);
         let kinds: Vec<InstanceKind> = sys
-            .discover_evidence(&object)
+            .discover(&object, &mut RequestTrace::disabled())
+            .0
             .iter()
             .map(|(i, _)| i.kind())
             .collect();

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use verifai::{CostVector, DataObject, VerifAi, VerifAiConfig};
+use verifai::{CostVector, DataObject, RequestTrace, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_index::SegmentedInvertedIndex;
@@ -102,7 +102,7 @@ fn batched_and_sequential_execution_meter_identically() {
     let (_, sweep) = meter::scoped(|| sys.discover_batch(&refs, &[]));
     let mut solo_sum = CostVector::zero();
     for object in &objects {
-        let (_, cost) = meter::scoped(|| sys.discover_evidence(object));
+        let (_, cost) = meter::scoped(|| sys.discover(object, &mut RequestTrace::disabled()));
         solo_sum.merge(&cost);
     }
     assert_eq!(sweep, solo_sum);
@@ -146,7 +146,8 @@ fn metered_work_is_independent_of_request_order_and_batching() {
         let (_, sweep) = meter::scoped(|| batched_sys.discover_batch(&refs, &[]));
         let mut solo_sum = CostVector::zero();
         for object in same_kind {
-            let (_, cost) = meter::scoped(|| forward_sys.discover_evidence(object));
+            let (_, cost) =
+                meter::scoped(|| forward_sys.discover(object, &mut RequestTrace::disabled()));
             solo_sum.merge(&cost);
         }
         assert_eq!(sweep, solo_sum);

@@ -101,7 +101,8 @@ fn figure4_case_has_paper_shape() {
 /// PASTA never abstains (binary model), the LLM sometimes does.
 #[test]
 fn pasta_is_binary_llm_is_ternary() {
-    use verifai_lake::DataInstance;
+    use verifai::RequestTrace;
+    use verifai_lake::InstanceKind;
     use verifai_verify::{PastaVerifier, Verifier};
     let c = ctx(209);
     let pasta = PastaVerifier::with_defaults();
@@ -109,14 +110,14 @@ fn pasta_is_binary_llm_is_ternary() {
     let claims = c.claims.clone();
     for claim in claims.iter().take(20) {
         let object = c.system.claim_object(claim);
-        let evidence = c.system.discover_evidence(&object);
+        let (evidence, _) = c.system.discover(&object, &mut RequestTrace::disabled());
         for (instance, _) in evidence {
-            if !matches!(instance, DataInstance::Table(_)) {
+            if instance.kind() != InstanceKind::Table {
                 continue;
             }
-            let p = pasta.verify(&object, instance.view()).verdict;
+            let p = pasta.verify(&object, instance).verdict;
             assert_ne!(p, Verdict::NotRelated, "PASTA abstained");
-            if c.system.llm().verify(&object, &instance).verdict == Verdict::NotRelated {
+            if c.system.llm().verify(&object, instance).verdict == Verdict::NotRelated {
                 llm_not_related += 1;
             }
         }

@@ -192,69 +192,6 @@ proptest! {
         prop_assert_eq!(&with_empty, &left);
     }
 
-    /// Quality-window merging matches sequential aggregation: feeding three
-    /// observation sets into separate [`verifai_obs::CategoryWindow`]s and
-    /// [`verifai_obs::CalibrationBins`] then merging the snapshots — in
-    /// either association order — equals one accumulator fed everything.
-    /// The calibration fixed-point score sums exist precisely so this holds
-    /// exactly, not approximately.
-    #[test]
-    fn quality_window_merge_equals_sequential_aggregate(
-        a in proptest::collection::vec(any::<u64>(), 0..40),
-        b in proptest::collection::vec(any::<u64>(), 0..40),
-        c in proptest::collection::vec(any::<u64>(), 0..40),
-    ) {
-        use verifai_obs::{CalibrationBins, CategoryWindow};
-        // Each raw u64 encodes one observation: a verdict slot, a score in
-        // [0, 1] (six decimal digits, matching the calibration fixed point),
-        // and a positive/negative outcome.
-        let decode = |raw: u64| {
-            (
-                (raw % 4) as usize,
-                ((raw >> 2) % 1_000_001) as f64 / 1e6,
-                (raw >> 32) & 1 == 1,
-            )
-        };
-        let accumulate = |sets: &[&[u64]]| {
-            let window = CategoryWindow::new(4);
-            let cal = CalibrationBins::new(10);
-            for set in sets {
-                for &raw in *set {
-                    let (slot, score, positive) = decode(raw);
-                    window.absorb(slot);
-                    cal.absorb(score, positive);
-                }
-            }
-            (window.drain(), cal.snapshot())
-        };
-        let (wa, ca) = accumulate(&[&a]);
-        let (wb, cb) = accumulate(&[&b]);
-        let (wc, cc) = accumulate(&[&c]);
-        let (w_all, c_all) = accumulate(&[&a, &b, &c]);
-
-        let mut w_left = wa.clone();
-        w_left.merge(&wb);
-        w_left.merge(&wc);
-        let mut w_bc = wb.clone();
-        w_bc.merge(&wc);
-        let mut w_right = wa.clone();
-        w_right.merge(&w_bc);
-        prop_assert_eq!(&w_left, &w_right);
-        prop_assert_eq!(&w_left, &w_all);
-        prop_assert_eq!(w_left.total(), (a.len() + b.len() + c.len()) as u64);
-
-        let mut c_left = ca.clone();
-        c_left.merge(&cb);
-        c_left.merge(&cc);
-        let mut c_bc = cb.clone();
-        c_bc.merge(&cc);
-        let mut c_right = ca.clone();
-        c_right.merge(&c_bc);
-        prop_assert_eq!(&c_left, &c_right);
-        prop_assert_eq!(&c_left, &c_all);
-        prop_assert_eq!(c_left.total(), (a.len() + b.len() + c.len()) as u64);
-    }
-
     /// Verdict observations aggregate sanely: the trust-weighted decision is
     /// never an outcome that no verifier produced.
     #[test]
@@ -274,40 +211,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Tumbling-window drains racing concurrent absorbers never lose or double
-/// count an observation: every absorb lands in exactly one drained window.
-#[test]
-fn concurrent_absorbs_survive_window_drains() {
-    use std::sync::Arc;
-    use verifai_obs::{CategoryWindow, WindowCounts};
-
-    const THREADS: usize = 4;
-    const PER_THREAD: u64 = 20_000;
-    let window = Arc::new(CategoryWindow::new(4));
-    let absorbers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let window = Arc::clone(&window);
-            std::thread::spawn(move || {
-                for i in 0..PER_THREAD {
-                    window.absorb((t as u64 + i) as usize % 4);
-                }
-            })
-        })
-        .collect();
-    // Drain concurrently with the absorbers — each drain is one tumbling
-    // window; merged they must equal the sequential aggregate.
-    let mut merged = WindowCounts::zeroed(4);
-    for _ in 0..50 {
-        merged.merge(&window.drain());
-        std::thread::yield_now();
-    }
-    for absorber in absorbers {
-        absorber.join().expect("absorber thread");
-    }
-    merged.merge(&window.drain());
-    assert_eq!(merged.total(), THREADS as u64 * PER_THREAD);
-    // The absorb pattern distributes each thread's slots uniformly.
-    assert_eq!(merged.counts(), &[PER_THREAD; 4]);
 }

@@ -4,12 +4,12 @@
 //! the ablation matrix {reranker on/off} × {content index on/off}.
 //!
 //! `reference_discover` below is a line-for-line port of the old
-//! monolithic `discover_evidence` (retrieve → resolve → rerank per
+//! monolithic discovery (retrieve → resolve → rerank per
 //! modality, modality-major), written against public API only. Feeding its
 //! evidence through `verify_with_evidence` must equal `verify_object`
 //! end to end.
 
-use verifai::{DataObject, VerifAi, VerifAiConfig};
+use verifai::{materialize, DataObject, RequestTrace, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_lake::{DataInstance, InstanceKind};
@@ -100,7 +100,7 @@ fn ablation_matrix_is_bit_identical() {
         let sys = VerifAi::build(build(&LakeSpec::tiny(21)), config);
         for object in mixed_objects(&sys, 4, 21) {
             let reference = reference_discover(&sys, &object);
-            let staged = sys.discover_evidence(&object);
+            let (staged, _) = sys.discover(&object, &mut RequestTrace::disabled());
             assert_eq!(
                 staged.len(),
                 reference.len(),
@@ -171,7 +171,7 @@ fn provenance_lock_count_is_per_stage_not_per_record() {
         "batching must be observable: {records} records should exceed flush count"
     );
     // Cached path: discovery skipped, so verify + decision only.
-    let evidence = sys.discover_evidence(&objects[0]);
+    let evidence = materialize(sys.discover(&objects[0], &mut RequestTrace::disabled()).0);
     let before = sys.provenance_batches();
     sys.verify_with_evidence(&objects[0], evidence);
     assert_eq!(sys.provenance_batches() - before, 2);
@@ -184,7 +184,7 @@ fn provenance_lock_count_is_per_stage_not_per_record() {
 fn mock_clock_makes_stage_timings_exact() {
     use std::sync::Arc;
     use std::time::Duration;
-    use verifai::{MockClock, RequestTrace};
+    use verifai::MockClock;
 
     let step = Duration::from_micros(250);
     let step_ns = step.as_nanos() as u64;
@@ -215,7 +215,7 @@ fn mock_clock_makes_stage_timings_exact() {
 /// *seen*: two retrieval rows, two candidates in, one out.
 #[test]
 fn dangling_hit_is_noted_and_the_live_one_survives() {
-    use verifai::{RequestTrace, ScoreRerank, StagePlan, StagedPipeline};
+    use verifai::{ScoreRerank, StagePlan, StagedPipeline};
     use verifai_index::{EvidenceSource, SearchHit, SourceQuery};
     use verifai_lake::{InstanceId, LakeError};
     use verifai_llm::{SimLlm, SimLlmConfig, WorldModel};
