@@ -18,26 +18,18 @@ use crate::partition::shard_of;
 use crate::router::{RoutedSource, Router};
 use crate::shard::{Shard, ShardContent, ShardSemantic};
 
-/// Shape of the in-process cluster.
+/// Shape of the in-process cluster: how many shards. Each shard's pool
+/// has one worker behind a 64-deep queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of shards the lake is partitioned into (min 1).
     pub shards: usize,
-    /// Worker threads per shard pool.
-    pub shard_workers: usize,
-    /// Bounded job-queue depth per shard pool; overflow runs inline on the
-    /// router thread (backpressure, not loss).
-    pub shard_queue: usize,
 }
 
 impl ClusterConfig {
-    /// An `n`-shard cluster with one worker and a 64-deep queue per shard.
+    /// An `n`-shard cluster.
     pub fn with_shards(n: usize) -> ClusterConfig {
-        ClusterConfig {
-            shards: n.max(1),
-            shard_workers: 1,
-            shard_queue: 64,
-        }
+        ClusterConfig { shards: n.max(1) }
     }
 }
 
@@ -214,12 +206,7 @@ pub fn build_cluster_with_clock(
                 *c_slot = config.use_content_index.then(|| Arc::new(RwLock::new(c)));
                 *s_slot = f.map(|i| Arc::new(RwLock::new(i)));
             }
-            Shard::new(
-                content,
-                semantic,
-                cluster.shard_workers,
-                cluster.shard_queue,
-            )
+            Shard::new(content, semantic)
         })
         .collect();
     let index_ns = ns_between(index_start, clock.now());
@@ -227,8 +214,6 @@ pub fn build_cluster_with_clock(
     let router = Arc::new(Router::new(
         shards,
         Combiner::new(config.fusion),
-        config.use_content_index,
-        want_semantic,
         want_semantic.then_some(embedder),
         generated.lake.generation(),
         clock.clone(),

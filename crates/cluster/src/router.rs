@@ -1,7 +1,8 @@
-//! The scatter/gather front end: fan a query out to every shard, gather
-//! per-shard top-k, merge, and fuse — behind the same [`EvidenceSource`]
-//! trait the single-lake pipeline retrieves through.
+//! The scatter/gather front end: fan a query batch out to every shard in
+//! one job per shard, gather per-shard top-k, merge, and fuse — behind the
+//! same [`EvidenceSource`] trait the single-lake pipeline retrieves through.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,13 +21,6 @@ use crate::merge::merge_topk;
 use crate::partition::shard_of;
 use crate::shard::{Shard, ShardContent, ShardJob, ShardSemantic};
 
-/// Which member index of a fused modality source a scatter targets.
-#[derive(Debug, Clone, Copy)]
-enum Member {
-    Content,
-    Semantic,
-}
-
 /// Span ids the router mints for its per-shard child spans live in a
 /// disjoint high-bit range, so they can never collide with the request
 /// trace's own (small, sequential) span ids when grafted into its tree.
@@ -39,22 +33,19 @@ pub const MAINT_TRACE_BASE: u64 = 1 << 48;
 /// Child spans each shard's `SpanLog` retains, per shard.
 const SPAN_LOG_CAPACITY: usize = 512;
 
-/// What one traced query observed of one shard during scatter/gather,
-/// aggregated across the content and semantic members so exactly one
-/// `shard-{i}` child span records per shard per query.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardProbe {
-    /// The shard ran at least one member search for this query.
-    searched: bool,
-    /// Hits the shard returned, summed over members.
-    hits: usize,
-    /// Hits that survived the k-way member merges (merge contribution).
-    merged: usize,
-    /// Worst queue wait (submit → job start) across members.
+/// One query's hits from one shard, per member: `[content, semantic]`.
+type MemberHits = [Vec<SearchHit>; 2];
+
+/// Work handed to one shard by [`Router::submit_and_gather`].
+type ShardWork<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// One shard's reply to a scatter: what its job returned, how long the
+/// job waited in the shard's queue and how long it ran.
+struct Reply<T> {
+    shard: usize,
+    value: T,
     queue_ns: u64,
-    /// Scan time, summed over members (batch scatters record an even
-    /// per-query share).
-    scan_ns: u64,
+    run_ns: u64,
 }
 
 /// Per-shard observability: request counters and a latency histogram,
@@ -93,12 +84,12 @@ impl RouterObs {
                 ShardSeries {
                     searches: registry.counter(
                         "verifai_shard_searches_total",
-                        "Member searches executed by this shard",
+                        "Member searches (content or semantic, one query each) executed by this shard",
                         labels,
                     ),
                     inline_runs: registry.counter(
                         "verifai_shard_inline_total",
-                        "Searches run inline on the router thread because the shard queue was full",
+                        "Shard jobs run inline on the calling thread because the shard queue was full",
                         labels,
                     ),
                     mutations: registry.counter(
@@ -108,7 +99,7 @@ impl RouterObs {
                     ),
                     latency: registry.histogram(
                         "verifai_shard_latency_seconds",
-                        "Per-shard member search latency",
+                        "Run time of one shard job: both members over every query of the call",
                         labels,
                     ),
                 }
@@ -124,18 +115,17 @@ impl RouterObs {
 
 /// Scatter/gather retrieval over a set of [`Shard`]s.
 ///
-/// For each member index family (content, semantic) the router fans the
-/// query out to every shard's worker pool, gathers the per-shard top-k
-/// lists, and k-way-merges them ([`merge_topk`]); the merged *member*
-/// lists are then fused by the same [`Combiner`] the single-lake pipeline
-/// uses. Merging per member **before** fusion matters: reciprocal-rank
-/// fusion is rank-based, so fusing per shard and merging afterwards would
-/// compute ranks over partial lists and break the identity invariant.
+/// One job per shard per call runs both member index families (content,
+/// then semantic) over the whole query batch; the router gathers the
+/// per-shard top-k lists, k-way-merges each member's lists
+/// ([`merge_topk`]), and fuses the merged *member* lists with the same
+/// [`Combiner`] the single-lake pipeline uses. Merging per member
+/// **before** fusion matters: reciprocal-rank fusion is rank-based, so
+/// fusing per shard and merging afterwards would compute ranks over
+/// partial lists and break the identity invariant.
 pub struct Router {
     shards: Vec<Shard>,
     combiner: Combiner,
-    use_content: bool,
-    use_semantic: bool,
     /// Embeds mutated instances' semantic entries; `None` when semantic
     /// retrieval is disabled.
     embedder: Option<TextEmbedder>,
@@ -164,13 +154,12 @@ pub struct Router {
 }
 
 impl Router {
-    /// A router over `shards` fusing member results with `combiner`.
-    #[allow(clippy::too_many_arguments)]
+    /// A router over `shards` fusing member results with `combiner`. A
+    /// member family a shard has no index for (disabled in the config) is
+    /// not searched.
     pub(crate) fn new(
         shards: Vec<Shard>,
         combiner: Combiner,
-        use_content: bool,
-        use_semantic: bool,
         embedder: Option<TextEmbedder>,
         generation: u64,
         clock: Arc<dyn Clock>,
@@ -183,8 +172,6 @@ impl Router {
         Router {
             shards,
             combiner,
-            use_content,
-            use_semantic,
             embedder,
             watermark: AtomicU64::new(generation),
             mutate_lock: Mutex::new(()),
@@ -342,325 +329,192 @@ impl Router {
         self.obs.shards.iter().map(|s| s.searches.get()).collect()
     }
 
-    /// Scatter one member search to every shard and merge the results.
-    /// When `probes` is given (the query is traced), each shard's queue
-    /// wait, scan time, hit count, and merge contribution accumulate into
-    /// its slot for the per-shard child span recorded by the caller.
-    fn scatter_member(
+    /// Submit `jobs[i]` to shard `i` (`None` sends it nothing) and gather
+    /// every reply, in shard order. A shard whose queue is full runs its
+    /// job on the calling thread. Each job runs under `catch_unwind`, so a
+    /// panicking job leaves its shard's worker alive; once every reply is
+    /// in, the panic resumes on the calling thread — a shard fault fails
+    /// the call, it never merges as an empty list.
+    fn submit_and_gather<T: Send + 'static>(
         &self,
-        slot: usize,
-        member: Member,
-        query: SourceQuery<'_>,
-        k: usize,
-        mut probes: Option<&mut Vec<ShardProbe>>,
-    ) -> Vec<SearchHit> {
-        // Semantic members without a query vector return nothing anywhere;
-        // skip the fan-out entirely.
-        if matches!(member, Member::Semantic) && query.vector.is_none() {
-            return Vec::new();
-        }
-        let n = self.shards.len();
-        let (tx, rx) = channel::bounded::<(usize, Vec<SearchHit>, u64, u64, CostVector)>(n);
-        let text: Arc<str> = Arc::from(query.text);
-        let vector: Option<Arc<Vector>> = query.vector.map(|v| Arc::new(v.clone()));
-        enum Target {
-            Content(ShardContent),
-            Semantic(ShardSemantic),
-        }
-        let mut expected = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let target = match member {
-                Member::Content => shard.content[slot].clone().map(Target::Content),
-                Member::Semantic => shard.semantic[slot].clone().map(Target::Semantic),
-            };
-            let Some(target) = target else { continue };
+        jobs: Vec<Option<ShardWork<T>>>,
+    ) -> Vec<Reply<T>> {
+        type Sent<T> = (usize, std::thread::Result<T>, u64, u64, CostVector);
+        let (tx, rx) = channel::bounded::<Sent<T>>(self.shards.len());
+        let mut expected = 0;
+        for ((i, shard), work) in self.shards.iter().enumerate().zip(jobs) {
+            let Some(work) = work else { continue };
             expected += 1;
             let tx = tx.clone();
-            let text = text.clone();
-            let vector = vector.clone();
             let clock = self.clock.clone();
             let submitted = clock.now();
             let job: ShardJob = Box::new(move || {
                 let start = clock.now();
-                // Harvest the scan's resource charges off whichever thread
-                // ran the job (shard worker or, on backpressure, the router
-                // thread itself) and ship them home with the hits — the
-                // gather loop re-charges them into the requesting thread.
-                let (hits, cost) = meter::scoped(|| match &target {
-                    Target::Content(index) => index.read().search(&text, k),
-                    Target::Semantic(index) => match &vector {
-                        Some(v) => VectorIndex::search(&*index.read(), v, k),
-                        None => Vec::new(),
-                    },
-                });
+                // Harvest the job's resource charges off whichever thread
+                // ran it and ship them home with the result — the gather
+                // re-charges them into the requesting thread.
+                let (result, cost) = meter::scoped(|| panic::catch_unwind(AssertUnwindSafe(work)));
                 let _ = tx.send((
                     i,
-                    hits,
+                    result,
                     ns_between(submitted, start),
                     ns_between(start, clock.now()),
                     cost,
                 ));
             });
             if let Err(job) = shard.try_submit(job) {
-                // Bounded-queue backpressure: the query still completes, it
-                // just pays for this shard's scan on the router thread.
+                // Bounded-queue backpressure: the call still completes, it
+                // just pays for this shard's work on the calling thread.
                 self.obs.shards[i].inline_runs.inc();
                 job();
             }
         }
         drop(tx);
-        let mut lists = vec![Vec::new(); n];
-        let mut responses = 0u64;
+        let mut replies = Vec::with_capacity(expected);
+        let mut fault = None;
         for _ in 0..expected {
-            let Ok((i, hits, queue_ns, scan_ns, cost)) = rx.recv() else {
-                break;
-            };
+            let (shard, result, queue_ns, run_ns, cost) =
+                rx.recv().expect("every shard job replies");
             meter::charge_cost(&cost);
-            responses += 1;
-            let series = &self.obs.shards[i];
-            series.searches.inc();
-            series
+            self.obs.shards[shard]
                 .latency
-                .record(std::time::Duration::from_nanos(scan_ns));
-            if let Some(probes) = probes.as_deref_mut() {
-                let probe = &mut probes[i];
-                probe.searched = true;
-                probe.hits += hits.len();
-                probe.queue_ns = probe.queue_ns.max(queue_ns);
-                probe.scan_ns += scan_ns;
-            }
-            lists[i] = hits;
-        }
-        // Fanout is the responses actually merged. Shard queue wait is not
-        // charged: it overlaps the retrieval wall time the request already
-        // reports, and stays visible in the `shard-{i}` spans.
-        meter::charge_shard_fanout(responses);
-        let merged = merge_topk(&lists, k);
-        if let Some(probes) = probes {
-            credit_merge_contributions(&merged, &lists, probes);
-        }
-        merged
-    }
-
-    /// Scatter one member's whole query batch: one job per shard carries
-    /// every query, so a flat semantic shard amortizes a single blocked
-    /// sweep of its code array across the batch (and a content shard takes
-    /// its read lock once). Returns the per-query merged lists in `queries`
-    /// order, identical to per-query [`Router::scatter_member`] calls.
-    fn scatter_member_batch(
-        &self,
-        slot: usize,
-        member: Member,
-        queries: &[SourceQuery<'_>],
-        k: usize,
-        mut probes: Option<&mut Vec<Vec<ShardProbe>>>,
-    ) -> Vec<Vec<SearchHit>> {
-        let batch = queries.len();
-        let has_vector: Arc<Vec<bool>> =
-            Arc::new(queries.iter().map(|q| q.vector.is_some()).collect());
-        let dense: Arc<Vec<Vector>> =
-            Arc::new(queries.iter().filter_map(|q| q.vector.cloned()).collect());
-        if matches!(member, Member::Semantic) && dense.is_empty() {
-            return vec![Vec::new(); batch];
-        }
-        let texts: Arc<Vec<String>> =
-            Arc::new(queries.iter().map(|q| q.text.to_string()).collect());
-        let n = self.shards.len();
-        let (tx, rx) = channel::bounded::<(usize, Vec<Vec<SearchHit>>, u64, u64, CostVector)>(n);
-        enum Target {
-            Content(ShardContent),
-            Semantic(ShardSemantic),
-        }
-        let mut expected = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let target = match member {
-                Member::Content => shard.content[slot].clone().map(Target::Content),
-                Member::Semantic => shard.semantic[slot].clone().map(Target::Semantic),
-            };
-            let Some(target) = target else { continue };
-            expected += 1;
-            let tx = tx.clone();
-            let texts = texts.clone();
-            let dense = dense.clone();
-            let has_vector = has_vector.clone();
-            let clock = self.clock.clone();
-            let submitted = clock.now();
-            let job: ShardJob = Box::new(move || {
-                let start = clock.now();
-                // Same harvest-and-ship as `scatter_member`: the whole
-                // batch's scan cost rides home in one vector and is split
-                // per request by the caller's batch attribution.
-                let (per_query, cost) = meter::scoped(|| -> Vec<Vec<SearchHit>> {
-                    match &target {
-                        Target::Content(index) => {
-                            let index = index.read();
-                            texts.iter().map(|t| index.search(t, k)).collect()
-                        }
-                        Target::Semantic(index) => {
-                            let mut results =
-                                VectorIndex::search_batch(&*index.read(), &dense, k).into_iter();
-                            has_vector
-                                .iter()
-                                .map(|&has| {
-                                    if has {
-                                        results.next().unwrap_or_default()
-                                    } else {
-                                        Vec::new()
-                                    }
-                                })
-                                .collect()
-                        }
-                    }
-                });
-                let _ = tx.send((
-                    i,
-                    per_query,
-                    ns_between(submitted, start),
-                    ns_between(start, clock.now()),
-                    cost,
-                ));
-            });
-            if let Err(job) = shard.try_submit(job) {
-                self.obs.shards[i].inline_runs.inc();
-                job();
+                .record(std::time::Duration::from_nanos(run_ns));
+            match result {
+                Ok(value) => replies.push(Reply {
+                    shard,
+                    value,
+                    queue_ns,
+                    run_ns,
+                }),
+                Err(payload) => fault = fault.or(Some(payload)),
             }
         }
-        drop(tx);
-        let mut per_shard: Vec<Vec<Vec<SearchHit>>> = vec![Vec::new(); n];
-        let mut responses = 0u64;
-        for _ in 0..expected {
-            let Ok((i, per_query, queue_ns, scan_ns, cost)) = rx.recv() else {
-                break;
-            };
-            meter::charge_cost(&cost);
-            responses += 1;
-            let series = &self.obs.shards[i];
-            series.searches.add(batch as u64);
-            series
-                .latency
-                .record(std::time::Duration::from_nanos(scan_ns));
-            if let Some(probes) = probes.as_deref_mut() {
-                // Queue wait is shared by the whole batch; scan time is
-                // credited as an even per-query share, mirroring how
-                // `discover_batch` splits its stage wall times.
-                for (qi, hits) in per_query.iter().enumerate() {
-                    let probe = &mut probes[qi][i];
-                    probe.searched = true;
-                    probe.hits += hits.len();
-                    probe.queue_ns = probe.queue_ns.max(queue_ns);
-                    probe.scan_ns += scan_ns / batch as u64;
-                }
-            }
-            per_shard[i] = per_query;
+        if let Some(payload) = fault {
+            panic::resume_unwind(payload);
         }
-        // Charged `batch` times so an even per-request split leaves each
-        // request seeing the full fanout — the same semantics the
-        // single-query path records.
-        meter::charge_shard_fanout(responses * batch as u64);
-        (0..batch)
-            .map(|qi| {
-                let lists: Vec<Vec<SearchHit>> = per_shard
-                    .iter()
-                    .map(|s| s.get(qi).cloned().unwrap_or_default())
-                    .collect();
-                let merged = merge_topk(&lists, k);
-                if let Some(probes) = probes.as_deref_mut() {
-                    credit_merge_contributions(&merged, &lists, &mut probes[qi]);
-                }
-                merged
-            })
-            .collect()
+        replies.sort_unstable_by_key(|reply| reply.shard);
+        replies
     }
 
     /// Scatter/gather retrieval for one modality: the routed equivalent of
-    /// the single-lake fused source's `search`.
+    /// the single-lake fused source's `search`, as a batch of one.
     pub fn search(&self, kind: InstanceKind, query: SourceQuery<'_>, k: usize) -> Vec<SearchHit> {
-        let slot = slot_of(kind);
-        let mut probes = query
-            .ctx
-            .is_live()
-            .then(|| vec![ShardProbe::default(); self.shards.len()]);
-        let mut lists: Vec<Vec<SearchHit>> = Vec::with_capacity(2);
-        if self.use_content {
-            let merged = self.scatter_member(slot, Member::Content, query, k, probes.as_mut());
-            if !merged.is_empty() {
-                lists.push(merged);
-            }
-        }
-        if self.use_semantic {
-            let merged = self.scatter_member(slot, Member::Semantic, query, k, probes.as_mut());
-            if !merged.is_empty() {
-                lists.push(merged);
-            }
-        }
-        if let Some(probes) = probes {
-            self.record_shard_spans(query.ctx, k, &probes, 1);
-        }
-        self.combiner.combine(&lists, k)
+        self.search_batch(kind, &[query], k)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Batched scatter/gather for one modality: each member fans the whole
-    /// batch out once (one job per shard), then the per-query member lists
-    /// fuse exactly as [`Router::search`] would. Results are identical to
-    /// per-query `search` calls.
+    /// Scatter/gather retrieval for one modality over a batch of queries.
+    /// Each shard gets one job carrying every query and both members —
+    /// content, then semantic, each under one read of its index lock, so a
+    /// flat semantic shard amortizes one blocked sweep across the batch.
+    /// Per query, each member's shard lists are k-way-merged and the merged
+    /// member lists fused, exactly as the single-lake fused source would.
     pub fn search_batch(
         &self,
         kind: InstanceKind,
         queries: &[SourceQuery<'_>],
         k: usize,
     ) -> Vec<Vec<SearchHit>> {
-        let slot = slot_of(kind);
-        let n = self.shards.len();
-        let mut probes = queries
-            .iter()
-            .any(|q| q.ctx.is_live())
-            .then(|| vec![vec![ShardProbe::default(); n]; queries.len()]);
-        let content = self
-            .use_content
-            .then(|| self.scatter_member_batch(slot, Member::Content, queries, k, probes.as_mut()));
-        let semantic = self.use_semantic.then(|| {
-            self.scatter_member_batch(slot, Member::Semantic, queries, k, probes.as_mut())
-        });
-        if let Some(probes) = &probes {
-            for (query, probe_row) in queries.iter().zip(probes) {
-                if query.ctx.is_live() {
-                    self.record_shard_spans(query.ctx, k, probe_row, queries.len());
-                }
-            }
+        let batch = queries.len();
+        if batch == 0 {
+            return Vec::new();
         }
-        (0..queries.len())
-            .map(|qi| {
+        let slot = slot_of(kind);
+        let texts: Arc<Vec<String>> =
+            Arc::new(queries.iter().map(|q| q.text.to_string()).collect());
+        let has_vector: Arc<Vec<bool>> =
+            Arc::new(queries.iter().map(|q| q.vector.is_some()).collect());
+        let dense: Arc<Vec<Vector>> =
+            Arc::new(queries.iter().filter_map(|q| q.vector.cloned()).collect());
+        // Semantic members without a query vector return nothing anywhere;
+        // the jobs leave them out.
+        let members = |shard: &Shard| {
+            let semantic = shard.semantic[slot].clone().filter(|_| !dense.is_empty());
+            (shard.content[slot].clone(), semantic)
+        };
+        let jobs = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (content, semantic) = members(shard);
+                if content.is_none() && semantic.is_none() {
+                    return None;
+                }
+                let (texts, has_vector, dense) = (texts.clone(), has_vector.clone(), dense.clone());
+                let work: ShardWork<Vec<MemberHits>> = Box::new(move || {
+                    search_shard(content, semantic, &texts, &has_vector, &dense, k)
+                });
+                Some(work)
+            })
+            .collect();
+        let mut replies = self.submit_and_gather(jobs);
+        for reply in &replies {
+            let (content, semantic) = members(&self.shards[reply.shard]);
+            let searched = content.is_some() as u64 + semantic.is_some() as u64;
+            self.obs.shards[reply.shard]
+                .searches
+                .add(searched * batch as u64);
+        }
+        // One reply per shard per query, charged `batch` times so an even
+        // per-request split leaves each request its own fanout. Shard
+        // queue wait is not charged: it overlaps the retrieval wall time
+        // the request already reports, and stays visible in the spans.
+        meter::charge_shard_fanout((replies.len() * batch) as u64);
+        queries
+            .iter()
+            .enumerate()
+            .map(|(qi, query)| {
+                // Per reply, for a traced query's `shard-{i}` spans: hits
+                // found, and hits that survived the member merges.
+                let traced = query.ctx.is_live();
+                let mut counts = vec![(0, 0); if traced { replies.len() } else { 0 }];
                 let mut lists: Vec<Vec<SearchHit>> = Vec::with_capacity(2);
-                for member in [&content, &semantic].into_iter().flatten() {
-                    if !member[qi].is_empty() {
-                        lists.push(member[qi].clone());
+                for member in 0..2 {
+                    let per_shard: Vec<Vec<SearchHit>> = replies
+                        .iter_mut()
+                        .map(|reply| std::mem::take(&mut reply.value[qi][member]))
+                        .collect();
+                    let merged = merge_topk(&per_shard, k);
+                    for (count, own) in counts.iter_mut().zip(&per_shard) {
+                        count.0 += own.len();
+                        count.1 += merged
+                            .iter()
+                            .filter(|hit| own.iter().any(|o| o.id == hit.id))
+                            .count();
                     }
+                    if !merged.is_empty() {
+                        lists.push(merged);
+                    }
+                }
+                if traced {
+                    self.record_shard_spans(query.ctx, k, &replies, &counts, batch);
                 }
                 self.combiner.combine(&lists, k)
             })
             .collect()
     }
 
-    /// Record one `shard-{i}` child span per probed shard into that
-    /// shard's span log, under `ctx`'s trace and parent span. `co_batch`
-    /// is how many queries shared the scatter (1 for unbatched).
-    fn record_shard_spans(
+    /// Record one `shard-{i}` child span per reply into that shard's span
+    /// log, under `ctx`'s trace and parent span. `counts[j]` is reply
+    /// `j`'s (hits found, hits merged) for this query; the job's run time
+    /// is credited as an even share of the `co_batch` queries it served.
+    fn record_shard_spans<T>(
         &self,
         ctx: SpanContext,
         k: usize,
-        probes: &[ShardProbe],
+        replies: &[Reply<T>],
+        counts: &[(usize, usize)],
         co_batch: usize,
     ) {
-        for (i, probe) in probes.iter().enumerate() {
-            if !probe.searched {
-                continue;
-            }
+        for (reply, &(hits, merged)) in replies.iter().zip(counts) {
+            let i = reply.shard;
             let span_id = REMOTE_SPAN_BIT | self.next_remote_span.fetch_add(1, Ordering::Relaxed);
+            let scan_ns = reply.run_ns / co_batch as u64;
             let mut note = format!(
-                "k {k} merged {} queue {}us scan {}us",
-                probe.merged,
-                probe.queue_ns / 1_000,
-                probe.scan_ns / 1_000
+                "k {k} merged {merged} queue {}us scan {}us",
+                reply.queue_ns / 1_000,
+                scan_ns / 1_000
             );
             if co_batch > 1 {
                 note.push_str(&format!(" batch of {co_batch}"));
@@ -673,10 +527,10 @@ impl Router {
                     parent_id: ctx.span_id,
                     // Relative to the parent: the queue wait offsets the
                     // scan, so Perfetto shows wait vs. work per shard.
-                    start_ns: probe.queue_ns,
-                    duration_ns: probe.scan_ns,
-                    candidates_in: probe.hits,
-                    candidates_out: probe.merged,
+                    start_ns: reply.queue_ns,
+                    duration_ns: scan_ns,
+                    candidates_in: hits,
+                    candidates_out: merged,
                     note,
                 },
             );
@@ -723,22 +577,31 @@ impl Router {
     }
 }
 
-/// Credit each shard's contribution to a k-way member merge: how many of
-/// the merged top-k came from that shard's list.
-fn credit_merge_contributions(
-    merged: &[SearchHit],
-    lists: &[Vec<SearchHit>],
-    probes: &mut [ShardProbe],
-) {
-    for (i, list) in lists.iter().enumerate() {
-        if list.is_empty() {
-            continue;
+/// One shard job: every query of the batch through the shard's content
+/// index, then its semantic index, each under one read of its lock.
+/// `dense` holds the vectors of the queries flagged in `has_vector`.
+fn search_shard(
+    content: Option<ShardContent>,
+    semantic: Option<ShardSemantic>,
+    texts: &[String],
+    has_vector: &[bool],
+    dense: &[Vector],
+    k: usize,
+) -> Vec<MemberHits> {
+    let mut per_query: Vec<MemberHits> = texts.iter().map(|_| Default::default()).collect();
+    if let Some(index) = content {
+        let index = index.read();
+        for (hits, text) in per_query.iter_mut().zip(texts) {
+            hits[0] = index.search(text, k);
         }
-        probes[i].merged += merged
-            .iter()
-            .filter(|hit| list.iter().any(|own| own.id == hit.id))
-            .count();
     }
+    if let Some(index) = semantic {
+        let mut results = VectorIndex::search_batch(&*index.read(), dense, k).into_iter();
+        for (hits, _) in per_query.iter_mut().zip(has_vector).filter(|(_, &has)| has) {
+            hits[1] = results.next().unwrap_or_default();
+        }
+    }
+    per_query
 }
 
 /// The staged pipeline's modality slot for `kind` (same mapping as
@@ -778,5 +641,63 @@ impl EvidenceSource for RoutedSource {
 
     fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
         self.router.search_batch(self.kind, queries, k)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use verifai_index::FusionStrategy;
+    use verifai_obs::SystemClock;
+
+    /// A router over `n` shards that hold no index: only its pools work.
+    fn router(n: usize) -> Arc<Router> {
+        let shards = (0..n)
+            .map(|_| Shard::new(Default::default(), Default::default()))
+            .collect();
+        let combiner = Combiner::new(FusionStrategy::ReciprocalRank { k0: 60.0 });
+        Arc::new(Router::new(
+            shards,
+            combiner,
+            None,
+            0,
+            Arc::new(SystemClock),
+        ))
+    }
+
+    /// One submit-and-gather over every shard, where shard `faulty` (if
+    /// any) panics and the others return their index. Runs on its own
+    /// thread; `None` when it does not return within the bound.
+    fn gather_within(
+        router: &Arc<Router>,
+        faulty: Option<usize>,
+    ) -> Option<Result<Vec<usize>, ()>> {
+        let router = Arc::clone(router);
+        let (tx, rx) = channel::bounded(1);
+        std::thread::spawn(move || {
+            let jobs = (0..router.shard_count())
+                .map(|i| {
+                    let work: ShardWork<usize> = Box::new(move || {
+                        assert_ne!(Some(i), faulty, "shard {i} faults");
+                        i
+                    });
+                    Some(work)
+                })
+                .collect();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| router.submit_and_gather(jobs)));
+            let shards = outcome.map(|replies| replies.iter().map(|r| r.value).collect());
+            let _ = tx.send(shards.map_err(|_| ()));
+        });
+        rx.recv_timeout(Duration::from_secs(30)).ok()
+    }
+
+    #[test]
+    fn a_panicking_shard_job_fails_the_call_and_the_shard_keeps_serving() {
+        let router = router(3);
+        let faulted = gather_within(&router, Some(1)).expect("the faulted call returns");
+        assert!(faulted.is_err(), "a shard panic must fail the call");
+        let healthy = gather_within(&router, None).expect("the next call on the shards returns");
+        assert_eq!(healthy, Ok(vec![0, 1, 2]));
     }
 }

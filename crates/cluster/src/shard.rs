@@ -9,6 +9,13 @@ use verifai_index::{AnyVectorIndex, SegmentedInvertedIndex, VectorIndex};
 /// A unit of shard work: a boxed search closure the router scatters.
 pub(crate) type ShardJob = Box<dyn FnOnce() + Send + 'static>;
 
+/// Worker threads per shard pool.
+const SHARD_WORKERS: usize = 1;
+
+/// Bounded job-queue depth per shard pool; overflow runs inline on the
+/// calling thread (backpressure, not loss).
+const SHARD_QUEUE: usize = 64;
+
 /// A shard's content index handle: shared and lockable, so the router can
 /// apply live mutations while search jobs read concurrently.
 pub(crate) type ShardContent = Arc<RwLock<SegmentedInvertedIndex>>;
@@ -29,20 +36,16 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Assemble a shard over its built indexes with `workers` pool threads
-    /// and a bounded job queue of `queue` entries.
+    /// Assemble a shard over its built indexes, with a pool of
+    /// [`SHARD_WORKERS`] threads behind a [`SHARD_QUEUE`]-deep queue.
     pub(crate) fn new(
         content: [Option<ShardContent>; 4],
         semantic: [Option<ShardSemantic>; 4],
-        workers: usize,
-        queue: usize,
     ) -> Shard {
         Shard {
             content,
             semantic,
-            pool: WorkerPool::new(workers.max(1), Some(queue.max(1)), |_rx, job: ShardJob| {
-                job()
-            }),
+            pool: WorkerPool::new(SHARD_WORKERS, Some(SHARD_QUEUE), |_rx, job: ShardJob| job()),
         }
     }
 

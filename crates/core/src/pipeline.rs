@@ -657,32 +657,33 @@ impl VerifAi {
     /// and recording retrieval/rerank span events into `trace` (no-ops when
     /// the trace is disabled); returns the surviving evidence, read where it
     /// lies in the lake, with scores and the discovery-side stage timings.
+    /// This is [`VerifAi::discover_batch`] over a batch of one.
     pub fn discover(
         &self,
         object: &DataObject,
         trace: &mut RequestTrace,
     ) -> (Views<'_>, StageTiming) {
-        let query = Self::query_of(object);
-        let vector = self.embed_query(&query);
-        let plan = self.stage_plans(object);
-        let mut recorder = StageRecorder::new(&self.provenance);
-        self.stages.discover(
-            object,
-            SourceQuery {
-                text: &query,
-                vector: vector.as_ref(),
-                ctx: SpanContext::none(),
+        // Span 0: a distributed source's children graft under the
+        // retrieval span this call records once discovery returns.
+        let ctx = SpanContext {
+            trace_id: if trace.is_enabled() {
+                trace.trace_id
+            } else {
+                0
             },
-            &plan,
-            &self.generated.lake,
-            &mut recorder,
-            trace,
-        )
+            ..SpanContext::none()
+        };
+        let (evidence, timing) = self
+            .discover_batch(&[object], &[ctx])
+            .pop()
+            .expect("one discovery per object");
+        timing.trace_discovery(trace, "");
+        (evidence, timing)
     }
 
     /// Run discovery for a batch of same-kind objects at once, amortizing
     /// one blocked multi-query index sweep per modality across the whole
-    /// batch (see [`crate::stages::StagedPipeline::discover_batch`]).
+    /// batch (see [`crate::stages::StagedPipeline::discover`]).
     ///
     /// All objects must share a stage plan — callers (the service's
     /// micro-batching workers) group by object kind, so the plan of
@@ -721,7 +722,7 @@ impl VerifAi {
             })
             .collect();
         let mut recorder = StageRecorder::new(&self.provenance);
-        self.stages.discover_batch(
+        self.stages.discover(
             objects,
             &queries,
             &plan,

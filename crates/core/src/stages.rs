@@ -57,8 +57,11 @@ pub struct StageTiming {
     pub rerank_ns: u64,
     /// Wall time of the verify stage, nanoseconds.
     pub verify_ns: u64,
-    /// Coarse candidates entering the rerank stage (all modalities).
+    /// Retrieval hits, all modalities, before lake resolution (a hit whose
+    /// instance is gone still counts here).
     pub candidates_in: usize,
+    /// Hits that resolved against the lake: what the rerank stage ranks.
+    pub resolved: usize,
     /// Candidates surviving to the verify stage.
     pub candidates_out: usize,
 }
@@ -69,9 +72,30 @@ impl StageTiming {
     pub fn for_cached(evidence_len: usize) -> StageTiming {
         StageTiming {
             candidates_in: evidence_len,
+            resolved: evidence_len,
             candidates_out: evidence_len,
             ..StageTiming::default()
         }
+    }
+
+    /// Write discovery's two spans, `retrieval` and `rerank`, into `trace`
+    /// from this timing — the one place they are written, for a request
+    /// that discovered alone or inside a batch (`note` says which).
+    pub fn trace_discovery(&self, trace: &mut RequestTrace, note: &'static str) {
+        trace.span(
+            "retrieval",
+            self.retrieval_ns,
+            self.candidates_in,
+            self.resolved,
+            note,
+        );
+        trace.span(
+            "rerank",
+            self.rerank_ns,
+            self.resolved,
+            self.candidates_out,
+            note,
+        );
     }
 }
 
@@ -360,89 +384,24 @@ impl StagedPipeline {
         self.reranker.as_ref()
     }
 
-    /// Run retrieval → rerank for an object across the planned modalities,
-    /// buffering provenance and flushing it once per stage. Candidates are
-    /// borrowed from `lake` throughout, the returned survivors included.
-    ///
-    /// A hit whose instance is no longer in the lake is *not* silently
-    /// dropped: a provenance note records the dangling id before the
-    /// pipeline continues with the remaining candidates.
-    pub fn discover<'a>(
-        &self,
-        object: &DataObject,
-        query: SourceQuery<'_>,
-        plan: &[StagePlan],
-        lake: &'a DataLake,
-        recorder: &mut StageRecorder<'_>,
-        trace: &mut RequestTrace,
-    ) -> (Views<'a>, StageTiming) {
-        let mut timing = StageTiming::default();
-
-        // Stage 1: retrieval (and resolution) across all modalities, then
-        // one provenance flush for the whole stage. The retrieval span id
-        // is reserved *before* the scatter and handed down via the query's
-        // [`SpanContext`], so distributed sources (the cluster router)
-        // record their per-shard child spans under it; the span itself is
-        // recorded once the stage's wall time is known.
-        let retrieval_span = trace.reserve();
-        let mut query = query;
-        query.ctx = trace.context(retrieval_span);
-        let started = self.clock.now();
-        let mut views_per_modality: ViewSlots<'_> = Vec::with_capacity(plan.len());
-        for &stage_plan in plan {
-            let hits = self
-                .source(stage_plan.kind)
-                .search(query, stage_plan.coarse_k);
-            timing.candidates_in += hits.len();
-            let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
-            views_per_modality.push((stage_plan, views));
-        }
-        let resolved_total: usize = views_per_modality.iter().map(|(_, v)| v.len()).sum();
-        timing.retrieval_ns = ns_between(started, self.clock.now());
-        recorder.flush_stage();
-        trace.span_reserved(
-            retrieval_span,
-            "retrieval",
-            timing.retrieval_ns,
-            timing.candidates_in,
-            resolved_total,
-            String::new(),
-        );
-
-        // Stage 2: rerank each modality's candidates, one flush.
-        let started = self.clock.now();
-        let mut out = Vec::new();
-        for (stage_plan, views) in views_per_modality {
-            let ranked = self.rerank_modality(object, stage_plan, &views, recorder);
-            timing.candidates_out += ranked.len();
-            out.extend(ranked);
-        }
-        timing.rerank_ns = ns_between(started, self.clock.now());
-        recorder.flush_stage();
-        trace.span(
-            "rerank",
-            timing.rerank_ns,
-            resolved_total,
-            timing.candidates_out,
-            String::new(),
-        );
-
-        (out, timing)
-    }
-
-    /// Batched retrieval → rerank for `objects[i]` under
-    /// `queries[i]`, all sharing one `plan` (the service groups requests by
-    /// object kind, so one plan fits the whole batch).
+    /// Retrieval → rerank for `objects[i]` under `queries[i]`, all sharing
+    /// one `plan` (the service groups requests by object kind, so one plan
+    /// fits the whole batch); a single request is a batch of one.
+    /// Candidates are borrowed from `lake` throughout, the returned
+    /// survivors included.
     ///
     /// Retrieval issues **one [`EvidenceSource::search_batch`] per
     /// modality for the whole batch** — the flat index's blocked kernel
-    /// and the cluster router's batched scatter amortize a single sweep
-    /// across all B queries — then the lake lookups, provenance, and rerank
-    /// run per object exactly as [`StagedPipeline::discover`] would. Each
+    /// and the cluster router's scatter amortize a single sweep across all
+    /// B queries — then the lake lookups, provenance, and rerank run per
+    /// object. A hit whose instance is no longer in the lake is *not*
+    /// silently dropped: a provenance note records the dangling id. Each
     /// stage flushes provenance once for the whole batch, and each
     /// object's timing carries its per-object candidate counts with an
-    /// even 1/B share of the batch's stage wall times.
-    pub fn discover_batch<'a>(
+    /// even 1/B share of the batch's stage wall times. No span is written
+    /// here: the caller records them from the timing
+    /// ([`StageTiming::trace_discovery`]).
+    pub fn discover<'a>(
         &self,
         objects: &[&DataObject],
         queries: &[SourceQuery<'_>],
@@ -473,6 +432,7 @@ impl StagedPipeline {
             {
                 timing.candidates_in += hits.len();
                 let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
+                timing.resolved += views.len();
                 slots.push((stage_plan, views));
             }
         }
@@ -708,6 +668,26 @@ mod tests {
         })
     }
 
+    /// Discover `object()`'s tuple evidence alone: a batch of one.
+    fn discover_tuples<'a>(
+        pipeline: &StagedPipeline,
+        lake: &'a DataLake,
+        recorder: &mut StageRecorder<'_>,
+    ) -> (Views<'a>, StageTiming) {
+        let plan = [StagePlan {
+            kind: InstanceKind::Tuple,
+            coarse_k: 10,
+            final_k: 10,
+        }];
+        let query = SourceQuery {
+            text: "q",
+            vector: None,
+            ctx: SpanContext::none(),
+        };
+        let mut discovered = pipeline.discover(&[&object()], &[query], &plan, lake, recorder);
+        discovered.pop().expect("one result per object")
+    }
+
     #[test]
     fn unresolved_hits_leave_a_provenance_note() {
         let generated = verifai_datagen::build(&verifai_datagen::LakeSpec::tiny(5));
@@ -719,24 +699,7 @@ mod tests {
         ]);
         let sink = SharedProvenance::new();
         let mut recorder = StageRecorder::new(&sink);
-        let plan = [StagePlan {
-            kind: InstanceKind::Tuple,
-            coarse_k: 10,
-            final_k: 10,
-        }];
-        let query = SourceQuery {
-            text: "q",
-            vector: None,
-            ctx: SpanContext::none(),
-        };
-        let (evidence, timing) = pipeline.discover(
-            &object(),
-            query,
-            &plan,
-            &generated.lake,
-            &mut recorder,
-            &mut RequestTrace::disabled(),
-        );
+        let (evidence, timing) = discover_tuples(&pipeline, &generated.lake, &mut recorder);
         // The resolvable hit survives with its retrieval score...
         assert_eq!(evidence.len(), 1);
         assert_eq!(evidence[0].0.id(), InstanceId::Tuple(real));
@@ -751,6 +714,7 @@ mod tests {
         assert_eq!(noted.len(), 1);
         assert_eq!(noted[0].instance, Some(dangling));
         assert_eq!(timing.candidates_in, 2);
+        assert_eq!(timing.resolved, 1);
         assert_eq!(timing.candidates_out, 1);
     }
 
@@ -761,24 +725,7 @@ mod tests {
         let pipeline = pipeline_with(vec![SearchHit::new(InstanceId::Tuple(real), 2.0)]);
         let sink = SharedProvenance::new();
         let mut recorder = StageRecorder::new(&sink);
-        let plan = [StagePlan {
-            kind: InstanceKind::Tuple,
-            coarse_k: 10,
-            final_k: 10,
-        }];
-        let query = SourceQuery {
-            text: "q",
-            vector: None,
-            ctx: SpanContext::none(),
-        };
-        let (evidence, _) = pipeline.discover(
-            &object(),
-            query,
-            &plan,
-            &generated.lake,
-            &mut recorder,
-            &mut RequestTrace::disabled(),
-        );
+        let (evidence, _) = discover_tuples(&pipeline, &generated.lake, &mut recorder);
         assert_eq!(sink.batches(), 2, "retrieval + rerank, one flush each");
         let outcome = pipeline.judge(
             &object(),
@@ -802,25 +749,9 @@ mod tests {
         ]);
         let sink = SharedProvenance::new();
         let mut recorder = StageRecorder::new(&sink);
-        let plan = [StagePlan {
-            kind: InstanceKind::Tuple,
-            coarse_k: 10,
-            final_k: 10,
-        }];
-        let query = SourceQuery {
-            text: "q",
-            vector: None,
-            ctx: SpanContext::none(),
-        };
         let mut trace = RequestTrace::new(42, 7);
-        let (evidence, _) = pipeline.discover(
-            &object(),
-            query,
-            &plan,
-            &generated.lake,
-            &mut recorder,
-            &mut trace,
-        );
+        let (evidence, timing) = discover_tuples(&pipeline, &generated.lake, &mut recorder);
+        timing.trace_discovery(&mut trace, "");
         pipeline.judge(&object(), &evidence, None, &mut recorder, &mut trace);
         let retrieval = trace.span_for("retrieval").expect("retrieval span");
         assert_eq!(retrieval.candidates_in, 2, "both hits entered retrieval");

@@ -24,8 +24,9 @@ use verifai_obs::SpanContext;
 /// [`SourceQuery::ctx`] carries the caller's trace coordinates across the
 /// source boundary: distributed backends (the cluster router) record
 /// per-shard child spans under `ctx` so the request's span tree spans the
-/// fleet. Plain in-process indexes ignore it; untraced callers pass
-/// [`SpanContext::none`].
+/// fleet. The pipeline passes span 0, and the children graft under the
+/// request's `retrieval` span when the tree is stitched. Plain in-process
+/// indexes ignore it; untraced callers pass [`SpanContext::none`].
 #[derive(Debug, Clone, Copy)]
 pub struct SourceQuery<'a> {
     /// The serialized query text.
@@ -187,16 +188,16 @@ impl EvidenceSource for FusedSource {
     /// multi-query kernel amortizes one scan), then the per-query member
     /// lists fuse exactly as the single-query path would.
     fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        let per_member: Vec<Vec<Vec<SearchHit>>> = self
+        let mut per_member: Vec<_> = self
             .sources
             .iter()
-            .map(|source| source.search_batch(queries, k))
+            .map(|source| source.search_batch(queries, k).into_iter())
             .collect();
         (0..queries.len())
-            .map(|qi| {
+            .map(|_| {
                 let lists: Vec<Vec<SearchHit>> = per_member
-                    .iter()
-                    .map(|member| member[qi].clone())
+                    .iter_mut()
+                    .filter_map(Iterator::next)
                     .filter(|list| !list.is_empty())
                     .collect();
                 self.combiner.combine(&lists, k)

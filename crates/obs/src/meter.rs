@@ -55,7 +55,9 @@ pub struct CostVector {
     pub cache_hits: u64,
     /// Evidence-cache misses charged to this request.
     pub cache_misses: u64,
-    /// Shard responses merged into this request's result.
+    /// Shard replies merged into this request's result: one per shard per
+    /// routed modality search, since one job per shard carries both the
+    /// content and the semantic member.
     pub shard_fanout: u64,
     /// Query/text embeddings computed.
     pub embeds: u64,

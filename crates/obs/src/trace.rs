@@ -152,31 +152,14 @@ impl RequestTrace {
         self.enabled
     }
 
-    /// Reserve a span id without recording anything yet: stages that need
-    /// to hand a [`SpanContext`] to downstream workers *before* they know
-    /// the span's duration reserve first, scatter, then record with
-    /// [`RequestTrace::span_reserved`]. Returns 0 on a disabled trace.
-    pub fn reserve(&mut self) -> u32 {
+    /// The next span id (0 on a disabled trace).
+    fn reserve(&mut self) -> u32 {
         if !self.enabled {
             return 0;
         }
         let id = self.next_span_id;
         self.next_span_id += 1;
         id
-    }
-
-    /// The context remote children should attach under for `span_id`
-    /// (typically a [`RequestTrace::reserve`]d id). Dead on a disabled
-    /// trace.
-    pub fn context(&self, span_id: u32) -> SpanContext {
-        if !self.enabled {
-            return SpanContext::none();
-        }
-        SpanContext {
-            trace_id: self.trace_id,
-            span_id,
-            parent_id: 0,
-        }
     }
 
     /// Append a root-level span laid out at the current end of the
@@ -201,29 +184,6 @@ impl RequestTrace {
         last.candidates_out = candidates_out;
         last.note = note.into();
         id
-    }
-
-    /// Record a previously [`RequestTrace::reserve`]d root-level span now
-    /// that its duration is known. No-op on a disabled trace (where the
-    /// reserved id is 0).
-    pub fn span_reserved(
-        &mut self,
-        span_id: u32,
-        stage: impl Into<Cow<'static, str>>,
-        duration_ns: u64,
-        candidates_in: usize,
-        candidates_out: usize,
-        note: impl Into<String>,
-    ) {
-        if !self.enabled || span_id == 0 {
-            return;
-        }
-        self.push_at(span_id, 0, self.cursor_ns, stage.into(), duration_ns);
-        self.cursor_ns += duration_ns;
-        let last = self.spans.last_mut().expect("span just pushed");
-        last.candidates_in = candidates_in;
-        last.candidates_out = candidates_out;
-        last.note = note.into();
     }
 
     /// Append a child span under `parent_id` at an explicit offset
@@ -406,8 +366,6 @@ mod tests {
         );
         assert!(!trace.is_enabled());
         assert_eq!(trace.reserve(), 0);
-        assert_eq!(trace.context(3), SpanContext::none());
-        assert!(!trace.context(3).is_live());
         trace.child_span(1, "shard-0", 0, 10, 1, 1, "");
         trace.graft(vec![]);
         assert_eq!(trace.spans.capacity(), 0);
@@ -441,24 +399,6 @@ mod tests {
         assert_eq!(trace.spans[0].start_ns, 0);
         assert_eq!(trace.spans[1].start_ns, 10);
         assert_eq!(trace.spans[1].end_ns(), 30);
-    }
-
-    #[test]
-    fn reserved_span_keeps_its_id_across_later_spans() {
-        let mut trace = RequestTrace::new(1, 1);
-        trace.span("queue", 5, 0, 0, "");
-        let reserved = trace.reserve();
-        let ctx = trace.context(reserved);
-        assert_eq!(ctx.trace_id, 1);
-        assert_eq!(ctx.span_id, 2);
-        // A span recorded while the reservation is outstanding gets a
-        // later id.
-        let other = trace.span("cache", 3, 0, 0, "hit");
-        assert_eq!(other, 3);
-        trace.span_reserved(reserved, "retrieval", 20, 12, 6, "");
-        let retrieval = trace.span_for("retrieval").expect("recorded");
-        assert_eq!(retrieval.span_id, 2);
-        assert_eq!(retrieval.start_ns, 8);
     }
 
     #[test]

@@ -708,6 +708,7 @@ mod tests {
             rerank_ns: 2_000_000,
             verify_ns: 3_000_000,
             candidates_in: 10,
+            resolved: 10,
             candidates_out: 4,
         };
         obs.on_completed(1, &timing, Verdict::Refuted, 7_000_000);

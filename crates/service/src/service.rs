@@ -666,24 +666,11 @@ fn evidence_for<'a>(
             // harvested; the drain at report assembly then attributes it
             // here, where the work logically belongs.
             meter::charge_cost(&entry.cost);
-            // Keep the trace shape identical to per-request discovery —
-            // the same retrieval/rerank spans, carrying this object's
-            // share of the batch — and flag the batching in the notes.
+            // The same retrieval/rerank spans per-request discovery
+            // writes, carrying this object's share of the batch, with the
+            // batching flagged in the notes.
             let timing = &entry.timing;
-            trace.span(
-                "retrieval",
-                timing.retrieval_ns,
-                timing.candidates_in,
-                entry.evidence.len(),
-                "batched discovery",
-            );
-            trace.span(
-                "rerank",
-                timing.rerank_ns,
-                entry.evidence.len(),
-                timing.candidates_out,
-                "batched discovery",
-            );
+            timing.trace_discovery(trace, "batched discovery");
             // Batch membership: which sweep served this request and how
             // many distinct queries rode along. Zero-duration marker span
             // (the cost lives in the retrieval span above); formatted only

@@ -34,6 +34,13 @@ cargo test -q --release --test obs_budget
 echo "==> golden index fingerprints (gating)"
 cargo test -q -p verifai-index --test golden
 
+# Routed retrieval equals the single lake for N = 1..8 shards, and a routed
+# batch equals its per-query searches. Named, like the golden step, so a
+# deleted or renamed identity test fails the gate instead of passing on
+# zero tests.
+echo "==> routed == single-lake identity (gating)"
+cargo test -q -p verifai-cluster --test identity
+
 # Recall and cost of an HNSW graph after churn: 40 % of its rows replaced,
 # it must answer like its compacted copy (recall@10 within 0.03, >= 0.95)
 # for at most 1.5x the distance evaluations per query. Named, like the

@@ -231,6 +231,11 @@ fn flight_recorder_retrieves_full_trace_by_id() {
         assert_eq!(retrieval.duration_ns, report.timing.retrieval_ns);
         let rerank = trace.span_for("rerank").expect("rerank span");
         assert_eq!(rerank.candidates_out, report.timing.candidates_out);
+        // On a static lake every hit resolves: retrieval passes what it
+        // found to rerank unchanged, whether the request discovered alone
+        // or in a prewarm batch.
+        assert_eq!(retrieval.candidates_out, retrieval.candidates_in);
+        assert_eq!(rerank.candidates_in, retrieval.candidates_out);
         assert_eq!(rerank.duration_ns, report.timing.rerank_ns);
         let verify = trace.span_for("verify").expect("verify span");
         assert_eq!(verify.candidates_out, report.evidence.len());

@@ -267,13 +267,14 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
         )),
     );
     let sink = SharedProvenance::new();
-    let (evidence, timing) = pipeline.discover(
-        &object,
-        SourceQuery {
-            text: "q",
-            vector: None,
-            ctx: SpanContext::none(),
-        },
+    let query = SourceQuery {
+        text: "q",
+        vector: None,
+        ctx: SpanContext::none(),
+    };
+    let mut discovered = pipeline.discover(
+        &[&object],
+        &[query],
         &[StagePlan {
             kind: InstanceKind::Tuple,
             coarse_k: 10,
@@ -281,8 +282,8 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
         }],
         &generated.lake,
         &mut StageRecorder::new(&sink),
-        &mut RequestTrace::disabled(),
     );
+    let (evidence, timing) = discovered.pop().expect("one discovery per object");
 
     let resolved = generated.lake.resolve(live).expect("live hit resolves");
     let score = CompositeReranker::with_defaults().score(&object, &resolved);

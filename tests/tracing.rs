@@ -4,8 +4,9 @@
 //!
 //! The headline invariant: a clustered request's stitched trace is a
 //! well-formed tree — every per-shard child span's interval nests inside
-//! its parent stage span — across shard counts and both the per-request
-//! and the batched (multi-query sweep) discovery paths.
+//! its parent stage span — across shard counts and both discovery entry
+//! points: a traced request (`verify_object_traced`, a batch of one) and a
+//! multi-query sweep (`discover_batch`).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -264,9 +265,10 @@ fn report_equality_excludes_timing_and_trace_ids() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Across shard counts 1..8 and both discovery paths (per-request and
-    /// batched multi-query sweep), per-shard child spans graft under the
-    /// retrieval span and nest inside its interval.
+    /// Across shard counts 1..8 and both discovery entry points (a traced
+    /// request, which discovers as a batch of one, and a multi-query
+    /// sweep), per-shard child spans graft under the retrieval span and
+    /// nest inside its interval.
     #[test]
     fn shard_children_nest_inside_parents(shards in 1usize..9, batched in 0usize..2) {
         let batched = batched == 1;
