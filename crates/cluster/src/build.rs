@@ -3,16 +3,14 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use verifai::corpus::{embedder_for, modality_corpus, ModalityCorpus};
-use verifai::{BuildStats, SemanticBackend, VerifAi, VerifAiConfig};
+use verifai::corpus::{embedder_for, index_chain, modality_corpus, ModalityCorpus};
+use verifai::{BuildStats, VerifAi, VerifAiConfig};
 use verifai_datagen::GeneratedLake;
 use verifai_index::{
-    AnyVectorIndex, Bm25Params, Combiner, CorpusStats, EvidenceSource, FlatIndex, HnswConfig,
-    HnswIndex, SegmentedInvertedIndex, VectorIndex,
+    AnyVectorIndex, Combiner, CorpusStats, EvidenceSource, SegmentedInvertedIndex,
 };
 use verifai_lake::InstanceKind;
 use verifai_obs::{ns_between, Clock, SystemClock};
-use verifai_text::Analyzer;
 
 use crate::partition::shard_of;
 use crate::router::{RoutedSource, Router};
@@ -97,13 +95,7 @@ pub fn build_cluster_with_clock(
 ) -> ClusterBuild {
     let build_start = clock.now();
     let n = cluster.shards.max(1);
-    let threads = if config.build_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        config.build_threads
-    };
+    let threads = config.build_workers();
     let embedder = embedder_for(&config);
     let want_semantic = config.use_semantic_index;
     let index_start = clock.now();
@@ -127,45 +119,23 @@ pub fn build_cluster_with_clock(
     }
     let embedded: usize = partitions.iter().map(|p| p.semantic.len()).sum();
 
-    // Build every (modality, shard) index pair in parallel.
+    // Build every (modality, shard) index pair in parallel, one chain job
+    // each — the single-lake build's chain.
     type BuiltPair = (SegmentedInvertedIndex, Option<AnyVectorIndex>);
-    let backend = config.semantic_backend;
-    let quantized = config.quantized;
-    let rescore_factor = config.rescore_factor;
-    let seed = config.seed ^ 0x45a1;
     let mut built: Vec<Option<BuiltPair>> = (0..4 * n).map(|_| None).collect();
     {
-        let embedder = &embedder;
+        let (config, embedder) = (&config, &embedder);
         let jobs: Vec<Box<dyn FnOnce() + Send>> = built
             .iter_mut()
             .zip(partitions)
             .map(|(slot, corpus)| {
                 let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    let mut content =
-                        SegmentedInvertedIndex::new(Analyzer::standard(), Bm25Params::default());
-                    for (id, text) in &corpus.content {
-                        content.add(*id, text);
-                    }
-                    content.compact();
-                    let semantic = want_semantic.then(|| {
-                        let mut index = match backend {
-                            SemanticBackend::Hnsw => {
-                                AnyVectorIndex::Hnsw(HnswIndex::new(HnswConfig {
-                                    seed,
-                                    ..HnswConfig::default()
-                                }))
-                            }
-                            SemanticBackend::Flat if quantized => {
-                                AnyVectorIndex::Flat(FlatIndex::new_quantized(rescore_factor))
-                            }
-                            SemanticBackend::Flat => AnyVectorIndex::Flat(FlatIndex::new()),
-                        };
-                        for (id, text) in &corpus.semantic {
-                            index.add(*id, embedder.embed(text));
-                        }
-                        index
-                    });
-                    *slot = Some((content, semantic));
+                    *slot = Some(index_chain(
+                        config,
+                        embedder,
+                        &corpus.content,
+                        &corpus.semantic,
+                    ));
                 });
                 job
             })

@@ -70,11 +70,10 @@ pub struct VerifAiConfig {
     pub embed_dim: usize,
     /// Master seed for index/embedding determinism.
     pub seed: u64,
-    /// Worker threads for the lake-indexing phase of [`crate::VerifAi::build`]
+    /// Worker threads for the lake indexing of [`crate::VerifAi::build`]
     /// (`0` = one per available core). The built indexes are byte-identical
-    /// for every thread count: modalities build concurrently, embeddings are
-    /// pure functions computed into ordered slots, and graph insertion stays
-    /// sequential per modality.
+    /// for every thread count: each index is built by one job, in entry
+    /// order, and jobs share nothing but the lake they read.
     pub build_threads: usize,
 }
 
@@ -104,6 +103,15 @@ impl Default for VerifAiConfig {
 }
 
 impl VerifAiConfig {
+    /// `build_threads` resolved: the configured count, or one per available
+    /// core for `0`.
+    pub fn build_workers(&self) -> usize {
+        match self.build_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+    }
+
     /// The paper's §4 retrieval setting: content index only ("we simply
     /// utilized Elasticsearch as the Indexer"), no reranker.
     pub fn paper_setting() -> VerifAiConfig {

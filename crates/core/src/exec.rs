@@ -26,8 +26,20 @@ where
 }
 
 /// Run one-shot jobs (which may borrow locals) across `threads` scoped
-/// workers, returning when all jobs have run. Panics in jobs propagate.
+/// workers, returning when all jobs have run. Jobs start in list order.
+/// Panics in jobs propagate.
 pub fn run_scoped<F>(threads: usize, jobs: Vec<F>)
+where
+    F: FnOnce() + Send,
+{
+    run_scoped_beside(threads, jobs, || ());
+}
+
+/// [`run_scoped`], with the calling thread running `on_caller` while the
+/// workers drain the jobs; returns its result once both are done. With one
+/// thread the jobs run inline first. What `on_caller` allocates stays in
+/// the calling thread's malloc arena.
+pub fn run_scoped_beside<F, R>(threads: usize, jobs: Vec<F>, on_caller: impl FnOnce() -> R) -> R
 where
     F: FnOnce() + Send,
 {
@@ -35,8 +47,9 @@ where
         for job in jobs {
             job();
         }
-        return;
+        return on_caller();
     }
+    let workers = threads.min(jobs.len());
     let (tx, rx) = unbounded::<F>();
     for job in jobs {
         if tx.send(job).is_err() {
@@ -45,11 +58,12 @@ where
     }
     drop(tx);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..workers {
             let rx = rx.clone();
             scope.spawn(move || work_loop(&rx, &|_rx: &Receiver<F>, job: F| job()));
         }
-    });
+        on_caller()
+    })
 }
 
 /// A long-lived pool of named worker threads draining a shared (optionally

@@ -109,12 +109,15 @@ impl FeatureStore {
     /// out of the lake to be prepared.
     ///
     /// Runs on the calling thread, also for the initial fill of a whole
-    /// lake (~0.2 s at `small`, against ~5 s of index build). Fanning the
-    /// fill out over the build's worker threads was measured and dropped:
-    /// the features and vocabularies it leaves behind are small, long-lived
-    /// allocations, and placed in the workers' malloc arenas they pin the
-    /// arenas' freed index-build scratch — +9 MB resident for 2.5 MB of
-    /// features.
+    /// lake, which [`crate::VerifAi::build`] runs while its workers index
+    /// the lake: 0.3 s alone at `small`, about 0.5 s beside two workers on
+    /// a 2-core host, off the build's critical path. The calling thread
+    /// matters.
+    /// Fanning the fill out over the build's worker threads was measured
+    /// and dropped: the features and vocabularies it leaves behind are
+    /// small, long-lived allocations, and placed in the workers' malloc
+    /// arenas they pin the arenas' freed index-build scratch — +9 MB
+    /// resident for 2.5 MB of features.
     pub fn sync(&self, reranker: &dyn Reranker, lake: &DataLake, ids: &[InstanceId]) {
         // Exclusive for the whole pass: callers hold the system `&mut`
         // (or are still assembling it), so no request is waiting.

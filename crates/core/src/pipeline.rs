@@ -9,8 +9,10 @@
 
 use std::sync::Arc;
 
-use crate::config::{SemanticBackend, VerifAiConfig};
-use crate::corpus::modality_corpus;
+use crate::config::VerifAiConfig;
+use crate::corpus::{
+    content_entries, content_index, index_chain, semantic_index, text_chunks, TEXT_MODALITY,
+};
 use crate::live::{
     apply_ops, mutate_lake, IndexOp, LakeMutation, LiveContentSource, LiveIndexes, LiveLakeStats,
     LiveSemanticSource, MutationError, MutationOutcome,
@@ -23,8 +25,8 @@ use parking_lot::{MutexGuard, RwLock};
 use verifai_datagen::{GeneratedLake, MaskedTupleTask};
 use verifai_embed::{TextEmbedder, Vector};
 use verifai_index::{
-    AnyVectorIndex, Bm25Params, Combiner, EvidenceSource, FlatIndex, FusedSource, HnswConfig,
-    HnswIndex, SearchHit, SegmentedInvertedIndex, SourceQuery, VectorIndex,
+    AnyVectorIndex, Combiner, EvidenceSource, FusedSource, SearchHit, SegmentedInvertedIndex,
+    SourceQuery, VectorIndex,
 };
 use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind, InstanceRef, SourceId};
 use verifai_llm::{DataObject, ImputedCell, SimLlm, TextClaim, Verdict};
@@ -32,7 +34,6 @@ use verifai_obs::{
     meter, ns_between, Clock, CostVector, RequestTrace, SpanContext, SystemClock, TraceId,
 };
 use verifai_rerank::composite::CompositeReranker;
-use verifai_text::Analyzer;
 use verifai_verify::{
     stamp_trace, Agent, KgModelVerifier, LlmVerifier, PastaVerifier, ProvenanceLog,
     ProvenanceRecord, SharedProvenance, Stage, StageRecorder, TrustModel, TupleModelVerifier,
@@ -98,12 +99,14 @@ impl PartialEq for VerificationReport {
 pub struct BuildStats {
     /// Wall time of the whole `build` call.
     pub wall_ns: u64,
-    /// Wall time of the indexing phases alone (content indexing, embedding,
-    /// semantic-graph construction).
+    /// Wall time of indexing: from the first build job's dispatch until the
+    /// last job and the rerank-feature preparation running beside them
+    /// have finished (serializing, content indexing, embedding,
+    /// semantic-graph construction, prepared features).
     pub index_ns: u64,
     /// Semantic entries embedded (0 when the semantic index is disabled).
     pub embedded: usize,
-    /// Worker threads the indexing phases ran with.
+    /// Worker threads the indexing ran with.
     pub threads: usize,
 }
 
@@ -115,6 +118,23 @@ fn sync_features(stages: &StagedPipeline, lake: &DataLake, ops: &[IndexOp]) {
     stages.rerank_stage().sync_features(lake, &ids);
 }
 
+/// The configured rerank stage, with nothing prepared yet.
+fn rerank_stage_for(config: &VerifAiConfig) -> Box<dyn RerankStage> {
+    if config.use_reranker {
+        Box::new(ScoreRerank::new(CompositeReranker::with_defaults()))
+    } else {
+        Box::new(TopKPassthrough)
+    }
+}
+
+/// Prepare the evidence side of reranking for every instance already in
+/// the lake; `apply` / `mutate_routed` keep it current from there on. (The
+/// pass-through stage keeps nothing.) The embeds this charges belong to no
+/// request.
+fn prepare_features(stage: &dyn RerankStage, lake: &DataLake) {
+    let _ = meter::scoped(|| stage.sync_features(lake, &crate::features::featured_ids(lake)));
+}
+
 /// Copy evidence views out of the lake, for a caller that keeps them
 /// (`materialize(sys.discover(object, trace).0)`).
 pub fn materialize(views: Views<'_>) -> Vec<(DataInstance, f64)> {
@@ -122,22 +142,6 @@ pub fn materialize(views: Views<'_>) -> Vec<(DataInstance, f64)> {
         .into_iter()
         .map(|(view, score)| (view.to_owned(), score))
         .collect()
-}
-
-/// The empty semantic backend for one modality, per the configured backend
-/// and scan mode (flat backends honor `quantized` / `rescore_factor`; HNSW
-/// has no quantized path).
-fn empty_semantic(config: &VerifAiConfig, seed: u64) -> AnyVectorIndex {
-    match config.semantic_backend {
-        SemanticBackend::Hnsw => AnyVectorIndex::Hnsw(HnswIndex::new(HnswConfig {
-            seed,
-            ..HnswConfig::default()
-        })),
-        SemanticBackend::Flat if config.quantized => {
-            AnyVectorIndex::Flat(FlatIndex::new_quantized(config.rescore_factor))
-        }
-        SemanticBackend::Flat => AnyVectorIndex::Flat(FlatIndex::new()),
-    }
 }
 
 /// The assembled VerifAI system: lake + staged pipeline + trust model.
@@ -163,30 +167,31 @@ pub struct VerifAi {
 
 impl VerifAi {
     /// Build the system over a generated lake: serializes and indexes every
-    /// instance, stands up the LLM over the lake's world model, and composes
-    /// the staged pipeline — one fused [`EvidenceSource`] per modality, the
-    /// configured rerank stage, and the verifier [`Agent`].
+    /// instance, prepares the rerank features, stands up the LLM over the
+    /// lake's world model, and composes the staged pipeline — one fused
+    /// [`EvidenceSource`] per modality, the configured rerank stage, and
+    /// the verifier [`Agent`].
     ///
-    /// Indexing is parallel and deterministic. Three phases, each over
-    /// [`crate::exec::run_scoped`]:
-    ///
-    /// 1. per-modality jobs serialize their instances, build the content
-    ///    (BM25) index, and collect the semantic entry list in lake order;
-    /// 2. semantic entries are embedded in parallel chunks into per-entry
-    ///    slots — embeddings are pure functions of the text, so slot order
-    ///    (not completion order) defines everything downstream;
-    /// 3. per-modality jobs insert the embedded vectors into their HNSW
-    ///    graph **sequentially in entry order**, so every graph is
-    ///    byte-identical to a single-threaded build.
+    /// Indexing is parallel and deterministic, scheduled by critical path
+    /// over [`crate::exec::run_scoped_beside`]. Each job is a chain that
+    /// serializes its entries, builds its index and, where it has one, its
+    /// semantic index — embedding and inserting **sequentially in entry
+    /// order**, so every graph is byte-identical to a single-threaded
+    /// build. The two longest chains go first: the text graph over every
+    /// document's sentence chunks, then the tuple chain. The table and
+    /// knowledge-graph chains follow, and the text content index is a job
+    /// of its own so it does not wait behind the text graph. The calling
+    /// thread prepares the rerank features meanwhile, which keeps them in
+    /// its malloc arena.
     ///
     /// `config.build_threads` (0 = one per core) sets the worker count;
-    /// with 1, every phase runs inline.
+    /// with 1, every job runs inline.
     pub fn build(generated: GeneratedLake, config: VerifAiConfig) -> VerifAi {
         VerifAi::build_with_clock(generated, config, Arc::new(SystemClock))
     }
 
     /// [`VerifAi::build`] with an explicit [`Clock`]; the clock times the
-    /// build phases here and every pipeline stage afterwards. Tests inject
+    /// build here and every pipeline stage afterwards. Tests inject
     /// a [`verifai_obs::MockClock`] to make timings exact.
     pub fn build_with_clock(
         generated: GeneratedLake,
@@ -195,113 +200,57 @@ impl VerifAi {
     ) -> VerifAi {
         let build_start = clock.now();
         let embedder = crate::corpus::embedder_for(&config);
-        let threads = if config.build_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.build_threads
-        };
+        let threads = config.build_workers();
+        let rerank_stage = rerank_stage_for(&config);
         let index_start = clock.now();
 
-        // Phase 1: per-modality content indexing + semantic entry collection.
-        // Entry lists keep lake iteration order — the order a sequential
-        // build would embed and insert in. The batch build IS the
-        // incremental path: every instance streams through
-        // `SegmentedInvertedIndex::add`, so bulk ingest and live mutation
-        // share one code path — and ends with one `compact`, so a fresh
-        // system searches one sealed segment per modality.
         let lake = &generated.lake;
-        let want_semantic = config.use_semantic_index;
-        type ModalityBuilt = (SegmentedInvertedIndex, Vec<(InstanceId, String)>);
-        let mut built: [Option<ModalityBuilt>; 4] = [None, None, None, None];
+        let mut content: [Option<SegmentedInvertedIndex>; 4] = Default::default();
+        let mut semantic: [Option<AnyVectorIndex>; 4] = Default::default();
         {
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = built
-                .iter_mut()
-                .enumerate()
-                .map(|(modality, slot)| {
-                    let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                        let corpus = modality_corpus(lake, modality, want_semantic);
-                        let mut content = SegmentedInvertedIndex::new(
-                            Analyzer::standard(),
-                            Bm25Params::default(),
-                        );
-                        for (id, text) in &corpus.content {
-                            content.add(*id, text);
-                        }
-                        content.compact();
-                        *slot = Some((content, corpus.semantic));
-                    });
-                    job
-                })
-                .collect();
-            crate::exec::run_scoped(threads.min(4), jobs);
-        }
-        let modalities: [ModalityBuilt; 4] =
-            built.map(|b| b.expect("every modality job filled its slot"));
-
-        // Phase 2: embed every semantic entry in parallel, chunked, into
-        // per-entry slots.
-        let embedded: usize = modalities.iter().map(|(_, s)| s.len()).sum();
-        let mut vectors: Vec<Vec<Option<Vector>>> = modalities
-            .iter()
-            .map(|(_, entries)| vec![None; entries.len()])
-            .collect();
-        if want_semantic && embedded > 0 {
-            const EMBED_CHUNK: usize = 64;
-            let embedder = &embedder;
-            let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-            for ((_, entries), slots) in modalities.iter().zip(vectors.iter_mut()) {
-                for (entry_chunk, slot_chunk) in entries
-                    .chunks(EMBED_CHUNK)
-                    .zip(slots.chunks_mut(EMBED_CHUNK))
-                {
-                    jobs.push(Box::new(move || {
-                        for ((_, text), slot) in entry_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(embedder.embed(text));
-                        }
-                    }));
-                }
+            let (config, embedder) = (&config, &embedder);
+            let [tuples, tables, texts, kg] = content.each_mut();
+            let [tuples_semantic, tables_semantic, texts_semantic, kg_semantic] =
+                semantic.each_mut();
+            // Longest first: the text graph and the tuple chain (which of
+            // the two is longer depends on the lake) start at once on two
+            // workers; the short jobs fill in behind them.
+            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(5);
+            if config.use_semantic_index {
+                jobs.push(Box::new(move || {
+                    *texts_semantic = Some(semantic_index(config, embedder, &text_chunks(lake)));
+                }));
             }
-            crate::exec::run_scoped(threads, jobs);
-        }
-
-        // Phase 3: per-modality semantic index construction — parallel
-        // across modalities, strictly sequential (entry-order) insertion
-        // within one. The backend is configurable: HNSW by default, exact
-        // flat scan for recall-reference and sharded-identity builds. Like
-        // phase 1, bulk ingest is the incremental `VectorIndex::add` path.
-        let mut semantic_built: [Option<AnyVectorIndex>; 4] = [None, None, None, None];
-        if want_semantic {
-            let seed = config.seed ^ 0x45a1;
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = semantic_built
-                .iter_mut()
-                .zip(modalities.iter())
-                .zip(vectors)
-                .map(|((slot, (_, entries)), vecs)| {
-                    let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-                        let mut index = empty_semantic(&config, seed);
-                        for ((id, _), vector) in entries.iter().zip(vecs) {
-                            index.add(*id, vector.expect("phase 2 filled every slot"));
-                        }
-                        *slot = Some(index);
-                    });
-                    job
-                })
-                .collect();
-            crate::exec::run_scoped(threads.min(4), jobs);
+            for (modality, content, semantic) in [
+                (0, tuples, tuples_semantic),
+                (1, tables, tables_semantic),
+                (3, kg, kg_semantic),
+            ] {
+                jobs.push(Box::new(move || {
+                    let entries = content_entries(lake, modality);
+                    let (c, s) = index_chain(config, embedder, &entries, &entries);
+                    (*content, *semantic) = (Some(c), s);
+                }));
+            }
+            jobs.push(Box::new(move || {
+                *texts = Some(content_index(&content_entries(lake, TEXT_MODALITY)));
+            }));
+            crate::exec::run_scoped_beside(threads, jobs, || {
+                prepare_features(&*rerank_stage, lake)
+            });
         }
         let index_ns = ns_between(index_start, clock.now());
+        let embedded = semantic.iter().flatten().map(VectorIndex::len).sum();
 
         // Wrap the built indexes in shared handles: the pipeline's retrieval
         // sources and `VerifAi::apply` both hold the same `Arc`s, so live
         // mutations are visible to the next search. Content comes before
         // semantic in fusion: the Combiner's list order is the historical
         // ranking order.
-        let [(c0, _), (c1, _), (c2, _), (c3, _)] = modalities;
         let live = LiveIndexes {
-            content: [c0, c1, c2, c3].map(|c| Arc::new(RwLock::new(c))),
-            semantic: semantic_built.map(|s| s.map(|i| Arc::new(RwLock::new(i)))),
+            content: content
+                .map(|c| Arc::new(RwLock::new(c.expect("every content job filled its slot")))),
+            semantic: semantic.map(|s| s.map(|i| Arc::new(RwLock::new(i)))),
         };
         let combiner = Combiner::new(config.fusion);
         let fuse = |slot: usize| -> Box<dyn EvidenceSource> {
@@ -325,7 +274,7 @@ impl VerifAi {
             threads,
         };
         let mut system =
-            VerifAi::with_sources_and_clock(generated, config, sources, build_stats, clock);
+            VerifAi::assemble(generated, config, sources, rerank_stage, build_stats, clock);
         system.live = Some(live);
         // Index construction runs the same charged kernels as serving
         // (HNSW inserts search the graph); drop whatever landed on this
@@ -366,19 +315,21 @@ impl VerifAi {
         build_stats: BuildStats,
         clock: Arc<dyn Clock>,
     ) -> VerifAi {
-        let rerank_stage: Box<dyn RerankStage> = if config.use_reranker {
-            Box::new(ScoreRerank::new(CompositeReranker::with_defaults()))
-        } else {
-            Box::new(TopKPassthrough)
-        };
-        // Prepare the evidence side of reranking for every instance already
-        // in the lake; `apply` / `mutate_routed` keep it current from here
-        // on. (The pass-through stage keeps nothing.) The embeds this
-        // charges belong to no request.
-        let lake = &generated.lake;
-        let _ = meter::scoped(|| {
-            rerank_stage.sync_features(lake, &crate::features::featured_ids(lake))
-        });
+        let rerank_stage = rerank_stage_for(&config);
+        prepare_features(&*rerank_stage, &generated.lake);
+        VerifAi::assemble(generated, config, sources, rerank_stage, build_stats, clock)
+    }
+
+    /// Everything downstream of retrieval around `sources` and a rerank
+    /// stage whose features are prepared.
+    fn assemble(
+        generated: GeneratedLake,
+        config: VerifAiConfig,
+        sources: [Box<dyn EvidenceSource>; 4],
+        rerank_stage: Box<dyn RerankStage>,
+        build_stats: BuildStats,
+        clock: Arc<dyn Clock>,
+    ) -> VerifAi {
         let llm = SimLlm::new(config.llm, generated.world.clone());
         let agent = Agent::new(
             vec![
@@ -900,6 +851,7 @@ impl VerifAi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SemanticBackend;
     use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 
     fn system() -> VerifAi {

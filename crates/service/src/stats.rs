@@ -146,8 +146,9 @@ pub struct ServiceStats {
     /// Requests dequeued and being processed right now.
     pub in_flight: usize,
     /// Wall time [`verifai::VerifAi::build`] spent constructing the lake
-    /// indexes this service answers from (a one-off start-up cost, not a
-    /// per-request stage).
+    /// indexes this service answers from, and the rerank features prepared
+    /// beside them ([`verifai::BuildStats::index_ns`]; a one-off start-up
+    /// cost, not a per-request stage).
     pub index_build_ns: u64,
     /// Live-lake health: generation, mutation count, tombstones, segments,
     /// and compactions (all zero for externally-sourced systems).

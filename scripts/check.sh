@@ -41,6 +41,16 @@ cargo test -q -p verifai-index --test golden
 echo "==> routed == single-lake identity (gating)"
 cargo test -q -p verifai-cluster --test identity
 
+# The lake build is byte-identical for every build_threads value: every
+# index's snapshot bytes, the prepared features and the reports at 1, 2 and
+# 4 threads. Named, like the golden step, so a renamed or deleted test
+# fails the gate instead of passing on zero tests.
+echo "==> build identical for every thread count (gating)"
+DETERMINISM_OUT="$(cargo test -q --test determinism \
+  build_is_identical_for_every_thread_count -- --exact)"
+grep -q ' 1 passed' <<< "$DETERMINISM_OUT" \
+  || { echo "thread-count determinism test did not run"; exit 1; }
+
 # Recall and cost of an HNSW graph after churn: 40 % of its rows replaced,
 # it must answer like its compacted copy (recall@10 within 0.03, >= 0.95)
 # for at most 1.5x the distance evaluations per query. Named, like the

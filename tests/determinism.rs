@@ -5,6 +5,7 @@
 
 use verifai::{Verdict, VerifAi, VerifAiConfig};
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
+use verifai_llm::WorldModel;
 
 fn run_pipeline(seed: u64) -> Vec<(u64, Verdict, f64)> {
     let generated = build(&LakeSpec::tiny(seed));
@@ -78,4 +79,81 @@ fn llm_answers_are_stable_like_a_checkpoint() {
         .map(|t| sys.llm().impute_cell(&t.masked, &t.column))
         .collect();
     assert_eq!(first, second);
+}
+
+/// The build is byte-identical for every `build_threads` value (DESIGN
+/// §10): every content and semantic index snapshots to the same bytes, the
+/// prepared rerank features are the same size, and the system reports the
+/// same verdicts.
+#[test]
+fn build_is_identical_for_every_thread_count() {
+    let fingerprint = |threads: usize| {
+        let generated = build(&LakeSpec::tiny(317));
+        let tasks = completion_workload(&generated, 6, 5);
+        let config = VerifAiConfig {
+            build_threads: threads,
+            ..VerifAiConfig::default()
+        };
+        let sys = VerifAi::build(generated, config);
+        assert_eq!(sys.build_stats().threads, threads);
+        let live = sys.live().expect("a built system owns its indexes");
+        let content: Vec<_> = live.content.iter().map(|c| c.read().to_bytes()).collect();
+        let semantic: Vec<_> = live
+            .semantic
+            .iter()
+            .map(|s| s.as_ref().expect("semantic index on").read().to_bytes())
+            .collect();
+        let features = sys.stages().rerank_stage().feature_stats();
+        let reports: Vec<_> = tasks
+            .iter()
+            .map(|t| sys.verify_object(&sys.impute(t)))
+            .collect();
+        (content, semantic, features, reports)
+    };
+    let (content, semantic, features, reports) = fingerprint(1);
+    assert!(features.instances > 0);
+    for threads in [2, 4] {
+        let other = fingerprint(threads);
+        assert!(
+            other.0 == content,
+            "content bytes differ at {threads} threads"
+        );
+        assert!(
+            other.1 == semantic,
+            "semantic bytes differ at {threads} threads"
+        );
+        assert_eq!(other.2, features, "feature stats at {threads} threads");
+        assert_eq!(other.3, reports, "reports at {threads} threads");
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every fact, and every attribute's domain in its recorded order.
+fn world_digest(world: &WorldModel) -> u64 {
+    let mut facts: Vec<String> = world
+        .facts()
+        .map(|((entity, attribute), value)| format!("{entity}\u{1}{attribute}\u{1}{value:?}"))
+        .collect();
+    facts.sort();
+    let mut domains: Vec<String> = world
+        .domains()
+        .map(|(attribute, values)| format!("{attribute}\u{1}{values:?}"))
+        .collect();
+    domains.sort();
+    fnv1a(format!("{}\u{2}{}", facts.join("\n"), domains.join("\n")).as_bytes())
+}
+
+/// The world model a `small` lake records — facts and the order of every
+/// domain, which decides `plausible_wrong`'s picks — pinned to its value
+/// under the linear-scan domain the indexed one replaced.
+#[test]
+fn world_model_is_pinned() {
+    let world = build(&LakeSpec::small(42)).world;
+    assert_eq!(world.num_facts(), 22_464);
+    assert_eq!(world_digest(&world), 0x12b1_a6b2_69da_a738);
 }
