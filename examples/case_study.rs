@@ -13,8 +13,8 @@ use verifai::VerifAiConfig;
 use verifai_datagen::LakeSpec;
 
 fn main() {
-    let mut ctx = ExperimentContext::new(&LakeSpec::tiny(42), 4, 8, VerifAiConfig::default());
-    let case = figure4(&mut ctx).expect("championship tables exist in every preset");
+    let ctx = ExperimentContext::new(&LakeSpec::tiny(42), 4, 8, VerifAiConfig::default());
+    let case = figure4(&ctx).expect("championship tables exist in every preset");
 
     println!("=== Figure 4: verifying a textual claim using retrieved tables ===\n");
     println!("claim under verification:\n  \"{}\"\n", case.claim_text);

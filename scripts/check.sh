@@ -162,6 +162,21 @@ rm -f "$LIVE_OUT"
 echo "==> quantized-mode smoke (gating)"
 cargo run -q --release --bin verifai-cli -- quant > /dev/null
 
+# Gating paper evaluation: every table, figure and ablation at `small`,
+# seeds 42 and 7. The run exits nonzero when a paper shape fails at either
+# seed, and its stdout (JSON, no wall-clock values) must equal the committed
+# EVAL.json byte for byte: a change to result quality re-captures the file
+# (`verifai-cli experiments small > EVAL.json`) in the same change. The
+# rendered tables on stderr are shown only when the step fails.
+echo "==> paper evaluation equals EVAL.json (gating)"
+EVAL_OUT="$(mktemp)"
+EVAL_ERR="$(mktemp)"
+cargo run -q --release --bin verifai-cli -- experiments small > "$EVAL_OUT" 2> "$EVAL_ERR" \
+  || { cat "$EVAL_ERR"; echo "paper evaluation failed (see above)"; exit 1; }
+cmp "$EVAL_OUT" EVAL.json \
+  || { echo "paper evaluation differs from EVAL.json"; exit 1; }
+rm -f "$EVAL_OUT" "$EVAL_ERR"
+
 # Gating request-level benchmark smoke: every workload of benchmark/ at
 # smoke scale, untraced and traced. run.sh exits nonzero when any output
 # check fails; the two identity checks this gate exists for — the service

@@ -4,12 +4,15 @@
 //! verifai-cli lake [tiny|small|paper]          build a lake and print stats
 //! verifai-cli search <kind> <query...>         ad-hoc retrieval over a tiny lake
 //! verifai-cli check <table.csv> <claim...>     verify a claim against your own CSV table
-//! verifai-cli experiments [tiny|small|paper]   run the paper's full evaluation
+//! verifai-cli experiments [tiny|small|paper]   run the paper's evaluation at seeds 42 and 7:
+//!                                              tables to stderr, JSON (EVAL.json) to stdout
 //! verifai-cli live [tiny|small|paper]          live-lake smoke: feature budget, ingest, delete,
 //!                                              compact, snapshot, reload, query
 //! verifai-cli quant [tiny|small|paper]         quantized-mode smoke: int8 flat
 //!                                              build, query, snapshot, reload
 //! ```
+//!
+//! The scale defaults to `tiny`; any other word is a usage error (exit 1).
 //!
 //! `check` is the adoption flow: bring a CSV table, state a claim in the
 //! canonical grammar (`in the {caption}, the {column} of {key} is {value}` /
@@ -17,23 +20,22 @@
 //! of any {subject column}`), and get a verdict with an explanation.
 
 use std::process::ExitCode;
-use verifai::experiments::{baseline, figure4, table1, table2, ExperimentContext};
+use verifai::experiments::{evaluate, Scale};
 use verifai::{DataObject, VerifAi, VerifAiConfig};
 use verifai_datagen::LakeSpec;
 use verifai_lake::{table_from_csv, DataInstance, InstanceKind};
 use verifai_llm::{SimLlm, SimLlmConfig, TextClaim, WorldModel};
 
-fn spec_of(arg: Option<&str>) -> LakeSpec {
-    match arg {
-        Some("paper") => LakeSpec::paper_scale(42),
-        Some("small") => LakeSpec::small(42),
-        _ => LakeSpec::tiny(42),
-    }
-}
+/// The lake seed of `lake`, `search`, `live` and `quant`.
+const SEED: u64 = 42;
 
-fn cmd_lake(scale: Option<&str>) -> ExitCode {
+/// The seeds every `experiments` run evaluates: a shape that holds at one
+/// seed only fails the run.
+const EVAL_SEEDS: [u64; 2] = [42, 7];
+
+fn cmd_lake(scale: Scale) -> ExitCode {
     let t0 = std::time::Instant::now();
-    let generated = verifai_datagen::build(&spec_of(scale));
+    let generated = verifai_datagen::build(&scale.spec(SEED));
     println!("built in {:?}", t0.elapsed());
     println!("{}", generated.lake.stats());
     println!(
@@ -57,7 +59,7 @@ fn cmd_search(kind: &str, query: &str) -> ExitCode {
         }
     };
     let system = VerifAi::build(
-        verifai_datagen::build(&LakeSpec::tiny(42)),
+        verifai_datagen::build(&LakeSpec::tiny(SEED)),
         VerifAiConfig::default(),
     );
     for hit in system.retrieve(query, kind, 5) {
@@ -128,26 +130,36 @@ fn cmd_check(path: &str, claim_text: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_experiments(scale: Option<&str>) -> ExitCode {
-    let spec = spec_of(scale);
-    let (tasks, claims) = match scale {
-        Some("paper") => (100, 1_300),
-        Some("small") => (100, 300),
-        _ => (30, 60),
-    };
-    let t0 = std::time::Instant::now();
-    let mut ctx = ExperimentContext::new(&spec, tasks, claims, VerifAiConfig::paper_setting());
-    eprintln!("built in {:?}: {}", t0.elapsed(), ctx.system.lake().stats());
-    let b = baseline(&ctx);
-    println!("{}", verifai::report::render_baseline(&b));
-    let t1 = table1(&mut ctx);
-    println!("{}", verifai::report::render_table1(&t1));
-    let t2 = table2(&mut ctx);
-    println!("{}", verifai::report::render_table2(&t2));
-    if let Some(f4) = figure4(&mut ctx) {
-        println!("{}", verifai::report::render_fig4(&f4));
+/// The paper's evaluation at both seeds: rendered tables to stderr, one
+/// JSON document (no wall-clock values, so byte-reproducible) to stdout.
+/// Exits nonzero when a paper shape fails at either seed.
+fn cmd_experiments(scale: Scale) -> ExitCode {
+    let mut runs = Vec::new();
+    let mut failed = false;
+    for seed in EVAL_SEEDS {
+        let (spec, tasks, claims) = scale.evaluation(seed);
+        let eval = evaluate(&spec, tasks, claims);
+        eprintln!(
+            "\n=== {} scale, seed {seed}: {tasks} tasks, {claims} claims ===\n{}",
+            scale.name(),
+            verifai::report::render(&eval)
+        );
+        for failure in eval.shape_failures() {
+            eprintln!("shape FAILED at seed {seed}: {failure}");
+            failed = true;
+        }
+        runs.push(verifai::report::to_json(&eval));
     }
-    ExitCode::SUCCESS
+    let document = serde_json::json!({ "scale": scale.name(), "runs": runs });
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&document).unwrap_or_default()
+    );
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Gating live-lake smoke (used by `scripts/check.sh`): build a live
@@ -157,7 +169,7 @@ fn cmd_experiments(scale: Option<&str>) -> ExitCode {
 /// content index is within its segment bound, delete half, compact,
 /// snapshot the standing text indexes, reload them, and check the reloaded
 /// indexes search identically. Any violated expectation exits nonzero.
-fn cmd_live(scale: Option<&str>) -> ExitCode {
+fn cmd_live(scale: Scale) -> ExitCode {
     use verifai::LakeMutation;
     use verifai_index::{save_atomic, AnyVectorIndex, SegmentedInvertedIndex, VectorIndex};
     use verifai_lake::{InstanceId, TextDocument};
@@ -169,7 +181,7 @@ fn cmd_live(scale: Option<&str>) -> ExitCode {
 
     let config = VerifAiConfig::default();
     let t0 = std::time::Instant::now();
-    let mut system = VerifAi::build(verifai_datagen::build(&spec_of(scale)), config);
+    let mut system = VerifAi::build(verifai_datagen::build(&scale.spec(SEED)), config);
     println!("built in {:?}: {}", t0.elapsed(), system.lake().stats());
 
     // What the rerank stage keeps per instance — and per tuple, the one
@@ -351,7 +363,7 @@ fn cmd_live(scale: Option<&str>) -> ExitCode {
 /// semantic indexes (v4, codes carried), reload them, and check the
 /// reloaded indexes answer identically. Any violated expectation exits
 /// nonzero.
-fn cmd_quant(scale: Option<&str>) -> ExitCode {
+fn cmd_quant(scale: Scale) -> ExitCode {
     use verifai::SemanticBackend;
     use verifai_index::{save_atomic, AnyVectorIndex, VectorIndex};
 
@@ -367,7 +379,7 @@ fn cmd_quant(scale: Option<&str>) -> ExitCode {
     };
     let rescore_factor = config.rescore_factor;
     let t0 = std::time::Instant::now();
-    let system = VerifAi::build(verifai_datagen::build(&spec_of(scale)), config);
+    let system = VerifAi::build(verifai_datagen::build(&scale.spec(SEED)), config);
     println!("built in {:?}: {}", t0.elapsed(), system.lake().stats());
 
     // Quantized retrieval must produce evidence end-to-end.
@@ -447,13 +459,21 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(|s| s.as_str()) {
-        Some("lake") => cmd_lake(args.get(1).map(|s| s.as_str())),
-        Some("search") if args.len() >= 3 => cmd_search(&args[1], &args[2..].join(" ")),
-        Some("check") if args.len() >= 3 => cmd_check(&args[1], &args[2..].join(" ")),
-        Some("experiments") => cmd_experiments(args.get(1).map(|s| s.as_str())),
-        Some("live") => cmd_live(args.get(1).map(|s| s.as_str())),
-        Some("quant") => cmd_quant(args.get(1).map(|s| s.as_str())),
+    let scale = match args.get(1).map(String::as_str) {
+        None => Some(Scale::Tiny),
+        Some(name) => Scale::parse(name),
+    };
+    match (args.first().map(String::as_str), scale) {
+        (Some("search"), _) if args.len() >= 3 => cmd_search(&args[1], &args[2..].join(" ")),
+        (Some("check"), _) if args.len() >= 3 => cmd_check(&args[1], &args[2..].join(" ")),
+        (Some("lake"), Some(scale)) => cmd_lake(scale),
+        (Some("experiments"), Some(scale)) => cmd_experiments(scale),
+        (Some("live"), Some(scale)) => cmd_live(scale),
+        (Some("quant"), Some(scale)) => cmd_quant(scale),
+        (Some("lake" | "experiments" | "live" | "quant"), None) => {
+            eprintln!("unknown scale '{}'", args[1]);
+            usage()
+        }
         _ => usage(),
     }
 }

@@ -1,28 +1,27 @@
 //! The paper's qualitative results, asserted as invariants.
 //!
-//! These tests encode the *shape* of §4 — who wins, in which setting, and in
-//! what order — at test-friendly scale. Absolute numbers are checked in wide
-//! bands; the precise calibration is reported in EXPERIMENTS.md and regenerated
-//! by the benches.
+//! These tests run the one evaluation, [`evaluate`], at `tiny` and assert
+//! its shapes through [`Evaluation::shape_failures`] — the same checks that
+//! fail `verifai-cli experiments` — plus wide bands on absolute numbers. The
+//! calibrated numbers are in `EVAL.json` and EXPERIMENTS.md.
 
-use verifai::experiments::{baseline, figure4, table1, table2, ExperimentContext};
+use verifai::experiments::{evaluate, Evaluation, ExperimentContext, Scale};
 use verifai::{Verdict, VerifAiConfig};
 use verifai_datagen::LakeSpec;
 
-fn ctx(seed: u64) -> ExperimentContext {
-    ExperimentContext::new(
-        &LakeSpec::tiny(seed),
-        30,
-        60,
-        VerifAiConfig::paper_setting(),
-    )
+/// [`evaluate`] at `tiny` and `seed`, with every paper shape holding.
+fn evaluation(seed: u64) -> Evaluation {
+    let (spec, tasks, claims) = Scale::Tiny.evaluation(seed);
+    let eval = evaluate(&spec, tasks, claims);
+    let failures = eval.shape_failures();
+    assert!(failures.is_empty(), "seed {seed}: {failures:#?}");
+    eval
 }
 
 /// §4: ungrounded generation is barely better than a coin flip.
 #[test]
 fn ungrounded_generation_is_unreliable() {
-    let c = ctx(201);
-    let b = baseline(&c);
+    let b = evaluation(201).baseline;
     assert!(
         b.imputation.value() < 0.75,
         "imputation too good: {}",
@@ -34,53 +33,31 @@ fn ungrounded_generation_is_unreliable() {
 }
 
 /// Table 1's ordering: counterpart tuples are near-trivial to retrieve, source
-/// tables are harder, entity pages hardest at small k.
+/// tables are harder, entity pages hardest at small k. `shape_failures`
+/// holds tuple >= table >= text; the strict table > text gap needs the
+/// small/paper presets' ambiguity knobs (see EXPERIMENTS.md), and at tiny
+/// scale both may saturate at 1.0.
 #[test]
 fn table1_recall_ordering_holds() {
-    let mut c = ctx(203);
-    let rows = table1(&mut c);
-    let (tuple, text, table) = (rows[0].recall, rows[1].recall, rows[2].recall);
+    let rows = evaluation(203).table1;
+    let tuple = rows[0].recall;
     assert!(tuple >= 0.95, "tuple->tuple recall {tuple}");
-    assert!(tuple >= table, "tuple {tuple} < table {table}");
-    // The strict table > text gap needs the small/paper presets' ambiguity
-    // knobs (see EXPERIMENTS.md); at tiny scale both may saturate at 1.0.
-    assert!(table >= text, "table {table} < text {text}");
 }
 
 /// Table 2's crossover: the local model wins on relevant tables, the generic
 /// LLM wins on retrieved tables; grounded verification beats the ungrounded
-/// baseline by a wide margin.
+/// baseline by a wide margin (all three in `shape_failures`).
 #[test]
 fn table2_crossover_and_grounding_gap() {
-    let mut c = ctx(205);
-    let ungrounded = baseline(&c).claims.value();
-    let t2 = table2(&mut c);
-    assert!(
-        t2.claim_relevant_pasta.value() > t2.claim_relevant_chatgpt.value(),
-        "pasta {} <= chatgpt {} on relevant tables",
-        t2.claim_relevant_pasta,
-        t2.claim_relevant_chatgpt
-    );
-    assert!(
-        t2.claim_retrieved_chatgpt.value() > t2.claim_retrieved_pasta.value(),
-        "chatgpt {} <= pasta {} on retrieved tables",
-        t2.claim_retrieved_chatgpt,
-        t2.claim_retrieved_pasta
-    );
-    // Grounding gap: verifying with evidence crushes the unaided baseline.
-    assert!(
-        t2.tuple_mixed_chatgpt.value() > ungrounded + 0.15,
-        "grounded {} vs ungrounded {ungrounded}",
-        t2.tuple_mixed_chatgpt
-    );
+    let t2 = evaluation(205).table2;
+    assert!(t2.claim_relevant_pasta.total > 0 && t2.claim_retrieved_pasta.total > 0);
 }
 
 /// Figure 4: refutation via aggregation plus a year-scope not-related verdict,
-/// both carrying explanations.
+/// both carrying explanations (the verdicts are in `shape_failures`).
 #[test]
 fn figure4_case_has_paper_shape() {
-    let mut c = ctx(207);
-    let case = figure4(&mut c).expect("case constructible");
+    let case = evaluation(207).figure4.expect("case constructible");
     assert_eq!(case.evidence.len(), 2);
     assert_eq!(case.evidence[0].verdict, Verdict::Refuted);
     assert!(case.evidence[0].explanation.contains("aggregation query"));
@@ -104,11 +81,10 @@ fn pasta_is_binary_llm_is_ternary() {
     use verifai::RequestTrace;
     use verifai_lake::InstanceKind;
     use verifai_verify::{PastaVerifier, Verifier};
-    let c = ctx(209);
+    let c = ExperimentContext::new(&LakeSpec::tiny(209), 30, 60, VerifAiConfig::paper_setting());
     let pasta = PastaVerifier::with_defaults();
     let mut llm_not_related = 0;
-    let claims = c.claims.clone();
-    for claim in claims.iter().take(20) {
+    for claim in c.claims.iter().take(20) {
         let object = c.system.claim_object(claim);
         let (evidence, _) = c.system.discover(&object, &mut RequestTrace::disabled());
         for (instance, _) in evidence {
