@@ -31,8 +31,8 @@ pub struct ObsConfig {
     /// [`crate::MockClock`]; production uses the monotonic system clock.
     pub clock: Arc<dyn Clock>,
     /// How the flight recorder decides which completed traces to keep.
-    /// Defaults to [`SamplingPolicy::keep_all`] (the pre-tail-sampling
-    /// behavior); serving binaries opt into [`SamplingPolicy::tail`].
+    /// The default keeps every trace; serving binaries opt into dropping
+    /// healthy ones with [`SamplingPolicy::tail`].
     pub sampling: SamplingPolicy,
 }
 
@@ -70,7 +70,7 @@ impl Default for ObsConfig {
             recent_traces: 64,
             slowest_traces: 16,
             clock: Arc::new(SystemClock),
-            sampling: SamplingPolicy::keep_all(),
+            sampling: SamplingPolicy::default(),
         }
     }
 }

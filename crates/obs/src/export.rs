@@ -1,4 +1,5 @@
-//! Metric exporters: Prometheus text format and JSON snapshots.
+//! Metric exporters: Prometheus text format and JSON snapshots, plus the
+//! shape check for collapsed-stack ("folded") profiles.
 //!
 //! Histograms render as Prometheus *summaries* (quantile series plus
 //! `_sum`/`_count`) rather than `_bucket` series — the internal layout has
@@ -216,6 +217,37 @@ pub fn render_json(snapshot: &RegistrySnapshot) -> serde_json::Value {
     serde_json::Value::Object(root)
 }
 
+/// Validate a folded-stack dump (the collapsed-stack format
+/// `flamegraph.pl` and speedscope ingest): non-empty, every line
+/// `stack weight` with a parseable positive weight and a non-empty
+/// `;`-separated stack. Returns `(distinct_stacks, total_weight)` or a
+/// description of the first malformed line — the self-check behind
+/// `verifai-serve --profile-dump`.
+pub fn validate_folded(dump: &str) -> Result<(usize, u64), String> {
+    let mut stacks = 0usize;
+    let mut total = 0u64;
+    for (idx, line) in dump.lines().enumerate() {
+        let Some((stack, count)) = line.rsplit_once(' ') else {
+            return Err(format!("line {}: no sample count: {line:?}", idx + 1));
+        };
+        if stack.is_empty() || stack.split(';').any(str::is_empty) {
+            return Err(format!("line {}: empty frame in stack {stack:?}", idx + 1));
+        }
+        let count: u64 = count
+            .parse()
+            .map_err(|e| format!("line {}: bad count {count:?}: {e}", idx + 1))?;
+        if count == 0 {
+            return Err(format!("line {}: zero sample count", idx + 1));
+        }
+        stacks += 1;
+        total = total.saturating_add(count);
+    }
+    if stacks == 0 {
+        return Err("no folded stacks in dump".to_string());
+    }
+    Ok((stacks, total))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,5 +425,19 @@ mod tests {
             .expect("histogram object");
         assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(2));
         assert!(hist.get("p95_us").and_then(|v| v.as_u64()).expect("p95") >= 10_000);
+    }
+
+    #[test]
+    fn folded_dump_validates() {
+        let (stacks, total) =
+            validate_folded("service;request;queue 7\nservice;request;verify 2\n")
+                .expect("valid dump");
+        assert_eq!((stacks, total), (2, 9));
+
+        assert!(validate_folded("").is_err(), "empty dump rejected");
+        assert!(validate_folded("no-count-line\n").is_err());
+        assert!(validate_folded("stack 0\n").is_err(), "zero count rejected");
+        assert!(validate_folded("a;;b 3\n").is_err(), "empty frame rejected");
+        assert!(validate_folded("a;b x\n").is_err(), "bad count rejected");
     }
 }

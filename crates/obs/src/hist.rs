@@ -5,7 +5,7 @@
 //! Values are whole microseconds: 8 exact sub-8µs buckets, then 8
 //! log-linear sub-buckets per power of two.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of value buckets: 8 exact sub-8µs buckets plus 8 log-linear
@@ -53,6 +53,10 @@ pub struct Exemplar {
 /// A per-bucket exemplar slot under a tiny seqlock: writers CAS the
 /// version even→odd (skipping on contention — exemplars are best-effort),
 /// write the pair, then publish even; readers reject odd or torn reads.
+/// The fences are the orderings of crossbeam-utils' `SeqLock`: the
+/// writer's release fence keeps the data stores after the odd version,
+/// and the reader's acquire fence keeps the data loads before the
+/// re-check, so a pair that passes the re-check is never torn.
 struct ExemplarSlot {
     version: AtomicU64,
     trace_id: AtomicU64,
@@ -72,6 +76,7 @@ impl ExemplarSlot {
         {
             return;
         }
+        fence(Ordering::Release);
         self.trace_id.store(trace_id, Ordering::Relaxed);
         self.value_micros.store(value_micros, Ordering::Relaxed);
         self.version.store(v + 2, Ordering::Release);
@@ -85,7 +90,8 @@ impl ExemplarSlot {
         }
         let trace_id = self.trace_id.load(Ordering::Relaxed);
         let value = self.value_micros.load(Ordering::Relaxed);
-        if self.version.load(Ordering::Acquire) != v1 {
+        fence(Ordering::Acquire);
+        if self.version.load(Ordering::Relaxed) != v1 {
             return None;
         }
         Some((trace_id, value))
@@ -438,6 +444,42 @@ mod tests {
         let plain = Histogram::new();
         plain.record_traced(Duration::from_micros(100), 7);
         assert!(plain.snapshot().exemplars().is_empty());
+    }
+
+    #[test]
+    fn concurrent_exemplar_pins_are_never_torn() {
+        // Every pin writes `trace_id == value`, all into one bucket
+        // (1024..=1151 µs), so a torn read shows as a mismatched pair.
+        let h = Histogram::with_exemplars();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(4);
+        let torn = std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let (h, stop, start) = (&h, &stop, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        let v = 1024 + i % 128;
+                        h.record_micros_traced(v, v);
+                        i += 3;
+                    }
+                });
+            }
+            start.wait();
+            let torn: Vec<Exemplar> = (0..2_000)
+                .flat_map(|_| h.snapshot().exemplars().to_vec())
+                .filter(|e| e.trace_id != e.value_micros)
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
+        assert!(torn.is_empty(), "torn exemplars: {torn:?}");
+        let snap = h.snapshot();
+        let [last] = snap.exemplars() else {
+            panic!("one bucket, one exemplar: {:?}", snap.exemplars());
+        };
+        assert_eq!(last.trace_id, last.value_micros);
     }
 
     #[test]

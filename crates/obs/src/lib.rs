@@ -15,13 +15,10 @@
 //! * [`FlightRecorder`] — bounded retention of the most recent and the
 //!   slowest full request traces for post-hoc debugging;
 //! * [`render_prometheus`] / [`render_json`] — exporters over registry
-//!   snapshots;
+//!   snapshots, and [`validate_folded`] for collapsed-stack profiles;
 //! * [`CostVector`] and the `meter` thread-local tally — per-request
 //!   resource metering charged by the scan kernels, merged across shards,
-//!   and rolled up per tenant;
-//! * [`Profiler`] — a cooperative wall-clock sampling profiler over the
-//!   same [`Clock`], exporting collapsed ("folded") stacks for
-//!   flamegraph/speedscope.
+//!   and rolled up per tenant.
 //!
 //! The crate exports series, not judgements: a verdict-mix drift or a
 //! latency SLO burn rate is a query over the counters and histograms it
@@ -36,18 +33,16 @@ pub mod export;
 pub mod hist;
 pub mod meter;
 pub mod perfetto;
-pub mod profile;
 pub mod recorder;
 pub mod registry;
 pub mod trace;
 
 pub use clock::{Clock, MockClock, SystemClock};
 pub use config::{ns_between, ObsConfig};
-pub use export::{render_json, render_prometheus, validate_prometheus};
+pub use export::{render_json, render_prometheus, validate_folded, validate_prometheus};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
 pub use meter::CostVector;
 pub use perfetto::{render_perfetto, validate_trace_dump, TraceDumpSummary};
-pub use profile::{validate_folded, Profiler, WorkerProfiler};
 pub use recorder::{FlightRecorder, SamplingPolicy, SpanLog};
 pub use registry::{Counter, FloatGauge, Gauge, Registry, RegistrySnapshot, SeriesValue};
 pub use trace::{RequestTrace, SpanContext, SpanEvent, TraceId};

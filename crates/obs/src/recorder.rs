@@ -1,18 +1,16 @@
 //! The flight recorder: bounded retention of full request traces.
 //!
-//! Two retention regimes share the structure:
-//!
-//! - **Legacy** (`SamplingPolicy::keep_all`, the default): a ring of the
-//!   N most *recent* traces plus the N *slowest* traces seen so far.
-//! - **Tail-based sampling** (`SamplingPolicy::tail`): every request is
-//!   traced cheaply and the keep/drop decision happens here, at
-//!   completion time, when the outcome is known. Failed, shed, and
-//!   deadline-partial traces are *always* kept (one bounded ring per
-//!   outcome — the per-outcome budget); healthy traces are kept when they
-//!   are tail-slow (qualify for the slowest pool, or exceed the running
-//!   p99 estimate) and otherwise sampled deterministically by a hash of
-//!   the trace id (`1 in healthy_keep_one_in`). Dropped traces are
-//!   counted, never retained.
+//! Every request is traced cheaply and one keep rule runs here, at
+//! completion time, when the outcome is known ([`SamplingPolicy`]).
+//! Failed, shed, and deadline-partial traces are *always* kept — in one
+//! bounded ring per outcome when the per-outcome budget is nonzero, else
+//! in the ring of the N most *recent* traces. Healthy traces are kept
+//! when they are tail-slow (qualify for the N *slowest* pool, or exceed
+//! the running p99 estimate) and otherwise sampled deterministically by
+//! a hash of the trace id (`1 in healthy_keep_one_in`). Dropped traces
+//! are counted, never retained. The default policy (1 in 1, budget 0)
+//! drops nothing: every trace lands in the recent ring and competes for
+//! the slowest pool.
 //!
 //! Memory is bounded by the pool capacities regardless of how long the
 //! service runs. Lookups by trace id are O(1) through a side map
@@ -34,41 +32,29 @@ use parking_lot::Mutex;
 use crate::hist::Histogram;
 use crate::trace::{RequestTrace, SpanEvent, TraceId};
 
-/// Outcome classes that tail sampling always keeps, each with its own
-/// bounded ring (the per-outcome budget).
+/// Outcome classes the keep rule always keeps, each with its own bounded
+/// ring under a nonzero per-outcome budget.
 const ALWAYS_KEEP: [&str; 3] = ["failed", "shed", "partial"];
 
 /// The flight recorder's keep/drop policy, applied at completion time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPolicy {
-    /// Tail-based sampling on. Off = legacy "N recent + N slowest".
-    pub tail: bool,
-    /// With tail sampling on: keep roughly one in this many healthy
-    /// (completed, not tail-slow) traces, chosen deterministically by a
-    /// hash of the trace id. `1` keeps every healthy trace.
+    /// Keep roughly one in this many healthy (completed, not tail-slow)
+    /// traces, chosen deterministically by a hash of the trace id. `1`
+    /// keeps every healthy trace.
     pub healthy_keep_one_in: u64,
-    /// With tail sampling on: per-outcome retention budget — how many
-    /// failed, how many shed, and how many deadline-partial traces are
-    /// retained (each outcome gets its own ring of this capacity).
+    /// Per-outcome retention budget — how many failed, how many shed,
+    /// and how many deadline-partial traces are retained (each outcome
+    /// gets its own ring of this capacity). `0` sends them to the recent
+    /// ring instead.
     pub outcome_budget: usize,
 }
 
 impl SamplingPolicy {
-    /// Legacy retention: everything recorded lands in the recent ring and
-    /// competes for the slowest pool.
-    pub fn keep_all() -> SamplingPolicy {
-        SamplingPolicy {
-            tail: false,
-            healthy_keep_one_in: 1,
-            outcome_budget: 0,
-        }
-    }
-
     /// Tail-based sampling with a `1 in healthy` healthy-trace sample and
     /// a per-outcome budget of `budget` traces.
     pub fn tail(healthy: u64, budget: usize) -> SamplingPolicy {
         SamplingPolicy {
-            tail: true,
             healthy_keep_one_in: healthy.max(1),
             outcome_budget: budget,
         }
@@ -76,8 +62,10 @@ impl SamplingPolicy {
 }
 
 impl Default for SamplingPolicy {
+    /// Keep everything: every healthy trace is sampled in, and bad
+    /// outcomes share the recent ring.
     fn default() -> SamplingPolicy {
-        SamplingPolicy::keep_all()
+        SamplingPolicy::tail(1, 0)
     }
 }
 
@@ -95,8 +83,8 @@ struct Inner {
     recent: VecDeque<Arc<RequestTrace>>,
     /// Sorted descending by `total_ns`, truncated to capacity.
     slowest: Vec<Arc<RequestTrace>>,
-    /// One bounded ring per always-keep outcome (tail sampling only),
-    /// indexed like [`ALWAYS_KEEP`].
+    /// One bounded ring per always-keep outcome (nonzero outcome budget
+    /// only), indexed like [`ALWAYS_KEEP`].
     outcomes: [VecDeque<Arc<RequestTrace>>; 3],
     /// Trace id → (trace, number of pools retaining it). Sized by the
     /// pool capacities, like the pools themselves.
@@ -131,7 +119,7 @@ pub struct FlightRecorder {
     recorded: AtomicU64,
     sampled_out: AtomicU64,
     /// Running end-to-end latency distribution feeding the p99-slow
-    /// keep rule (tail sampling only).
+    /// keep rule (fed only when the policy samples healthy traces out).
     latency: Histogram,
     /// Cached p99 latency in nanoseconds, refreshed every
     /// [`P99_REFRESH`] records; 0 until the histogram is warm.
@@ -146,9 +134,9 @@ const P99_WARMUP: u64 = 128;
 
 impl FlightRecorder {
     /// A recorder retaining the `recent` most recent and `slowest` slowest
-    /// traces (legacy keep-all policy).
+    /// traces, dropping none (the default policy).
     pub fn new(recent: usize, slowest: usize) -> FlightRecorder {
-        FlightRecorder::with_sampling(recent, slowest, SamplingPolicy::keep_all())
+        FlightRecorder::with_sampling(recent, slowest, SamplingPolicy::default())
     }
 
     /// A recorder with an explicit completion-time [`SamplingPolicy`].
@@ -175,34 +163,34 @@ impl FlightRecorder {
         self.policy
     }
 
-    /// Retain a sealed trace — or, under tail sampling, decide now
-    /// whether it is worth keeping. Disabled traces are ignored.
+    /// Decide whether a sealed trace is worth keeping, and retain it if
+    /// so. Disabled traces are ignored.
     pub fn record(&self, trace: RequestTrace) {
         if !trace.is_enabled() {
             return;
         }
         let seen = self.recorded.fetch_add(1, Ordering::Relaxed) + 1;
         let trace = Arc::new(trace);
-        if !self.policy.tail {
-            self.keep(&trace, None);
-            return;
+        // The p99 estimate only matters when healthy traces can be
+        // dropped; at 1 in 1 nothing reads it, so nothing feeds it.
+        let one_in = self.policy.healthy_keep_one_in;
+        if one_in > 1 {
+            self.latency.record_micros(trace.total_ns / 1_000);
+            if seen.is_multiple_of(P99_REFRESH) {
+                let p99 = self.latency.snapshot().quantile(0.99).as_nanos() as u64;
+                self.p99_ns.store(p99, Ordering::Relaxed);
+            }
         }
-        // Tail decision: outcome first, then the latency tail, then the
-        // deterministic healthy sample.
-        self.latency.record_micros(trace.total_ns / 1_000);
-        if seen.is_multiple_of(P99_REFRESH) {
-            let p99 = self.latency.snapshot().quantile(0.99).as_nanos() as u64;
-            self.p99_ns.store(p99, Ordering::Relaxed);
-        }
+        // Outcome first, then the deterministic healthy sample, then the
+        // latency tail.
         if let Some(class) = ALWAYS_KEEP.iter().position(|o| *o == trace.outcome) {
             self.keep(&trace, Some(class));
             return;
         }
+        let sampled = one_in <= 1 || splitmix64(trace.trace_id).is_multiple_of(one_in);
         let p99 = self.p99_ns.load(Ordering::Relaxed);
         let tail_slow = seen >= P99_WARMUP && p99 > 0 && trace.total_ns > p99;
-        let sampled = self.policy.healthy_keep_one_in <= 1
-            || splitmix64(trace.trace_id).is_multiple_of(self.policy.healthy_keep_one_in);
-        if tail_slow || sampled || self.would_enter_slowest(&trace) {
+        if sampled || tail_slow || self.would_enter_slowest(&trace) {
             self.keep(&trace, None);
         } else {
             self.sampled_out.fetch_add(1, Ordering::Relaxed);

@@ -247,19 +247,6 @@ impl Registry {
         histogram
     }
 
-    /// Register an externally-constructed histogram: the owning subsystem
-    /// keeps recording into its own handle while the registry snapshots
-    /// the shared state.
-    pub fn register_histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        histogram: Arc<Histogram>,
-    ) {
-        self.push(name, help, labels, Metric::Histogram(histogram));
-    }
-
     fn push(
         &self,
         name: &'static str,

@@ -17,9 +17,7 @@
 //! `Completed` — so `completed + shed + rejected + failed == submitted`
 //! once all tickets resolve.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,9 +27,7 @@ use verifai::{
     CostVector, DataObject, ObsConfig, PipelineError, RequestTrace, StageTiming, TraceId, Verdict,
     VerifAi, VerificationReport, Views,
 };
-use verifai_obs::{
-    meter, ns_between, render_json, render_prometheus, Profiler, SpanContext, WorkerProfiler,
-};
+use verifai_obs::{meter, ns_between, render_json, render_prometheus, SpanContext};
 
 use crate::cache::{CachedEvidence, EvidenceCache, EvidenceKey};
 use crate::obs::ServiceObs;
@@ -62,10 +58,6 @@ pub struct ServiceConfig {
     /// `high_water` are then divided among tenants in weight proportion,
     /// and [`VerificationService::submit`] maps to the first tenant.
     pub tenants: Vec<TenantSpec>,
-    /// Optional wall-clock sampling profiler. Worker threads register
-    /// themselves on first use and bracket request phases with scopes;
-    /// `None` (the default) keeps the hot path entirely profiler-free.
-    pub profiler: Option<Arc<Profiler>>,
 }
 
 impl Default for ServiceConfig {
@@ -79,7 +71,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1024,
             default_deadline: None,
             tenants: Vec::new(),
-            profiler: None,
         }
     }
 }
@@ -744,28 +735,6 @@ fn evidence_for<'a>(
     Ok((discovered, timing))
 }
 
-/// This thread's registered [`WorkerProfiler`], registering on first use.
-/// The handle is cached per thread and re-registered if a different
-/// profiler shows up (e.g. the caller thread draining two services).
-fn thread_profiler(profiler: &Arc<Profiler>) -> WorkerProfiler {
-    thread_local! {
-        static WORKER: RefCell<Option<WorkerProfiler>> = const { RefCell::new(None) };
-    }
-    static NEXT_WORKER: AtomicUsize = AtomicUsize::new(0);
-    WORKER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if let Some(worker) = slot.as_ref() {
-            if Arc::ptr_eq(worker.profiler(), profiler) {
-                return worker.clone();
-            }
-        }
-        let id = NEXT_WORKER.fetch_add(1, Ordering::Relaxed);
-        let worker = profiler.register(&format!("worker-{id}"));
-        *slot = Some(worker.clone());
-        worker
-    })
-}
-
 fn process(
     inner: &Inner,
     request: Request,
@@ -776,8 +745,6 @@ fn process(
     let clock = &inner.obs.config().clock;
     let started = clock.now();
     let queue_ns = ns_between(request.enqueued, started);
-    let profiler = inner.config.profiler.as_ref().map(thread_profiler);
-    let request_scope = profiler.as_ref().map(|worker| worker.enter("request"));
     let mut trace = inner.obs.begin_trace(request.trace_id, request.object.id());
     let queue_note = if trace.is_enabled() && !inner.config.tenants.is_empty() {
         format!("tenant {}", inner.config.tenants[request.tenant].name)
@@ -807,16 +774,8 @@ fn process(
             true,
         ))
     } else {
-        let discovered = {
-            let _scope = profiler.as_ref().map(|worker| worker.enter("discover"));
-            let result = evidence_for(inner, &request.object, key, local, warm, &mut trace);
-            if let Some(worker) = &profiler {
-                worker.sample_if_due();
-            }
-            result
-        };
+        let discovered = evidence_for(inner, &request.object, key, local, warm, &mut trace);
         discovered.map(|(evidence, timing)| {
-            let _scope = profiler.as_ref().map(|worker| worker.enter("judge"));
             // The report carries the queue wait beside the discovery-side
             // timing, the same value the `queue` span recorded.
             let report = inner.system.judge(
@@ -863,10 +822,6 @@ fn process(
             inner.obs.record_trace(trace);
             let _ = request.reply.send(RequestOutcome::Failed(error));
         }
-    }
-    drop(request_scope);
-    if let Some(worker) = &profiler {
-        worker.sample_if_due();
     }
 }
 

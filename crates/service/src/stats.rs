@@ -73,6 +73,25 @@ impl StageTotals {
         self.candidates_in += timing.candidates_in as u64;
         self.candidates_out += timing.candidates_out as u64;
     }
+
+    /// The totals as a collapsed-stack ("folded") profile: one line
+    /// `service;request;<stage> <ns>` per stage with a nonzero total, in
+    /// stage order (queue, retrieval, rerank, verify). The weights are
+    /// nanoseconds and sum to the four stage totals exactly, so
+    /// `flamegraph.pl` and speedscope draw where request time went — the
+    /// same record `verifai_stage_ns_total` exports.
+    pub fn folded(&self) -> String {
+        [
+            ("queue", self.queue_ns),
+            ("retrieval", self.retrieval_ns),
+            ("rerank", self.rerank_ns),
+            ("verify", self.verify_ns),
+        ]
+        .into_iter()
+        .filter(|&(_, ns)| ns > 0)
+        .map(|(stage, ns)| format!("service;request;{stage} {ns}\n"))
+        .collect()
+    }
 }
 
 /// Per-tenant slice of the service counters (empty without configured
@@ -164,7 +183,7 @@ pub struct ServiceStats {
     /// Request traces the flight recorder has seen (retained or not).
     pub traces_recorded: u64,
     /// Healthy traces the tail sampler dropped at completion time (always
-    /// zero under the default keep-all policy).
+    /// zero under the default policy, which keeps every trace).
     pub traces_sampled_out: u64,
     /// Per-tenant accounting, in configuration order (empty without
     /// tenants).
@@ -400,5 +419,28 @@ mod tests {
             unknown: 4,
         };
         assert_eq!(verdicts.total(), 10);
+    }
+
+    #[test]
+    fn folded_profile_has_one_line_per_nonzero_stage() {
+        let stages = StageTotals {
+            queue_ns: 349_200,
+            retrieval_ns: 26_600,
+            rerank_ns: 0,
+            verify_ns: 1_750,
+            ..StageTotals::default()
+        };
+        let folded = stages.folded();
+        assert_eq!(
+            folded,
+            "service;request;queue 349200\n\
+             service;request;retrieval 26600\n\
+             service;request;verify 1750\n"
+        );
+        assert_eq!(
+            verifai_obs::validate_folded(&folded),
+            Ok((3, 349_200 + 26_600 + 1_750))
+        );
+        assert_eq!(StageTotals::default().folded(), "");
     }
 }

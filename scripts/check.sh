@@ -102,9 +102,10 @@ cargo test -q -p verifai-obs --lib export > /dev/null
 # cost rollup differs from the sum of the per-request vectors its client
 # received, if the service total differs from the client ledger, or if the
 # service's stage totals differ from the sum of the per-request timings),
-# and --profile-dump must produce a validated non-empty collapsed-stack
-# dump. Then assert the artifacts here too: both reconciliation lines
-# printed, and the dump folds worker request scopes.
+# and --profile-dump must write the stage totals as a validated collapsed-
+# stack dump whose weights equal them exactly. Then assert the artifacts
+# here too: both reconciliation lines printed, and the dump holds all four
+# stage frames (the run's 32 cold objects give every stage work).
 echo "==> metering smoke (gating)"
 USAGE_OUT="$(mktemp)"
 PROFILE_DUMP="$(mktemp)"
@@ -118,11 +119,17 @@ grep -q 'stage-time reconciliation: stage totals equal' "$USAGE_OUT" \
 grep -q 'profile dump: .* folded stacks' "$USAGE_OUT" \
   || { echo "profile dump was not validated"; exit 1; }
 grep -q ';request' "$PROFILE_DUMP" \
-  || { echo "profile dump has no worker request stacks"; exit 1; }
+  || { echo "profile dump has no request stacks"; exit 1; }
+for frame in 'service;request;queue' ';retrieval' ';rerank' ';verify'; do
+  grep -q "$frame " "$PROFILE_DUMP" \
+    || { echo "profile dump has no $frame frame"; exit 1; }
+done
 rm -f "$USAGE_OUT" "$PROFILE_DUMP"
 cargo test -q --test metering > /dev/null
 cargo test -q -p verifai-obs --lib meter > /dev/null
-cargo test -q -p verifai-obs --lib profile > /dev/null
+cargo test -q -p verifai-obs --lib export::tests::folded_dump_validates -- --exact > /dev/null
+cargo test -q -p verifai-service --lib \
+  stats::tests::folded_profile_has_one_line_per_nonzero_stage -- --exact > /dev/null
 
 # Gating live-lake smoke, at `small` (the scale the prepared-feature budget
 # is stated at): build a live system, check every tuple has prepared rerank

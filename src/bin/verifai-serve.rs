@@ -43,8 +43,7 @@ use verifai_claims::ClaimGenConfig;
 use verifai_cluster::{build_cluster, ClusterConfig, Router};
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_obs::{
-    render_perfetto, validate_folded, validate_trace_dump, Clock, Profiler, RequestTrace,
-    SamplingPolicy, SystemClock,
+    render_perfetto, validate_folded, validate_trace_dump, RequestTrace, SamplingPolicy,
 };
 use verifai_service::{
     RequestOutcome, ServiceConfig, StageTotals, SubmitError, TenantSpec, Ticket,
@@ -361,13 +360,6 @@ fn main() -> ExitCode {
     } else {
         ObsConfig::default()
     };
-    // `--profile-dump PATH`: a wall-clock sampling profiler shared by the
-    // service workers and this driver thread; folded stacks are written to
-    // PATH at exit.
-    let profiler: Option<Arc<Profiler>> = args
-        .profile_dump
-        .as_ref()
-        .map(|_| Arc::new(Profiler::new(Arc::new(SystemClock) as Arc<dyn Clock>)));
     let service = VerificationService::with_obs(
         Arc::clone(&sys),
         ServiceConfig {
@@ -378,16 +370,10 @@ fn main() -> ExitCode {
             cache_capacity: args.cache_capacity,
             default_deadline: args.deadline_ms.map(Duration::from_millis),
             tenants: args.tenants.clone(),
-            profiler: profiler.clone(),
             ..ServiceConfig::default()
         },
         obs_config,
     );
-    // The driver registers too: its submit/drain loop shows up in the
-    // flamegraph alongside the worker request scopes, and its periodic
-    // polls keep sampling live even while workers sit idle.
-    let client_prof = profiler.as_ref().map(|p| p.register("client"));
-    let client_scope = client_prof.as_ref().map(|w| w.enter("drive"));
     // Sharded runs stitch distributed span trees: the router records one
     // child span per shard per query, grafted under the request's
     // retrieval span at lookup time.
@@ -480,9 +466,6 @@ fn main() -> ExitCode {
         // Periodic live metrics dump: one compact JSON snapshot line.
         if args.metrics_every > 0 && (i + 1) % args.metrics_every == 0 {
             println!("metrics @ {}: {}", i + 1, service.render_json_snapshot());
-        }
-        if let Some(worker) = &client_prof {
-            worker.sample_if_due();
         }
     }
     for entry in outstanding {
@@ -664,25 +647,27 @@ fn main() -> ExitCode {
         );
     }
 
-    // `--profile-dump PATH`: harvest any still-due sample ticks, render the
-    // folded stacks, self-validate, and write them where `flamegraph.pl` or
-    // speedscope can pick them up.
+    // `--profile-dump PATH`: the service's stage totals as a collapsed-
+    // stack profile, one `service;request;<stage> <ns>` line per stage.
+    // The dump is self-validated before it is written — well-formed, and
+    // weights summing exactly to the stage totals — and a dump that fails
+    // either check fails the run.
     if let Some(path) = &args.profile_dump {
-        let profiler = profiler
-            .as_ref()
-            .expect("profiler exists when --profile-dump is set");
-        profiler.sample_now();
-        drop(client_scope);
-        let folded = profiler.fold();
+        let stages = &stats.stages;
+        let folded = stages.folded();
+        let stage_ns = stages.queue_ns + stages.retrieval_ns + stages.rerank_ns + stages.verify_ns;
         match validate_folded(&folded) {
-            Ok((stacks, samples)) => {
+            Ok((_, weight)) if weight != stage_ns => {
+                eprintln!("profile dump weighs {weight} ns, stage totals {stage_ns} ns");
+                return ExitCode::FAILURE;
+            }
+            Ok((stacks, weight)) => {
                 if let Err(error) = std::fs::write(path, &folded) {
                     eprintln!("cannot write profile dump to {path}: {error}");
                     return ExitCode::FAILURE;
                 }
                 println!(
-                    "profile dump: {stacks} folded stacks, {samples} samples @ {} Hz -> {path}",
-                    1_000_000_000 / profiler.period_ns()
+                    "profile dump: {stacks} folded stacks, {weight} ns of request time -> {path}"
                 );
             }
             Err(error) => {
