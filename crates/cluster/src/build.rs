@@ -4,17 +4,14 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use verifai::corpus::{embedder_for, index_chain, modality_corpus, ModalityCorpus};
-use verifai::{BuildStats, VerifAi, VerifAiConfig};
+use verifai::live::share_corpus_stats;
+use verifai::{shard_of, BuildStats, LiveIndexes, SharedSemantic, VerifAi, VerifAiConfig};
 use verifai_datagen::GeneratedLake;
-use verifai_index::{
-    AnyVectorIndex, Combiner, CorpusStats, EvidenceSource, SegmentedInvertedIndex,
-};
+use verifai_index::{AnyVectorIndex, Combiner, EvidenceSource, SegmentedInvertedIndex};
 use verifai_lake::InstanceKind;
 use verifai_obs::{ns_between, Clock, SystemClock};
 
-use crate::partition::shard_of;
 use crate::router::{RoutedSource, Router};
-use crate::shard::{Shard, ShardContent, ShardSemantic};
 
 /// Shape of the in-process cluster: how many shards. Each shard's pool
 /// has one worker behind a 64-deep queue.
@@ -37,39 +34,25 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A built cluster: the assembled [`VerifAi`] system retrieving through the
-/// router, plus the router itself for shard-level introspection and live
-/// mutation routing ([`ClusterBuild::apply`]).
+/// A built cluster: the assembled [`VerifAi`] system, which owns the
+/// shards' live indexes and retrieves through the router, plus the router
+/// itself for shard-level introspection.
 pub struct ClusterBuild {
     /// The system; drop-in for a single-lake build everywhere (including
-    /// behind `verifai_service::VerificationService`).
+    /// behind `verifai_service::VerificationService`). Mutations go through
+    /// its [`VerifAi::apply`], which routes them to the owning shards.
     pub system: VerifAi,
     /// The scatter/gather front end (shared with the system's sources).
     pub router: Arc<Router>,
 }
 
-impl ClusterBuild {
-    /// Apply one streaming mutation to the sharded system: change the lake
-    /// (and the front end's prepared rerank features with it), route every
-    /// affected instance's index ops to the owning shard
-    /// ([`shard_of`]), re-merge the global BM25 statistics, and advance the
-    /// cluster's generation watermark to the lake's new generation.
-    pub fn apply(
-        &mut self,
-        mutation: verifai::LakeMutation,
-    ) -> Result<verifai::MutationOutcome, verifai::MutationError> {
-        let ops = self.system.mutate_routed(mutation)?;
-        let generation = self.system.lake().generation();
-        Ok(self.router.apply_ops(ops, generation))
-    }
-}
-
 /// Build a sharded system over `generated`: enumerate the corpus exactly as
 /// [`VerifAi::build`] does, hash-partition every instance with
 /// [`shard_of`], build per-shard content + semantic indexes in parallel,
-/// install the merged [`CorpusStats`] so shard-local BM25 scores globally,
-/// and assemble a [`VerifAi`] whose four modality sources scatter/gather
-/// through a [`Router`].
+/// install the merged [`verifai_index::CorpusStats`] so shard-local BM25
+/// scores globally (N > 1), and assemble a [`VerifAi`] that owns the shards'
+/// live indexes and whose four modality sources scatter/gather through a
+/// [`Router`] over the same handles.
 ///
 /// The semantic backend follows `config.semantic_backend`. With
 /// [`SemanticBackend::Flat`] (exact scan) the routed results are
@@ -142,50 +125,37 @@ pub fn build_cluster_with_clock(
             .collect();
         verifai::exec::run_scoped(threads, jobs);
     }
-    let mut built: Vec<BuiltPair> = built
-        .into_iter()
-        .map(|slot| slot.expect("every shard job filled its slot"))
-        .collect();
 
-    // Merge per-modality corpus statistics and install them on every shard
-    // index: shard-local BM25 then scores with global idf and average
-    // length, making per-shard scores exactly the single-index scores.
-    for modality in 0..4 {
-        let mut merged = CorpusStats::default();
-        for s in 0..n {
-            merged.merge(&built[modality * n + s].0.corpus_stats());
-        }
-        let merged = Arc::new(merged);
-        for s in 0..n {
-            built[modality * n + s].0.set_shared_stats(merged.clone());
-        }
-    }
-
-    // Regroup per shard and stand up the worker pools.
-    let mut built: Vec<Option<BuiltPair>> = built.into_iter().map(Some).collect();
-    let shards: Vec<Shard> = (0..n)
+    // Regroup per shard into the system's live indexes. Every shard holds
+    // a content index, as the single lake does; the router searches it only
+    // when the config enables content retrieval.
+    let shards: Vec<LiveIndexes> = (0..n)
         .map(|s| {
-            let mut content: [Option<ShardContent>; 4] = Default::default();
-            let mut semantic: [Option<ShardSemantic>; 4] = Default::default();
-            for (modality, (c_slot, s_slot)) in
-                content.iter_mut().zip(semantic.iter_mut()).enumerate()
-            {
-                let (c, f) = built[modality * n + s]
+            let mut semantic: [Option<SharedSemantic>; 4] = Default::default();
+            let content = std::array::from_fn(|modality| {
+                let (content, vectors) = built[modality * n + s]
                     .take()
-                    .expect("each pair taken once");
-                *c_slot = config.use_content_index.then(|| Arc::new(RwLock::new(c)));
-                *s_slot = f.map(|i| Arc::new(RwLock::new(i)));
-            }
-            Shard::new(content, semantic)
+                    .expect("every shard job filled its slot");
+                semantic[modality] = vectors.map(|i| Arc::new(RwLock::new(i)));
+                Arc::new(RwLock::new(content))
+            });
+            LiveIndexes { content, semantic }
         })
         .collect();
+    // Merge per-modality corpus statistics and install them on every shard:
+    // shard-local BM25 then scores with global idf and average length,
+    // making per-shard scores exactly the single-index scores.
+    if n > 1 {
+        for modality in 0..4 {
+            share_corpus_stats(&shards, modality);
+        }
+    }
     let index_ns = ns_between(index_start, clock.now());
 
     let router = Arc::new(Router::new(
-        shards,
+        shards.clone(),
         Combiner::new(config.fusion),
-        want_semantic.then_some(embedder),
-        generated.lake.generation(),
+        config.use_content_index,
         clock.clone(),
     ));
     let sources: [Box<dyn EvidenceSource>; 4] = [
@@ -200,6 +170,6 @@ pub fn build_cluster_with_clock(
         embedded,
         threads,
     };
-    let system = VerifAi::with_sources_and_clock(generated, config, sources, build_stats, clock);
+    let system = VerifAi::from_shards(generated, config, shards, sources, build_stats, clock);
     ClusterBuild { system, router }
 }

@@ -2,9 +2,11 @@
 //!
 //! Partitions a generated lake into N shards (deterministic hash
 //! placement, [`shard_of`]), builds per-shard content + semantic indexes,
-//! and fronts them with a [`Router`] that scatters each query to every
-//! shard, gathers per-shard top-k, k-way-merges ([`merge_topk`]) and fuses
-//! exactly as the single-lake pipeline would.
+//! and hands them to the [`verifai::VerifAi`] system as its live indexes,
+//! one set per shard. A [`Router`] over `Arc` clones of the same handles
+//! scatters each query to every shard, gathers per-shard top-k,
+//! k-way-merges ([`merge_topk`]) and fuses exactly as the single-lake
+//! pipeline would.
 //!
 //! The headline invariant: for any shard count N, the routed system with
 //! the **exact (flat) semantic backend** returns *identical* results to a
@@ -22,20 +24,18 @@
 //!    distributive over shards, so the router merges each index family
 //!    globally first, then fuses.
 //!
-//! The tier is **live**: [`ClusterBuild::apply`] routes streaming lake
-//! mutations to the owning shard's indexes ([`shard_of`]), re-merges the
-//! global statistics, and advances a cluster-wide generation watermark
-//! ([`Router::generation_watermark`]).
+//! The tier is **live** through the system itself: `VerifAi::apply` routes
+//! each streaming mutation's index ops to the owning shard ([`shard_of`])
+//! and re-merges the global statistics of the modalities it touched. The
+//! router only searches.
 #![warn(missing_docs)]
 
 mod build;
 mod merge;
-mod partition;
 mod router;
 mod shard;
 
 pub use build::{build_cluster, build_cluster_with_clock, ClusterBuild, ClusterConfig};
 pub use merge::merge_topk;
-pub use partition::shard_of;
-pub use router::{RoutedSource, Router, MAINT_TRACE_BASE};
-pub use shard::Shard;
+pub use router::{RoutedSource, Router};
+pub use verifai::shard_of;

@@ -3,32 +3,27 @@
 //! same [`EvidenceSource`] trait the single-lake pipeline retrieves through.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel;
 use parking_lot::Mutex;
-use verifai::{IndexOp, MutationOutcome};
-use verifai_embed::{TextEmbedder, Vector};
-use verifai_index::{Combiner, CorpusStats, EvidenceSource, SearchHit, SourceQuery, VectorIndex};
+use verifai::{LiveIndexes, SharedContent, SharedSemantic};
+use verifai_embed::Vector;
+use verifai_index::{Combiner, EvidenceSource, SearchHit, SourceQuery, VectorIndex};
 use verifai_lake::InstanceKind;
 use verifai_obs::{
-    meter, ns_between, Clock, CostVector, Counter, FlightRecorder, Gauge, Histogram, Registry,
+    meter, ns_between, Clock, CostVector, Counter, FlightRecorder, Histogram, Registry,
     RegistrySnapshot, RequestTrace, SpanContext, SpanEvent, SpanLog, TraceId,
 };
 
 use crate::merge::merge_topk;
-use crate::partition::shard_of;
-use crate::shard::{Shard, ShardContent, ShardJob, ShardSemantic};
+use crate::shard::{Shard, ShardJob};
 
 /// Span ids the router mints for its per-shard child spans live in a
 /// disjoint high-bit range, so they can never collide with the request
 /// trace's own (small, sequential) span ids when grafted into its tree.
 const REMOTE_SPAN_BIT: u32 = 0x8000_0000;
-
-/// Maintenance traces (mutation routing, stats re-merge) get ids from
-/// their own namespace, far above any request trace id the service mints.
-pub const MAINT_TRACE_BASE: u64 = 1 << 48;
 
 /// Child spans each shard's `SpanLog` retains, per shard.
 const SPAN_LOG_CAPACITY: usize = 512;
@@ -55,7 +50,6 @@ struct Reply<T> {
 struct ShardSeries {
     searches: Arc<Counter>,
     inline_runs: Arc<Counter>,
-    mutations: Arc<Counter>,
     latency: Arc<Histogram>,
 }
 
@@ -64,19 +58,11 @@ struct ShardSeries {
 struct RouterObs {
     registry: Registry,
     shards: Vec<ShardSeries>,
-    /// Cluster-wide generation watermark mirror (the authoritative value is
-    /// the router's atomic).
-    watermark: Arc<Gauge>,
 }
 
 impl RouterObs {
     fn new(n: usize) -> RouterObs {
         let registry = Registry::new();
-        let watermark = registry.gauge(
-            "verifai_lake_generation_watermark",
-            "Highest lake generation every shard index has applied",
-            &[],
-        );
         let shards = (0..n)
             .map(|i| {
                 let shard = i.to_string();
@@ -92,11 +78,6 @@ impl RouterObs {
                         "Shard jobs run inline on the calling thread because the shard queue was full",
                         labels,
                     ),
-                    mutations: registry.counter(
-                        "verifai_shard_mutations_total",
-                        "Live index mutations routed to this shard",
-                        labels,
-                    ),
                     latency: registry.histogram(
                         "verifai_shard_latency_seconds",
                         "Run time of one shard job: both members over every query of the call",
@@ -105,17 +86,15 @@ impl RouterObs {
                 }
             })
             .collect();
-        RouterObs {
-            registry,
-            shards,
-            watermark,
-        }
+        RouterObs { registry, shards }
     }
 }
 
-/// Scatter/gather retrieval over a set of [`Shard`]s.
+/// Scatter/gather retrieval over the system's shards.
 ///
-/// One job per shard per call runs both member index families (content,
+/// The router only searches: it holds `Arc` clones of the [`LiveIndexes`]
+/// the system owns, and [`verifai::VerifAi::apply`] mutates them. One job
+/// per shard per call runs both member index families (content,
 /// then semantic) over the whole query batch; the router gathers the
 /// per-shard top-k lists, k-way-merges each member's lists
 /// ([`merge_topk`]), and fuses the merged *member* lists with the same
@@ -126,15 +105,10 @@ impl RouterObs {
 pub struct Router {
     shards: Vec<Shard>,
     combiner: Combiner,
-    /// Embeds mutated instances' semantic entries; `None` when semantic
-    /// retrieval is disabled.
-    embedder: Option<TextEmbedder>,
-    /// Cluster-wide generation watermark: the highest lake generation whose
-    /// index consequences every owning shard has applied. Readers seeing
-    /// watermark ≥ G observe all mutations up to G.
-    watermark: AtomicU64,
-    /// Serializes mutation application (stats re-merge must not interleave).
-    mutate_lock: Mutex<()>,
+    /// Whether the content member is searched. Shards always hold a
+    /// content index, as the single lake does; the config decides whether
+    /// retrieval reads it.
+    use_content: bool,
     obs: RouterObs,
     clock: Arc<dyn Clock>,
     /// One bounded child-span log per shard: traced queries append their
@@ -143,44 +117,34 @@ pub struct Router {
     span_logs: Vec<SpanLog>,
     /// Allocator for router-minted span ids (ORed with [`REMOTE_SPAN_BIT`]).
     next_remote_span: AtomicU32,
-    /// Flight recorder for maintenance traces (mutation routing + stats
-    /// re-merge), separate from the serving tier's request recorder.
-    maint_recorder: FlightRecorder,
-    /// Sequence for maintenance trace ids under [`MAINT_TRACE_BASE`].
-    maint_seq: AtomicU64,
     /// The serving tier's request recorder, when one is attached —
     /// [`Router::lookup_trace`] resolves request trace ids through it.
     recorder: Mutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl Router {
-    /// A router over `shards` fusing member results with `combiner`. A
-    /// member family a shard has no index for (disabled in the config) is
-    /// not searched.
+    /// A router over `shards`, fusing member results with `combiner` and
+    /// searching the content member only when `use_content` is set. A
+    /// semantic member a shard has no index for (disabled in the config)
+    /// is not searched.
     pub(crate) fn new(
-        shards: Vec<Shard>,
+        shards: Vec<LiveIndexes>,
         combiner: Combiner,
-        embedder: Option<TextEmbedder>,
-        generation: u64,
+        use_content: bool,
         clock: Arc<dyn Clock>,
     ) -> Router {
         let obs = RouterObs::new(shards.len());
-        obs.watermark.set(generation as i64);
         let span_logs = (0..shards.len())
             .map(|_| SpanLog::new(SPAN_LOG_CAPACITY))
             .collect();
         Router {
-            shards,
+            shards: shards.into_iter().map(Shard::new).collect(),
             combiner,
-            embedder,
-            watermark: AtomicU64::new(generation),
-            mutate_lock: Mutex::new(()),
+            use_content,
             obs,
             clock,
             span_logs,
             next_remote_span: AtomicU32::new(1),
-            maint_recorder: FlightRecorder::new(32, 8),
-            maint_seq: AtomicU64::new(1),
             recorder: Mutex::new(None),
         }
     }
@@ -190,138 +154,18 @@ impl Router {
         self.shards.len()
     }
 
-    /// The cluster-wide generation watermark: every mutation up to this
-    /// lake generation is visible on all shards.
-    pub fn generation_watermark(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
-    }
-
-    /// Route a batch of index ops (one lake mutation's consequences) to the
-    /// owning shards, re-merge the global BM25 statistics for the touched
-    /// modalities, and advance the watermark to `generation`.
-    ///
-    /// Serialized internally: concurrent calls apply one at a time, so the
-    /// shared statistics every shard scores with always describe a
-    /// mutation-boundary state.
-    pub fn apply_ops(&self, ops: Vec<IndexOp>, generation: u64) -> MutationOutcome {
-        let _guard = self.mutate_lock.lock();
-        let started = self.clock.now();
-        let n = self.shards.len();
-        let total_ops = ops.len();
-        let mut per_shard_ops = vec![0usize; n];
-        let mut content_ops = 0;
-        let mut embedded = 0;
-        let mut touched = [false; 4];
-        for op in ops {
-            let slot = slot_of(op.id.kind());
-            let owner = shard_of(op.id, n);
-            let shard = &self.shards[owner];
-            if let Some(content) = &shard.content[slot] {
-                let mut index = content.write();
-                if let Some(old) = &op.remove {
-                    index.remove(op.id, old);
-                    content_ops += 1;
-                }
-                if let Some(new) = &op.add {
-                    index.add(op.id, new);
-                    content_ops += 1;
-                }
-                touched[slot] = true;
-            }
-            if let (Some(semantic), Some(embedder)) = (&shard.semantic[slot], &self.embedder) {
-                let mut index = semantic.write();
-                if op.remove.is_some() {
-                    index.remove(op.id);
-                }
-                if let Some(new) = &op.add {
-                    for text in verifai::semantic_texts(op.id, new) {
-                        index.add(op.id, embedder.embed(&text));
-                        embedded += 1;
-                    }
-                }
-            }
-            self.obs.shards[owner].mutations.inc();
-            per_shard_ops[owner] += 1;
-        }
-        let routed_at = self.clock.now();
-        // Re-merge global BM25 statistics for every touched modality, so
-        // shard-local scoring keeps using whole-corpus idf and average
-        // length (the identity invariant's first mechanism).
-        for (slot, touched) in touched.iter().enumerate() {
-            if !touched {
-                continue;
-            }
-            let mut merged = CorpusStats::default();
-            for shard in &self.shards {
-                if let Some(content) = &shard.content[slot] {
-                    merged.merge(&content.read().corpus_stats());
-                }
-            }
-            let merged = Arc::new(merged);
-            for shard in &self.shards {
-                if let Some(content) = &shard.content[slot] {
-                    content.write().set_shared_stats(merged.clone());
-                }
-            }
-        }
-        self.watermark.fetch_max(generation, Ordering::AcqRel);
-        self.obs
-            .watermark
-            .set(self.watermark.load(Ordering::Acquire) as i64);
-        // Maintenance work leaves a trace too: a `mutation` root span with
-        // one child per touched shard, then the stats re-merge, recorded
-        // in the router's own flight recorder under the maintenance trace
-        // id namespace.
-        let remerged_at = self.clock.now();
-        let trace_id = MAINT_TRACE_BASE | self.maint_seq.fetch_add(1, Ordering::Relaxed);
-        let mut trace = RequestTrace::new(trace_id, generation);
-        let routing_ns = ns_between(started, routed_at);
-        let parent = trace.span(
-            "mutation",
-            routing_ns,
-            total_ops,
-            content_ops,
-            format!("generation {generation}"),
-        );
-        for (i, &count) in per_shard_ops.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            trace.child_span(
-                parent,
-                format!("shard-{i}"),
-                0,
-                routing_ns,
-                count,
-                count,
-                String::new(),
-            );
-        }
-        trace.span(
-            "stats-remerge",
-            ns_between(routed_at, remerged_at),
-            0,
-            0,
-            String::new(),
-        );
-        trace.finish("maintenance", ns_between(started, remerged_at));
-        self.maint_recorder.record(trace);
-        MutationOutcome {
-            generation,
-            content_ops,
-            embedded,
-        }
-    }
-
-    /// Instances owned by each shard, in shard order.
+    /// Instances owned by each shard (documents in its content indexes),
+    /// in shard order.
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::instances).collect()
+        let stats = self.shards.iter().map(|shard| shard.live.stats());
+        stats.map(|s| s.content_docs).collect()
     }
 
     /// Content segments standing on each shard (summed over its
     /// modalities), in shard order.
     pub fn content_segments(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::content_segments).collect()
+        let stats = self.shards.iter().map(|shard| shard.live.stats());
+        stats.map(|s| s.content_segments).collect()
     }
 
     /// Member searches each shard has executed, in shard order.
@@ -420,7 +264,7 @@ impl Router {
         if batch == 0 {
             return Vec::new();
         }
-        let slot = slot_of(kind);
+        let slot = verifai::stages::slot(kind);
         let texts: Arc<Vec<String>> =
             Arc::new(queries.iter().map(|q| q.text.to_string()).collect());
         let has_vector: Arc<Vec<bool>> =
@@ -430,8 +274,9 @@ impl Router {
         // Semantic members without a query vector return nothing anywhere;
         // the jobs leave them out.
         let members = |shard: &Shard| {
-            let semantic = shard.semantic[slot].clone().filter(|_| !dense.is_empty());
-            (shard.content[slot].clone(), semantic)
+            let content = self.use_content.then(|| shard.live.content[slot].clone());
+            let semantic = shard.live.semantic[slot].clone();
+            (content, semantic.filter(|_| !dense.is_empty()))
         };
         let jobs = self
             .shards
@@ -538,16 +383,11 @@ impl Router {
     }
 
     /// Stitch the full distributed span tree for `trace_id`: the parent
-    /// trace (from the attached service recorder, falling back to the
-    /// router's maintenance recorder) with every shard's child spans
-    /// grafted in. `None` if no recorder retained the trace.
+    /// trace from the attached service recorder, with every shard's child
+    /// spans grafted in. `None` if no recorder is attached or it did not
+    /// retain the trace.
     pub fn lookup_trace(&self, trace_id: TraceId) -> Option<RequestTrace> {
-        let parent = self
-            .recorder
-            .lock()
-            .as_ref()
-            .and_then(|r| r.lookup(trace_id))
-            .or_else(|| self.maint_recorder.lookup(trace_id))?;
+        let parent = self.recorder.lock().as_ref()?.lookup(trace_id)?;
         let mut tree = (*parent).clone();
         let mut children: Vec<SpanEvent> = Vec::new();
         for log in &self.span_logs {
@@ -563,12 +403,6 @@ impl Router {
         *self.recorder.lock() = Some(recorder);
     }
 
-    /// The router's maintenance-trace recorder (mutation routing, stats
-    /// re-merge work recorded by [`Router::apply_ops`]).
-    pub fn maintenance_recorder(&self) -> &FlightRecorder {
-        &self.maint_recorder
-    }
-
     /// Snapshot the router's per-shard metric series; a pure read. Render
     /// with [`verifai_obs::render_prometheus`] or
     /// [`verifai_obs::render_json`] — series carry `{shard="i"}` labels.
@@ -581,8 +415,8 @@ impl Router {
 /// index, then its semantic index, each under one read of its lock.
 /// `dense` holds the vectors of the queries flagged in `has_vector`.
 fn search_shard(
-    content: Option<ShardContent>,
-    semantic: Option<ShardSemantic>,
+    content: Option<SharedContent>,
+    semantic: Option<SharedSemantic>,
     texts: &[String],
     has_vector: &[bool],
     dense: &[Vector],
@@ -602,17 +436,6 @@ fn search_shard(
         }
     }
     per_query
-}
-
-/// The staged pipeline's modality slot for `kind` (same mapping as
-/// `StagedPipeline`: tuples, tables, texts, kg).
-fn slot_of(kind: InstanceKind) -> usize {
-    match kind {
-        InstanceKind::Tuple => 0,
-        InstanceKind::Table => 1,
-        InstanceKind::Text => 2,
-        InstanceKind::Kg => 3,
-    }
 }
 
 /// One modality of a [`Router`] exposed as an [`EvidenceSource`]: the
@@ -651,19 +474,16 @@ mod tests {
     use verifai_index::FusionStrategy;
     use verifai_obs::SystemClock;
 
-    /// A router over `n` shards that hold no index: only its pools work.
+    /// A router over `n` shards with empty indexes: only its pools work.
     fn router(n: usize) -> Arc<Router> {
         let shards = (0..n)
-            .map(|_| Shard::new(Default::default(), Default::default()))
+            .map(|_| LiveIndexes {
+                content: std::array::from_fn(|_| Default::default()),
+                semantic: Default::default(),
+            })
             .collect();
         let combiner = Combiner::new(FusionStrategy::ReciprocalRank { k0: 60.0 });
-        Arc::new(Router::new(
-            shards,
-            combiner,
-            None,
-            0,
-            Arc::new(SystemClock),
-        ))
+        Arc::new(Router::new(shards, combiner, true, Arc::new(SystemClock)))
     }
 
     /// One submit-and-gather over every shard, where shard `faulty` (if

@@ -30,17 +30,52 @@ fn probes(sys: &VerifAi) -> (Vec<DataObject>, Vec<String>) {
     (objects, queries)
 }
 
-#[test]
-fn routed_results_identical_to_single_lake_for_all_shard_counts() {
-    let spec = LakeSpec::tiny(31);
-    let reference = VerifAi::build(build(&spec), flat_config());
-    let (objects, queries) = probes(&reference);
+/// Every retrieval and report of `cluster` equals `reference`'s: the probe
+/// queries plus `extra` over every modality, and the probe objects plus
+/// `extra_objects`.
+fn assert_identical(
+    cluster: &VerifAi,
+    reference: &VerifAi,
+    extra: &[&str],
+    extra_objects: &[DataObject],
+    when: &str,
+) {
+    let (mut objects, queries) = probes(reference);
     let kinds = [
         InstanceKind::Tuple,
         InstanceKind::Table,
         InstanceKind::Text,
         InstanceKind::Kg,
     ];
+    for query in queries
+        .iter()
+        .map(String::as_str)
+        .chain(extra.iter().copied())
+    {
+        for kind in kinds {
+            let want = reference.retrieve(query, kind, 12);
+            let got = cluster.retrieve(query, kind, 12);
+            assert_eq!(
+                got, want,
+                "retrieve diverged {when}: kind={kind:?} query={query:?}"
+            );
+        }
+    }
+    objects.extend_from_slice(extra_objects);
+    for object in &objects {
+        assert_eq!(
+            cluster.verify_object(object),
+            reference.verify_object(object),
+            "report diverged {when} for object {}",
+            object.id()
+        );
+    }
+}
+
+#[test]
+fn routed_results_identical_to_single_lake_for_all_shard_counts() {
+    let spec = LakeSpec::tiny(31);
+    let reference = VerifAi::build(build(&spec), flat_config());
     for shards in 1..=8 {
         let cluster = build_cluster(
             build(&spec),
@@ -48,23 +83,15 @@ fn routed_results_identical_to_single_lake_for_all_shard_counts() {
             ClusterConfig::with_shards(shards),
         );
         // Raw per-modality retrieval: same hits, same scores, same order.
-        for query in &queries {
-            for kind in kinds {
-                let want = reference.retrieve(query, kind, 12);
-                let got = cluster.system.retrieve(query, kind, 12);
-                assert_eq!(
-                    got, want,
-                    "retrieve diverged: shards={shards} kind={kind:?} query={query:?}"
-                );
-            }
-        }
         // End-to-end verification: rerank, verify, decide over routed
         // evidence must produce the same (timing-excluded) report.
-        for object in &objects {
-            let want = reference.verify_object(object);
-            let got = cluster.system.verify_object(object);
-            assert_eq!(got, want, "report diverged at shards={shards}");
-        }
+        assert_identical(
+            &cluster.system,
+            &reference,
+            &[],
+            &[],
+            &format!("at shards={shards}"),
+        );
         // Sanity: for N > 1 the work was actually spread out.
         if shards > 1 {
             let active = cluster
@@ -143,7 +170,9 @@ fn hnsw_shards_recall_the_flat_reference() {
 
 /// Live mutations routed through the cluster keep the byte-identity
 /// invariant: a single-lake live system fed the same mutation stream
-/// retrieves identically (flat backend on both sides).
+/// retrieves identically (flat backend on both sides), reports the same
+/// partition-independent live-lake counts, and both still agree after
+/// compacting every index.
 #[test]
 fn routed_mutations_match_single_lake_live_system() {
     use verifai::LakeMutation;
@@ -185,8 +214,8 @@ fn routed_mutations_match_single_lake_live_system() {
     ];
     for m in mutations {
         let want = reference.apply(m.clone()).expect("reference applies");
-        let got = cluster.apply(m).expect("cluster applies");
-        assert_eq!(got.generation, want.generation, "generations diverged");
+        let got = cluster.system.apply(m).expect("cluster applies");
+        assert_eq!(got, want, "mutation outcomes diverged");
     }
     // Remove one tuple (the freshly streamed one) on both sides.
     let new_tuple = reference
@@ -199,46 +228,29 @@ fn routed_mutations_match_single_lake_live_system() {
         .apply(LakeMutation::RemoveTuple(new_tuple))
         .expect("reference removes");
     cluster
+        .system
         .apply(LakeMutation::RemoveTuple(new_tuple))
         .expect("cluster removes");
-    assert_eq!(
-        cluster.router.generation_watermark(),
-        reference.lake().generation(),
-        "watermark must reach the lake generation"
+
+    // The counts that do not depend on how the lake is partitioned: the
+    // cluster owns its shards' indexes, so its live-lake stats are real.
+    let (got, want) = (cluster.system.live_stats(), reference.live_stats());
+    assert_eq!(got.generation, want.generation);
+    assert_eq!(got.mutations, want.mutations);
+    assert_eq!(got.lake_tombstones, want.lake_tombstones);
+    assert_eq!(got.content_docs, want.content_docs);
+    assert_eq!(got.semantic_vectors, want.semantic_vectors);
+    assert!(got.content_docs > 0 && got.semantic_vectors > 0);
+    assert!(
+        got.content_tombstones > 0 && got.semantic_tombstones > 0,
+        "the stream left tombstones to compact: {got:?}"
     );
-
-    let (_, queries) = probes(&reference);
-    let kinds = [
-        InstanceKind::Tuple,
-        InstanceKind::Table,
-        InstanceKind::Text,
-        InstanceKind::Kg,
-    ];
-    for query in queries.iter().chain([
-        &"freshly streamed document incumbents".to_string(),
-        &"streamed0 streamed1".to_string(),
-    ]) {
-        for kind in kinds {
-            let want = reference.retrieve(query, kind, 12);
-            let got = cluster.system.retrieve(query, kind, 12);
-            assert_eq!(
-                got, want,
-                "post-mutation retrieve diverged: kind={kind:?} query={query:?}"
-            );
-        }
-    }
-
     // Rerank sits behind retrieval on both sides, scoring against prepared
-    // evidence features that `VerifAi::apply` (reference) and
-    // `VerifAi::mutate_routed` (cluster front end) kept current through
-    // the same stream: same entries, same reports — including a claim
-    // aimed at the table whose row was added and removed again.
-    assert_eq!(
-        cluster.system.live_stats().prepared_instances,
-        reference.live_stats().prepared_instances
-    );
-    let (mut objects, _) = probes(&reference);
-    objects.push(DataObject::TextClaim(verifai::TextClaim {
+    // evidence features that `VerifAi::apply` kept current through the
+    // same stream: same entries, same reports — including a claim aimed at
+    // the table whose row was added and removed again.
+    assert_eq!(got.prepared_instances, want.prepared_instances);
+    let claim = DataObject::TextClaim(verifai::TextClaim {
         id: 770_001,
         text: format!(
             "in the {}, streamed0 is streamed1",
@@ -246,15 +258,35 @@ fn routed_mutations_match_single_lake_live_system() {
         ),
         expr: None,
         scope: None,
-    }));
-    for object in &objects {
-        assert_eq!(
-            cluster.system.verify_object(object),
-            reference.verify_object(object),
-            "post-mutation report diverged for object {}",
-            object.id()
-        );
+    });
+    let extra = [
+        "freshly streamed document incumbents",
+        "streamed0 streamed1",
+    ];
+    let extra_objects = [claim];
+    assert_identical(
+        &cluster.system,
+        &reference,
+        &extra,
+        &extra_objects,
+        "after mutation",
+    );
+
+    // Compaction reaches every shard: no tombstone survives on either side,
+    // and nothing it drops was visible to a search.
+    for system in [&cluster.system, &reference] {
+        system.compact_live(2);
+        let stats = system.live_stats();
+        assert_eq!(stats.content_tombstones, 0, "content tombstones survive");
+        assert_eq!(stats.semantic_tombstones, 0, "semantic tombstones survive");
     }
+    assert_identical(
+        &cluster.system,
+        &reference,
+        &extra,
+        &extra_objects,
+        "after compaction",
+    );
 }
 
 /// The batched scatter path returns exactly what per-query scatters would,

@@ -60,6 +60,7 @@ pub mod experiments;
 pub mod features;
 pub mod live;
 pub mod metrics;
+pub mod partition;
 pub mod pipeline;
 pub mod report;
 pub mod stages;
@@ -67,11 +68,11 @@ pub mod stages;
 pub use config::{SemanticBackend, VerifAiConfig};
 pub use features::{FeatureStats, FeatureStore};
 pub use live::{
-    mutate_lake, semantic_texts, IndexOp, LakeMutation, LiveContentSource, LiveIndexes,
-    LiveLakeStats, LiveSemanticSource, MutationError, MutationOutcome, SharedContent,
-    SharedSemantic,
+    mutate_lake, IndexOp, LakeMutation, LiveContentSource, LiveIndexes, LiveLakeStats,
+    LiveSemanticSource, MutationError, MutationOutcome, SharedContent, SharedSemantic,
 };
 pub use metrics::{paper_correct, recall_at_k, Accuracy};
+pub use partition::shard_of;
 pub use pipeline::{materialize, BuildStats, EvidenceVerdict, VerifAi, VerificationReport};
 pub use stages::{
     JudgeOutcome, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,

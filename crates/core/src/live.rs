@@ -24,17 +24,27 @@
 //! row changes the table document too. Text documents embed as overlapping
 //! sentence chunks under the document's id (mirroring the batch build), and
 //! a single `remove` tombstones every chunk.
+//!
+//! A sharded system (`verifai-cluster`) holds one [`LiveIndexes`] per shard.
+//! Each op goes to the shard that owns its instance ([`shard_of`]), and the
+//! BM25 statistics of every touched modality are re-merged across shards
+//! ([`share_corpus_stats`]), so shard-local scores stay whole-corpus scores.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use verifai_embed::TextEmbedder;
+use verifai_index::source::vector_search_batch;
 use verifai_index::{
-    AnyVectorIndex, EvidenceSource, SearchHit, SegmentedInvertedIndex, SourceQuery, VectorIndex,
+    AnyVectorIndex, CorpusStats, EvidenceSource, SearchHit, SegmentedInvertedIndex, SourceQuery,
+    VectorIndex,
 };
 use verifai_lake::{
     DataLake, DocId, InstanceId, LakeError, Table, TableId, TextDocument, TupleId, Value,
 };
+
+use crate::partition::shard_of;
+use crate::stages::slot;
 
 /// A shared handle to one modality's content index.
 pub type SharedContent = Arc<RwLock<SegmentedInvertedIndex>>;
@@ -97,13 +107,6 @@ pub struct MutationOutcome {
 pub enum MutationError {
     /// The lake rejected the change (missing id, arity mismatch, duplicate).
     Lake(LakeError),
-    /// The system was assembled over external retrieval sources
-    /// ([`VerifAi::with_sources`](crate::VerifAi::with_sources)) and owns no
-    /// mutable indexes; route mutations through the owning layer instead.
-    ImmutableSources,
-    /// The system owns live indexes; its lake must change through
-    /// [`VerifAi::apply`](crate::VerifAi::apply), not an external router.
-    OwnsLiveIndexes,
 }
 
 impl From<LakeError> for MutationError {
@@ -114,15 +117,8 @@ impl From<LakeError> for MutationError {
 
 impl std::fmt::Display for MutationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MutationError::Lake(e) => write!(f, "lake rejected mutation: {e:?}"),
-            MutationError::ImmutableSources => {
-                write!(f, "system has external sources; indexes are immutable here")
-            }
-            MutationError::OwnsLiveIndexes => {
-                write!(f, "system owns live indexes; mutate through VerifAi::apply")
-            }
-        }
+        let MutationError::Lake(e) = self;
+        write!(f, "lake rejected mutation: {e:?}")
     }
 }
 
@@ -162,10 +158,11 @@ pub struct LiveLakeStats {
     pub prepared_bytes: usize,
 }
 
-/// The mutable indexes standing behind a live system, one slot per modality
-/// (0 = tuples, 1 = tables, 2 = texts, 3 = knowledge graph). The pipeline's
-/// retrieval sources hold clones of the same `Arc`s, so a write here is
-/// visible to the next search.
+/// The mutable indexes standing behind a live system — or behind one shard
+/// of a sharded one — one slot per modality (0 = tuples, 1 = tables,
+/// 2 = texts, 3 = knowledge graph). The pipeline's retrieval sources hold
+/// clones of the same `Arc`s, so a write here is visible to the next search.
+#[derive(Clone)]
 pub struct LiveIndexes {
     /// Content (BM25) indexes. Always present: the content corpus is built
     /// even when content retrieval is disabled in fusion.
@@ -178,39 +175,67 @@ impl LiveIndexes {
     /// Sum index health over every modality into one stats block (lake and
     /// prepared-feature fields are left zeroed; the caller stamps them).
     pub fn stats(&self) -> LiveLakeStats {
-        let mut s = LiveLakeStats::default();
-        for content in &self.content {
+        index_stats(std::slice::from_ref(self))
+    }
+}
+
+/// [`LiveIndexes::stats`] summed over every shard.
+pub(crate) fn index_stats(shards: &[LiveIndexes]) -> LiveLakeStats {
+    let mut s = LiveLakeStats::default();
+    for shard in shards {
+        for content in &shard.content {
             let c = content.read();
             s.content_docs += c.len();
             s.content_tombstones += c.tombstones();
             s.content_segments += c.segments();
             s.content_compactions += c.compactions();
         }
-        for semantic in self.semantic.iter().flatten() {
+        for semantic in shard.semantic.iter().flatten() {
             let v = semantic.read();
             s.semantic_vectors += VectorIndex::len(&*v);
             s.semantic_tombstones += v.tombstones();
             s.semantic_compactions += v.compactions();
             s.semantic_bytes += v.heap_bytes();
         }
-        s
     }
+    s
+}
 
-    /// Force-compact every index: merge the content segments into one, drop
-    /// tombstoned vectors. One job per index slot, fanned out over
-    /// [`crate::exec::run_scoped`] — the "background merge" entry point the
-    /// serving layer calls off the query path.
-    pub fn compact(&self, threads: usize) {
-        let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(8);
-        for content in &self.content {
+/// Force-compact every index of every shard: merge the content segments
+/// into one, drop tombstoned vectors. One job per index, fanned out over
+/// [`crate::exec::run_scoped`]. Compaction leaves a content index's shared
+/// statistics installed; they stay exact, since removals already
+/// subtracted what compaction drops.
+pub(crate) fn compact_indexes(shards: &[LiveIndexes], threads: usize) {
+    let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(8 * shards.len());
+    for shard in shards {
+        for content in &shard.content {
             let content = Arc::clone(content);
             jobs.push(Box::new(move || content.write().compact()));
         }
-        for semantic in self.semantic.iter().flatten() {
+        for semantic in shard.semantic.iter().flatten() {
             let semantic = Arc::clone(semantic);
             jobs.push(Box::new(move || semantic.write().compact()));
         }
-        crate::exec::run_scoped(threads, jobs);
+    }
+    crate::exec::run_scoped(threads, jobs);
+}
+
+/// Merge every shard's BM25 corpus statistics for modality `slot` and
+/// install the sum on each shard's content index, so shard-local scoring
+/// uses whole-corpus idf and average length — per-shard scores then equal
+/// the single-index scores exactly. Only sharded systems call this; a
+/// single index scores with its own statistics.
+pub fn share_corpus_stats(shards: &[LiveIndexes], slot: usize) {
+    let mut merged = CorpusStats::default();
+    for shard in shards {
+        merged.merge(&shard.content[slot].read().corpus_stats());
+    }
+    let merged = Arc::new(merged);
+    for shard in shards {
+        shard.content[slot]
+            .write()
+            .set_shared_stats(Arc::clone(&merged));
     }
 }
 
@@ -265,27 +290,14 @@ impl EvidenceSource for LiveSemanticSource {
     /// Lock-amortizing batch: take the read lock once and run the whole
     /// batch through the index's blocked multi-query kernel.
     fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        let dense: Vec<verifai_embed::Vector> =
-            queries.iter().filter_map(|q| q.vector.cloned()).collect();
-        if dense.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let mut results = VectorIndex::search_batch(&*self.index.read(), &dense, k).into_iter();
-        queries
-            .iter()
-            .map(|q| match q.vector {
-                Some(_) => results.next().unwrap_or_default(),
-                None => Vec::new(),
-            })
-            .collect()
+        vector_search_batch(&*self.index.read(), queries, k)
     }
 }
 
 /// The semantic entry texts for one instance: overlapping sentence chunks
 /// for text documents (mirroring the batch build's chunking), the
-/// serialized text itself for every other modality. Public so external
-/// index owners (the cluster's shard router) chunk identically.
-pub fn semantic_texts(id: InstanceId, text: &str) -> Vec<String> {
+/// serialized text itself for every other modality.
+fn semantic_texts(id: InstanceId, text: &str) -> Vec<String> {
     match id {
         InstanceId::Text(_) => verifai_text::chunk_sentences(text, 3, 1)
             .into_iter()
@@ -339,10 +351,40 @@ impl IndexOp {
     }
 }
 
-/// Apply a batch of index ops to the live indexes, embedding new semantic
-/// entries with `embedder` when semantic retrieval is enabled. Returns
-/// (content ops, semantic entries embedded).
-pub(crate) fn apply_ops(
+/// Route one mutation's index ops to the shards that own them
+/// ([`shard_of`]), apply each shard's share in order, and — on a sharded
+/// system — re-merge the BM25 statistics of every modality the ops
+/// touched. Returns (content ops, semantic entries embedded).
+pub(crate) fn route_ops(
+    shards: &[LiveIndexes],
+    embedder: Option<&TextEmbedder>,
+    ops: Vec<IndexOp>,
+) -> (usize, usize) {
+    let n = shards.len();
+    let mut touched = [false; 4];
+    let mut per_shard: Vec<Vec<IndexOp>> = (0..n).map(|_| Vec::new()).collect();
+    for op in ops {
+        touched[slot(op.id.kind())] = true;
+        per_shard[shard_of(op.id, n)].push(op);
+    }
+    let (mut content_ops, mut embedded) = (0, 0);
+    for (shard, ops) in shards.iter().zip(per_shard) {
+        let (c, e) = apply_ops(shard, embedder, ops);
+        content_ops += c;
+        embedded += e;
+    }
+    if n > 1 {
+        for slot in (0..4).filter(|&slot| touched[slot]) {
+            share_corpus_stats(shards, slot);
+        }
+    }
+    (content_ops, embedded)
+}
+
+/// Apply a batch of index ops to one set of live indexes, embedding new
+/// semantic entries with `embedder` when semantic retrieval is enabled.
+/// Returns (content ops, semantic entries embedded).
+fn apply_ops(
     live: &LiveIndexes,
     embedder: Option<&TextEmbedder>,
     ops: Vec<IndexOp>,
@@ -350,7 +392,7 @@ pub(crate) fn apply_ops(
     let mut content_ops = 0;
     let mut embedded = 0;
     for op in ops {
-        let slot = crate::stages::slot(op.id.kind());
+        let slot = slot(op.id.kind());
         {
             let mut content = live.content[slot].write();
             if let Some(old) = &op.remove {
@@ -380,9 +422,8 @@ pub(crate) fn apply_ops(
 
 /// Translate one [`LakeMutation`] into lake changes plus the index ops that
 /// keep the standing indexes consistent. The lake is mutated here; the
-/// returned ops are applied by the caller (who owns the index handles) —
-/// [`VerifAi::apply`](crate::VerifAi::apply) for single-lake systems, the
-/// cluster router for sharded ones.
+/// returned ops are applied by the caller (who owns the index handles),
+/// [`VerifAi::apply`](crate::VerifAi::apply).
 pub fn mutate_lake(lake: &mut DataLake, mutation: LakeMutation) -> Result<Vec<IndexOp>, LakeError> {
     use verifai_text::{serialize_table, serialize_tuple};
     let table_text = |lake: &DataLake, id: TableId| -> Result<String, LakeError> {
@@ -579,37 +620,6 @@ mod tests {
             .expect("remove");
         let hits = sys.retrieve("xylophone0 xylophone1", InstanceKind::Tuple, 10);
         assert!(hits.iter().all(|h| h.id != InstanceId::Tuple(new_id)));
-    }
-
-    #[test]
-    fn external_source_systems_reject_mutations_without_touching_the_lake() {
-        let generated = build(&LakeSpec::tiny(19));
-        let config = VerifAiConfig::default();
-        let reference = VerifAi::build(build(&LakeSpec::tiny(19)), config);
-        struct NullSource;
-        impl EvidenceSource for NullSource {
-            fn name(&self) -> &'static str {
-                "null"
-            }
-            fn search(&self, _query: SourceQuery<'_>, _k: usize) -> Vec<SearchHit> {
-                Vec::new()
-            }
-        }
-        let sources: [Box<dyn EvidenceSource>; 4] = [
-            Box::new(NullSource),
-            Box::new(NullSource),
-            Box::new(NullSource),
-            Box::new(NullSource),
-        ];
-        let mut sys = VerifAi::with_sources(generated, config, sources, Default::default());
-        let gen_before = sys.lake().generation();
-        let err = sys
-            .apply(LakeMutation::RemoveDoc(0))
-            .expect_err("external sources are immutable");
-        assert_eq!(err, MutationError::ImmutableSources);
-        assert_eq!(sys.lake().generation(), gen_before, "lake untouched");
-        assert_eq!(sys.live_stats().mutations, 0);
-        drop(reference);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use verifai_lake::InstanceId;
 /// The shard owning `id` in an `shards`-way partition.
 ///
 /// The placement is a pure function of the id — no registry, no rebalance
-/// state — so every component (builders, routers, tests) agrees on
-/// ownership without coordination. Partitioning is by *id*, not by entry:
+/// state — so the cluster build, [`VerifAi::apply`](crate::VerifAi::apply)
+/// and tests agree on ownership without coordination. Partitioning is by *id*, not by entry:
 /// a text document's sentence chunks all carry the document's id and
 /// therefore co-locate, which keeps duplicate-id hits intact under
 /// scatter/gather.

@@ -14,8 +14,8 @@ use crate::corpus::{
     content_entries, content_index, index_chain, semantic_index, text_chunks, TEXT_MODALITY,
 };
 use crate::live::{
-    apply_ops, mutate_lake, IndexOp, LakeMutation, LiveContentSource, LiveIndexes, LiveLakeStats,
-    LiveSemanticSource, MutationError, MutationOutcome,
+    compact_indexes, index_stats, mutate_lake, route_ops, IndexOp, LakeMutation, LiveContentSource,
+    LiveIndexes, LiveLakeStats, LiveSemanticSource, MutationError, MutationOutcome,
 };
 use crate::stages::{
     views_of, PipelineError, RerankStage, ScoreRerank, StagePlan, StageTiming, StagedPipeline,
@@ -128,7 +128,7 @@ fn rerank_stage_for(config: &VerifAiConfig) -> Box<dyn RerankStage> {
 }
 
 /// Prepare the evidence side of reranking for every instance already in
-/// the lake; `apply` / `mutate_routed` keep it current from there on. (The
+/// the lake; `apply` keeps it current from there on. (The
 /// pass-through stage keeps nothing.) The embeds this charges belong to no
 /// request.
 fn prepare_features(stage: &dyn RerankStage, lake: &DataLake) {
@@ -157,10 +157,11 @@ pub struct VerifAi {
     provenance: SharedProvenance,
     trust: TrustModel,
     build_stats: BuildStats,
-    /// Shared handles into the standing indexes; `None` when the system was
-    /// assembled over external sources ([`VerifAi::with_sources`]), in which
-    /// case mutations must be routed through the owning layer.
-    live: Option<LiveIndexes>,
+    /// Shared handles into the standing indexes, one set per shard: one
+    /// for [`VerifAi::build`], N for a sharded system
+    /// ([`VerifAi::from_shards`]). The retrieval sources read the same
+    /// `Arc`s that [`VerifAi::apply`] writes.
+    shards: Vec<LiveIndexes>,
     /// Mutations applied through [`VerifAi::apply`].
     mutations: u64,
 }
@@ -273,9 +274,15 @@ impl VerifAi {
             embedded,
             threads,
         };
-        let mut system =
-            VerifAi::assemble(generated, config, sources, rerank_stage, build_stats, clock);
-        system.live = Some(live);
+        let system = VerifAi::assemble(
+            generated,
+            config,
+            vec![live],
+            sources,
+            rerank_stage,
+            build_stats,
+            clock,
+        );
         // Index construction runs the same charged kernels as serving
         // (HNSW inserts search the graph); drop whatever landed on this
         // thread so the first request's cost vector starts from zero.
@@ -283,41 +290,35 @@ impl VerifAi {
         system
     }
 
-    /// Assemble a system over externally-built retrieval sources — the
-    /// pipeline entry for *routed* retrieval. `sources` is one
+    /// Assemble a sharded system: `shards` are its live indexes, one set
+    /// per shard, partitioned by [`crate::shard_of`], and `sources` are one
     /// [`EvidenceSource`] per modality in staged-pipeline slot order
-    /// (tuples, tables, texts, knowledge graph); everything downstream of
-    /// retrieval — reranker, verifier agent, trust model, provenance —
-    /// is assembled exactly as [`VerifAi::build`] does, so a cluster router
-    /// standing in for the fused indexes reranks and verifies identically
-    /// to the single-lake pipeline.
-    pub fn with_sources(
+    /// (tuples, tables, texts, knowledge graph) that search those shards.
+    /// Everything downstream of retrieval — reranker, verifier agent, trust
+    /// model, provenance — is assembled exactly as [`VerifAi::build`] does,
+    /// so a cluster router standing in for the fused indexes reranks and
+    /// verifies identically to the single-lake pipeline, and
+    /// [`VerifAi::apply`] keeps the shards current.
+    pub fn from_shards(
         generated: GeneratedLake,
         config: VerifAiConfig,
-        sources: [Box<dyn EvidenceSource>; 4],
-        build_stats: BuildStats,
-    ) -> VerifAi {
-        VerifAi::with_sources_and_clock(
-            generated,
-            config,
-            sources,
-            build_stats,
-            Arc::new(SystemClock),
-        )
-    }
-
-    /// [`VerifAi::with_sources`] with an explicit [`Clock`] for the staged
-    /// pipeline's stage timings.
-    pub fn with_sources_and_clock(
-        generated: GeneratedLake,
-        config: VerifAiConfig,
+        shards: Vec<LiveIndexes>,
         sources: [Box<dyn EvidenceSource>; 4],
         build_stats: BuildStats,
         clock: Arc<dyn Clock>,
     ) -> VerifAi {
+        assert!(!shards.is_empty(), "a system needs at least one shard");
         let rerank_stage = rerank_stage_for(&config);
         prepare_features(&*rerank_stage, &generated.lake);
-        VerifAi::assemble(generated, config, sources, rerank_stage, build_stats, clock)
+        VerifAi::assemble(
+            generated,
+            config,
+            shards,
+            sources,
+            rerank_stage,
+            build_stats,
+            clock,
+        )
     }
 
     /// Everything downstream of retrieval around `sources` and a rerank
@@ -325,6 +326,7 @@ impl VerifAi {
     fn assemble(
         generated: GeneratedLake,
         config: VerifAiConfig,
+        shards: Vec<LiveIndexes>,
         sources: [Box<dyn EvidenceSource>; 4],
         rerank_stage: Box<dyn RerankStage>,
         build_stats: BuildStats,
@@ -354,25 +356,22 @@ impl VerifAi {
             provenance: SharedProvenance::new(),
             trust,
             build_stats,
-            live: None,
+            shards,
             mutations: 0,
         }
     }
 
-    /// Apply one streaming mutation: change the lake, then retire/re-index
-    /// the affected instances in the standing content and semantic indexes.
-    /// Returns what was done; the next search observes the change.
-    ///
-    /// Fails with [`MutationError::ImmutableSources`] on systems assembled
-    /// over external sources ([`VerifAi::with_sources`]) — those route
-    /// mutations through the layer that owns the indexes (e.g. the cluster
-    /// router). The lake is NOT mutated in that case either: the error is
-    /// checked before any change lands, so a rejected mutation is a no-op.
+    /// Apply one streaming mutation: change the lake, refresh the prepared
+    /// rerank features of every touched instance, then retire/re-index the
+    /// affected instances in the standing content and semantic indexes of
+    /// the shards that own them ([`crate::shard_of`]). On a sharded system
+    /// the BM25 statistics of every touched modality are re-merged across
+    /// shards. Returns what was done; the next search observes the change.
+    /// A mutation the lake rejects changes nothing.
     pub fn apply(&mut self, mutation: LakeMutation) -> Result<MutationOutcome, MutationError> {
-        let live = self.live.as_ref().ok_or(MutationError::ImmutableSources)?;
         let ops = mutate_lake(&mut self.generated.lake, mutation)?;
         sync_features(&self.stages, &self.generated.lake, &ops);
-        let (content_ops, embedded) = apply_ops(live, self.embedder.as_ref(), ops);
+        let (content_ops, embedded) = route_ops(&self.shards, self.embedder.as_ref(), ops);
         self.mutations += 1;
         Ok(MutationOutcome {
             generation: self.generated.lake.generation(),
@@ -381,36 +380,22 @@ impl VerifAi {
         })
     }
 
-    /// The shared live index handles, when this system owns its indexes.
+    /// The shared live index handles of a one-shard system (every system
+    /// [`VerifAi::build`] makes); `None` for a sharded one, whose per-shard
+    /// indexes the cluster router reports on.
     pub fn live(&self) -> Option<&LiveIndexes> {
-        self.live.as_ref()
-    }
-
-    /// Apply one mutation on behalf of an external routing layer that owns
-    /// the indexes (the cluster router): change the lake, refresh the
-    /// prepared rerank features of every touched instance, and hand back the
-    /// [`IndexOp`]s for the owning shards. Rejected on live systems — their
-    /// lake must change through [`VerifAi::apply`] so the owned indexes stay
-    /// consistent.
-    pub fn mutate_routed(&mut self, mutation: LakeMutation) -> Result<Vec<IndexOp>, MutationError> {
-        if self.live.is_some() {
-            return Err(MutationError::OwnsLiveIndexes);
+        match self.shards.as_slice() {
+            [live] => Some(live),
+            _ => None,
         }
-        let ops = mutate_lake(&mut self.generated.lake, mutation)?;
-        sync_features(&self.stages, &self.generated.lake, &ops);
-        Ok(ops)
     }
 
-    /// Aggregate live-lake health: lake generation and tombstones plus
-    /// per-index segment/tombstone/compaction counters, summed across
-    /// modalities. All-zero (except lake fields) for externally-sourced
-    /// systems.
+    /// Aggregate live-lake health: lake generation, mutations and
+    /// tombstones, the prepared rerank features, and the index
+    /// document/segment/tombstone/compaction counters summed across
+    /// modalities and shards.
     pub fn live_stats(&self) -> LiveLakeStats {
-        let mut stats = self
-            .live
-            .as_ref()
-            .map(LiveIndexes::stats)
-            .unwrap_or_default();
+        let mut stats = index_stats(&self.shards);
         stats.generation = self.generated.lake.generation();
         stats.lake_tombstones = self.generated.lake.num_tombstones();
         stats.mutations = self.mutations;
@@ -420,9 +405,9 @@ impl VerifAi {
         stats
     }
 
-    /// Force-compact every standing index off the query path (seal + merge
-    /// content segments, drop tombstoned vectors), fanned out over
-    /// `threads` workers. No-op for externally-sourced systems.
+    /// Force-compact every standing index of every shard off the query path
+    /// (seal + merge content segments, drop tombstoned vectors), fanned out
+    /// over `threads` workers, one job per index.
     pub fn compact_live(&self, threads: usize) {
         self.compact_live_traced(threads, &mut RequestTrace::disabled());
     }
@@ -433,14 +418,11 @@ impl VerifAi {
     /// dropped, so background merges are debuggable through the same
     /// flight-recorder machinery as requests.
     pub fn compact_live_traced(&self, threads: usize, trace: &mut RequestTrace) {
-        let Some(live) = &self.live else {
-            return;
-        };
-        let before = live.stats();
+        let before = index_stats(&self.shards);
         let started = self.stages.clock().now();
-        live.compact(threads);
+        compact_indexes(&self.shards, threads);
         let wall = ns_between(started, self.stages.clock().now());
-        let after = live.stats();
+        let after = index_stats(&self.shards);
         let parent = trace.span(
             "compact",
             wall,

@@ -334,8 +334,9 @@ pub(crate) fn views_of(owned: &[(DataInstance, f64)]) -> Views<'_> {
 /// One object's coarse candidates, one slot per modality stage plan.
 type ViewSlots<'a> = Vec<(StagePlan, Views<'a>)>;
 
-/// The modality's slot in per-modality arrays.
-pub(crate) fn slot(kind: InstanceKind) -> usize {
+/// The modality's slot in per-modality arrays (0 = tuples, 1 = tables,
+/// 2 = texts, 3 = knowledge graph), e.g. [`crate::LiveIndexes`]'s.
+pub fn slot(kind: InstanceKind) -> usize {
     match kind {
         InstanceKind::Tuple => 0,
         InstanceKind::Table => 1,

@@ -65,7 +65,7 @@ pub trait EvidenceSource: Send + Sync {
 /// blocked multi-query kernel: queries with vectors share one scan, the
 /// vector-less ones come back empty (semantic retrieval disabled), order
 /// preserved.
-fn vector_search_batch<I: crate::VectorIndex>(
+pub fn vector_search_batch<I: crate::VectorIndex>(
     index: &I,
     queries: &[SourceQuery<'_>],
     k: usize,

@@ -144,8 +144,7 @@ impl TenantSeries {
 }
 
 /// Live-lake gauges, refreshed from [`verifai::VerifAi::live_stats`] at
-/// snapshot time (like the cache gauges). All zero for externally-sourced
-/// systems, which own no live indexes.
+/// snapshot time (like the cache gauges), summed over every shard.
 struct LakeObs {
     generation: Arc<Gauge>,
     mutations: Arc<Gauge>,

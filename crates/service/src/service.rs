@@ -34,6 +34,9 @@ use crate::obs::ServiceObs;
 use crate::stats::ServiceStats;
 use crate::tenants::{EnqueueError, TenantScheduler, TenantSpec};
 
+/// Lock shards of the evidence cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Tuning knobs for a [`VerificationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -46,8 +49,6 @@ pub struct ServiceConfig {
     pub high_water: usize,
     /// Maximum requests a worker coalesces per wakeup.
     pub max_batch: usize,
-    /// Shards of the evidence cache.
-    pub cache_shards: usize,
     /// Total evidence-cache entries; `0` disables caching.
     pub cache_capacity: usize,
     /// Deadline applied to requests submitted without an explicit one.
@@ -67,7 +68,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             high_water: 192,
             max_batch: 8,
-            cache_shards: 8,
             cache_capacity: 1024,
             default_deadline: None,
             tenants: Vec::new(),
@@ -179,7 +179,7 @@ impl VerificationService {
         obs_config: ObsConfig,
     ) -> VerificationService {
         let cache = (config.cache_capacity > 0)
-            .then(|| EvidenceCache::new(config.cache_shards, config.cache_capacity));
+            .then(|| EvidenceCache::new(CACHE_SHARDS, config.cache_capacity));
         let tenant_names: Vec<String> = config.tenants.iter().map(|t| t.name.clone()).collect();
         let obs = ServiceObs::new(obs_config, &tenant_names);
         obs.set_index_build_ns(system.build_stats().index_ns);

@@ -170,7 +170,7 @@ pub struct ServiceStats {
     /// cost, not a per-request stage).
     pub index_build_ns: u64,
     /// Live-lake health: generation, mutation count, tombstones, segments,
-    /// and compactions (all zero for externally-sourced systems).
+    /// and compactions, summed over every shard of the system.
     pub lake: LiveLakeStats,
     /// Evidence-cache counters (all zero when caching is disabled).
     pub cache: CacheStats,

@@ -99,6 +99,16 @@ impl<T> TenantScheduler<T> {
             !specs.is_empty(),
             "tenant scheduler needs at least one tenant"
         );
+        let by_name: HashMap<String, usize> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.clone(), i))
+            .collect();
+        assert_eq!(
+            by_name.len(),
+            specs.len(),
+            "tenant names must be distinct: a repeated name is unreachable"
+        );
         let total_weight: u64 = specs.iter().map(|s| u64::from(s.weight.max(1))).sum();
         let caps: Vec<usize> = specs
             .iter()
@@ -118,11 +128,6 @@ impl<T> TenantScheduler<T> {
                 }
                 ((cap as u64 * high_water as u64 / queue_capacity as u64) as usize).max(1)
             })
-            .collect();
-        let by_name = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.clone(), i))
             .collect();
         let now = clock.now();
         let buckets = specs
@@ -385,5 +390,11 @@ mod tests {
         let s = scheduler(vec![TenantSpec::new("a", 1)]);
         assert_eq!(s.resolve("a"), Some(0));
         assert_eq!(s.resolve("ghost"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant names must be distinct")]
+    fn repeated_tenant_names_are_rejected() {
+        scheduler(vec![TenantSpec::new("acme", 1), TenantSpec::new("acme", 2)]);
     }
 }

@@ -70,11 +70,19 @@ cargo run -q --release --bin verifai-serve -- \
 # scatter/gather cluster with three weighted tenants must also exit 0 —
 # it exercises routed retrieval, WFQ admission, and per-tenant accounting
 # in one pass. Rates are left unlimited so the gate never depends on
-# wall-clock timing.
+# wall-clock timing. The system owns its shards' live indexes, so the
+# live-lake gauges it exports must count the shards' documents and
+# vectors: a zero means the gauges read an empty or missing index set.
 echo "==> sharded multi-tenant smoke (gating)"
+SHARDED_OUT="$(mktemp)"
 cargo run -q --release --bin verifai-serve -- \
   --requests 120 --shards 4 --tenants acme:3,beta:1,free:1 \
-  --canary-every 10 --slowest 0 > /dev/null
+  --canary-every 10 --slowest 0 > "$SHARDED_OUT"
+for gauge in verifai_lake_content_docs verifai_lake_semantic_vectors; do
+  grep -Eq "^$gauge [1-9][0-9]*$" "$SHARDED_OUT" \
+    || { echo "sharded smoke: $gauge is missing or zero"; exit 1; }
+done
+rm -f "$SHARDED_OUT"
 
 # Gating distributed-tracing smoke: a 4-shard run with tail sampling and
 # a Perfetto trace dump must exit 0 (verifai-serve self-validates the

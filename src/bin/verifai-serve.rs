@@ -106,9 +106,11 @@ const USAGE: &str = "verifai-serve [--requests N] [--workers N] [--seed N] \
 [--profile-dump PATH] [--usage-report]";
 
 /// Parse `--tenants acme:3,beta:1:5.0,free:1:2.0:4.0` — name, fair-share
-/// weight, optional sustained rate (req/s, 0 = unlimited) and burst.
+/// weight, optional sustained rate (req/s, 0 = unlimited) and burst. A
+/// repeated name (its second entry could never be submitted to) and a rate
+/// or burst that is not a finite number are usage errors.
 fn parse_tenants(value: &str) -> Result<Vec<TenantSpec>, String> {
-    let mut tenants = Vec::new();
+    let mut tenants: Vec<TenantSpec> = Vec::new();
     for entry in value.split(',').filter(|e| !e.trim().is_empty()) {
         let parts: Vec<&str> = entry.trim().split(':').collect();
         if parts.len() < 2 || parts.len() > 4 || parts[0].is_empty() {
@@ -122,18 +124,24 @@ fn parse_tenants(value: &str) -> Result<Vec<TenantSpec>, String> {
                 parts[0], parts[1]
             )
         })?;
-        let rate: f64 = match parts.get(2) {
+        if tenants.iter().any(|t| t.name == parts[0]) {
+            return Err(format!("tenant '{}' is named twice", parts[0]));
+        }
+        let number = |field: &str, part: Option<&&str>| match part {
             Some(p) => p
-                .parse()
-                .map_err(|_| format!("tenant '{}' rate must be a number, got '{p}'", parts[0]))?,
-            None => 0.0,
+                .parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| {
+                    format!(
+                        "tenant '{}' {field} must be a finite number, got '{p}'",
+                        parts[0]
+                    )
+                }),
+            None => Ok(0.0),
         };
-        let burst: f64 = match parts.get(3) {
-            Some(p) => p
-                .parse()
-                .map_err(|_| format!("tenant '{}' burst must be a number, got '{p}'", parts[0]))?,
-            None => 0.0,
-        };
+        let rate = number("rate", parts.get(2))?;
+        let burst = number("burst", parts.get(3))?;
         tenants.push(TenantSpec::new(parts[0], weight).with_rate(rate, burst));
     }
     if tenants.is_empty() {
@@ -159,7 +167,8 @@ fn parse_args() -> Result<Args, String> {
             .ok_or_else(|| format!("{flag} needs a value\nusage: {USAGE}"))?;
         // Flags with non-integer values parse their own.
         if flag == "--tenants" {
-            args.tenants = parse_tenants(&value)?;
+            args.tenants =
+                parse_tenants(&value).map_err(|message| format!("{message}\nusage: {USAGE}"))?;
             continue;
         }
         if flag == "--trace-dump" {
@@ -370,7 +379,6 @@ fn main() -> ExitCode {
             cache_capacity: args.cache_capacity,
             default_deadline: args.deadline_ms.map(Duration::from_millis),
             tenants: args.tenants.clone(),
-            ..ServiceConfig::default()
         },
         obs_config,
     );

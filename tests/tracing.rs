@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use verifai::{DataObject, MockClock, RequestTrace, SemanticBackend, VerifAi, VerifAiConfig};
-use verifai_cluster::{build_cluster, build_cluster_with_clock, ClusterConfig, MAINT_TRACE_BASE};
+use verifai_cluster::{build_cluster, build_cluster_with_clock, ClusterConfig};
 use verifai_datagen::{build, completion_workload, LakeSpec};
 use verifai_obs::{
     render_perfetto, validate_trace_dump, Clock, FlightRecorder, SamplingPolicy, SpanContext,
@@ -137,48 +137,6 @@ fn four_shard_request_trace_stitches_the_full_tree() {
         summary.shard_spans
     );
     service.shutdown();
-}
-
-/// Mutations routed through the cluster leave a maintenance trace with the
-/// per-shard fan-out recorded as child spans.
-#[test]
-fn routed_mutations_record_maintenance_traces() {
-    use verifai::LakeMutation;
-    use verifai_lake::TextDocument;
-
-    let mut cluster = build_cluster(
-        build(&LakeSpec::tiny(43)),
-        flat_config(),
-        ClusterConfig::with_shards(3),
-    );
-    cluster
-        .apply(LakeMutation::AddDoc(TextDocument::new(
-            9100,
-            "Maintenance probe",
-            "A streamed document that must reach exactly one shard.",
-            0,
-        )))
-        .expect("mutation applies");
-    let tree = cluster
-        .router
-        .lookup_trace(MAINT_TRACE_BASE | 1)
-        .expect("maintenance trace retained");
-    assert_eq!(tree.outcome, "maintenance");
-    let root = tree.span_for("mutation").expect("mutation root span");
-    assert!(root.note.contains("generation"));
-    let shard_children: Vec<_> = tree
-        .spans
-        .iter()
-        .filter(|s| s.stage.starts_with("shard-"))
-        .collect();
-    assert!(
-        !shard_children.is_empty(),
-        "mutation routing must record shard children"
-    );
-    for child in &shard_children {
-        assert_eq!(child.parent_id, root.span_id);
-    }
-    assert!(tree.span_for("stats-remerge").is_some());
 }
 
 /// Tail-based sampling retention, deterministically: every failed, shed,
