@@ -64,7 +64,12 @@ pub struct VerifAiConfig {
     pub agent_policy: AgentPolicy,
     /// Behaviour of the simulated LLM (generator + generic verifier).
     pub llm: SimLlmConfig,
-    /// Run the trust-estimation loop over verdicts before deciding.
+    /// Weight each evidence verdict by its source's current trust in the
+    /// system's [`verifai_verify::TrustModel`] when deciding. That trust is
+    /// the source's fixed prior (`SourceMeta::trust`, its `SourceOrigin`
+    /// default) unless [`crate::VerifAi::recalibrate_trust`] re-estimated
+    /// it; no estimation runs while deciding. `false` decides by unweighted
+    /// majority.
     pub use_trust_weighting: bool,
     /// Embedding dimension of the semantic index.
     pub embed_dim: usize,

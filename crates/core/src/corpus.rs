@@ -151,10 +151,10 @@ pub fn index_chain(
 /// has no quantized path).
 fn empty_semantic(config: &VerifAiConfig) -> AnyVectorIndex {
     match config.semantic_backend {
-        SemanticBackend::Hnsw => AnyVectorIndex::Hnsw(HnswIndex::new(HnswConfig {
+        SemanticBackend::Hnsw => AnyVectorIndex::Hnsw(Box::new(HnswIndex::new(HnswConfig {
             seed: config.seed ^ 0x45a1,
             ..HnswConfig::default()
-        })),
+        }))),
         SemanticBackend::Flat if config.quantized => {
             AnyVectorIndex::Flat(FlatIndex::new_quantized(config.rescore_factor))
         }

@@ -70,15 +70,14 @@ impl TextEmbedder {
     pub fn embed(&self, text: &str) -> Vector {
         verifai_obs::meter::charge_embed();
         let mut v = Vector::zeros(self.config.dim);
-        let terms = self.analyzer.analyze(text);
-        for term in &terms {
+        self.analyzer.for_each_term(text, |term| {
             self.add_feature(&mut v, term, 1.0);
             if self.config.char_ngram > 0 && term.len() > self.config.char_ngram {
                 for_each_char_ngram(term, self.config.char_ngram, |gram| {
                     self.add_feature(&mut v, gram, self.config.char_weight)
                 });
             }
-        }
+        });
         v.normalize();
         v
     }

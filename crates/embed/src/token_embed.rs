@@ -46,19 +46,33 @@ impl TokenEmbedder {
         v
     }
 
-    /// The surface tokens of `text`, in order — what [`TokenEmbedder::embed_text`]
-    /// embeds one by one. Callers that cap or deduplicate tokens do so on
-    /// this list, before paying for any embedding.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        self.analyzer.analyze(text)
+    /// Hand `f` the surface tokens of `text`, in order, the first `cap` of
+    /// them — what [`TokenEmbedder::embed_text`] embeds one by one. The
+    /// tokens stream from the analysis kernel into one buffer, so the slice
+    /// costs three allocations however many tokens it holds; callers that
+    /// cap or deduplicate tokens do so before paying for any embedding.
+    pub fn with_tokens<R>(&self, text: &str, cap: usize, f: impl FnOnce(&[&str]) -> R) -> R {
+        let mut joined = String::new();
+        let mut ends = Vec::new();
+        self.analyzer.for_each_term(text, |token| {
+            if ends.len() < cap {
+                joined.push_str(token);
+                ends.push(joined.len());
+            }
+        });
+        let mut start = 0;
+        let tokens: Vec<&str> = ends
+            .iter()
+            .map(|&end| &joined[std::mem::replace(&mut start, end)..end])
+            .collect();
+        f(&tokens)
     }
 
     /// Tokenize text and embed every token.
     pub fn embed_text(&self, text: &str) -> Vec<Vector> {
-        self.tokenize(text)
-            .iter()
-            .map(|t| self.embed_token(t))
-            .collect()
+        self.with_tokens(text, usize::MAX, |tokens| {
+            tokens.iter().map(|t| self.embed_token(t)).collect()
+        })
     }
 
     fn add(&self, v: &mut Vector, feature: &str, weight: f32) {

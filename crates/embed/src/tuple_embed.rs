@@ -5,6 +5,8 @@
 //! structure land close even when the surrounding tables differ — the property
 //! tuple-to-vec models are trained for.
 
+use std::fmt::Write;
+
 use crate::hashing::{coord_and_sign, fnv1a, probe_hash};
 use crate::vector::Vector;
 use verifai_lake::TupleRef;
@@ -102,26 +104,38 @@ impl TupleEmbedder {
         verifai_obs::meter::charge_embed();
         let tuple = tuple.into();
         let mut records = Vec::new();
+        // `col:{header key}={value term}`: the header feature is a prefix of
+        // it, and each qualified feature the part after `col:`. The header
+        // key is the column name's terms joined with `_`.
+        let mut feature = String::new();
+        let mut value = String::new();
         for (col, val) in tuple.schema.columns().iter().zip(tuple.values.iter()) {
             if val.is_null() {
                 continue;
             }
-            let header_terms = self.analyzer.analyze(&col.name);
-            let value_terms = self.analyzer.analyze(&val.to_string());
-            let header_key = header_terms.join("_");
-            for term in &value_terms {
+            feature.clear();
+            feature.push_str("col:");
+            self.analyzer.for_each_term(&col.name, |term| {
+                if feature.len() > "col:".len() {
+                    feature.push('_');
+                }
+                feature.push_str(term);
+            });
+            let header_end = feature.len();
+            feature.push('=');
+            value.clear();
+            write!(value, "{val}").expect("writing to a String cannot fail");
+            self.analyzer.for_each_term(&value, |term| {
+                feature.truncate(header_end + 1);
+                feature.push_str(term);
                 self.push(
                     &mut records,
-                    &format!("{header_key}={term}"),
+                    &feature["col:".len()..],
                     FeatureKind::Qualified,
                 );
                 self.push(&mut records, term, FeatureKind::Bare);
-            }
-            self.push(
-                &mut records,
-                &format!("col:{header_key}"),
-                FeatureKind::Header,
-            );
+            });
+            self.push(&mut records, &feature[..header_end], FeatureKind::Header);
         }
         TupleFeatures {
             records: records.into_boxed_slice(),
@@ -158,9 +172,9 @@ impl TupleEmbedder {
     /// the spaces stay aligned. Unmetered.
     pub fn embed_text(&self, text: &str) -> Vector {
         let mut records = Vec::new();
-        for term in self.analyzer.analyze(text) {
-            self.push(&mut records, &term, FeatureKind::Qualified);
-        }
+        self.analyzer.for_each_term(text, |term| {
+            self.push(&mut records, term, FeatureKind::Qualified);
+        });
         self.embed_features(&TupleFeatures {
             records: records.into_boxed_slice(),
         })

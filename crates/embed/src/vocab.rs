@@ -65,15 +65,16 @@ impl TokenVocab {
     /// The ids of `tokens`, in order, interning (and embedding) the ones not
     /// seen before. Known tokens resolve under the shared lock; the
     /// exclusive lock is taken only from the first unseen token on.
-    pub fn intern_all(&self, tokens: &[String]) -> Vec<u32> {
+    pub fn intern_all(&self, tokens: &[impl AsRef<str>]) -> Vec<u32> {
         let mut ids = Vec::with_capacity(tokens.len());
         {
             let rows = self.read();
-            ids.extend(tokens.iter().map_while(|t| rows.ids.get(t)));
+            ids.extend(tokens.iter().map_while(|t| rows.ids.get(t.as_ref())));
         }
         if ids.len() < tokens.len() {
             let mut rows = self.rows.write().expect("token vocabulary lock poisoned");
             for token in &tokens[ids.len()..] {
+                let token = token.as_ref();
                 let (id, added) = rows.ids.intern(token);
                 if added {
                     let vector = self.encoder.embed_token(token);

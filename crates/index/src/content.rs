@@ -14,7 +14,6 @@ use crate::vector::{offer, VisitedSet};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
@@ -126,6 +125,78 @@ impl Tombstones {
     }
 }
 
+/// The analyzed terms of one text, counted: every distinct term once, in
+/// ascending order, with its frequency — what a segment posts, the live
+/// statistics count and a query scores. Filled by the analysis kernel into
+/// per-thread buffers (see [`with_term_counts`]), so counting a text
+/// allocates nothing per term; a caller copies a term only to keep it.
+#[derive(Debug, Default)]
+pub(crate) struct TermCounts {
+    /// Every term occurrence, concatenated.
+    bytes: String,
+    /// `(start, end)` of each occurrence in `bytes`, sorted by term.
+    spans: Vec<(usize, usize)>,
+    /// `(index into spans of its first occurrence, frequency)` per
+    /// distinct term, ascending.
+    distinct: Vec<(usize, u32)>,
+}
+
+impl TermCounts {
+    fn fill(&mut self, analyzer: &Analyzer, text: &str) {
+        let TermCounts {
+            bytes,
+            spans,
+            distinct,
+        } = self;
+        bytes.clear();
+        spans.clear();
+        distinct.clear();
+        analyzer.for_each_term(text, |term| {
+            let start = bytes.len();
+            bytes.push_str(term);
+            spans.push((start, bytes.len()));
+        });
+        let term = |&(start, end): &(usize, usize)| &bytes[start..end];
+        spans.sort_unstable_by(|a, b| term(a).cmp(term(b)));
+        for (i, span) in spans.iter().enumerate() {
+            match distinct.last_mut() {
+                Some((first, freq)) if term(&spans[*first]) == term(span) => *freq += 1,
+                _ => distinct.push((i, 1)),
+            }
+        }
+    }
+
+    /// Term occurrences: the text's analyzed length.
+    pub(crate) fn total(&self) -> u32 {
+        self.spans.len() as u32
+    }
+
+    /// `(term, frequency)` of every distinct term, ascending by term.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
+        self.distinct.iter().map(|&(first, freq)| {
+            let (start, end) = self.spans[first];
+            (&self.bytes[start..end], freq)
+        })
+    }
+}
+
+thread_local! {
+    static TERM_COUNTS: RefCell<TermCounts> = RefCell::default();
+}
+
+/// Count `text`'s terms under `analyzer` into this thread's [`TermCounts`]
+/// and hand them to `f`. `f` must not count another text itself.
+pub(crate) fn with_term_counts<R>(
+    analyzer: &Analyzer,
+    text: &str,
+    f: impl FnOnce(&TermCounts) -> R,
+) -> R {
+    TERM_COUNTS.with_borrow_mut(|counts| {
+        counts.fill(analyzer, text);
+        f(counts)
+    })
+}
+
 /// A query prepared for scoring: analyzed once per search, each distinct
 /// term's idf resolved once against the corpus statistics in force, terms
 /// in sorted order — the floating-point accumulation order every segment
@@ -149,21 +220,25 @@ impl PreparedQuery {
         total_len: u64,
         df_of: impl Fn(&str) -> u64,
     ) -> Option<PreparedQuery> {
-        let mut terms: Vec<(String, u32)> = analyzer.term_frequencies(query).into_iter().collect();
-        if docs == 0 || terms.is_empty() {
+        if docs == 0 {
             return None;
         }
-        terms.sort_unstable();
         let n = docs as f64;
-        let terms = terms
-            .into_iter()
-            .map(|(term, qf)| {
-                let df = df_of(&term);
-                // The "+1" form used by Lucene: always positive.
-                let idf = (df > 0).then(|| ((n - df as f64 + 0.5) / (df as f64 + 0.5) + 1.0).ln());
-                (term, qf as f64, idf)
-            })
-            .collect();
+        let terms: Vec<(String, f64, Option<f64>)> = with_term_counts(analyzer, query, |counts| {
+            counts
+                .iter()
+                .map(|(term, qf)| {
+                    let df = df_of(term);
+                    // The "+1" form used by Lucene: always positive.
+                    let idf =
+                        (df > 0).then(|| ((n - df as f64 + 0.5) / (df as f64 + 0.5) + 1.0).ln());
+                    (term.to_string(), qf as f64, idf)
+                })
+                .collect()
+        });
+        if terms.is_empty() {
+            return None;
+        }
         Some(PreparedQuery {
             terms,
             avg_len: total_len as f64 / n,
@@ -277,23 +352,22 @@ impl Segment {
         self.ids.is_empty()
     }
 
-    /// Add a document already analyzed into term frequencies (by this
+    /// Add a document already analyzed into term counts (by this
     /// segment's analyzer). Returns its internal ordinal.
-    pub(crate) fn add_analyzed(&mut self, id: InstanceId, tf: HashMap<String, u32>) -> u32 {
+    pub(crate) fn add_analyzed(&mut self, id: InstanceId, counts: &TermCounts) -> u32 {
         let doc = self.ids.len() as u32;
         self.ids.push(id);
-        let len: u32 = tf.values().sum();
+        let len = counts.total();
         self.lengths.push(len);
         self.total_len += len as u64;
-        // Deterministic posting construction: sort terms so the postings map's
-        // vectors are built in a stable order regardless of HashMap iteration.
-        let mut terms: Vec<(String, u32)> = tf.into_iter().collect();
-        terms.sort_unstable();
-        for (term, freq) in terms {
-            match self.postings.entry(term) {
-                Entry::Occupied(mut e) => e.get_mut().push(Posting { doc, tf: freq }),
-                Entry::Vacant(e) => {
-                    e.insert(vec![Posting { doc, tf: freq }]);
+        // Terms come in sorted order, so the postings map's vectors are
+        // built in a stable order whatever the map's iteration order.
+        for (term, freq) in counts.iter() {
+            let posting = Posting { doc, tf: freq };
+            match self.postings.get_mut(term) {
+                Some(list) => list.push(posting),
+                None => {
+                    self.postings.insert(term.to_string(), vec![posting]);
                 }
             }
         }
@@ -621,7 +695,9 @@ mod tests {
         let analyzer = Analyzer::standard();
         let mut seg = Segment::new(analyzer, Bm25Params::default());
         for (i, text) in texts.iter().enumerate() {
-            seg.add_analyzed(tid(i as u64), analyzer.term_frequencies(text));
+            with_term_counts(&analyzer, text, |counts| {
+                seg.add_analyzed(tid(i as u64), counts)
+            });
         }
         seg
     }
@@ -632,6 +708,31 @@ mod tests {
         let query =
             PreparedQuery::new(&seg.analyzer, query, seg.len() as u64, seg.total_len, df_of);
         search_segments(query, k, [(seg, &Tombstones::default())])
+    }
+
+    /// Term counts are the analyzer's term frequencies, sorted by term,
+    /// and a reused buffer keeps nothing of the text counted before.
+    #[test]
+    fn term_counts_are_sorted_term_frequencies() {
+        let analyzer = Analyzer::standard();
+        for text in [
+            TEXTS[1],
+            "",
+            "the the",
+            TEXTS[3],
+            "Yard yard YARD stomp café Café",
+        ] {
+            let mut expected: Vec<(String, u32)> =
+                analyzer.term_frequencies(text).into_iter().collect();
+            expected.sort_unstable();
+            let (counts, total) = with_term_counts(&analyzer, text, |counts| {
+                let pairs: Vec<(String, u32)> =
+                    counts.iter().map(|(t, f)| (t.to_string(), f)).collect();
+                (pairs, counts.total())
+            });
+            assert_eq!(counts, expected, "{text:?}");
+            assert_eq!(total, analyzer.analyze(text).len() as u32, "{text:?}");
+        }
     }
 
     #[test]

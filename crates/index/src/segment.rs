@@ -39,7 +39,7 @@
 //! hold the system to exactly this.
 
 use crate::content::{
-    search_segments, Bm25Params, CorpusStats, PreparedQuery, Segment, Tombstones,
+    search_segments, with_term_counts, Bm25Params, CorpusStats, PreparedQuery, Segment, Tombstones,
 };
 use crate::hit::SearchHit;
 use crate::persist::{self, PersistError, SnapshotKind};
@@ -171,18 +171,20 @@ impl SegmentedInvertedIndex {
             "id {id:?} is already live; remove it before re-adding"
         );
         // One analysis feeds both the live statistics and the memtable.
-        let tf = self.analyzer.term_frequencies(text);
-        self.live.docs += 1;
-        self.live.total_len += tf.values().map(|&f| f as u64).sum::<u64>();
-        for term in tf.keys() {
-            match self.live.doc_freqs.get_mut(term) {
-                Some(df) => *df += 1,
-                None => {
-                    self.live.doc_freqs.insert(term.clone(), 1);
+        let analyzer = self.analyzer;
+        let ord = with_term_counts(&analyzer, text, |counts| {
+            self.live.docs += 1;
+            self.live.total_len += counts.total() as u64;
+            for (term, _) in counts.iter() {
+                match self.live.doc_freqs.get_mut(term) {
+                    Some(df) => *df += 1,
+                    None => {
+                        self.live.doc_freqs.insert(term.to_string(), 1);
+                    }
                 }
             }
-        }
-        let ord = self.memtable.add_analyzed(id, tf);
+            self.memtable.add_analyzed(id, counts)
+        });
         self.mem_locations.insert(id, ord);
         self.generation += 1;
         if self.memtable.len() >= self.seal_threshold {
@@ -202,17 +204,19 @@ impl SegmentedInvertedIndex {
         } else {
             return false;
         }
-        let tf = self.analyzer.term_frequencies(text);
-        self.live.docs -= 1;
-        self.live.total_len -= tf.values().map(|&f| f as u64).sum::<u64>();
-        for term in tf.into_keys() {
-            if let Some(df) = self.live.doc_freqs.get_mut(&term) {
-                *df -= 1;
-                if *df == 0 {
-                    self.live.doc_freqs.remove(&term);
+        let live = &mut self.live;
+        with_term_counts(&self.analyzer, text, |counts| {
+            live.docs -= 1;
+            live.total_len -= counts.total() as u64;
+            for (term, _) in counts.iter() {
+                if let Some(df) = live.doc_freqs.get_mut(term) {
+                    *df -= 1;
+                    if *df == 0 {
+                        live.doc_freqs.remove(term);
+                    }
                 }
             }
-        }
+        });
         self.generation += 1;
         if self.should_compact() {
             self.compact();
@@ -615,8 +619,14 @@ mod tests {
         // top level. It is not a segmented snapshot: rejected by kind.
         let analyzer = Analyzer::standard();
         let mut mono = Segment::new(analyzer, Bm25Params::default());
-        mono.add_analyzed(tid(0), analyzer.term_frequencies("alpha beta gamma"));
-        mono.add_analyzed(tid(1), analyzer.term_frequencies("delta epsilon zeta"));
+        for (i, text) in ["alpha beta gamma", "delta epsilon zeta"]
+            .iter()
+            .enumerate()
+        {
+            with_term_counts(&analyzer, text, |counts| {
+                mono.add_analyzed(tid(i as u64), counts)
+            });
+        }
         assert_eq!(
             SegmentedInvertedIndex::from_bytes(mono.to_bytes()).unwrap_err(),
             PersistError::BadKind {

@@ -49,7 +49,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::mem::size_of;
 use verifai_embed::{kernel, quant, Vector};
 use verifai_lake::InstanceId;
@@ -778,6 +778,9 @@ const MAX_M: usize = 1 << 12;
 /// Highest level [`HnswIndex::draw_level`] can draw.
 const MAX_LEVEL: usize = 16;
 
+/// End of an id chain in [`HnswIndex`]'s id index.
+const NO_ORD: u32 = u32::MAX;
+
 /// One directed HNSW edge: 8 bytes. The endpoint similarity is cached at
 /// creation time — stored vectors are immutable (and unit), so the cache
 /// is exact — and the distance every comparison uses is derived from it by
@@ -1068,6 +1071,13 @@ pub struct HnswIndex {
     rows: RowSlab<f32>,
     ids: Vec<InstanceId>,
     deleted: Vec<bool>,
+    /// The id index `remove` walks instead of scanning `ids`: a live id's
+    /// newest ordinal, and per ordinal the next older live ordinal of the
+    /// same id (`NO_ORD` ends the chain), so a document's chunks form one
+    /// chain. Dead ordinals keep stale links no chain reaches. Not
+    /// persisted: rebuilt from `ids` and `deleted`.
+    newest: HashMap<InstanceId, u32>,
+    older: Vec<u32>,
     graph: Graph,
     entry: Option<u32>,
     max_level: usize,
@@ -1205,6 +1215,8 @@ impl HnswIndex {
             rows: RowSlab::default(),
             ids: Vec::new(),
             deleted: Vec::new(),
+            newest: HashMap::new(),
+            older: Vec::new(),
             graph: Graph::new(config.m),
             entry: None,
             max_level: 0,
@@ -1248,13 +1260,25 @@ impl HnswIndex {
     }
 
     /// Bytes of heap the index holds (rows, edge lists, ids, tombstones,
-    /// levels), spare capacity included. The per-thread search scratch
-    /// belongs to the searching threads, not the index, and is not counted.
+    /// levels, the id index), spare capacity included. The per-thread
+    /// search scratch belongs to the searching threads, not the index, and
+    /// is not counted.
     pub fn heap_bytes(&self) -> usize {
+        // A hash table's buckets hold an entry and a control byte each, at
+        // most 7/8 of them full.
+        let newest = self.newest.capacity().div_ceil(7) * 8 * (size_of::<(InstanceId, u32)>() + 1);
         self.rows.heap_bytes()
             + self.graph.heap_bytes()
             + self.ids.capacity() * size_of::<InstanceId>()
             + self.deleted.capacity()
+            + newest
+            + self.older.capacity() * size_of::<u32>()
+    }
+
+    /// Chain `ord`, just stored under `id`, into the id index.
+    fn index_id(&mut self, id: InstanceId, ord: u32) {
+        self.older
+            .push(self.newest.insert(id, ord).unwrap_or(NO_ORD));
     }
 
     /// Rebuild the graph from the live nodes (insertion order preserved),
@@ -1495,6 +1519,13 @@ impl HnswIndex {
         let dim = persist::get_u32(&mut buf)? as usize;
         idx.ids = get_instance_ids(&mut buf, n)?;
         (idx.deleted, idx.dead) = get_tombstones(&mut buf, n)?;
+        for ord in 0..n {
+            if idx.deleted[ord] {
+                idx.older.push(NO_ORD);
+            } else {
+                idx.index_id(idx.ids[ord], ord as u32);
+            }
+        }
         for _ in 0..n {
             idx.graph.get_node(&mut buf, n)?;
         }
@@ -1514,6 +1545,7 @@ impl VectorIndex for HnswIndex {
         self.rows.push(vector.iter().copied());
         self.ids.push(id);
         self.deleted.push(false);
+        self.index_id(id, ord);
         self.graph.push_node(level);
         self.generation += 1;
 
@@ -1554,19 +1586,20 @@ impl VectorIndex for HnswIndex {
         }
     }
 
+    /// Tombstone every live ordinal of `id` by walking its chain in the id
+    /// index: the cost is the id's chunk count, not the index size.
     fn remove(&mut self, id: InstanceId) -> bool {
-        let mut any = false;
-        for (ord, eid) in self.ids.iter().enumerate() {
-            if *eid == id && !self.deleted[ord] {
-                self.deleted[ord] = true;
-                self.dead += 1;
-                any = true;
-            }
+        let Some(mut ord) = self.newest.remove(&id) else {
+            return false;
+        };
+        while ord != NO_ORD {
+            debug_assert!(!self.deleted[ord as usize] && self.ids[ord as usize] == id);
+            self.deleted[ord as usize] = true;
+            self.dead += 1;
+            ord = self.older[ord as usize];
         }
-        if any {
-            self.generation += 1;
-        }
-        any
+        self.generation += 1;
+        true
     }
 
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit> {
@@ -1614,8 +1647,9 @@ impl VectorIndex for HnswIndex {
 pub enum AnyVectorIndex {
     /// Exact flat scan.
     Flat(FlatIndex),
-    /// Approximate HNSW graph.
-    Hnsw(HnswIndex),
+    /// Approximate HNSW graph (boxed: it is more than twice a flat
+    /// index's size).
+    Hnsw(Box<HnswIndex>),
 }
 
 impl AnyVectorIndex {
@@ -1683,7 +1717,7 @@ impl AnyVectorIndex {
                 Ok(AnyVectorIndex::Flat(FlatIndex::from_bytes(buf)?))
             }
             x if x == SnapshotKind::Hnsw as u8 => {
-                Ok(AnyVectorIndex::Hnsw(HnswIndex::from_bytes(buf)?))
+                Ok(AnyVectorIndex::Hnsw(Box::new(HnswIndex::from_bytes(buf)?)))
             }
             other => Err(PersistError::BadKind {
                 expected: SnapshotKind::Flat as u8,
@@ -1704,7 +1738,7 @@ impl VectorIndex for AnyVectorIndex {
     fn remove(&mut self, id: InstanceId) -> bool {
         match self {
             AnyVectorIndex::Flat(i) => VectorIndex::remove(i, id),
-            AnyVectorIndex::Hnsw(i) => VectorIndex::remove(i, id),
+            AnyVectorIndex::Hnsw(i) => VectorIndex::remove(&mut **i, id),
         }
     }
 
@@ -2060,6 +2094,53 @@ mod tests {
         assert_eq!(ids(hits), ids(flat.search(&qv, 5)));
     }
 
+    /// Removing a document stored as several chunks tombstones every chunk
+    /// through the id index, here and after a snapshot round-trip (which
+    /// rebuilds the index); an id removed and added again is one chunk
+    /// long; an unknown id changes nothing, generation included.
+    #[test]
+    fn hnsw_remove_tombstones_every_chunk_of_an_id() {
+        let e = TextEmbedder::with_seed(5);
+        let mut idx = HnswIndex::with_defaults();
+        for i in 0..40u64 {
+            for chunk in 0..=(i % 3) {
+                idx.add(tid(i), e.embed(&format!("document {i} chunk {chunk}")));
+            }
+        }
+        let chunks = |idx: &HnswIndex, id: InstanceId| {
+            (0..idx.ids.len())
+                .filter(|&ord| idx.ids[ord] == id && !idx.deleted[ord])
+                .count()
+        };
+        assert_eq!(chunks(&idx, tid(5)), 3);
+        let generation = idx.generation();
+        assert!(!idx.remove(tid(999)));
+        assert_eq!(idx.generation(), generation);
+        assert!(idx.remove(tid(5)));
+        assert_eq!((chunks(&idx, tid(5)), idx.tombstones()), (0, 3));
+        assert_eq!(idx.generation(), generation + 1);
+        assert!(!idx.remove(tid(5)));
+        assert_eq!(idx.generation(), generation + 1);
+
+        let mut back = HnswIndex::from_bytes(idx.to_bytes()).unwrap();
+        assert_eq!(chunks(&back, tid(8)), 3);
+        assert!(back.remove(tid(8)));
+        assert_eq!((chunks(&back, tid(8)), back.tombstones()), (0, 6));
+        assert!(!back.remove(tid(5)));
+        back.add(tid(5), e.embed("document 5 again"));
+        assert!(back.remove(tid(5)));
+        assert_eq!(back.tombstones(), 7);
+        assert!(back
+            .search(&e.embed("document 5 chunk 1"), 10)
+            .iter()
+            .all(|h| h.id != tid(5)));
+
+        back.compact();
+        assert_eq!(chunks(&back, tid(11)), 3);
+        assert!(back.remove(tid(11)));
+        assert_eq!(back.tombstones(), 3);
+    }
+
     #[test]
     fn hnsw_exactly_k_live_among_many_dead_all_come_back() {
         let e = TextEmbedder::with_seed(7);
@@ -2104,7 +2185,7 @@ mod tests {
     #[test]
     fn any_vector_index_dispatches_and_roundtrips() {
         let e = TextEmbedder::with_seed(11);
-        let mut any = AnyVectorIndex::Hnsw(HnswIndex::with_defaults());
+        let mut any = AnyVectorIndex::Hnsw(Box::new(HnswIndex::with_defaults()));
         for (id, v) in corpus() {
             any.add(id, v);
         }

@@ -109,12 +109,13 @@ impl ColbertReranker {
     /// `max_doc_tokens`, and only then intern (embedding what is new) and
     /// deduplicate.
     pub fn prepare_doc(&self, evidence: InstanceRef<'_>) -> PreparedDoc {
-        let mut tokens = self
+        let text = verifai_text::serialize_instance(evidence);
+        let mut ids = self
             .vocab
             .encoder()
-            .tokenize(&verifai_text::serialize_instance(evidence));
-        tokens.truncate(self.max_doc_tokens);
-        let mut ids = self.vocab.intern_all(&tokens);
+            .with_tokens(&text, self.max_doc_tokens, |tokens| {
+                self.vocab.intern_all(tokens)
+            });
         let mut seen = std::collections::HashSet::with_capacity(ids.len());
         ids.retain(|id| seen.insert(*id));
         PreparedDoc {
@@ -133,26 +134,30 @@ impl Reranker for ColbertReranker {
     /// them.
     fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
         let encoder = self.vocab.encoder();
-        let query_tokens = encoder.tokenize(&Self::query_text(object));
-        if query_tokens.is_empty() {
+        // Query positions → distinct query tokens, embedded. The sum below
+        // runs over positions (a repeated query token counts twice, as in
+        // `maxsim`).
+        let (positions, query) =
+            encoder.with_tokens(&Self::query_text(object), usize::MAX, |query_tokens| {
+                let mut distinct: Vec<&str> = Vec::with_capacity(query_tokens.len());
+                let positions: Vec<usize> = query_tokens
+                    .iter()
+                    .map(|token| {
+                        distinct
+                            .iter()
+                            .position(|seen| seen == token)
+                            .unwrap_or_else(|| {
+                                distinct.push(token);
+                                distinct.len() - 1
+                            })
+                    })
+                    .collect();
+                let query: Vec<Vector> = distinct.iter().map(|t| encoder.embed_token(t)).collect();
+                (positions, query)
+            });
+        if positions.is_empty() {
             return vec![0.0; candidates.len()];
         }
-        // Query positions → distinct query tokens. The sum below runs over
-        // positions (a repeated query token counts twice, as in `maxsim`).
-        let mut distinct: Vec<&str> = Vec::with_capacity(query_tokens.len());
-        let positions: Vec<usize> = query_tokens
-            .iter()
-            .map(|token| {
-                distinct
-                    .iter()
-                    .position(|seen| seen == token)
-                    .unwrap_or_else(|| {
-                        distinct.push(token);
-                        distinct.len() - 1
-                    })
-            })
-            .collect();
-        let query: Vec<Vector> = distinct.iter().map(|t| encoder.embed_token(t)).collect();
         let width = query.len();
 
         // Interning takes the vocabulary's write lock, so everything missing

@@ -7,6 +7,7 @@
 //! serialized table.
 
 use std::borrow::Cow;
+use std::fmt::Write;
 use std::sync::RwLock;
 
 use crate::{Candidate, Prepared, Reranker};
@@ -89,33 +90,43 @@ impl TableReranker {
         )
     }
 
-    /// The evidence side of one table.
+    /// The evidence side of one table. Terms stream from the analyzer
+    /// straight into the interner: caption, then headers, then cells.
     pub fn prepare_table(&self, table: &Table) -> PreparedTable {
-        let caption = self.analyzer.analyze(table.caption());
-        let header_text: String = table.schema.names().collect::<Vec<_>>().join(" ");
-        let header = self.analyzer.analyze(&header_text);
         // Cells: analyze a bounded sample of values (first 64 rows) to keep the
         // reranker cheap on large tables.
         let mut cell_text = String::new();
         for row in table.rows().iter().take(64) {
             for v in row {
                 if !v.is_null() {
-                    cell_text.push_str(&v.to_string());
-                    cell_text.push(' ');
+                    write!(cell_text, "{v} ").expect("writing to a String cannot fail");
                 }
             }
         }
-        let cells = self.analyzer.analyze(&cell_text);
         let dense = self.embedder.embed(&verifai_text::serialize_table(table));
         let mut terms = self.terms.write().expect("term interner lock poisoned");
-        let mut set =
-            |words: Vec<String>| TermSet::new(words.iter().map(|w| terms.intern(w).0).collect());
         PreparedTable {
-            caption: set(caption),
-            header: set(header),
-            cells: set(cells),
+            caption: self.intern_terms(&mut terms, [table.caption()]),
+            // Column names are analyzed one by one: the space that would
+            // join them ends a token, so this is the joined header's terms.
+            header: self.intern_terms(&mut terms, table.schema.names()),
+            cells: self.intern_terms(&mut terms, [cell_text.as_str()]),
             dense,
         }
+    }
+
+    /// The id set of every term of `texts`, interning the new ones.
+    fn intern_terms<'t>(
+        &self,
+        terms: &mut Interner,
+        texts: impl IntoIterator<Item = &'t str>,
+    ) -> TermSet {
+        let mut ids = Vec::new();
+        for text in texts {
+            self.analyzer
+                .for_each_term(text, |term| ids.push(terms.intern(term).0));
+        }
+        TermSet::new(ids)
     }
 }
 

@@ -124,20 +124,6 @@ pub struct TenantStats {
     pub cost: CostVector,
 }
 
-impl TenantStats {
-    /// Fold another snapshot of the same tenant into this one.
-    pub fn merge(&mut self, other: &TenantStats) {
-        self.completed += other.completed;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
-        self.throttled += other.throttled;
-        self.failed += other.failed;
-        self.queued += other.queued;
-        self.latency.merge(&other.latency);
-        self.cost.merge(&other.cost);
-    }
-}
-
 /// Snapshot of a [`crate::VerificationService`]'s counters, gauges, cache
 /// state, and latency distribution.
 ///
@@ -209,76 +195,6 @@ impl ServiceStats {
     /// outstanding ticket has resolved.
     pub fn accounted(&self) -> u64 {
         self.completed + self.shed + self.rejected + self.throttled + self.failed
-    }
-
-    /// Fold another service's (or shard's) stats into this one, producing a
-    /// cluster-wide roll-up.
-    ///
-    /// Counters, stage sums, verdicts, and cache traffic add; latency
-    /// distributions merge bucket-wise and the derived quantiles are
-    /// recomputed from the merged histogram (quantiles themselves do not
-    /// add). `queue_depth` and `in_flight` sum because each service owns a
-    /// distinct queue — nothing is double-counted. `index_build_ns` takes
-    /// the max: parallel builds overlap, so the slowest one bounds startup.
-    /// Tenants merge by name, so the same tenant served by several shards
-    /// rolls up into one row.
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.shed += other.shed;
-        self.rejected += other.rejected;
-        self.throttled += other.throttled;
-        self.failed += other.failed;
-        self.queue_depth += other.queue_depth;
-        self.in_flight += other.in_flight;
-        self.index_build_ns = self.index_build_ns.max(other.index_build_ns);
-        // Shards mutate one shared lake: generation is a watermark (max),
-        // while per-shard index counts add up to the cluster totals.
-        self.lake.generation = self.lake.generation.max(other.lake.generation);
-        self.lake.mutations += other.lake.mutations;
-        self.lake.lake_tombstones += other.lake.lake_tombstones;
-        self.lake.content_docs += other.lake.content_docs;
-        self.lake.content_tombstones += other.lake.content_tombstones;
-        self.lake.content_segments += other.lake.content_segments;
-        self.lake.content_compactions += other.lake.content_compactions;
-        self.lake.semantic_vectors += other.lake.semantic_vectors;
-        self.lake.semantic_tombstones += other.lake.semantic_tombstones;
-        self.lake.semantic_compactions += other.lake.semantic_compactions;
-        self.lake.semantic_bytes += other.lake.semantic_bytes;
-        self.cache.hits += other.cache.hits;
-        self.cache.misses += other.cache.misses;
-        self.cache.evictions += other.cache.evictions;
-        self.cache.entries += other.cache.entries;
-        self.stages.queue_ns += other.stages.queue_ns;
-        self.stages.retrieval_ns += other.stages.retrieval_ns;
-        self.stages.rerank_ns += other.stages.rerank_ns;
-        self.stages.verify_ns += other.stages.verify_ns;
-        self.stages.candidates_in += other.stages.candidates_in;
-        self.stages.candidates_out += other.stages.candidates_out;
-        self.stage_latency.queue.merge(&other.stage_latency.queue);
-        self.stage_latency
-            .retrieval
-            .merge(&other.stage_latency.retrieval);
-        self.stage_latency.rerank.merge(&other.stage_latency.rerank);
-        self.stage_latency.verify.merge(&other.stage_latency.verify);
-        self.verdicts.verified += other.verdicts.verified;
-        self.verdicts.refuted += other.verdicts.refuted;
-        self.verdicts.not_related += other.verdicts.not_related;
-        self.verdicts.unknown += other.verdicts.unknown;
-        self.traces_recorded += other.traces_recorded;
-        self.traces_sampled_out += other.traces_sampled_out;
-        for tenant in &other.tenants {
-            match self.tenants.iter_mut().find(|t| t.name == tenant.name) {
-                Some(mine) => mine.merge(tenant),
-                None => self.tenants.push(tenant.clone()),
-            }
-        }
-        self.cost.merge(&other.cost);
-        self.latency.merge(&other.latency);
-        self.latency_mean = self.latency.mean();
-        self.latency_p50 = self.latency.quantile(0.50);
-        self.latency_p95 = self.latency.quantile(0.95);
-        self.latency_p99 = self.latency.quantile(0.99);
     }
 }
 

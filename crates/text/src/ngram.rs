@@ -1,16 +1,25 @@
 //! Character and word n-grams.
 
+use std::cell::Cell;
+
+thread_local! {
+    /// The padded buffer of [`for_each_char_ngram`], reused by every call
+    /// on this thread (taken and put back, so a nested call gets its own).
+    static PADDED: Cell<String> = const { Cell::new(String::new()) };
+}
+
 /// Call `f` with each character n-gram of a string (over chars, not
 /// bytes), in order. The string is padded with `_` on both ends so that
 /// prefixes/suffixes produce distinguishing grams, as is conventional for
-/// fuzzy-matching features. Every gram is a window of one padded buffer, so
-/// a call allocates once however many grams it yields.
+/// fuzzy-matching features. Every gram is a window of one padded buffer,
+/// reused per thread, so a call allocates nothing once the buffer has grown.
 pub fn for_each_char_ngram(s: &str, n: usize, mut f: impl FnMut(&str)) {
     if n == 0 {
         return;
     }
     let pad = n - 1;
-    let mut padded = String::with_capacity(s.len() + 2 * pad);
+    let mut padded = PADDED.take();
+    padded.clear();
     padded.extend(std::iter::repeat_n('_', pad));
     padded.push_str(s);
     padded.extend(std::iter::repeat_n('_', pad));
@@ -22,6 +31,7 @@ pub fn for_each_char_ngram(s: &str, n: usize, mut f: impl FnMut(&str)) {
     for ((start, _), end) in padded.char_indices().zip(ends) {
         f(&padded[start..end]);
     }
+    PADDED.set(padded);
 }
 
 /// The grams [`for_each_char_ngram`] yields, collected.

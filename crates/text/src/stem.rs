@@ -36,81 +36,97 @@ fn ends_double_consonant(word: &[u8]) -> bool {
     n >= 2 && word[n - 1] == word[n - 2] && !is_vowel(word, n - 1)
 }
 
+/// The last byte of every suffix a rule below rewrites: step 1's `s`,
+/// `ed`/`eed`, `ing` and `y`, and each of [`DERIVATIONAL`]'s.
+const SUFFIX_ENDS: &[u8] = b"sdgyilnt";
+
+/// Derivational suffixes and their replacements (Porter steps 2-4,
+/// abbreviated), tried in order; the first that matches is the only one
+/// considered.
+const DERIVATIONAL: [(&str, &str); 11] = [
+    ("ational", "ate"),
+    ("ization", "ize"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("iveness", "ive"),
+    ("biliti", "ble"),
+    ("entli", "ent"),
+    ("ousli", "ous"),
+    ("ement", ""),
+    ("ment", ""),
+    ("tional", "tion"),
+];
+
 /// Stem a lowercase ASCII word. Words shorter than 3 characters and words with
 /// non-ASCII characters are returned unchanged.
 pub fn stem(word: &str) -> String {
-    if word.len() < 3 || !word.is_ascii() {
-        return word.to_string();
+    let mut w = word.to_string();
+    stem_in_place(&mut w);
+    w
+}
+
+/// [`stem`] in place: what the analysis kernel runs on its token buffer.
+pub(crate) fn stem_in_place(w: &mut String) {
+    // A rule fires only on its suffix, so it changes a word only when the
+    // last byte is in `SUFFIX_ENDS`; a word ending otherwise passes every
+    // rule unchanged, each rule seeing the last byte the one before saw.
+    if w.len() < 3 || !SUFFIX_ENDS.contains(&w.as_bytes()[w.len() - 1]) || !w.is_ascii() {
+        return;
     }
-    let mut w = word.as_bytes().to_vec();
 
     // Step 1a: plurals.
-    if w.ends_with(b"sses") || w.ends_with(b"ies") {
+    if w.ends_with("sses") || w.ends_with("ies") {
         w.truncate(w.len() - 2);
-    } else if w.ends_with(b"ss") {
+    } else if w.ends_with("ss") {
         // keep
-    } else if w.ends_with(b"s") && w.len() > 3 {
+    } else if w.ends_with('s') && w.len() > 3 {
         w.pop();
     }
 
     // Step 1b: -eed / -ed / -ing.
-    if w.ends_with(b"eed") {
-        if measure(&w[..w.len() - 3]) > 0 {
+    if w.ends_with("eed") {
+        if measure(&w.as_bytes()[..w.len() - 3]) > 0 {
             w.pop();
         }
-    } else if w.ends_with(b"ed") && has_vowel(&w[..w.len() - 2]) {
+    } else if w.ends_with("ed") && has_vowel(&w.as_bytes()[..w.len() - 2]) {
         w.truncate(w.len() - 2);
-        step1b_cleanup(&mut w);
-    } else if w.ends_with(b"ing") && w.len() > 4 && has_vowel(&w[..w.len() - 3]) {
+        step1b_cleanup(w);
+    } else if w.ends_with("ing") && w.len() > 4 && has_vowel(&w.as_bytes()[..w.len() - 3]) {
         w.truncate(w.len() - 3);
-        step1b_cleanup(&mut w);
+        step1b_cleanup(w);
     }
 
     // Step 1c: terminal y -> i after a vowel.
-    if w.ends_with(b"y") && w.len() > 2 && has_vowel(&w[..w.len() - 1]) {
-        let n = w.len();
-        w[n - 1] = b'i';
+    if w.ends_with('y') && w.len() > 2 && has_vowel(&w.as_bytes()[..w.len() - 1]) {
+        w.pop();
+        w.push('i');
     }
 
     // A few common derivational suffixes (Porter steps 2-4, abbreviated).
-    for (suffix, replacement) in [
-        (&b"ational"[..], &b"ate"[..]),
-        (b"ization", b"ize"),
-        (b"fulness", b"ful"),
-        (b"ousness", b"ous"),
-        (b"iveness", b"ive"),
-        (b"biliti", b"ble"),
-        (b"entli", b"ent"),
-        (b"ousli", b"ous"),
-        (b"ement", b""),
-        (b"ment", b""),
-        (b"tional", b"tion"),
-    ] {
+    for (suffix, replacement) in DERIVATIONAL {
         if w.ends_with(suffix) {
             let stem_len = w.len() - suffix.len();
-            if measure(&w[..stem_len]) > 0 {
+            if measure(&w.as_bytes()[..stem_len]) > 0 {
                 w.truncate(stem_len);
-                w.extend_from_slice(replacement);
+                w.push_str(replacement);
             }
             break;
         }
     }
-
-    String::from_utf8(w).expect("ascii in, ascii out")
 }
 
 /// After removing -ed/-ing: restore e for at/bl/iz, or undouble consonants.
-fn step1b_cleanup(w: &mut Vec<u8>) {
-    if w.ends_with(b"at") || w.ends_with(b"bl") || w.ends_with(b"iz") {
-        w.push(b'e');
-    } else if ends_double_consonant(w)
-        && !w.ends_with(b"l")
-        && !w.ends_with(b"s")
-        && !w.ends_with(b"z")
+fn step1b_cleanup(w: &mut String) {
+    if w.ends_with("at") || w.ends_with("bl") || w.ends_with("iz") {
+        w.push('e');
+    } else if ends_double_consonant(w.as_bytes())
+        && !w.ends_with('l')
+        && !w.ends_with('s')
+        && !w.ends_with('z')
     {
         w.pop();
-    } else if measure(w) == 1 && ends_cvc(w) {
-        w.push(b'e');
+    } else if measure(w.as_bytes()) == 1 && ends_cvc(w.as_bytes()) {
+        w.push('e');
     }
 }
 
@@ -156,6 +172,21 @@ mod tests {
     fn short_words_untouched() {
         assert_eq!(stem("is"), "is");
         assert_eq!(stem("as"), "as");
+    }
+
+    /// The early exit in `stem_in_place` is sound only while every rule's
+    /// suffix ends in a byte of `SUFFIX_ENDS`.
+    #[test]
+    fn every_rule_suffix_ends_in_a_listed_byte() {
+        let step1 = ["sses", "ies", "ss", "s", "eed", "ed", "ing", "y"];
+        let derivational = DERIVATIONAL.iter().map(|(suffix, _)| *suffix);
+        for suffix in step1.into_iter().chain(derivational) {
+            let last = suffix.as_bytes()[suffix.len() - 1];
+            assert!(
+                SUFFIX_ENDS.contains(&last),
+                "{suffix} ends outside SUFFIX_ENDS"
+            );
+        }
     }
 
     #[test]

@@ -34,6 +34,23 @@ cargo test -q --release --test obs_budget
 echo "==> golden index fingerprints (gating)"
 cargo test -q -p verifai-index --test golden
 
+# The analysis kernel's byte path yields the char path's terms (tokenize,
+# then lowercase/stopwords/stem per token) on arbitrary strings for every
+# analyzer config, and on every text of the `small` lake at seed 42: what
+# makes every BM25 score, vector and prepared feature independent of which
+# path analyzed it. Named, like the golden step, and each must report one
+# passed test, so a renamed or deleted test fails the gate instead of
+# passing on zero tests.
+echo "==> analysis kernel == char path (gating)"
+ANALYSIS_OUT="$(cargo test -q -p verifai-text --lib \
+  analyzer::prop_tests::byte_path_equals_char_path -- --exact)"
+grep -q ' 1 passed' <<< "$ANALYSIS_OUT" \
+  || { echo "analysis identity property did not run"; exit 1; }
+ANALYSIS_OUT="$(cargo test -q --release --test properties \
+  every_small_lake_text_analyzes_the_same_on_both_paths -- --exact)"
+grep -q ' 1 passed' <<< "$ANALYSIS_OUT" \
+  || { echo "small-lake analysis identity test did not run"; exit 1; }
+
 # Routed retrieval equals the single lake for N = 1..8 shards, and a routed
 # batch equals its per-query searches. Named, like the golden step, so a
 # deleted or renamed identity test fails the gate instead of passing on

@@ -212,3 +212,51 @@ proptest! {
         }
     }
 }
+
+/// The analysis kernel's byte path yields the char path's terms, in order,
+/// on every text the `small` lake at seed 42 holds: each table, document,
+/// tuple and KG entity as the indexes serialize it, plus every column name
+/// and cell value on its own (what the tuple embedder and the table
+/// reranker analyze), under each analyzer the system runs.
+#[test]
+fn every_small_lake_text_analyzes_the_same_on_both_paths() {
+    use verifai_text::serialize::serialize_doc;
+    use verifai_text::{serialize_kg, serialize_table, serialize_tuple, Analyzer};
+
+    let generated = build(&LakeSpec::small(42));
+    let lake = &generated.lake;
+    let mut texts: Vec<String> = Vec::new();
+    texts.extend(lake.tables().map(serialize_table));
+    texts.extend(lake.docs().map(serialize_doc));
+    texts.extend(
+        lake.tuple_ids()
+            .map(|id| serialize_tuple(lake.tuple_view(id).expect("live tuple"))),
+    );
+    texts.extend(lake.kg_entities().map(serialize_kg));
+    let instances = lake.num_tables() + lake.num_docs() + lake.num_tuples();
+    assert_eq!(texts.len(), instances + lake.num_kg_entities());
+    for table in lake.tables() {
+        texts.extend(table.schema.names().map(str::to_string));
+        texts.extend(table.rows().iter().flatten().map(|value| value.to_string()));
+    }
+    let terms = |analyzer: &Analyzer, text: &str, by_chars: bool| {
+        let mut out: Vec<String> = Vec::new();
+        let push = |term: &str| out.push(term.to_string());
+        if by_chars {
+            analyzer.for_each_term_by_chars(text, push);
+        } else {
+            analyzer.for_each_term(text, push);
+        }
+        out
+    };
+    for analyzer in [Analyzer::standard(), Analyzer::lowercase_only()] {
+        for text in &texts {
+            assert_eq!(
+                terms(&analyzer, text, false),
+                terms(&analyzer, text, true),
+                "{:?} analyzes differently on the two paths: {text:?}",
+                analyzer.config()
+            );
+        }
+    }
+}

@@ -1,6 +1,5 @@
 //! Tenant-aware QoS integration tests: weighted-fair isolation under
-//! overload, rate quotas, per-tenant accounting, and the cluster-wide
-//! stats roll-up.
+//! overload, rate quotas, and per-tenant accounting.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -210,54 +209,4 @@ fn tenant_series_export_with_multi_label_blocks() {
         "JSON export lost the labeled key: {json}"
     );
     service.shutdown();
-}
-
-/// The stats-merge satellite: two services' stats roll up into one banner
-/// without double counting, with quantiles recomputed from the merged
-/// latency distribution.
-#[test]
-fn service_stats_merge_rolls_up_without_double_counting() {
-    let sys = system(37);
-    let pool = objects(&sys, 6, 37);
-    let mut merged: Option<verifai_service::ServiceStats> = None;
-    let mut expected_completed = 0;
-    for (i, chunk) in pool.chunks(3).enumerate() {
-        let config = ServiceConfig {
-            tenants: vec![TenantSpec::new("acme", 1)],
-            ..ServiceConfig::default()
-        };
-        let service = VerificationService::new(Arc::clone(&sys), config);
-        let tickets: Vec<Ticket> = chunk
-            .iter()
-            .map(|o| service.submit_for("acme", o.clone()).expect("admitted"))
-            .collect();
-        tickets.into_iter().for_each(|t| {
-            t.wait();
-        });
-        let stats = service.shutdown();
-        expected_completed += stats.completed;
-        assert!(stats.completed > 0, "shard {i} did no work");
-        match &mut merged {
-            None => merged = Some(stats),
-            Some(m) => m.merge(&stats),
-        }
-    }
-    let merged = merged.unwrap();
-    assert_eq!(merged.completed, expected_completed);
-    assert_eq!(merged.accounted(), merged.submitted);
-    assert_eq!(
-        merged.queue_depth, 0,
-        "drained services report empty queues"
-    );
-    // The merged latency histogram covers every request exactly once, and
-    // the quantiles were recomputed from it.
-    assert_eq!(merged.latency.count(), expected_completed);
-    assert!(merged.latency_p99 >= merged.latency_p50);
-    assert!(merged.latency_p50 > Duration::ZERO);
-    // Same-name tenants merged into one row instead of stacking.
-    assert_eq!(merged.tenants.len(), 1);
-    assert_eq!(merged.tenants[0].completed, expected_completed);
-    let banner = merged.to_string();
-    assert!(banner.contains("tenant:   acme"), "banner: {banner}");
-    assert!(!banner.contains("NaN"));
 }
