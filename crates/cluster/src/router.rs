@@ -376,7 +376,7 @@ impl Router {
                     duration_ns: scan_ns,
                     candidates_in: hits,
                     candidates_out: merged,
-                    note,
+                    note: note.into(),
                 },
             );
         }

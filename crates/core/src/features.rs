@@ -20,14 +20,20 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use verifai_lake::{DataLake, InstanceId};
 use verifai_rerank::{Prepared, Reranker};
 
+/// An instance whose prepared features must follow the lake, with its
+/// serialized text when the caller already holds it (see
+/// [`Reranker::prepare`]).
+pub type Touched<'a> = (InstanceId, Option<&'a str>);
+
 /// Every id of `lake`, for the initial fill: each modality has a reranker
-/// that prepares it.
-pub fn featured_ids(lake: &DataLake) -> Vec<InstanceId> {
+/// that prepares it. No text is at hand; each is serialized where needed.
+pub fn featured_ids(lake: &DataLake) -> Vec<Touched<'static>> {
     let tuples = lake.tuple_ids().map(InstanceId::Tuple);
     let tables = lake.tables().map(|t| InstanceId::Table(t.id));
     let docs = lake.docs().map(|d| InstanceId::Text(d.id));
     let kg = lake.kg_entities().map(|e| InstanceId::Kg(e.id));
-    tuples.chain(tables).chain(docs).chain(kg).collect()
+    let ids = tuples.chain(tables).chain(docs).chain(kg);
+    ids.map(|id| (id, None)).collect()
 }
 
 #[derive(Debug)]
@@ -99,11 +105,14 @@ impl FeatureStore {
         stats
     }
 
-    /// Bring the entries of `ids` in line with `lake`: an id the lake no
-    /// longer holds loses its entry, an id whose entry already carries the
-    /// lake's current generation is left alone, and every other id is
-    /// (re)prepared by `reranker` and stamped. Idempotent, so callers may
-    /// pass every id a mutation touched.
+    /// Bring the entries of `touched` ids in line with `lake`: an id the
+    /// lake no longer holds loses its entry, an id whose entry already
+    /// carries the lake's current generation is left alone, and every other
+    /// id is (re)prepared by `reranker` and stamped. Idempotent, so callers
+    /// may pass every id a mutation touched. Each id comes with its
+    /// serialized text when the caller holds it (a mutation's index op
+    /// does), handed to [`Reranker::prepare`] so the table reranker embeds
+    /// it instead of serializing the table once more.
     ///
     /// Reads each instance in place ([`DataLake::view`]): nothing is copied
     /// out of the lake to be prepared.
@@ -118,17 +127,17 @@ impl FeatureStore {
     /// small, long-lived allocations, and placed in the workers' malloc
     /// arenas they pin the arenas' freed index-build scratch — +9 MB
     /// resident for 2.5 MB of features.
-    pub fn sync(&self, reranker: &dyn Reranker, lake: &DataLake, ids: &[InstanceId]) {
+    pub fn sync(&self, reranker: &dyn Reranker, lake: &DataLake, touched: &[Touched<'_>]) {
         // Exclusive for the whole pass: callers hold the system `&mut`
         // (or are still assembling it), so no request is waiting.
         let mut entries = self.entries.write();
-        for &id in ids {
+        for &(id, serialized) in touched {
             let generation = lake.instance_generation(id);
             if entries.get(&id).map(|e| e.generation) == generation {
                 continue;
             }
             let entry = generation.and_then(|generation| {
-                let features = reranker.prepare(lake.view(id).ok()?)?;
+                let features = reranker.prepare(lake.view(id).ok()?, serialized)?;
                 Some(Entry {
                     generation,
                     features,

@@ -112,10 +112,11 @@ pub struct BuildStats {
 
 /// Refresh the rerank stage's prepared features for every instance a
 /// mutation's index ops touched — the same ops that keep the indexes
-/// current.
+/// current, whose new texts the features embed instead of serializing
+/// again.
 fn sync_features(stages: &StagedPipeline, lake: &DataLake, ops: &[IndexOp]) {
-    let ids: Vec<InstanceId> = ops.iter().map(|op| op.id).collect();
-    stages.rerank_stage().sync_features(lake, &ids);
+    let touched: Vec<_> = ops.iter().map(|op| (op.id, op.add.as_deref())).collect();
+    stages.rerank_stage().sync_features(lake, &touched);
 }
 
 /// The configured rerank stage, with nothing prepared yet.
@@ -706,7 +707,7 @@ impl VerifAi {
         trace: &mut RequestTrace,
     ) -> VerificationReport {
         let (evidence, timing) = self.discover(object, trace);
-        self.judge(object, &evidence, timing, None, trace)
+        self.judge(object, &evidence, None, timing, None, trace)
     }
 
     /// Verify an object against already-discovered evidence the caller
@@ -721,6 +722,7 @@ impl VerifAi {
         self.judge(
             object,
             &views_of(&evidence),
+            None,
             timing,
             None,
             &mut RequestTrace::disabled(),
@@ -738,10 +740,16 @@ impl VerifAi {
     /// report is partial — it carries the verdicts produced so far with
     /// decision [`Verdict::Unknown`] and zero confidence. With `deadline:
     /// None` the judgement is total.
+    ///
+    /// `replay` is the `evidence` field of an earlier complete report for
+    /// an equal object over this same evidence, on this same (unmutated)
+    /// system: its verdicts stand in for the verifier calls, and the report
+    /// equals the judged one ([`StagedPipeline::judge`]).
     pub fn judge(
         &self,
         object: &DataObject,
         evidence: &[(InstanceRef<'_>, f64)],
+        replay: Option<&[EvidenceVerdict]>,
         mut timing: StageTiming,
         deadline: Option<std::time::Instant>,
         trace: &mut RequestTrace,
@@ -750,7 +758,7 @@ impl VerifAi {
         let mut recorder = StageRecorder::new(&self.provenance);
         let outcome = self
             .stages
-            .judge(object, evidence, deadline, &mut recorder, trace);
+            .judge(object, evidence, replay, deadline, &mut recorder, trace);
         timing.verify_ns = outcome.verify_ns;
         let (decision, confidence) = if outcome.timed_out {
             (Verdict::Unknown, 0.0)

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::features::{FeatureStats, FeatureStore};
+use crate::features::{FeatureStats, FeatureStore, Touched};
 use crate::pipeline::EvidenceVerdict;
 use verifai_index::{EvidenceSource, SearchHit, SourceQuery};
 use verifai_lake::{DataInstance, DataLake, InstanceId, InstanceKind, InstanceRef};
@@ -181,12 +181,12 @@ pub trait RerankStage: Send + Sync {
     }
 
     /// Bring whatever this stage keeps per evidence instance in line with
-    /// `lake` for the given `ids` — called with every featured id once the
-    /// system is assembled, and with the ids of a mutation's
-    /// [`crate::IndexOp`]s after each lake change. A stage that keeps
-    /// nothing (the default) ignores it.
-    fn sync_features(&self, lake: &DataLake, ids: &[InstanceId]) {
-        let _ = (lake, ids);
+    /// `lake` for the `touched` ids — called with every featured id once
+    /// the system is assembled, and with the ids and new texts of a
+    /// mutation's [`crate::IndexOp`]s after each lake change. A stage that
+    /// keeps nothing (the default) ignores it.
+    fn sync_features(&self, lake: &DataLake, touched: &[Touched<'_>]) {
+        let _ = (lake, touched);
     }
 
     /// Size of what [`RerankStage::sync_features`] maintains.
@@ -240,8 +240,8 @@ impl<R: Reranker> RerankStage for ScoreRerank<R> {
         verifai_rerank::rank(&self.reranker, object, &candidates, k)
     }
 
-    fn sync_features(&self, lake: &DataLake, ids: &[InstanceId]) {
-        self.features.sync(&self.reranker, lake, ids);
+    fn sync_features(&self, lake: &DataLake, touched: &[Touched<'_>]) {
+        self.features.sync(&self.reranker, lake, touched);
     }
 
     fn feature_stats(&self) -> FeatureStats {
@@ -544,14 +544,28 @@ impl StagedPipeline {
     /// flushing once. This is the one judge loop. Judging stops early when
     /// `deadline` passes, in which case [`JudgeOutcome::timed_out`] is set
     /// and the verdicts gathered so far are returned.
+    ///
+    /// `replay` holds the verdicts a complete earlier judgment of this very
+    /// object over this very evidence produced, pair for pair (the service's
+    /// evidence cache keeps them). Each pair then takes its verdict from
+    /// there instead of calling the verifier; everything else — the
+    /// deadline check, the provenance rows, the observations, the `verify`
+    /// span (noted `replayed`) — is this same loop. A verdict is a pure
+    /// function of the object, the instance version and the verifier, so a
+    /// replayed outcome equals a judged one.
     pub fn judge(
         &self,
         object: &DataObject,
         evidence: &[(InstanceRef<'_>, f64)],
+        replay: Option<&[EvidenceVerdict]>,
         deadline: Option<Instant>,
         recorder: &mut StageRecorder<'_>,
         trace: &mut RequestTrace,
     ) -> JudgeOutcome {
+        debug_assert!(replay.is_none_or(|verdicts| verdicts
+            .iter()
+            .map(|v| v.instance)
+            .eq(evidence.iter().map(|(instance, _)| instance.id()))));
         let started = self.clock.now();
         let planned = evidence.len();
         let mut verdicts = Vec::with_capacity(evidence.len());
@@ -560,12 +574,22 @@ impl StagedPipeline {
         // The verifier's name as a shared label, rebuilt only when the
         // judging verifier changes from one pair to the next.
         let mut label: Option<(&'static str, Arc<str>)> = None;
-        for &(instance, score) in evidence {
+        for (pair, &(instance, score)) in evidence.iter().enumerate() {
             if deadline.is_some_and(|d| self.clock.now() >= d) {
                 timed_out = true;
                 break;
             }
-            let (output, verifier) = self.verifier.verify(object, instance);
+            let (output, verifier) = match replay {
+                Some(verdicts) => {
+                    let judged = &verdicts[pair];
+                    let output = VerifierOutput {
+                        verdict: judged.verdict,
+                        explanation: judged.explanation.clone(),
+                    };
+                    (output, judged.verifier)
+                }
+                None => self.verifier.verify(object, instance),
+            };
             let shared = match label.take() {
                 Some((name, shared)) if name == verifier => shared,
                 _ => verifier.into(),
@@ -595,17 +619,14 @@ impl StagedPipeline {
         }
         let verify_ns = ns_between(started, self.clock.now());
         recorder.flush_stage();
-        trace.span(
-            "verify",
-            verify_ns,
-            planned,
-            verdicts.len(),
-            if timed_out {
-                "deadline".into()
-            } else {
-                String::new()
-            },
-        );
+        let note = if timed_out {
+            "deadline"
+        } else if replay.is_some() {
+            "replayed"
+        } else {
+            ""
+        };
+        trace.span("verify", verify_ns, planned, verdicts.len(), note);
         JudgeOutcome {
             verdicts,
             observations,
@@ -732,6 +753,7 @@ mod tests {
             &object(),
             &evidence,
             None,
+            None,
             &mut recorder,
             &mut RequestTrace::disabled(),
         );
@@ -753,7 +775,7 @@ mod tests {
         let mut trace = RequestTrace::new(42, 7);
         let (evidence, timing) = discover_tuples(&pipeline, &generated.lake, &mut recorder);
         timing.trace_discovery(&mut trace, "");
-        pipeline.judge(&object(), &evidence, None, &mut recorder, &mut trace);
+        pipeline.judge(&object(), &evidence, None, None, &mut recorder, &mut trace);
         let retrieval = trace.span_for("retrieval").expect("retrieval span");
         assert_eq!(retrieval.candidates_in, 2, "both hits entered retrieval");
         assert_eq!(retrieval.candidates_out, 1, "dangling hit dropped");

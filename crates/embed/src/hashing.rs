@@ -37,8 +37,17 @@ pub fn probe_hash(base: u64, probe: u32) -> u64 {
 }
 
 /// Map a hash to a coordinate index in `[0, dim)` and a sign in `{-1, +1}`.
+///
+/// The index is `h % dim`. For a power-of-two `dim` (the default, 128) that
+/// is the low bits of `h`, taken with a mask instead of a 64-bit division:
+/// this runs once per probe of every embedded feature.
 pub fn coord_and_sign(h: u64, dim: usize) -> (usize, f32) {
-    let idx = (h % dim as u64) as usize;
+    let dim = dim as u64;
+    let idx = if dim.is_power_of_two() {
+        (h & (dim - 1)) as usize
+    } else {
+        (h % dim) as usize
+    };
     let sign = if (h >> 63) & 1 == 1 { 1.0 } else { -1.0 };
     (idx, sign)
 }
@@ -73,6 +82,25 @@ mod tests {
             assert!(idx < 128);
             assert!(sign == 1.0 || sign == -1.0);
         }
+    }
+
+    /// The mask and the remainder pick the same coordinate for every
+    /// power-of-two dimension up to 512, on hashes spread over all 64 bits.
+    #[test]
+    fn masked_coordinate_equals_remainder() {
+        for shift in 0..=9 {
+            let dim = 1usize << shift;
+            for i in 0..2000u64 {
+                let h = splitmix64(i ^ ((dim as u64) << 32));
+                assert_eq!(
+                    coord_and_sign(h, dim).0 as u64,
+                    h % dim as u64,
+                    "h {h} dim {dim}"
+                );
+            }
+        }
+        // A dimension that is not a power of two keeps the remainder.
+        assert_eq!(coord_and_sign(1000, 96).0, 1000 % 96);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn render_perfetto(traces: &[&RequestTrace]) -> serde_json::Value {
                     "parent_id": span.parent_id,
                     "candidates_in": span.candidates_in,
                     "candidates_out": span.candidates_out,
-                    "note": span.note.clone(),
+                    "note": span.note.as_ref(),
                 },
             }));
         }

@@ -571,7 +571,7 @@ mod tests {
             duration_ns: 10,
             candidates_in: 4,
             candidates_out: 2,
-            note: String::new(),
+            note: "".into(),
         };
         log.record(0, span("dropped"));
         assert!(log.is_empty(), "dead context records nothing");

@@ -81,9 +81,11 @@ pub struct SpanEvent {
     pub candidates_in: usize,
     /// Candidates leaving the stage.
     pub candidates_out: usize,
-    /// Stage-specific annotation: cache `hit`/`miss`, `deadline`, a failure
-    /// cause — empty when there is nothing to say.
-    pub note: String,
+    /// Stage-specific annotation: cache `hit`/`miss`, `deadline`,
+    /// `replayed`, a failure cause — empty when there is nothing to say.
+    /// The fixed notes borrow a static string, so recording them allocates
+    /// nothing; formatted ones own theirs.
+    pub note: Cow<'static, str>,
 }
 
 impl SpanEvent {
@@ -171,7 +173,7 @@ impl RequestTrace {
         duration_ns: u64,
         candidates_in: usize,
         candidates_out: usize,
-        note: impl Into<String>,
+        note: impl Into<Cow<'static, str>>,
     ) -> u32 {
         if !self.enabled {
             return 0;
@@ -201,7 +203,7 @@ impl RequestTrace {
         duration_ns: u64,
         candidates_in: usize,
         candidates_out: usize,
-        note: impl Into<String>,
+        note: impl Into<Cow<'static, str>>,
     ) -> u32 {
         if !self.enabled {
             return 0;
@@ -235,7 +237,7 @@ impl RequestTrace {
             duration_ns,
             candidates_in: 0,
             candidates_out: 0,
-            note: String::new(),
+            note: Cow::Borrowed(""),
         });
     }
 
@@ -432,7 +434,7 @@ mod tests {
             duration_ns: 60,
             candidates_in: 10,
             candidates_out: 4,
-            note: "queue 1us scan 59us".to_string(),
+            note: "queue 1us scan 59us".into(),
         };
         // Exact parent match.
         trace.graft(vec![remote(retrieval)]);

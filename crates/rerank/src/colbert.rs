@@ -207,7 +207,7 @@ impl Reranker for ColbertReranker {
             .collect()
     }
 
-    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>, _serialized: Option<&str>) -> Option<Prepared> {
         Some(Prepared::Tokens(self.prepare_doc(evidence)))
     }
 
@@ -300,7 +300,7 @@ mod tests {
             let per_pair: Vec<f64> = docs.iter().map(|d| r.score(&q, d)).collect();
             assert_eq!(per_pair, want);
             let features: Vec<Option<Prepared>> =
-                docs.iter().map(|d| r.prepare(d.view())).collect();
+                docs.iter().map(|d| r.prepare(d.view(), None)).collect();
             for keep_every in [1, 2, usize::MAX] {
                 let candidates: Vec<Candidate<'_>> = docs
                     .iter()

@@ -138,8 +138,8 @@ impl Reranker for CompositeReranker {
         scores
     }
 
-    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
-        self.route(evidence).prepare(evidence)
+    fn prepare(&self, evidence: InstanceRef<'_>, serialized: Option<&str>) -> Option<Prepared> {
+        self.route(evidence).prepare(evidence, serialized)
     }
 
     fn name(&self) -> &'static str {
@@ -280,7 +280,8 @@ mod tests {
         let per_pair: Vec<f64> = mixed.iter().map(|c| r.score(&obj, c)).collect();
         let unprepared: Vec<Candidate<'_>> = mixed.iter().map(Candidate::unprepared).collect();
         assert_eq!(r.score_all(&obj, &unprepared), per_pair);
-        let features: Vec<Option<Prepared>> = mixed.iter().map(|c| r.prepare(c.view())).collect();
+        let features: Vec<Option<Prepared>> =
+            mixed.iter().map(|c| r.prepare(c.view(), None)).collect();
         assert!(matches!(features[0], Some(Prepared::Tokens(_))));
         assert!(matches!(features[1], Some(Prepared::Tuple(_))));
         assert!(matches!(features[2], Some(Prepared::Table(_))));

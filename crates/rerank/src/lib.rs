@@ -109,9 +109,13 @@ pub trait Reranker: Send + Sync {
     }
 
     /// The query-independent features of `evidence`, or `None` when this
-    /// reranker keeps nothing per instance.
-    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
-        let _ = evidence;
+    /// reranker keeps nothing per instance. `serialized` is the evidence's
+    /// serialized text (what `verifai_text` serializes it to for indexing)
+    /// when the caller already holds it, as a lake mutation's index op
+    /// does; a reranker that embeds that text takes it instead of
+    /// serializing again. The features are the same either way.
+    fn prepare(&self, evidence: InstanceRef<'_>, serialized: Option<&str>) -> Option<Prepared> {
+        let _ = (evidence, serialized);
         None
     }
 

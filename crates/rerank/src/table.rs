@@ -91,8 +91,11 @@ impl TableReranker {
     }
 
     /// The evidence side of one table. Terms stream from the analyzer
-    /// straight into the interner: caption, then headers, then cells.
-    pub fn prepare_table(&self, table: &Table) -> PreparedTable {
+    /// straight into the interner: caption, then headers, then cells. The
+    /// dense vector embeds `serialized`, the table's
+    /// [`verifai_text::serialize_table`] text, or that text built here when
+    /// the caller has none.
+    pub fn prepare_table(&self, table: &Table, serialized: Option<&str>) -> PreparedTable {
         // Cells: analyze a bounded sample of values (first 64 rows) to keep the
         // reranker cheap on large tables.
         let mut cell_text = String::new();
@@ -103,7 +106,10 @@ impl TableReranker {
                 }
             }
         }
-        let dense = self.embedder.embed(&verifai_text::serialize_table(table));
+        let dense = match serialized {
+            Some(text) => self.embedder.embed(text),
+            None => self.embedder.embed(&verifai_text::serialize_table(table)),
+        };
         let mut terms = self.terms.write().expect("term interner lock poisoned");
         PreparedTable {
             caption: self.intern_terms(&mut terms, [table.caption()]),
@@ -151,7 +157,7 @@ impl Reranker for TableReranker {
                 (InstanceRef::Table(_), Some(Prepared::Table(table))) => {
                     Some(Cow::Borrowed(&**table))
                 }
-                (InstanceRef::Table(table), _) => Some(Cow::Owned(self.prepare_table(table))),
+                (InstanceRef::Table(table), _) => Some(Cow::Owned(self.prepare_table(table, None))),
                 _ => None,
             })
             .collect();
@@ -176,9 +182,11 @@ impl Reranker for TableReranker {
             .collect()
     }
 
-    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>, serialized: Option<&str>) -> Option<Prepared> {
         match evidence {
-            InstanceRef::Table(table) => Some(Prepared::Table(Box::new(self.prepare_table(table)))),
+            InstanceRef::Table(table) => Some(Prepared::Table(Box::new(
+                self.prepare_table(table, serialized),
+            ))),
             _ => None,
         }
     }
@@ -297,8 +305,19 @@ mod tests {
             let per_pair: Vec<f64> = evidence.iter().map(|e| r.score(&q, e)).collect();
             assert_eq!(per_pair, want);
             let features: Vec<Option<Prepared>> =
-                evidence.iter().map(|e| r.prepare(e.view())).collect();
+                evidence.iter().map(|e| r.prepare(e.view(), None)).collect();
             assert!(features[3].is_none(), "only tables are prepared");
+            // The text a caller already serialized yields the same features.
+            for (table, prepared) in tables.iter().zip(&features) {
+                let serialized = verifai_text::serialize_table(table);
+                let again = r.prepare(InstanceRef::Table(table), Some(&serialized));
+                match (again, prepared) {
+                    (Some(Prepared::Table(again)), Some(Prepared::Table(prepared))) => {
+                        assert_eq!(again, *prepared)
+                    }
+                    other => panic!("a table prepares as a table: {other:?}"),
+                }
+            }
             for keep_every in [1, 2, usize::MAX] {
                 let candidates: Vec<Candidate<'_>> = evidence
                     .iter()

@@ -222,7 +222,7 @@ impl Reranker for TupleReranker {
         }
     }
 
-    fn prepare(&self, evidence: InstanceRef<'_>) -> Option<Prepared> {
+    fn prepare(&self, evidence: InstanceRef<'_>, _serialized: Option<&str>) -> Option<Prepared> {
         match evidence {
             InstanceRef::Tuple(tuple) => Some(Prepared::Tuple(self.embedder.features(tuple))),
             _ => None,
@@ -428,7 +428,7 @@ mod tests {
             // Prepared ahead, the candidates charge nothing: one query embed
             // for a cell, none for a claim — and not one bit of score moves.
             let features: Vec<Option<Prepared>> =
-                evidence.iter().map(|e| r.prepare(e.view())).collect();
+                evidence.iter().map(|e| r.prepare(e.view(), None)).collect();
             assert!(features[1].is_none(), "only tuples are prepared");
             let prepared: Vec<Candidate<'_>> = evidence
                 .iter()
@@ -579,7 +579,7 @@ mod tests {
                 .map(|c| oracle::score(&embedder, &tuples[0], c).to_bits())
                 .collect();
             let features: Vec<Option<Prepared>> =
-                evidence.iter().map(|e| r.prepare(e.view())).collect();
+                evidence.iter().map(|e| r.prepare(e.view(), None)).collect();
             for keep_every in [1, 2, usize::MAX] {
                 let candidates: Vec<Candidate<'_>> = evidence
                     .iter()

@@ -27,6 +27,7 @@ use verifai::{
     CostVector, DataObject, ObsConfig, PipelineError, RequestTrace, StageTiming, TraceId, Verdict,
     VerifAi, VerificationReport, Views,
 };
+use verifai_lake::InstanceId;
 use verifai_obs::{meter, ns_between, render_json, render_prometheus, SpanContext};
 
 use crate::cache::{CachedEvidence, EvidenceCache, EvidenceKey};
@@ -511,7 +512,7 @@ fn process_batch(inner: &Inner, batch: Vec<Request>) {
         .partition(|r| matches!(r.object, DataObject::ImputedCell(_)));
     for group in [cells, claims] {
         let keys: Vec<EvidenceKey> = group.iter().map(|r| evidence_key(&r.object)).collect();
-        let mut local: HashMap<EvidenceKey, CachedEvidence> = HashMap::new();
+        let mut local = HashMap::new();
         let warm = prewarm_group(inner, &group, &keys);
         for (request, key) in group.into_iter().zip(keys) {
             process(inner, request, key, &mut local, &warm);
@@ -563,6 +564,7 @@ fn prewarm_group<'a>(
         return HashMap::new();
     }
     let now = inner.obs.config().clock.now();
+    let generation = inner.system.lake().generation();
     let mut pending: Vec<&EvidenceKey> = Vec::new();
     let mut objects: Vec<&DataObject> = Vec::new();
     let mut ctxs: Vec<SpanContext> = Vec::new();
@@ -578,7 +580,7 @@ fn prewarm_group<'a>(
         if inner
             .cache
             .as_ref()
-            .is_some_and(|cache| cache.contains(key))
+            .is_some_and(|cache| cache.contains(key, generation))
         {
             continue;
         }
@@ -622,9 +624,18 @@ fn prewarm_group<'a>(
         .collect()
 }
 
+/// Evidence ids by key, remembered within one micro-batch when the shared
+/// cache is off.
+type LocalEvidence = HashMap<EvidenceKey, Vec<(InstanceId, f64)>>;
+
 /// What [`evidence_for`] finds: views borrowed from the system the service
-/// serves (immutable while serving), and the discovery-side timing.
-type DiscoveredEvidence<'a> = (Views<'a>, StageTiming);
+/// serves (immutable while serving), the discovery-side timing, and the
+/// shared-cache entry the views were looked up from, on a hit.
+struct Found<'a> {
+    evidence: Views<'a>,
+    timing: StageTiming,
+    cached: Option<Arc<CachedEvidence>>,
+}
 
 /// Evidence for `object`, preferring the shared cache, then the batch-local
 /// memo, then full discovery — returning the discovery-side [`StageTiming`]
@@ -634,19 +645,24 @@ type DiscoveredEvidence<'a> = (Views<'a>, StageTiming);
 /// identical whichever path served them — and a dangling id is handled
 /// explicitly instead of silently shrinking the evidence set:
 ///
-/// * a stale **shared-cache** entry is rediscovered and overwritten (the
-///   cache outlives lake snapshots, so staleness there is expected churn);
+/// * a **shared-cache** entry is only used at the lake generation it was
+///   discovered at — any other generation is a miss, rediscovered and
+///   replaced by [`remember`]. The cache lives and dies with the service,
+///   whose system is frozen while it serves, so every hit's ids resolve;
 /// * a stale **batch-local** memo — built moments ago within this very
 ///   batch — means the evidence genuinely no longer describes the lake,
 ///   and propagates as [`PipelineError::StaleEvidence`].
+///
+/// The shared cache is filled after the request is judged ([`remember`]),
+/// not here.
 fn evidence_for<'a>(
     inner: &'a Inner,
     object: &DataObject,
-    key: EvidenceKey,
-    local: &mut HashMap<EvidenceKey, CachedEvidence>,
+    key: &EvidenceKey,
+    local: &mut LocalEvidence,
     warm: &WarmEvidence<'a>,
     trace: &mut RequestTrace,
-) -> Result<DiscoveredEvidence<'a>, PipelineError> {
+) -> Result<Found<'a>, PipelineError> {
     let clock = &inner.obs.config().clock;
     // Discovery, possibly pre-paid: the batch prewarmer already ran this
     // query through the blocked multi-query sweep (provenance included), so
@@ -679,42 +695,35 @@ fn evidence_for<'a>(
         }
         None => inner.system.discover(object, trace),
     };
-    let ids = |evidence: &Views<'_>| evidence.iter().map(|(i, s)| (i.id(), *s)).collect();
     if let Some(cache) = &inner.cache {
         let lookup_start = clock.now();
-        let mut cache_note = "miss";
-        if let Some(cached) = cache.get(&key) {
-            match inner.system.view_evidence(&cached) {
-                Ok(evidence) => {
-                    meter::charge_cache_hit();
-                    trace.span(
-                        "cache",
-                        ns_between(lookup_start, clock.now()),
-                        0,
-                        evidence.len(),
-                        "hit",
-                    );
-                    let timing = StageTiming::for_cached(evidence.len());
-                    return Ok((evidence, timing));
-                }
-                // A stale shared-cache entry is rediscovered below.
-                Err(PipelineError::StaleEvidence { .. }) => cache_note = "stale",
-                Err(other) => return Err(other),
-            }
+        if let Some(cached) = cache.get(key, inner.system.lake().generation()) {
+            let evidence = inner.system.view_evidence(&cached.evidence)?;
+            meter::charge_cache_hit();
+            trace.span(
+                "cache",
+                ns_between(lookup_start, clock.now()),
+                0,
+                evidence.len(),
+                "hit",
+            );
+            let timing = StageTiming::for_cached(evidence.len());
+            return Ok(Found {
+                evidence,
+                timing,
+                cached: Some(cached),
+            });
         }
         meter::charge_cache_miss();
-        trace.span(
-            "cache",
-            ns_between(lookup_start, clock.now()),
-            0,
-            0,
-            cache_note,
-        );
-        let (discovered, timing) = discover(&key, trace);
-        cache.insert(key, ids(&discovered));
-        return Ok((discovered, timing));
+        trace.span("cache", ns_between(lookup_start, clock.now()), 0, 0, "miss");
+        let (evidence, timing) = discover(key, trace);
+        return Ok(Found {
+            evidence,
+            timing,
+            cached: None,
+        });
     }
-    if let Some(cached) = local.get(&key) {
+    if let Some(cached) = local.get(key) {
         let lookup_start = clock.now();
         return inner.system.view_evidence(cached).map(|evidence| {
             meter::charge_cache_hit();
@@ -726,20 +735,64 @@ fn evidence_for<'a>(
                 "local-hit",
             );
             let timing = StageTiming::for_cached(evidence.len());
-            (evidence, timing)
+            Found {
+                evidence,
+                timing,
+                cached: None,
+            }
         });
     }
     meter::charge_cache_miss();
-    let (discovered, timing) = discover(&key, trace);
-    local.insert(key, ids(&discovered));
-    Ok((discovered, timing))
+    let (evidence, timing) = discover(key, trace);
+    local.insert(key.clone(), ids(&evidence));
+    Ok(Found {
+        evidence,
+        timing,
+        cached: None,
+    })
+}
+
+/// The ids and scores of evidence views, as the caches keep them.
+fn ids(evidence: &Views<'_>) -> Vec<(InstanceId, f64)> {
+    evidence.iter().map(|(i, s)| (i.id(), *s)).collect()
+}
+
+/// Fill the shared cache from a request that judged (did not replay) its
+/// evidence: the evidence ids at the lake's generation, and — when the
+/// judgment completed — the object, moved in, with the verdicts of its
+/// report, which an equal object's next request replays. A complete
+/// judgment takes over an entry another object filled; one cut short by
+/// its deadline is stored without verdicts on a miss and leaves a hit's
+/// entry as it was.
+fn remember(
+    inner: &Inner,
+    key: EvidenceKey,
+    found: &Found<'_>,
+    object: DataObject,
+    report: &VerificationReport,
+) {
+    let Some(cache) = &inner.cache else {
+        return;
+    };
+    let complete = report.evidence.len() == found.evidence.len();
+    if !complete && found.cached.is_some() {
+        return;
+    }
+    cache.insert(
+        key,
+        CachedEvidence {
+            evidence: ids(&found.evidence),
+            generation: inner.system.lake().generation(),
+            judged: complete.then(|| (object, report.evidence.clone())),
+        },
+    );
 }
 
 fn process(
     inner: &Inner,
     request: Request,
     key: EvidenceKey,
-    local: &mut HashMap<EvidenceKey, CachedEvidence>,
+    local: &mut LocalEvidence,
     warm: &WarmEvidence<'_>,
 ) {
     let clock = &inner.obs.config().clock;
@@ -774,17 +827,29 @@ fn process(
             true,
         ))
     } else {
-        let discovered = evidence_for(inner, &request.object, key, local, warm, &mut trace);
-        discovered.map(|(evidence, timing)| {
+        let found = evidence_for(inner, &request.object, &key, local, warm, &mut trace);
+        found.map(|found| {
+            // A hit filled by an equal object replays that judgment.
+            let replay = found
+                .cached
+                .as_deref()
+                .and_then(|cached| cached.verdicts_for(&request.object));
             // The report carries the queue wait beside the discovery-side
             // timing, the same value the `queue` span recorded.
             let report = inner.system.judge(
                 &request.object,
-                &evidence,
-                StageTiming { queue_ns, ..timing },
+                &found.evidence,
+                replay,
+                StageTiming {
+                    queue_ns,
+                    ..found.timing
+                },
                 request.deadline,
                 &mut trace,
             );
+            if replay.is_none() {
+                remember(inner, key, &found, request.object, &report);
+            }
             // Deadline-partial reports carry `Unknown` at zero confidence.
             let partial = request.deadline.is_some()
                 && report.decision == Verdict::Unknown

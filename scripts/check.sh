@@ -28,6 +28,18 @@ cargo test -q --release --test alloc_budget
 echo "==> observability budget, release (gating)"
 cargo test -q --release --test obs_budget
 
+# A cache hit replays the verdicts its object was judged with, for a tuple
+# and a claim: judged and replayed service reports equal verify_object's,
+# the replay appends the judged request's verify and decision lineage rows
+# and a `replayed` verify span, and another object under the same key is
+# judged afresh. Named, and it must report one passed test, so a renamed or
+# deleted test fails the gate instead of passing on zero tests.
+echo "==> cache hit replays its judgment (gating)"
+REPLAY_OUT="$(cargo test -q --release --test service \
+  a_cache_hit_replays_its_judgment -- --exact)"
+grep -q ' 1 passed' <<< "$REPLAY_OUT" \
+  || { echo "judgment replay test did not run"; exit 1; }
+
 # Golden fingerprints of every index's snapshot bytes and search hits: a
 # change that moves one changed behaviour or the wire format. Named, like
 # the step above, so the gate fails if the test target goes missing.

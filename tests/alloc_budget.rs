@@ -1,10 +1,11 @@
 //! What a request allocates and what it leaves behind, held to a budget.
 //!
 //! The cached path of the service — look cached evidence ids up in the lake,
-//! judge the views — constructs no `DataInstance` and renders no transcript,
-//! so what it allocates is the report it returns, the lineage records it
-//! flushes, and the explanations in both. The cold path adds retrieval and
-//! rerank. Both are counted here with a counting global allocator, per
+//! replay the verdicts the cache kept over the views — constructs no
+//! `DataInstance`, renders no transcript and calls no verifier, so what it
+//! allocates is the report it returns, the lineage records it flushes, and
+//! the explanations in both. The cold path adds retrieval, rerank and the
+//! verifier calls. Both are counted here with a counting global allocator, per
 //! request, so a change that starts copying evidence again (or formatting
 //! text nobody reads) fails a test instead of shaving a benchmark.
 //!
@@ -14,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use verifai::{DataObject, RequestTrace, StageTiming, VerifAi, VerifAiConfig};
+use verifai::{DataObject, EvidenceVerdict, RequestTrace, StageTiming, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_lake::InstanceId;
@@ -95,14 +96,30 @@ fn claim_objects(sys: &VerifAi) -> Vec<DataObject> {
     claims.iter().map(|claim| sys.claim_object(claim)).collect()
 }
 
-/// The ids and scores a cache would hold for `object`.
-fn cached_ids(sys: &VerifAi, object: &DataObject) -> Vec<(InstanceId, f64)> {
-    let (evidence, _) = sys.discover(object, &mut RequestTrace::disabled());
-    evidence.iter().map(|(view, s)| (view.id(), *s)).collect()
+/// What the service's evidence cache holds for `object` once its first
+/// request is served: the evidence ids and scores, and the verdicts the
+/// judgment over them produced.
+struct Cached {
+    ids: Vec<(InstanceId, f64)>,
+    verdicts: Vec<EvidenceVerdict>,
 }
 
-/// What the service does for a cache hit: view the cached ids, judge them.
-fn serve_cached(sys: &VerifAi, object: &DataObject, cached: &[(InstanceId, f64)]) {
+fn cached_entry(sys: &VerifAi, object: &DataObject) -> Cached {
+    let report = sys.verify_object(object);
+    let ids = report
+        .evidence
+        .iter()
+        .map(|v| (v.instance, v.score))
+        .collect();
+    Cached {
+        ids,
+        verdicts: report.evidence,
+    }
+}
+
+/// What the service does for a cache hit: view the cached ids, replay the
+/// cached verdicts over them.
+fn serve_cached(sys: &VerifAi, object: &DataObject, cached: &Cached) {
     serve_cached_traced(sys, object, cached, &mut RequestTrace::disabled());
 }
 
@@ -111,13 +128,20 @@ fn serve_cached(sys: &VerifAi, object: &DataObject, cached: &[(InstanceId, f64)]
 fn serve_cached_traced(
     sys: &VerifAi,
     object: &DataObject,
-    cached: &[(InstanceId, f64)],
+    cached: &Cached,
     trace: &mut RequestTrace,
 ) {
-    let evidence = sys.view_evidence(cached).expect("fresh ids resolve");
+    let evidence = sys.view_evidence(&cached.ids).expect("fresh ids resolve");
     let timing = StageTiming::for_cached(evidence.len());
-    let report = sys.judge(object, &evidence, timing, None, trace);
-    assert_eq!(report.evidence.len(), cached.len());
+    let report = sys.judge(
+        object,
+        &evidence,
+        Some(&cached.verdicts),
+        timing,
+        None,
+        trace,
+    );
+    assert_eq!(report.evidence, cached.verdicts);
 }
 
 /// Mean allocator calls per request of (the cached path, cold
@@ -127,8 +151,12 @@ fn mean_allocations(sys: &VerifAi, objects: &[DataObject]) -> (f64, f64) {
     assert_eq!(objects.len(), OBJECTS);
     let (mut cached_total, mut cold_total) = (0, 0);
     for object in objects {
-        let cached = cached_ids(sys, object);
-        assert!(!cached.is_empty(), "object {} has evidence", object.id());
+        let cached = cached_entry(sys, object);
+        assert!(
+            !cached.ids.is_empty(),
+            "object {} has evidence",
+            object.id()
+        );
         serve_cached(sys, object, &cached);
         cached_total += allocations_in(|| serve_cached(sys, object, &cached)).1;
         cold_total += allocations_in(|| sys.verify_object(object)).1;
@@ -142,10 +170,10 @@ fn tuple_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &tuple_objects(&sys));
     println!("tuple request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 22 and 205 measured here (207 in debug); 20 and 209 at
-    // `LakeSpec::small`. The cold budget is the larger count plus 25 %.
+    // 20 and 205 measured here (207 in debug); 20 and 209 at
+    // `LakeSpec::small`. Each budget is the larger count plus 25 %.
     assert!(
-        cached <= 50.0,
+        cached <= 25.0,
         "cached tuple request: {cached:.1} allocations"
     );
     assert!(cold <= 260.0, "cold tuple request: {cold:.1} allocations");
@@ -156,10 +184,10 @@ fn claim_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &claim_objects(&sys));
     println!("claim request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 28 and 101 measured here (103 in debug); 31 and 108 at
-    // `LakeSpec::small`. The cold budget is the larger count plus 25 %.
+    // 18 and 101 measured here (103 in debug); 18 and 108 at
+    // `LakeSpec::small`. Each budget is the larger count plus 25 %.
     assert!(
-        cached <= 66.0,
+        cached <= 23.0,
         "cached claim request: {cached:.1} allocations"
     );
     assert!(cold <= 135.0, "cold claim request: {cold:.1} allocations");
@@ -171,7 +199,7 @@ fn claim_requests_allocate_within_budget() {
 fn lineage_per_cached_request(traced: bool) {
     let sys = system();
     for object in [&tuple_objects(&sys)[0], &claim_objects(&sys)[0]] {
-        let cached = cached_ids(&sys, object);
+        let cached = cached_entry(&sys, object);
         let trace = |i: u64| {
             if traced {
                 RequestTrace::new(1 + i, object.id())

@@ -433,7 +433,14 @@ fn prepared_evidence_follows_the_live_lake() {
             );
             let (views, timing) = live.discover(object, &mut RequestTrace::disabled());
             judged_updated_doc |= views.iter().any(|(v, _)| v.id() == InstanceId::Text(9_500));
-            let in_place = live.judge(object, &views, timing, None, &mut RequestTrace::disabled());
+            let in_place = live.judge(
+                object,
+                &views,
+                None,
+                timing,
+                None,
+                &mut RequestTrace::disabled(),
+            );
             let copies = views.iter().map(|&(v, s)| (rebuilt(v), s)).collect();
             assert_eq!(
                 live.verify_with_evidence(object, copies),

@@ -147,8 +147,10 @@ fn default_observability_adds_exactly_its_budget_to_a_cached_request() {
     let on = cached_request_cost(&object, ObsConfig::default());
     println!("cached request, obs off: {off:?}");
     println!("cached request, obs on:  {on:?}");
-    // Measured: 7 clock reads under either config; 43 allocations off and
-    // 46 on.
+    // Measured: 7 clock reads under either config; 41 allocations off and
+    // 43 on. The two are the trace's span list and the trace-id stamp on
+    // the decision's lineage note; every span note on a cached request
+    // (`hit`, `replayed`) is static and allocates nothing.
     assert_eq!(
         on.clock_reads - off.clock_reads,
         0,
@@ -156,7 +158,7 @@ fn default_observability_adds_exactly_its_budget_to_a_cached_request() {
     );
     assert_eq!(
         on.allocations - off.allocations,
-        3,
+        2,
         "allocations the default config adds per cached request"
     );
 }

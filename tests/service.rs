@@ -5,10 +5,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use verifai::{DataObject, ObsConfig, Verdict, VerifAi, VerifAiConfig};
+use verifai::{DataObject, ObsConfig, Verdict, VerifAi, VerifAiConfig, VerificationReport};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_service::{RequestOutcome, ServiceConfig, Ticket, VerificationService};
+use verifai_verify::Stage;
 
 fn system(seed: u64) -> Arc<VerifAi> {
     Arc::new(VerifAi::build(
@@ -176,6 +177,95 @@ fn cache_does_not_change_reports() {
     );
     assert_eq!(cold_stats.cache.hits, 0);
     assert_eq!(cached, cold, "cache changed verification results");
+}
+
+/// Serve one object through `service` and wait for its report.
+fn serve(service: &VerificationService, object: &DataObject) -> VerificationReport {
+    match service.submit(object.clone()).expect("admitted").wait() {
+        RequestOutcome::Completed(report) => report,
+        other => panic!("expected completion, got {other:?}"),
+    }
+}
+
+/// The `verify` span note of the trace `report` was served under.
+fn verify_note(service: &VerificationService, report: &VerificationReport) -> String {
+    let trace = service
+        .obs()
+        .recorder()
+        .lookup(report.trace_id)
+        .unwrap_or_else(|| panic!("trace {} not retained", report.trace_id));
+    let verify = trace.span_for("verify").expect("verify span");
+    verify.note.to_string()
+}
+
+/// A cache hit replays the judgment the evidence cache kept. For a tuple
+/// and a claim object: the first (judged) and second (replayed) service
+/// reports both equal `verify_object`'s; the replay appends exactly the
+/// lineage rows the judged request's verify and decision stages appended;
+/// the replayed `verify` span says `replayed`. An object under the same
+/// key with another id is judged, not replayed, gets its own
+/// `verify_object` report, and takes the entry over.
+#[test]
+fn a_cache_hit_replays_its_judgment() {
+    let sys = system(18);
+    let objects = mixed_objects(&sys, 1, 18);
+    assert!(matches!(objects[0], DataObject::ImputedCell(_)));
+    assert!(matches!(objects[1], DataObject::TextClaim(_)));
+    let one_worker = || ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    for object in &objects {
+        let want = sys.verify_object(object);
+        let mut other = object.clone();
+        match &mut other {
+            DataObject::ImputedCell(cell) => cell.id += 1000,
+            DataObject::TextClaim(claim) => claim.id += 1000,
+        }
+        let want_other = sys.verify_object(&other);
+
+        // Lineage, untraced: decision notes carry no trace stamp, so the
+        // judged and the replayed rows compare whole.
+        let service =
+            VerificationService::with_obs(Arc::clone(&sys), one_worker(), ObsConfig::off());
+        let rows = || sys.provenance().for_object(object.id());
+        let before = rows().len();
+        assert_eq!(serve(&service, object), want, "judged report");
+        let between = rows().len();
+        assert_eq!(serve(&service, object), want, "replayed report");
+        let rows = rows();
+        let judged: Vec<_> = rows[before..between]
+            .iter()
+            .filter(|r| matches!(r.stage, Stage::Verify { .. } | Stage::Decision))
+            .cloned()
+            .collect();
+        assert_eq!(judged.len(), want.evidence.len() + 1);
+        assert_eq!(&rows[between..], &judged[..], "replayed lineage rows");
+        let stats = service.shutdown();
+        assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1));
+
+        // Spans, traced.
+        let service = VerificationService::new(Arc::clone(&sys), one_worker());
+        let judged = serve(&service, object);
+        assert_eq!(verify_note(&service, &judged), "");
+        let replayed = serve(&service, object);
+        assert_eq!(replayed, want);
+        assert_eq!(verify_note(&service, &replayed), "replayed");
+        // Same key, another id: a hit, judged afresh...
+        let report = serve(&service, &other);
+        assert_eq!(report, want_other);
+        assert_eq!(verify_note(&service, &report), "");
+        // ...whose judgment now owns the entry: the first object is judged
+        // again, then replays once more.
+        let again = serve(&service, object);
+        assert_eq!(again, want);
+        assert_eq!(verify_note(&service, &again), "");
+        let replayed = serve(&service, object);
+        assert_eq!(replayed, want);
+        assert_eq!(verify_note(&service, &replayed), "replayed");
+        let stats = service.shutdown();
+        assert_eq!((stats.cache.misses, stats.cache.hits), (1, 4));
+    }
 }
 
 /// Tentpole acceptance: a completed request's full span trace — all three
