@@ -129,13 +129,85 @@ const HAS_NOTE: u8 = 0b1000_0000;
 /// the next one in [`ProvenanceLog::traces`].
 const TRACED: usize = 1;
 
+/// A column of integers appended and read back in order, each stored as
+/// the zigzag LEB128 varint of its difference from the one before, so a
+/// value near its predecessor costs a byte or two instead of eight. The
+/// log's per-request columns are such sequences: a repeated request's
+/// decision batch is stored right after its verify batch, and a service
+/// hands out trace ids in admission order.
+#[derive(Debug, Clone, Default)]
+struct DeltaColumn {
+    bytes: Vec<u8>,
+    last: u64,
+    len: usize,
+}
+
+impl DeltaColumn {
+    fn push(&mut self, value: u64) {
+        let delta = value.wrapping_sub(self.last) as i64;
+        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        while zigzag >= 0x80 {
+            self.bytes.push(zigzag as u8 | 0x80);
+            zigzag >>= 7;
+        }
+        self.bytes.push(zigzag as u8);
+        self.last = value;
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    fn iter(&self) -> DeltaIter<'_> {
+        DeltaIter {
+            bytes: &self.bytes,
+            at: 0,
+            last: 0,
+        }
+    }
+}
+
+/// The values of a [`DeltaColumn`], in order.
+struct DeltaIter<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    last: u64,
+}
+
+impl Iterator for DeltaIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let mut zigzag = 0u64;
+        let mut shift = 0;
+        loop {
+            let byte = *self.bytes.get(self.at)?;
+            self.at += 1;
+            zigzag |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        self.last = self.last.wrapping_add(delta as u64);
+        Some(self.last)
+    }
+}
+
 /// What [`stamp_trace`] appends, up to the id.
 const TRACE_OPEN: &str = " [trace ";
 
 /// Append to a lineage note the stamp that joins its row to the request's
 /// flight-recorder trace: `" [trace {id}]"`. The log keeps a stamped note's
 /// id as a number and its text once, so stamping every request's decision
-/// costs eight bytes a row, not a distinct note each.
+/// costs a delta-coded id a row (a byte when ids arrive in order), not a
+/// distinct note each.
 pub fn stamp_trace(note: &mut String, trace_id: u64) {
     use std::fmt::Write as _;
     let _ = write!(note, "{TRACE_OPEN}{trace_id}]");
@@ -175,7 +247,8 @@ struct BatchEnd {
 ///
 /// Records arrive in batches — one stage's flush for one object
 /// ([`ProvenanceLog::add_all`]) — and a batch equal to one the log already
-/// holds is stored as a four-byte reference to it: a request served from
+/// holds is stored as a reference to it, delta-coded in a byte or two
+/// ([`DeltaColumn`]): a request served from
 /// cache repeats the verify and decision rows of the last request for the
 /// same object, row for row. What would keep two such batches apart, the
 /// trace stamp on a traced decision's note, is kept beside the rows as a
@@ -218,9 +291,9 @@ pub struct ProvenanceLog {
     /// Batch hash → the first stored batch with that hash.
     batch_index: HashMap<u64, u32>,
     /// The log in append order: per batch, the stored batch it is.
-    order: Vec<u32>,
+    order: DeltaColumn,
     /// The ids of stamped notes, in log order.
-    traces: Vec<u64>,
+    traces: DeltaColumn,
     /// Rows in the log, a reference counting as many as its batch holds.
     len: usize,
 }
@@ -292,8 +365,8 @@ impl ProvenanceLog {
                 .sum::<usize>()
             + self.batch_ends.len() * size_of::<BatchEnd>()
             + self.batch_index.len() * (size_of::<(u64, u32)>() + 1)
-            + self.order.len() * size_of::<u32>()
-            + self.traces.len() * size_of::<u64>()
+            + self.order.heap_bytes()
+            + self.traces.heap_bytes()
     }
 
     /// Append a record, as a batch of its own.
@@ -323,14 +396,14 @@ impl ProvenanceLog {
                 self.score.truncate(mark.rows);
                 self.flags.truncate(mark.rows);
                 self.notes.truncate(mark.notes);
-                self.order.push(held);
+                self.order.push(u64::from(held));
                 return;
             }
         }
         let stored = u32::try_from(self.batch_ends.len()).expect("fewer than 2^32 stored batches");
         self.batch_ends.push(self.end());
         self.batch_index.entry(hash).or_insert(stored);
-        self.order.push(stored);
+        self.order.push(u64::from(stored));
     }
 
     /// Where the columns end now.
@@ -475,16 +548,17 @@ impl ProvenanceLog {
     /// Rebuild, in log order, the records of every run `keep` accepts,
     /// appending them to `out`.
     fn decode(&self, keep: impl Fn(&Run) -> bool, out: &mut Vec<ProvenanceRecord>) {
-        let mut next_trace = 0;
-        for &batch in &self.order {
+        let mut traces = self.traces.iter();
+        for batch in self.order.iter() {
             let (start, end) = self.span(batch as usize);
             let (mut row, mut note) = (start.rows, start.notes);
             for run in &self.runs[start.runs..end.runs] {
                 let notes = &self.notes[note..note + run.noted as usize];
                 if keep(run) {
-                    self.decode_run(run, row, notes, &mut next_trace, out);
+                    self.decode_run(run, row, notes, &mut traces, out);
                 } else {
-                    next_trace += notes.iter().filter(|&&n| n & TRACED != 0).count();
+                    let stamped = notes.iter().filter(|&&n| n & TRACED != 0).count();
+                    traces.by_ref().take(stamped).for_each(drop);
                 }
                 row += run.rows as usize;
                 note += run.noted as usize;
@@ -494,13 +568,13 @@ impl ProvenanceLog {
 
     /// Rebuild the records of `run`, whose rows start at `first_row` and
     /// whose note entries are `notes`, appending them to `out`; stamped
-    /// notes take their ids from `traces` starting at `next_trace`.
+    /// notes take their ids from `traces`, in order.
     fn decode_run(
         &self,
         run: &Run,
         first_row: usize,
         notes: &[usize],
-        next_trace: &mut usize,
+        traces: &mut DeltaIter<'_>,
         out: &mut Vec<ProvenanceRecord>,
     ) {
         let label = |l: u32| Arc::clone(&self.labels[l as usize]);
@@ -543,8 +617,8 @@ impl ProvenanceLog {
                     let entry = *notes.next().expect("a row flagged HAS_NOTE has a note");
                     let mut note = self.note(entry >> 1).to_string();
                     if entry & TRACED != 0 {
-                        stamp_trace(&mut note, self.traces[*next_trace]);
-                        *next_trace += 1;
+                        let id = traces.next().expect("a stamped note has a trace id");
+                        stamp_trace(&mut note, id);
                     }
                     note
                 } else {
@@ -939,9 +1013,10 @@ mod tests {
             request(&mut log);
         }
         let per_request = (log.heap_bytes() - first) / 1000;
-        // Seven one-record batches, each a four-byte reference.
+        // Seven one-record batches, each a reference one byte from the
+        // last.
         assert!(
-            per_request <= 40,
+            per_request <= 8,
             "a repeated request grew the log by {per_request} B"
         );
         assert_eq!(log.len(), 7 * 1001);
@@ -1297,5 +1372,31 @@ mod model_tests {
             log.for_object(1)[3].note,
             "over 1 evidence verdicts [trace 42]"
         );
+    }
+
+    /// Every value comes back, in order, whatever the gaps between them:
+    /// the delta wraps and its zigzag varint spans one to ten bytes.
+    #[test]
+    fn delta_column_round_trips() {
+        let mut values = vec![0, 1, 0, u64::MAX, 0, u64::MAX - 1, 1 << 63, 300, 299, 7];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(x >> (x % 64));
+        }
+        let mut column = DeltaColumn::default();
+        for &v in &values {
+            column.push(v);
+        }
+        assert_eq!(column.len(), values.len());
+        assert_eq!(column.iter().collect::<Vec<_>>(), values);
+        // Neighbouring values take one byte each.
+        let mut near = DeltaColumn::default();
+        for v in [5, 6, 4, 5, 5, 68] {
+            near.push(v);
+        }
+        assert_eq!(near.heap_bytes(), 6);
     }
 }

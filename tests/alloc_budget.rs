@@ -219,10 +219,10 @@ fn lineage_per_cached_request(traced: bool) {
             if traced { "traced" } else { "untraced" }
         );
         // A repeated request appends two batch references (verify and
-        // decision), four bytes each, and a traced one its trace id.
-        // 8 (untraced) and 16 (traced) measured.
+        // decision) and a traced one its trace id, each delta-coded
+        // against the one before: 2 (untraced) and 3 (traced) measured.
         assert!(
-            per_request <= 40,
+            per_request <= 8,
             "a repeated cached request left {per_request} B of lineage"
         );
     }
