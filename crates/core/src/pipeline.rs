@@ -51,8 +51,9 @@ pub struct EvidenceVerdict {
     pub score: f64,
     /// The verifier's verdict.
     pub verdict: Verdict,
-    /// The verifier's explanation.
-    pub explanation: String,
+    /// The verifier's explanation, shared with the pair's `Verify` lineage
+    /// row (and, for a replayed judgment, with the cached verdict).
+    pub explanation: Arc<str>,
     /// Which verifier judged the pair.
     pub verifier: &'static str,
 }
@@ -787,7 +788,7 @@ impl VerifAi {
             instance: None,
             score: Some(confidence),
             verdict: Some(decision),
-            note,
+            note: note.into(),
         });
         recorder.flush_stage();
         VerificationReport {

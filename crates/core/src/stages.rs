@@ -38,7 +38,7 @@ use verifai_obs::SpanContext;
 use verifai_obs::{ns_between, Clock, RequestTrace, SystemClock};
 use verifai_rerank::{Candidate, Reranker};
 use verifai_verify::{
-    Agent, ProvenanceRecord, Stage, StageRecorder, VerdictObservation, VerifierOutput,
+    Agent, Note, ProvenanceRecord, Stage, StageRecorder, VerdictObservation, VerifierOutput,
 };
 
 /// Per-object instrumentation of one pipeline run: the one record of
@@ -317,6 +317,11 @@ pub struct StagedPipeline {
     /// monotonic system clock; tests inject a `MockClock` so the timings
     /// in reports are exact, assertable values.
     clock: Arc<dyn Clock>,
+    /// Lineage labels, built once: each source's `{source}-{kind}` by
+    /// modality slot, and the rerank stage's name. Every row a request
+    /// records holds a reference.
+    retrieval_labels: [Arc<str>; 4],
+    rerank_label: Arc<str>,
 }
 
 /// Scored evidence read where it lies in the lake: one modality's live
@@ -362,7 +367,17 @@ impl StagedPipeline {
         verifier: Box<dyn VerifyStage>,
         clock: Arc<dyn Clock>,
     ) -> StagedPipeline {
+        let kinds = [
+            InstanceKind::Tuple,
+            InstanceKind::Table,
+            InstanceKind::Text,
+            InstanceKind::Kg,
+        ];
+        let retrieval_labels =
+            kinds.map(|kind| format!("{}-{kind}", sources[slot(kind)].name()).into());
         StagedPipeline {
+            rerank_label: reranker.name().into(),
+            retrieval_labels,
             sources,
             reranker,
             verifier,
@@ -479,25 +494,20 @@ impl StagedPipeline {
         lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
     ) -> Views<'a> {
-        let index: Arc<str> = format!(
-            "{}-{}",
-            self.source(stage_plan.kind).name(),
-            stage_plan.kind
-        )
-        .into();
+        let index = &self.retrieval_labels[slot(stage_plan.kind)];
         let mut views = Vec::with_capacity(hits.len());
         for (rank, hit) in hits.iter().enumerate() {
             let note = match lake.view(hit.id) {
                 Ok(view) => {
                     views.push((view, hit.score));
-                    String::new()
+                    Note::default()
                 }
-                Err(error) => format!("unresolved evidence instance dropped: {error:?}"),
+                Err(error) => format!("unresolved evidence instance dropped: {error:?}").into(),
             };
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
                 stage: Stage::Retrieval {
-                    index: Arc::clone(&index),
+                    index: Arc::clone(index),
                     rank,
                 },
                 instance: Some(hit.id),
@@ -519,20 +529,19 @@ impl StagedPipeline {
         recorder: &mut StageRecorder<'_>,
     ) -> Views<'a> {
         let selected = self.reranker.select(object, views, stage_plan.final_k);
-        let reranker: Arc<str> = self.reranker.name().into();
         let mut ranked = Vec::with_capacity(selected.len());
         for (rank, (index, score)) in selected.into_iter().enumerate() {
             let view = views[index].0;
             recorder.record(ProvenanceRecord {
                 object_id: object.id(),
                 stage: Stage::Rerank {
-                    reranker: Arc::clone(&reranker),
+                    reranker: Arc::clone(&self.rerank_label),
                     rank,
                 },
                 instance: Some(view.id()),
                 score: Some(score),
                 verdict: None,
-                note: String::new(),
+                note: Note::default(),
             });
             ranked.push((view, score));
         }
@@ -579,16 +588,21 @@ impl StagedPipeline {
                 timed_out = true;
                 break;
             }
-            let (output, verifier) = match replay {
+            // The explanation is allocated once — by the verifier, or not at
+            // all on a replay — and shared by the verdict and its row.
+            let (verdict, explanation, verifier) = match replay {
                 Some(verdicts) => {
                     let judged = &verdicts[pair];
-                    let output = VerifierOutput {
-                        verdict: judged.verdict,
-                        explanation: judged.explanation.clone(),
-                    };
-                    (output, judged.verifier)
+                    (
+                        judged.verdict,
+                        Arc::clone(&judged.explanation),
+                        judged.verifier,
+                    )
                 }
-                None => self.verifier.verify(object, instance),
+                None => {
+                    let (output, verifier) = self.verifier.verify(object, instance);
+                    (output.verdict, output.explanation.into(), verifier)
+                }
             };
             let shared = match label.take() {
                 Some((name, shared)) if name == verifier => shared,
@@ -600,20 +614,20 @@ impl StagedPipeline {
                 stage: Stage::Verify { verifier: shared },
                 instance: Some(instance.id()),
                 score: Some(score),
-                verdict: Some(output.verdict),
-                note: output.explanation.clone(),
+                verdict: Some(verdict),
+                note: Note::Shared(Arc::clone(&explanation)),
             });
             observations.push(VerdictObservation {
                 object_id: object.id(),
                 source: instance.source(),
-                verdict: output.verdict,
+                verdict,
             });
             verdicts.push(EvidenceVerdict {
                 instance: instance.id(),
                 source: instance.source(),
                 score,
-                verdict: output.verdict,
-                explanation: output.explanation,
+                verdict,
+                explanation,
                 verifier,
             });
         }

@@ -12,6 +12,10 @@
 //!   autovectorizer on x86_64: LLVM's SLP pass takes its lane layout from
 //!   the pairwise reduction tree and re-shuffles every chunk to keep it —
 //!   a dozen shuffles around four multiplies (DESIGN.md §21).
+//! * [`dot_many`] is [`dot`] of several queries against one row, four
+//!   queries sharing each load of the row ([`dot_many_sse2`], twin
+//!   [`dot_many_portable`]): ColBERT's MaxSim columns. Every output has the
+//!   bits [`dot`] gives that pair.
 //! * [`dot_scalar`] is the strict-order reference the property tests
 //!   compare against. What the kernels cost inside a request is measured
 //!   by `benchmark/run.sh` (`index.vector_us`, `rerank.*_us`).
@@ -92,6 +96,137 @@ pub fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
         }
     }
     reduce(lanes, ca.remainder(), cb.remainder())
+}
+
+/// Several dots against one row: `out[q]` is [`dot`] of query `q` — the
+/// `q`-th run of `row.len()` floats of the row-major block `queries` — and
+/// `row`, bit for bit: [`dot_many_sse2`] on x86_64, [`dot_many_portable`]
+/// elsewhere. This is how one evidence token's column of similarities
+/// against every query token is computed in one pass over its row.
+///
+/// Panics unless `queries` holds exactly `out.len()` rows of `row.len()`.
+#[inline]
+pub fn dot_many(queries: &[f32], row: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        dot_many_sse2(queries, row, out)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        dot_many_portable(queries, row, out)
+    }
+}
+
+/// SSE2 [`dot_many`]: four queries at a time share each 8-float chunk of
+/// `row`, loaded once, in eight `__m128` accumulators — query `k`'s lanes
+/// 0–3 and 4–7, each step a `_mm_mul_ps` then an `_mm_add_ps` exactly as in
+/// [`dot_sse2`]. The four queries' lanes are then reduced side by side: a
+/// 4×4 transpose puts lane `i` of every query in one register, so
+/// [`reduce`]'s expression — ((0+1)+(2+3))+((4+5)+(6+7)), then plus the
+/// tail — runs once for all four, each output taking exactly the additions
+/// [`dot`] makes, in the same order. Queries past the last block of four
+/// take [`dot_sse2`] itself.
+#[cfg(target_arch = "x86_64")]
+pub fn dot_many_sse2(queries: &[f32], row: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let dim = row.len();
+    assert_eq!(
+        queries.len(),
+        out.len() * dim,
+        "queries are not out.len() rows"
+    );
+    let chunks = dim / 8;
+    let done = out.len() / 4 * 4;
+    let mut blocks = out.chunks_exact_mut(4);
+    for (block, out) in (&mut blocks).enumerate() {
+        let block_queries = &queries[block * 4 * dim..(block + 1) * 4 * dim];
+        // Each query's tail, summed as `reduce` sums it.
+        let tails: [f32; 4] = std::array::from_fn(|k| {
+            let query = &block_queries[k * dim..(k + 1) * dim];
+            let mut tail = 0.0f32;
+            for (xa, xb) in query[chunks * 8..].iter().zip(&row[chunks * 8..]) {
+                tail += xa * xb;
+            }
+            tail
+        });
+        // SAFETY: `loadu` / `storeu` have no alignment requirement. Every
+        // 4-float read of `pr` at `at` or `at + 4` for `at = i * 8`,
+        // `i < chunks`, ends at or before `chunks * 8 <= dim`, inside `row`;
+        // every read of `pq` at `k * dim + at` (+ 4) for `k < 4` ends at or
+        // before `k * dim + chunks * 8 <= 4 * dim`, inside `block_queries`.
+        // The read of `tails` and the store to `out` cover exactly their
+        // four floats (`out` is a chunk of exactly four).
+        unsafe {
+            let pr = row.as_ptr();
+            let pq = block_queries.as_ptr();
+            let mut lo = [_mm_setzero_ps(); 4];
+            let mut hi = [_mm_setzero_ps(); 4];
+            for i in 0..chunks {
+                let at = i * 8;
+                let rl = _mm_loadu_ps(pr.add(at));
+                let rh = _mm_loadu_ps(pr.add(at + 4));
+                for k in 0..4 {
+                    let q = pq.add(k * dim + at);
+                    lo[k] = _mm_add_ps(lo[k], _mm_mul_ps(_mm_loadu_ps(q), rl));
+                    hi[k] = _mm_add_ps(hi[k], _mm_mul_ps(_mm_loadu_ps(q.add(4)), rh));
+                }
+            }
+            // Per query, ((l0 + l1) + (l2 + l3)) over four lanes, for four
+            // queries at once.
+            let pairwise = |r: [__m128; 4]| {
+                let (a, b) = (_mm_unpacklo_ps(r[0], r[1]), _mm_unpacklo_ps(r[2], r[3]));
+                let (c, d) = (_mm_unpackhi_ps(r[0], r[1]), _mm_unpackhi_ps(r[2], r[3]));
+                let (lane0, lane1) = (_mm_movelh_ps(a, b), _mm_movehl_ps(b, a));
+                let (lane2, lane3) = (_mm_movelh_ps(c, d), _mm_movehl_ps(d, c));
+                _mm_add_ps(_mm_add_ps(lane0, lane1), _mm_add_ps(lane2, lane3))
+            };
+            let head = _mm_add_ps(pairwise(lo), pairwise(hi));
+            let sums = _mm_add_ps(head, _mm_loadu_ps(tails.as_ptr()));
+            _mm_storeu_ps(out.as_mut_ptr(), sums);
+        }
+    }
+    for (q, slot) in blocks.into_remainder().iter_mut().enumerate() {
+        let query = &queries[(done + q) * dim..(done + q + 1) * dim];
+        *slot = dot_sse2(query, row);
+    }
+}
+
+/// Portable [`dot_many`]: [`dot_portable`] once per query — the path off
+/// x86_64 and the twin [`dot_many_sse2`] is tested against.
+pub fn dot_many_portable(queries: &[f32], row: &[f32], out: &mut [f32]) {
+    let dim = row.len();
+    assert_eq!(
+        queries.len(),
+        out.len() * dim,
+        "queries are not out.len() rows"
+    );
+    for (q, slot) in out.iter_mut().enumerate() {
+        *slot = dot_portable(&queries[q * dim..(q + 1) * dim], row);
+    }
+}
+
+/// Ask the cache for the lines of `data` ahead of a read that would
+/// otherwise miss — the next rows of a gather from a large slab, the next
+/// candidates' prepared records. A hint only: nothing is read, and results
+/// never depend on it. A no-op off x86_64.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let base = data.as_ptr().cast::<i8>();
+        for at in (0..std::mem::size_of_val(data)).step_by(LINE) {
+            // SAFETY: a prefetch is a hint that never faults and reads or
+            // writes nothing the program can observe; the address is inside
+            // `data` anyway.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(at)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = data;
+    }
 }
 
 /// Fixed pairwise reduction: ((0+1)+(2+3))+((4+5)+(6+7)), then the tail in
@@ -374,6 +509,63 @@ mod prop_tests {
                 (fast - slow).abs() <= tol,
                 "dim {}: chunked {} vs scalar {} (tol {})", dim, fast, slow, tol
             );
+        }
+
+        /// Every output of the multi-query kernel, SSE2 and portable, has
+        /// the bits of `dot` on its (query, row) pair: any dimension up to
+        /// 300 (every tail length, and none), zero to nine queries (whole
+        /// blocks of four, remainders, nothing), a row and queries cut at
+        /// arbitrary offsets of one buffer, so no load is aligned by luck,
+        /// and with `specials` set, one value in eight a signed zero, a
+        /// subnormal, a huge value or an infinity (any NaN equals any NaN,
+        /// as IEEE-754 leaves its payload open).
+        #[test]
+        fn multi_query_kernel_equals_dot_bit_for_bit(
+            dim in 0usize..301,
+            queries in 0usize..10,
+            offset in 0usize..8,
+            seed in 0u64..1_000,
+            specials in any::<bool>(),
+        ) {
+            const SPECIALS: [f32; 8] = [
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+                -f32::from_bits(1),
+                f32::MAX,
+                -1.0e30,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            let gen = |i: usize| {
+                let h = crate::hashing::splitmix64(seed ^ (i as u64) << 8);
+                if specials && h.is_multiple_of(8) {
+                    SPECIALS[(h >> 8) as usize % SPECIALS.len()]
+                } else {
+                    (crate::hashing::unit_float(h) * 2.0 - 1.0) as f32
+                }
+            };
+            let bits = |xs: &[f32]| -> Vec<u32> {
+                xs.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+            };
+            let buffer: Vec<f32> = (0..offset + (queries + 1) * dim).map(gen).collect();
+            let block = &buffer[offset..offset + queries * dim];
+            let row = &buffer[offset + queries * dim..];
+            let want: Vec<f32> = (0..queries)
+                .map(|q| dot(&block[q * dim..(q + 1) * dim], row))
+                .collect();
+            let mut out = vec![0.5; queries];
+            dot_many(block, row, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want));
+            let mut out = vec![0.5; queries];
+            dot_many_portable(block, row, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want));
+            #[cfg(target_arch = "x86_64")]
+            {
+                let mut out = vec![0.5; queries];
+                dot_many_sse2(block, row, &mut out);
+                prop_assert_eq!(bits(&out), bits(&want));
+            }
         }
 
         /// The tail path alone (dims 1..8) is exactly the scalar sum.

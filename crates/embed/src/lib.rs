@@ -27,6 +27,6 @@ pub mod vocab;
 pub use quant::QuantizedVector;
 pub use text_embed::{TextEmbedder, TextEmbedderConfig};
 pub use token_embed::TokenEmbedder;
-pub use tuple_embed::{TupleEmbedder, TupleFeatures};
+pub use tuple_embed::TupleEmbedder;
 pub use vector::{NormedVector, Vector};
 pub use vocab::{TokenVocab, VocabRows};

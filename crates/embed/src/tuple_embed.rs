@@ -13,7 +13,7 @@ use verifai_lake::TupleRef;
 use verifai_text::Analyzer;
 
 /// The three feature kinds of a tuple embedding. A feature's weight depends
-/// on its kind alone, so a stored feature is a hash and one of these.
+/// on its kind alone.
 #[derive(Debug, Clone, Copy)]
 enum FeatureKind {
     /// Header-qualified value term (`incumbent=otis`): binds value to attribute.
@@ -27,63 +27,28 @@ enum FeatureKind {
 /// Accumulation weight of each [`FeatureKind`], by discriminant.
 const WEIGHTS: [f32; 3] = [1.0, 0.6, 0.4];
 
-/// The hashed features of one tuple (or text), in accumulation order: what
-/// is left of the strings once analysis and hashing are done. Each feature is
-/// nine bytes — its seeded FNV-1a base hash and its kind — and replaying them
-/// through [`TupleEmbedder::embed_features`] performs exactly the float
-/// additions [`TupleEmbedder::embed`] would, on the same coordinates in the
-/// same order. Only meaningful to an embedder with the seed that hashed them.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TupleFeatures {
-    /// `RECORD`-byte records: little-endian base hash, then the kind.
-    records: Box<[u8]>,
-}
-
-impl TupleFeatures {
-    const RECORD: usize = 9;
-
-    /// Number of features.
-    pub fn len(&self) -> usize {
-        self.records.len() / Self::RECORD
-    }
-
-    /// True when the tuple had no non-null cell (or the text no term).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Heap bytes held.
-    pub fn heap_bytes(&self) -> usize {
-        self.records.len()
-    }
-
-    /// (base hash, weight) of every feature, in accumulation order.
-    fn iter(&self) -> impl Iterator<Item = (u64, f32)> + '_ {
-        self.records.chunks_exact(Self::RECORD).map(|record| {
-            let base: [u8; 8] = record[..8].try_into().expect("eight hash bytes");
-            (u64::from_le_bytes(base), WEIGHTS[record[8] as usize])
-        })
-    }
-}
+/// Probes per feature: four keep the variance of spurious (collision)
+/// similarity low even for tuples with only a handful of features.
+const PROBES: usize = 4;
 
 /// Tuple-to-vector encoder.
 #[derive(Debug, Clone)]
 pub struct TupleEmbedder {
     dim: usize,
     seed: u64,
-    probes: u32,
     analyzer: Analyzer,
 }
 
 impl TupleEmbedder {
-    /// Encoder with the given dimension and seed.
+    /// Encoder with the given dimension (1 to 65 536) and seed.
     pub fn new(dim: usize, seed: u64) -> TupleEmbedder {
-        // Four probes per feature keep the variance of spurious (collision)
-        // similarity low even for tuples with only a handful of features.
+        assert!(
+            (1..=1 << 16).contains(&dim),
+            "tuple embedding dimension {dim} outside 1..=65536"
+        );
         TupleEmbedder {
             dim,
             seed,
-            probes: 4,
             analyzer: Analyzer::standard(),
         }
     }
@@ -93,17 +58,40 @@ impl TupleEmbedder {
         self.dim
     }
 
+    /// Bytes a probe's coordinate takes in a feature record.
+    fn coordinate_bytes(&self) -> usize {
+        if self.dim <= 1 << 8 {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Bytes of one feature record: 5 up to dimension 256, 9 above.
+    pub fn record_len(&self) -> usize {
+        1 + PROBES * self.coordinate_bytes()
+    }
+
     /// Embed a tuple. Null cells contribute nothing.
     pub fn embed<'a>(&self, tuple: impl Into<TupleRef<'a>>) -> Vector {
-        self.embed_features(&self.features(tuple))
+        let mut records = Vec::new();
+        self.append_features(tuple, &mut records);
+        let mut v = Vector::zeros(self.dim);
+        self.replay_into(&records, &mut v);
+        v
     }
 
     /// The string half of [`TupleEmbedder::embed`] — analysis and hashing —
-    /// which is what an embed is metered for.
-    pub fn features<'a>(&self, tuple: impl Into<TupleRef<'a>>) -> TupleFeatures {
+    /// which is what an embed is metered for: the tuple's features, in
+    /// accumulation order, appended to `out` as records of
+    /// [`TupleEmbedder::record_len`] bytes. A record is a code byte holding
+    /// the feature's kind (bits 0–1) and its probes' signs (bit `2 + p` set
+    /// for a `+`), then each probe's coordinate, little-endian, in one byte
+    /// up to dimension 256 and two up to 65 536. Only meaningful to an
+    /// embedder with this seed and dimension.
+    pub fn append_features<'a>(&self, tuple: impl Into<TupleRef<'a>>, out: &mut Vec<u8>) {
         verifai_obs::meter::charge_embed();
         let tuple = tuple.into();
-        let mut records = Vec::new();
         // `col:{header key}={value term}`: the header feature is a prefix of
         // it, and each qualified feature the part after `col:`. The header
         // key is the column name's terms joined with `_`.
@@ -128,40 +116,25 @@ impl TupleEmbedder {
             self.analyzer.for_each_term(&value, |term| {
                 feature.truncate(header_end + 1);
                 feature.push_str(term);
-                self.push(
-                    &mut records,
-                    &feature["col:".len()..],
-                    FeatureKind::Qualified,
-                );
-                self.push(&mut records, term, FeatureKind::Bare);
+                self.push(out, &feature["col:".len()..], FeatureKind::Qualified);
+                self.push(out, term, FeatureKind::Bare);
             });
-            self.push(&mut records, &feature[..header_end], FeatureKind::Header);
-        }
-        TupleFeatures {
-            records: records.into_boxed_slice(),
+            self.push(out, &feature[..header_end], FeatureKind::Header);
         }
     }
 
-    /// The arithmetic half of [`TupleEmbedder::embed`]: the unit vector of
-    /// `features`.
-    pub fn embed_features(&self, features: &TupleFeatures) -> Vector {
-        let mut v = Vector::zeros(self.dim);
-        self.embed_features_into(features, &mut v);
-        v
-    }
-
-    /// [`TupleEmbedder::embed_features`] into a caller-owned vector of this
-    /// embedder's dimension, overwriting it — one scratch vector serves
-    /// every candidate of a request.
-    pub fn embed_features_into(&self, features: &TupleFeatures, out: &mut Vector) {
+    /// The arithmetic half of [`TupleEmbedder::embed`]: replay feature
+    /// records into `out` (this embedder's dimension), overwriting it — a
+    /// scatter of the same float additions, on the same coordinates in the
+    /// same order, with no hashing left to do, then the normalization. One
+    /// scratch vector serves every candidate of a request.
+    pub fn replay_into(&self, records: &[u8], out: &mut Vector) {
         debug_assert_eq!(out.dim(), self.dim);
         let slots = out.as_mut_slice();
         slots.fill(0.0);
-        for (base, weight) in features.iter() {
-            for p in 0..self.probes {
-                let (idx, sign) = coord_and_sign(probe_hash(base, p), self.dim);
-                slots[idx] += sign * weight;
-            }
+        match self.coordinate_bytes() {
+            1 => scatter::<1>(records, slots),
+            _ => scatter::<2>(records, slots),
         }
         out.normalize();
     }
@@ -175,14 +148,46 @@ impl TupleEmbedder {
         self.analyzer.for_each_term(text, |term| {
             self.push(&mut records, term, FeatureKind::Qualified);
         });
-        self.embed_features(&TupleFeatures {
-            records: records.into_boxed_slice(),
-        })
+        let mut v = Vector::zeros(self.dim);
+        self.replay_into(&records, &mut v);
+        v
     }
 
+    /// Hash `feature` once and append its record: the kind and the probes'
+    /// signs, then their coordinates.
     fn push(&self, records: &mut Vec<u8>, feature: &str, kind: FeatureKind) {
-        records.extend_from_slice(&fnv1a(feature.as_bytes(), self.seed).to_le_bytes());
+        let base = fnv1a(feature.as_bytes(), self.seed);
+        let code = records.len();
         records.push(kind as u8);
+        for p in 0..PROBES {
+            let (idx, sign) = coord_and_sign(probe_hash(base, p as u32), self.dim);
+            if sign > 0.0 {
+                records[code] |= 1 << (2 + p);
+            }
+            records.extend_from_slice(&(idx as u16).to_le_bytes()[..self.coordinate_bytes()]);
+        }
+    }
+}
+
+/// Add every record of `records` (coordinates `BYTES` wide) into `slots`:
+/// per probe, `slots[coordinate] += ±weight` — the addition `sign * weight`
+/// made before, the product being exact.
+fn scatter<const BYTES: usize>(records: &[u8], slots: &mut [f32]) {
+    for record in records.chunks_exact(1 + PROBES * BYTES) {
+        let code = record[0];
+        let weight = WEIGHTS[usize::from(code & 0b11)];
+        for (p, coordinate) in record[1..].chunks_exact(BYTES).enumerate() {
+            let idx = if BYTES == 1 {
+                usize::from(coordinate[0])
+            } else {
+                usize::from(u16::from_le_bytes([coordinate[0], coordinate[1]]))
+            };
+            slots[idx] += if code >> (2 + p) & 1 == 1 {
+                weight
+            } else {
+                -weight
+            };
+        }
     }
 }
 
@@ -328,26 +333,33 @@ mod tests {
             };
             let e = TupleEmbedder::new(dim, seed);
             let want = bits(&accumulate_strings_embed(dim, seed, &t));
-            let features = e.features(&t);
             prop_assert_eq!(bits(&e.embed(&t)), want.clone());
-            prop_assert_eq!(bits(&e.embed_features(&features)), want.clone());
+            // Appended after bytes of the caller's own, and replayed into a
+            // dirty scratch vector.
+            let mut records = vec![7u8];
+            e.append_features(&t, &mut records);
             let mut scratch = e.embed_text("left over from the previous candidate");
-            e.embed_features_into(&features, &mut scratch);
+            e.replay_into(&records[1..], &mut scratch);
             prop_assert_eq!(bits(&scratch), want);
-            prop_assert_eq!(features.heap_bytes(), 9 * features.len());
+            // One record per feature, never more than the nine bytes a
+            // stored hash and kind took: five up to dimension 256.
+            prop_assert_eq!((records.len() - 1) % e.record_len(), 0);
+            prop_assert_eq!(e.record_len(), if dim <= 256 { 5 } else { 9 });
         }
     }
 
     /// An embed is metered where its strings are handled: once per
-    /// `features` (so once per `embed`), never per replay.
+    /// `append_features` (so once per `embed`), never per replay.
     #[test]
     fn feature_extraction_is_what_an_embed_charges() {
         let e = TupleEmbedder::new(64, 5);
         let t = tuple("Otis Pike");
-        let (features, cost) = verifai_obs::meter::scoped(|| e.features(&t));
+        let mut records = Vec::new();
+        let ((), cost) = verifai_obs::meter::scoped(|| e.append_features(&t, &mut records));
         assert_eq!(cost.embeds, 1);
-        assert_eq!(features.len(), 2 * (3 + 2 + 1) + 3);
-        let (_, cost) = verifai_obs::meter::scoped(|| e.embed_features(&features));
+        assert_eq!(records.len(), (2 * (3 + 2 + 1) + 3) * e.record_len());
+        let mut v = Vector::zeros(64);
+        let ((), cost) = verifai_obs::meter::scoped(|| e.replay_into(&records, &mut v));
         assert_eq!(cost.embeds, 0);
         let (_, cost) = verifai_obs::meter::scoped(|| e.embed(&t));
         assert_eq!(cost.embeds, 1);

@@ -113,6 +113,12 @@ impl VocabRows<'_> {
         self.len() == 0
     }
 
+    /// The id of `token`, if it was interned before the guard was taken:
+    /// its row is then [`TokenEmbedder::embed_token`]`(token)`, bit for bit.
+    pub fn id(&self, token: &str) -> Option<u32> {
+        self.rows.ids.get(token)
+    }
+
     /// The embedding of the token interned as `id`. Panics on an id this
     /// vocabulary never handed out.
     pub fn row(&self, id: u32) -> &[f32] {

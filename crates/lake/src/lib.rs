@@ -36,4 +36,4 @@ pub use stats::LakeStats;
 pub use table::{Column, DataType, Schema, Table, TableId};
 pub use text_doc::{DocId, NormalizedText, TextDocument};
 pub use tuple::{Tuple, TupleId, TupleRef};
-pub use value::{Date, Value};
+pub use value::{Date, MatchKey, Value};

@@ -327,6 +327,168 @@ impl<I: Iterator<Item = char>> fmt::Write for EqChars<I> {
     }
 }
 
+/// What [`Value::matches`] compares of a value, reduced to a number or a
+/// fingerprint: two keys settle most comparisons without touching either
+/// value ([`MatchKey::decide`]), and a value's key is computed once, where
+/// the value is prepared, instead of per comparison.
+///
+/// [`Value::matches`] compares two numeric values (see [`Value::as_f64`]) as
+/// numbers and anything else as text: a text by its normalized form
+/// ([`normalize_str`]), any other value by its rendering. A key holds the
+/// number of a numeric value and, for every other non-null value, a hash of
+/// that text form plus whether the form could be some number's text form
+/// at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MatchKey {
+    /// A null: matches nothing.
+    Null,
+    /// A numeric value's number.
+    Number(f64),
+    /// A non-numeric value's text form, hashed.
+    Text {
+        /// Hash of the text form. Equal forms hash equal; equal hashes
+        /// prove nothing.
+        fingerprint: u64,
+        /// Whether the form is one a number's text form can take: only
+        /// ASCII digits, `e` and spaces, or exactly `true`, `false`, `inf`,
+        /// `infinity` or `nan`. A text form outside those equals the text
+        /// form of no numeric value.
+        numeric_form: bool,
+    },
+}
+
+impl MatchKey {
+    /// Bytes of [`MatchKey::encode`]: a tag, then eight payload bytes.
+    pub const ENCODED_LEN: usize = 9;
+
+    const NUMBER: u8 = 1;
+    const TEXT: u8 = 2;
+    const NUMERIC_FORM_TEXT: u8 = 3;
+
+    /// The key of `value`.
+    pub fn of(value: &Value) -> MatchKey {
+        if value.is_null() {
+            return MatchKey::Null;
+        }
+        if let Some(number) = value.as_f64() {
+            return MatchKey::Number(number);
+        }
+        let mut form = TextForm::default();
+        match value {
+            Value::Text(text) => normalized_chars(text).for_each(|ch| form.push(ch)),
+            rendered => write!(form, "{rendered}").expect("hashing a rendering cannot fail"),
+        }
+        MatchKey::Text {
+            fingerprint: form.hash,
+            numeric_form: form.numeric_form(),
+        }
+    }
+
+    /// What [`Value::matches`] answers for the two values these are the
+    /// keys of, when the keys alone decide it; `None` when only the values
+    /// can: equal fingerprints, or a number against a text form a number
+    /// could take. Symmetric.
+    pub fn decide(self, other: MatchKey) -> Option<bool> {
+        use MatchKey::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => Some(false),
+            (Number(a), Number(b)) => Some(float_eq(a, b)),
+            (Number(_), Text { numeric_form, .. }) | (Text { numeric_form, .. }, Number(_)) => {
+                (!numeric_form).then_some(false)
+            }
+            (Text { fingerprint: a, .. }, Text { fingerprint: b, .. }) => (a != b).then_some(false),
+        }
+    }
+
+    /// [`Value::matches`]`(a, b)` for values whose keys are `ka` and `kb`:
+    /// the keys' answer where they have one, the values' otherwise.
+    pub fn matches(a: &Value, ka: MatchKey, b: &Value, kb: MatchKey) -> bool {
+        ka.decide(kb).unwrap_or_else(|| a.matches(b))
+    }
+
+    /// Append the key of a non-null value as [`MatchKey::ENCODED_LEN`]
+    /// bytes; a null appends nothing (whoever decodes knows which cells are
+    /// null).
+    pub fn encode(self, out: &mut Vec<u8>) {
+        let (tag, payload) = match self {
+            MatchKey::Null => return,
+            MatchKey::Number(number) => (Self::NUMBER, number.to_bits()),
+            MatchKey::Text {
+                fingerprint,
+                numeric_form,
+            } => (
+                if numeric_form {
+                    Self::NUMERIC_FORM_TEXT
+                } else {
+                    Self::TEXT
+                },
+                fingerprint,
+            ),
+        };
+        out.push(tag);
+        out.extend_from_slice(&payload.to_le_bytes());
+    }
+
+    /// The key [`MatchKey::encode`] wrote into `bytes`.
+    pub fn decode(bytes: &[u8; Self::ENCODED_LEN]) -> MatchKey {
+        let payload = u64::from_le_bytes(bytes[1..].try_into().expect("eight payload bytes"));
+        match bytes[0] {
+            Self::NUMBER => MatchKey::Number(f64::from_bits(payload)),
+            tag => MatchKey::Text {
+                fingerprint: payload,
+                numeric_form: tag == Self::NUMERIC_FORM_TEXT,
+            },
+        }
+    }
+}
+
+/// A text form streamed into its [`MatchKey`] fingerprint (FNV-1a over the
+/// characters) while noting which numeric text forms it could still be.
+struct TextForm {
+    hash: u64,
+    chars: usize,
+    /// Only ASCII digits, `e` and spaces so far.
+    digits_e_spaces: bool,
+    /// The form so far, lowercase ASCII, while it is short enough to be one
+    /// of the words a number renders or parses as.
+    word: [u8; 8],
+}
+
+impl Default for TextForm {
+    fn default() -> Self {
+        TextForm {
+            hash: 0xcbf2_9ce4_8422_2325,
+            chars: 0,
+            digits_e_spaces: true,
+            word: [0; 8],
+        }
+    }
+}
+
+impl TextForm {
+    fn push(&mut self, ch: char) {
+        self.hash = (self.hash ^ u64::from(ch)).wrapping_mul(0x0000_0100_0000_01b3);
+        self.digits_e_spaces &= ch.is_ascii_digit() || ch == 'e' || ch == ' ';
+        if let Some(slot) = self.word.get_mut(self.chars) {
+            *slot = if ch.is_ascii() { ch as u8 } else { 0xff };
+        }
+        self.chars += 1;
+    }
+
+    fn numeric_form(&self) -> bool {
+        const WORDS: [&[u8]; 5] = [b"true", b"false", b"inf", b"infinity", b"nan"];
+        self.digits_e_spaces
+            || (self.chars <= self.word.len() && WORDS.contains(&&self.word[..self.chars]))
+    }
+}
+
+impl fmt::Write for TextForm {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        s.chars().for_each(|ch| self.push(ch));
+        Ok(())
+    }
+}
+
 /// Relative-tolerance float comparison used by value matching.
 pub fn float_eq(a: f64, b: f64) -> bool {
     if a == b {
@@ -527,6 +689,53 @@ mod prop_tests {
         prop_oneof![arb_value(), rendered, arb_text().prop_map(Value::Text)]
     }
 
+    /// [`arb_mixed_value`] plus what match keys must not be fooled by:
+    /// numbers written as text with spaces, signs and exponents, the words
+    /// a number parses or renders as, numbers with punctuation around them,
+    /// large and non-finite floats.
+    fn arb_keyed_value() -> impl Strategy<Value = Value> {
+        let numeric_text = prop_oneof![
+            (-1000i64..1000).prop_map(|i| format!(" {i} ")),
+            (-1000i64..1000).prop_map(|i| format!("({i})")),
+            (-100.0..100.0f64).prop_map(|f| format!("{f:.2}")),
+            (0i64..100).prop_map(|i| format!("{i}e2")),
+            Just("1.5E-3".to_string()),
+            Just("4 2".to_string()),
+            Just("42.".to_string()),
+            Just("#42".to_string()),
+        ];
+        let words = prop_oneof![
+            Just("true"),
+            Just("False!"),
+            Just("inf"),
+            Just("-Infinity"),
+            Just("inf."),
+            Just("NaN"),
+            Just("nan?"),
+            Just("e"),
+            Just("Ünïcode Naïve"),
+            Just(""),
+            Just("..."),
+        ]
+        .prop_map(str::to_string);
+        prop_oneof![
+            arb_mixed_value(),
+            numeric_text.prop_map(Value::Text),
+            words.prop_map(Value::Text),
+            prop_oneof![
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::NAN),
+                Just(1e15),
+                Just(4200.0),
+                Just(-0.0),
+                Just(0.00001),
+            ]
+            .prop_map(Value::Float),
+            (0i64..100).prop_map(Value::Int),
+        ]
+    }
+
     proptest! {
         /// Matching is symmetric.
         #[test]
@@ -620,6 +829,38 @@ mod prop_tests {
             normalize_onto(&mut pieces, &s[..at]);
             normalize_onto(&mut pieces, &s[at..]);
             prop_assert_eq!(pieces.trim_end_matches(' '), want.as_str());
+        }
+
+        /// Keys answer what the values answer: for every pair, the keys'
+        /// decision (where they reach one) and `MatchKey::matches` equal
+        /// `Value::matches`, and an encoded key decodes to itself. Pairs
+        /// cover nulls, ints, floats and bools, numeric text with spaces and
+        /// signs, text with case, punctuation and non-ASCII, dates, the words
+        /// a number parses or renders as, and text against a rendered number.
+        #[test]
+        fn match_keys_answer_what_matches_answers(
+            a in arb_keyed_value(),
+            b in arb_keyed_value(),
+        ) {
+            let (ka, kb) = (MatchKey::of(&a), MatchKey::of(&b));
+            let want = a.matches(&b);
+            if let Some(decided) = ka.decide(kb) {
+                prop_assert_eq!(decided, want, "{:?} vs {:?}: keys {:?} {:?}", a, b, ka, kb);
+            }
+            prop_assert_eq!(ka.decide(kb), kb.decide(ka));
+            prop_assert_eq!(MatchKey::matches(&a, ka, &b, kb), want);
+            let mut encoded = Vec::new();
+            ka.encode(&mut encoded);
+            match ka {
+                MatchKey::Null => prop_assert!(encoded.is_empty()),
+                key => {
+                    let bytes: &[u8; MatchKey::ENCODED_LEN] =
+                        encoded.as_slice().try_into().expect("one encoded key");
+                    let decoded = MatchKey::decode(bytes);
+                    // NaN keys compare unequal to themselves: compare bits.
+                    prop_assert_eq!(format!("{decoded:?}"), format!("{key:?}"));
+                }
+            }
         }
 
         /// Matching is what it was: over every pair of variants, including

@@ -10,7 +10,7 @@
 use std::borrow::Cow;
 
 use crate::{Candidate, Prepared, Reranker};
-use verifai_embed::{kernel, TokenEmbedder, TokenVocab, Vector};
+use verifai_embed::{kernel, TokenEmbedder, TokenVocab, VocabRows};
 use verifai_lake::InstanceRef;
 use verifai_llm::DataObject;
 
@@ -70,32 +70,9 @@ impl ColbertReranker {
         &self.vocab
     }
 
-    /// MaxSim score between pre-embedded token sets, normalized by query
-    /// length: the textbook definition, which [`Reranker::score_all`]'s
-    /// lookup form is tested bit-identical to.
-    pub fn maxsim(query: &[Vector], doc: &[Vector]) -> f64 {
-        if query.is_empty() || doc.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0f64;
-        for q in query {
-            let mut best = f64::NEG_INFINITY;
-            for d in doc {
-                // Token embeddings are unit by construction (property-tested
-                // in tests/properties.rs), so the fused dot IS the cosine —
-                // debug builds enforce what used to be a comment.
-                let s = q.dot_unit(d) as f64;
-                if s > best {
-                    best = s;
-                }
-            }
-            total += best.max(0.0);
-        }
-        total / query.len() as f64
-    }
-
-    /// Render the query side of a data object.
-    fn query_text(object: &DataObject) -> Cow<'_, str> {
+    /// The query side of a data object, as the text whose tokens are
+    /// scored.
+    pub fn query_text(object: &DataObject) -> Cow<'_, str> {
         match object {
             DataObject::TextClaim(c) => Cow::Borrowed(&c.text),
             DataObject::ImputedCell(c) => Cow::Owned(verifai_text::tuple_query(
@@ -124,19 +101,155 @@ impl ColbertReranker {
     }
 }
 
+/// Query tokens whose similarities share one 4-wide maximum step.
+const QUERY_BLOCK: usize = 4;
+
+/// 4-wide blocks whose running maxima one pass over a document keeps at
+/// once: four independent chains of maximum steps instead of one, which is
+/// what keeps the pass at the steps' throughput rather than their latency.
+const GROUP_BLOCKS: usize = 4;
+
+/// The similarities of [`QUERY_BLOCK`] × [`GROUP_BLOCKS`] query tokens.
+type Group = [[f32; QUERY_BLOCK]; GROUP_BLOCKS];
+
+const NO_SIMILARITY: Group = [[f32::NEG_INFINITY; QUERY_BLOCK]; GROUP_BLOCKS];
+
+/// Columns whose rows are prefetched ahead of the one being computed: far
+/// enough for a row of the vocabulary slab to arrive from memory, near
+/// enough to still be cached when its turn comes.
+const PREFETCH_AHEAD: usize = 4;
+
+/// One request's similarity columns, kept per thread so that a request
+/// allocates none of it once the thread has served one as large.
+#[derive(Debug, Default)]
+struct Columns {
+    /// By vocabulary id: the column of a token this request numbered, or
+    /// [`Columns::NONE`]. Reset through `tokens`, never reallocated for it.
+    column_of: Vec<u32>,
+    /// The numbered tokens, in column order.
+    tokens: Vec<u32>,
+    /// Every document's tokens as columns, documents back to back; document
+    /// `d` ends at `ends[d]`.
+    visits: Vec<u32>,
+    ends: Vec<usize>,
+    /// Column `c` is `sims[c * groups..][..groups]`: its similarity with
+    /// each query token, in query order, padded with −∞.
+    sims: Vec<Group>,
+    groups: usize,
+    /// Per query token (padded like a column), the maximum over one
+    /// document.
+    best: Vec<Group>,
+}
+
+thread_local! {
+    static COLUMNS: std::cell::RefCell<Columns> = std::cell::RefCell::default();
+}
+
+impl Columns {
+    const NONE: u32 = u32::MAX;
+
+    /// Number the distinct tokens of `docs` and compute their columns
+    /// against the `width` query rows of `query`.
+    fn fill(
+        &mut self,
+        rows: &VocabRows<'_>,
+        query: &[f32],
+        width: usize,
+        docs: &[Cow<'_, PreparedDoc>],
+    ) {
+        // Whatever an earlier request numbered — also one that panicked
+        // halfway — is forgotten token by token.
+        for &token in &self.tokens {
+            self.column_of[token as usize] = Self::NONE;
+        }
+        self.tokens.clear();
+        self.visits.clear();
+        self.ends.clear();
+        if self.column_of.len() < rows.len() {
+            self.column_of.resize(rows.len(), Self::NONE);
+        }
+        for (d, doc) in docs.iter().enumerate() {
+            // Documents lie scattered through the feature store: each one's
+            // tokens are asked for two documents ahead of its turn.
+            if let Some(ahead) = docs.get(d + 2) {
+                kernel::prefetch(&ahead.tokens);
+            }
+            for &token in doc.tokens.iter() {
+                let column = &mut self.column_of[token as usize];
+                if *column == Self::NONE {
+                    *column = self.tokens.len() as u32;
+                    self.tokens.push(token);
+                }
+                self.visits.push(*column);
+            }
+            self.ends.push(self.visits.len());
+        }
+
+        self.groups = width.div_ceil(QUERY_BLOCK * GROUP_BLOCKS);
+        self.sims.clear();
+        self.sims
+            .resize(self.tokens.len() * self.groups, NO_SIMILARITY);
+        for (c, column) in self.sims.chunks_exact_mut(self.groups).enumerate() {
+            if let Some(&ahead) = self.tokens.get(c + PREFETCH_AHEAD) {
+                kernel::prefetch(rows.row(ahead));
+            }
+            // Token embeddings are unit by construction, so the dot IS the
+            // cosine.
+            let column = &mut column.as_flattened_mut().as_flattened_mut()[..width];
+            kernel::dot_many(query, rows.row(self.tokens[c]), column);
+        }
+    }
+
+    /// Per query token, the maximum similarity over the tokens of document
+    /// `d` of the request (padding lanes stay −∞), taken 4-wide, in the
+    /// document's token order.
+    fn maxima(&mut self, d: usize) -> &[f32] {
+        let start = d.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        let visits = &self.visits[start..self.ends[d]];
+        self.best.clear();
+        for g in 0..self.groups {
+            let mut best = NO_SIMILARITY;
+            for &column in visits {
+                let sims = &self.sims[column as usize * self.groups + g];
+                for (best, sims) in best.iter_mut().zip(sims) {
+                    for (b, &s) in best.iter_mut().zip(sims) {
+                        *b = if s > *b { s } else { *b };
+                    }
+                }
+            }
+            self.best.push(best);
+        }
+        self.best.as_flattened().as_flattened()
+    }
+}
+
 impl Reranker for ColbertReranker {
-    /// MaxSim as a lookup. The query's distinct tokens are embedded once;
-    /// each distinct document token among the candidates gets one *column*
-    /// of (query token × it) similarities, computed the first time any
-    /// candidate mentions it; a document's score is then, per query token,
-    /// the maximum over its tokens' columns. The candidates of one request
-    /// share most of their vocabulary, so a column is reused by many of
-    /// them.
+    /// MaxSim as a lookup. The query's distinct tokens become a block of
+    /// rows — the vocabulary's own row for a token it holds (a row is that
+    /// token's `embed_token`), a fresh embedding only for one it has never
+    /// seen. The candidates' distinct document tokens are numbered in a
+    /// per-thread [`Columns`] map, and each gets one *column* of (query
+    /// token × it) similarities, all computed in one blocked pass of
+    /// [`kernel::dot_many`] over their rows. A document's score is then, per
+    /// query token, the maximum over its tokens' columns, taken four query
+    /// tokens at a time. The candidates of one request share most of their
+    /// vocabulary, so a column is reused by many of them.
     fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
+        // Interning takes the vocabulary's write lock, so everything missing
+        // is prepared before the rows are borrowed for reading.
+        let docs: Vec<Cow<'_, PreparedDoc>> = candidates
+            .iter()
+            .map(|c| match c.prepared {
+                Some(Prepared::Tokens(doc)) => Cow::Borrowed(doc),
+                _ => Cow::Owned(self.prepare_doc(c.evidence)),
+            })
+            .collect();
+
         let encoder = self.vocab.encoder();
-        // Query positions → distinct query tokens, embedded. The sum below
-        // runs over positions (a repeated query token counts twice, as in
-        // `maxsim`).
+        let rows = self.vocab.rows();
+        // Query positions → distinct query tokens, one row each. The sum
+        // below runs over positions (a repeated query token counts twice, as
+        // in textbook MaxSim).
         let (positions, query) =
             encoder.with_tokens(&Self::query_text(object), usize::MAX, |query_tokens| {
                 let mut distinct: Vec<&str> = Vec::with_capacity(query_tokens.len());
@@ -152,59 +265,37 @@ impl Reranker for ColbertReranker {
                             })
                     })
                     .collect();
-                let query: Vec<Vector> = distinct.iter().map(|t| encoder.embed_token(t)).collect();
+                let mut query = Vec::with_capacity(distinct.len() * encoder.dim());
+                for token in distinct {
+                    match rows.id(token) {
+                        Some(id) => query.extend_from_slice(rows.row(id)),
+                        None => query.extend_from_slice(encoder.embed_token(token).as_slice()),
+                    }
+                }
                 (positions, query)
             });
         if positions.is_empty() {
             return vec![0.0; candidates.len()];
         }
-        let width = query.len();
+        let width = query.len() / encoder.dim();
 
-        // Interning takes the vocabulary's write lock, so everything missing
-        // is prepared before the rows are borrowed for reading.
-        let docs: Vec<Cow<'_, PreparedDoc>> = candidates
-            .iter()
-            .map(|c| match c.prepared {
-                Some(Prepared::Tokens(doc)) => Cow::Borrowed(doc),
-                _ => Cow::Owned(self.prepare_doc(c.evidence)),
-            })
-            .collect();
-
-        let rows = self.vocab.rows();
-        const NO_COLUMN: u32 = u32::MAX;
-        let mut column_of = vec![NO_COLUMN; rows.len()];
-        // Column c holds `width` similarities: sims[c * width + q].
-        let mut sims: Vec<f32> = Vec::new();
-        let mut best = vec![f32::NEG_INFINITY; width];
-        docs.iter()
-            .map(|doc| {
-                if doc.is_empty() {
-                    return 0.0;
-                }
-                best.fill(f32::NEG_INFINITY);
-                for &token in doc.tokens.iter() {
-                    let column = &mut column_of[token as usize];
-                    if *column == NO_COLUMN {
-                        *column = (sims.len() / width) as u32;
-                        let row = rows.row(token);
-                        // Token embeddings are unit by construction, so the
-                        // fused dot IS the cosine.
-                        sims.extend(query.iter().map(|q| kernel::dot_unit(q.as_slice(), row)));
+        COLUMNS.with_borrow_mut(|columns| {
+            columns.fill(&rows, &query, width, &docs);
+            docs.iter()
+                .enumerate()
+                .map(|(d, doc)| {
+                    if doc.is_empty() {
+                        return 0.0;
                     }
-                    let start = *column as usize * width;
-                    for (b, &s) in best.iter_mut().zip(&sims[start..start + width]) {
-                        if s > *b {
-                            *b = s;
-                        }
+                    let best = columns.maxima(d);
+                    let mut total = 0.0f64;
+                    for &q in &positions {
+                        total += (best[q] as f64).max(0.0);
                     }
-                }
-                let mut total = 0.0f64;
-                for &q in &positions {
-                    total += (best[q] as f64).max(0.0);
-                }
-                total / positions.len() as f64
-            })
-            .collect()
+                    total / positions.len() as f64
+                })
+                .collect()
+        })
     }
 
     fn prepare(&self, evidence: InstanceRef<'_>, _serialized: Option<&str>) -> Option<Prepared> {
@@ -223,6 +314,7 @@ impl Reranker for ColbertReranker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{colbert_score, maxsim};
     use verifai_lake::{DataInstance, TextDocument};
     use verifai_llm::TextClaim;
 
@@ -237,17 +329,6 @@ mod tests {
 
     fn doc(id: u64, body: &str) -> DataInstance {
         DataInstance::Text(TextDocument::new(id, "title", body, 0))
-    }
-
-    /// The implementation this reranker shipped with before evidence was
-    /// prepared ahead: embed every token of both sides, cut the document to
-    /// 256 vectors, textbook MaxSim.
-    fn embed_everything_score(object: &DataObject, evidence: &DataInstance) -> f64 {
-        let encoder = TokenEmbedder::new(64, 0xc01b);
-        let mut doc = encoder.embed_text(&verifai_text::serialize_instance(evidence));
-        doc.truncate(256);
-        let query = encoder.embed_text(&ColbertReranker::query_text(object));
-        ColbertReranker::maxsim(&query, &doc)
     }
 
     /// Regression for the cap: a document longer than `max_doc_tokens` is
@@ -266,12 +347,12 @@ mod tests {
         // "title" + 140 distinct fillers fit under the cap; the tail does not.
         assert_eq!(prepared.len(), 141);
         assert_eq!(r.vocab().len(), 141, "tokens past the cap were embedded");
-        let want = embed_everything_score(&q, &long);
+        let want = colbert_score(&q, long.view());
         assert!(want > 0.0 && want < 1.0);
         assert_eq!(r.score(&q, &long), want);
         // A short document that does hold the tail scores it.
         let short = doc(2, "zanzibar clove auction");
-        assert_eq!(r.score(&q, &short), embed_everything_score(&q, &short));
+        assert_eq!(r.score(&q, &short), colbert_score(&q, short.view()));
         assert!(r.score(&q, &short) > 0.0);
     }
 
@@ -296,7 +377,7 @@ mod tests {
             claim("the yard the yard the film"),
             claim(""),
         ] {
-            let want: Vec<f64> = docs.iter().map(|d| embed_everything_score(&q, d)).collect();
+            let want: Vec<f64> = docs.iter().map(|d| colbert_score(&q, d.view())).collect();
             let per_pair: Vec<f64> = docs.iter().map(|d| r.score(&q, d)).collect();
             assert_eq!(per_pair, want);
             let features: Vec<Option<Prepared>> =
@@ -332,16 +413,16 @@ mod tests {
     fn maxsim_is_one_for_identical_token_sets() {
         let enc = TokenEmbedder::new(64, 1);
         let toks = enc.embed_text("alpha beta gamma");
-        let s = ColbertReranker::maxsim(&toks, &toks);
+        let s = maxsim(&toks, &toks);
         assert!((s - 1.0).abs() < 1e-5, "{s}");
     }
 
     #[test]
     fn maxsim_empty_inputs() {
-        assert_eq!(ColbertReranker::maxsim(&[], &[]), 0.0);
+        assert_eq!(maxsim(&[], &[]), 0.0);
         let enc = TokenEmbedder::new(64, 1);
         let toks = enc.embed_text("x");
-        assert_eq!(ColbertReranker::maxsim(&toks, &[]), 0.0);
+        assert_eq!(maxsim(&toks, &[]), 0.0);
     }
 
     #[test]

@@ -29,10 +29,18 @@
 
 pub mod colbert;
 pub mod composite;
+// Shared with the workspace's identity test, which uses all of it.
+#[cfg(test)]
+#[allow(dead_code)]
+mod reference;
 pub mod table;
 pub mod tuple;
 
-use verifai_embed::TupleFeatures;
+// The references call this crate by its name, as they must where the
+// identity test includes them.
+#[cfg(test)]
+extern crate self as verifai_rerank;
+
 use verifai_lake::{DataInstance, InstanceId, InstanceRef};
 use verifai_llm::DataObject;
 
@@ -41,8 +49,9 @@ use verifai_llm::DataObject;
 /// request that later retrieves it (DESIGN.md §18, §20). Produced by
 /// [`Reranker::prepare`] and only meaningful to the reranker that produced
 /// it: token and term ids index that reranker's own vocabulary, feature
-/// hashes carry its embedder's seed. Every variant is at most a boxed slice
-/// wide — there is one of these per instance of the lake.
+/// records carry its embedder's seed and dimension. Every variant is at
+/// most a boxed slice wide — there is one of these per instance of the
+/// lake.
 #[derive(Debug, Clone)]
 pub enum Prepared {
     /// Distinct token ids of a serialized text or knowledge-graph instance
@@ -51,8 +60,9 @@ pub enum Prepared {
     /// Caption / header / cell term sets and the dense vector of a table
     /// ([`table::TableReranker`]).
     Table(Box<table::PreparedTable>),
-    /// Hashed embedding features of a tuple ([`tuple::TupleReranker`]).
-    Tuple(TupleFeatures),
+    /// Match keys and embedding feature records of a tuple
+    /// ([`tuple::TupleReranker`]).
+    Tuple(tuple::PreparedTuple),
 }
 
 impl Prepared {
@@ -61,7 +71,7 @@ impl Prepared {
         match self {
             Prepared::Tokens(doc) => doc.heap_bytes(),
             Prepared::Table(table) => std::mem::size_of_val(&**table) + table.heap_bytes(),
-            Prepared::Tuple(features) => features.heap_bytes(),
+            Prepared::Tuple(tuple) => tuple.heap_bytes(),
         }
     }
 }

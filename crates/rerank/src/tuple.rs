@@ -9,8 +9,8 @@
 use std::borrow::Cow;
 
 use crate::{Candidate, Prepared, Reranker};
-use verifai_embed::{TupleEmbedder, TupleFeatures, Vector};
-use verifai_lake::{InstanceRef, Schema, TupleRef, Value};
+use verifai_embed::{kernel, TupleEmbedder, Vector};
+use verifai_lake::{InstanceRef, MatchKey, Schema, TupleRef, Value};
 use verifai_llm::DataObject;
 
 /// Weights of the structural signals.
@@ -37,6 +37,51 @@ impl Default for TupleRerankWeights {
     }
 }
 
+/// The evidence side of (tuple, tuple) reranking, one boxed slice per
+/// tuple: the [`MatchKey`] of each non-null cell in column order
+/// ([`MatchKey::ENCODED_LEN`] bytes each; a null cell has none), then the
+/// tuple embedding's feature records ([`TupleEmbedder::append_features`]).
+/// Scoring a candidate then reads its keys instead of normalizing its
+/// texts, and replays its records instead of hashing its features.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PreparedTuple {
+    bytes: Box<[u8]>,
+}
+
+impl PreparedTuple {
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Split into the keys of the `values` this was prepared from, written
+    /// into `keys` (one per cell, [`MatchKey::Null`] for a null), and the
+    /// feature records.
+    fn read<'p>(&'p self, values: &[Value], keys: &mut Vec<MatchKey>) -> &'p [u8] {
+        keys.clear();
+        let mut at = 0;
+        for value in values {
+            keys.push(if value.is_null() {
+                MatchKey::Null
+            } else {
+                let encoded = &self.bytes[at..at + MatchKey::ENCODED_LEN];
+                at += MatchKey::ENCODED_LEN;
+                MatchKey::decode(encoded.try_into().expect("a whole key"))
+            });
+        }
+        &self.bytes[at..]
+    }
+
+    /// The feature records alone.
+    fn features(&self, values: &[Value]) -> &[u8] {
+        let keyed = values.iter().filter(|v| !v.is_null()).count();
+        &self.bytes[keyed * MatchKey::ENCODED_LEN..]
+    }
+}
+
+/// A tuple's cells with their [`MatchKey`]s, index for index.
+type Keyed<'a> = (&'a [Value], &'a [MatchKey]);
+
 /// What the query's schema and one candidate schema have to do with each
 /// other — everything about a (tuple, tuple) pair that does not depend on
 /// the values. It is a function of the two lists of normalized headers
@@ -44,8 +89,7 @@ impl Default for TupleRerankWeights {
 /// request's candidates come from mostly share their headers, so this is
 /// computed once per distinct candidate header list of a request, not once
 /// per pair.
-struct SchemaAlignment<'a> {
-    candidate: &'a Schema,
+struct SchemaAlignment {
     /// Jaccard similarity of the two normalized, non-empty header sets.
     header_jaccard: f64,
     /// For each query column, the candidate column its header binds to
@@ -53,8 +97,8 @@ struct SchemaAlignment<'a> {
     columns: Vec<Option<usize>>,
 }
 
-impl<'a> SchemaAlignment<'a> {
-    fn new(query: &Schema, candidate: &'a Schema) -> SchemaAlignment<'a> {
+impl SchemaAlignment {
+    fn new(query: &Schema, candidate: &Schema) -> SchemaAlignment {
         let (ours, theirs) = (query.normalized_names(), candidate.normalized_names());
         let (a, b) = (header_set(ours).count(), header_set(theirs).count());
         let header_jaccard = if a == 0 && b == 0 {
@@ -66,7 +110,6 @@ impl<'a> SchemaAlignment<'a> {
             shared as f64 / (a + b - shared) as f64
         };
         SchemaAlignment {
-            candidate,
             header_jaccard,
             columns: ours
                 .iter()
@@ -75,25 +118,18 @@ impl<'a> SchemaAlignment<'a> {
         }
     }
 
-    /// Whether this alignment is also `candidate`'s: the same schema, or one
-    /// with the same normalized headers.
-    fn serves(&self, candidate: &Schema) -> bool {
-        self.candidate.is_same(candidate)
-            || self.candidate.normalized_names() == candidate.normalized_names()
-    }
-
     /// Fraction of aligned, mutually non-null attributes on which the two
     /// tuples agree; 0 when they share none.
-    fn value_agreement(&self, query: &[Value], candidate: &[Value]) -> f64 {
+    fn value_agreement(&self, query: Keyed<'_>, candidate: Keyed<'_>) -> f64 {
         let (mut shared, mut agree) = (0usize, 0usize);
-        for (a, column) in query.iter().zip(&self.columns) {
+        for ((a, &ka), column) in query.0.iter().zip(query.1).zip(&self.columns) {
             let Some(column) = *column else { continue };
-            let b = &candidate[column];
+            let (b, kb) = (&candidate.0[column], candidate.1[column]);
             if a.is_null() || b.is_null() {
                 continue;
             }
             shared += 1;
-            if a.matches(b) {
+            if MatchKey::matches(a, ka, b, kb) {
                 agree += 1;
             }
         }
@@ -135,21 +171,23 @@ impl TupleReranker {
         )
     }
 
-    /// Clamped cosine between the request's query vector and a candidate,
-    /// whose stored features (extracted here when the caller kept none) are
-    /// replayed into `scratch`.
-    fn dense(
-        &self,
-        query_dense: &Vector,
-        candidate: TupleRef<'_>,
-        prepared: Option<&Prepared>,
-        scratch: &mut Vector,
-    ) -> f64 {
-        let features: Cow<'_, TupleFeatures> = match prepared {
-            Some(Prepared::Tuple(features)) => Cow::Borrowed(features),
-            _ => Cow::Owned(self.embedder.features(candidate)),
-        };
-        self.embedder.embed_features_into(&features, scratch);
+    /// The evidence side of one tuple: its cells' match keys and its
+    /// embedding's feature records.
+    pub fn prepare_tuple(&self, tuple: TupleRef<'_>) -> PreparedTuple {
+        let mut bytes = Vec::new();
+        for value in tuple.values {
+            MatchKey::of(value).encode(&mut bytes);
+        }
+        self.embedder.append_features(tuple, &mut bytes);
+        PreparedTuple {
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+
+    /// Clamped cosine between the request's query vector and a candidate
+    /// whose feature records are replayed into `scratch`.
+    fn dense(&self, query_dense: &Vector, records: &[u8], scratch: &mut Vector) -> f64 {
+        self.embedder.replay_into(records, scratch);
         // Tuple embeddings are unit by construction: fused dot = cosine.
         (query_dense.dot_unit(scratch) as f64).max(0.0)
     }
@@ -157,52 +195,92 @@ impl TupleReranker {
 
 impl Reranker for TupleReranker {
     /// Structural relevance of every tuple candidate. Per request: the query
-    /// is embedded once and its key values picked once. Per distinct
-    /// candidate header list: one [`SchemaAlignment`]. Per candidate: a
-    /// replay of its stored features and the value comparisons.
+    /// is embedded once and its cells' match keys computed once. Per
+    /// distinct candidate header list: one [`SchemaAlignment`], found per
+    /// candidate by schema identity. Per
+    /// candidate: its prepared keys compared with the query's (values only
+    /// where keys cannot decide) and a replay of its feature records. A
+    /// candidate that comes without prepared features is prepared here,
+    /// by [`TupleReranker::prepare_tuple`].
     fn score_all(&self, object: &DataObject, candidates: &[Candidate<'_>]) -> Vec<f64> {
         if !candidates.iter().any(|c| self.supports(c.evidence)) {
             return vec![0.0; candidates.len()];
         }
         let mut scratch = Vector::zeros(self.embedder.dim());
-        let tuples = candidates.iter().map(|c| match c.evidence {
-            InstanceRef::Tuple(candidate) => Some((candidate, c.prepared)),
-            _ => None,
+        let tuples: Vec<Option<(TupleRef<'_>, Cow<'_, PreparedTuple>)>> = candidates
+            .iter()
+            .map(|c| match c.evidence {
+                InstanceRef::Tuple(candidate) => {
+                    let prepared = match c.prepared {
+                        Some(Prepared::Tuple(prepared)) => Cow::Borrowed(prepared),
+                        _ => Cow::Owned(self.prepare_tuple(candidate)),
+                    };
+                    Some((candidate, prepared))
+                }
+                _ => None,
+            })
+            .collect();
+        // Candidates lie scattered through the lake and the feature store:
+        // each one's cells and prepared record are asked for two candidates
+        // ahead of its turn.
+        let tuples = tuples.iter().enumerate().map(|(i, tuple)| {
+            if let Some(Some((ahead, prepared))) = tuples.get(i + 2) {
+                kernel::prefetch(&prepared.bytes);
+                kernel::prefetch(ahead.values);
+            }
+            tuple.as_ref()
         });
         match object {
             DataObject::ImputedCell(cell) => {
                 let query = &cell.tuple;
                 let query_dense = self.embedder.embed(query);
-                let keys = query.key_values();
-                let mut alignments: Vec<SchemaAlignment<'_>> = Vec::new();
+                let query_keys: Vec<MatchKey> = query.values.iter().map(MatchKey::of).collect();
+                let query_side: Keyed<'_> = (&query.values, &query_keys);
+                let mut key_columns = query.schema.key_indices();
+                key_columns.retain(|&k| k < query.values.len());
+                let mut candidate_keys = Vec::new();
+                // One alignment per distinct header list of the request.
+                let mut alignments: Vec<(&[String], SchemaAlignment)> = Vec::new();
                 let w = &self.weights;
                 tuples
                     .map(|tuple| {
                         let Some((candidate, prepared)) = tuple else {
                             return 0.0;
                         };
-                        let known = alignments.iter().position(|a| a.serves(candidate.schema));
-                        let alignment = match known {
-                            Some(known) => &alignments[known],
-                            None => {
-                                alignments
-                                    .push(SchemaAlignment::new(&query.schema, candidate.schema));
-                                alignments.last().expect("just pushed")
-                            }
-                        };
-                        let key = if keys.is_empty() {
+                        let records = prepared.read(candidate.values, &mut candidate_keys);
+                        let candidate_side: Keyed<'_> = (candidate.values, &candidate_keys);
+                        // Tuples of one table share its header list: the
+                        // same slice, found without comparing a name.
+                        let headers = candidate.schema.normalized_names();
+                        let known = alignments
+                            .iter()
+                            .position(|(h, _)| std::ptr::eq(*h, headers) || *h == headers);
+                        let index = known.unwrap_or_else(|| {
+                            let alignment = SchemaAlignment::new(&query.schema, candidate.schema);
+                            alignments.push((headers, alignment));
+                            alignments.len() - 1
+                        });
+                        let alignment = &alignments[index].1;
+                        let key = if key_columns.is_empty() {
                             0.0
                         } else {
-                            keys.iter()
-                                .filter(|k| candidate.values.iter().any(|v| v.matches(k)))
+                            key_columns
+                                .iter()
+                                .filter(|&&k| {
+                                    let (k, kk) = (&query.values[k], query_keys[k]);
+                                    candidate_side
+                                        .0
+                                        .iter()
+                                        .zip(candidate_side.1)
+                                        .any(|(v, &kv)| MatchKey::matches(v, kv, k, kk))
+                                })
                                 .count() as f64
-                                / keys.len() as f64
+                                / key_columns.len() as f64
                         };
                         w.schema * alignment.header_jaccard
                             + w.key * key
-                            + w.agreement
-                                * alignment.value_agreement(&query.values, candidate.values)
-                            + w.dense * self.dense(&query_dense, candidate, prepared, &mut scratch)
+                            + w.agreement * alignment.value_agreement(query_side, candidate_side)
+                            + w.dense * self.dense(&query_dense, records, &mut scratch)
                     })
                     .collect()
             }
@@ -212,9 +290,11 @@ impl Reranker for TupleReranker {
                 let query_dense = self.embedder.embed_text(&claim.text);
                 tuples
                     .map(|tuple| match tuple {
-                        Some((candidate, prepared)) => {
-                            self.dense(&query_dense, candidate, prepared, &mut scratch)
-                        }
+                        Some((candidate, prepared)) => self.dense(
+                            &query_dense,
+                            prepared.features(candidate.values),
+                            &mut scratch,
+                        ),
                         None => 0.0,
                     })
                     .collect()
@@ -224,7 +304,7 @@ impl Reranker for TupleReranker {
 
     fn prepare(&self, evidence: InstanceRef<'_>, _serialized: Option<&str>) -> Option<Prepared> {
         match evidence {
-            InstanceRef::Tuple(tuple) => Some(Prepared::Tuple(self.embedder.features(tuple))),
+            InstanceRef::Tuple(tuple) => Some(Prepared::Tuple(self.prepare_tuple(tuple))),
             _ => None,
         }
     }
@@ -245,94 +325,7 @@ mod tests {
     use verifai_lake::{Column, DataInstance, DataType, Schema, Tuple, Value};
     use verifai_llm::ImputedCell;
 
-    /// The per-pair formulas this reranker shipped with before anything
-    /// about a tuple was prepared or shared: two normalized header sets per
-    /// pair, every candidate header re-normalized for every query column,
-    /// two normalized strings per value comparison, both tuples embedded.
-    mod oracle {
-        use super::super::TupleRerankWeights;
-        use std::collections::HashSet;
-        use verifai_embed::TupleEmbedder;
-        use verifai_lake::value::{float_eq, normalize_str};
-        use verifai_lake::{Schema, Tuple, Value};
-
-        fn fuzzy_index_of(schema: &Schema, name: &str) -> Option<usize> {
-            let want = normalize_str(name);
-            if want.is_empty() {
-                return None;
-            }
-            if let Some(i) = schema
-                .columns()
-                .iter()
-                .position(|c| normalize_str(&c.name) == want)
-            {
-                return Some(i);
-            }
-            schema.columns().iter().position(|c| {
-                let have = normalize_str(&c.name);
-                have.contains(&want) || want.contains(&have)
-            })
-        }
-
-        fn matches(a: &Value, b: &Value) -> bool {
-            if a.is_null() || b.is_null() {
-                return false;
-            }
-            if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-                return float_eq(x, y);
-            }
-            a.normalized() == b.normalized()
-        }
-
-        pub fn header_jaccard(a: &Schema, b: &Schema) -> f64 {
-            let set = |s: &Schema| -> HashSet<String> {
-                s.names()
-                    .map(normalize_str)
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            };
-            let (a, b) = (set(a), set(b));
-            if a.is_empty() && b.is_empty() {
-                return 1.0;
-            }
-            a.intersection(&b).count() as f64 / a.union(&b).count() as f64
-        }
-
-        pub fn agreement(a: &Tuple, b: &Tuple) -> Option<f64> {
-            let (mut shared, mut agree) = (0usize, 0usize);
-            for (i, col) in a.schema.columns().iter().enumerate() {
-                if let Some(j) = fuzzy_index_of(&b.schema, &col.name) {
-                    let (x, y) = (&a.values[i], &b.values[j]);
-                    if x.is_null() || y.is_null() {
-                        continue;
-                    }
-                    shared += 1;
-                    if matches(x, y) {
-                        agree += 1;
-                    }
-                }
-            }
-            (shared > 0).then(|| agree as f64 / shared as f64)
-        }
-
-        pub fn score(embedder: &TupleEmbedder, query: &Tuple, candidate: &Tuple) -> f64 {
-            let w = TupleRerankWeights::default();
-            let keys = query.key_values();
-            let key = if keys.is_empty() {
-                0.0
-            } else {
-                keys.iter()
-                    .filter(|k| candidate.values.iter().any(|v| matches(v, k)))
-                    .count() as f64
-                    / keys.len() as f64
-            };
-            let dense = embedder.embed(query).dot_unit(&embedder.embed(candidate)) as f64;
-            w.schema * header_jaccard(&query.schema, &candidate.schema)
-                + w.key * key
-                + w.agreement * agreement(query, candidate).unwrap_or(0.0)
-                + w.dense * dense.max(0.0)
-        }
-    }
+    use crate::reference::tuple as oracle;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -494,22 +487,27 @@ mod tests {
         let city = Schema::new(vec![Column::new("city", DataType::Text)]);
         let boston = wide_tuple(&city, vec![text("Boston")]);
 
+        let agreement = |alignment: &SchemaAlignment, x: &Tuple, y: &Tuple| {
+            let keys = |t: &Tuple| t.values.iter().map(MatchKey::of).collect::<Vec<_>>();
+            let (kx, ky) = (keys(x), keys(y));
+            alignment.value_agreement((&x.values, &kx), (&y.values, &ky))
+        };
         let same = SchemaAlignment::new(&s, &s);
         assert_eq!(same.header_jaccard, 1.0);
         assert_eq!(oracle::header_jaccard(&s, &s), 1.0);
         assert_eq!(same.columns, vec![Some(0), Some(1), Some(2)]);
         // district + first elected agree, incumbent disagrees => 2/3.
-        assert_eq!(same.value_agreement(&a.values, &b.values), 2.0 / 3.0);
+        assert_eq!(agreement(&same, &a, &b), 2.0 / 3.0);
         assert_eq!(oracle::agreement(&a, &b), Some(2.0 / 3.0));
         // Nulls are not shared attributes.
-        assert_eq!(same.value_agreement(&masked.values, &b.values), 1.0);
+        assert_eq!(agreement(&same, &masked, &b), 1.0);
         assert_eq!(oracle::agreement(&masked, &b), Some(1.0));
 
         let disjoint = SchemaAlignment::new(&s, &city);
         assert_eq!(disjoint.header_jaccard, 0.0);
         assert_eq!(oracle::header_jaccard(&s, &city), 0.0);
         assert_eq!(disjoint.columns, vec![None, None, None]);
-        assert_eq!(disjoint.value_agreement(&a.values, &boston.values), 0.0);
+        assert_eq!(agreement(&disjoint, &a, &boston), 0.0);
         assert_eq!(oracle::agreement(&a, &boston), None);
     }
 
@@ -565,7 +563,6 @@ mod tests {
                 })
                 .collect();
             let r = TupleReranker::with_defaults();
-            let embedder = TupleEmbedder::new(256, 0x07e1);
             let object = DataObject::ImputedCell(ImputedCell {
                 id: 0,
                 tuple: tuples[0].clone(),
@@ -576,7 +573,7 @@ mod tests {
                 tuples[1..].iter().cloned().map(DataInstance::Tuple).collect();
             let want: Vec<u64> = tuples[1..]
                 .iter()
-                .map(|c| oracle::score(&embedder, &tuples[0], c).to_bits())
+                .map(|c| oracle::score(&tuples[0], c).to_bits())
                 .collect();
             let features: Vec<Option<Prepared>> =
                 evidence.iter().map(|e| r.prepare(e.view(), None)).collect();

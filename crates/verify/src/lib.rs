@@ -36,7 +36,7 @@ pub use kg_model::{KgModelConfig, KgModelVerifier};
 pub use llm_verifier::LlmVerifier;
 pub use pasta::{PastaConfig, PastaVerifier};
 pub use provenance::{
-    stamp_trace, NullSink, ProvenanceLog, ProvenanceRecord, ProvenanceSink, SharedProvenance,
+    stamp_trace, Note, NullSink, ProvenanceLog, ProvenanceRecord, ProvenanceSink, SharedProvenance,
     Stage, StageRecorder,
 };
 pub use trust::{TrustModel, VerdictObservation};

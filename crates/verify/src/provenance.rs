@@ -86,7 +86,73 @@ pub struct ProvenanceRecord {
     /// Verdict, for verify/decision stages.
     pub verdict: Option<Verdict>,
     /// Free-text note (e.g. the verifier's explanation).
-    pub note: String,
+    pub note: Note,
+}
+
+/// The free-text note of a lineage row: text of the row's own (empty for a
+/// row without a note, which allocates nothing), or text shared with
+/// another holder — a verdict's explanation is the report's and its verify
+/// row's note at once, one allocation for both. Reads as a `str`; two notes
+/// are equal when their texts are.
+#[derive(Clone)]
+pub enum Note {
+    /// Text of the row's own.
+    Owned(String),
+    /// Text shared with whoever else holds it.
+    Shared(Arc<str>),
+}
+
+impl Default for Note {
+    fn default() -> Note {
+        Note::Owned(String::new())
+    }
+}
+
+impl std::ops::Deref for Note {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Note::Owned(text) => text,
+            Note::Shared(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Note {
+    fn eq(&self, other: &Note) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<&str> for Note {
+    fn eq(&self, other: &&str) -> bool {
+        &**self == *other
+    }
+}
+
+impl fmt::Debug for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl From<String> for Note {
+    fn from(text: String) -> Note {
+        Note::Owned(text)
+    }
+}
+
+impl From<&str> for Note {
+    fn from(text: &str) -> Note {
+        Note::Owned(text.to_string())
+    }
 }
 
 /// A maximal run of consecutive records of one batch that share an object
@@ -620,9 +686,9 @@ impl ProvenanceLog {
                         let id = traces.next().expect("a stamped note has a trace id");
                         stamp_trace(&mut note, id);
                     }
-                    note
+                    Note::Owned(note)
                 } else {
-                    String::new()
+                    Note::default()
                 },
             });
         }
@@ -789,7 +855,7 @@ mod tests {
             instance: None,
             score: None,
             verdict: None,
-            note: String::new(),
+            note: Note::default(),
         }
     }
 
@@ -867,9 +933,9 @@ mod tests {
                     _ => Some(Verdict::Unknown),
                 },
                 note: if next(4) == 0 {
-                    format!("note {}", next(100))
+                    format!("note {}", next(100)).into()
                 } else {
-                    String::new()
+                    Note::default()
                 },
             });
         }
@@ -932,7 +998,7 @@ mod tests {
                     _ => distinct.clone(),
                 };
                 records.push(ProvenanceRecord {
-                    note,
+                    note: note.into(),
                     ..record(
                         next(4),
                         Stage::Verify {
@@ -942,7 +1008,7 @@ mod tests {
                 });
             }
             records.push(ProvenanceRecord {
-                note: distinct,
+                note: distinct.into(),
                 ..record(next(4), Stage::Decision)
             });
         }
@@ -961,10 +1027,10 @@ mod tests {
         // colliding ones, which is held once per use.
         let distinct: std::collections::HashSet<&str> = records
             .iter()
-            .map(|r| r.note.as_str())
+            .map(|r| &*r.note)
             .filter(|n| !n.is_empty() && *n != second)
             .collect();
-        let second_uses = records.iter().filter(|r| r.note == second).count();
+        let second_uses = records.iter().filter(|r| *r.note == second).count();
         assert_eq!(log.note_ends.len(), distinct.len() + second_uses);
     }
 
@@ -983,7 +1049,8 @@ mod tests {
                     note: format!(
                         "The evidence tuple records incumbent = Otis Pike {i}, matching the \
                          generated value, as one would expect of an explanation this long."
-                    ),
+                    )
+                    .into(),
                     ..record(
                         7,
                         Stage::Verify {
@@ -1035,7 +1102,7 @@ mod tests {
             instance: Some(InstanceId::Text(3)),
             score: Some(12.5),
             verdict: None,
-            note: String::new(),
+            note: Note::default(),
         });
         log.add(ProvenanceRecord {
             object_id: 7,
@@ -1188,7 +1255,7 @@ mod model_tests {
                     3 => Some(Verdict::NotRelated),
                     _ => Some(Verdict::Unknown),
                 },
-                note: NOTES[note].to_string(),
+                note: NOTES[note].into(),
             },
         )
     }
@@ -1240,7 +1307,9 @@ mod model_tests {
                         record.object_id = object;
                     }
                     if traced && record.stage == Stage::Decision {
-                        stamp_trace(&mut record.note, trace_id % 4 * (u64::MAX / 3));
+                        let mut note = record.note.to_string();
+                        stamp_trace(&mut note, trace_id % 4 * (u64::MAX / 3));
+                        record.note = note.into();
                     }
                 }
                 model.extend(batch.iter().cloned());
@@ -1326,7 +1395,7 @@ mod model_tests {
                 ..base.clone()
             },
             ProvenanceRecord {
-                note: String::new(),
+                note: Note::default(),
                 ..base.clone()
             },
         ];
@@ -1345,18 +1414,18 @@ mod model_tests {
     #[test]
     fn an_equal_batch_is_a_reference() {
         let batch = |object_id: u64, trace: Option<u64>, note: &str| {
-            let mut decision = ProvenanceRecord {
+            let mut note = note.to_string();
+            if let Some(id) = trace {
+                stamp_trace(&mut note, id);
+            }
+            vec![ProvenanceRecord {
                 object_id,
                 stage: Stage::Decision,
                 instance: None,
                 score: Some(1.0),
                 verdict: Some(Verdict::Verified),
                 note: note.into(),
-            };
-            if let Some(id) = trace {
-                stamp_trace(&mut decision.note, id);
-            }
-            vec![decision]
+            }]
         };
         let mut log = ProvenanceLog::new();
         log.add_all(batch(1, None, "over 1 evidence verdicts"));

@@ -40,6 +40,19 @@ REPLAY_OUT="$(cargo test -q --release --test service \
 grep -q ' 1 passed' <<< "$REPLAY_OUT" \
   || { echo "judgment replay test did not run"; exit 1; }
 
+# The rerank stage reranks from prepared features (MaxSim columns in one
+# blocked pass, tuple match keys and feature records); over the first 200
+# cold objects of the `small` lake at seed 42 and their retrieved tuple and
+# text candidates, `select` must equal the textbook rerankers — embed-
+# everything MaxSim and the per-pair tuple formulas — score bit for score
+# bit, rank for rank. Named, and it must report one passed test, like the
+# step above.
+echo "==> rerank stage == textbook rerankers on the small lake (gating)"
+IDENTITY_OUT="$(cargo test -q --release --test rerank_identity \
+  small_lake_rerank_equals_the_textbook_references -- --exact)"
+grep -q ' 1 passed' <<< "$IDENTITY_OUT" \
+  || { echo "small-lake rerank identity test did not run"; exit 1; }
+
 # Golden fingerprints of every index's snapshot bytes and search hits: a
 # change that moves one changed behaviour or the wire format. Named, like
 # the step above, so the gate fails if the test target goes missing.

@@ -295,7 +295,7 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
         instance: Some(instance),
         score: Some(score),
         verdict: None,
-        note,
+        note: note.into(),
     };
     let retrieval = |rank| Stage::Retrieval {
         index: "fixed-tuple".into(),
