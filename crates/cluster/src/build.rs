@@ -80,7 +80,6 @@ pub fn build_cluster_with_clock(
     let n = cluster.shards.max(1);
     let threads = config.build_workers();
     let embedder = embedder_for(&config);
-    let want_semantic = config.use_semantic_index;
     let index_start = clock.now();
 
     // Enumerate each modality once (identical to the single-lake build) and
@@ -90,7 +89,7 @@ pub fn build_cluster_with_clock(
     let lake = &generated.lake;
     let mut partitions: Vec<ModalityCorpus> = Vec::with_capacity(4 * n);
     for modality in 0..4 {
-        let corpus = modality_corpus(lake, modality, want_semantic);
+        let corpus = modality_corpus(lake, modality, &config);
         let mut per_shard: Vec<ModalityCorpus> = vec![ModalityCorpus::default(); n];
         for (id, text) in corpus.content {
             per_shard[shard_of(id, n)].content.push((id, text));
@@ -103,7 +102,8 @@ pub fn build_cluster_with_clock(
     let embedded: usize = partitions.iter().map(|p| p.semantic.len()).sum();
 
     // Build every (modality, shard) index pair in parallel, one chain job
-    // each — the single-lake build's chain.
+    // each — the single-lake build's chain, so a shard's slot for a
+    // modality without a semantic member is `None`, as the single lake's is.
     type BuiltPair = (SegmentedInvertedIndex, Option<AnyVectorIndex>);
     let mut built: Vec<Option<BuiltPair>> = (0..4 * n).map(|_| None).collect();
     {
@@ -111,11 +111,13 @@ pub fn build_cluster_with_clock(
         let jobs: Vec<Box<dyn FnOnce() + Send>> = built
             .iter_mut()
             .zip(partitions)
-            .map(|(slot, corpus)| {
+            .enumerate()
+            .map(|(i, (slot, corpus))| {
                 let job: Box<dyn FnOnce() + Send> = Box::new(move || {
                     *slot = Some(index_chain(
                         config,
                         embedder,
+                        i / n,
                         &corpus.content,
                         &corpus.semantic,
                     ));

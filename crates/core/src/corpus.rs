@@ -21,9 +21,23 @@ use crate::config::{SemanticBackend, VerifAiConfig};
 /// One serialized index entry: the instance and its text.
 pub type Entry = (InstanceId, String);
 
-/// The slot of the text modality in the staged pipeline's order (0 =
+/// The slot of the tuple modality in the staged pipeline's order (0 =
 /// tuples, 1 = tables, 2 = texts, 3 = knowledge graph).
+pub const TUPLE_MODALITY: usize = 0;
+
+/// The slot of the text modality in the staged pipeline's order.
 pub const TEXT_MODALITY: usize = 2;
+
+/// Whether `modality` has a semantic member in a system built from
+/// `config` — the one rule that the build, the shard builder,
+/// [`modality_corpus`] and live mutation all read. Text, tables and the
+/// knowledge graph have one when `use_semantic_index` is on. Tuples never
+/// do: BM25 alone finds an imputed cell's counterpart tuple (the paper's §4
+/// Indexer), so nothing embeds a tuple, stores its vector or searches a
+/// tuple graph.
+pub fn has_semantic_member(config: &VerifAiConfig, modality: usize) -> bool {
+    config.use_semantic_index && modality != TUPLE_MODALITY
+}
 
 /// One modality's serialized corpus, in lake iteration order.
 #[derive(Debug, Clone, Default)]
@@ -32,17 +46,19 @@ pub struct ModalityCorpus {
     pub content: Vec<Entry>,
     /// Entries for the semantic index. For text documents these are
     /// overlapping sentence chunks (paper §3.1: "chunked text files"), each
-    /// under the *document's* id; for every other modality they mirror
-    /// `content`. Empty when semantic indexing is disabled.
+    /// under the *document's* id; for tables and the knowledge graph they
+    /// mirror `content`. Empty for a modality without a semantic member
+    /// ([`has_semantic_member`]).
     pub semantic: Vec<Entry>,
 }
 
 /// Serialize one modality of the lake (0 = tuples, 1 = tables, 2 = texts,
-/// 3 = knowledge graph — the staged pipeline's slot order) into both its
-/// content and its semantic entries.
-pub fn modality_corpus(lake: &DataLake, modality: usize, want_semantic: bool) -> ModalityCorpus {
+/// 3 = knowledge graph — the staged pipeline's slot order) into its content
+/// entries and, where `config` gives it a semantic member, its semantic
+/// entries.
+pub fn modality_corpus(lake: &DataLake, modality: usize, config: &VerifAiConfig) -> ModalityCorpus {
     let content = content_entries(lake, modality);
-    let semantic = match (want_semantic, modality) {
+    let semantic = match (has_semantic_member(config, modality), modality) {
         (false, _) => Vec::new(),
         (true, TEXT_MODALITY) => text_chunks(lake),
         (true, _) => content.clone(),
@@ -51,7 +67,7 @@ pub fn modality_corpus(lake: &DataLake, modality: usize, want_semantic: bool) ->
 }
 
 /// One modality's content entries — one per instance, in lake order. For
-/// every modality but text these are its semantic entries too.
+/// tables and the knowledge graph these are their semantic entries too.
 pub fn content_entries(lake: &DataLake, modality: usize) -> Vec<Entry> {
     match modality {
         0 => lake
@@ -131,18 +147,19 @@ pub fn semantic_index(
     index
 }
 
-/// One build chain: the content index over `content`, then — when the
-/// semantic index is enabled — the semantic index over `semantic`.
+/// One build chain for `modality`: the content index over `content`, then
+/// — where the modality has a semantic member — the semantic index over
+/// `semantic`. A modality without one gets `None`, never an empty index.
 pub fn index_chain(
     config: &VerifAiConfig,
     embedder: &TextEmbedder,
+    modality: usize,
     content: &[Entry],
     semantic: &[Entry],
 ) -> (SegmentedInvertedIndex, Option<AnyVectorIndex>) {
     let content = content_index(content);
-    let semantic = config
-        .use_semantic_index
-        .then(|| semantic_index(config, embedder, semantic));
+    let semantic =
+        has_semantic_member(config, modality).then(|| semantic_index(config, embedder, semantic));
     (content, semantic)
 }
 
@@ -189,20 +206,22 @@ mod tests {
             InstanceKind::Text,
             InstanceKind::Kg,
         ];
+        let config = VerifAiConfig::default();
         for (modality, kind) in kinds.iter().enumerate() {
-            let corpus = modality_corpus(lake, modality, true);
+            let corpus = modality_corpus(lake, modality, &config);
             assert!(!corpus.content.is_empty(), "modality {modality} empty");
             assert!(corpus.content.iter().all(|(id, _)| id.kind() == *kind));
             assert!(corpus.semantic.iter().all(|(id, _)| id.kind() == *kind));
-            // Text chunks outnumber documents; other modalities mirror 1:1.
-            if *kind == InstanceKind::Text {
-                assert!(corpus.semantic.len() >= corpus.content.len());
-            } else {
-                assert_eq!(corpus.semantic.len(), corpus.content.len());
+            // Text chunks outnumber documents; tables and the knowledge
+            // graph mirror 1:1; tuples have no semantic member.
+            match kind {
+                InstanceKind::Text => assert!(corpus.semantic.len() >= corpus.content.len()),
+                InstanceKind::Tuple => assert!(corpus.semantic.is_empty()),
+                _ => assert_eq!(corpus.semantic.len(), corpus.content.len()),
             }
         }
-        let no_semantic = modality_corpus(lake, 0, false);
+        let no_semantic = modality_corpus(lake, 1, &VerifAiConfig::paper_setting());
         assert!(no_semantic.semantic.is_empty());
-        assert_eq!(no_semantic.content.len(), lake.num_tuples());
+        assert_eq!(no_semantic.content.len(), lake.num_tables());
     }
 }

@@ -17,7 +17,9 @@
 //! 2. mutate the [`DataLake`](verifai_lake::DataLake), which bumps the
 //!    generation counter and records tombstones;
 //! 3. translate the change into index operations — remove + add on the
-//!    content index, tombstone + re-embed + insert on the semantic index.
+//!    content index, tombstone + re-embed + insert on the semantic index
+//!    of a modality that has one (text, tables, knowledge graph; tuples
+//!    are BM25-only, see [`has_semantic_member`]).
 //!
 //! Tuple mutations also refresh the *owning table's* entries: the table's
 //! serialized form includes every row, so adding, updating, or removing a
@@ -43,6 +45,8 @@ use verifai_lake::{
     DataLake, DocId, InstanceId, LakeError, Table, TableId, TextDocument, TupleId, Value,
 };
 
+use crate::config::VerifAiConfig;
+use crate::corpus::has_semantic_member;
 use crate::partition::shard_of;
 use crate::stages::slot;
 
@@ -296,7 +300,7 @@ impl EvidenceSource for LiveSemanticSource {
 
 /// The semantic entry texts for one instance: overlapping sentence chunks
 /// for text documents (mirroring the batch build's chunking), the
-/// serialized text itself for every other modality.
+/// serialized text itself for tables and knowledge-graph entities.
 fn semantic_texts(id: InstanceId, text: &str) -> Vec<String> {
     match id {
         InstanceId::Text(_) => verifai_text::chunk_sentences(text, 3, 1)
@@ -357,6 +361,7 @@ impl IndexOp {
 /// touched. Returns (content ops, semantic entries embedded).
 pub(crate) fn route_ops(
     shards: &[LiveIndexes],
+    config: &VerifAiConfig,
     embedder: Option<&TextEmbedder>,
     ops: Vec<IndexOp>,
 ) -> (usize, usize) {
@@ -369,7 +374,7 @@ pub(crate) fn route_ops(
     }
     let (mut content_ops, mut embedded) = (0, 0);
     for (shard, ops) in shards.iter().zip(per_shard) {
-        let (c, e) = apply_ops(shard, embedder, ops);
+        let (c, e) = apply_ops(shard, config, embedder, ops);
         content_ops += c;
         embedded += e;
     }
@@ -382,10 +387,12 @@ pub(crate) fn route_ops(
 }
 
 /// Apply a batch of index ops to one set of live indexes, embedding new
-/// semantic entries with `embedder` when semantic retrieval is enabled.
+/// semantic entries with `embedder` for the modalities that have a
+/// semantic member ([`has_semantic_member`]); a tuple op embeds nothing.
 /// Returns (content ops, semantic entries embedded).
 fn apply_ops(
     live: &LiveIndexes,
+    config: &VerifAiConfig,
     embedder: Option<&TextEmbedder>,
     ops: Vec<IndexOp>,
 ) -> (usize, usize) {
@@ -403,6 +410,9 @@ fn apply_ops(
                 content.add(op.id, new);
                 content_ops += 1;
             }
+        }
+        if !has_semantic_member(config, slot) {
+            continue;
         }
         if let (Some(semantic), Some(embedder)) = (&live.semantic[slot], embedder) {
             let mut index = semantic.write();

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use crate::config::VerifAiConfig;
 use crate::corpus::{
-    content_entries, content_index, index_chain, semantic_index, text_chunks, TEXT_MODALITY,
+    content_entries, content_index, has_semantic_member, index_chain, semantic_index, text_chunks,
+    TEXT_MODALITY, TUPLE_MODALITY,
 };
 use crate::live::{
     compact_indexes, index_stats, mutate_lake, route_ops, IndexOp, LakeMutation, LiveContentSource,
@@ -177,15 +178,15 @@ impl VerifAi {
     ///
     /// Indexing is parallel and deterministic, scheduled by critical path
     /// over [`crate::exec::run_scoped_beside`]. Each job is a chain that
-    /// serializes its entries, builds its index and, where it has one, its
+    /// serializes its entries, builds its index and, where the modality has
+    /// a semantic member ([`crate::corpus::has_semantic_member`]), its
     /// semantic index — embedding and inserting **sequentially in entry
     /// order**, so every graph is byte-identical to a single-threaded
-    /// build. The two longest chains go first: the text graph over every
-    /// document's sentence chunks, then the tuple chain. The table and
-    /// knowledge-graph chains follow, and the text content index is a job
-    /// of its own so it does not wait behind the text graph. The calling
-    /// thread prepares the rerank features meanwhile, which keeps them in
-    /// its malloc arena.
+    /// build. The longest job goes first: the text graph over every
+    /// document's sentence chunks. The tuple chain (BM25 only), the table
+    /// and knowledge-graph chains and the text content index fill in behind
+    /// it. The calling thread prepares the rerank features meanwhile, which
+    /// keeps them in its malloc arena.
     ///
     /// `config.build_threads` (0 = one per core) sets the worker count;
     /// with 1, every job runs inline.
@@ -215,23 +216,22 @@ impl VerifAi {
             let [tuples, tables, texts, kg] = content.each_mut();
             let [tuples_semantic, tables_semantic, texts_semantic, kg_semantic] =
                 semantic.each_mut();
-            // Longest first: the text graph and the tuple chain (which of
-            // the two is longer depends on the lake) start at once on two
-            // workers; the short jobs fill in behind them.
+            // Longest first: the text graph starts at once; the short jobs
+            // fill in behind it on the other workers.
             let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(5);
-            if config.use_semantic_index {
+            if has_semantic_member(config, TEXT_MODALITY) {
                 jobs.push(Box::new(move || {
                     *texts_semantic = Some(semantic_index(config, embedder, &text_chunks(lake)));
                 }));
             }
             for (modality, content, semantic) in [
-                (0, tuples, tuples_semantic),
+                (TUPLE_MODALITY, tuples, tuples_semantic),
                 (1, tables, tables_semantic),
                 (3, kg, kg_semantic),
             ] {
                 jobs.push(Box::new(move || {
                     let entries = content_entries(lake, modality);
-                    let (c, s) = index_chain(config, embedder, &entries, &entries);
+                    let (c, s) = index_chain(config, embedder, modality, &entries, &entries);
                     (*content, *semantic) = (Some(c), s);
                 }));
             }
@@ -373,7 +373,8 @@ impl VerifAi {
     pub fn apply(&mut self, mutation: LakeMutation) -> Result<MutationOutcome, MutationError> {
         let ops = mutate_lake(&mut self.generated.lake, mutation)?;
         sync_features(&self.stages, &self.generated.lake, &ops);
-        let (content_ops, embedded) = route_ops(&self.shards, self.embedder.as_ref(), ops);
+        let (content_ops, embedded) =
+            route_ops(&self.shards, &self.config, self.embedder.as_ref(), ops);
         self.mutations += 1;
         Ok(MutationOutcome {
             generation: self.generated.lake.generation(),

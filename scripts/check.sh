@@ -40,6 +40,17 @@ REPLAY_OUT="$(cargo test -q --release --test service \
 grep -q ' 1 passed' <<< "$REPLAY_OUT" \
   || { echo "judgment replay test did not run"; exit 1; }
 
+# Tuples are retrieved by BM25 alone: the build leaves the tuple semantic
+# slot empty and embeds every text chunk, table and knowledge-graph entity
+# and no tuple; a tuple write embeds only its owning table's entry, and a
+# document still embeds its chunks. Named, and it must report one passed
+# test, like the step above.
+echo "==> tuples are BM25-only (gating)"
+TUPLES_OUT="$(cargo test -q --release --test live_lake \
+  tuples_are_bm25_only -- --exact)"
+grep -q ' 1 passed' <<< "$TUPLES_OUT" \
+  || { echo "BM25-only tuple test did not run"; exit 1; }
+
 # The rerank stage reranks from prepared features (MaxSim columns in one
 # blocked pass, tuple match keys and feature records); over the first 200
 # cold objects of the `small` lake at seed 42 and their retrieved tuple and

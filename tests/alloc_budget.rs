@@ -171,13 +171,13 @@ fn tuple_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &tuple_objects(&sys));
     println!("tuple request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 8 and 175 measured here (177 in debug); 8 and 178 at
+    // 8 and 169 measured here (171 in debug); 8 and 172 at
     // `LakeSpec::small`. Each budget is the larger count plus 25 %.
     assert!(
         cached <= 10.0,
         "cached tuple request: {cached:.1} allocations"
     );
-    assert!(cold <= 222.0, "cold tuple request: {cold:.1} allocations");
+    assert!(cold <= 215.0, "cold tuple request: {cold:.1} allocations");
 }
 
 #[test]

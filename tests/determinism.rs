@@ -98,8 +98,9 @@ fn build_is_identical_for_every_thread_count() {
         assert_eq!(sys.build_stats().threads, threads);
         let live = sys.live().expect("a built system owns its indexes");
         let content: Vec<_> = live.content.iter().map(|c| c.read().to_bytes()).collect();
-        let semantic: Vec<_> = live
-            .semantic
+        // Tuples have no semantic member; every other modality has one.
+        assert!(live.semantic[0].is_none(), "a tuple semantic index");
+        let semantic: Vec<_> = live.semantic[1..]
             .iter()
             .map(|s| s.as_ref().expect("semantic index on").read().to_bytes())
             .collect();

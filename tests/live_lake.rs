@@ -558,6 +558,56 @@ fn hnsw_live_history_recalls_its_batch_build() {
     );
 }
 
+/// Tuples are retrieved by BM25 alone: the build embeds every text chunk,
+/// table and knowledge-graph entity and no tuple, and a tuple write embeds
+/// only its owning table's refreshed entry, while a document still embeds
+/// its chunks.
+#[test]
+fn tuples_are_bm25_only() {
+    let mut sys = VerifAi::build(build(&LakeSpec::tiny(41)), VerifAiConfig::default());
+    let live = sys.live().expect("a built system owns its indexes");
+    assert!(live.semantic[0].is_none(), "a tuple semantic index");
+    assert!(live.semantic[1..].iter().all(Option::is_some));
+    let lake = sys.lake();
+    let entries =
+        verifai::corpus::text_chunks(lake).len() + lake.num_tables() + lake.num_kg_entities();
+    assert_eq!(sys.build_stats().embedded, entries);
+    assert_eq!(sys.live_stats().semantic_vectors, entries);
+
+    let table = lake.tables().next().expect("a table");
+    let (table, arity) = (table.id, table.schema.arity());
+    let row = |tag: &str| {
+        (0..arity)
+            .map(|c| Value::text(format!("{tag}{c}")))
+            .collect()
+    };
+    let tuple = lake.tuples_of_table(table)[0];
+    let vectors = sys.live_stats().semantic_vectors;
+    for mutation in [
+        LakeMutation::AddTuple {
+            table,
+            values: row("added"),
+        },
+        LakeMutation::UpdateTuple {
+            id: tuple,
+            values: row("updated"),
+        },
+    ] {
+        let outcome = sys.apply(mutation).expect("tuple write applies");
+        assert_eq!(outcome.embedded, 1, "only the owning table re-embeds");
+        assert_eq!(sys.live_stats().semantic_vectors, vectors);
+    }
+
+    let doc = TextDocument::new(9_700, "Bulletin 9700", doc_body(9_700), 0);
+    let chunks = verifai_text::chunk_sentences(&doc.full_text(), 3, 1).len();
+    assert!(chunks > 0);
+    let outcome = sys
+        .apply(LakeMutation::AddDoc(doc))
+        .expect("doc add applies");
+    assert_eq!(outcome.embedded, chunks, "a document embeds its chunks");
+    assert_eq!(sys.live_stats().semantic_vectors, vectors + chunks);
+}
+
 /// The modalities (coarse k, final k) the pipeline consults for `object`.
 fn rerank_plan(object: &DataObject, config: &VerifAiConfig) -> Vec<(InstanceKind, usize, usize)> {
     let finals = match object {

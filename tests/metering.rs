@@ -207,9 +207,9 @@ fn reindex_content(
     threshold: usize,
     until: impl Fn(&SegmentedInvertedIndex) -> bool,
 ) -> usize {
-    let corpus = verifai::corpus::modality_corpus(sys.lake(), slot, false);
+    let entries = verifai::corpus::content_entries(sys.lake(), slot);
     let mut index = SegmentedInvertedIndex::default().with_seal_threshold(threshold);
-    for (id, text) in &corpus.content {
+    for (id, text) in &entries {
         index.add(*id, text);
         if until(&index) {
             break;

@@ -75,6 +75,32 @@ fn figure4_case_has_paper_shape() {
     );
 }
 
+/// Tuples are retrieved by BM25 alone (DESIGN.md §28): the default plan
+/// still puts an imputed cell's counterpart tuple into the final evidence
+/// at least as often as the paper's setting, at both evaluation seeds.
+#[test]
+fn default_plan_keeps_the_counterpart_in_final() {
+    for seed in [42, 7] {
+        let (spec, tasks, claims) = Scale::Tiny.evaluation(seed);
+        let plans = evaluate(&spec, tasks, claims).plans;
+        let counterpart_in_final = |plan: &str| {
+            plans
+                .iter()
+                .find(|row| row.plan == plan)
+                .map(|row| row.in_final.tuple)
+                .expect("plan row")
+        };
+        let (default, paper) = (
+            counterpart_in_final("default"),
+            counterpart_in_final("paper-setting"),
+        );
+        assert!(
+            default >= paper,
+            "seed {seed}: default {default} < paper setting {paper}"
+        );
+    }
+}
+
 /// PASTA never abstains (binary model), the LLM sometimes does.
 #[test]
 fn pasta_is_binary_llm_is_ternary() {
