@@ -290,47 +290,37 @@ fn routed_mutations_match_single_lake_live_system() {
 }
 
 /// The batched scatter path returns exactly what per-query scatters would,
-/// for both the exact and the quantized flat shard backends (the quantized
-/// identity is per-router: same shards, same shortlists).
+/// for the exact flat shard backend.
 #[test]
 fn routed_batch_search_matches_per_query_search() {
     use verifai_embed::TextEmbedder;
     use verifai_index::SourceQuery;
     let spec = LakeSpec::tiny(31);
-    for config in [
-        flat_config(),
-        VerifAiConfig {
-            quantized: true,
-            ..flat_config()
-        },
-    ] {
-        let cluster = build_cluster(build(&spec), config, ClusterConfig::with_shards(3));
-        let (_, texts) = probes(&cluster.system);
-        let embedder = TextEmbedder::with_seed(9);
-        let vectors: Vec<_> = texts.iter().map(|t| embedder.embed(t)).collect();
-        // Every fourth query goes vector-less (semantic member disabled).
-        let queries: Vec<SourceQuery<'_>> = texts
+    let cluster = build_cluster(build(&spec), flat_config(), ClusterConfig::with_shards(3));
+    let (_, texts) = probes(&cluster.system);
+    let embedder = TextEmbedder::with_seed(9);
+    let vectors: Vec<_> = texts.iter().map(|t| embedder.embed(t)).collect();
+    // Every fourth query goes vector-less (semantic member disabled).
+    let queries: Vec<SourceQuery<'_>> = texts
+        .iter()
+        .zip(&vectors)
+        .enumerate()
+        .map(|(i, (text, vector))| SourceQuery {
+            text,
+            vector: (i % 4 != 3).then_some(vector),
+            ctx: verifai_obs::SpanContext::none(),
+        })
+        .collect();
+    for kind in [InstanceKind::Tuple, InstanceKind::Table, InstanceKind::Text] {
+        let want: Vec<_> = queries
             .iter()
-            .zip(&vectors)
-            .enumerate()
-            .map(|(i, (text, vector))| SourceQuery {
-                text,
-                vector: (i % 4 != 3).then_some(vector),
-                ctx: verifai_obs::SpanContext::none(),
-            })
+            .map(|q| cluster.router.search(kind, *q, 10))
             .collect();
-        for kind in [InstanceKind::Tuple, InstanceKind::Table, InstanceKind::Text] {
-            let want: Vec<_> = queries
-                .iter()
-                .map(|q| cluster.router.search(kind, *q, 10))
-                .collect();
-            assert_eq!(
-                cluster.router.search_batch(kind, &queries, 10),
-                want,
-                "batched scatter diverged: kind={kind:?} quantized={}",
-                config.quantized
-            );
-        }
+        assert_eq!(
+            cluster.router.search_batch(kind, &queries, 10),
+            want,
+            "batched scatter diverged: kind={kind:?}"
+        );
     }
 }
 

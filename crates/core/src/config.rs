@@ -46,14 +46,6 @@ pub struct VerifAiConfig {
     pub use_semantic_index: bool,
     /// Structure backing the semantic index (ignored when it is disabled).
     pub semantic_backend: SemanticBackend,
-    /// Serve flat semantic searches through the int8 quantized two-phase
-    /// scan (shortlist over the code sidecar, exact f32 rescore). Off by
-    /// default so identity tests pin exact mode; HNSW backends ignore it.
-    pub quantized: bool,
-    /// Shortlist over-fetch of the quantized scan: phase 1 keeps
-    /// `rescore_factor · k` candidates for exact rescoring. `usize::MAX`
-    /// rescores everything (byte-identical to the exact scan).
-    pub rescore_factor: usize,
     /// Enable the task-specific reranking stage. When disabled, the combined
     /// coarse ranking feeds the verifier directly (paper's §4 setting reports
     /// Elasticsearch-only retrieval).
@@ -93,8 +85,6 @@ impl Default for VerifAiConfig {
             use_content_index: true,
             use_semantic_index: true,
             semantic_backend: SemanticBackend::Hnsw,
-            quantized: false,
-            rescore_factor: verifai_index::DEFAULT_RESCORE_FACTOR,
             use_reranker: true,
             fusion: FusionStrategy::ReciprocalRank { k0: 60.0 },
             agent_policy: AgentPolicy::LlmOnly,
@@ -139,13 +129,6 @@ mod tests {
         assert_eq!(c.k_texts, 3);
         assert_eq!(c.k_tables, 5);
         assert!(c.coarse_k >= c.k_tables);
-    }
-
-    #[test]
-    fn quantized_scan_defaults_off_for_identity() {
-        let c = VerifAiConfig::default();
-        assert!(!c.quantized, "identity tests depend on exact default");
-        assert!(c.rescore_factor >= 1);
     }
 
     #[test]

@@ -163,18 +163,13 @@ pub fn index_chain(
     (content, semantic)
 }
 
-/// The empty semantic backend for one modality, per the configured backend
-/// and scan mode (flat backends honor `quantized` / `rescore_factor`; HNSW
-/// has no quantized path).
+/// The empty semantic backend for one modality, per the configured backend.
 fn empty_semantic(config: &VerifAiConfig) -> AnyVectorIndex {
     match config.semantic_backend {
         SemanticBackend::Hnsw => AnyVectorIndex::Hnsw(Box::new(HnswIndex::new(HnswConfig {
             seed: config.seed ^ 0x45a1,
             ..HnswConfig::default()
         }))),
-        SemanticBackend::Flat if config.quantized => {
-            AnyVectorIndex::Flat(FlatIndex::new_quantized(config.rescore_factor))
-        }
         SemanticBackend::Flat => AnyVectorIndex::Flat(FlatIndex::new()),
     }
 }

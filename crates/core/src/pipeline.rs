@@ -916,11 +916,9 @@ mod tests {
     }
 
     #[test]
-    fn quantized_flat_backend_discovers_evidence() {
+    fn flat_backend_discovers_evidence() {
         let config = VerifAiConfig {
             semantic_backend: SemanticBackend::Flat,
-            quantized: true,
-            rescore_factor: 4,
             ..VerifAiConfig::default()
         };
         let sys = VerifAi::build(build(&LakeSpec::tiny(31)), config);
@@ -929,6 +927,30 @@ mod tests {
             let object = sys.impute(task);
             let evidence = sys.discover(&object, &mut RequestTrace::disabled()).0;
             assert!(!evidence.is_empty());
+        }
+        // Every standing flat index answers a batch as it answers each
+        // query, and its snapshot reloads to the same answers.
+        let embedder = crate::corpus::embedder_for(&VerifAiConfig::default());
+        let queries: Vec<Vector> = [
+            "district commission incumbent filings",
+            "annual budget total by department",
+            "committee membership and chairs",
+        ]
+        .iter()
+        .map(|q| embedder.embed(q))
+        .collect();
+        let live = sys.live().expect("a built system is live");
+        for semantic in live.semantic.iter().flatten() {
+            let index = semantic.read();
+            assert_eq!(index.backend_name(), "flat");
+            let want: Vec<_> = queries
+                .iter()
+                .map(|q| VectorIndex::search(&*index, q, 5))
+                .collect();
+            assert!(want.iter().all(|hits| !hits.is_empty()));
+            assert_eq!(VectorIndex::search_batch(&*index, &queries, 5), want);
+            let back = AnyVectorIndex::from_bytes(index.to_bytes()).expect("own snapshot loads");
+            assert_eq!(VectorIndex::search_batch(&back, &queries, 5), want);
         }
     }
 

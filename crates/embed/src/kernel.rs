@@ -6,12 +6,12 @@
 //!
 //! * [`dot`] accumulates in **eight independent lanes**, eight floats per
 //!   step, with a scalar tail. On x86_64 the lanes are two SSE registers
-//!   ([`dot_sse2`]: explicit intrinsics, SSE2 being baseline there exactly
-//!   as for [`crate::quant::dot_i8`]); elsewhere they are an array
-//!   ([`dot_portable`]). The portable loop is *not* left to the
-//!   autovectorizer on x86_64: LLVM's SLP pass takes its lane layout from
-//!   the pairwise reduction tree and re-shuffles every chunk to keep it —
-//!   a dozen shuffles around four multiplies (DESIGN.md §21).
+//!   ([`dot_sse2`]: explicit intrinsics, SSE2 being baseline there);
+//!   elsewhere they are an array ([`dot_portable`]). The portable loop is
+//!   *not* left to the autovectorizer on x86_64: LLVM's SLP pass takes its
+//!   lane layout from the pairwise reduction tree and re-shuffles every
+//!   chunk to keep it — a dozen shuffles around four multiplies (DESIGN.md
+//!   §21).
 //! * [`dot_many`] is [`dot`] of several queries against one row, four
 //!   queries sharing each load of the row ([`dot_many_sse2`], twin
 //!   [`dot_many_portable`]): ColBERT's MaxSim columns. Every output has the

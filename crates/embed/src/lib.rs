@@ -17,14 +17,12 @@
 
 pub mod hashing;
 pub mod kernel;
-pub mod quant;
 pub mod text_embed;
 pub mod token_embed;
 pub mod tuple_embed;
 pub mod vector;
 pub mod vocab;
 
-pub use quant::QuantizedVector;
 pub use text_embed::{TextEmbedder, TextEmbedderConfig};
 pub use token_embed::TokenEmbedder;
 pub use tuple_embed::TupleEmbedder;

@@ -42,6 +42,4 @@ pub use hit::SearchHit;
 pub use persist::{save_atomic, PersistError};
 pub use segment::SegmentedInvertedIndex;
 pub use source::{EvidenceSource, FusedSource, SourceQuery};
-pub use vector::{
-    AnyVectorIndex, FlatIndex, HnswConfig, HnswIndex, VectorIndex, DEFAULT_RESCORE_FACTOR,
-};
+pub use vector::{AnyVectorIndex, FlatIndex, HnswConfig, HnswIndex, VectorIndex};

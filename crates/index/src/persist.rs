@@ -24,9 +24,6 @@ pub const VERSION: u8 = 4;
 /// Header flag: every stored vector is unit-normalized, so similarity is a
 /// single fused dot. The vector readers check every row against it.
 pub const FLAG_UNIT_NORM: u8 = 1;
-/// Header flag: the flat snapshot body carries the int8 quantization
-/// sidecar (scales + codes) after the f32 slab.
-pub const FLAG_QUANT_CODES: u8 = 2;
 
 /// Snapshot kind tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +252,7 @@ pub(crate) fn get_instance_id(buf: &mut Bytes) -> Result<InstanceId, PersistErro
 mod tests {
     use super::*;
 
-    const FLAT_FLAGS: u8 = FLAG_UNIT_NORM | FLAG_QUANT_CODES;
+    const FLAT_FLAGS: u8 = FLAG_UNIT_NORM;
 
     fn header(version: u8, kind: u8, flags: u8) -> Bytes {
         Bytes::from(vec![b'V', b'F', b'A', b'I', version, kind, flags])
@@ -300,9 +297,9 @@ mod tests {
 
     #[test]
     fn unknown_flags_and_versions_rejected() {
-        // The flat writer sets both flags: one missing, none, or a foreign
-        // bit added is not its snapshot.
-        for flags in [0, FLAG_UNIT_NORM, FLAG_QUANT_CODES, FLAT_FLAGS | 0x80] {
+        // The flat writer sets the unit flag alone: none, a foreign bit, or
+        // the unit flag with a foreign bit added is not its snapshot.
+        for flags in [0, 2, FLAT_FLAGS | 2, FLAT_FLAGS | 0x80] {
             assert_eq!(
                 check_header(
                     &mut header(VERSION, 2, flags),

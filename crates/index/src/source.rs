@@ -255,7 +255,7 @@ mod tests {
         use crate::VectorIndex;
         use verifai_embed::TextEmbedder;
         let e = TextEmbedder::with_seed(7);
-        let mut flat = crate::FlatIndex::new_quantized(4);
+        let mut flat = crate::FlatIndex::new();
         for (i, t) in ["incumbent new york", "championship points", "film actress"]
             .iter()
             .enumerate()

@@ -27,31 +27,16 @@
 //! showed as +17 % peak RSS), and a snapshot's slab section decodes straight
 //! into place. HNSW keeps its adjacency in the same structure (DESIGN.md
 //! §21).
-//!
-//! ## The quantized two-phase scan
-//!
-//! [`FlatIndex`] keeps an int8 **code sidecar** next to the f32 rows:
-//! every vector is symmetric-scalar-quantized on `add`
-//! ([`verifai_embed::quant`]), codes live in one contiguous array (stride
-//! `dim`, parallel to the rows, tombstones included, rebuilt on
-//! compaction). In quantized mode `search` runs two phases: an int8 scan
-//! over the codes selects an over-fetched shortlist of
-//! `rescore_factor · k` candidates at a quarter of the memory traffic,
-//! then the exact f32 kernel rescores the shortlist and truncates to
-//! `k`. `rescore_factor = usize::MAX` rescores everything and is
-//! byte-identical to the exact scan. [`VectorIndex::search_batch`] walks
-//! the code array once per block for a whole batch of queries, so B
-//! concurrent searches amortize one memory sweep.
 
 use crate::hit::{sort_hits, SearchHit};
-use crate::persist::{self, PersistError, SnapshotKind, FLAG_QUANT_CODES, FLAG_UNIT_NORM};
+use crate::persist::{self, PersistError, SnapshotKind, FLAG_UNIT_NORM};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::mem::size_of;
-use verifai_embed::{kernel, quant, Vector};
+use verifai_embed::{kernel, Vector};
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
 
@@ -219,14 +204,7 @@ impl RowSlab<f32> {
 /// and the scan skips it; once tombstones outnumber live entries the index
 /// compacts itself (drops the dead rows, preserving live insertion order),
 /// so a long mutation history cannot degrade scan cost past 2× live size.
-///
-/// Every vector is additionally int8-quantized on `add` into a contiguous
-/// code sidecar (`codes`, stride `dim`, rows parallel to `ids` including
-/// tombstones; `scales` holds the per-vector symmetric scale). With
-/// `quantized` set ([`FlatIndex::new_quantized`] or
-/// [`FlatIndex::set_quantized`]) searches run the two-phase scan: int8
-/// shortlist of `rescore_factor · k`, exact f32 rescore, truncate to `k`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlatIndex {
     ids: Vec<InstanceId>,
     /// Unit rows, parallel to `ids`; the stride is the index's dimension,
@@ -236,69 +214,12 @@ pub struct FlatIndex {
     dead: usize,
     generation: u64,
     compactions: u64,
-    /// Contiguous int8 codes, `dim` bytes per row, tombstoned rows included.
-    codes: Vec<i8>,
-    /// Per-row symmetric quantization scale.
-    scales: Vec<f32>,
-    /// Serve searches through the quantized two-phase scan.
-    quantized: bool,
-    /// Shortlist over-fetch: phase 1 keeps `rescore_factor · k` candidates.
-    rescore_factor: usize,
-}
-
-/// Phase-1 shortlist over-fetch when none is configured explicitly.
-pub const DEFAULT_RESCORE_FACTOR: usize = 4;
-
-impl Default for FlatIndex {
-    fn default() -> FlatIndex {
-        FlatIndex {
-            ids: Vec::new(),
-            rows: RowSlab::default(),
-            deleted: Vec::new(),
-            dead: 0,
-            generation: 0,
-            compactions: 0,
-            codes: Vec::new(),
-            scales: Vec::new(),
-            quantized: false,
-            rescore_factor: DEFAULT_RESCORE_FACTOR,
-        }
-    }
 }
 
 impl FlatIndex {
-    /// Empty index serving exact scans.
+    /// Empty index.
     pub fn new() -> FlatIndex {
         FlatIndex::default()
-    }
-
-    /// Empty index serving quantized two-phase scans with the given
-    /// shortlist over-fetch (`usize::MAX` rescores every candidate, which
-    /// is byte-identical to the exact scan).
-    pub fn new_quantized(rescore_factor: usize) -> FlatIndex {
-        FlatIndex {
-            quantized: true,
-            rescore_factor: rescore_factor.max(1),
-            ..FlatIndex::default()
-        }
-    }
-
-    /// Switch between the exact scan and the quantized two-phase scan.
-    /// The code sidecar is maintained either way, so this is a pure mode
-    /// flip — no re-encode.
-    pub fn set_quantized(&mut self, quantized: bool, rescore_factor: usize) {
-        self.quantized = quantized;
-        self.rescore_factor = rescore_factor.max(1);
-    }
-
-    /// True when searches run the quantized two-phase scan.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
-    }
-
-    /// The configured phase-1 shortlist over-fetch.
-    pub fn rescore_factor(&self) -> usize {
-        self.rescore_factor
     }
 
     /// Mutation generation: bumped on every add/remove, persisted in
@@ -317,50 +238,33 @@ impl FlatIndex {
         self.compactions
     }
 
-    /// Bytes of heap the index holds (rows, code sidecar, ids, tombstones),
-    /// spare capacity included.
+    /// Bytes of heap the index holds (rows, ids, tombstones), spare
+    /// capacity included.
     pub fn heap_bytes(&self) -> usize {
         self.rows.heap_bytes()
             + self.ids.capacity() * size_of::<InstanceId>()
             + self.deleted.capacity()
-            + self.codes.capacity()
-            + self.scales.capacity() * size_of::<f32>()
     }
 
-    /// Drop tombstoned entries now, preserving live insertion order. The
-    /// code sidecar is rebuilt alongside (codes are copied, not
-    /// re-derived — quantization is deterministic so both agree).
+    /// Drop tombstoned entries now, preserving live insertion order.
     pub fn compact(&mut self) {
         if self.dead == 0 {
             return;
         }
-        let dim = self.rows.stride();
         let live = self.ids.len() - self.dead;
         let mut ids = Vec::with_capacity(live);
         let mut rows = RowSlab::default();
-        let mut codes = Vec::with_capacity(live * dim);
-        let mut scales = Vec::with_capacity(live);
         for ord in 0..self.ids.len() {
             if !self.deleted[ord] {
                 ids.push(self.ids[ord]);
-                scales.push(self.scales[ord]);
-                codes.extend_from_slice(self.code_row(ord));
                 rows.push(self.rows.row(ord).iter().copied());
             }
         }
         self.ids = ids;
         self.rows = rows;
-        self.codes = codes;
-        self.scales = scales;
         self.deleted = vec![false; self.ids.len()];
         self.dead = 0;
         self.compactions += 1;
-    }
-
-    /// The int8 code row of entry `ord`.
-    fn code_row(&self, ord: usize) -> &[i8] {
-        let dim = self.rows.stride();
-        &self.codes[ord * dim..(ord + 1) * dim]
     }
 }
 
@@ -416,23 +320,19 @@ pub(crate) fn offer<T: Ord>(heap: &mut BinaryHeap<T>, cap: usize, entry: T) {
     }
 }
 
-/// The flags byte of every flat snapshot: unit rows, quantization sidecar.
-const FLAT_FLAGS: u8 = FLAG_UNIT_NORM | FLAG_QUANT_CODES;
+/// The flags byte of every flat snapshot: unit rows.
+const FLAT_FLAGS: u8 = FLAG_UNIT_NORM;
 
 impl FlatIndex {
-    /// Serialize the index into a binary snapshot: generation, scan mode
-    /// (quantized flag + rescore factor), counts, ids, tombstone bytes,
-    /// every vector's components as one contiguous `f32` slab, then the
-    /// quantization sidecar (per-row scales + the int8 code array) so a
-    /// reload serves quantized scans without re-encoding.
+    /// Serialize the index into a binary snapshot: generation, counts, ids,
+    /// tombstone bytes, then every vector's components as one contiguous
+    /// `f32` slab.
     pub fn to_bytes(&self) -> Bytes {
         let dim = self.rows.stride();
         let n = self.ids.len();
-        let mut buf = BytesMut::with_capacity(48 + n * (14 + dim * 5));
+        let mut buf = BytesMut::with_capacity(48 + n * (10 + dim * 4));
         persist::put_header(&mut buf, SnapshotKind::Flat, FLAT_FLAGS);
         buf.put_u64_le(self.generation);
-        buf.put_u8(self.quantized as u8);
-        buf.put_u64_le(self.rescore_factor as u64);
         buf.put_u32_le(n as u32);
         buf.put_u32_le(dim as u32);
         for id in &self.ids {
@@ -442,32 +342,21 @@ impl FlatIndex {
             buf.put_u8(d as u8);
         }
         self.rows.put_rows(&mut buf);
-        for &s in &self.scales {
-            buf.put_f32_le(s);
-        }
-        for &c in &self.codes {
-            buf.put_u8(c as u8);
-        }
         buf.freeze()
     }
 
     /// Reconstruct an index from a snapshot produced by [`Self::to_bytes`]:
     /// the slab section decodes in one bulk pass straight into the row
-    /// slab, every row checked unit, and the quantization sidecar and scan
-    /// mode reload verbatim.
+    /// slab, every row checked unit.
     pub fn from_bytes(mut buf: Bytes) -> Result<FlatIndex, PersistError> {
         persist::check_header(&mut buf, SnapshotKind::Flat, FLAT_FLAGS)?;
         let generation = persist::get_u64(&mut buf)?;
-        let quantized = persist::get_u8(&mut buf)? != 0;
-        let rescore_factor = (persist::get_u64(&mut buf)? as usize).max(1);
         // Every entry carries at least its 9-byte id.
         let n = persist::get_count(&mut buf, 9)?;
         let dim = persist::get_u32(&mut buf)? as usize;
         let ids = get_instance_ids(&mut buf, n)?;
         let (deleted, dead) = get_tombstones(&mut buf, n)?;
         let rows = RowSlab::decode(&mut buf, n, dim)?;
-        let scales = get_f32s(&mut buf, n)?;
-        let codes = get_i8s(&mut buf, n * dim)?;
         persist::finish(&buf)?;
         Ok(FlatIndex {
             ids,
@@ -476,10 +365,6 @@ impl FlatIndex {
             dead,
             generation,
             compactions: 0,
-            codes,
-            scales,
-            quantized,
-            rescore_factor,
         })
     }
 }
@@ -493,27 +378,6 @@ fn get_instance_ids(buf: &mut Bytes, n: usize) -> Result<Vec<InstanceId>, Persis
     Ok(ids)
 }
 
-/// Bulk-decode `count` little-endian f32s (the quantization scales).
-fn get_f32s(buf: &mut Bytes, count: usize) -> Result<Vec<f32>, PersistError> {
-    if buf.remaining() / 4 < count {
-        return Err(PersistError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(count * 4);
-    Ok(raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-/// Bulk-decode `count` raw bytes as i8 codes.
-fn get_i8s(buf: &mut Bytes, count: usize) -> Result<Vec<i8>, PersistError> {
-    if buf.remaining() < count {
-        return Err(PersistError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(count);
-    Ok(raw.iter().map(|&b| b as i8).collect())
-}
-
 /// Decode `n` tombstone bytes, returning the flags and the dead count.
 fn get_tombstones(buf: &mut Bytes, n: usize) -> Result<(Vec<bool>, usize), PersistError> {
     if buf.remaining() < n {
@@ -525,73 +389,10 @@ fn get_tombstones(buf: &mut Bytes, n: usize) -> Result<(Vec<bool>, usize), Persi
     Ok((deleted, dead))
 }
 
-impl FlatIndex {
-    /// Run phase 1 of the two-phase scan for one encoded query over the
-    /// rows `[lo, hi)`: int8 scores into the shortlist heap, capped at
-    /// `shortlist` entries.
-    fn quantized_scan_range(
-        &self,
-        qcodes: &[i8],
-        qscale: f32,
-        lo: usize,
-        hi: usize,
-        shortlist: usize,
-        heap: &mut BinaryHeap<MinEntry>,
-    ) {
-        let mut scored = 0u64;
-        for ord in lo..hi {
-            if self.deleted[ord] {
-                continue;
-            }
-            scored += 1;
-            let score = quant::dot_i8(self.code_row(ord), qcodes) as f64
-                * (self.scales[ord] * qscale) as f64;
-            offer(
-                heap,
-                shortlist,
-                MinEntry {
-                    score,
-                    ord,
-                    id: self.ids[ord],
-                },
-            );
-        }
-        // One tally update per range, never per row: int8 codes are one
-        // byte per dimension.
-        meter::charge_quantized(scored, scored * self.rows.stride() as u64);
-    }
-
-    /// Phase 2: exact f32 rescore of a phase-1 shortlist, reorder, truncate.
-    fn rescore(&self, heap: BinaryHeap<MinEntry>, q: &[f32], k: usize) -> Vec<SearchHit> {
-        meter::charge_rescore(
-            heap.len() as u64,
-            (heap.len() * self.rows.stride() * 4) as u64,
-        );
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| {
-                let score = kernel::dot_unit(self.rows.row(e.ord), q) as f64;
-                SearchHit::new(self.ids[e.ord], score)
-            })
-            .collect();
-        sort_hits(&mut hits);
-        hits.truncate(k);
-        hits
-    }
-
-    /// The phase-1 shortlist width for a top-`k` request.
-    fn shortlist_len(&self, k: usize) -> usize {
-        self.rescore_factor.saturating_mul(k)
-    }
-}
-
 impl VectorIndex for FlatIndex {
     fn add(&mut self, id: InstanceId, mut vector: Vector) {
         vector.normalize();
-        let (codes, scale) = quant::quantize(&vector);
         self.rows.push(vector.iter().copied());
-        self.codes.extend_from_slice(&codes);
-        self.scales.push(scale);
         self.ids.push(id);
         self.deleted.push(false);
         self.generation += 1;
@@ -621,17 +422,6 @@ impl VectorIndex for FlatIndex {
         }
         let q = query.to_unit();
         let dim = self.rows.stride();
-        if self.quantized {
-            // Phase 1: int8 scan over the code sidecar — a quarter of the
-            // memory traffic — keeping a shortlist of rescore_factor · k.
-            let (qcodes, qscale) = quant::quantize(&q);
-            let shortlist = self.shortlist_len(k);
-            let mut heap: BinaryHeap<MinEntry> =
-                BinaryHeap::with_capacity(shortlist.min(self.ids.len()) + 1);
-            self.quantized_scan_range(&qcodes, qscale, 0, self.ids.len(), shortlist, &mut heap);
-            // Phase 2: exact rescore of the shortlist on the f32 rows.
-            return self.rescore(heap, &q, k);
-        }
         let mut heap: BinaryHeap<MinEntry> = BinaryHeap::with_capacity(k + 1);
         let mut scored = 0u64;
         for (ord, row) in self.rows.iter().enumerate() {
@@ -659,12 +449,11 @@ impl VectorIndex for FlatIndex {
     }
 
     /// Blocked multi-query scan: **one sweep** of the stored rows serves the
-    /// whole batch — each row (code row in quantized mode, f32 row in
-    /// exact mode) is loaded once and scored against every query while hot,
-    /// instead of B independent sweeps each re-reading the full array. The
-    /// per-query heaps see rows in the same global order the single-query
-    /// scan visits them, so results are identical to per-query
-    /// [`VectorIndex::search`] calls.
+    /// whole batch — each row is loaded once and scored against every query
+    /// while hot, instead of B independent sweeps each re-reading the full
+    /// array. The per-query heaps see rows in the same global order the
+    /// single-query scan visits them, so results are identical to
+    /// per-query [`VectorIndex::search`] calls.
     fn search_batch(&self, queries: &[Vector], k: usize) -> Vec<Vec<SearchHit>> {
         if k == 0 || queries.is_empty() {
             return vec![Vec::new(); queries.len()];
@@ -673,39 +462,7 @@ impl VectorIndex for FlatIndex {
             return vec![self.search(&queries[0], k)];
         }
         let qs: Vec<Cow<'_, Vector>> = queries.iter().map(Vector::to_unit).collect();
-        let n = self.ids.len();
         let dim = self.rows.stride();
-        if self.quantized {
-            let enc: Vec<(Vec<i8>, f32)> = qs.iter().map(|q| quant::quantize(q)).collect();
-            let shortlist = self.shortlist_len(k);
-            let mut heaps: Vec<BinaryHeap<MinEntry>> = qs
-                .iter()
-                .map(|_| BinaryHeap::with_capacity(shortlist.min(n).saturating_add(1)))
-                .collect();
-            let mut scored = 0u64;
-            for ord in 0..n {
-                if self.deleted[ord] {
-                    continue;
-                }
-                scored += 1;
-                let row = self.code_row(ord);
-                let scale = self.scales[ord];
-                let id = self.ids[ord];
-                for ((qcodes, qscale), heap) in enc.iter().zip(heaps.iter_mut()) {
-                    let score = quant::dot_i8(row, qcodes) as f64 * (scale * qscale) as f64;
-                    offer(heap, shortlist, MinEntry { score, ord, id });
-                }
-            }
-            // Charged as if each query swept alone, so blocked and
-            // per-query execution meter identically.
-            let ops = scored * qs.len() as u64;
-            meter::charge_quantized(ops, ops * dim as u64);
-            return heaps
-                .into_iter()
-                .zip(qs.iter())
-                .map(|(heap, q)| self.rescore(heap, q, k))
-                .collect();
-        }
         let mut heaps: Vec<BinaryHeap<MinEntry>> = qs
             .iter()
             .map(|_| BinaryHeap::with_capacity(k + 1))
@@ -1929,21 +1686,21 @@ mod tests {
         assert!(FlatIndex::from_bytes(bytes::Bytes::from_static(b"nah")).is_err());
         assert!(HnswIndex::from_bytes(bytes::Bytes::from_static(b"VFAI\x01\x02")).is_err());
         // One unit row [1, 0]; its first float sits after the 7-byte header,
-        // generation, scan mode, counts, id and tombstone byte.
+        // generation, counts, id and tombstone byte.
         let mut flat = FlatIndex::new();
         flat.add(tid(0), Vector::from_vec(vec![1.0, 0.0]));
         let good = flat.to_bytes().to_vec();
         let mut scaled = good.clone();
-        scaled[42..46].copy_from_slice(&2.0f32.to_le_bytes());
+        scaled[33..37].copy_from_slice(&2.0f32.to_le_bytes());
         assert!(matches!(
             FlatIndex::from_bytes(Bytes::from(scaled)),
             Err(PersistError::Corrupt(_))
         ));
-        // A dimension of 0 (at byte 28) decodes empty rows and leaves the
+        // A dimension of 0 (at byte 19) decodes empty rows and leaves the
         // body unread; accepted, every search would dot rows of length 0
         // against a query of length 2.
         let mut flat_rows = good;
-        flat_rows[28..32].copy_from_slice(&0u32.to_le_bytes());
+        flat_rows[19..23].copy_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             FlatIndex::from_bytes(Bytes::from(flat_rows)),
             Err(PersistError::Corrupt(_))
@@ -1967,7 +1724,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_load_allocates_per_chunk_not_per_vector_and_keeps_state() {
+    fn snapshot_load_allocates_per_chunk_not_per_vector_and_keeps_state() {
         // Enough rows to span chunks, with a ragged last one.
         let e = TextEmbedder::with_seed(11);
         let n = 2 * ROWS_PER_CHUNK + 44;
@@ -2209,7 +1966,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_v3_snapshots_rejected_not_garbled() {
+    fn truncated_snapshots_rejected_not_garbled() {
         // Chop a valid snapshot at every prefix length; the decoder must
         // return a typed error every time, never panic or succeed.
         let mut flat = FlatIndex::new();
@@ -2245,74 +2002,45 @@ mod tests {
         bad[6] |= 0x40; // a flag bit this decoder does not understand
         assert_eq!(
             FlatIndex::from_bytes(Bytes::from(bad.clone())).unwrap_err(),
-            PersistError::BadFlags(FLAG_UNIT_NORM | FLAG_QUANT_CODES | 0x40)
+            PersistError::BadFlags(FLAT_FLAGS | 0x40)
         );
         bad[5] = SnapshotKind::Hnsw as u8;
         assert_eq!(
             HnswIndex::from_bytes(Bytes::from(bad)).unwrap_err(),
-            PersistError::BadFlags(FLAG_UNIT_NORM | FLAG_QUANT_CODES | 0x40)
+            PersistError::BadFlags(FLAT_FLAGS | 0x40)
         );
     }
 
     #[test]
-    fn full_rescore_is_identical_to_exact_scan() {
-        // rescore_factor = ∞ keeps every candidate in phase 1 and rescores
-        // all of them with the exact kernel: byte-identical to exact mode.
-        let mut exact = FlatIndex::new();
-        let mut quant = FlatIndex::new_quantized(usize::MAX);
-        for (id, v) in corpus() {
-            exact.add(id, v.clone());
-            quant.add(id, v);
-        }
-        let e = TextEmbedder::with_seed(11);
-        for q in ["jordan basketball", "election district", "film actress"] {
-            let qv = e.embed(q);
-            for k in [1usize, 3, 8] {
-                assert_eq!(exact.search(&qv, k), quant.search(&qv, k), "{q} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_scan_skips_tombstones_and_survives_compaction() {
-        let e = TextEmbedder::with_seed(11);
-        let mut idx = FlatIndex::new_quantized(4);
-        for (id, v) in corpus() {
-            idx.add(id, v);
-        }
-        assert!(idx.remove(tid(2)));
-        let hits = idx.search(&e.embed("basketball jordan bulls"), 8);
-        assert_eq!(hits.len(), 7);
-        assert!(hits.iter().all(|h| h.id != tid(2)));
-        // Force a compaction; the code sidecar must be rebuilt in step.
-        for i in [0u64, 1, 3, 4] {
-            idx.remove(tid(i));
-        }
-        assert_eq!(idx.tombstones(), 0);
-        assert_eq!(idx.codes.len(), idx.ids.len() * idx.rows.stride());
-        assert_eq!(idx.scales.len(), idx.ids.len());
-        let hits = idx.search(&e.embed("chicago bulls championship"), 8);
-        assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn v4_snapshot_carries_codes_and_scan_mode() {
-        let mut idx = FlatIndex::new_quantized(7);
-        for (id, v) in corpus() {
-            idx.add(id, v);
-        }
-        idx.remove(tid(3));
-        let back = FlatIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert!(back.is_quantized());
-        assert_eq!(back.rescore_factor(), 7);
-        assert_eq!(back.codes, idx.codes);
-        assert_eq!(back.scales, idx.scales);
-        assert_eq!(back.rows.stride(), idx.rows.stride());
-        let e = TextEmbedder::with_seed(11);
-        for q in ["jordan basketball", "election district new york"] {
-            let qv = e.embed(q);
-            assert_eq!(idx.search(&qv, 4), back.search(&qv, 4), "{q}");
-        }
+    fn flat_snapshot_with_a_code_sidecar_is_rejected_by_flags() {
+        // A version-4 flat snapshot as the int8 scan's writer laid it out:
+        // flags 0x03 (unit rows + code sidecar), a scan-mode byte and a
+        // shortlist-factor u64 after the generation, then per-row scales
+        // and codes after the f32 slab. It never loads: read past its
+        // header, the extra nine bytes would shift the counts and the
+        // sidecar would decode as rows.
+        let mut buf = BytesMut::new();
+        persist::put_header(&mut buf, SnapshotKind::Flat, FLAG_UNIT_NORM | 0x02);
+        buf.put_u64_le(1); // generation
+        buf.put_u8(1); // scan mode
+        buf.put_u64_le(4); // shortlist factor
+        buf.put_u32_le(1); // n
+        buf.put_u32_le(2); // dim
+        persist::put_instance_id(&mut buf, tid(0));
+        buf.put_u8(0); // tombstone
+        buf.put_f32_le(1.0);
+        buf.put_f32_le(0.0);
+        buf.put_f32_le(1.0 / 127.0); // scale
+        buf.put_slice(&[127, 0]); // codes
+        let old = buf.freeze();
+        assert_eq!(
+            FlatIndex::from_bytes(old.clone()).unwrap_err(),
+            PersistError::BadFlags(3)
+        );
+        assert_eq!(
+            AnyVectorIndex::from_bytes(old).unwrap_err(),
+            PersistError::BadFlags(3)
+        );
     }
 
     /// `bytes` with its version byte set to `version`.
@@ -2323,7 +2051,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_flat_snapshot_migrates_by_normalizing() {
+    fn v1_flat_snapshot_rejected_and_current_one_scores_a_cosine() {
         // A hand-encoded version-1 Flat snapshot (no flags byte) holding a
         // non-unit vector, as the pre-invariant encoder wrote one. It is
         // rejected by version, not normalized and not misscored.
@@ -2354,7 +2082,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_hnsw_snapshot_migrates_by_normalizing() {
+    fn v1_hnsw_snapshot_rejected_and_current_one_scores_a_cosine() {
         // Minimal version-1 graph: one level-0 node with a non-unit vector.
         // It is rejected by version.
         let mut buf = BytesMut::new();
@@ -2417,7 +2145,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_migrate_to_equivalent_indexes() {
+    fn v2_snapshots_rejected_and_current_ones_reload_equivalent() {
         // Version-2 snapshots are rejected by version; current ones reload
         // to indexes that keep their generation and answer identically.
         let e = TextEmbedder::with_seed(11);
@@ -2448,10 +2176,9 @@ mod tests {
     }
 
     #[test]
-    fn v3_snapshot_migrates_by_requantizing() {
-        // A version-3 snapshot predates the code sidecar and is rejected by
-        // version. The current one carries the codes: an exact-mode index
-        // reloads with codes bit-identical to the eager writer's.
+    fn v3_flat_snapshot_rejected_and_current_one_keeps_generation_and_tombstones() {
+        // A version-3 snapshot is rejected by version; the current one
+        // reloads with its generation and tombstones.
         let mut idx = FlatIndex::new();
         for (id, v) in corpus() {
             idx.add(id, v);
@@ -2464,18 +2191,15 @@ mod tests {
             PersistError::BadVersion(3)
         );
         let back = FlatIndex::from_bytes(bytes).unwrap();
-        assert!(!back.is_quantized());
         assert_eq!(back.generation(), gen);
         assert_eq!(back.tombstones(), 1);
-        assert_eq!(back.codes, idx.codes);
-        assert_eq!(back.scales, idx.scales);
     }
 
     #[test]
     fn batch_search_matches_per_query_search() {
         // The blocked multi-query scan must return exactly what B
-        // independent searches return — exact mode, quantized mode, and
-        // through the backend-erased dispatch.
+        // independent searches return — flat, HNSW, and through the
+        // backend-erased dispatch.
         let e = TextEmbedder::with_seed(11);
         let queries: Vec<Vector> = [
             "jordan basketball points",
@@ -2488,29 +2212,24 @@ mod tests {
         .map(|q| e.embed(q))
         .collect();
         let mut exact = FlatIndex::new();
-        let mut quant = FlatIndex::new_quantized(3);
         let mut hnsw = HnswIndex::with_defaults();
         for (id, v) in corpus() {
             exact.add(id, v.clone());
-            quant.add(id, v.clone());
             hnsw.add(id, v);
         }
         exact.remove(tid(5));
-        quant.remove(tid(5));
         for k in [1usize, 3, 8] {
             let want_e: Vec<_> = queries.iter().map(|q| exact.search(q, k)).collect();
             assert_eq!(exact.search_batch(&queries, k), want_e, "exact k={k}");
-            let want_q: Vec<_> = queries.iter().map(|q| quant.search(q, k)).collect();
-            assert_eq!(quant.search_batch(&queries, k), want_q, "quant k={k}");
             let want_h: Vec<_> = queries.iter().map(|q| hnsw.search(q, k)).collect();
             assert_eq!(hnsw.search_batch(&queries, k), want_h, "hnsw k={k}");
         }
-        let any = AnyVectorIndex::Flat(quant);
-        let want: Vec<_> = queries.iter().map(|q| any.search(q, 4)).collect();
-        assert_eq!(any.search_batch(&queries, 4), want);
         // Degenerate shapes.
         assert!(exact.search_batch(&[], 3).is_empty());
         assert_eq!(exact.search_batch(&queries, 0), vec![Vec::new(); 5]);
+        let any = AnyVectorIndex::Flat(exact);
+        let want: Vec<_> = queries.iter().map(|q| any.search(q, 4)).collect();
+        assert_eq!(any.search_batch(&queries, 4), want);
     }
 
     #[test]
@@ -2655,84 +2374,6 @@ mod tests {
             idx.add(tid(0), e.embed("shared content"));
             assert_eq!(idx.len(), 1);
             assert!(!idx.is_empty());
-        }
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Deterministic pseudo-random raw vector (the index normalizes).
-    fn random_vector(seed: u64, row: u64, dim: usize) -> Vector {
-        let v: Vec<f32> = (0..dim)
-            .map(|i| {
-                let h = verifai_embed::hashing::splitmix64(seed ^ (row << 20) ^ (i as u64) << 4);
-                (verifai_embed::hashing::unit_float(h) * 2.0 - 1.0) as f32
-            })
-            .collect();
-        Vector::from_vec(v)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Satellite contract: the quantized two-phase scan at the default
-        /// rescore factor achieves recall@10 ≥ 0.95 against the exact flat
-        /// scan, across random corpora and dimensions.
-        #[test]
-        fn quantized_rescore_recall_at_10(
-            dim in 8usize..160,
-            n in 40usize..160,
-            seed in 0u64..200,
-        ) {
-            let mut exact = FlatIndex::new();
-            let mut quant = FlatIndex::new_quantized(DEFAULT_RESCORE_FACTOR);
-            for row in 0..n as u64 {
-                let v = random_vector(seed, row, dim);
-                exact.add(InstanceId::Text(row), v.clone());
-                quant.add(InstanceId::Text(row), v);
-            }
-            let k = 10usize.min(n);
-            let mut hit = 0usize;
-            let mut total = 0usize;
-            for qi in 0..8u64 {
-                let q = random_vector(seed ^ 0xdead, qi, dim);
-                let truth: std::collections::HashSet<InstanceId> =
-                    exact.search(&q, k).into_iter().map(|h| h.id).collect();
-                for h in quant.search(&q, k) {
-                    total += 1;
-                    hit += truth.contains(&h.id) as usize;
-                }
-            }
-            let recall = hit as f64 / total as f64;
-            prop_assert!(
-                recall >= 0.95,
-                "dim {} n {} seed {}: recall@{} = {}", dim, n, seed, k, recall
-            );
-        }
-
-        /// rescore_factor = ∞ (full rescore) is byte-identical to exact.
-        #[test]
-        fn full_rescore_identity(
-            dim in 4usize..96,
-            n in 10usize..120,
-            seed in 0u64..200,
-        ) {
-            let mut exact = FlatIndex::new();
-            let mut quant = FlatIndex::new_quantized(usize::MAX);
-            for row in 0..n as u64 {
-                let v = random_vector(seed, row, dim);
-                exact.add(InstanceId::Text(row), v.clone());
-                quant.add(InstanceId::Text(row), v);
-            }
-            for qi in 0..4u64 {
-                let q = random_vector(seed ^ 0xbeef, qi, dim);
-                for k in [1usize, 5, 10] {
-                    prop_assert_eq!(exact.search(&q, k), quant.search(&q, k));
-                }
-            }
         }
     }
 }

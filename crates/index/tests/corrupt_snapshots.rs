@@ -36,13 +36,11 @@ fn fill(index: &mut impl VectorIndex) {
 }
 
 /// One small snapshot of each shape a reader accepts, tombstones included.
-fn snapshots() -> &'static [(&'static str, Bytes); 4] {
-    static SNAPSHOTS: OnceLock<[(&str, Bytes); 4]> = OnceLock::new();
+fn snapshots() -> &'static [(&'static str, Bytes); 3] {
+    static SNAPSHOTS: OnceLock<[(&str, Bytes); 3]> = OnceLock::new();
     SNAPSHOTS.get_or_init(|| {
         let mut flat = FlatIndex::new();
         fill(&mut flat);
-        let mut quantized = FlatIndex::new_quantized(2);
-        fill(&mut quantized);
         let mut hnsw = HnswIndex::new(HnswConfig {
             m: 4,
             ..HnswConfig::default()
@@ -56,7 +54,6 @@ fn snapshots() -> &'static [(&'static str, Bytes); 4] {
         content.remove(id(2), &text(2));
         [
             ("flat", flat.to_bytes()),
-            ("quantized", quantized.to_bytes()),
             ("hnsw", hnsw.to_bytes()),
             ("segmented", content.to_bytes()),
         ]
@@ -116,7 +113,7 @@ proptest! {
     /// completes.
     #[test]
     fn damaged_snapshots_are_errors_or_searchable(
-        which in 0usize..4,
+        which in 0usize..3,
         at in any::<u64>(),
         mode in 0u8..3,
         value in any::<u32>(),

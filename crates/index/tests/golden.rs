@@ -126,17 +126,14 @@ const HNSW_GOLDEN: [[u64; 2]; 3] = [
     [0xe6336684f62ddb16, 0x3b2aa009510f0a7e],
     [0xaafa81d4fd7a6e25, 0xcf550daae9a3e792],
 ];
+/// The byte digests (`[_][0]`) were re-captured when the flat snapshot lost
+/// its int8 code sidecar, scan-mode byte and shortlist factor; the hits
+/// predate that change.
 const FLAT_EXACT_GOLDEN: [[u64; 2]; 3] = [
-    [0xa2ca5b2ac7c3f952, 0x7a13e02e41582a07],
-    [0x9bf51f0039d7cae6, 0x7ecde0f6d6275431],
-    [0xb023a7e7495e8c20, 0x7ecde0f6d6275431],
+    [0x181d3107d11a176a, 0x7a13e02e41582a07],
+    [0x7bd6dd2a699e5337, 0x7ecde0f6d6275431],
+    [0xf94362bf95abb9d9, 0x7ecde0f6d6275431],
 ];
-const FLAT_QUANTIZED_GOLDEN: [[u64; 2]; 3] = [
-    [0xd02d53ef8592f53d, 0x7a13e02e41582a07],
-    [0xeff8df4c0cbe6e95, 0x7ecde0f6d6275431],
-    [0x71dc877998fc05bb, 0x7ecde0f6d6275431],
-];
-
 #[test]
 fn hnsw_graph_snapshot_and_hits_match_the_golden_build() {
     let got = fingerprints(
@@ -151,21 +148,6 @@ fn hnsw_graph_snapshot_and_hits_match_the_golden_build() {
 fn flat_exact_snapshot_and_hits_match_the_golden_build() {
     let got = fingerprints(FlatIndex::new(), FlatIndex::to_bytes, FlatIndex::compact);
     assert_eq!(got, FLAT_EXACT_GOLDEN, "{}", show("flat exact", &got));
-}
-
-#[test]
-fn flat_quantized_snapshot_and_hits_match_the_golden_build() {
-    let got = fingerprints(
-        FlatIndex::new_quantized(4),
-        FlatIndex::to_bytes,
-        FlatIndex::compact,
-    );
-    assert_eq!(
-        got,
-        FLAT_QUANTIZED_GOLDEN,
-        "{}",
-        show("flat quantized", &got)
-    );
 }
 
 const DOCS: u64 = 1_024;

@@ -3,8 +3,7 @@
 //!
 //! Latency tracing answers *when* a request was slow; metering answers
 //! *where the resources went* — how many vectors a scan touched, how many
-//! int8 dot-products versus exact f32 rescores, how many BM25 postings
-//! were walked, how many bytes each of those moved. The design has three
+//! BM25 postings were walked, how many bytes each of those moved. The design has three
 //! pieces:
 //!
 //! * [`CostVector`] — a plain, `Copy`, all-`u64` bag of resource
@@ -31,7 +30,7 @@
 use std::cell::Cell;
 
 /// Number of resource dimensions in a [`CostVector`].
-pub const COST_FIELDS: usize = 9;
+pub const COST_FIELDS: usize = 7;
 
 /// Per-request resource consumption, one `u64` per resource dimension.
 /// Every dimension is a deterministic work count: the same request over
@@ -41,12 +40,8 @@ pub const COST_FIELDS: usize = 9;
 /// fieldwise saturating addition. The zero vector is the identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostVector {
-    /// Vectors touched by semantic scans (flat, quantized, or HNSW).
+    /// Vectors touched by semantic scans (flat or HNSW).
     pub vectors_scanned: u64,
-    /// Int8 quantized dot-products evaluated.
-    pub quantized_ops: u64,
-    /// Exact f32 rescores of quantized shortlist survivors.
-    pub exact_rescores: u64,
     /// BM25 postings-list entries visited.
     pub bm25_postings: u64,
     /// Bytes read by scans and postings walks (logical, not page-cache).
@@ -69,8 +64,6 @@ impl CostVector {
     /// series.
     pub const FIELD_NAMES: [&'static str; COST_FIELDS] = [
         "vectors_scanned",
-        "quantized_ops",
-        "exact_rescores",
         "bm25_postings",
         "bytes_read",
         "cache_hits",
@@ -83,8 +76,6 @@ impl CostVector {
     pub const fn zero() -> CostVector {
         CostVector {
             vectors_scanned: 0,
-            quantized_ops: 0,
-            exact_rescores: 0,
             bm25_postings: 0,
             bytes_read: 0,
             cache_hits: 0,
@@ -98,8 +89,6 @@ impl CostVector {
     pub fn values(&self) -> [u64; COST_FIELDS] {
         [
             self.vectors_scanned,
-            self.quantized_ops,
-            self.exact_rescores,
             self.bm25_postings,
             self.bytes_read,
             self.cache_hits,
@@ -113,14 +102,12 @@ impl CostVector {
     pub fn from_values(values: [u64; COST_FIELDS]) -> CostVector {
         CostVector {
             vectors_scanned: values[0],
-            quantized_ops: values[1],
-            exact_rescores: values[2],
-            bm25_postings: values[3],
-            bytes_read: values[4],
-            cache_hits: values[5],
-            cache_misses: values[6],
-            shard_fanout: values[7],
-            embeds: values[8],
+            bm25_postings: values[1],
+            bytes_read: values[2],
+            cache_hits: values[3],
+            cache_misses: values[4],
+            shard_fanout: values[5],
+            embeds: values[6],
         }
     }
 
@@ -185,26 +172,6 @@ fn charge_with(f: impl FnOnce(&mut CostVector)) {
 pub fn charge_scan(n: u64, bytes: u64) {
     charge_with(|c| {
         c.vectors_scanned = c.vectors_scanned.saturating_add(n);
-        c.bytes_read = c.bytes_read.saturating_add(bytes);
-    });
-}
-
-/// Charge `n` int8 quantized dot-products reading `bytes` (each also
-/// counts as a scanned vector).
-#[inline]
-pub fn charge_quantized(n: u64, bytes: u64) {
-    charge_with(|c| {
-        c.vectors_scanned = c.vectors_scanned.saturating_add(n);
-        c.quantized_ops = c.quantized_ops.saturating_add(n);
-        c.bytes_read = c.bytes_read.saturating_add(bytes);
-    });
-}
-
-/// Charge `n` exact f32 rescores of quantized shortlist survivors.
-#[inline]
-pub fn charge_rescore(n: u64, bytes: u64) {
-    charge_with(|c| {
-        c.exact_rescores = c.exact_rescores.saturating_add(n);
         c.bytes_read = c.bytes_read.saturating_add(bytes);
     });
 }
@@ -351,18 +318,14 @@ mod tests {
         let baseline = tally();
         let ((), cost) = scoped(|| {
             charge_scan(10, 400);
-            charge_quantized(100, 1600);
-            charge_rescore(8, 320);
             charge_postings(50, 400);
             charge_cache_miss();
             charge_shard_fanout(2);
             charge_embed();
         });
-        assert_eq!(cost.vectors_scanned, 110);
-        assert_eq!(cost.quantized_ops, 100);
-        assert_eq!(cost.exact_rescores, 8);
+        assert_eq!(cost.vectors_scanned, 10);
         assert_eq!(cost.bm25_postings, 50);
-        assert_eq!(cost.bytes_read, 400 + 1600 + 320 + 400);
+        assert_eq!(cost.bytes_read, 400 + 400);
         assert_eq!(cost.cache_misses, 1);
         assert_eq!(cost.cache_hits, 0);
         assert_eq!(cost.shard_fanout, 2);

@@ -857,7 +857,7 @@ mod tests {
             .series
             .iter()
             .filter(|s| s.name == "verifai_cost_total");
-        assert_eq!(rows.count(), 9);
+        assert_eq!(rows.count(), 7);
         // And the read-back paths agree.
         assert_eq!(obs.cost_totals(), cost.merged(&cost));
         assert_eq!(obs.tenant_stats()[0].cost, cost.merged(&cost));

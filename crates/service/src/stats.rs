@@ -245,10 +245,8 @@ impl fmt::Display for ServiceStats {
         if !self.cost.is_zero() {
             writeln!(
                 f,
-                "cost:     {} vectors ({} quantized ops, {} exact rescores) | {} postings | {} bytes | {} embeds | fanout {}",
+                "cost:     {} vectors | {} postings | {} bytes | {} embeds | fanout {}",
                 self.cost.vectors_scanned,
-                self.cost.quantized_ops,
-                self.cost.exact_rescores,
                 self.cost.bm25_postings,
                 self.cost.bytes_read,
                 self.cost.embeds,

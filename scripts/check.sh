@@ -64,11 +64,14 @@ IDENTITY_OUT="$(cargo test -q --release --test rerank_identity \
 grep -q ' 1 passed' <<< "$IDENTITY_OUT" \
   || { echo "small-lake rerank identity test did not run"; exit 1; }
 
-# Golden fingerprints of every index's snapshot bytes and search hits: a
-# change that moves one changed behaviour or the wire format. Named, like
-# the step above, so the gate fails if the test target goes missing.
+# Golden fingerprints of every index's snapshot bytes and search hits (HNSW,
+# exact flat, segmented BM25): a change that moves one changed behaviour or
+# the wire format. Named, and it must report three passed tests, so a
+# deleted golden test fails the gate instead of passing on fewer tests.
 echo "==> golden index fingerprints (gating)"
-cargo test -q -p verifai-index --test golden
+GOLDEN_OUT="$(cargo test -q -p verifai-index --test golden)"
+grep -q ' 3 passed' <<< "$GOLDEN_OUT" \
+  || { echo "golden fingerprint tests did not all run"; exit 1; }
 
 # The analysis kernel's byte path yields the char path's terms (tokenize,
 # then lowercase/stopwords/stem per token) on arbitrary strings for every
@@ -221,14 +224,6 @@ PER_VECTOR="$(sed -n 's/^semantic bytes per vector: \([0-9]*\) .*/\1/p' "$LIVE_O
 grep 'content segments per modality after ingest' "$LIVE_OUT" \
   || { echo "live smoke: segment-bound check did not run"; exit 1; }
 rm -f "$LIVE_OUT"
-
-# Gating quantized-mode smoke: build on the int8 quantized flat backend,
-# run quantized queries, check the blocked batch scan against per-query
-# scans, snapshot the semantic indexes (v4 carries the code sidecar),
-# reload, and verify identical answers. Nonzero exit means the quantized
-# scan, the batched kernel, or the snapshot v4 round-trip broke.
-echo "==> quantized-mode smoke (gating)"
-cargo run -q --release --bin verifai-cli -- quant > /dev/null
 
 # Gating paper evaluation: every table, figure and ablation at `small`,
 # seeds 42 and 7. The run exits nonzero when a paper shape fails at either

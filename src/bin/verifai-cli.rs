@@ -8,8 +8,6 @@
 //!                                              tables to stderr, JSON (EVAL.json) to stdout
 //! verifai-cli live [tiny|small|paper]          live-lake smoke: feature budget, ingest, delete,
 //!                                              compact, snapshot, reload, query
-//! verifai-cli quant [tiny|small|paper]         quantized-mode smoke: int8 flat
-//!                                              build, query, snapshot, reload
 //! ```
 //!
 //! The scale defaults to `tiny`; any other word is a usage error (exit 1).
@@ -26,7 +24,7 @@ use verifai_datagen::LakeSpec;
 use verifai_lake::{table_from_csv, DataInstance, InstanceKind};
 use verifai_llm::{SimLlm, SimLlmConfig, TextClaim, WorldModel};
 
-/// The lake seed of `lake`, `search`, `live` and `quant`.
+/// The lake seed of `lake`, `search` and `live`.
 const SEED: u64 = 42;
 
 /// The seeds every `experiments` run evaluates: a shape that holds at one
@@ -357,95 +355,6 @@ fn cmd_live(scale: Scale) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Gating quantized-mode smoke (used by `scripts/check.sh`): build a
-/// system on the int8 quantized flat backend, run quantized queries, check
-/// the batched scan matches per-query scans, snapshot the standing
-/// semantic indexes (v4, codes carried), reload them, and check the
-/// reloaded indexes answer identically. Any violated expectation exits
-/// nonzero.
-fn cmd_quant(scale: Scale) -> ExitCode {
-    use verifai::SemanticBackend;
-    use verifai_index::{save_atomic, AnyVectorIndex, VectorIndex};
-
-    fn fail(step: &str, detail: String) -> ExitCode {
-        eprintln!("quant smoke FAILED at {step}: {detail}");
-        ExitCode::FAILURE
-    }
-
-    let config = VerifAiConfig {
-        semantic_backend: SemanticBackend::Flat,
-        quantized: true,
-        ..VerifAiConfig::default()
-    };
-    let rescore_factor = config.rescore_factor;
-    let t0 = std::time::Instant::now();
-    let system = VerifAi::build(verifai_datagen::build(&scale.spec(SEED)), config);
-    println!("built in {:?}: {}", t0.elapsed(), system.lake().stats());
-
-    // Quantized retrieval must produce evidence end-to-end, in every probed
-    // modality that has a semantic member (tuples have none: their
-    // retrieval never reaches the quantized scan).
-    let probes = [
-        "district commission incumbent filings",
-        "annual budget total by department",
-        "committee membership and chairs",
-    ];
-    for probe in &probes {
-        for kind in [InstanceKind::Table, InstanceKind::Text] {
-            if system.retrieve(probe, kind, 5).is_empty() {
-                return fail("query", format!("no hits for {probe:?} ({kind:?})"));
-            }
-        }
-    }
-    println!(
-        "quantized retrieval OK over {} probes (rescore_factor {rescore_factor})",
-        probes.len()
-    );
-
-    let Some(live) = system.live() else {
-        return fail("snapshot", "system is not live".into());
-    };
-    let embedder = verifai::corpus::embedder_for(&VerifAiConfig::default());
-    let vectors: Vec<_> = probes.iter().map(|p| embedder.embed(p)).collect();
-    let dir = std::env::temp_dir();
-    for (slot, semantic) in live.semantic.iter().enumerate() {
-        let Some(semantic) = semantic else { continue };
-        // The blocked multi-query scan must agree with per-query scans.
-        let index = semantic.read();
-        let want: Vec<_> = vectors
-            .iter()
-            .map(|v| VectorIndex::search(&*index, v, 5))
-            .collect();
-        if VectorIndex::search_batch(&*index, &vectors, 5) != want {
-            return fail("batch", format!("slot {slot}: batched scan diverged"));
-        }
-        // Snapshot (v4 carries the code sidecar), reload, same answers.
-        let path = dir.join(format!("verifai_quant_smoke_{slot}.snap"));
-        if let Err(e) = save_atomic(&path, &index.to_bytes()) {
-            return fail("snapshot", format!("slot {slot}: {e}"));
-        }
-        let reloaded = match std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|b| AnyVectorIndex::from_bytes(b.into()).map_err(|e| e.to_string()))
-        {
-            Ok(idx) => idx,
-            Err(e) => return fail("reload", format!("slot {slot}: {e}")),
-        };
-        let _ = std::fs::remove_file(&path);
-        for (probe, (vector, want)) in probes.iter().zip(vectors.iter().zip(&want)) {
-            let got = VectorIndex::search(&reloaded, vector, 5);
-            if got != *want {
-                return fail(
-                    "reload",
-                    format!("slot {slot} diverged on {probe:?}: {got:?} vs {want:?}"),
-                );
-            }
-        }
-    }
-    println!("batched scan + snapshot v4 + reload verified; quant smoke OK");
-    ExitCode::SUCCESS
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n\
@@ -453,8 +362,7 @@ fn usage() -> ExitCode {
          \x20 verifai-cli search <tuple|table|text|kg> <query...>\n\
          \x20 verifai-cli check <table.csv> <claim...>\n\
          \x20 verifai-cli experiments [tiny|small|paper]\n\
-         \x20 verifai-cli live [tiny|small|paper]\n\
-         \x20 verifai-cli quant [tiny|small|paper]"
+         \x20 verifai-cli live [tiny|small|paper]"
     );
     ExitCode::FAILURE
 }
@@ -471,8 +379,7 @@ fn main() -> ExitCode {
         (Some("lake"), Some(scale)) => cmd_lake(scale),
         (Some("experiments"), Some(scale)) => cmd_experiments(scale),
         (Some("live"), Some(scale)) => cmd_live(scale),
-        (Some("quant"), Some(scale)) => cmd_quant(scale),
-        (Some("lake" | "experiments" | "live" | "quant"), None) => {
+        (Some("lake" | "experiments" | "live"), None) => {
             eprintln!("unknown scale '{}'", args[1]);
             usage()
         }

@@ -603,10 +603,8 @@ fn main() -> ExitCode {
         println!("\n==> usage report");
         let fmt_cost = |cost: &CostVector| {
             format!(
-                "vectors {} (quantized {} / rescored {}) | postings {} | bytes {} | embeds {} | cache {}/{} | fanout {}",
+                "vectors {} | postings {} | bytes {} | embeds {} | cache {}/{} | fanout {}",
                 cost.vectors_scanned,
-                cost.quantized_ops,
-                cost.exact_rescores,
                 cost.bm25_postings,
                 cost.bytes_read,
                 cost.embeds,
