@@ -55,7 +55,7 @@ pub struct ClusterBuild {
 /// [`Router`] over the same handles.
 ///
 /// The semantic backend follows `config.semantic_backend`. With
-/// [`SemanticBackend::Flat`] (exact scan) the routed results are
+/// [`SemanticBackend::Flat`](verifai::SemanticBackend::Flat) (exact scan) the routed results are
 /// *byte-identical* to a single-lake flat reference. With HNSW the per-shard
 /// graphs have their own insertion histories, so sharded results match the
 /// single-lake build only in recall terms — prefer flat when asserting

@@ -1,6 +1,6 @@
-//! The scatter/gather front end: fan a query batch out to every shard in
-//! one job per shard, gather per-shard top-k, merge, and fuse — behind the
-//! same [`EvidenceSource`] trait the single-lake pipeline retrieves through.
+//! The scatter/gather front end: fan a query out to every shard in one job
+//! per shard, gather per-shard top-k, merge, and fuse — behind the same
+//! [`EvidenceSource`] trait the single-lake pipeline retrieves through.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -80,7 +80,7 @@ impl RouterObs {
                     ),
                     latency: registry.histogram(
                         "verifai_shard_latency_seconds",
-                        "Run time of one shard job: both members over every query of the call",
+                        "Run time of one shard job: both members over the query",
                         labels,
                     ),
                 }
@@ -95,7 +95,7 @@ impl RouterObs {
 /// The router only searches: it holds `Arc` clones of the [`LiveIndexes`]
 /// the system owns, and [`verifai::VerifAi::apply`] mutates them. One job
 /// per shard per call runs both member index families (content,
-/// then semantic) over the whole query batch; the router gathers the
+/// then semantic) over the query; the router gathers the
 /// per-shard top-k lists, k-way-merges each member's lists
 /// ([`merge_topk`]), and fuses the merged *member* lists with the same
 /// [`Combiner`] the single-lake pipeline uses. Merging per member
@@ -241,42 +241,21 @@ impl Router {
     }
 
     /// Scatter/gather retrieval for one modality: the routed equivalent of
-    /// the single-lake fused source's `search`, as a batch of one.
+    /// the single-lake fused source's `search`. Each shard gets one job
+    /// carrying the query and both members — content, then semantic, each
+    /// under one read of its index lock. Each member's shard lists are
+    /// k-way-merged and the merged member lists fused, exactly as the
+    /// single-lake fused source would.
     pub fn search(&self, kind: InstanceKind, query: SourceQuery<'_>, k: usize) -> Vec<SearchHit> {
-        self.search_batch(kind, &[query], k)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Scatter/gather retrieval for one modality over a batch of queries.
-    /// Each shard gets one job carrying every query and both members —
-    /// content, then semantic, each under one read of its index lock, so a
-    /// flat semantic shard amortizes one blocked sweep across the batch.
-    /// Per query, each member's shard lists are k-way-merged and the merged
-    /// member lists fused, exactly as the single-lake fused source would.
-    pub fn search_batch(
-        &self,
-        kind: InstanceKind,
-        queries: &[SourceQuery<'_>],
-        k: usize,
-    ) -> Vec<Vec<SearchHit>> {
-        let batch = queries.len();
-        if batch == 0 {
-            return Vec::new();
-        }
         let slot = verifai::stages::slot(kind);
-        let texts: Arc<Vec<String>> =
-            Arc::new(queries.iter().map(|q| q.text.to_string()).collect());
-        let has_vector: Arc<Vec<bool>> =
-            Arc::new(queries.iter().map(|q| q.vector.is_some()).collect());
-        let dense: Arc<Vec<Vector>> =
-            Arc::new(queries.iter().filter_map(|q| q.vector.cloned()).collect());
-        // Semantic members without a query vector return nothing anywhere;
-        // the jobs leave them out.
+        let text: Arc<str> = query.text.into();
+        let vector: Option<Arc<Vector>> = query.vector.cloned().map(Arc::new);
+        // A semantic member without a query vector returns nothing
+        // anywhere; the jobs leave it out.
         let members = |shard: &Shard| {
             let content = self.use_content.then(|| shard.live.content[slot].clone());
             let semantic = shard.live.semantic[slot].clone();
-            (content, semantic.filter(|_| !dense.is_empty()))
+            (content, semantic.filter(|_| vector.is_some()))
         };
         let jobs = self
             .shards
@@ -286,10 +265,9 @@ impl Router {
                 if content.is_none() && semantic.is_none() {
                     return None;
                 }
-                let (texts, has_vector, dense) = (texts.clone(), has_vector.clone(), dense.clone());
-                let work: ShardWork<Vec<MemberHits>> = Box::new(move || {
-                    search_shard(content, semantic, &texts, &has_vector, &dense, k)
-                });
+                let (text, vector) = (text.clone(), vector.clone());
+                let work: ShardWork<MemberHits> =
+                    Box::new(move || search_shard(content, semantic, &text, vector.as_deref(), k));
                 Some(work)
             })
             .collect();
@@ -297,73 +275,58 @@ impl Router {
         for reply in &replies {
             let (content, semantic) = members(&self.shards[reply.shard]);
             let searched = content.is_some() as u64 + semantic.is_some() as u64;
-            self.obs.shards[reply.shard]
-                .searches
-                .add(searched * batch as u64);
+            self.obs.shards[reply.shard].searches.add(searched);
         }
-        // One reply per shard per query, charged `batch` times so an even
-        // per-request split leaves each request its own fanout. Shard
-        // queue wait is not charged: it overlaps the retrieval wall time
-        // the request already reports, and stays visible in the spans.
-        meter::charge_shard_fanout((replies.len() * batch) as u64);
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qi, query)| {
-                // Per reply, for a traced query's `shard-{i}` spans: hits
-                // found, and hits that survived the member merges.
-                let traced = query.ctx.is_live();
-                let mut counts = vec![(0, 0); if traced { replies.len() } else { 0 }];
-                let mut lists: Vec<Vec<SearchHit>> = Vec::with_capacity(2);
-                for member in 0..2 {
-                    let per_shard: Vec<Vec<SearchHit>> = replies
-                        .iter_mut()
-                        .map(|reply| std::mem::take(&mut reply.value[qi][member]))
-                        .collect();
-                    let merged = merge_topk(&per_shard, k);
-                    for (count, own) in counts.iter_mut().zip(&per_shard) {
-                        count.0 += own.len();
-                        count.1 += merged
-                            .iter()
-                            .filter(|hit| own.iter().any(|o| o.id == hit.id))
-                            .count();
-                    }
-                    if !merged.is_empty() {
-                        lists.push(merged);
-                    }
-                }
-                if traced {
-                    self.record_shard_spans(query.ctx, k, &replies, &counts, batch);
-                }
-                self.combiner.combine(&lists, k)
-            })
-            .collect()
+        // One reply per shard. Shard queue wait is not charged: it
+        // overlaps the retrieval wall time the request already reports,
+        // and stays visible in the spans.
+        meter::charge_shard_fanout(replies.len() as u64);
+        // Per reply, for a traced query's `shard-{i}` spans: hits found,
+        // and hits that survived the member merges.
+        let traced = query.ctx.is_live();
+        let mut counts = vec![(0, 0); if traced { replies.len() } else { 0 }];
+        let mut lists: Vec<Vec<SearchHit>> = Vec::with_capacity(2);
+        for member in 0..2 {
+            let per_shard: Vec<Vec<SearchHit>> = replies
+                .iter_mut()
+                .map(|reply| std::mem::take(&mut reply.value[member]))
+                .collect();
+            let merged = merge_topk(&per_shard, k);
+            for (count, own) in counts.iter_mut().zip(&per_shard) {
+                count.0 += own.len();
+                count.1 += merged
+                    .iter()
+                    .filter(|hit| own.iter().any(|o| o.id == hit.id))
+                    .count();
+            }
+            if !merged.is_empty() {
+                lists.push(merged);
+            }
+        }
+        if traced {
+            self.record_shard_spans(query.ctx, k, &replies, &counts);
+        }
+        self.combiner.combine(&lists, k)
     }
 
     /// Record one `shard-{i}` child span per reply into that shard's span
     /// log, under `ctx`'s trace and parent span. `counts[j]` is reply
-    /// `j`'s (hits found, hits merged) for this query; the job's run time
-    /// is credited as an even share of the `co_batch` queries it served.
+    /// `j`'s (hits found, hits merged).
     fn record_shard_spans<T>(
         &self,
         ctx: SpanContext,
         k: usize,
         replies: &[Reply<T>],
         counts: &[(usize, usize)],
-        co_batch: usize,
     ) {
         for (reply, &(hits, merged)) in replies.iter().zip(counts) {
             let i = reply.shard;
             let span_id = REMOTE_SPAN_BIT | self.next_remote_span.fetch_add(1, Ordering::Relaxed);
-            let scan_ns = reply.run_ns / co_batch as u64;
-            let mut note = format!(
+            let note = format!(
                 "k {k} merged {merged} queue {}us scan {}us",
                 reply.queue_ns / 1_000,
-                scan_ns / 1_000
+                reply.run_ns / 1_000
             );
-            if co_batch > 1 {
-                note.push_str(&format!(" batch of {co_batch}"));
-            }
             self.span_logs[i].record(
                 ctx.trace_id,
                 SpanEvent {
@@ -373,7 +336,7 @@ impl Router {
                     // Relative to the parent: the queue wait offsets the
                     // scan, so Perfetto shows wait vs. work per shard.
                     start_ns: reply.queue_ns,
-                    duration_ns: scan_ns,
+                    duration_ns: reply.run_ns,
                     candidates_in: hits,
                     candidates_out: merged,
                     note: note.into(),
@@ -411,31 +374,24 @@ impl Router {
     }
 }
 
-/// One shard job: every query of the batch through the shard's content
-/// index, then its semantic index, each under one read of its lock.
-/// `dense` holds the vectors of the queries flagged in `has_vector`.
+/// One shard job: the query through the shard's content index, then its
+/// semantic index (when the query has a vector), each under one read of
+/// its lock.
 fn search_shard(
     content: Option<SharedContent>,
     semantic: Option<SharedSemantic>,
-    texts: &[String],
-    has_vector: &[bool],
-    dense: &[Vector],
+    text: &str,
+    vector: Option<&Vector>,
     k: usize,
-) -> Vec<MemberHits> {
-    let mut per_query: Vec<MemberHits> = texts.iter().map(|_| Default::default()).collect();
+) -> MemberHits {
+    let mut hits = MemberHits::default();
     if let Some(index) = content {
-        let index = index.read();
-        for (hits, text) in per_query.iter_mut().zip(texts) {
-            hits[0] = index.search(text, k);
-        }
+        hits[0] = index.read().search(text, k);
     }
-    if let Some(index) = semantic {
-        let mut results = VectorIndex::search_batch(&*index.read(), dense, k).into_iter();
-        for (hits, _) in per_query.iter_mut().zip(has_vector).filter(|(_, &has)| has) {
-            hits[1] = results.next().unwrap_or_default();
-        }
+    if let (Some(index), Some(vector)) = (semantic, vector) {
+        hits[1] = VectorIndex::search(&*index.read(), vector, k);
     }
-    per_query
+    hits
 }
 
 /// One modality of a [`Router`] exposed as an [`EvidenceSource`]: the
@@ -460,10 +416,6 @@ impl EvidenceSource for RoutedSource {
 
     fn search(&self, query: SourceQuery<'_>, k: usize) -> Vec<SearchHit> {
         self.router.search(self.kind, query, k)
-    }
-
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        self.router.search_batch(self.kind, queries, k)
     }
 }
 

@@ -5,8 +5,8 @@
 //! discipline: a fixed set of threads draining one MPMC channel until every
 //! sender disconnects ([`work_loop`]). Batch verification wraps it in scoped
 //! threads over borrowed jobs ([`run_scoped`]); the service wraps it in a
-//! long-lived [`WorkerPool`] whose handler may pull further items from the
-//! channel it is handed (micro-batching).
+//! long-lived [`WorkerPool`] whose handler is handed the channel too (the
+//! service reads the backlog behind a request there to shed load).
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -14,8 +14,8 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 
 /// The one worker loop: drain `rx` until all senders disconnect. The handler
-/// receives the receiver alongside each item so it can coalesce more pending
-/// items into a batch before doing expensive work.
+/// receives the receiver alongside each item so it can see the backlog
+/// behind it before doing expensive work.
 pub fn work_loop<T, H>(rx: &Receiver<T>, handler: &H)
 where
     H: Fn(&Receiver<T>, T),

@@ -14,8 +14,8 @@
 //! 1. serialize the *old* text of every affected instance (the segmented
 //!    index subtracts a removed document's statistics by re-analyzing its
 //!    exact original text);
-//! 2. mutate the [`DataLake`](verifai_lake::DataLake), which bumps the
-//!    generation counter and records tombstones;
+//! 2. mutate the [`DataLake`], which bumps the generation counter and
+//!    records tombstones;
 //! 3. translate the change into index operations — remove + add on the
 //!    content index, tombstone + re-embed + insert on the semantic index
 //!    of a modality that has one (text, tables, knowledge graph; tuples
@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use verifai_embed::TextEmbedder;
-use verifai_index::source::vector_search_batch;
 use verifai_index::{
     AnyVectorIndex, CorpusStats, EvidenceSource, SearchHit, SegmentedInvertedIndex, SourceQuery,
     VectorIndex,
@@ -289,12 +288,6 @@ impl EvidenceSource for LiveSemanticSource {
             Some(vector) => VectorIndex::search(&*self.index.read(), vector, k),
             None => Vec::new(),
         }
-    }
-
-    /// Lock-amortizing batch: take the read lock once and run the whole
-    /// batch through the index's blocked multi-query kernel.
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        vector_search_batch(&*self.index.read(), queries, k)
     }
 }
 

@@ -593,78 +593,37 @@ impl VerifAi {
     /// and recording retrieval/rerank span events into `trace` (no-ops when
     /// the trace is disabled); returns the surviving evidence, read where it
     /// lies in the lake, with scores and the discovery-side stage timings.
-    /// This is [`VerifAi::discover_batch`] over a batch of one.
     pub fn discover(
         &self,
         object: &DataObject,
         trace: &mut RequestTrace,
     ) -> (Views<'_>, StageTiming) {
+        let text = Self::query_of(object);
+        let vector = self.embed_query(&text);
         // Span 0: a distributed source's children graft under the
         // retrieval span this call records once discovery returns.
-        let ctx = SpanContext {
-            trace_id: if trace.is_enabled() {
-                trace.trace_id
-            } else {
-                0
+        let query = SourceQuery {
+            text: &text,
+            vector: vector.as_ref(),
+            ctx: SpanContext {
+                trace_id: if trace.is_enabled() {
+                    trace.trace_id
+                } else {
+                    0
+                },
+                ..SpanContext::none()
             },
-            ..SpanContext::none()
         };
-        let (evidence, timing) = self
-            .discover_batch(&[object], &[ctx])
-            .pop()
-            .expect("one discovery per object");
-        timing.trace_discovery(trace, "");
-        (evidence, timing)
-    }
-
-    /// Run discovery for a batch of same-kind objects at once, amortizing
-    /// one blocked multi-query index sweep per modality across the whole
-    /// batch (see [`crate::stages::StagedPipeline::discover`]).
-    ///
-    /// All objects must share a stage plan — callers (the service's
-    /// micro-batching workers) group by object kind, so the plan of
-    /// `objects[0]` covers the batch; mixing kinds is a caller bug caught
-    /// by a debug assertion. Results and provenance rows are identical to
-    /// per-object [`VerifAi::discover`] calls.
-    ///
-    /// `ctxs[i]` rides on `objects[i]`'s query so distributed sources (the
-    /// cluster router) attribute their per-shard child spans to each
-    /// request's trace. Pass an empty slice (or [`SpanContext::none`]
-    /// entries) for untraced batches.
-    pub fn discover_batch(
-        &self,
-        objects: &[&DataObject],
-        ctxs: &[SpanContext],
-    ) -> Vec<(Views<'_>, StageTiming)> {
-        let Some(first) = objects.first() else {
-            return Vec::new();
-        };
-        debug_assert!(ctxs.is_empty() || ctxs.len() == objects.len());
-        let plan = self.stage_plans(first);
-        debug_assert!(
-            objects.iter().all(|o| self.stage_plans(o) == plan),
-            "discover_batch requires a kind-homogeneous batch"
-        );
-        let texts: Vec<String> = objects.iter().map(|o| Self::query_of(o)).collect();
-        let vectors: Vec<Option<Vector>> = texts.iter().map(|t| self.embed_query(t)).collect();
-        let queries: Vec<SourceQuery<'_>> = texts
-            .iter()
-            .zip(&vectors)
-            .enumerate()
-            .map(|(i, (text, vector))| SourceQuery {
-                text,
-                vector: vector.as_ref(),
-                ctx: ctxs.get(i).copied().unwrap_or_default(),
-            })
-            .collect();
         let mut recorder = StageRecorder::new(&self.provenance);
-        self.stages.discover(
-            objects,
-            &queries,
-            &plan,
+        let (evidence, timing) = self.stages.discover(
+            object,
+            query,
+            &self.stage_plans(object),
             &self.generated.lake,
             &mut recorder,
-        )
+        );
+        timing.trace_discovery(trace);
+        (evidence, timing)
     }
 
     /// Look cached evidence ids up in the lake, restoring — in place, as
@@ -897,25 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_discovery_matches_per_object_discovery() {
-        let sys = system();
-        let tasks = completion_workload(sys.generated(), 6, 3);
-        let objects: Vec<DataObject> = tasks.iter().map(|t| sys.impute(t)).collect();
-        let refs: Vec<&DataObject> = objects.iter().collect();
-        let batch = sys.discover_batch(&refs, &[]);
-        assert_eq!(batch.len(), objects.len());
-        for (object, (evidence, timing)) in objects.iter().zip(&batch) {
-            let (want, want_timing) = sys.discover(object, &mut RequestTrace::disabled());
-            let got: Vec<(InstanceId, f64)> = evidence.iter().map(|(i, s)| (i.id(), *s)).collect();
-            let want: Vec<(InstanceId, f64)> = want.iter().map(|(i, s)| (i.id(), *s)).collect();
-            assert_eq!(got, want);
-            assert_eq!(timing.candidates_in, want_timing.candidates_in);
-            assert_eq!(timing.candidates_out, want_timing.candidates_out);
-        }
-        assert!(sys.discover_batch(&[], &[]).is_empty());
-    }
-
-    #[test]
     fn flat_backend_discovers_evidence() {
         let config = VerifAiConfig {
             semantic_backend: SemanticBackend::Flat,
@@ -928,8 +868,7 @@ mod tests {
             let evidence = sys.discover(&object, &mut RequestTrace::disabled()).0;
             assert!(!evidence.is_empty());
         }
-        // Every standing flat index answers a batch as it answers each
-        // query, and its snapshot reloads to the same answers.
+        // Every standing flat index's snapshot reloads to the same answers.
         let embedder = crate::corpus::embedder_for(&VerifAiConfig::default());
         let queries: Vec<Vector> = [
             "district commission incumbent filings",
@@ -948,9 +887,12 @@ mod tests {
                 .map(|q| VectorIndex::search(&*index, q, 5))
                 .collect();
             assert!(want.iter().all(|hits| !hits.is_empty()));
-            assert_eq!(VectorIndex::search_batch(&*index, &queries, 5), want);
             let back = AnyVectorIndex::from_bytes(index.to_bytes()).expect("own snapshot loads");
-            assert_eq!(VectorIndex::search_batch(&back, &queries, 5), want);
+            let got: Vec<_> = queries
+                .iter()
+                .map(|q| VectorIndex::search(&back, q, 5))
+                .collect();
+            assert_eq!(got, want);
         }
     }
 

@@ -42,7 +42,9 @@ use verifai_verify::{
 };
 
 /// Per-object instrumentation of one pipeline run: the one record of
-/// where a request's wall time went, lane by lane.
+/// where a request's wall time went, lane by lane. A request is discovered
+/// alone, so every lane and count is its own, never a share of other
+/// requests' work.
 ///
 /// Excluded from [`crate::VerificationReport`] equality: wall times differ
 /// between bit-identical runs, and determinism contracts compare reports.
@@ -79,22 +81,21 @@ impl StageTiming {
     }
 
     /// Write discovery's two spans, `retrieval` and `rerank`, into `trace`
-    /// from this timing — the one place they are written, for a request
-    /// that discovered alone or inside a batch (`note` says which).
-    pub fn trace_discovery(&self, trace: &mut RequestTrace, note: &'static str) {
+    /// from this timing — the one place they are written.
+    pub fn trace_discovery(&self, trace: &mut RequestTrace) {
         trace.span(
             "retrieval",
             self.retrieval_ns,
             self.candidates_in,
             self.resolved,
-            note,
+            "",
         );
         trace.span(
             "rerank",
             self.rerank_ns,
             self.resolved,
             self.candidates_out,
-            note,
+            "",
         );
     }
 }
@@ -336,9 +337,6 @@ pub(crate) fn views_of(owned: &[(DataInstance, f64)]) -> Views<'_> {
         .collect()
 }
 
-/// One object's coarse candidates, one slot per modality stage plan.
-type ViewSlots<'a> = Vec<(StagePlan, Views<'a>)>;
-
 /// The modality's slot in per-modality arrays (0 = tuples, 1 = tables,
 /// 2 = texts, 3 = knowledge graph), e.g. [`crate::LiveIndexes`]'s.
 pub fn slot(kind: InstanceKind) -> usize {
@@ -400,87 +398,52 @@ impl StagedPipeline {
         self.reranker.as_ref()
     }
 
-    /// Retrieval → rerank for `objects[i]` under `queries[i]`, all sharing
-    /// one `plan` (the service groups requests by object kind, so one plan
-    /// fits the whole batch); a single request is a batch of one.
-    /// Candidates are borrowed from `lake` throughout, the returned
-    /// survivors included.
+    /// Retrieval → rerank for `object` under `query`, one
+    /// [`EvidenceSource::search`] per modality of `plan`. Candidates are
+    /// borrowed from `lake` throughout, the returned survivors included.
     ///
-    /// Retrieval issues **one [`EvidenceSource::search_batch`] per
-    /// modality for the whole batch** — the flat index's blocked kernel
-    /// and the cluster router's scatter amortize a single sweep across all
-    /// B queries — then the lake lookups, provenance, and rerank run per
-    /// object. A hit whose instance is no longer in the lake is *not*
-    /// silently dropped: a provenance note records the dangling id. Each
-    /// stage flushes provenance once for the whole batch, and each
-    /// object's timing carries its per-object candidate counts with an
-    /// even 1/B share of the batch's stage wall times. No span is written
-    /// here: the caller records them from the timing
+    /// A hit whose instance is no longer in the lake is *not* silently
+    /// dropped: a provenance note records the dangling id. Each stage
+    /// flushes provenance once, and the timing carries this object's own
+    /// candidate counts and stage wall times. No span is written here: the
+    /// caller records them from the timing
     /// ([`StageTiming::trace_discovery`]).
     pub fn discover<'a>(
         &self,
-        objects: &[&DataObject],
-        queries: &[SourceQuery<'_>],
+        object: &DataObject,
+        query: SourceQuery<'_>,
         plan: &[StagePlan],
         lake: &'a DataLake,
         recorder: &mut StageRecorder<'_>,
-    ) -> Vec<(Views<'a>, StageTiming)> {
-        debug_assert_eq!(objects.len(), queries.len());
-        let batch = objects.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        let mut timings = vec![StageTiming::default(); batch];
+    ) -> (Views<'a>, StageTiming) {
+        let mut timing = StageTiming::default();
 
-        // Stage 1: one batched retrieval per modality, lake lookups per
-        // object, one flush for the whole batch.
+        // Stage 1: retrieval per modality, lake lookups, one flush.
         let started = self.clock.now();
-        let mut per_object: Vec<ViewSlots<'_>> =
-            (0..batch).map(|_| Vec::with_capacity(plan.len())).collect();
+        let mut per_modality = Vec::with_capacity(plan.len());
         for &stage_plan in plan {
-            let per_query = self
+            let hits = self
                 .source(stage_plan.kind)
-                .search_batch(queries, stage_plan.coarse_k);
-            for ((object, hits), (timing, slots)) in objects
-                .iter()
-                .zip(per_query)
-                .zip(timings.iter_mut().zip(per_object.iter_mut()))
-            {
-                timing.candidates_in += hits.len();
-                let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
-                timing.resolved += views.len();
-                slots.push((stage_plan, views));
-            }
+                .search(query, stage_plan.coarse_k);
+            timing.candidates_in += hits.len();
+            let views = self.view_modality(object, stage_plan, &hits, lake, recorder);
+            timing.resolved += views.len();
+            per_modality.push((stage_plan, views));
         }
-        let retrieval_ns = ns_between(started, self.clock.now()) / batch as u64;
+        timing.retrieval_ns = ns_between(started, self.clock.now());
         recorder.flush_stage();
 
-        // Stage 2: rerank per object, one flush.
+        // Stage 2: rerank per modality, one flush.
         let started = self.clock.now();
-        let mut out = Vec::with_capacity(batch);
-        for (object, (per_modality, timing)) in objects
-            .iter()
-            .zip(per_object.into_iter().zip(timings.iter_mut()))
-        {
-            let mut evidence = Vec::new();
-            for (stage_plan, views) in per_modality {
-                let ranked = self.rerank_modality(object, stage_plan, &views, recorder);
-                timing.candidates_out += ranked.len();
-                evidence.extend(ranked);
-            }
-            out.push(evidence);
+        let mut evidence = Vec::new();
+        for (stage_plan, views) in per_modality {
+            let ranked = self.rerank_modality(object, stage_plan, &views, recorder);
+            timing.candidates_out += ranked.len();
+            evidence.extend(ranked);
         }
-        let rerank_ns = ns_between(started, self.clock.now()) / batch as u64;
+        timing.rerank_ns = ns_between(started, self.clock.now());
         recorder.flush_stage();
-
-        out.into_iter()
-            .zip(timings)
-            .map(|(evidence, mut timing)| {
-                timing.retrieval_ns = retrieval_ns;
-                timing.rerank_ns = rerank_ns;
-                (evidence, timing)
-            })
-            .collect()
+        (evidence, timing)
     }
 
     /// Look one modality's retrieval hits for one object up in the lake,
@@ -704,7 +667,7 @@ mod tests {
         })
     }
 
-    /// Discover `object()`'s tuple evidence alone: a batch of one.
+    /// Discover `object()`'s tuple evidence.
     fn discover_tuples<'a>(
         pipeline: &StagedPipeline,
         lake: &'a DataLake,
@@ -720,8 +683,7 @@ mod tests {
             vector: None,
             ctx: SpanContext::none(),
         };
-        let mut discovered = pipeline.discover(&[&object()], &[query], &plan, lake, recorder);
-        discovered.pop().expect("one result per object")
+        pipeline.discover(&object(), query, &plan, lake, recorder)
     }
 
     #[test]
@@ -788,7 +750,7 @@ mod tests {
         let mut recorder = StageRecorder::new(&sink);
         let mut trace = RequestTrace::new(42, 7);
         let (evidence, timing) = discover_tuples(&pipeline, &generated.lake, &mut recorder);
-        timing.trace_discovery(&mut trace, "");
+        timing.trace_discovery(&mut trace);
         pipeline.judge(&object(), &evidence, None, None, &mut recorder, &mut trace);
         let retrieval = trace.span_for("retrieval").expect("retrieval span");
         assert_eq!(retrieval.candidates_in, 2, "both hits entered retrieval");

@@ -122,7 +122,7 @@ pub fn dot_many(queries: &[f32], row: &[f32], out: &mut [f32]) {
 /// 0–3 and 4–7, each step a `_mm_mul_ps` then an `_mm_add_ps` exactly as in
 /// [`dot_sse2`]. The four queries' lanes are then reduced side by side: a
 /// 4×4 transpose puts lane `i` of every query in one register, so
-/// [`reduce`]'s expression — ((0+1)+(2+3))+((4+5)+(6+7)), then plus the
+/// `reduce`'s expression — ((0+1)+(2+3))+((4+5)+(6+7)), then plus the
 /// tail — runs once for all four, each output taking exactly the additions
 /// [`dot`] makes, in the same order. Queries past the last block of four
 /// take [`dot_sse2`] itself.

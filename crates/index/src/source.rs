@@ -48,40 +48,10 @@ pub trait EvidenceSource: Send + Sync {
     /// Stable backend name for provenance records.
     fn name(&self) -> &'static str;
 
-    /// The coarse top-`k` hits for `query`, best first.
+    /// The coarse top-`k` hits for `query`, best first. A request is
+    /// discovered alone: the pipeline calls this once per modality per
+    /// object.
     fn search(&self, query: SourceQuery<'_>, k: usize) -> Vec<SearchHit>;
-
-    /// The coarse top-`k` for each of `queries`, in order. The default is
-    /// a per-query loop; backends with a real multi-query kernel (the flat
-    /// index's blocked scan, a lock-amortizing live wrapper, the cluster
-    /// router's batched scatter) override it. Results must be identical to
-    /// calling [`EvidenceSource::search`] per query.
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        queries.iter().map(|q| self.search(*q, k)).collect()
-    }
-}
-
-/// Run a batch of [`SourceQuery`]s against a [`crate::VectorIndex`] via its
-/// blocked multi-query kernel: queries with vectors share one scan, the
-/// vector-less ones come back empty (semantic retrieval disabled), order
-/// preserved.
-pub fn vector_search_batch<I: crate::VectorIndex>(
-    index: &I,
-    queries: &[SourceQuery<'_>],
-    k: usize,
-) -> Vec<Vec<SearchHit>> {
-    let dense: Vec<Vector> = queries.iter().filter_map(|q| q.vector.cloned()).collect();
-    if dense.is_empty() {
-        return vec![Vec::new(); queries.len()];
-    }
-    let mut results = index.search_batch(&dense, k).into_iter();
-    queries
-        .iter()
-        .map(|q| match q.vector {
-            Some(_) => results.next().unwrap_or_default(),
-            None => Vec::new(),
-        })
-        .collect()
 }
 
 impl EvidenceSource for crate::HnswIndex {
@@ -95,10 +65,6 @@ impl EvidenceSource for crate::HnswIndex {
             None => Vec::new(),
         }
     }
-
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        vector_search_batch(self, queries, k)
-    }
 }
 
 impl EvidenceSource for crate::FlatIndex {
@@ -111,10 +77,6 @@ impl EvidenceSource for crate::FlatIndex {
             Some(vector) => crate::VectorIndex::search(self, vector, k),
             None => Vec::new(),
         }
-    }
-
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        vector_search_batch(self, queries, k)
     }
 }
 
@@ -139,10 +101,6 @@ impl EvidenceSource for crate::AnyVectorIndex {
             Some(vector) => crate::VectorIndex::search(self, vector, k),
             None => Vec::new(),
         }
-    }
-
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        vector_search_batch(self, queries, k)
     }
 }
 
@@ -182,27 +140,6 @@ impl EvidenceSource for FusedSource {
             .filter(|list| !list.is_empty())
             .collect();
         self.combiner.combine(&lists, k)
-    }
-
-    /// Batch fusion: each member sees the whole batch at once (so its
-    /// multi-query kernel amortizes one scan), then the per-query member
-    /// lists fuse exactly as the single-query path would.
-    fn search_batch(&self, queries: &[SourceQuery<'_>], k: usize) -> Vec<Vec<SearchHit>> {
-        let mut per_member: Vec<_> = self
-            .sources
-            .iter()
-            .map(|source| source.search_batch(queries, k).into_iter())
-            .collect();
-        (0..queries.len())
-            .map(|_| {
-                let lists: Vec<Vec<SearchHit>> = per_member
-                    .iter_mut()
-                    .filter_map(Iterator::next)
-                    .filter(|list| !list.is_empty())
-                    .collect();
-                self.combiner.combine(&lists, k)
-            })
-            .collect()
     }
 }
 
@@ -248,49 +185,6 @@ mod tests {
             5,
         );
         assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn batch_search_matches_per_query_for_every_source() {
-        use crate::VectorIndex;
-        use verifai_embed::TextEmbedder;
-        let e = TextEmbedder::with_seed(7);
-        let mut flat = crate::FlatIndex::new();
-        for (i, t) in ["incumbent new york", "championship points", "film actress"]
-            .iter()
-            .enumerate()
-        {
-            flat.add(InstanceId::Text(i as u64), e.embed(t));
-        }
-        let v1 = e.embed("new york election");
-        let v2 = e.embed("points in the championship");
-        let queries = [
-            SourceQuery {
-                text: "new york election",
-                vector: Some(&v1),
-                ctx: SpanContext::none(),
-            },
-            SourceQuery {
-                text: "mixed query without vector",
-                vector: None,
-                ctx: SpanContext::none(),
-            },
-            SourceQuery {
-                text: "points in the championship",
-                vector: Some(&v2),
-                ctx: SpanContext::none(),
-            },
-        ];
-        let combiner = Combiner::new(FusionStrategy::ReciprocalRank { k0: 60.0 });
-        let fused = FusedSource::new(vec![Box::new(content_index()), Box::new(flat)], combiner);
-        let source = &fused as &dyn EvidenceSource;
-        let want: Vec<_> = queries.iter().map(|q| source.search(*q, 3)).collect();
-        assert_eq!(source.search_batch(&queries, 3), want);
-        // The vector-less query must come back empty from semantic members.
-        let members = fused.sources();
-        let semantic = members[1].search_batch(&queries, 3);
-        assert!(semantic[1].is_empty());
-        assert!(!semantic[0].is_empty());
     }
 
     #[test]

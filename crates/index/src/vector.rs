@@ -31,7 +31,6 @@
 use crate::hit::{sort_hits, SearchHit};
 use crate::persist::{self, PersistError, SnapshotKind, FLAG_UNIT_NORM};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
@@ -52,13 +51,6 @@ pub trait VectorIndex {
     /// [`HnswIndex`] returns fewer than that only when fewer live nodes are
     /// reachable from its entry point.
     fn search(&self, query: &Vector, k: usize) -> Vec<SearchHit>;
-    /// Top-k for each of `queries`, in order. The default runs the
-    /// single-query search per query; [`FlatIndex`] overrides it with a
-    /// blocked multi-query scan that walks the candidate array once per
-    /// block for the whole batch (results are identical either way).
-    fn search_batch(&self, queries: &[Vector], k: usize) -> Vec<Vec<SearchHit>> {
-        queries.iter().map(|q| self.search(q, k)).collect()
-    }
     /// Number of **live** (non-tombstoned) vectors.
     fn len(&self) -> usize;
     /// True when no live vectors remain.
@@ -446,52 +438,6 @@ impl VectorIndex for FlatIndex {
             .collect();
         sort_hits(&mut hits);
         hits
-    }
-
-    /// Blocked multi-query scan: **one sweep** of the stored rows serves the
-    /// whole batch — each row is loaded once and scored against every query
-    /// while hot, instead of B independent sweeps each re-reading the full
-    /// array. The per-query heaps see rows in the same global order the
-    /// single-query scan visits them, so results are identical to
-    /// per-query [`VectorIndex::search`] calls.
-    fn search_batch(&self, queries: &[Vector], k: usize) -> Vec<Vec<SearchHit>> {
-        if k == 0 || queries.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        if queries.len() == 1 {
-            return vec![self.search(&queries[0], k)];
-        }
-        let qs: Vec<Cow<'_, Vector>> = queries.iter().map(Vector::to_unit).collect();
-        let dim = self.rows.stride();
-        let mut heaps: Vec<BinaryHeap<MinEntry>> = qs
-            .iter()
-            .map(|_| BinaryHeap::with_capacity(k + 1))
-            .collect();
-        let mut scored = 0u64;
-        for (ord, row) in self.rows.iter().enumerate() {
-            if self.deleted[ord] {
-                continue;
-            }
-            scored += 1;
-            let id = self.ids[ord];
-            for (q, heap) in qs.iter().zip(heaps.iter_mut()) {
-                let score = kernel::dot_unit(row, q) as f64;
-                offer(heap, k, MinEntry { score, ord, id });
-            }
-        }
-        let ops = scored * qs.len() as u64;
-        meter::charge_scan(ops, ops * (dim * 4) as u64);
-        heaps
-            .into_iter()
-            .map(|heap| {
-                let mut hits: Vec<SearchHit> = heap
-                    .into_iter()
-                    .map(|e| SearchHit::new(self.ids[e.ord], e.score))
-                    .collect();
-                sort_hits(&mut hits);
-                hits
-            })
-            .collect()
     }
 
     fn len(&self) -> usize {
@@ -1506,13 +1452,6 @@ impl VectorIndex for AnyVectorIndex {
         }
     }
 
-    fn search_batch(&self, queries: &[Vector], k: usize) -> Vec<Vec<SearchHit>> {
-        match self {
-            AnyVectorIndex::Flat(i) => i.search_batch(queries, k),
-            AnyVectorIndex::Hnsw(i) => i.search_batch(queries, k),
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             AnyVectorIndex::Flat(i) => i.len(),
@@ -2193,43 +2132,6 @@ mod tests {
         let back = FlatIndex::from_bytes(bytes).unwrap();
         assert_eq!(back.generation(), gen);
         assert_eq!(back.tombstones(), 1);
-    }
-
-    #[test]
-    fn batch_search_matches_per_query_search() {
-        // The blocked multi-query scan must return exactly what B
-        // independent searches return — flat, HNSW, and through the
-        // backend-erased dispatch.
-        let e = TextEmbedder::with_seed(11);
-        let queries: Vec<Vector> = [
-            "jordan basketball points",
-            "election district new york",
-            "film actress roles",
-            "championship season",
-            "track and field",
-        ]
-        .iter()
-        .map(|q| e.embed(q))
-        .collect();
-        let mut exact = FlatIndex::new();
-        let mut hnsw = HnswIndex::with_defaults();
-        for (id, v) in corpus() {
-            exact.add(id, v.clone());
-            hnsw.add(id, v);
-        }
-        exact.remove(tid(5));
-        for k in [1usize, 3, 8] {
-            let want_e: Vec<_> = queries.iter().map(|q| exact.search(q, k)).collect();
-            assert_eq!(exact.search_batch(&queries, k), want_e, "exact k={k}");
-            let want_h: Vec<_> = queries.iter().map(|q| hnsw.search(q, k)).collect();
-            assert_eq!(hnsw.search_batch(&queries, k), want_h, "hnsw k={k}");
-        }
-        // Degenerate shapes.
-        assert!(exact.search_batch(&[], 3).is_empty());
-        assert_eq!(exact.search_batch(&queries, 0), vec![Vec::new(); 5]);
-        let any = AnyVectorIndex::Flat(exact);
-        let want: Vec<_> = queries.iter().map(|q| any.search(q, 4)).collect();
-        assert_eq!(any.search_batch(&queries, 4), want);
     }
 
     #[test]

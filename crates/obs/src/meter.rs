@@ -9,7 +9,7 @@
 //! * [`CostVector`] — a plain, `Copy`, all-`u64` bag of resource
 //!   counters. [`CostVector::merge`] is fieldwise saturating addition, so
 //!   merging is commutative and associative and vectors can be summed
-//!   across shards, batches, and tenants in any order.
+//!   across shards, requests, and tenants in any order.
 //! * a **thread-local tally** — the kernels in `verifai-index` /
 //!   `verifai-embed` call the `charge_*` free functions at scan-loop
 //!   granularity (never inside the innermost dot-product). Charging is a
@@ -128,26 +128,6 @@ impl CostVector {
         self
     }
 
-    /// Split this vector into `n` shares that sum exactly back to it:
-    /// each field divides evenly with the remainder spread one unit at a
-    /// time over the leading shares. Used to attribute a micro-batch's
-    /// cost to its members. Returns an empty vec for `n == 0`.
-    pub fn split(&self, n: usize) -> Vec<CostVector> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let values = self.values();
-        let mut shares = vec![[0u64; COST_FIELDS]; n];
-        for (f, &total) in values.iter().enumerate() {
-            let base = total / n as u64;
-            let rem = (total % n as u64) as usize;
-            for (i, share) in shares.iter_mut().enumerate() {
-                share[f] = base + u64::from(i < rem);
-            }
-        }
-        shares.into_iter().map(CostVector::from_values).collect()
-    }
-
     /// Whether every field is zero.
     pub fn is_zero(&self) -> bool {
         self.values().iter().all(|&v| v == 0)
@@ -234,7 +214,7 @@ pub fn take() -> CostVector {
 
 /// Run `f`, returning its result and exactly the cost it charged on this
 /// thread; that cost is removed from the local tally so the caller can
-/// re-attribute it (to a report, a shard response, a batch) without
+/// re-attribute it (to a report, a shard response) without
 /// double-counting. Nests: an outer `scoped` sees only what inner scopes
 /// did **not** harvest. The caller's tally is set aside while `f` runs
 /// and put back afterwards, so `f` charges into a fresh zero tally.
@@ -290,27 +270,6 @@ mod tests {
         let mut b = CostVector::zero();
         b.bytes_read = 5;
         assert_eq!(a.merged(&b).bytes_read, u64::MAX);
-    }
-
-    #[test]
-    fn split_shares_sum_exactly() {
-        let v = arbitrary(9);
-        for n in 1..8 {
-            let shares = v.split(n);
-            assert_eq!(shares.len(), n);
-            let mut sum = CostVector::zero();
-            for s in &shares {
-                sum.merge(s);
-            }
-            assert_eq!(sum, v, "split({n}) must preserve the total");
-            // Shares differ by at most one unit per field.
-            for f in 0..COST_FIELDS {
-                let vals: Vec<u64> = shares.iter().map(|s| s.values()[f]).collect();
-                let (min, max) = (vals.iter().min().copied(), vals.iter().max().copied());
-                assert!(max.unwrap_or(0) - min.unwrap_or(0) <= 1);
-            }
-        }
-        assert!(v.split(0).is_empty());
     }
 
     #[test]
@@ -382,15 +341,6 @@ mod proptests {
         fn zero_is_the_identity(a in cost_strategy()) {
             prop_assert_eq!(a.merged(&CostVector::zero()), a);
             prop_assert_eq!(CostVector::zero().merged(&a), a);
-        }
-
-        #[test]
-        fn split_partitions_exactly(a in cost_strategy(), n in 1usize..12) {
-            let mut sum = CostVector::zero();
-            for share in a.split(n) {
-                sum.merge(&share);
-            }
-            prop_assert_eq!(sum, a);
         }
     }
 }

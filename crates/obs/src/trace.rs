@@ -13,7 +13,7 @@
 //! A disabled trace is free: [`RequestTrace::disabled`] never allocates
 //! and every [`RequestTrace::span`] call on it is a branch and a return.
 //! Stage labels are `Cow<'static, str>`: the fixed stages (`queue`,
-//! `retrieval`, ...) borrow, dynamic scopes (`shard-3`, `batch-17`) own —
+//! `retrieval`, ...) borrow, dynamic scopes (`shard-3`) own —
 //! and the owning allocation only ever happens on an enabled trace,
 //! because dynamic labels are built behind the same enabled check.
 
@@ -63,7 +63,7 @@ impl SpanContext {
 pub struct SpanEvent {
     /// Stage label: the fixed stages (`queue`, `cache`, `retrieval`,
     /// `rerank`, `verify`) borrow a static string; dynamic scopes
-    /// (`shard-3`, `batch-17`) own theirs.
+    /// (`shard-3`) own theirs.
     pub stage: Cow<'static, str>,
     /// This span's id, unique within the trace (grafted remote spans use
     /// a disjoint high-bit range). 0 only in never-recorded placeholders.
@@ -458,8 +458,6 @@ mod tests {
         let mut trace = RequestTrace::new(3, 3);
         let parent = trace.span("retrieval", 10, 0, 0, "");
         trace.child_span(parent, format!("shard-{}", 3), 0, 5, 1, 1, "");
-        trace.span(format!("batch-{}", 17), 0, 2, 2, "2 co-riders");
         assert!(trace.span_for("shard-3").is_some());
-        assert!(trace.span_for("batch-17").is_some());
     }
 }

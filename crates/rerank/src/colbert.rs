@@ -228,7 +228,7 @@ impl Reranker for ColbertReranker {
     /// rows — the vocabulary's own row for a token it holds (a row is that
     /// token's `embed_token`), a fresh embedding only for one it has never
     /// seen. The candidates' distinct document tokens are numbered in a
-    /// per-thread [`Columns`] map, and each gets one *column* of (query
+    /// per-thread `Columns` map, and each gets one *column* of (query
     /// token × it) similarities, all computed in one blocked pass of
     /// [`kernel::dot_many`] over their rows. A document's score is then, per
     /// query token, the maximum over its tokens' columns, taken four query

@@ -196,7 +196,7 @@ impl TupleReranker {
 impl Reranker for TupleReranker {
     /// Structural relevance of every tuple candidate. Per request: the query
     /// is embedded once and its cells' match keys computed once. Per
-    /// distinct candidate header list: one [`SchemaAlignment`], found per
+    /// distinct candidate header list: one `SchemaAlignment`, found per
     /// candidate by schema identity. Per
     /// candidate: its prepared keys compared with the query's (values only
     /// where keys cannot decide) and a replay of its feature records. A

@@ -47,9 +47,8 @@ impl CachedEvidence {
 
 /// What evidence is cached under: the object kind and the retrieval query,
 /// with their hash taken once. A request builds its key when it is dequeued
-/// and every lookup it makes — shard choice, map probe, the batch-local and
-/// prewarm maps — reuses that hash; the query is read again only to confirm
-/// a probe that landed.
+/// and every lookup it makes — shard choice, map probe, the insert — reuses
+/// that hash; the query is read again only to confirm a probe that landed.
 #[derive(Debug, Clone)]
 pub struct EvidenceKey {
     kind: u8,
@@ -171,18 +170,6 @@ impl EvidenceCache {
         }
     }
 
-    /// Whether an entry discovered at lake `generation` exists, **without**
-    /// touching the hit/miss counters or recency. Used by the batch
-    /// prewarmer to decide what to discover ahead of time; the counters
-    /// keep describing request-path lookups only.
-    pub fn contains(&self, key: &EvidenceKey, generation: u64) -> bool {
-        self.shard(key)
-            .lock()
-            .map
-            .get(key)
-            .is_some_and(|entry| entry.cached.generation == generation)
-    }
-
     /// Insert (or replace) an entry, evicting the least recently used
     /// entry of the shard when it is full.
     pub fn insert(&self, key: EvidenceKey, cached: CachedEvidence) {
@@ -262,10 +249,12 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // `contains` sees the entry and moves no counter.
-        assert!(cache.contains(&key(0, "q"), 0));
-        assert!(!cache.contains(&key(1, "q"), 0));
-        assert_eq!(cache.stats(), s);
+        // Every lookup counts: looking both keys up again finds the entry
+        // under kind 0 only and moves each counter by one.
+        assert!(get(&cache, &key(0, "q")).is_some());
+        assert!(get(&cache, &key(1, "q")).is_none());
+        let again = cache.stats();
+        assert_eq!((again.hits, again.misses, again.entries), (2, 3, 1));
     }
 
     #[test]
@@ -312,21 +301,20 @@ mod tests {
         assert_eq!(get(&cache, &collide(0, "a")), Some(ev(1)));
         assert_eq!(get(&cache, &collide(0, "b")), Some(ev(2)));
         assert_eq!(get(&cache, &collide(1, "a")), Some(ev(3)));
-        assert!(!cache.contains(&collide(1, "b"), 0));
         assert_eq!(get(&cache, &collide(1, "b")), None);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (3, 1, 3));
     }
 
-    /// An entry from another lake generation is a counted miss and is not
-    /// reported present; the next insert replaces it.
+    /// An entry from another lake generation is a counted miss, while a
+    /// lookup at its own generation still hits; the next insert replaces
+    /// it.
     #[test]
     fn another_generation_misses() {
         let cache = EvidenceCache::new(1, 4);
         cache.insert(key(0, "q"), ev(1));
         assert!(cache.get(&key(0, "q"), 1).is_none());
-        assert!(!cache.contains(&key(0, "q"), 1));
-        assert!(cache.contains(&key(0, "q"), 0));
+        assert!(cache.get(&key(0, "q"), 0).is_some());
         cache.insert(
             key(0, "q"),
             CachedEvidence {
@@ -339,7 +327,7 @@ mod tests {
             Some(InstanceId::Tuple(2))
         );
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
     }
 
     /// Only the object that filled an entry replays its verdicts.

@@ -1,7 +1,7 @@
 #![warn(clippy::unwrap_used)]
 //! verifai-service: a long-lived concurrent verification service over
 //! [`verifai::VerifAi`] — worker pool, bounded admission queue with load
-//! shedding, micro-batching, evidence caching, deadlines, and stats.
+//! shedding, evidence caching, deadlines, and stats.
 
 pub mod cache;
 pub mod obs;

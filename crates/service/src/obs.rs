@@ -276,8 +276,6 @@ pub struct ServiceObs {
 
     recorder: Arc<FlightRecorder>,
     next_trace_id: AtomicU64,
-    /// Micro-batch sequence numbers for batch-membership spans.
-    next_batch_seq: AtomicU64,
 }
 
 impl ServiceObs {
@@ -412,7 +410,6 @@ impl ServiceObs {
                 config.sampling,
             )),
             next_trace_id: AtomicU64::new(1),
-            next_batch_seq: AtomicU64::new(1),
             config,
             registry,
         }
@@ -437,15 +434,6 @@ impl ServiceObs {
     /// router so `Router::lookup_trace` can stitch distributed trees.
     pub fn recorder_arc(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.recorder)
-    }
-
-    /// Allocate the next micro-batch sequence number (for `batch-{seq}`
-    /// membership spans); 0 when tracing is off.
-    pub(crate) fn allocate_batch_seq(&self) -> u64 {
-        if !self.config.enabled {
-            return 0;
-        }
-        self.next_batch_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Allocate the next trace id (sequential from 1, so seeded

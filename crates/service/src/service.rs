@@ -1,15 +1,16 @@
-//! The verification service: admission control, micro-batching workers,
-//! deadlines, and graceful shutdown.
+//! The verification service: admission control, workers, deadlines, and
+//! graceful shutdown.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
-//! submit ──► bounded queue ──► worker wakeup ──► micro-batch (≤ max_batch)
-//!   │ full?                      │ depth > high_water?
+//! submit ──► bounded queue ──► worker wakeup: one request
+//!   │ full?                      │ backlog > high_water?
 //!   ▼                            ▼
-//! Rejected(QueueFull)          Shed                ──► evidence cache ──►
-//!                                                      verify (deadline-
-//!                                                      bounded) ──► ticket
+//! Rejected(QueueFull)          Shed           ──► evidence cache ──►
+//!                                                 discover (on a miss) ──►
+//!                                                 verify (deadline-
+//!                                                 bounded) ──► ticket
 //! ```
 //!
 //! Every submitted request resolves exactly one way — `Rejected` at the
@@ -17,7 +18,6 @@
 //! `Completed` — so `completed + shed + rejected + failed == submitted`
 //! once all tickets resolve.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,8 +27,7 @@ use verifai::{
     CostVector, DataObject, ObsConfig, PipelineError, RequestTrace, StageTiming, TraceId, Verdict,
     VerifAi, VerificationReport, Views,
 };
-use verifai_lake::InstanceId;
-use verifai_obs::{meter, ns_between, render_json, render_prometheus, SpanContext};
+use verifai_obs::{meter, ns_between, render_json, render_prometheus};
 
 use crate::cache::{CachedEvidence, EvidenceCache, EvidenceKey};
 use crate::obs::ServiceObs;
@@ -48,8 +47,6 @@ pub struct ServiceConfig {
     /// Load-shedding threshold: a request dequeued while more than this many
     /// requests still wait behind it is shed instead of processed.
     pub high_water: usize,
-    /// Maximum requests a worker coalesces per wakeup.
-    pub max_batch: usize,
     /// Total evidence-cache entries; `0` disables caching.
     pub cache_capacity: usize,
     /// Deadline applied to requests submitted without an explicit one.
@@ -68,7 +65,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 256,
             high_water: 192,
-            max_batch: 8,
             cache_capacity: 1024,
             default_deadline: None,
             tenants: Vec::new(),
@@ -106,8 +102,8 @@ pub enum RequestOutcome {
     Completed(VerificationReport),
     /// Dropped unprocessed by high-water load shedding.
     Shed,
-    /// The pipeline hit a typed error (e.g. batch-local cached evidence
-    /// went stale against the lake) — no report was produced.
+    /// The pipeline hit a typed error (e.g. cached evidence went stale
+    /// against the lake) — no report was produced.
     Failed(PipelineError),
 }
 
@@ -414,13 +410,8 @@ impl VerificationService {
         // conservation is a cross-thread argument, not a local invariant,
         // so sweep defensively: any straggler still gets its answer.
         if let Some(scheduler) = &self.inner.scheduler {
-            let mut local = HashMap::new();
-            let warm = WarmEvidence::new();
             while let Some((_, request, _)) = scheduler.pop() {
-                self.inner.obs.in_flight_add(1);
-                let key = evidence_key(&request.object);
-                process(&self.inner, request, key, &mut local, &warm);
-                self.inner.obs.in_flight_add(-1);
+                process_tracked(&self.inner, request);
             }
         }
         self.stats()
@@ -429,7 +420,8 @@ impl VerificationService {
 
 /// One worker wakeup, dispatched on what woke it: a request riding the
 /// channel directly (single-queue mode), or a wake token standing in for a
-/// request waiting in the tenant scheduler.
+/// request waiting in the tenant scheduler. Either way the wakeup takes
+/// one request.
 fn handle_wakeup(inner: &Inner, rx: &Receiver<Job>, first: Job) {
     match first {
         Job::Direct(request) => handle_direct(inner, rx, *request),
@@ -437,56 +429,35 @@ fn handle_wakeup(inner: &Inner, rx: &Receiver<Job>, first: Job) {
     }
 }
 
-/// Single-queue mode: coalesce up to `max_batch` pending requests, group
-/// them by object kind (same evidence plan), and process each group with
-/// batch-local query coalescing.
-fn handle_direct(inner: &Inner, rx: &Receiver<Job>, first: Request) {
-    let mut batch = vec![first];
-    while batch.len() < inner.config.max_batch.max(1) {
-        match rx.try_recv() {
-            Ok(Job::Direct(request)) => batch.push(*request),
-            // Wake tokens never share a channel with direct requests.
-            Ok(Job::Wake) => {}
-            Err(_) => break,
-        }
-    }
-    inner.obs.in_flight_add(batch.len() as i64);
-    // Load shedding: everything we dequeued while the backlog behind it
-    // still exceeds the high-water mark is dropped unprocessed, which
-    // drains an overloaded queue at dequeue speed instead of verify speed.
+/// Single-queue mode. Load shedding: a request dequeued while the backlog
+/// behind it still exceeds the high-water mark is dropped unprocessed,
+/// which drains an overloaded queue at dequeue speed instead of verify
+/// speed.
+fn handle_direct(inner: &Inner, rx: &Receiver<Job>, request: Request) {
     let backlog = rx.len();
     if backlog > inner.config.high_water {
-        for request in batch {
-            inner.obs.in_flight_add(-1);
-            shed_request(inner, request, backlog);
-        }
-        return;
+        shed_request(inner, request, backlog);
+    } else {
+        process_tracked(inner, request);
     }
-    process_batch(inner, batch);
 }
 
-/// Tenant mode: pull up to `max_batch` requests in weighted-fair order,
-/// applying each tenant's own high-water shedding at dequeue — an
-/// overloaded tenant drains at dequeue speed while its neighbors' queues
-/// are untouched.
+/// Tenant mode: pop the next request in weighted-fair order, applying its
+/// tenant's own high-water shedding at dequeue — an overloaded tenant
+/// drains at dequeue speed while its neighbors' queues are untouched.
 fn handle_tenant_wakeup(inner: &Inner) {
     let Some(scheduler) = &inner.scheduler else {
         return;
     };
-    let mut batch = Vec::new();
-    while batch.len() < inner.config.max_batch.max(1) {
-        let Some((tenant, request, remaining)) = scheduler.pop() else {
-            break;
-        };
-        if remaining > scheduler.high_water(tenant) {
-            inner.obs.tenant_shed(tenant);
-            shed_request(inner, request, remaining);
-        } else {
-            batch.push(request);
-        }
+    let Some((tenant, request, remaining)) = scheduler.pop() else {
+        return;
+    };
+    if remaining > scheduler.high_water(tenant) {
+        inner.obs.tenant_shed(tenant);
+        shed_request(inner, request, remaining);
+    } else {
+        process_tracked(inner, request);
     }
-    inner.obs.in_flight_add(batch.len() as i64);
-    process_batch(inner, batch);
 }
 
 /// Answer one dequeued request with `Shed`, tracing the queue wait.
@@ -500,25 +471,11 @@ fn shed_request(inner: &Inner, request: Request, backlog: usize) {
     let _ = request.reply.send(RequestOutcome::Shed);
 }
 
-/// Stable partition into same-kind groups: within a group every object
-/// shares an evidence plan, so identical queries coalesce to one discovery
-/// even when the cross-request cache is disabled — and a group's distinct
-/// uncached queries prewarm through **one batched index sweep** before the
-/// per-request loop runs. Each request's cache key is built here, once, and
-/// carried through the prewarm, the lookups and the insert.
-fn process_batch(inner: &Inner, batch: Vec<Request>) {
-    let (cells, claims): (Vec<Request>, Vec<Request>) = batch
-        .into_iter()
-        .partition(|r| matches!(r.object, DataObject::ImputedCell(_)));
-    for group in [cells, claims] {
-        let keys: Vec<EvidenceKey> = group.iter().map(|r| evidence_key(&r.object)).collect();
-        let mut local = HashMap::new();
-        let warm = prewarm_group(inner, &group, &keys);
-        for (request, key) in group.into_iter().zip(keys) {
-            process(inner, request, key, &mut local, &warm);
-            inner.obs.in_flight_add(-1);
-        }
-    }
+/// [`process`] one request, counted in flight while it runs.
+fn process_tracked(inner: &Inner, request: Request) {
+    inner.obs.in_flight_add(1);
+    process(inner, request);
+    inner.obs.in_flight_add(-1);
 }
 
 /// The key an object's evidence is cached under: its kind (tuple cells and
@@ -531,103 +488,6 @@ fn evidence_key(object: &DataObject) -> EvidenceKey {
     EvidenceKey::new(kind, VerifAi::query_of(object))
 }
 
-/// Batch-discovered evidence keyed like the caches, consulted only at the
-/// discovery points of [`evidence_for`] — cache lookups (and their
-/// counters) are untouched, so serving from the warm map is
-/// indistinguishable from per-request discovery except for the amortized
-/// index sweep.
-type WarmEvidence<'a> = HashMap<EvidenceKey, WarmEntry<'a>>;
-
-/// One prewarmed discovery plus its batch membership: which micro-batch
-/// sweep produced it and how many distinct queries rode along, and this
-/// entry's even share of the sweep's harvested resource cost. The evidence
-/// is read in place, borrowed from the system the service serves.
-struct WarmEntry<'a> {
-    evidence: Views<'a>,
-    timing: StageTiming,
-    batch_seq: u64,
-    co_riders: usize,
-    cost: CostVector,
-}
-
-/// Discover the group's distinct not-yet-cached queries through
-/// [`VerifAi::discover_batch`]: one blocked multi-query scan per
-/// modality covers the whole micro-batch. Groups too small to amortize
-/// anything (fewer than two discoveries pending) skip the sweep and keep
-/// the per-request path.
-fn prewarm_group<'a>(
-    inner: &'a Inner,
-    group: &[Request],
-    keys: &[EvidenceKey],
-) -> WarmEvidence<'a> {
-    if group.len() < 2 {
-        return HashMap::new();
-    }
-    let now = inner.obs.config().clock.now();
-    let generation = inner.system.lake().generation();
-    let mut pending: Vec<&EvidenceKey> = Vec::new();
-    let mut objects: Vec<&DataObject> = Vec::new();
-    let mut ctxs: Vec<SpanContext> = Vec::new();
-    for (request, key) in group.iter().zip(keys) {
-        // Already-expired requests answer empty without discovery; don't
-        // spend the sweep (or provenance rows) on them.
-        if request.deadline.is_some_and(|d| now >= d) {
-            continue;
-        }
-        if pending.contains(&key) {
-            continue;
-        }
-        if inner
-            .cache
-            .as_ref()
-            .is_some_and(|cache| cache.contains(key, generation))
-        {
-            continue;
-        }
-        objects.push(&request.object);
-        // The sweep runs before any request's trace exists, so the context
-        // carries the trace id with span 0; a distributed backend's shard
-        // children then graft under the request's retrieval span.
-        ctxs.push(SpanContext {
-            trace_id: request.trace_id,
-            span_id: 0,
-            parent_id: 0,
-        });
-        pending.push(key);
-    }
-    if objects.len() < 2 {
-        return HashMap::new();
-    }
-    let batch_seq = inner.obs.allocate_batch_seq();
-    let co_riders = objects.len();
-    // Harvest the sweep's resource cost off the worker's tally and split
-    // it evenly across the batch members; each share is re-charged when
-    // (and only when) the owning request is processed, so the blocked
-    // sweep meters exactly like `co_riders` independent discoveries.
-    let (discovered, sweep_cost) = meter::scoped(|| inner.system.discover_batch(&objects, &ctxs));
-    let shares = sweep_cost.split(co_riders);
-    pending
-        .into_iter()
-        .zip(discovered.into_iter().zip(shares))
-        .map(|(key, ((evidence, timing), cost))| {
-            (
-                key.clone(),
-                WarmEntry {
-                    evidence,
-                    timing,
-                    batch_seq,
-                    co_riders,
-                    cost,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Evidence ids by key, remembered within one micro-batch when the shared
-/// cache is off.
-type LocalEvidence = HashMap<EvidenceKey, Vec<(InstanceId, f64)>>;
-
 /// What [`evidence_for`] finds: views borrowed from the system the service
 /// serves (immutable while serving), the discovery-side timing, and the
 /// shared-cache entry the views were looked up from, on a hit.
@@ -637,65 +497,29 @@ struct Found<'a> {
     cached: Option<Arc<CachedEvidence>>,
 }
 
-/// Evidence for `object`, preferring the shared cache, then the batch-local
-/// memo, then full discovery — returning the discovery-side [`StageTiming`]
-/// of the discovery that ran, or [`StageTiming::for_cached`] on a cache
-/// hit. Both cached paths look their instance ids
-/// up in the lake through [`VerifAi::view_evidence`], so reports are
-/// identical whichever path served them — and a dangling id is handled
-/// explicitly instead of silently shrinking the evidence set:
+/// Evidence for `object`: the shared cache's entry on a hit, full
+/// discovery on a miss or with the cache off — returning the
+/// discovery-side [`StageTiming`] of the discovery that ran, or
+/// [`StageTiming::for_cached`] on a cache hit. A hit looks its instance
+/// ids up in the lake through [`VerifAi::view_evidence`], so reports are
+/// identical whichever path served them. An entry is only used at the lake
+/// generation it was discovered at — any other generation is a miss,
+/// rediscovered and replaced by [`remember`]. The cache lives and dies
+/// with the service, whose system is frozen while it serves, so every
+/// hit's ids resolve; one that does not propagates as
+/// [`PipelineError::StaleEvidence`].
 ///
-/// * a **shared-cache** entry is only used at the lake generation it was
-///   discovered at — any other generation is a miss, rediscovered and
-///   replaced by [`remember`]. The cache lives and dies with the service,
-///   whose system is frozen while it serves, so every hit's ids resolve;
-/// * a stale **batch-local** memo — built moments ago within this very
-///   batch — means the evidence genuinely no longer describes the lake,
-///   and propagates as [`PipelineError::StaleEvidence`].
-///
-/// The shared cache is filled after the request is judged ([`remember`]),
-/// not here.
+/// With the cache off there is no lookup: no `cache` span and nothing
+/// charged to `cache_hits` or `cache_misses`. The shared cache is filled
+/// after the request is judged ([`remember`]), not here.
 fn evidence_for<'a>(
     inner: &'a Inner,
     object: &DataObject,
     key: &EvidenceKey,
-    local: &mut LocalEvidence,
-    warm: &WarmEvidence<'a>,
     trace: &mut RequestTrace,
 ) -> Result<Found<'a>, PipelineError> {
-    let clock = &inner.obs.config().clock;
-    // Discovery, possibly pre-paid: the batch prewarmer already ran this
-    // query through the blocked multi-query sweep (provenance included), so
-    // a warm entry substitutes for the per-request discovery call.
-    let discover = |key: &EvidenceKey, trace: &mut RequestTrace| match warm.get(key) {
-        Some(entry) => {
-            // Re-charge this request's share of the sweep the prewarmer
-            // harvested; the drain at report assembly then attributes it
-            // here, where the work logically belongs.
-            meter::charge_cost(&entry.cost);
-            // The same retrieval/rerank spans per-request discovery
-            // writes, carrying this object's share of the batch, with the
-            // batching flagged in the notes.
-            let timing = &entry.timing;
-            timing.trace_discovery(trace, "batched discovery");
-            // Batch membership: which sweep served this request and how
-            // many distinct queries rode along. Zero-duration marker span
-            // (the cost lives in the retrieval span above); formatted only
-            // when the trace is live so the disabled path stays free.
-            if trace.is_enabled() {
-                trace.span(
-                    format!("batch-{}", entry.batch_seq),
-                    0,
-                    entry.co_riders,
-                    entry.evidence.len(),
-                    format!("{} co-riders in batch {}", entry.co_riders, entry.batch_seq),
-                );
-            }
-            (entry.evidence.clone(), *timing)
-        }
-        None => inner.system.discover(object, trace),
-    };
     if let Some(cache) = &inner.cache {
+        let clock = &inner.obs.config().clock;
         let lookup_start = clock.now();
         if let Some(cached) = cache.get(key, inner.system.lake().generation()) {
             let evidence = inner.system.view_evidence(&cached.evidence)?;
@@ -716,45 +540,13 @@ fn evidence_for<'a>(
         }
         meter::charge_cache_miss();
         trace.span("cache", ns_between(lookup_start, clock.now()), 0, 0, "miss");
-        let (evidence, timing) = discover(key, trace);
-        return Ok(Found {
-            evidence,
-            timing,
-            cached: None,
-        });
     }
-    if let Some(cached) = local.get(key) {
-        let lookup_start = clock.now();
-        return inner.system.view_evidence(cached).map(|evidence| {
-            meter::charge_cache_hit();
-            trace.span(
-                "cache",
-                ns_between(lookup_start, clock.now()),
-                0,
-                evidence.len(),
-                "local-hit",
-            );
-            let timing = StageTiming::for_cached(evidence.len());
-            Found {
-                evidence,
-                timing,
-                cached: None,
-            }
-        });
-    }
-    meter::charge_cache_miss();
-    let (evidence, timing) = discover(key, trace);
-    local.insert(key.clone(), ids(&evidence));
+    let (evidence, timing) = inner.system.discover(object, trace);
     Ok(Found {
         evidence,
         timing,
         cached: None,
     })
-}
-
-/// The ids and scores of evidence views, as the caches keep them.
-fn ids(evidence: &Views<'_>) -> Vec<(InstanceId, f64)> {
-    evidence.iter().map(|(i, s)| (i.id(), *s)).collect()
 }
 
 /// Fill the shared cache from a request that judged (did not replay) its
@@ -781,20 +573,14 @@ fn remember(
     cache.insert(
         key,
         CachedEvidence {
-            evidence: ids(&found.evidence),
+            evidence: found.evidence.iter().map(|(i, s)| (i.id(), *s)).collect(),
             generation: inner.system.lake().generation(),
             judged: complete.then(|| (object, report.evidence.clone())),
         },
     );
 }
 
-fn process(
-    inner: &Inner,
-    request: Request,
-    key: EvidenceKey,
-    local: &mut LocalEvidence,
-    warm: &WarmEvidence<'_>,
-) {
+fn process(inner: &Inner, request: Request) {
     let clock = &inner.obs.config().clock;
     let started = clock.now();
     let queue_ns = ns_between(request.enqueued, started);
@@ -827,7 +613,8 @@ fn process(
             true,
         ))
     } else {
-        let found = evidence_for(inner, &request.object, &key, local, warm, &mut trace);
+        let key = evidence_key(&request.object);
+        let found = evidence_for(inner, &request.object, &key, &mut trace);
         found.map(|found| {
             // A hit filled by an equal object replays that judgment.
             let replay = found
@@ -950,17 +737,19 @@ mod tests {
         assert_eq!(stats.cache.hits, 4);
     }
 
+    /// A served report is the direct call's report, and its cost is the
+    /// direct call's plus the one cache lookup that missed: nothing of
+    /// another request's work is charged to it. One worker with eight
+    /// same-kind requests queued up front is the shape in which requests
+    /// would be served together, if anything served them together.
     #[test]
-    fn batched_prewarm_keeps_reports_identical() {
+    fn a_served_report_costs_its_own_discovery_plus_one_miss() {
         let sys = system();
-        let tasks = completion_workload(sys.generated(), 6, 3);
+        let tasks = completion_workload(sys.generated(), 8, 3);
         let objects: Vec<DataObject> = tasks.iter().map(|t| sys.impute(t)).collect();
         let want: Vec<_> = objects.iter().map(|o| sys.verify_object(o)).collect();
-        // One worker + a deep batch makes coalescing (and thus the batched
-        // prewarm sweep) likely; report identity must hold either way.
         let config = ServiceConfig {
             workers: 1,
-            max_batch: 8,
             ..ServiceConfig::default()
         };
         let service = VerificationService::new(Arc::clone(&sys), config);
@@ -970,13 +759,19 @@ mod tests {
             .collect();
         for (ticket, want) in tickets.into_iter().zip(&want) {
             match ticket.wait() {
-                RequestOutcome::Completed(report) => assert_eq!(&report, want),
+                RequestOutcome::Completed(report) => {
+                    assert_eq!(&report, want);
+                    let mut cost = want.cost;
+                    cost.cache_misses += 1;
+                    assert_eq!(report.cost, cost, "object {}", want.object_id);
+                }
                 other => panic!("request did not complete: {other:?}"),
             }
         }
         let stats = service.shutdown();
-        assert_eq!(stats.completed, 6);
+        assert_eq!(stats.completed, 8);
         assert_eq!(stats.failed, 0);
+        assert_eq!(stats.cache.misses, 8);
     }
 
     #[test]
@@ -988,8 +783,18 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = VerificationService::new(Arc::clone(&sys), config);
-        let ticket = service.submit(sys.impute(&tasks[0])).expect("admitted");
-        assert!(matches!(ticket.wait(), RequestOutcome::Completed(_)));
+        let object = sys.impute(&tasks[0]);
+        let want = sys.verify_object(&object);
+        let ticket = service.submit(object).expect("admitted");
+        // No cache, no lookup: nothing is charged to hits or misses, and
+        // the report costs exactly what the direct call did.
+        match ticket.wait() {
+            RequestOutcome::Completed(report) => {
+                assert_eq!((report.cost.cache_hits, report.cost.cache_misses), (0, 0));
+                assert_eq!(report.cost, want.cost);
+            }
+            other => panic!("request did not complete: {other:?}"),
+        }
         let stats = service.shutdown();
         assert_eq!(stats.cache, crate::CacheStats::default());
     }

@@ -314,7 +314,7 @@ struct BatchEnd {
 /// Records arrive in batches — one stage's flush for one object
 /// ([`ProvenanceLog::add_all`]) — and a batch equal to one the log already
 /// holds is stored as a reference to it, delta-coded in a byte or two
-/// ([`DeltaColumn`]): a request served from
+/// (`DeltaColumn`): a request served from
 /// cache repeats the verify and decision rows of the last request for the
 /// same object, row for row. What would keep two such batches apart, the
 /// trace stamp on a traced decision's note, is kept beside the rows as a

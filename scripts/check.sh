@@ -10,6 +10,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The API docs build with warnings denied: an intra-doc link to a private,
+# renamed or deleted item fails here instead of dangling.
+echo "==> cargo doc --workspace, warnings denied"
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline --keep-going
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -90,12 +95,14 @@ ANALYSIS_OUT="$(cargo test -q --release --test properties \
 grep -q ' 1 passed' <<< "$ANALYSIS_OUT" \
   || { echo "small-lake analysis identity test did not run"; exit 1; }
 
-# Routed retrieval equals the single lake for N = 1..8 shards, and a routed
-# batch equals its per-query searches. Named, like the golden step, so a
-# deleted or renamed identity test fails the gate instead of passing on
-# zero tests.
+# Routed retrieval equals the single lake for N = 1..8 shards, live and
+# after mutations, and HNSW shards recall the flat reference. Named, and it
+# must report five passed tests, like the golden step, so a deleted or
+# renamed identity test fails the gate instead of passing on fewer tests.
 echo "==> routed == single-lake identity (gating)"
-cargo test -q -p verifai-cluster --test identity
+ROUTED_OUT="$(cargo test -q -p verifai-cluster --test identity)"
+grep -q ' 5 passed' <<< "$ROUTED_OUT" \
+  || { echo "routed identity tests did not all run"; exit 1; }
 
 # The lake build is byte-identical for every build_threads value: every
 # index's snapshot bytes, the prepared features and the reports at 1, 2 and

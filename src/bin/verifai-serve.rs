@@ -56,7 +56,6 @@ struct Args {
     seed: u64,
     queue_capacity: usize,
     high_water: usize,
-    max_batch: usize,
     cache_capacity: usize,
     deadline_ms: Option<u64>,
     distinct: usize,
@@ -80,7 +79,6 @@ impl Default for Args {
             seed: 42,
             queue_capacity: 256,
             high_water: 192,
-            max_batch: 8,
             cache_capacity: 1024,
             deadline_ms: None,
             distinct: 32,
@@ -98,8 +96,12 @@ impl Default for Args {
     }
 }
 
+/// Requests the closed loop keeps outstanding per worker unless `--window`
+/// says otherwise: 32 at the default four workers.
+const OUTSTANDING_PER_WORKER: usize = 8;
+
 const USAGE: &str = "verifai-serve [--requests N] [--workers N] [--seed N] \
-[--queue-capacity N] [--high-water N] [--max-batch N] [--cache-capacity N] \
+[--queue-capacity N] [--high-water N] [--cache-capacity N] \
 [--deadline-ms N] [--distinct N] [--window N] [--metrics-every N] [--slowest N] \
 [--canary-every N] [--shards N] \
 [--tenants name:weight[:rate[:burst]],...] [--trace-dump PATH] [--tail-sample N] \
@@ -188,7 +190,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = parsed,
             "--queue-capacity" => args.queue_capacity = parsed as usize,
             "--high-water" => args.high_water = parsed as usize,
-            "--max-batch" => args.max_batch = parsed as usize,
             "--cache-capacity" => args.cache_capacity = parsed as usize,
             "--deadline-ms" => args.deadline_ms = Some(parsed),
             "--distinct" => args.distinct = (parsed as usize).max(1),
@@ -375,7 +376,6 @@ fn main() -> ExitCode {
             workers: args.workers,
             queue_capacity: args.queue_capacity,
             high_water: args.high_water,
-            max_batch: args.max_batch,
             cache_capacity: args.cache_capacity,
             default_deadline: args.deadline_ms.map(Duration::from_millis),
             tenants: args.tenants.clone(),
@@ -411,7 +411,7 @@ fn main() -> ExitCode {
     // instead of counting them as traffic.
     let window = args
         .window
-        .unwrap_or(args.workers.max(1) * args.max_batch.max(1));
+        .unwrap_or(args.workers.max(1) * OUTSTANDING_PER_WORKER);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut outstanding: VecDeque<(Ticket, bool, usize)> = VecDeque::with_capacity(window);
     let mut ledger = Ledger::new(args.tenants.len().max(1));

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use verifai::{CostVector, DataObject, RequestTrace, VerifAi, VerifAiConfig};
+use verifai::{CostVector, DataObject, VerifAi, VerifAiConfig};
 use verifai_claims::ClaimGenConfig;
 use verifai_datagen::{build, claim_workload, completion_workload, LakeSpec};
 use verifai_index::SegmentedInvertedIndex;
@@ -94,27 +94,15 @@ fn batched_and_sequential_execution_meter_identically() {
         .map(|r| r.cost)
         .collect();
     assert_eq!(solo, batched);
-
-    // The blocked multi-query discovery sweep charges "as if each query
-    // swept alone": the sweep's harvested total equals the sum of the
-    // per-object discovery costs.
-    let refs: Vec<&DataObject> = objects.iter().collect();
-    let (_, sweep) = meter::scoped(|| sys.discover_batch(&refs, &[]));
-    let mut solo_sum = CostVector::zero();
-    for object in &objects {
-        let (_, cost) = meter::scoped(|| sys.discover(object, &mut RequestTrace::disabled()));
-        solo_sum.merge(&cost);
-    }
-    assert_eq!(sweep, solo_sum);
 }
 
 /// What a request is charged does not depend on what ran before it.
 /// Evidence features are prepared when an instance enters the lake, never
 /// on first touch, so there is no warm-up for an earlier request to pay:
-/// an object costs the same work verified first or last in a run, alone or
-/// inside a micro-batch — and its embeds are the query's, not the corpus's.
+/// an object costs the same work verified first or last in a run — and its
+/// embeds are the query's, not the corpus's.
 #[test]
-fn metered_work_is_independent_of_request_order_and_batching() {
+fn metered_work_is_independent_of_request_order() {
     let work = |sys: &VerifAi, object: &DataObject| sys.verify_object(object).cost;
 
     // Two identical fresh systems: one sees the objects first to last, the
@@ -136,21 +124,6 @@ fn metered_work_is_independent_of_request_order_and_batching() {
     // the rerank's query side once.
     for (object, cost) in objects.iter().zip(&forward) {
         assert_eq!(cost.embeds, 2, "object {}", object.id());
-    }
-
-    // Solo against a micro-batch on a third fresh system: the batched
-    // discovery sweep charges, in total, what the solo discoveries did.
-    let batched_sys = system(606);
-    for same_kind in [&objects[..5], &objects[5..]] {
-        let refs: Vec<&DataObject> = same_kind.iter().collect();
-        let (_, sweep) = meter::scoped(|| batched_sys.discover_batch(&refs, &[]));
-        let mut solo_sum = CostVector::zero();
-        for object in same_kind {
-            let (_, cost) =
-                meter::scoped(|| forward_sys.discover(object, &mut RequestTrace::disabled()));
-            solo_sum.merge(&cost);
-        }
-        assert_eq!(sweep, solo_sum);
     }
 }
 
@@ -277,11 +250,11 @@ fn postings_charge_is_unchanged_by_a_tail_merge() {
 }
 
 /// The reconciliation invariant end to end: with multiple tenants, worker
-/// threads completing requests concurrently, micro-batched prewarm sweeps,
-/// and cache hits, each tenant's `verifai_tenant_cost_total` rollup equals
-/// the fieldwise sum of the cost vectors returned to that tenant — exactly,
-/// not approximately — and the service-wide rollup equals their total. The
-/// service's stage totals likewise equal the sum of the returned timings.
+/// threads completing requests concurrently, and cache hits, each tenant's
+/// `verifai_tenant_cost_total` rollup equals the fieldwise sum of the cost
+/// vectors returned to that tenant — exactly, not approximately — and the
+/// service-wide rollup equals their total. The service's stage totals
+/// likewise equal the sum of the returned timings.
 #[test]
 fn tenant_rollups_reconcile_under_concurrent_completion() {
     let sys = Arc::new(system(605));
@@ -291,7 +264,6 @@ fn tenant_rollups_reconcile_under_concurrent_completion() {
         Arc::clone(&sys),
         ServiceConfig {
             workers: 4,
-            max_batch: 4,
             tenants: vec![TenantSpec::new("acme", 3), TenantSpec::new("beta", 1)],
             ..ServiceConfig::default()
         },

@@ -82,7 +82,6 @@ fn overload_sheds_without_losing_requests() {
         workers: 1,
         queue_capacity: 16,
         high_water: 2,
-        max_batch: 2,
         ..ServiceConfig::default()
     };
     let service = VerificationService::new(Arc::clone(&sys), config);
@@ -296,22 +295,10 @@ fn flight_recorder_retrieves_full_trace_by_id() {
             .unwrap_or_else(|| panic!("trace {} not retained", report.trace_id));
         assert_eq!(trace.object_id, report.object_id);
         assert_eq!(trace.outcome, "completed");
-        // Every lifecycle stage left a span, in execution order. Requests
-        // served by the micro-batch prewarm sweep additionally carry a
-        // zero-duration `batch-{seq}` membership marker.
-        let stages: Vec<&str> = trace
-            .spans
-            .iter()
-            .map(|s| s.stage.as_ref())
-            .filter(|s| !s.starts_with("batch-"))
-            .collect();
+        // Every lifecycle stage left a span, in execution order, and
+        // nothing else did.
+        let stages: Vec<&str> = trace.spans.iter().map(|s| s.stage.as_ref()).collect();
         assert_eq!(stages, ["queue", "cache", "retrieval", "rerank", "verify"]);
-        for span in &trace.spans {
-            if span.stage.starts_with("batch-") {
-                assert_eq!(span.duration_ns, 0, "membership markers cost nothing");
-                assert!(span.note.contains("co-riders"), "note: {}", span.note);
-            }
-        }
         // Span durations and candidate counts agree with the report's
         // instrumentation.
         let queue = trace.span_for("queue").expect("queue span");
@@ -322,8 +309,7 @@ fn flight_recorder_retrieves_full_trace_by_id() {
         let rerank = trace.span_for("rerank").expect("rerank span");
         assert_eq!(rerank.candidates_out, report.timing.candidates_out);
         // On a static lake every hit resolves: retrieval passes what it
-        // found to rerank unchanged, whether the request discovered alone
-        // or in a prewarm batch.
+        // found to rerank unchanged.
         assert_eq!(retrieval.candidates_out, retrieval.candidates_in);
         assert_eq!(rerank.candidates_in, retrieval.candidates_out);
         assert_eq!(rerank.duration_ns, report.timing.rerank_ns);

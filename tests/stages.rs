@@ -272,9 +272,9 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
         vector: None,
         ctx: SpanContext::none(),
     };
-    let mut discovered = pipeline.discover(
-        &[&object],
-        &[query],
+    let (evidence, timing) = pipeline.discover(
+        &object,
+        query,
         &[StagePlan {
             kind: InstanceKind::Tuple,
             coarse_k: 10,
@@ -283,7 +283,6 @@ fn dangling_hit_is_noted_and_the_live_one_survives() {
         &generated.lake,
         &mut StageRecorder::new(&sink),
     );
-    let (evidence, timing) = discovered.pop().expect("one discovery per object");
 
     let resolved = generated.lake.resolve(live).expect("live hit resolves");
     let score = CompositeReranker::with_defaults().score(&object, &resolved);

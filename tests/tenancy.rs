@@ -34,7 +34,6 @@ fn saturating_tenant_cannot_starve_light_tenant() {
         workers: 2,
         queue_capacity: 32,
         high_water: 24,
-        max_batch: 4,
         tenants: vec![TenantSpec::new("heavy", 1), TenantSpec::new("light", 1)],
         ..ServiceConfig::default()
     };

@@ -4,9 +4,7 @@
 //!
 //! The headline invariant: a clustered request's stitched trace is a
 //! well-formed tree — every per-shard child span's interval nests inside
-//! its parent stage span — across shard counts and both discovery entry
-//! points: a traced request (`verify_object_traced`, a batch of one) and a
-//! multi-query sweep (`discover_batch`).
+//! its parent stage span — across shard counts.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,9 +13,7 @@ use proptest::prelude::*;
 use verifai::{DataObject, MockClock, RequestTrace, SemanticBackend, VerifAi, VerifAiConfig};
 use verifai_cluster::{build_cluster, build_cluster_with_clock, ClusterConfig};
 use verifai_datagen::{build, completion_workload, LakeSpec};
-use verifai_obs::{
-    render_perfetto, validate_trace_dump, Clock, FlightRecorder, SamplingPolicy, SpanContext,
-};
+use verifai_obs::{render_perfetto, validate_trace_dump, Clock, FlightRecorder, SamplingPolicy};
 use verifai_service::{RequestOutcome, ServiceConfig, VerificationService};
 
 fn flat_config() -> VerifAiConfig {
@@ -223,13 +219,10 @@ fn report_equality_excludes_timing_and_trace_ids() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Across shard counts 1..8 and both discovery entry points (a traced
-    /// request, which discovers as a batch of one, and a multi-query
-    /// sweep), per-shard child spans graft under the retrieval span and
-    /// nest inside its interval.
+    /// Across shard counts 1..8, a traced request's per-shard child spans
+    /// graft under its retrieval span and nest inside its interval.
     #[test]
-    fn shard_children_nest_inside_parents(shards in 1usize..9, batched in 0usize..2) {
-        let batched = batched == 1;
+    fn shard_children_nest_inside_parents(shards in 1usize..9) {
         let clock = Arc::new(MockClock::with_auto_step(Duration::from_micros(50)));
         let cluster = build_cluster_with_clock(
             build(&LakeSpec::tiny(31)),
@@ -241,37 +234,13 @@ proptest! {
         cluster.router.attach_recorder(Arc::clone(&recorder));
         let objects = objects_of(&cluster.system, 3, 31);
 
-        if batched {
-            // The batched sweep runs before any request trace exists, so
-            // contexts carry the trace id with span 0 and the children
-            // graft under each trace's retrieval span at stitch time.
-            let refs: Vec<&DataObject> = objects.iter().collect();
-            let ctxs: Vec<SpanContext> = (1..=objects.len() as u64)
-                .map(|trace_id| SpanContext { trace_id, span_id: 0, parent_id: 0 })
-                .collect();
-            let results = cluster.system.discover_batch(&refs, &ctxs);
-            for (i, (evidence, timing)) in results.iter().enumerate() {
-                let id = i as u64 + 1;
-                let mut trace = RequestTrace::new(id, objects[i].id());
-                trace.span(
-                    "retrieval",
-                    timing.retrieval_ns,
-                    timing.candidates_in,
-                    evidence.len(),
-                    "batched discovery",
-                );
-                trace.finish("completed", timing.retrieval_ns);
-                recorder.record(trace);
-            }
-        } else {
-            for (i, object) in objects.iter().enumerate() {
-                let id = i as u64 + 1;
-                let mut trace = RequestTrace::new(id, object.id());
-                cluster.system.verify_object_traced(object, &mut trace);
-                let total: u64 = trace.spans.iter().map(|s| s.duration_ns).sum();
-                trace.finish("completed", total);
-                recorder.record(trace);
-            }
+        for (i, object) in objects.iter().enumerate() {
+            let id = i as u64 + 1;
+            let mut trace = RequestTrace::new(id, object.id());
+            cluster.system.verify_object_traced(object, &mut trace);
+            let total: u64 = trace.spans.iter().map(|s| s.duration_ns).sum();
+            trace.finish("completed", total);
+            recorder.record(trace);
         }
 
         for id in 1..=objects.len() as u64 {
