@@ -11,7 +11,6 @@
 use verifai_embed::{TextEmbedder, TextEmbedderConfig};
 use verifai_index::{
     AnyVectorIndex, Bm25Params, FlatIndex, HnswConfig, HnswIndex, SegmentedInvertedIndex,
-    VectorIndex,
 };
 use verifai_lake::{DataLake, InstanceId};
 use verifai_text::Analyzer;
@@ -131,25 +130,27 @@ pub fn content_index(entries: &[Entry]) -> SegmentedInvertedIndex {
     index
 }
 
-/// The semantic index over `entries`: each one embedded and inserted in
-/// entry order, through the incremental `VectorIndex::add`. Graph
-/// construction is order-sensitive and embeddings are pure functions of
-/// their text, so the index is a function of the entry list alone.
+/// The semantic index over `entries`, built on `threads` workers through
+/// [`AnyVectorIndex::insert_all`]: each batch of entries is embedded when
+/// its turn comes, by the workers that insert it, never the whole corpus up
+/// front. Embeddings are pure functions of their text and the graph is the
+/// same for every thread count, so the index is a function of the entry
+/// list alone.
 pub fn semantic_index(
     config: &VerifAiConfig,
     embedder: &TextEmbedder,
     entries: &[Entry],
+    threads: usize,
 ) -> AnyVectorIndex {
     let mut index = empty_semantic(config);
-    for (id, text) in entries {
-        index.add(*id, embedder.embed(text));
-    }
+    index.insert_all(entries, threads, |(id, text)| (*id, embedder.embed(text)));
     index
 }
 
 /// One build chain for `modality`: the content index over `content`, then
 /// — where the modality has a semantic member — the semantic index over
-/// `semantic`. A modality without one gets `None`, never an empty index.
+/// `semantic`, on the chain's own thread. A modality without one gets
+/// `None`, never an empty index.
 pub fn index_chain(
     config: &VerifAiConfig,
     embedder: &TextEmbedder,
@@ -158,8 +159,8 @@ pub fn index_chain(
     semantic: &[Entry],
 ) -> (SegmentedInvertedIndex, Option<AnyVectorIndex>) {
     let content = content_index(content);
-    let semantic =
-        has_semantic_member(config, modality).then(|| semantic_index(config, embedder, semantic));
+    let semantic = has_semantic_member(config, modality)
+        .then(|| semantic_index(config, embedder, semantic, 1));
     (content, semantic)
 }
 

@@ -19,7 +19,8 @@
 //! 3. translate the change into index operations — remove + add on the
 //!    content index, tombstone + re-embed + insert on the semantic index
 //!    of a modality that has one (text, tables, knowledge graph; tuples
-//!    are BM25-only, see [`has_semantic_member`]).
+//!    are BM25-only, see [`has_semantic_member`]). A semantic index whose
+//!    tombstones come to outnumber its live vectors is compacted then.
 //!
 //! Tuple mutations also refresh the *owning table's* entries: the table's
 //! serialized form includes every row, so adding, updating, or removing a
@@ -205,23 +206,23 @@ pub(crate) fn index_stats(shards: &[LiveIndexes]) -> LiveLakeStats {
 }
 
 /// Force-compact every index of every shard: merge the content segments
-/// into one, drop tombstoned vectors. One job per index, fanned out over
-/// [`crate::exec::run_scoped`]. Compaction leaves a content index's shared
-/// statistics installed; they stay exact, since removals already
-/// subtracted what compaction drops.
+/// into one, drop tombstoned vectors. The content indexes go first, one job
+/// each fanned out over [`crate::exec::run_scoped`]; then each semantic
+/// index in turn, an HNSW graph rebuilt on all `threads` workers.
+/// Compaction leaves a content index's shared statistics installed; they
+/// stay exact, since removals already subtracted what compaction drops.
 pub(crate) fn compact_indexes(shards: &[LiveIndexes], threads: usize) {
-    let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(8 * shards.len());
+    let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(4 * shards.len());
     for shard in shards {
         for content in &shard.content {
             let content = Arc::clone(content);
             jobs.push(Box::new(move || content.write().compact()));
         }
-        for semantic in shard.semantic.iter().flatten() {
-            let semantic = Arc::clone(semantic);
-            jobs.push(Box::new(move || semantic.write().compact()));
-        }
     }
     crate::exec::run_scoped(threads, jobs);
+    for semantic in shards.iter().flat_map(|s| s.semantic.iter().flatten()) {
+        semantic.write().compact(threads);
+    }
 }
 
 /// Merge every shard's BM25 corpus statistics for modality `slot` and
@@ -417,6 +418,12 @@ fn apply_ops(
                     index.add(op.id, embedder.embed(&text));
                     embedded += 1;
                 }
+            }
+            // A graph walk routes through every tombstone, so a graph whose
+            // tombstones outnumber its live vectors is rebuilt from the
+            // live ones: the rule the flat index applies to itself.
+            if index.tombstones() > index.len() {
+                index.compact(config.build_workers());
             }
         }
     }
@@ -623,6 +630,37 @@ mod tests {
             .expect("remove");
         let hits = sys.retrieve("xylophone0 xylophone1", InstanceKind::Tuple, 10);
         assert!(hits.iter().all(|h| h.id != InstanceId::Tuple(new_id)));
+    }
+
+    /// Every tuple update re-embeds its table, leaving one tombstone in the
+    /// table graph; the update that makes tombstones outnumber the live
+    /// tables rebuilds the graph, so they never do after an `apply`.
+    #[test]
+    fn a_graph_mostly_of_tombstones_is_compacted_by_apply() {
+        let mut sys = live_system(29);
+        let table = sys.lake().tables().next().expect("lake has tables").id;
+        let arity = sys.lake().table(table).unwrap().schema.arity();
+        let tuple = sys.lake().tuples_of_table(table)[0];
+        let graph = |sys: &VerifAi| {
+            let live = sys.live().expect("a built system owns its indexes");
+            let index = live.semantic[1]
+                .as_ref()
+                .expect("tables have a graph")
+                .read();
+            (index.len(), index.tombstones(), index.compactions())
+        };
+        let (tables, _, _) = graph(&sys);
+        for i in 0..=tables {
+            let values = (0..arity)
+                .map(|c| Value::text(format!("revision{i}x{c}")))
+                .collect();
+            sys.apply(LakeMutation::UpdateTuple { id: tuple, values })
+                .expect("update applies");
+            let (live, dead, _) = graph(&sys);
+            assert_eq!(live, tables);
+            assert!(dead <= live, "{dead} tombstones over {live} live tables");
+        }
+        assert_eq!(graph(&sys).2, 1, "one rebuild");
     }
 
     #[test]

@@ -176,20 +176,23 @@ impl VerifAi {
     /// [`EvidenceSource`] per modality, the configured rerank stage, and
     /// the verifier [`Agent`].
     ///
-    /// Indexing is parallel and deterministic, scheduled by critical path
-    /// over [`crate::exec::run_scoped_beside`]. Each job is a chain that
-    /// serializes its entries, builds its index and, where the modality has
-    /// a semantic member ([`crate::corpus::has_semantic_member`]), its
-    /// semantic index — embedding and inserting **sequentially in entry
-    /// order**, so every graph is byte-identical to a single-threaded
-    /// build. The longest job goes first: the text graph over every
-    /// document's sentence chunks. The tuple chain (BM25 only), the table
-    /// and knowledge-graph chains and the text content index fill in behind
-    /// it. The calling thread prepares the rerank features meanwhile, which
-    /// keeps them in its malloc arena.
+    /// Indexing is parallel and deterministic, in two phases over
+    /// `config.build_threads` workers. First the short chains, one job each
+    /// over [`crate::exec::run_scoped_beside`]: the tuple chain (BM25
+    /// only), the table and knowledge-graph chains (content index, then a
+    /// graph built on the job's own thread) and the text content index,
+    /// while the calling thread prepares the rerank features, which keeps
+    /// them in its malloc arena. Then the text graph over every document's
+    /// sentence chunks, the largest index, built on every worker through
+    /// the HNSW bulk entry point
+    /// ([`verifai_index::HnswIndex::insert_all`]): each batch of chunks is
+    /// embedded, searched and linked in parallel. A graph's bytes depend on
+    /// its entry list alone, not on the thread count or on what ran beside
+    /// it ([`crate::corpus::semantic_index`]), so the build is the same for
+    /// every `build_threads`.
     ///
     /// `config.build_threads` (0 = one per core) sets the worker count;
-    /// with 1, every job runs inline.
+    /// with 1, everything runs inline.
     pub fn build(generated: GeneratedLake, config: VerifAiConfig) -> VerifAi {
         VerifAi::build_with_clock(generated, config, Arc::new(SystemClock))
     }
@@ -216,14 +219,9 @@ impl VerifAi {
             let [tuples, tables, texts, kg] = content.each_mut();
             let [tuples_semantic, tables_semantic, texts_semantic, kg_semantic] =
                 semantic.each_mut();
-            // Longest first: the text graph starts at once; the short jobs
-            // fill in behind it on the other workers.
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(5);
-            if has_semantic_member(config, TEXT_MODALITY) {
-                jobs.push(Box::new(move || {
-                    *texts_semantic = Some(semantic_index(config, embedder, &text_chunks(lake)));
-                }));
-            }
+            // The short chains first, the calling thread preparing the
+            // features beside them; then the text graph on every worker.
+            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(4);
             for (modality, content, semantic) in [
                 (TUPLE_MODALITY, tuples, tuples_semantic),
                 (1, tables, tables_semantic),
@@ -241,6 +239,14 @@ impl VerifAi {
             crate::exec::run_scoped_beside(threads, jobs, || {
                 prepare_features(&*rerank_stage, lake)
             });
+            if has_semantic_member(config, TEXT_MODALITY) {
+                *texts_semantic = Some(semantic_index(
+                    config,
+                    embedder,
+                    &text_chunks(lake),
+                    threads,
+                ));
+            }
         }
         let index_ns = ns_between(index_start, clock.now());
         let embedded = semantic.iter().flatten().map(VectorIndex::len).sum();
@@ -409,8 +415,9 @@ impl VerifAi {
     }
 
     /// Force-compact every standing index of every shard off the query path
-    /// (seal + merge content segments, drop tombstoned vectors), fanned out
-    /// over `threads` workers, one job per index.
+    /// (seal + merge content segments, drop tombstoned vectors) on
+    /// `threads` workers: the content indexes one job each, then each HNSW
+    /// graph rebuilt on all of them.
     pub fn compact_live(&self, threads: usize) {
         self.compact_live_traced(threads, &mut RequestTrace::disabled());
     }

@@ -35,6 +35,7 @@ use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::mem::size_of;
+use std::sync::Mutex;
 use verifai_embed::{kernel, Vector};
 use verifai_lake::InstanceId;
 use verifai_obs::meter;
@@ -454,7 +455,12 @@ impl VectorIndex for FlatIndex {
 pub struct HnswConfig {
     /// Max neighbours per node on layers > 0 (layer 0 uses `2 * m`).
     pub m: usize,
-    /// Candidate-list width during construction.
+    /// Candidate-list width during construction: how many nodes the
+    /// search for a new node gathers before Alg. 4 ([`HnswIndex::insert_all`])
+    /// selects its list from them. Default 64, the smallest of
+    /// {48, 64, 80, 100} whose graphs pass the `small`-lake recall gate
+    /// (`tests/semantic_recall.rs`) at seeds 42 and 7: the rule makes the
+    /// graph navigable, so a wider list buys recall the gate does not need.
     pub ef_construction: usize,
     /// Candidate-list width during search.
     pub ef_search: usize,
@@ -466,7 +472,7 @@ impl Default for HnswConfig {
     fn default() -> Self {
         HnswConfig {
             m: 16,
-            ef_construction: 100,
+            ef_construction: 64,
             ef_search: 64,
             seed: 0x9e37,
         }
@@ -552,30 +558,65 @@ impl EdgeLists {
         self.lens[r] = len;
     }
 
-    /// Add `edge` to list `r` unless its endpoint is already there. A full
-    /// list keeps the `max_conn` closest of its edges and the new one: a
-    /// stable sort by distance over (list order, then `edge`), through
-    /// `spill`.
-    fn link(&mut self, r: usize, edge: Edge, spill: &mut Vec<Edge>) {
-        let len = self.lens[r] as usize;
-        let slots = self.slots.row_mut(r);
-        if slots[..len].iter().any(|x| x.ord == edge.ord) {
+    /// Leave in `out` what list `r` holds once the back-links `new` (in node
+    /// order) join it; the list itself is not touched. While everything
+    /// fits, that is the list followed by `new`. Past `max_conn`, the
+    /// merged list is pruned once with [`select_diverse`] — a stable sort
+    /// by distance over (list order, then `new`), through `spill` — so a
+    /// full list keeps the edges that reach different directions, not the
+    /// `max_conn` closest ones.
+    fn link(
+        &self,
+        r: usize,
+        new: impl Iterator<Item = Edge>,
+        between: impl Fn(u32, u32) -> f64,
+        spill: &mut Vec<Edge>,
+        out: &mut Vec<Edge>,
+    ) {
+        out.clear();
+        out.extend_from_slice(self.edges(r));
+        out.extend(new);
+        if out.len() <= self.max_conn {
             return;
         }
-        if len < self.max_conn {
-            slots[len] = edge;
-            self.lens[r] += 1;
-            return;
-        }
-        spill.clear();
-        spill.extend_from_slice(slots);
-        spill.push(edge);
+        std::mem::swap(spill, out);
         spill.sort_by(|a, b| a.dist().partial_cmp(&b.dist()).unwrap_or(Ordering::Equal));
-        slots.copy_from_slice(&spill[..self.max_conn]);
+        select_diverse(spill, self.max_conn, between, out);
     }
 
     fn heap_bytes(&self) -> usize {
         self.slots.heap_bytes() + self.lens.capacity() * size_of::<u16>()
+    }
+}
+
+/// Malkov & Yashunin's neighbour selection (HNSW, Alg. 4, without its
+/// optional extensions): walk `cands` closest first and keep an edge only
+/// when its endpoint is closer to the owner than to every endpoint already
+/// kept, until `max` are kept. A candidate that a kept edge is at least as
+/// close to is covered by that edge, so the kept edges point in different
+/// directions and a walk can leave a dense cluster through them.
+///
+/// `cands` must be sorted closest first (ties in any fixed order, which
+/// decides among them); `between(a, b)` is the distance between two
+/// endpoints. An endpoint already kept is skipped.
+fn select_diverse(
+    cands: &[Edge],
+    max: usize,
+    between: impl Fn(u32, u32) -> f64,
+    out: &mut Vec<Edge>,
+) {
+    out.clear();
+    for &c in cands {
+        if out.len() >= max {
+            break;
+        }
+        let to_owner = c.dist();
+        if out
+            .iter()
+            .all(|k| k.ord != c.ord && to_owner < between(c.ord, k.ord))
+        {
+            out.push(c);
+        }
     }
 }
 
@@ -637,44 +678,20 @@ impl Graph {
         }
     }
 
+    /// The lists of `layer`.
+    fn lists(&self, layer: usize) -> &EdgeLists {
+        match layer {
+            0 => &self.layer0,
+            _ => &self.upper,
+        }
+    }
+
     /// The lists of `layer` and node `ord`'s list among them.
     fn list_mut(&mut self, ord: u32, layer: usize) -> (&mut EdgeLists, usize) {
         let r = self.list_of(ord, layer);
         match layer {
             0 => (&mut self.layer0, r),
             _ => (&mut self.upper, r),
-        }
-    }
-
-    /// Connect `node` to the closest `max_conn` of `found` at `layer`, and
-    /// back-link with pruning.
-    ///
-    /// The `search_layer` similarities ride along into the edge cache, and
-    /// the back-link reuses them (the fused dot is symmetric), so pruning a
-    /// neighbour's over-full list is a sort over cached values: no
-    /// re-scoring of edges that were already scored when created.
-    fn connect(&mut self, node: u32, found: &[Scored], layer: usize, spill: &mut Vec<Edge>) {
-        let (lists, own) = self.list_mut(node, layer);
-        let selected = found
-            .iter()
-            .take(lists.max_conn)
-            .filter(|f| f.ord != node)
-            .map(|f| Edge {
-                ord: f.ord,
-                sim: f.sim,
-            });
-        lists.set(own, selected);
-        // No back-link lands in `node`'s own list (it is not its own
-        // neighbour), so the list can be re-read by position while the
-        // lists it names change.
-        for i in 0..self.edges(node, layer).len() {
-            let e = self.edges(node, layer)[i];
-            let back = Edge {
-                ord: node,
-                sim: e.sim,
-            };
-            let (lists, theirs) = self.list_mut(e.ord, layer);
-            lists.link(theirs, back, spill);
         }
     }
 
@@ -757,12 +774,13 @@ impl Graph {
 
 /// Hierarchical Navigable Small World graph over cosine similarity.
 ///
-/// Insertion has always been incremental (the graph grows one node at a
-/// time); deletion is tombstoning — removed nodes keep their edges and keep
-/// routing searches, they just cannot be returned. A tombstone is scored
-/// and expanded like any node but never takes a result slot, so a search
-/// holds `max(ef_search, k)` *live* results without widening its list as
-/// tombstones accumulate. An explicit [`HnswIndex::compact`] rebuilds the
+/// Insertion is one batch step ([`HnswIndex::insert_all`] feeds it growing
+/// batches; `add` is a batch of one), and every list is selected with Alg.
+/// 4 of Malkov & Yashunin. Deletion is tombstoning — removed nodes keep
+/// their edges and keep routing searches, they just cannot be returned. A
+/// tombstone is scored and expanded like any node but never takes a result
+/// slot, so a search holds `max(ef_search, k)` *live* results without
+/// widening its list as tombstones accumulate. An explicit [`HnswIndex::compact`] rebuilds the
 /// graph from the live nodes when the caller decides the dead weight is
 /// worth shedding.
 ///
@@ -880,7 +898,8 @@ struct Scratch {
     unvisited: Vec<u32>,
     /// `search_layer`'s output, ascending by distance.
     found: Vec<Scored>,
-    /// `EdgeLists::link`'s sort buffer.
+    /// The candidates a list is selected from: `found` as edges, or a
+    /// merged list being pruned.
     spill: Vec<Edge>,
 }
 
@@ -906,6 +925,76 @@ fn prefetch_row(row: &[f32]) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = row;
+}
+
+/// A construction batch holds at most `⌈len / BATCH_FRACTION⌉` nodes of
+/// an index of `len` (and at least one).
+const BATCH_FRACTION: usize = 50;
+
+/// Slots a construction worker takes at a time.
+const GRAIN: usize = 8;
+
+/// One node of a construction batch, as its search left it.
+#[derive(Default)]
+struct Placed {
+    /// Its id and unit row.
+    node: Option<(InstanceId, Vector)>,
+    level: usize,
+    /// The list it selected on each layer `0..=level`.
+    lists: Vec<Vec<Edge>>,
+}
+
+/// The back-links of one batch that land in one list.
+#[derive(Default)]
+struct Link {
+    layer: usize,
+    target: u32,
+    /// Its new edges: `Batch::backs[from..to]`.
+    from: usize,
+    to: usize,
+    /// What the list holds after the batch.
+    out: Vec<Edge>,
+}
+
+/// The batch step's buffers, which the caller owns across batches. Each
+/// worker writes only its own slots.
+#[derive(Default)]
+struct Batch {
+    placed: Vec<Placed>,
+    /// Every back-link of the batch: layer, target, the edge to the node.
+    backs: Vec<(usize, u32, Edge)>,
+    links: Vec<Link>,
+}
+
+/// Run `work(i, &mut slots[i])` for every slot over up to `threads` scoped
+/// workers, the calling thread among them. Workers take runs of [`GRAIN`]
+/// slots in turn. What a slot ends up holding must depend only on `i`,
+/// never on which worker filled it or when.
+fn for_each_slot<S: Send>(threads: usize, slots: &mut [S], work: impl Fn(usize, &mut S) + Sync) {
+    let workers = threads.min(slots.len().div_ceil(GRAIN));
+    if workers <= 1 {
+        slots.iter_mut().enumerate().for_each(|(i, s)| work(i, s));
+        return;
+    }
+    let runs = Mutex::new(slots.chunks_mut(GRAIN).enumerate());
+    let drain = || loop {
+        let next = runs
+            .lock()
+            .expect("no worker panics holding the runs")
+            .next();
+        let Some((run, chunk)) = next else {
+            return;
+        };
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            work(run * GRAIN + j, slot);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(drain);
+        }
+        drain();
+    });
 }
 
 impl HnswIndex {
@@ -984,23 +1073,219 @@ impl HnswIndex {
             .push(self.newest.insert(id, ord).unwrap_or(NO_ORD));
     }
 
-    /// Rebuild the graph from the live nodes (insertion order preserved),
-    /// shedding tombstones. Unlike the flat index this is not triggered
+    /// Rebuild the graph from the live nodes (insertion order preserved)
+    /// through [`HnswIndex::insert_all`] on `threads` workers, shedding
+    /// tombstones. Unlike the flat index this is not triggered
     /// automatically: a rebuild re-runs construction, so the caller (the
-    /// segmented merge scheduler, an operator) decides when it pays.
-    pub fn compact(&mut self) {
+    /// live compaction, an operator) decides when it pays. The rebuilt
+    /// graph is the same for every `threads`.
+    pub fn compact(&mut self, threads: usize) {
         if self.dead == 0 {
             return;
         }
+        let live: Vec<usize> = (0..self.ids.len()).filter(|&o| !self.deleted[o]).collect();
         let mut fresh = HnswIndex::new(self.config);
-        for (ord, row) in self.rows.iter().enumerate() {
-            if !self.deleted[ord] {
-                fresh.add(self.ids[ord], Vector::from_vec(row.to_vec()));
-            }
-        }
+        fresh.insert_all(&live, threads, |&ord| {
+            (self.ids[ord], Vector::from_vec(self.rows.row(ord).to_vec()))
+        });
         fresh.generation = self.generation;
         fresh.compactions = self.compactions + 1;
         *self = fresh;
+    }
+
+    /// Insert every item, in order, as the node `vector_of` makes of it:
+    /// the bulk entry point. The items go in as a sequence of batch steps
+    /// (`HnswIndex::insert_batch`) whose searches and back-link merges
+    /// spread over `threads` workers, and each batch is made into vectors
+    /// only when its turn comes, by the workers that search it.
+    ///
+    /// The batches grow with the graph, in the style of ParlayANN's
+    /// prefix-doubling build (Manohar et al., PPoPP 2024): one holds at
+    /// most `⌈len / 50⌉` nodes (at least one) of an index of `len`, so no
+    /// batch is searched against a graph much smaller than itself, and a
+    /// node whose level would raise the top layer goes in alone. The
+    /// schedule is a function of the index length and the level draws, and
+    /// no step depends on which worker ran what, so the graph — every
+    /// snapshot byte — is the same for every `threads`.
+    pub fn insert_all<T: Sync>(
+        &mut self,
+        items: &[T],
+        threads: usize,
+        vector_of: impl Fn(&T) -> (InstanceId, Vector) + Sync,
+    ) {
+        let mut batch = Batch::default();
+        let mut at = 0;
+        while at < items.len() {
+            let n = self.batch_len(items.len() - at);
+            self.insert_batch(&items[at..at + n], threads, &vector_of, &mut batch);
+            at += n;
+        }
+    }
+
+    /// Nodes in the next batch, of `remaining` still to insert.
+    fn batch_len(&self, remaining: usize) -> usize {
+        let len = self.ids.len();
+        let cap = len.div_ceil(BATCH_FRACTION).clamp(1, remaining);
+        let stays_below_top =
+            |i: usize| self.entry.is_some() && self.draw_level(len + i) <= self.max_level;
+        if !stays_below_top(0) {
+            return 1;
+        }
+        (1..cap).find(|&i| !stays_below_top(i)).unwrap_or(cap)
+    }
+
+    /// The one insertion step: append `items` as nodes, linked as a batch.
+    ///
+    /// 1. Each node is made into its unit vector and searched against the
+    ///    graph as it stood when the batch began, and selects its list on
+    ///    every layer with [`select_diverse`]. The searches only read the
+    ///    graph, so they run in parallel, each worker writing only its own
+    ///    slots of `batch`; the nodes of one batch do not see each other.
+    /// 2. The nodes are appended in order, with their lists.
+    /// 3. Each back-link (new node → endpoint) is grouped by the list it
+    ///    lands in. Each such list takes its new edges in node order and is
+    ///    pruned once, with the same rule, if they overflow it. The merged
+    ///    lists are computed in parallel from the lists as they stand, then
+    ///    written.
+    ///
+    /// The caller sees to it that at most a batch of one raises the top
+    /// layer ([`HnswIndex::batch_len`]).
+    fn insert_batch<T: Sync>(
+        &mut self,
+        items: &[T],
+        threads: usize,
+        vector_of: &(impl Fn(&T) -> (InstanceId, Vector) + Sync),
+        batch: &mut Batch,
+    ) {
+        let base = self.ids.len();
+        if batch.placed.len() < items.len() {
+            batch.placed.resize_with(items.len(), Placed::default);
+        }
+        let placed = &mut batch.placed[..items.len()];
+        let this = &*self;
+        for_each_slot(threads, placed, |i, slot| {
+            let (id, mut row) = vector_of(&items[i]);
+            // Checked before the search dots it with the stored rows.
+            let stride = this.rows.stride();
+            assert!(
+                stride == 0 || row.len() == stride,
+                "row slab holds one stride"
+            );
+            row.normalize();
+            slot.level = this.draw_level(base + i);
+            SCRATCH
+                .with_borrow_mut(|scratch| this.place(&row, slot.level, scratch, &mut slot.lists));
+            slot.node = Some((id, row));
+        });
+
+        batch.backs.clear();
+        for (i, slot) in placed.iter_mut().enumerate() {
+            let ord = (base + i) as u32;
+            let (id, row) = slot.node.take().expect("every slot was placed");
+            self.rows.push(row.iter().copied());
+            self.ids.push(id);
+            self.deleted.push(false);
+            self.index_id(id, ord);
+            self.graph.push_node(slot.level);
+            self.generation += 1;
+            for (layer, list) in slot.lists.iter().enumerate() {
+                let (lists, r) = self.graph.list_mut(ord, layer);
+                lists.set(r, list.iter().copied());
+                batch.backs.extend(list.iter().map(|e| {
+                    let back = Edge { ord, sim: e.sim };
+                    (layer, e.ord, back)
+                }));
+            }
+        }
+
+        // Stable: within a list's group, back-links stay in node order.
+        batch
+            .backs
+            .sort_by_key(|&(layer, target, _)| (layer, target));
+        let mut groups = 0;
+        let mut from = 0;
+        for run in batch.backs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if groups == batch.links.len() {
+                batch.links.push(Link::default());
+            }
+            let link = &mut batch.links[groups];
+            (link.layer, link.target, link.from) = (run[0].0, run[0].1, from);
+            from += run.len();
+            link.to = from;
+            groups += 1;
+        }
+        let backs = &batch.backs;
+        let this = &*self;
+        for_each_slot(threads, &mut batch.links[..groups], |_, link| {
+            let new = backs[link.from..link.to].iter().map(|&(_, _, e)| e);
+            SCRATCH.with_borrow_mut(|scratch| {
+                this.graph.lists(link.layer).link(
+                    this.graph.list_of(link.target, link.layer),
+                    new,
+                    |a, b| this.between(a, b),
+                    &mut scratch.spill,
+                    &mut link.out,
+                )
+            });
+        });
+        for link in &batch.links[..groups] {
+            let (lists, r) = self.graph.list_mut(link.target, link.layer);
+            lists.set(r, link.out.iter().copied());
+        }
+
+        // Only a batch of one can raise the top layer, or start the graph.
+        let first = base as u32;
+        let level = self.graph.level(first);
+        if self.entry.is_none() || level > self.max_level {
+            debug_assert_eq!(items.len(), 1, "a batch raised the top layer");
+            self.entry = Some(first);
+            self.max_level = level;
+        }
+    }
+
+    /// Search the graph as it stands for a node of `level` with unit row
+    /// `q`, and leave in `lists[l]` the list it selects on each layer
+    /// `l <= level` (empty above the graph's top layer).
+    fn place(&self, q: &[f32], level: usize, scratch: &mut Scratch, lists: &mut Vec<Vec<Edge>>) {
+        lists.resize_with(level + 1, Vec::new);
+        lists.iter_mut().for_each(Vec::clear);
+        let Some(mut entry) = self.entry else {
+            return;
+        };
+        for l in ((level + 1)..=self.max_level).rev() {
+            entry = self.greedy_at_layer(entry, q, l);
+        }
+        for l in (0..=level.min(self.max_level)).rev() {
+            self.search_layer(
+                scratch,
+                entry,
+                q,
+                l,
+                self.config.ef_construction,
+                Admit::Every,
+            );
+            scratch.spill.clear();
+            scratch.spill.extend(scratch.found.iter().map(|f| Edge {
+                ord: f.ord,
+                sim: f.sim,
+            }));
+            let max = self.graph.lists(l).max_conn;
+            select_diverse(
+                &scratch.spill,
+                max,
+                |a, b| self.between(a, b),
+                &mut lists[l],
+            );
+            if let Some(best) = scratch.found.first() {
+                entry = best.ord;
+            }
+        }
+    }
+
+    /// Cosine distance between two stored nodes.
+    #[inline]
+    fn between(&self, a: u32, b: u32) -> f64 {
+        1.0 - kernel::dot_unit(self.rows.row(a as usize), self.rows.row(b as usize)) as f64
     }
 
     /// The node's similarity to `q` and the cosine *distance*
@@ -1241,52 +1526,15 @@ impl HnswIndex {
 }
 
 impl VectorIndex for HnswIndex {
-    fn add(&mut self, id: InstanceId, mut vector: Vector) {
-        vector.normalize();
-        let ord = self.ids.len() as u32;
-        let level = self.draw_level(ord as usize);
-        self.rows.push(vector.iter().copied());
-        self.ids.push(id);
-        self.deleted.push(false);
-        self.index_id(id, ord);
-        self.graph.push_node(level);
-        self.generation += 1;
-
-        let Some(mut entry) = self.entry else {
-            self.entry = Some(ord);
-            self.max_level = level;
-            return;
-        };
-
-        // Already unit, and bit for bit the row just stored: every distance
-        // during construction is a single dot against the caller's buffer.
-        let q: &[f32] = &vector;
-        // Descend from the top layer to level+1 greedily.
-        for l in ((level + 1)..=self.max_level).rev() {
-            entry = self.greedy_at_layer(entry, q, l);
-        }
-        // Insert at each layer from min(level, max_level) down to 0.
-        SCRATCH.with_borrow_mut(|scratch| {
-            for l in (0..=level.min(self.max_level)).rev() {
-                self.search_layer(
-                    scratch,
-                    entry,
-                    q,
-                    l,
-                    self.config.ef_construction,
-                    Admit::Every,
-                );
-                self.graph
-                    .connect(ord, &scratch.found, l, &mut scratch.spill);
-                if let Some(best) = scratch.found.first() {
-                    entry = best.ord;
-                }
-            }
-        });
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = Some(ord);
-        }
+    /// The batch step with a batch of one.
+    fn add(&mut self, id: InstanceId, vector: Vector) {
+        let node = (id, vector);
+        self.insert_batch(
+            std::slice::from_ref(&node),
+            1,
+            &|(id, v): &(InstanceId, Vector)| (*id, v.clone()),
+            &mut Batch::default(),
+        );
     }
 
     /// Tombstone every live ordinal of `id` by walking its chain in the id
@@ -1396,11 +1644,32 @@ impl AnyVectorIndex {
         }
     }
 
-    /// Force a compaction of the wrapped index.
-    pub fn compact(&mut self) {
+    /// Force a compaction of the wrapped index; an HNSW rebuild runs on
+    /// `threads` workers.
+    pub fn compact(&mut self, threads: usize) {
         match self {
             AnyVectorIndex::Flat(i) => i.compact(),
-            AnyVectorIndex::Hnsw(i) => i.compact(),
+            AnyVectorIndex::Hnsw(i) => i.compact(threads),
+        }
+    }
+
+    /// Insert every item, in order, as the vector `vector_of` makes of it:
+    /// [`HnswIndex::insert_all`] on `threads` workers, or one flat `add`
+    /// after another.
+    pub fn insert_all<T: Sync>(
+        &mut self,
+        items: &[T],
+        threads: usize,
+        vector_of: impl Fn(&T) -> (InstanceId, Vector) + Sync,
+    ) {
+        match self {
+            AnyVectorIndex::Flat(i) => {
+                for item in items {
+                    let (id, vector) = vector_of(item);
+                    i.add(id, vector);
+                }
+            }
+            AnyVectorIndex::Hnsw(i) => i.insert_all(items, threads, vector_of),
         }
     }
 
@@ -1758,7 +2027,7 @@ mod tests {
         assert_eq!(hits.len(), 4, "k live results past the tombstones");
         assert!(hits.iter().all(|h| h.id >= tid(20)));
         // Compaction rebuilds from the live nodes and keeps answering.
-        idx.compact();
+        idx.compact(1);
         assert_eq!(idx.tombstones(), 0);
         assert_eq!(idx.compactions(), 1);
         assert_eq!(idx.len(), 20);
@@ -1831,7 +2100,7 @@ mod tests {
             .iter()
             .all(|h| h.id != tid(5)));
 
-        back.compact();
+        back.compact(2);
         assert_eq!(chunks(&back, tid(11)), 3);
         assert!(back.remove(tid(11)));
         assert_eq!(back.tombstones(), 3);
@@ -2265,6 +2534,60 @@ mod tests {
         assert!(HnswIndex::from_bytes(Bytes::from(lost)).is_err());
     }
 
+    /// The bulk entry point builds the same graph, byte for byte, on any
+    /// number of workers: enough nodes that batches run in parallel, with
+    /// exact duplicates among them so distance ties meet the selection.
+    #[test]
+    fn bulk_build_is_identical_for_every_thread_count() {
+        let e = TextEmbedder::with_seed(3);
+        let items: Vec<u64> = (0..1_500).collect();
+        let build = |threads: usize| {
+            let mut idx = HnswIndex::with_defaults();
+            idx.insert_all(&items, threads, |&i| {
+                let i = if i % 16 == 15 { i - 7 } else { i };
+                let text = format!("entity {} topic {} attribute {}", i, i % 17, i % 7);
+                (tid(i), e.embed(&text))
+            });
+            assert_eq!(idx.len(), items.len());
+            idx.to_bytes()
+        };
+        let one = build(1);
+        for threads in [2, 3, 4] {
+            assert!(build(threads) == one, "bytes differ at {threads} threads");
+        }
+    }
+
+    /// A bulk-built graph answers like a sequentially built one: each
+    /// recalls the exact scan's top 10.
+    #[test]
+    fn bulk_and_sequential_builds_both_recall_the_exact_scan() {
+        let e = TextEmbedder::with_seed(3);
+        let text = |i: u64| format!("entity {} topic {} attribute {}", i, i % 17, i % 7);
+        let items: Vec<u64> = (0..600).collect();
+        let mut flat = FlatIndex::new();
+        let mut sequential = HnswIndex::with_defaults();
+        for &i in &items {
+            flat.add(tid(i), e.embed(&text(i)));
+            sequential.add(tid(i), e.embed(&text(i)));
+        }
+        let mut bulk = HnswIndex::with_defaults();
+        bulk.insert_all(&items, 2, |&i| (tid(i), e.embed(&text(i))));
+        for graph in [&sequential, &bulk] {
+            let mut hit = 0;
+            for q in 0..30u64 {
+                let qv = e.embed(&format!("entity {} topic {}", q * 19 % 600, q % 17));
+                let floor = flat.search(&qv, 10)[9].score - 1e-9;
+                hit += graph
+                    .search(&qv, 10)
+                    .iter()
+                    .filter(|h| h.score >= floor)
+                    .count();
+            }
+            let recall = hit as f64 / 300.0;
+            assert!(recall >= 0.95, "recall@10 {recall}");
+        }
+    }
+
     #[test]
     fn trait_object_usable() {
         let mut indexes: Vec<Box<dyn VectorIndex>> = vec![
@@ -2276,6 +2599,106 @@ mod tests {
             idx.add(tid(0), e.embed("shared content"));
             assert_eq!(idx.len(), 1);
             assert!(!idx.is_empty());
+        }
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Alg. 4 as the paper states it: take the nearest remaining candidate
+    /// (the first of equals), and keep it when it is closer to the owner
+    /// than to every element kept so far, until `max` are kept or no
+    /// candidate remains. A second edge to a kept endpoint is not kept.
+    fn textbook(cands: &[Edge], max: usize, between: &dyn Fn(u32, u32) -> f64) -> Vec<Edge> {
+        let mut remaining = cands.to_vec();
+        let mut kept: Vec<Edge> = Vec::new();
+        while !remaining.is_empty() && kept.len() < max {
+            let mut nearest = 0;
+            for i in 1..remaining.len() {
+                if remaining[i].dist() < remaining[nearest].dist() {
+                    nearest = i;
+                }
+            }
+            let e = remaining.remove(nearest);
+            if kept.iter().any(|k| k.ord == e.ord) {
+                continue;
+            }
+            if kept.iter().all(|k| e.dist() < between(e.ord, k.ord)) {
+                kept.push(e);
+            }
+        }
+        kept
+    }
+
+    /// Endpoints among the owner's candidates.
+    const POINTS: usize = 12;
+
+    /// Candidate edges over [`POINTS`] endpoints, endpoints repeating; the
+    /// distances to the owner and between endpoints drawn from eight levels,
+    /// so ties are common; and a list capacity.
+    fn instance() -> impl Strategy<Value = (Vec<Edge>, Vec<Vec<f64>>, usize)> {
+        (
+            proptest::collection::vec((0..POINTS as u32, 0u8..8), 0..30),
+            proptest::collection::vec(
+                proptest::collection::vec(0u8..8, POINTS..POINTS + 1),
+                POINTS..POINTS + 1,
+            ),
+            1usize..10,
+        )
+            .prop_map(|(cands, raw, max)| {
+                let edges = cands
+                    .into_iter()
+                    .map(|(ord, level)| Edge {
+                        ord,
+                        sim: 1.0 - f32::from(level) / 8.0,
+                    })
+                    .collect();
+                let between = (0..POINTS)
+                    .map(|a| {
+                        (0..POINTS)
+                            .map(|b| f64::from(raw[a.min(b)][a.max(b)]) / 8.0)
+                            .collect()
+                    })
+                    .collect();
+                (edges, between, max)
+            })
+    }
+
+    proptest! {
+        /// A new node's list: `select_diverse` over the search's output
+        /// (sorted closest first, ties in arrival order) keeps exactly the
+        /// textbook selection.
+        #[test]
+        fn new_node_selection_is_alg_4((cands, between, max) in instance()) {
+            let between = |a: u32, b: u32| between[a as usize][b as usize];
+            let mut sorted = cands.clone();
+            sorted.sort_by(|a, b| a.dist().partial_cmp(&b.dist()).unwrap());
+            let mut out = Vec::new();
+            select_diverse(&sorted, max, between, &mut out);
+            prop_assert_eq!(out, textbook(&cands, max, &between));
+        }
+
+        /// A list that back-links overflow is pruned to the textbook
+        /// selection over the list followed by its new edges; one they fit
+        /// in just takes them, in order.
+        #[test]
+        fn full_list_prune_is_alg_4((cands, between, max) in instance(), split in 0usize..30) {
+            let between = |a: u32, b: u32| between[a as usize][b as usize];
+            let held = split.min(cands.len()).min(max);
+            let (list, new) = cands.split_at(held);
+            let mut lists = EdgeLists::new(max);
+            lists.push_list();
+            lists.set(0, list.iter().copied());
+            let (mut spill, mut out) = (Vec::new(), Vec::new());
+            lists.link(0, new.iter().copied(), between, &mut spill, &mut out);
+            if cands.len() <= max {
+                prop_assert_eq!(out, cands);
+            } else {
+                prop_assert_eq!(out, textbook(&cands, max, &between));
+            }
         }
     }
 }

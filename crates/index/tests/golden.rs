@@ -1,16 +1,16 @@
 //! Golden fingerprints of the semantic and content indexes.
 //!
-//! The vector constants below were captured at the commit *before* the
-//! vector indexes moved onto the row slab and the flat HNSW adjacency, from
-//! the boxed-`Vector` / per-node `Vec<Vec<Neighbor>>` implementation and the
-//! autovectorized dot kernel. One FNV-64 over `to_bytes()` pins the graph
-//! (levels, every edge, edge order), the cached distances, the tombstones
-//! and the snapshot wire format at once; one FNV-64 over the `(id, score
-//! bits)` of the top-50 of 64 queries pins what searches return. The
-//! segmented BM25 index is pinned the same way: its snapshot (every
-//! segment, tombstone and statistic) and the top-20 of 64 queries. A layout
-//! or kernel change that moves any of them has changed behaviour, not just
-//! speed.
+//! The flat constants below were captured at the commit *before* the
+//! vector indexes moved onto the row slab, from the boxed-`Vector`
+//! implementation and the autovectorized dot kernel; the HNSW constants
+//! when construction became a batch step (see `HNSW_GOLDEN`). One FNV-64
+//! over `to_bytes()` pins the graph (levels, every edge, edge order), the
+//! cached distances, the tombstones and the snapshot wire format at once;
+//! one FNV-64 over the `(id, score bits)` of the top-50 of 64 queries pins
+//! what searches return. The segmented BM25 index is pinned the same way:
+//! its snapshot (every segment, tombstone and statistic) and the top-20 of
+//! 64 queries. A layout or kernel change that moves any of them has changed
+//! behaviour, not just speed.
 
 use verifai_embed::hashing::{fnv1a, splitmix64, unit_float};
 use verifai_embed::Vector;
@@ -117,14 +117,15 @@ fn show(name: &str, got: &[[u64; 2]; 3]) -> String {
     format!("{name}:\n{}", rows.join("\n"))
 }
 
-/// The mutated row's hits (`[1][1]`) were re-captured when a search stopped
-/// widening its candidate list by the tombstone count and began holding
-/// `ef` live results instead (a tombstone routes but takes no result slot).
-/// Every graph byte and the built and compacted hits predate that change.
+/// Every constant was re-captured when construction became one batch step
+/// with Alg. 4 neighbour selection and `ef_construction` 64: the built and
+/// mutated rows come from `add` (a batch of one), the compacted row from the
+/// batched rebuild, and each graph — its edges and so its snapshot and its
+/// hits — differs from the keep-the-closest graph's.
 const HNSW_GOLDEN: [[u64; 2]; 3] = [
-    [0x56374af19a17fcce, 0xd888278b23ce27ef],
-    [0xe6336684f62ddb16, 0x3b2aa009510f0a7e],
-    [0xaafa81d4fd7a6e25, 0xcf550daae9a3e792],
+    [0xaf94609c68c41b0d, 0xdf17ba0c2794a939],
+    [0x3da3498499d088b2, 0xf158946185af5c2c],
+    [0x4dc73a0c65c101af, 0x60e0ee00fd5e03f9],
 ];
 /// The byte digests (`[_][0]`) were re-captured when the flat snapshot lost
 /// its int8 code sidecar, scan-mode byte and shortlist factor; the hits
@@ -136,11 +137,9 @@ const FLAT_EXACT_GOLDEN: [[u64; 2]; 3] = [
 ];
 #[test]
 fn hnsw_graph_snapshot_and_hits_match_the_golden_build() {
-    let got = fingerprints(
-        HnswIndex::with_defaults(),
-        HnswIndex::to_bytes,
-        HnswIndex::compact,
-    );
+    let got = fingerprints(HnswIndex::with_defaults(), HnswIndex::to_bytes, |index| {
+        index.compact(2)
+    });
     assert_eq!(got, HNSW_GOLDEN, "{}", show("hnsw", &got));
 }
 

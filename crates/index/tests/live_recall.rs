@@ -98,7 +98,7 @@ fn churned_graph_recalls_and_costs_what_its_compacted_copy_does() {
     churn(&mut churned);
     assert_eq!(churned.tombstones(), REPLACED as usize);
     let mut compacted = HnswIndex::from_bytes(churned.to_bytes()).unwrap();
-    compacted.compact();
+    compacted.compact(2);
     assert_eq!(compacted.tombstones(), 0);
     assert_eq!(compacted.len(), churned.len());
 

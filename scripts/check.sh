@@ -121,6 +121,18 @@ grep -q ' 1 passed' <<< "$DETERMINISM_OUT" \
 echo "==> live HNSW recall and cost (gating)"
 cargo test -q --release -p verifai-index --test live_recall
 
+# Recall of the semantic graphs a build makes, at the `small` lake, seeds
+# 42 and 7, against the exact scan at the default ef_search: recall@50 of
+# at least 0.70 for the text graph and 0.85 for the table graph. The test
+# is ignored in the debug tier-1 run (which runs its `tiny` twin), so it is
+# named here; it must report one passed test, so a renamed or deleted test
+# fails the gate instead of passing on zero tests.
+echo "==> semantic graph recall at small (gating)"
+RECALL_OUT="$(cargo test -q --release --test semantic_recall \
+  semantic_graphs_recall_the_exact_scan_at_small -- --exact --ignored)"
+grep -q ' 1 passed' <<< "$RECALL_OUT" \
+  || { echo "small-lake graph recall test did not run"; exit 1; }
+
 # Gating canary smoke: a short healthy serving run with golden-set canaries
 # must exit 0. verifai-serve judges every probe itself, and any failed
 # probe fails the run: a golden object that verified at startup and does

@@ -171,13 +171,13 @@ fn tuple_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &tuple_objects(&sys));
     println!("tuple request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 8 and 169 measured here (171 in debug); 8 and 172 at
+    // 8 and 151.4 measured here (151.4 in debug); 8 and 154.7 at
     // `LakeSpec::small`. Each budget is the larger count plus 25 %.
     assert!(
         cached <= 10.0,
         "cached tuple request: {cached:.1} allocations"
     );
-    assert!(cold <= 215.0, "cold tuple request: {cold:.1} allocations");
+    assert!(cold <= 194.0, "cold tuple request: {cold:.1} allocations");
 }
 
 #[test]
@@ -185,13 +185,13 @@ fn claim_requests_allocate_within_budget() {
     let sys = system();
     let (cached, cold) = mean_allocations(&sys, &claim_objects(&sys));
     println!("claim request: {cached:.1} allocations cached, {cold:.1} cold");
-    // 8 and 97 measured here (99 in debug); 8 and 104 at
+    // 8 and 82.9 measured here (82.9 in debug); 8 and 90.4 at
     // `LakeSpec::small`. Each budget is the larger count plus 25 %.
     assert!(
         cached <= 10.0,
         "cached claim request: {cached:.1} allocations"
     );
-    assert!(cold <= 130.0, "cold claim request: {cold:.1} allocations");
+    assert!(cold <= 113.0, "cold claim request: {cold:.1} allocations");
 }
 
 /// Lineage bytes per request of serving each object's cached evidence a

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
 use verifai::{DataObject, MockClock, RequestTrace, SemanticBackend, VerifAi, VerifAiConfig};
 use verifai_cluster::{build_cluster, build_cluster_with_clock, ClusterConfig};
 use verifai_datagen::{build, completion_workload, LakeSpec};
@@ -216,13 +215,11 @@ fn report_equality_excludes_timing_and_trace_ids() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Across shard counts 1..8, a traced request's per-shard child spans
-    /// graft under its retrieval span and nest inside its interval.
-    #[test]
-    fn shard_children_nest_inside_parents(shards in 1usize..9) {
+/// For every shard count 1..=8, a traced request's per-shard child spans
+/// graft under its retrieval span and nest inside its interval.
+#[test]
+fn shard_children_nest_inside_parents() {
+    for shards in 1usize..=8 {
         let clock = Arc::new(MockClock::with_auto_step(Duration::from_micros(50)));
         let cluster = build_cluster_with_clock(
             build(&LakeSpec::tiny(31)),
@@ -251,17 +248,15 @@ proptest! {
                 .iter()
                 .filter(|s| s.stage.starts_with("shard-"))
                 .collect();
-            prop_assert!(
+            assert!(
                 !shard_children.is_empty(),
-                "no shard children for trace {} at shards={}",
-                id,
-                shards
+                "no shard children for trace {id} at shards={shards}"
             );
             for child in &shard_children {
-                prop_assert_eq!(child.parent_id, retrieval.span_id);
+                assert_eq!(child.parent_id, retrieval.span_id);
                 // Shard ids stay within range.
                 let shard: usize = child.stage["shard-".len()..].parse().unwrap();
-                prop_assert!(shard < shards);
+                assert!(shard < shards);
             }
             assert_nested(&tree);
         }
